@@ -1,0 +1,9 @@
+//go:build !linux
+
+package main
+
+import "time"
+
+func sleepUntil(t time.Time) { time.Sleep(time.Until(t)) }
+
+func settleDisk() {}
