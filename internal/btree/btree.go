@@ -8,8 +8,6 @@
 // non-unique database indexes append the ROWID to the key.
 package btree
 
-import "sort"
-
 // Comparator reports the ordering of two keys: negative if a < b, zero if
 // equal, positive if a > b. It must define a total order.
 type Comparator[K any] func(a, b K) int
@@ -41,63 +39,105 @@ type Tree[K any] struct {
 	cmp  Comparator[K]
 	root *node[K]
 	size int
+	muts uint64
 }
 
 // New returns an empty tree ordered by cmp.
 func New[K any](cmp Comparator[K]) *Tree[K] {
-	return &Tree[K]{cmp: cmp, root: &node[K]{}}
+	return &Tree[K]{cmp: cmp, root: newLeaf[K]()}
+}
+
+// newLeaf allocates a leaf with room for a full node, so filling it never
+// regrows the entry array.
+func newLeaf[K any]() *node[K] {
+	return &node[K]{items: make([]item[K], 0, maxItems)}
 }
 
 // Len returns the number of entries in the tree.
 func (t *Tree[K]) Len() int { return t.size }
 
-// compareItems orders by key first, then by id, giving a total order over
-// entries even with duplicate keys.
-func (t *Tree[K]) compareItems(a, b item[K]) int {
-	if c := t.cmp(a.key, b.key); c != 0 {
-		return c
-	}
-	switch {
-	case a.id < b.id:
-		return -1
-	case a.id > b.id:
-		return 1
-	}
-	return 0
-}
+// Mutations returns how many entries have been added or removed over the
+// tree's life. It exists for tests and diagnostics (an update that leaves
+// a key unchanged must not touch the tree).
+func (t *Tree[K]) Mutations() uint64 { return t.muts }
 
-// find returns the index of the first entry in n.items that is >= it, and
-// whether an exact match was found at that index.
-func (t *Tree[K]) find(n *node[K], it item[K]) (int, bool) {
-	i := sort.Search(len(n.items), func(i int) bool {
-		return t.compareItems(n.items[i], it) >= 0
-	})
-	if i < len(n.items) && t.compareItems(n.items[i], it) == 0 {
-		return i, true
+// find returns the index of the first entry in n.items that is >= (key,
+// id), and whether that entry is an exact match. With keyOnly the id is
+// ignored: the index is that of the first entry whose key is >= key, and
+// the match is on the key alone.
+func (t *Tree[K]) find(n *node[K], key K, id int64, keyOnly bool) (int, bool) {
+	lo, hi, found := 0, len(n.items), false
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		c := t.cmp(n.items[m].key, key)
+		if c == 0 && !keyOnly {
+			switch o := n.items[m].id; {
+			case o < id:
+				c = -1
+			case o > id:
+				c = 1
+			}
+		}
+		if c < 0 {
+			lo = m + 1
+		} else {
+			// The search ends on the first entry that is not smaller, and
+			// probes it on the way, so an exact match is always seen here.
+			hi, found = m, c == 0
+		}
 	}
-	return i, false
+	return lo, found
 }
 
 // Insert adds (key, id). It returns false if the exact (key, id) pair is
 // already present, leaving the tree unchanged.
 func (t *Tree[K]) Insert(key K, id int64) bool {
-	it := item[K]{key: key, id: id}
+	_, ok := t.insert(key, id, false)
+	return ok
+}
+
+// InsertUnique adds (key, id) unless some entry already has an equal key,
+// in one descent. When one does, the tree is unchanged and InsertUnique
+// returns that entry's id and false.
+func (t *Tree[K]) InsertUnique(key K, id int64) (int64, bool) {
+	return t.insert(key, id, true)
+}
+
+func (t *Tree[K]) insert(key K, id int64, unique bool) (int64, bool) {
 	if len(t.root.items) == maxItems {
 		old := t.root
 		t.root = &node[K]{children: []*node[K]{old}}
 		t.splitChild(t.root, 0)
 	}
-	if !t.insertNonFull(t.root, it) {
-		return false
+	n := t.root
+	for {
+		i, found := t.find(n, key, id, unique)
+		if found {
+			return n.items[i].id, false
+		}
+		if n.leaf() {
+			n.items = append(n.items, item[K]{})
+			copy(n.items[i+1:], n.items[i:])
+			n.items[i] = item[K]{key: key, id: id}
+			t.size++
+			t.muts++
+			return id, true
+		}
+		if len(n.children[i].items) == maxItems {
+			// A separator moves up to position i and may be the match or
+			// change the side: search n again.
+			t.splitChild(n, i)
+			continue
+		}
+		n = n.children[i]
 	}
-	t.size++
-	return true
 }
 
 func (t *Tree[K]) splitChild(parent *node[K], i int) {
 	child := parent.children[i]
 	mid := child.items[minItems]
-	right := &node[K]{items: append([]item[K](nil), child.items[minItems+1:]...)}
+	right := newLeaf[K]()
+	right.items = append(right.items, child.items[minItems+1:]...)
 	if !child.leaf() {
 		right.children = append([]*node[K](nil), child.children[minItems+1:]...)
 		child.children = child.children[:minItems+1]
@@ -112,45 +152,21 @@ func (t *Tree[K]) splitChild(parent *node[K], i int) {
 	parent.children[i+1] = right
 }
 
-func (t *Tree[K]) insertNonFull(n *node[K], it item[K]) bool {
-	for {
-		i, found := t.find(n, it)
-		if found {
-			return false
-		}
-		if n.leaf() {
-			n.items = append(n.items, item[K]{})
-			copy(n.items[i+1:], n.items[i:])
-			n.items[i] = it
-			return true
-		}
-		if len(n.children[i].items) == maxItems {
-			t.splitChild(n, i)
-			if c := t.compareItems(it, n.items[i]); c == 0 {
-				return false
-			} else if c > 0 {
-				i++
-			}
-		}
-		n = n.children[i]
-	}
-}
-
 // Delete removes (key, id). It returns false if the pair was not present.
 func (t *Tree[K]) Delete(key K, id int64) bool {
-	it := item[K]{key: key, id: id}
-	if !t.delete(t.root, it) {
+	if !t.delete(t.root, item[K]{key: key, id: id}) {
 		return false
 	}
 	if len(t.root.items) == 0 && !t.root.leaf() {
 		t.root = t.root.children[0]
 	}
 	t.size--
+	t.muts++
 	return true
 }
 
 func (t *Tree[K]) delete(n *node[K], it item[K]) bool {
-	i, found := t.find(n, it)
+	i, found := t.find(n, it.key, it.id, false)
 	if n.leaf() {
 		if !found {
 			return false
@@ -257,14 +273,29 @@ func (t *Tree[K]) Get(key K) []int64 {
 	return ids
 }
 
+// First returns the smallest row ID stored under key, in one descent and
+// without allocating.
+func (t *Tree[K]) First(key K) (int64, bool) {
+	var id int64
+	found := false
+	for n := t.root; ; {
+		i, eq := t.find(n, key, 0, true)
+		if eq {
+			// Entries with the same key and a smaller id, if any, are in
+			// the subtree to the left of this one.
+			id, found = n.items[i].id, true
+		}
+		if n.leaf() {
+			return id, found
+		}
+		n = n.children[i]
+	}
+}
+
 // Contains reports whether at least one entry with the given key exists.
 func (t *Tree[K]) Contains(key K) bool {
-	found := false
-	t.AscendRange(&key, &key, func(K, int64) bool {
-		found = true
-		return false
-	})
-	return found
+	_, ok := t.First(key)
+	return ok
 }
 
 // Visitor is called with each (key, id) entry during iteration. Returning
@@ -285,9 +316,7 @@ func (t *Tree[K]) AscendRange(lo, hi *K, fn Visitor[K]) {
 func (t *Tree[K]) ascend(n *node[K], lo, hi *K, fn Visitor[K]) bool {
 	start := 0
 	if lo != nil {
-		start = sort.Search(len(n.items), func(i int) bool {
-			return t.cmp(n.items[i].key, *lo) >= 0
-		})
+		start, _ = t.find(n, *lo, 0, true)
 	}
 	for i := start; i <= len(n.items); i++ {
 		if !n.leaf() {

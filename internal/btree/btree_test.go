@@ -288,6 +288,106 @@ func TestQuickRangeMatchesSort(t *testing.T) {
 	}
 }
 
+// TestInsertUniqueAgainstMap drives InsertUnique, Insert and Delete over a
+// small key space (so nodes split and merge around equal keys) and checks
+// every InsertUnique verdict against a map model: a held key is refused
+// with the id of an entry that holds it and changes nothing, a free key
+// goes in. First must return the lowest id under a key, wherever in the
+// tree the run of equal keys starts.
+func TestInsertUniqueAgainstMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	tr := newIntTree()
+	model := map[int64]map[int64]bool{} // key → ids
+	nextID := int64(0)
+	for step := 0; step < 20000; step++ {
+		k := rng.Int63n(400)
+		switch op := rng.Intn(10); {
+		case op < 5: // InsertUnique
+			nextID++
+			before := tr.Mutations()
+			got, ok := tr.InsertUnique(k, nextID)
+			if held := model[k]; len(held) > 0 {
+				if ok || !held[got] {
+					t.Fatalf("step %d: InsertUnique(%d) = (%d,%v), key held by %v", step, k, got, ok, held)
+				}
+				if tr.Mutations() != before {
+					t.Fatalf("step %d: refused InsertUnique mutated the tree", step)
+				}
+			} else {
+				if !ok || got != nextID {
+					t.Fatalf("step %d: InsertUnique(%d) = (%d,%v) on a free key", step, k, got, ok)
+				}
+				model[k] = map[int64]bool{nextID: true}
+			}
+		case op < 7: // Insert: duplicates of a key under other ids
+			nextID++
+			tr.Insert(k, nextID)
+			if model[k] == nil {
+				model[k] = map[int64]bool{}
+			}
+			model[k][nextID] = true
+		default: // Delete one id under k
+			for id := range model[k] {
+				if !tr.Delete(k, id) {
+					t.Fatalf("step %d: Delete(%d,%d) = false", step, k, id)
+				}
+				delete(model[k], id)
+				break
+			}
+		}
+		want, any := int64(0), false
+		for id := range model[k] {
+			if !any || id < want {
+				want, any = id, true
+			}
+		}
+		if got, ok := tr.First(k); ok != any || (any && got != want) {
+			t.Fatalf("step %d: First(%d) = (%d,%v), want (%d,%v)", step, k, got, ok, want, any)
+		}
+		if tr.Contains(k) != any {
+			t.Fatalf("step %d: Contains(%d) = %v", step, k, !any)
+		}
+	}
+	size := 0
+	for _, ids := range model {
+		size += len(ids)
+	}
+	if tr.Len() != size {
+		t.Fatalf("Len = %d, model has %d", tr.Len(), size)
+	}
+}
+
+// TestFirstAcrossNodes: a run of equal keys long enough to span several
+// nodes and a separator; First must still find its lowest id.
+func TestFirstAcrossNodes(t *testing.T) {
+	tr := newIntTree()
+	for id := int64(1000); id > 0; id-- {
+		tr.Insert(5, id)
+		tr.Insert(id+10, id) // neighbours on the right
+	}
+	if id, ok := tr.First(5); !ok || id != 1 {
+		t.Fatalf("First(5) = (%d,%v), want (1,true)", id, ok)
+	}
+	if _, ok := tr.First(6); ok {
+		t.Fatal("First(6) found an entry")
+	}
+	if got, ok := tr.InsertUnique(5, 0); ok || got < 1 || got > 1000 {
+		t.Fatalf("InsertUnique(5) = (%d,%v) with the key held", got, ok)
+	}
+}
+
+func TestMutationsCountsChanges(t *testing.T) {
+	tr := newIntTree()
+	tr.Insert(1, 1)
+	tr.Insert(1, 1)       // duplicate: no change
+	tr.InsertUnique(1, 2) // refused: no change
+	tr.Delete(2, 2)       // absent: no change
+	tr.Delete(1, 1)
+	if got := tr.Mutations(); got != 2 {
+		t.Fatalf("Mutations = %d, want 2 (one insert, one delete)", got)
+	}
+}
+
 func TestHeightGrowth(t *testing.T) {
 	tr := newIntTree()
 	for i := int64(0); i < 100000; i++ {

@@ -40,7 +40,7 @@ type BatchResult struct {
 // acquisition and a single WAL commit point. The batch runs in two
 // phases, mirroring the §4.1 pipeline at batch granularity: every
 // distinct term across the batch is interned into rdf_value$ first
-// (repeats hit the term-ID cache), then the rdf_link$ rows are inserted.
+// (repeats hit the term dictionary), then the rdf_link$ rows are inserted.
 // The WAL sees one record group ending in one Commit, so a crash either
 // keeps the whole batch or replays a consistent prefix of it.
 //

@@ -168,11 +168,16 @@ func TestInsertBatchErrors(t *testing.T) {
 	}
 }
 
-// TestTermIDCache: the cache survives heavy reuse and stays correct
-// across a forced reset (more distinct terms than a tiny cap would hold
-// is impractical to test at 1<<20, so exercise correctness via reuse).
-func TestTermIDCache(t *testing.T) {
-	s := newStoreWithModel(t, "m")
+// TestTermDictionaryComplete pins the term dictionary's contract: it is
+// unbounded and holds every rdf_value$ row however the store was built —
+// live inserts, snapshot load, WAL replay — so the read side resolves a
+// term, present or absent, without rdf_value_text. (The 1 M-entry cache it
+// replaces was dropped whole when full and fell back to that index.)
+func TestTermDictionaryComplete(t *testing.T) {
+	s, logFile := walStore(t)
+	if _, err := s.CreateRDFModel("m", "", ""); err != nil {
+		t.Fatal(err)
+	}
 	var batch []BatchTriple
 	subj := rdfterm.NewURI("http://hot/subject")
 	pred := rdfterm.NewURI("http://hot/predicate")
@@ -183,25 +188,50 @@ func TestTermIDCache(t *testing.T) {
 			Object:    rdfterm.NewURI(fmt.Sprintf("http://obj/%d", i)),
 		})
 	}
+	batch = append(batch, batchWorkload()...) // blanks, canonical forms, language tags
 	res, err := s.InsertBatch("m", batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// All statements share subject and predicate value IDs.
-	for _, ts := range res.Triples {
+	// All hot statements share subject and predicate value IDs.
+	for _, ts := range res.Triples[:200] {
 		if ts.SID != res.Triples[0].SID || ts.PID != res.Triples[0].PID {
 			t.Fatal("shared terms interned under different VALUE_IDs")
 		}
 	}
-	if n := s.NumValues(); n != 202 {
-		t.Fatalf("NumValues = %d, want 202 (1 subject + 1 predicate + 200 objects)", n)
+
+	var snap bytes.Buffer
+	if err := s.Save(&snap); err != nil {
+		t.Fatal(err)
 	}
-	// Lookups must agree with the interned IDs (cache vs index coherence).
-	ts, ok, err := s.IsTripleTerms("m", subj, pred, rdfterm.NewURI("http://obj/7"))
-	if err != nil || !ok {
-		t.Fatalf("IsTripleTerms: %v ok=%v", err, ok)
+	loaded, err := Load(bytes.NewReader(snap.Bytes()))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ts.SID != res.Triples[7].SID {
-		t.Fatal("lookup disagrees with interned subject ID")
+	replayed := recoverImage(t, nil, logFile.Bytes())
+
+	for name, st := range map[string]*Store{"live": s, "loaded": loaded, "replayed": replayed} {
+		if errs := st.CheckInvariants(); len(errs) > 0 {
+			t.Fatalf("%s: %v", name, errs)
+		}
+		if len(st.termIDs) != st.NumValues() {
+			t.Fatalf("%s: dictionary has %d entries, rdf_value$ %d rows", name, len(st.termIDs), st.NumValues())
+		}
+		// With rdf_value_text gone, reads still resolve every term and
+		// still know an absent one is absent.
+		if err := st.values.DropIndex(idxValueText); err != nil {
+			t.Fatal(err)
+		}
+		ts, ok, err := st.IsTripleTerms("m", subj, pred, rdfterm.NewURI("http://obj/7"))
+		if err != nil || !ok || ts.SID != res.Triples[7].SID {
+			t.Fatalf("%s: IsTripleTerms = %v ok=%v err=%v", name, ts, ok, err)
+		}
+		if _, ok, _ := st.IsTripleTerms("m", subj, pred, rdfterm.NewURI("http://obj/absent")); ok {
+			t.Fatalf("%s: absent term resolved", name)
+		}
+		got, err := st.Find("m", Pattern{Subject: &subj})
+		if err != nil || len(got) != 200 {
+			t.Fatalf("%s: Find by subject = %d triples, err %v", name, len(got), err)
+		}
 	}
 }

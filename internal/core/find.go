@@ -111,8 +111,8 @@ func (s *Store) findModelLocked(ctx context.Context, mid int64, pat Pattern) ([]
 		}
 	}
 
-	// scanned counts rows across the index scan and the fetch loop; the
-	// context is polled every cancelEvery increments.
+	// scanned counts visited rows; the context is polled every cancelEvery
+	// increments.
 	scanned := 0
 	var ctxErr error
 	tick := func() bool {
@@ -126,78 +126,38 @@ func (s *Store) findModelLocked(ctx context.Context, mid int64, pat Pattern) ([]
 		return true
 	}
 
-	// collectIDs fetches each candidate row and applies only the residual
-	// checks — the components the index prefix does NOT already guarantee.
-	// A component baked into the scanned key prefix is equal on every row
-	// the scan returns, so re-checking it per row is pure overhead.
+	// Each index scan hands over the live row with its entry. Only the
+	// residual check runs per row — the one component the index prefix
+	// does NOT already guarantee: one baked into the scanned prefix is
+	// equal on every row the scan returns.
 	var out []TripleS
-	collectIDs := func(ids []reldb.RowID, checkS, checkP, checkO bool) error {
-		for _, rid := range ids {
-			if !tick() {
-				return ctxErr
+	collect := func(ix *reldb.Index, checkO bool, prefix ...int64) ([]TripleS, error) {
+		ix.ScanIntsRows(prefix, func(_ reldb.RowID, r reldb.Row) bool {
+			if !checkO || r[lcCanonEndNodeID].Int64() == oid {
+				out = append(out, s.tripleSFromRow(r))
 			}
-			r, err := s.links.Get(rid)
-			if err != nil {
-				continue // row deleted since index snapshot
-			}
-			if checkS && r[lcStartNodeID].Int64() != sid {
-				continue
-			}
-			if checkP && r[lcPValueID].Int64() != pid {
-				continue
-			}
-			if checkO && r[lcCanonEndNodeID].Int64() != oid {
-				continue
-			}
-			out = append(out, s.tripleSFromRow(r))
+			return tick()
+		})
+		if ctxErr != nil {
+			return nil, ctxErr
 		}
-		return nil
+		return out, nil
 	}
 
 	switch {
+	case pat.Subject != nil && pat.Predicate != nil && pat.Object != nil:
+		return collect(s.linkMSPO, false, mid, sid, pid, oid)
+	case pat.Subject != nil && pat.Predicate != nil:
+		return collect(s.linkMSPO, false, mid, sid, pid)
 	case pat.Subject != nil:
-		// MSPO prefix covers (M,S), plus P if bound, plus O if P and O are
-		// both bound. The only possible residual is O when P is unbound
-		// (the prefix cannot skip the P column to reach O).
-		prefix := reldb.Key{reldb.Int(mid), reldb.Int(sid)}
-		if pat.Predicate != nil {
-			prefix = append(prefix, reldb.Int(pid))
-			if pat.Object != nil {
-				prefix = append(prefix, reldb.Int(oid))
-			}
-		}
-		var ids []reldb.RowID
-		s.linkMSPO.ScanPrefix(prefix, func(_ reldb.Key, rid reldb.RowID) bool {
-			ids = append(ids, rid)
-			return tick()
-		})
-		if ctxErr != nil {
-			return nil, ctxErr
-		}
-		return out, collectIDs(ids, false, false, pat.Predicate == nil && pat.Object != nil)
+		// The prefix cannot skip the P column to reach O: O is residual.
+		return collect(s.linkMSPO, pat.Object != nil, mid, sid)
 	case pat.Predicate != nil:
-		// MP prefix covers (M,P); O is residual. S is unbound here (the
-		// MSPO branch would have taken it).
-		var ids []reldb.RowID
-		s.linkMP.ScanPrefix(reldb.Key{reldb.Int(mid), reldb.Int(pid)}, func(_ reldb.Key, rid reldb.RowID) bool {
-			ids = append(ids, rid)
-			return tick()
-		})
-		if ctxErr != nil {
-			return nil, ctxErr
-		}
-		return out, collectIDs(ids, false, false, pat.Object != nil)
+		// MP prefix covers (M,P); O is residual.
+		return collect(s.linkMP, pat.Object != nil, mid, pid)
 	case pat.Object != nil:
 		// MO prefix covers (M,O-canon); nothing else is bound.
-		var ids []reldb.RowID
-		s.linkMO.ScanPrefix(reldb.Key{reldb.Int(mid), reldb.Int(oid)}, func(_ reldb.Key, rid reldb.RowID) bool {
-			ids = append(ids, rid)
-			return tick()
-		})
-		if ctxErr != nil {
-			return nil, ctxErr
-		}
-		return out, collectIDs(ids, false, false, false)
+		return collect(s.linkMO, false, mid, oid)
 	default:
 		err := s.links.ScanPartition(mid, func(_ reldb.RowID, r reldb.Row) bool {
 			out = append(out, s.tripleSFromRow(r))

@@ -88,12 +88,13 @@ func (s *Store) insertTermsCtx(model string, sub, prop, obj rdfterm.Term, contex
 }
 
 // internedTriple carries one triple between the two phases of an insert:
-// the blank-resolved terms and their interned VALUE_IDs. Batch inserts
-// run the intern phase over the whole batch before touching rdf_link$.
+// the interned VALUE_IDs and the two rdf_link$ columns derived from the
+// terms' text, so the link phase needs no text. Batch inserts run the
+// intern phase over the whole batch before touching rdf_link$.
 type internedTriple struct {
-	sub, prop, obj rdfterm.Term
 	sid, pid, oid  int64
 	canonID        int64
+	linkType, reif string // LINK_TYPE, REIF_LINK
 }
 
 // insertLocked implements the §4.1 parsing pipeline. Caller holds s.mu.
@@ -140,48 +141,22 @@ func (s *Store) internTripleLocked(modelID int64, sub, prop, obj rdfterm.Term) (
 			return internedTriple{}, err
 		}
 	}
-	return internedTriple{sub: sub, prop: prop, obj: obj, sid: sid, pid: pid, oid: oid, canonID: canonID}, nil
+	return internedTriple{
+		sid: sid, pid: pid, oid: oid, canonID: canonID,
+		linkType: rdfterm.LinkType(prop.Value), reif: reifFlag(sub, prop, obj),
+	}, nil
 }
 
 // insertLinkLocked is the link phase: with all values interned, find or
-// create the rdf_link$ row. Caller holds s.mu for writing.
+// create the rdf_link$ row — one descent of the MSPO index decides which.
+// Caller holds s.mu for writing.
 func (s *Store) insertLinkLocked(modelID int64, it internedTriple, context string) (TripleS, bool, error) {
-	sub, prop, obj := it.sub, it.prop, it.obj
 	sid, pid, oid, canonID := it.sid, it.pid, it.oid, it.canonID
-	// Does the triple already exist in this model?
-	mspoKey := reldb.Key{reldb.Int(modelID), reldb.Int(sid), reldb.Int(pid), reldb.Int(canonID)}
-	if rid, ok := s.linkMSPO.LookupOne(mspoKey); ok {
-		r, err := s.links.Get(rid)
-		if err != nil {
-			return TripleS{}, false, err
-		}
-		// Repeated insert: bump COST (§4: "the number of times the triple
-		// is stored in an application table").
-		newCost := r[lcCost].Int64() + 1
-		if err := s.links.UpdateColumn(rid, "COST", reldb.Int(newCost)); err != nil {
-			return TripleS{}, false, err
-		}
-		// Context upgrade I → D when the triple is now asserted as fact.
-		newCtx := r[lcContext].Str()
-		if context == ContextDirect && newCtx == ContextIndirect {
-			newCtx = ContextDirect
-			if err := s.links.UpdateColumn(rid, "CONTEXT", reldb.String_(newCtx)); err != nil {
-				return TripleS{}, false, err
-			}
-		}
-		if err := s.logRecord(wal.Record{
-			Type: wal.TypeUpdateLink, LinkID: r[lcLinkID].Int64(),
-			Cost: newCost, Context: newCtx,
-		}); err != nil {
-			return TripleS{}, false, err
-		}
-		return s.tripleSFromRow(r), false, nil
-	}
-	// New triple: new LINK_ID; a link is always created per triple (§4).
-	linkID := s.linkSeq.Next()
-	linkType := rdfterm.LinkType(prop.Value)
-	reif := reifFlag(sub, prop, obj)
-	row := reldb.Row{
+	linkType, reif := it.linkType, it.reif
+	// A link is always created per new triple (§4), under the next
+	// LINK_ID; the sequence moves only if the row goes in.
+	linkID := s.linkSeq.Current()
+	rid, created, err := s.links.InsertOrGet(s.linkMSPO, reldb.Row{
 		reldb.Int(linkID),
 		reldb.Int(sid),
 		reldb.Int(pid),
@@ -192,10 +167,14 @@ func (s *Store) insertLinkLocked(modelID int64, it internedTriple, context strin
 		reldb.String_(context),
 		reldb.String_(reif),
 		reldb.Int(modelID),
-	}
-	if _, err := s.links.Insert(row); err != nil {
+	})
+	if err != nil {
 		return TripleS{}, false, err
 	}
+	if !created {
+		return s.repeatLinkLocked(rid, context)
+	}
+	s.linkSeq.AdvanceTo(linkID + 1)
 	// Subjects and objects are NDM nodes, stored once (§4).
 	if err := s.internNodeLocked(sid); err != nil {
 		return TripleS{}, false, err
@@ -211,6 +190,36 @@ func (s *Store) insertLinkLocked(modelID int64, it internedTriple, context strin
 		return TripleS{}, false, err
 	}
 	return TripleS{store: s, TID: linkID, MID: modelID, SID: sid, PID: pid, OID: oid}, true, nil
+}
+
+// repeatLinkLocked records one more insert of the triple already stored in
+// rdf_link$ row rid: COST is bumped (§4: "the number of times the triple
+// is stored in an application table") and an indirect statement now
+// asserted as fact is upgraded I → D (§5.2). Neither column is indexed, so
+// no index is touched. Caller holds s.mu for writing.
+func (s *Store) repeatLinkLocked(rid reldb.RowID, context string) (TripleS, bool, error) {
+	r, err := s.links.Get(rid)
+	if err != nil {
+		return TripleS{}, false, err
+	}
+	newCost := r[lcCost].Int64() + 1
+	if err := s.links.UpdateColumn(rid, "COST", reldb.Int(newCost)); err != nil {
+		return TripleS{}, false, err
+	}
+	newCtx := r[lcContext].Str()
+	if context == ContextDirect && newCtx == ContextIndirect {
+		newCtx = ContextDirect
+		if err := s.links.UpdateColumn(rid, "CONTEXT", reldb.String_(newCtx)); err != nil {
+			return TripleS{}, false, err
+		}
+	}
+	if err := s.logRecord(wal.Record{
+		Type: wal.TypeUpdateLink, LinkID: r[lcLinkID].Int64(),
+		Cost: newCost, Context: newCtx,
+	}); err != nil {
+		return TripleS{}, false, err
+	}
+	return s.tripleSFromRow(r), false, nil
 }
 
 // reifFlag returns "Y" when any component references a reified triple via
@@ -328,7 +337,7 @@ func (s *Store) deleteByLinkID(linkID int64) error {
 }
 
 func (s *Store) deleteByLinkIDLocked(linkID int64) error {
-	rid, ok := s.linkPK.LookupOne(reldb.Key{reldb.Int(linkID)})
+	rid, ok := s.linkPK.LookupInts(linkID)
 	if !ok {
 		return fmt.Errorf("%w: LINK_ID %d", ErrNoSuchTriple, linkID)
 	}
@@ -403,7 +412,7 @@ func (s *Store) isTripleTermsLocked(mid int64, sub, prop, obj rdfterm.Term) (Tri
 	if !ok {
 		return TripleS{}, false, nil
 	}
-	rid, ok := s.linkMSPO.LookupOne(reldb.Key{reldb.Int(mid), reldb.Int(sid), reldb.Int(pid), reldb.Int(canonID)})
+	rid, ok := s.linkMSPO.LookupInts(mid, sid, pid, canonID)
 	if !ok {
 		return TripleS{}, false, nil
 	}

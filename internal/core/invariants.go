@@ -25,7 +25,9 @@ import (
 //  5. every link's MODEL_ID exists in rdf_model$;
 //  6. CONTEXT is D or I; REIF_LINK is Y or N; LINK_TYPE matches the
 //     predicate's vocabulary classification;
-//  7. every rdf_blank_node$ mapping points at a BN-typed value.
+//  7. every rdf_blank_node$ mapping points at a BN-typed value;
+//  8. the term dictionary holds exactly the rdf_value$ rows (a miss in it
+//     is taken to mean "not interned", see Store.termIDs).
 func (s *Store) CheckInvariants() []error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -41,6 +43,7 @@ func (s *Store) CheckInvariants() []error {
 	})
 	s.checkNodeSetLocked(audit, addf)
 	s.checkBlanksLocked(addf)
+	s.checkDictionaryLocked(addf)
 	return errs
 }
 
@@ -71,7 +74,7 @@ func (s *Store) checkLinkLocked(r reldb.Row, audit *linkAudit, addf, dupf func(f
 	sid, pid, oid, cid := r[lcStartNodeID].Int64(), r[lcPValueID].Int64(), r[lcEndNodeID].Int64(), r[lcCanonEndNodeID].Int64()
 
 	for _, pair := range [][2]int64{{sid, 1}, {pid, 2}, {oid, 3}, {cid, 4}} {
-		if !s.valuePK.Contains(reldb.Key{reldb.Int(pair[0])}) {
+		if !s.valuePK.ContainsInts(pair[0]) {
 			addf("link %d: dangling VALUE_ID %d (pos %d)", linkID, pair[0], pair[1])
 		}
 	}
@@ -87,7 +90,7 @@ func (s *Store) checkLinkLocked(r reldb.Row, audit *linkAudit, addf, dupf func(f
 	}
 	audit.seenMSPO[key] = linkID
 
-	if !s.modelPK.Contains(reldb.Key{reldb.Int(modelID)}) {
+	if !s.modelPK.ContainsInts(modelID) {
 		addf("link %d: MODEL_ID %d not in rdf_model$", linkID, modelID)
 	}
 	if ctx := r[lcContext].Str(); ctx != ContextDirect && ctx != ContextIndirect {
@@ -100,7 +103,7 @@ func (s *Store) checkLinkLocked(r reldb.Row, audit *linkAudit, addf, dupf func(f
 		if want := rdfterm.LinkType(prop.Value); r[lcLinkType].Str() != want {
 			addf("link %d: LINK_TYPE %q, predicate implies %q", linkID, r[lcLinkType].Str(), want)
 		}
-	} else if s.valuePK.Contains(reldb.Key{reldb.Int(pid)}) {
+	} else if s.valuePK.ContainsInts(pid) {
 		// The wholly-missing case is already reported as a dangling
 		// VALUE_ID above; an indexed-but-unreadable row is a distinct
 		// index/table divergence and must not be swallowed.
@@ -141,6 +144,21 @@ func (s *Store) checkBlanksLocked(addf func(format string, args ...interface{}))
 		}
 		if term.Kind != rdfterm.Blank {
 			addf("blank mapping (%d,%q): VALUE_ID %d is %s, not BN", r[0].Int64(), r[1].Str(), vid, term.Kind)
+		}
+		return true
+	})
+}
+
+// checkDictionaryLocked verifies invariant 8: every rdf_value$ row is in
+// the term dictionary under its VALUE_ID, and nothing else is. Caller
+// holds s.mu.
+func (s *Store) checkDictionaryLocked(addf func(format string, args ...interface{})) {
+	if len(s.termIDs) != s.values.Len() {
+		addf("term dictionary has %d entries for %d rdf_value$ rows", len(s.termIDs), s.values.Len())
+	}
+	s.values.Scan(func(_ reldb.RowID, r reldb.Row) bool {
+		if id, ok := s.termIDs[rowToTerm(r)]; !ok || id != r[vcValueID].Int64() {
+			addf("value %d: term dictionary says (%d, %v)", r[vcValueID].Int64(), id, ok)
 		}
 		return true
 	})

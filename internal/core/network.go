@@ -58,7 +58,7 @@ func (n *RDFNetwork) inScope(r reldb.Row) bool {
 func (n *RDFNetwork) HasNode(node int64) bool {
 	n.store.mu.RLock()
 	defer n.store.mu.RUnlock()
-	return n.store.nodePK.Contains(reldb.Key{reldb.Int(node)})
+	return n.store.nodePK.ContainsInts(node)
 }
 
 // Nodes implements ndm.Graph. The node set is snapshotted under the

@@ -126,7 +126,7 @@ func (s *Store) applyLocked(r wal.Record) error {
 		return nil
 
 	case wal.TypeUpdateLink:
-		rid, ok := s.linkPK.LookupOne(reldb.Key{reldb.Int(r.LinkID)})
+		rid, ok := s.linkPK.LookupInts(r.LinkID)
 		if !ok {
 			return fmt.Errorf("%w: LINK_ID %d", ErrNoSuchTriple, r.LinkID)
 		}
@@ -136,7 +136,7 @@ func (s *Store) applyLocked(r wal.Record) error {
 		return s.links.UpdateColumn(rid, "CONTEXT", reldb.String_(r.Context))
 
 	case wal.TypeDeleteLink:
-		rid, ok := s.linkPK.LookupOne(reldb.Key{reldb.Int(r.LinkID)})
+		rid, ok := s.linkPK.LookupInts(r.LinkID)
 		if !ok {
 			return fmt.Errorf("%w: LINK_ID %d", ErrNoSuchTriple, r.LinkID)
 		}

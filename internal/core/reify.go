@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/rdfterm"
-	"repro/internal/reldb"
 )
 
 // Streamlined reification (§5): instead of the four-triple reification
@@ -184,7 +183,7 @@ func (s *Store) isReifiedLocked(modelID, linkID int64) bool {
 	if !ok {
 		return false
 	}
-	return s.linkMSPO.Contains(reldb.Key{reldb.Int(modelID), reldb.Int(sid), reldb.Int(pid), reldb.Int(oid)})
+	return s.linkMSPO.ContainsInts(modelID, sid, pid, oid)
 }
 
 // Assertions returns the assertions made about a reified triple in a

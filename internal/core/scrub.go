@@ -156,6 +156,7 @@ func (sc *Scrub) Step() bool {
 		s.checkNodeSetLocked(sc.audit, addf)
 	}
 	s.checkBlanksLocked(addf)
+	s.checkDictionaryLocked(addf)
 	sc.resolveStatsLocked()
 	sc.done = true
 	return true
@@ -210,7 +211,7 @@ func (sc *Scrub) resolveStatsLocked() {
 	sc.report.Stats = make(map[string]Statistics, len(sc.stats))
 	for mid, st := range sc.stats {
 		name := fmt.Sprintf("#%d", mid)
-		if rid, ok := sc.s.modelPK.LookupOne(reldb.Key{reldb.Int(mid)}); ok {
+		if rid, ok := sc.s.modelPK.LookupInts(mid); ok {
 			if r, err := sc.s.models.Get(rid); err == nil {
 				name = r[mcModelName].Str()
 			}

@@ -218,6 +218,7 @@ func LoadAt(r io.Reader) (*Store, int64, error) {
 		if _, err := s.values.Insert(row); err != nil {
 			return nil, 0, corrupt("rdf_value$", err)
 		}
+		s.termIDs[rowToTerm(row)] = v.ID
 	}
 	for _, l := range snap.Links {
 		reif := "N"

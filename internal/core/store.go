@@ -55,13 +55,17 @@ type Store struct {
 	modelSeq *reldb.Sequence //repro:guarded-by mu
 	blankSeq *reldb.Sequence //repro:guarded-by mu
 
-	// termIDs caches term → VALUE_ID so hot terms (repeated subjects and
-	// predicates during bulk load) skip the function-index lookup.
-	// rdf_value$ rows are never deleted or rewritten, so entries cannot go
-	// stale; the cache is only bounded (see termCacheMax). Entries are
-	// added only under the write lock; readers holding RLock may consult
-	// it because RWMutex excludes writers while any reader is in.
-	termIDs map[string]int64 //repro:guarded-by mu
+	// termIDs is the term dictionary: term → VALUE_ID for every
+	// rdf_value$ row, entered by the one function that inserts such rows
+	// (insertValueRowLocked) and by snapshot load. rdf_value$ rows are
+	// never deleted or rewritten, so it is complete and never stale, and a
+	// miss means "not interned" without consulting rdf_value_text. It is
+	// not bounded: a bound would put an index probe back behind every
+	// miss, and an entry costs a map slot whose strings the row shares.
+	// Entries are added only under the write lock; readers holding RLock
+	// may consult it because RWMutex excludes writers while any reader is
+	// in.
+	termIDs map[rdfterm.Term]int64 //repro:guarded-by mu
 
 	// mu serializes multi-table mutations (value interning + link insert),
 	// keeping cross-table invariants atomic. Readers hold the read lock:
@@ -93,7 +97,11 @@ type Store struct {
 // from 1068, link IDs from 2051, model IDs from 7 (Figure 6).
 func New() *Store {
 	db := reldb.NewDatabase("MDSYS")
-	s := &Store{db: db, stats: &planStatsCache{byModel: map[int64]*PlanStats{}}}
+	s := &Store{
+		db:      db,
+		stats:   &planStatsCache{byModel: map[int64]*PlanStats{}},
+		termIDs: map[rdfterm.Term]int64{},
+	}
 	must := func(err error) {
 		if err != nil {
 			panic(fmt.Sprintf("core: building central schema: %v", err))
@@ -333,7 +341,7 @@ func (s *Store) dropModelLocked(id int64, name string) error {
 			return err
 		}
 	}
-	if rid, ok := s.modelPK.LookupOne(reldb.Key{reldb.Int(id)}); ok {
+	if rid, ok := s.modelPK.LookupInts(id); ok {
 		if err := s.models.Delete(rid); err != nil {
 			return err
 		}

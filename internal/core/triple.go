@@ -119,7 +119,7 @@ func (s *Store) GetTripleS(linkID int64) (TripleS, error) {
 
 // getTripleSLocked is GetTripleS for callers already holding s.mu.
 func (s *Store) getTripleSLocked(linkID int64) (TripleS, error) {
-	rid, ok := s.linkPK.LookupOne(reldb.Key{reldb.Int(linkID)})
+	rid, ok := s.linkPK.LookupInts(linkID)
 	if !ok {
 		return TripleS{}, fmt.Errorf("%w: LINK_ID %d", ErrNoSuchTriple, linkID)
 	}
@@ -161,7 +161,7 @@ type LinkInfo struct {
 func (s *Store) LinkInfo(linkID int64) (LinkInfo, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	rid, ok := s.linkPK.LookupOne(reldb.Key{reldb.Int(linkID)})
+	rid, ok := s.linkPK.LookupInts(linkID)
 	if !ok {
 		return LinkInfo{}, fmt.Errorf("%w: LINK_ID %d", ErrNoSuchTriple, linkID)
 	}

@@ -12,60 +12,28 @@ import (
 // characters").
 const maxValueNameLen = rdfterm.LongLiteralThreshold
 
-// termCacheMax bounds the term → VALUE_ID cache. When the cap is hit the
-// whole map is dropped (values remain in the store; only the shortcut is
-// lost) rather than tracking recency — bulk loads touch terms in bursts,
-// so a full reset costs one warm-up pass.
-const termCacheMax = 1 << 20
-
-// termCacheKey flattens a term into the cache key. The components are
-// separated by NUL, which cannot occur inside a validated term.
-func termCacheKey(t rdfterm.Term) string {
-	return t.ValueType() + "\x00" + t.Lexical() + "\x00" + t.Datatype + "\x00" + t.Language
-}
-
-// cacheTermIDLocked records a term's VALUE_ID for later lookups. Caller
-// holds s.mu for writing (readers only ever read the map).
-func (s *Store) cacheTermIDLocked(key string, id int64) {
-	if s.termIDs == nil || len(s.termIDs) >= termCacheMax {
-		s.termIDs = make(map[string]int64, 1024)
-	}
-	s.termIDs[key] = id
-}
-
 // lookupValueIDLocked returns the VALUE_ID for a term, or (0,false) when the
-// text value is not interned yet.
+// text value is not interned yet. The term dictionary holds every
+// rdf_value$ row (see Store.termIDs), so a miss is final: one map probe,
+// no index descent.
 func (s *Store) lookupValueIDLocked(t rdfterm.Term) (int64, bool) {
-	if id, ok := s.termIDs[termCacheKey(t)]; ok {
-		return id, true
-	}
-	rid, ok := s.valueText.LookupOne(termKey(t))
-	if !ok {
-		return 0, false
-	}
-	r, err := s.values.Get(rid)
-	if err != nil {
-		return 0, false
-	}
-	return r[vcValueID].Int64(), true
+	id, ok := s.termIDs[t]
+	return id, ok
 }
 
 // internValueLocked returns the VALUE_ID for a term, inserting a new
 // rdf_value$ row when the text value is first seen. Caller holds s.mu
 // for writing.
 func (s *Store) internValueLocked(t rdfterm.Term) (int64, error) {
-	if err := t.Validate(); err != nil {
-		return 0, err
-	}
-	key := termCacheKey(t)
-	if id, ok := s.termIDs[key]; ok {
+	if id, ok := s.termIDs[t]; ok {
 		s.met.onCacheHit()
 		return id, nil
 	}
 	s.met.onCacheMiss()
-	if id, ok := s.lookupValueIDLocked(t); ok {
-		s.cacheTermIDLocked(key, id)
-		return id, nil
+	// Only validated terms are ever interned, so an invalid one always
+	// lands here.
+	if err := t.Validate(); err != nil {
+		return 0, err
 	}
 	id := s.valueSeq.Next()
 	if err := s.insertValueRowLocked(id, t); err != nil {
@@ -74,13 +42,13 @@ func (s *Store) internValueLocked(t rdfterm.Term) (int64, error) {
 	if err := s.logRecord(valueRecord(id, t.Lexical(), t.ValueType(), t.Datatype, t.Language)); err != nil {
 		return 0, err
 	}
-	s.cacheTermIDLocked(key, id)
 	return id, nil
 }
 
 // insertValueRowLocked inserts the rdf_value$ row for a term under an
-// already-assigned VALUE_ID (splitting long literals into LONG_VALUE) —
-// shared by internValueLocked and WAL replay. Caller holds s.mu.
+// already-assigned VALUE_ID (splitting long literals into LONG_VALUE) and
+// enters the term in the dictionary — shared by internValueLocked and WAL
+// replay. Caller holds s.mu.
 func (s *Store) insertValueRowLocked(id int64, t rdfterm.Term) error {
 	name := t.Lexical()
 	long := reldb.Null()
@@ -103,8 +71,11 @@ func (s *Store) insertValueRowLocked(id int64, t rdfterm.Term) error {
 		lang,
 		long,
 	}
-	_, err := s.values.Insert(row)
-	return err
+	if _, err := s.values.Insert(row); err != nil {
+		return err
+	}
+	s.termIDs[t] = id
+	return nil
 }
 
 // GetValue reconstructs the term stored under a VALUE_ID.
@@ -116,7 +87,7 @@ func (s *Store) GetValue(valueID int64) (rdfterm.Term, error) {
 
 // getValueLocked is GetValue for callers already holding s.mu.
 func (s *Store) getValueLocked(valueID int64) (rdfterm.Term, error) {
-	rid, ok := s.valuePK.LookupOne(reldb.Key{reldb.Int(valueID)})
+	rid, ok := s.valuePK.LookupInts(valueID)
 	if !ok {
 		return rdfterm.Term{}, fmt.Errorf("%w: VALUE_ID %d", ErrNoSuchValue, valueID)
 	}
@@ -152,12 +123,10 @@ func rowToTerm(r reldb.Row) rdfterm.Term {
 
 // internNodeLocked records a value ID in rdf_node$ if not present — graph
 // nodes (subjects/objects) are "stored only once, regardless of the number
-// of times they participate in triples" (§4). Caller holds s.mu.
+// of times they participate in triples" (§4). One descent of the node
+// index either way. Caller holds s.mu.
 func (s *Store) internNodeLocked(valueID int64) error {
-	if s.nodePK.Contains(reldb.Key{reldb.Int(valueID)}) {
-		return nil
-	}
-	_, err := s.nodes.Insert(reldb.Row{reldb.Int(valueID), reldb.Bool(true)})
+	_, _, err := s.nodes.InsertOrGet(s.nodePK, reldb.Row{reldb.Int(valueID), reldb.Bool(true)})
 	return err
 }
 
@@ -166,11 +135,10 @@ func (s *Store) internNodeLocked(valueID int64) error {
 // attached to this link are not removed if there are other links connected
 // to them"). Caller holds s.mu.
 func (s *Store) removeNodeIfOrphanLocked(valueID int64) {
-	k := reldb.Key{reldb.Int(valueID)}
-	if s.linkStart.Contains(k) || s.linkEnd.Contains(k) {
+	if s.linkStart.ContainsInts(valueID) || s.linkEnd.ContainsInts(valueID) {
 		return
 	}
-	if rid, ok := s.nodePK.LookupOne(k); ok {
+	if rid, ok := s.nodePK.LookupInts(valueID); ok {
 		// Delete errors cannot occur here (row just located); ignore to
 		// keep deletion best-effort like Oracle's deferred cleanup.
 		_ = s.nodes.Delete(rid)

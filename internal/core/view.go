@@ -105,9 +105,7 @@ func (tx *ReadTx) ValueLocked(id int64) (rdfterm.Term, error) {
 // these IDs — a single probe of the unique MSPO index, the Contains half
 // of the engine's Next/Contains duality.
 func (tx *ReadTx) ContainsLinkLocked(mid, sid, pid, canonID int64) bool {
-	return tx.s.linkMSPO.Contains(reldb.Key{
-		reldb.Int(mid), reldb.Int(sid), reldb.Int(pid), reldb.Int(canonID),
-	})
+	return tx.s.linkMSPO.ContainsInts(mid, sid, pid, canonID)
 }
 
 // CollectLinksLocked appends to dst the ID tuples of every link in model
@@ -145,20 +143,20 @@ func (tx *ReadTx) CollectLinksLocked(dst []LinkIDs, mid, sid, pid, canonID int64
 		return true
 	}
 
-	switch {
-	case sid != 0:
-		// MSPO prefix covers (M,S), plus P if bound, plus O if both P and
-		// O are bound; the only possible residual is O with P unbound.
-		prefix := reldb.Key{reldb.Int(mid), reldb.Int(sid)}
-		if pid != 0 {
-			prefix = append(prefix, reldb.Int(pid))
-			if canonID != 0 {
-				prefix = append(prefix, reldb.Int(canonID))
-			}
-		}
-		s.linkMSPO.ScanPrefixRows(prefix, func(_ reldb.Key, _ reldb.RowID, r reldb.Row) bool {
-			return add(r, false, pid == 0 && canonID != 0)
+	scan := func(ix *reldb.Index, checkP, checkO bool, prefix ...int64) {
+		ix.ScanIntsRows(prefix, func(_ reldb.RowID, r reldb.Row) bool {
+			return add(r, checkP, checkO)
 		})
+	}
+	switch {
+	case sid != 0 && pid != 0 && canonID != 0:
+		scan(s.linkMSPO, false, false, mid, sid, pid, canonID)
+	case sid != 0 && pid != 0:
+		scan(s.linkMSPO, false, false, mid, sid, pid)
+	case sid != 0:
+		// The MSPO prefix cannot skip P to reach O: with P unbound, O is
+		// the one possible residual.
+		scan(s.linkMSPO, false, canonID != 0, mid, sid)
 	case pid != 0 && canonID != 0:
 		// Predicate and object both bound, but no (M,P,O) index exists:
 		// either prefix works with a residual check on the other column.
@@ -169,24 +167,16 @@ func (tx *ReadTx) CollectLinksLocked(dst []LinkIDs, mid, sid, pid, canonID int64
 		ps := tx.PlanStatsLocked(mid)
 		avgObj := float64(ps.Triples) / float64(max(1, ps.DistinctObjects))
 		if avgObj < float64(ps.Pred(pid).Count) {
-			s.linkMO.ScanPrefixRows(reldb.Key{reldb.Int(mid), reldb.Int(canonID)}, func(_ reldb.Key, _ reldb.RowID, r reldb.Row) bool {
-				return add(r, true, false)
-			})
+			scan(s.linkMO, true, false, mid, canonID)
 		} else {
-			s.linkMP.ScanPrefixRows(reldb.Key{reldb.Int(mid), reldb.Int(pid)}, func(_ reldb.Key, _ reldb.RowID, r reldb.Row) bool {
-				return add(r, false, true)
-			})
+			scan(s.linkMP, false, true, mid, pid)
 		}
 	case pid != 0:
 		// MP prefix covers (M,P); nothing else is bound.
-		s.linkMP.ScanPrefixRows(reldb.Key{reldb.Int(mid), reldb.Int(pid)}, func(_ reldb.Key, _ reldb.RowID, r reldb.Row) bool {
-			return add(r, false, false)
-		})
+		scan(s.linkMP, false, false, mid, pid)
 	case canonID != 0:
 		// MO prefix covers (M,O-canon); nothing else is bound.
-		s.linkMO.ScanPrefixRows(reldb.Key{reldb.Int(mid), reldb.Int(canonID)}, func(_ reldb.Key, _ reldb.RowID, r reldb.Row) bool {
-			return add(r, false, false)
-		})
+		scan(s.linkMO, false, false, mid, canonID)
 	default:
 		if err := s.links.ScanPartition(mid, func(_ reldb.RowID, r reldb.Row) bool {
 			if r == nil {

@@ -100,6 +100,17 @@ type quad struct {
 	extras  []ntriples.Triple // duplicate quad-member statements
 }
 
+// baseUse records how the input uses the base triple of a complete quad.
+type baseUse uint8
+
+const (
+	// baseAsserted: the input also states the base triple directly.
+	baseAsserted baseUse = 1 << iota
+	// baseFolded: the fold inserted the asserted base triple, and its
+	// first direct statement is still to be skipped.
+	baseFolded
+)
+
 func (q *quad) complete() bool {
 	return q.hasType && q.sub != nil && q.pred != nil && q.obj != nil
 }
@@ -135,7 +146,7 @@ func (l *Loader) LoadTriples(triples []ntriples.Triple) (Stats, error) {
 func (l *Loader) loadParsed(triples []ntriples.Triple, stats Stats) (Stats, error) {
 	// Pass 1: gather quad candidates keyed by resource (URI or blank).
 	quads := map[rdfterm.Term]*quad{}
-	var rest []ntriples.Triple
+	rest := make([]ntriples.Triple, 0, len(triples))
 	for _, t := range triples {
 		if member, res := quadMember(t); member {
 			q := quads[res]
@@ -181,9 +192,22 @@ func (l *Loader) loadParsed(triples []ntriples.Triple, stats Stats) (Stats, erro
 	// processed in sorted order so a load is deterministic: the same
 	// input always assigns the same VALUE_IDs and LINK_IDs, and two
 	// stores loaded from the same file are byte-identical.
-	asserted := map[string]bool{}
-	for _, t := range rest {
-		asserted[tripleKey(t)] = true
+	//
+	// bases holds the base triple of every complete quad, and nothing
+	// else: the other statements are only looked up in it, and in a file
+	// without quads not even that.
+	bases := map[ntriples.Triple]baseUse{}
+	for _, q := range quads {
+		if q.complete() {
+			bases[ntriples.Triple{Subject: *q.sub, Predicate: *q.pred, Object: *q.obj}] = 0
+		}
+	}
+	if len(bases) > 0 {
+		for _, t := range rest {
+			if use, ok := bases[t]; ok {
+				bases[t] = use | baseAsserted
+			}
+		}
 	}
 	resources := make([]rdfterm.Term, 0, len(quads))
 	for res := range quads {
@@ -203,7 +227,7 @@ func (l *Loader) loadParsed(triples []ntriples.Triple, stats Stats) (Stats, erro
 		base := ntriples.Triple{Subject: *q.sub, Predicate: *q.pred, Object: *q.obj}
 		var ts core.TripleS
 		var err error
-		if asserted[tripleKey(base)] {
+		if bases[base]&baseAsserted != 0 {
 			// Will be (or has been) inserted as a direct statement below;
 			// insert now so the fold sees the right context.
 			ts, err = l.Store.InsertTerms(l.Model, base.Subject, base.Predicate, base.Object)
@@ -211,7 +235,7 @@ func (l *Loader) loadParsed(triples []ntriples.Triple, stats Stats) (Stats, erro
 				return stats, err
 			}
 			// Avoid double insert in pass 3 (COST would double-count).
-			asserted["folded|"+tripleKey(base)] = true
+			bases[base] |= baseFolded
 		} else {
 			ts, err = l.insertImplied(base)
 			if err != nil {
@@ -254,10 +278,10 @@ func (l *Loader) loadParsed(triples []ntriples.Triple, stats Stats) (Stats, erro
 		return nil
 	}
 	for _, t := range rest {
-		if asserted["folded|"+tripleKey(t)] {
+		if len(bases) > 0 && bases[t]&baseFolded != 0 {
 			// The base triple was already inserted during folding; skip the
 			// duplicate so COST reflects one application reference.
-			delete(asserted, "folded|"+tripleKey(t))
+			bases[t] &^= baseFolded
 			stats.Inserted++
 			continue
 		}
@@ -359,8 +383,4 @@ func quadMember(t ntriples.Triple) (bool, rdfterm.Term) {
 		}
 	}
 	return false, rdfterm.Term{}
-}
-
-func tripleKey(t ntriples.Triple) string {
-	return t.String()
 }

@@ -1,0 +1,517 @@
+package reldb
+
+import (
+	"fmt"
+	"math"
+
+	"repro/internal/btree"
+)
+
+// KeyFunc derives an index key from a row. Function-based indexes (paper
+// §7.2) pass arbitrary functions; column indexes use column extraction.
+type KeyFunc func(Row) Key
+
+// maxIntKeyCols is the widest key stored in the packed layout.
+const maxIntKeyCols = 4
+
+// intKey is the packed layout of an index key: the values of up to
+// maxIntKeyCols NOT NULL NUMBER columns, inline. Columns the index does
+// not have stay zero in every key and every bound, so they never decide a
+// comparison.
+type intKey [maxIntKeyCols]int64
+
+func intKeyCompare(a, b intKey) int {
+	for i := range a {
+		if a[i] != b[i] {
+			if a[i] < b[i] {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
+}
+
+// Index is a B-tree index over a table. Read methods take the owning
+// table's lock, so an Index handle is safe for concurrent use.
+//
+// An index has one of two key layouts, decided by the schema when it is
+// created. A column index whose columns are all NOT NULL NUMBER (at most
+// maxIntKeyCols of them) is packed: its tree holds intKey entries, fixed
+// width and pointer-free. Every other index — string or nullable columns,
+// function-based — holds Key entries. Exactly one of ints and tree is set.
+type Index struct {
+	name   string
+	unique bool
+	keyOf  KeyFunc
+	cols   []int // key column positions; nil for a function-based index
+	ints   *btree.Tree[intKey]
+	tree   *btree.Tree[Key]
+	owner  *Table
+}
+
+// Name returns the index name.
+func (ix *Index) Name() string { return ix.name }
+
+// Unique reports whether this is a unique index.
+func (ix *Index) Unique() bool { return ix.unique }
+
+// newIndex builds an empty index. cols is nil for a function-based index.
+func newIndex(t *Table, name string, unique bool, cols []int, keyOf KeyFunc) *Index {
+	ix := &Index{name: name, unique: unique, keyOf: keyOf, cols: cols, owner: t}
+	packed := len(cols) > 0 && len(cols) <= maxIntKeyCols
+	for _, p := range cols {
+		c := t.schema.Column(p)
+		packed = packed && c.Kind == KindInt && !c.Nullable
+	}
+	if packed {
+		ix.ints = btree.New(intKeyCompare)
+	} else {
+		ix.tree = btree.New(KeyCompare)
+	}
+	return ix
+}
+
+// columnKeyFunc builds a KeyFunc extracting the columns at pos in order.
+func columnKeyFunc(pos []int) KeyFunc {
+	return func(r Row) Key {
+		k := make(Key, len(pos))
+		for i, p := range pos {
+			k[i] = r[p]
+		}
+		return k
+	}
+}
+
+func (t *Table) newColumnIndex(name string, unique bool, columns []string) *Index {
+	pos := make([]int, len(columns))
+	for i, c := range columns {
+		pos[i] = t.schema.MustColumnIndex(c)
+	}
+	return newIndex(t, name, unique, pos, columnKeyFunc(pos))
+}
+
+// CreateIndex builds a (optionally unique) index on the named columns,
+// indexing existing rows. Creating a unique index over data that violates
+// uniqueness fails and leaves the table without the index.
+func (t *Table) CreateIndex(name string, unique bool, columns ...string) (*Index, error) {
+	return t.attachIndex(t.newColumnIndex(name, unique, columns))
+}
+
+// CreateFunctionIndex builds an index whose keys are computed by fn — the
+// engine's version of Oracle function-based indexes, used in §7.2 to index
+// application tables on triple.GET_SUBJECT() etc.
+func (t *Table) CreateFunctionIndex(name string, unique bool, fn KeyFunc) (*Index, error) {
+	return t.attachIndex(newIndex(t, name, unique, nil, fn))
+}
+
+// attachIndex fills ix from the existing rows and registers it.
+func (t *Table) attachIndex(ix *Index) (*Index, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if _, dup := t.indexes[ix.name]; dup {
+		return nil, fmt.Errorf("%w: index %s on %s", ErrDuplicateObject, ix.name, t.name)
+	}
+	for id, r := range t.rows {
+		if r == nil {
+			continue
+		}
+		if _, ok := ix.add(r, RowID(id)); !ok {
+			return nil, fmt.Errorf("%w: building index %s, key %s", ErrUniqueViolation, ix.name, ix.keyOf(r))
+		}
+	}
+	t.indexes[ix.name] = ix
+	t.ordered = append(t.ordered, ix)
+	return ix, nil
+}
+
+// DropIndex removes an index.
+func (t *Table) DropIndex(name string) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if _, ok := t.indexes[name]; !ok {
+		return fmt.Errorf("%w: %s on %s", ErrNoSuchIndex, name, t.name)
+	}
+	delete(t.indexes, name)
+	for i, ix := range t.ordered {
+		if ix.name == name {
+			t.ordered = append(t.ordered[:i], t.ordered[i+1:]...)
+			break
+		}
+	}
+	return nil
+}
+
+// Index returns a previously created index by name.
+func (t *Table) Index(name string) (*Index, error) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	ix, ok := t.indexes[name]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s on %s", ErrNoSuchIndex, name, t.name)
+	}
+	return ix, nil
+}
+
+// MustIndex is Index but panics on unknown names (index names in this
+// codebase are constants).
+func (t *Table) MustIndex(name string) *Index {
+	ix, err := t.Index(name)
+	if err != nil {
+		panic(err)
+	}
+	return ix
+}
+
+// --- maintenance (caller holds the table's write lock) ---
+
+// packRow extracts a packed index's key from a validated row.
+func (ix *Index) packRow(r Row) intKey {
+	var k intKey
+	for i, p := range ix.cols {
+		k[i] = r[p].i
+	}
+	return k
+}
+
+// add enters row r under id, in one descent. A unique index refuses a key
+// (without NULLs) that another row already holds: the tree is unchanged
+// and add returns that row's ID and false.
+func (ix *Index) add(r Row, id RowID) (RowID, bool) {
+	if ix.ints != nil {
+		if ix.unique {
+			return ix.ints.InsertUnique(ix.packRow(r), id)
+		}
+		ix.ints.Insert(ix.packRow(r), id)
+		return id, true
+	}
+	k := ix.keyOf(r)
+	if ix.unique && !keyHasNull(k) {
+		return ix.tree.InsertUnique(k, id)
+	}
+	ix.tree.Insert(k, id)
+	return id, true
+}
+
+// remove deletes row r's entry.
+func (ix *Index) remove(r Row, id RowID) {
+	if ix.ints != nil {
+		ix.ints.Delete(ix.packRow(r), id)
+		return
+	}
+	ix.tree.Delete(ix.keyOf(r), id)
+}
+
+// sameKey reports whether rows a and b have the same key in this index.
+func (ix *Index) sameKey(a, b Row) bool {
+	if ix.cols == nil {
+		return ix.keyOf(a).Compare(ix.keyOf(b)) == 0
+	}
+	for _, p := range ix.cols {
+		if a[p].Compare(b[p]) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// dependsOn reports whether a change to the column at pos can change the
+// key. A function-based index may read any column.
+func (ix *Index) dependsOn(pos int) bool {
+	if ix.cols == nil {
+		return true
+	}
+	for _, p := range ix.cols {
+		if p == pos {
+			return true
+		}
+	}
+	return false
+}
+
+// --- reads ---
+
+// keyInts returns the values of an all-integer key of at most
+// maxIntKeyCols components, or false for any other key.
+func keyInts(k Key, buf *intKey) ([]int64, bool) {
+	if len(k) > maxIntKeyCols {
+		return nil, false
+	}
+	for i, v := range k {
+		if v.kind != KindInt {
+			return nil, false
+		}
+		buf[i] = v.i
+	}
+	return buf[:len(k)], true
+}
+
+// intsKey is the Key form of an all-integer key.
+func intsKey(ints []int64) Key {
+	k := make(Key, len(ints))
+	for i, v := range ints {
+		k[i] = Int(v)
+	}
+	return k
+}
+
+// packFull packs a complete key of a packed index. No entry can equal a
+// key of another length.
+func (ix *Index) packFull(ints []int64) (intKey, bool) {
+	var k intKey
+	if len(ints) != len(ix.cols) {
+		return k, false
+	}
+	copy(k[:], ints)
+	return k, true
+}
+
+// packPrefix returns the inclusive range of packed keys that begin with
+// prefix. No entry does when the prefix is longer than the key.
+func (ix *Index) packPrefix(prefix []int64) (lo, hi intKey, ok bool) {
+	if len(prefix) > len(ix.cols) {
+		return lo, hi, false
+	}
+	copy(lo[:], prefix)
+	copy(hi[:], prefix)
+	for i := len(prefix); i < len(ix.cols); i++ {
+		lo[i], hi[i] = math.MinInt64, math.MaxInt64
+	}
+	return lo, hi, true
+}
+
+// unpack writes packed key k into buf, which has one cell per key column.
+func (ix *Index) unpack(buf Key, k intKey) Key {
+	for i := range buf {
+		buf[i] = Int(k[i])
+	}
+	return buf
+}
+
+// firstLocked returns the lowest row ID under key. Caller holds the lock.
+func (ix *Index) firstLocked(key Key) (RowID, bool) {
+	if ix.ints == nil {
+		return ix.tree.First(key)
+	}
+	var buf intKey
+	if ints, ok := keyInts(key, &buf); ok {
+		return ix.firstIntsLocked(ints)
+	}
+	return 0, false
+}
+
+func (ix *Index) firstIntsLocked(key []int64) (RowID, bool) {
+	if ix.ints == nil {
+		return ix.tree.First(intsKey(key))
+	}
+	if k, ok := ix.packFull(key); ok {
+		return ix.ints.First(k)
+	}
+	return 0, false
+}
+
+// Lookup returns the IDs of rows whose index key equals key.
+func (ix *Index) Lookup(key Key) []RowID {
+	ix.owner.mu.RLock()
+	defer ix.owner.mu.RUnlock()
+	if ix.ints == nil {
+		return ix.tree.Get(key)
+	}
+	var buf intKey
+	if ints, ok := keyInts(key, &buf); ok {
+		if k, ok := ix.packFull(ints); ok {
+			return ix.ints.Get(k)
+		}
+	}
+	return nil
+}
+
+// LookupOne returns the single row ID for key in a unique index, or
+// (0, false) when absent.
+func (ix *Index) LookupOne(key Key) (RowID, bool) {
+	ix.owner.mu.RLock()
+	defer ix.owner.mu.RUnlock()
+	return ix.firstLocked(key)
+}
+
+// Contains reports whether any row has the given key.
+func (ix *Index) Contains(key Key) bool {
+	_, ok := ix.LookupOne(key)
+	return ok
+}
+
+// LookupInts is LookupOne for a key of integers, given as such: on a
+// packed index nothing is allocated.
+func (ix *Index) LookupInts(key ...int64) (RowID, bool) {
+	ix.owner.mu.RLock()
+	defer ix.owner.mu.RUnlock()
+	return ix.firstIntsLocked(key)
+}
+
+// ContainsInts is Contains for a key of integers.
+func (ix *Index) ContainsInts(key ...int64) bool {
+	_, ok := ix.LookupInts(key...)
+	return ok
+}
+
+// The Key handed to a Scan, ScanPrefix or ScanPrefixRows callback is valid
+// only during that call: a packed index rebuilds it in one per-scan buffer
+// for every entry. Copy it to keep it.
+
+// Scan visits (key, rowID) pairs with lo <= key <= hi in key order. Nil
+// bounds are unbounded. fn returning false stops the scan.
+func (ix *Index) Scan(lo, hi Key, fn func(key Key, id RowID) bool) {
+	ix.owner.mu.RLock()
+	defer ix.owner.mu.RUnlock()
+	if ix.ints == nil {
+		var lb, hb *Key
+		if lo != nil {
+			lb = &lo
+		}
+		if hi != nil {
+			hb = &hi
+		}
+		ix.tree.AscendRange(lb, hb, fn)
+		return
+	}
+	// A lower bound that is a prefix sorts before every key it begins, so
+	// it packs exactly; so does a complete upper bound. Bounds of any
+	// other shape (no caller has one) are applied entry by entry.
+	var lb, hb *intKey
+	var lbuf, hbuf intKey
+	exact := true
+	if lo != nil {
+		ints, ok := keyInts(lo, &lbuf)
+		plo, _, fits := ix.packPrefix(ints)
+		lb, exact = &plo, ok && fits
+	}
+	if hi != nil {
+		ints, ok := keyInts(hi, &hbuf)
+		phi, full := ix.packFull(ints)
+		hb, exact = &phi, exact && ok && full
+	}
+	buf := make(Key, len(ix.cols))
+	if exact {
+		ix.ints.AscendRange(lb, hb, func(k intKey, id int64) bool {
+			return fn(ix.unpack(buf, k), id)
+		})
+		return
+	}
+	ix.ints.Ascend(func(k intKey, id int64) bool {
+		key := ix.unpack(buf, k)
+		if lo != nil && key.Compare(lo) < 0 {
+			return true
+		}
+		if hi != nil && key.Compare(hi) > 0 {
+			return false
+		}
+		return fn(key, id)
+	})
+}
+
+// scanPrefixLocked visits every entry whose key begins with prefix, in
+// key order. Caller holds the lock.
+func (ix *Index) scanPrefixLocked(prefix Key, fn func(key Key, id RowID) bool) {
+	if ix.ints == nil {
+		ix.tree.AscendRange(&prefix, nil, func(key Key, id int64) bool {
+			if len(key) < len(prefix) || key[:len(prefix)].Compare(prefix) != 0 {
+				return false
+			}
+			return fn(key, id)
+		})
+		return
+	}
+	var pbuf intKey
+	ints, ok := keyInts(prefix, &pbuf)
+	if !ok {
+		return
+	}
+	if lo, hi, ok := ix.packPrefix(ints); ok {
+		buf := make(Key, len(ix.cols))
+		ix.ints.AscendRange(&lo, &hi, func(k intKey, id int64) bool {
+			return fn(ix.unpack(buf, k), id)
+		})
+	}
+}
+
+// scanIntsLocked visits the row IDs under an integer key prefix, in key
+// order, without building keys. Caller holds the lock.
+func (ix *Index) scanIntsLocked(prefix []int64, fn func(id RowID) bool) {
+	if ix.ints == nil {
+		ix.scanPrefixLocked(intsKey(prefix), func(_ Key, id RowID) bool { return fn(id) })
+		return
+	}
+	if lo, hi, ok := ix.packPrefix(prefix); ok {
+		ix.ints.AscendRange(&lo, &hi, func(_ intKey, id int64) bool { return fn(id) })
+	}
+}
+
+// ascendLocked visits every entry in key order. Caller holds the lock.
+func (ix *Index) ascendLocked(fn func(key Key, id RowID) bool) {
+	if ix.ints == nil {
+		ix.tree.Ascend(fn)
+		return
+	}
+	buf := make(Key, len(ix.cols))
+	ix.ints.Ascend(func(k intKey, id int64) bool { return fn(ix.unpack(buf, k), id) })
+}
+
+// ScanPrefix visits every entry whose key begins with prefix, in key order.
+func (ix *Index) ScanPrefix(prefix Key, fn func(key Key, id RowID) bool) {
+	ix.owner.mu.RLock()
+	defer ix.owner.mu.RUnlock()
+	ix.scanPrefixLocked(prefix, fn)
+}
+
+// ScanPrefixRows is ScanPrefix, but also hands fn the live row for each
+// index entry, fetched under the same single read-lock hold (avoiding the
+// per-row Table.Get re-lock + Clone). The row passed to fn must not be
+// retained or mutated; Clone it to keep it. Entries whose row has been
+// tombstoned are skipped.
+func (ix *Index) ScanPrefixRows(prefix Key, fn func(key Key, id RowID, r Row) bool) {
+	ix.owner.mu.RLock()
+	defer ix.owner.mu.RUnlock()
+	ix.scanPrefixLocked(prefix, func(key Key, id RowID) bool {
+		r, err := ix.owner.getLocked(id)
+		if err != nil {
+			return true
+		}
+		return fn(key, id, r)
+	})
+}
+
+// ScanIntsRows is ScanPrefixRows for a prefix of integers, given as such
+// and without the key: on a packed index nothing is built per entry.
+func (ix *Index) ScanIntsRows(prefix []int64, fn func(id RowID, r Row) bool) {
+	ix.owner.mu.RLock()
+	defer ix.owner.mu.RUnlock()
+	ix.scanIntsLocked(prefix, func(id RowID) bool {
+		r, err := ix.owner.getLocked(id)
+		if err != nil {
+			return true
+		}
+		return fn(id, r)
+	})
+}
+
+// Len returns the number of entries in the index.
+func (ix *Index) Len() int {
+	ix.owner.mu.RLock()
+	defer ix.owner.mu.RUnlock()
+	if ix.ints != nil {
+		return ix.ints.Len()
+	}
+	return ix.tree.Len()
+}
+
+// Mutations returns how many entries the index's tree has gained or lost
+// over its life, for tests and diagnostics: an update that changes no
+// indexed column must leave it alone.
+func (ix *Index) Mutations() uint64 {
+	ix.owner.mu.RLock()
+	defer ix.owner.mu.RUnlock()
+	if ix.ints != nil {
+		return ix.ints.Mutations()
+	}
+	return ix.tree.Mutations()
+}

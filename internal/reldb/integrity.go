@@ -33,7 +33,7 @@ func (t *Table) CheckIntegrity() []error {
 		entries := 0
 		perKey := map[string][]RowID{}
 		valid := true
-		ix.tree.Ascend(func(k Key, id int64) bool {
+		ix.ascendLocked(func(k Key, id RowID) bool {
 			entries++
 			r, ok := live[id]
 			if !ok {

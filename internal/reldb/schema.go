@@ -70,18 +70,26 @@ func (s *Schema) Validate(r Row) error {
 			ErrSchemaMismatch, s.tabName, len(s.cols), len(r))
 	}
 	for i, v := range r {
-		c := s.cols[i]
-		if v.IsNull() {
-			if !c.Nullable {
-				return fmt.Errorf("%w: column %s.%s is NOT NULL",
-					ErrSchemaMismatch, s.tabName, c.Name)
-			}
-			continue
+		if err := s.validateCell(i, v); err != nil {
+			return err
 		}
-		if v.Kind() != c.Kind {
-			return fmt.Errorf("%w: column %s.%s expects %s, got %s",
-				ErrSchemaMismatch, s.tabName, c.Name, c.Kind, v.Kind())
+	}
+	return nil
+}
+
+// validateCell checks one value against the i-th column.
+func (s *Schema) validateCell(i int, v Value) error {
+	c := s.cols[i]
+	if v.IsNull() {
+		if !c.Nullable {
+			return fmt.Errorf("%w: column %s.%s is NOT NULL",
+				ErrSchemaMismatch, s.tabName, c.Name)
 		}
+		return nil
+	}
+	if v.Kind() != c.Kind {
+		return fmt.Errorf("%w: column %s.%s expects %s, got %s",
+			ErrSchemaMismatch, s.tabName, c.Name, c.Kind, v.Kind())
 	}
 	return nil
 }

@@ -3,8 +3,6 @@ package reldb
 import (
 	"fmt"
 	"sync"
-
-	"repro/internal/btree"
 )
 
 // RowID identifies a row within one table. Row IDs are stable for the life
@@ -49,7 +47,9 @@ func NewPartitionedTable(schema *Schema, partColumn string) *Table {
 	if schema.Column(t.partCol).Kind != KindInt {
 		panic(fmt.Sprintf("reldb: partition column %s.%s must be NUMBER", schema.Table(), partColumn))
 	}
-	t.partIdx = t.mustCreateIndexLocked("__part$"+partColumn, false, columnKeyFunc(schema, []string{partColumn}))
+	t.partIdx = t.newColumnIndex("__part$"+partColumn, false, []string{partColumn})
+	t.indexes[t.partIdx.name] = t.partIdx
+	t.ordered = append(t.ordered, t.partIdx)
 	return t
 }
 
@@ -66,51 +66,76 @@ func (t *Table) Len() int {
 	return t.live
 }
 
-// columnKeyFunc builds a KeyFunc extracting the named columns in order.
-func columnKeyFunc(s *Schema, cols []string) KeyFunc {
-	pos := make([]int, len(cols))
-	for i, c := range cols {
-		pos[i] = s.MustColumnIndex(c)
-	}
-	return func(r Row) Key {
-		k := make(Key, len(pos))
-		for i, p := range pos {
-			k[i] = r[p]
-		}
-		return k
-	}
-}
-
 // Insert validates and appends a row, maintaining all indexes. It returns
-// the new row's ID. On a unique-index conflict nothing is modified and the
-// row ID of an arbitrary conflicting row is reported in the error via
-// UniqueViolation.
+// the new row's ID. On a unique-index conflict nothing is modified.
 func (t *Table) Insert(r Row) (RowID, error) {
 	if err := t.schema.Validate(r); err != nil {
 		return 0, err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	r = r.Clone()
-	for _, idx := range t.ordered {
-		if !idx.unique {
-			continue
-		}
-		k := idx.keyOf(r)
-		if keyHasNull(k) {
-			continue
-		}
-		if idx.tree.Contains(k) {
-			return 0, fmt.Errorf("%w: index %s key %s", ErrUniqueViolation, idx.name, k)
-		}
+	id, _, err := t.insertLocked(r, nil)
+	return id, err
+}
+
+// InsertOrGet is Insert, except that when unique index ix already holds
+// r's key it reports the row that does — (its ID, false, nil) — instead of
+// failing: INSERT … ON CONFLICT DO NOTHING. Either way ix is descended
+// once, so a caller need not probe it before inserting.
+func (t *Table) InsertOrGet(ix *Index, r Row) (RowID, bool, error) {
+	if ix.owner != t || !ix.unique {
+		panic(fmt.Sprintf("reldb: InsertOrGet on %s needs one of its unique indexes, got %s", t.name, ix.name))
 	}
+	if err := t.schema.Validate(r); err != nil {
+		return 0, false, err
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.insertLocked(r, ix)
+}
+
+// insertLocked enters r in every index — the unique check and the insert
+// are one descent each — and appends it to the heap. With first set, that
+// index goes first and a conflict in it is an answer (the row holding the
+// key, false), not an error. Nothing stored refers to r itself.
+func (t *Table) insertLocked(r Row, first *Index) (RowID, bool, error) {
 	id := RowID(len(t.rows))
-	t.rows = append(t.rows, r)
-	t.live++
-	for _, idx := range t.ordered {
-		idx.tree.Insert(idx.keyOf(r), id)
+	var owned Row
+	if first != nil && first.ints != nil {
+		// Packed keys are read straight from r, so a caller whose key is
+		// already present pays no copy of the row.
+		if other, ok := first.ints.InsertUnique(first.packRow(r), id); !ok {
+			return other, false, nil
+		}
+		owned = r.Clone()
+	} else {
+		owned = r.Clone()
+		if first != nil {
+			if other, ok := first.add(owned, id); !ok {
+				return other, false, nil
+			}
+		}
 	}
-	return id, nil
+	for n, ix := range t.ordered {
+		if ix == first {
+			continue
+		}
+		if _, ok := ix.add(owned, id); !ok {
+			for m, done := range t.ordered {
+				if m < n || done == first {
+					done.remove(owned, id)
+				}
+			}
+			return 0, false, uniqueViolation(ix, owned)
+		}
+	}
+	t.rows = append(t.rows, owned)
+	t.live++
+	return id, true, nil
+}
+
+func uniqueViolation(ix *Index, r Row) error {
+	return fmt.Errorf("%w: index %s key %s", ErrUniqueViolation, ix.name, ix.keyOf(r))
 }
 
 // Get returns a copy of the row with the given ID.
@@ -132,7 +157,8 @@ func (t *Table) getLocked(id RowID) (Row, error) {
 }
 
 // Update replaces the row with the given ID, maintaining indexes. Unique
-// checks exclude the row being updated.
+// checks exclude the row being updated. An index whose key the new row
+// leaves unchanged is not touched.
 func (t *Table) Update(id RowID, r Row) error {
 	if err := t.schema.Validate(r); err != nil {
 		return err
@@ -143,47 +169,55 @@ func (t *Table) Update(id RowID, r Row) error {
 	if err != nil {
 		return err
 	}
-	r = r.Clone()
-	for _, idx := range t.ordered {
-		if !idx.unique {
+	return t.updateLocked(id, old, r.Clone())
+}
+
+// updateLocked swaps row id from old to r (which the table keeps). A
+// changed key enters its index before the old one leaves, so a unique
+// conflict is found in that one descent and the indexes already moved are
+// moved back.
+func (t *Table) updateLocked(id RowID, old, r Row) error {
+	for n, ix := range t.ordered {
+		if ix.sameKey(old, r) {
 			continue
 		}
-		k := idx.keyOf(r)
-		if keyHasNull(k) {
-			continue
-		}
-		conflict := false
-		idx.tree.AscendRange(&k, &k, func(_ Key, other int64) bool {
-			if other != id {
-				conflict = true
+		if _, ok := ix.add(r, id); !ok {
+			for _, done := range t.ordered[:n] {
+				if !done.sameKey(old, r) {
+					done.remove(r, id)
+					done.add(old, id)
+				}
 			}
-			return !conflict
-		})
-		if conflict {
-			return fmt.Errorf("%w: index %s key %s", ErrUniqueViolation, idx.name, k)
+			return uniqueViolation(ix, r)
 		}
-	}
-	for _, idx := range t.ordered {
-		idx.tree.Delete(idx.keyOf(old), id)
-		idx.tree.Insert(idx.keyOf(r), id)
+		ix.remove(old, id)
 	}
 	t.rows[id] = r
 	return nil
 }
 
-// UpdateColumn replaces one column of one row.
+// UpdateColumn replaces one column of one row. When no index can depend
+// on the column the cell is overwritten in place and no index is visited.
 func (t *Table) UpdateColumn(id RowID, column string, v Value) error {
 	pos := t.schema.MustColumnIndex(column)
-	t.mu.RLock()
-	old, err := t.getLocked(id)
-	if err != nil {
-		t.mu.RUnlock()
+	if err := t.schema.validateCell(pos, v); err != nil {
 		return err
 	}
-	r := old.Clone()
-	t.mu.RUnlock()
-	r[pos] = v
-	return t.Update(id, r)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	old, err := t.getLocked(id)
+	if err != nil {
+		return err
+	}
+	for _, ix := range t.ordered {
+		if ix.dependsOn(pos) {
+			r := old.Clone()
+			r[pos] = v
+			return t.updateLocked(id, old, r)
+		}
+	}
+	old[pos] = v
+	return nil
 }
 
 // Delete tombstones the row and removes its index entries.
@@ -194,8 +228,8 @@ func (t *Table) Delete(id RowID) error {
 	if err != nil {
 		return err
 	}
-	for _, idx := range t.ordered {
-		idx.tree.Delete(idx.keyOf(r), id)
+	for _, ix := range t.ordered {
+		ix.remove(r, id)
 	}
 	t.rows[id] = nil
 	t.live--
@@ -225,8 +259,7 @@ func (t *Table) ScanPartition(part int64, fn func(id RowID, r Row) bool) error {
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	k := Key{Int(part)}
-	t.partIdx.tree.AscendRange(&k, &k, func(_ Key, id int64) bool {
+	t.partIdx.scanIntsLocked([]int64{part}, func(id RowID) bool {
 		return fn(id, t.rows[id])
 	})
 	return nil
@@ -251,7 +284,7 @@ func (t *Table) Partitions() []int64 {
 	defer t.mu.RUnlock()
 	var parts []int64
 	var last *int64
-	t.partIdx.tree.Ascend(func(key Key, _ int64) bool {
+	t.partIdx.ascendLocked(func(key Key, _ RowID) bool {
 		v := key[0].Int64()
 		if last == nil || *last != v {
 			parts = append(parts, v)
@@ -291,192 +324,4 @@ func (t *Table) TruncatePartition(part int64) (int, error) {
 		}
 	}
 	return len(ids), nil
-}
-
-// --- indexes ---
-
-// KeyFunc derives an index key from a row. Function-based indexes (paper
-// §7.2) pass arbitrary functions; column indexes use column extraction.
-type KeyFunc func(Row) Key
-
-// Index is a B-tree index over a table. Read methods take the owning
-// table's lock, so an Index handle is safe for concurrent use.
-type Index struct {
-	name   string
-	unique bool
-	keyOf  KeyFunc
-	tree   *btree.Tree[Key]
-	owner  *Table
-}
-
-// Name returns the index name.
-func (ix *Index) Name() string { return ix.name }
-
-// Unique reports whether this is a unique index.
-func (ix *Index) Unique() bool { return ix.unique }
-
-func (t *Table) mustCreateIndexLocked(name string, unique bool, keyOf KeyFunc) *Index {
-	if _, dup := t.indexes[name]; dup {
-		panic(fmt.Sprintf("reldb: index %q already exists on %s", name, t.name))
-	}
-	ix := &Index{name: name, unique: unique, keyOf: keyOf, tree: btree.New[Key](KeyCompare), owner: t}
-	t.indexes[name] = ix
-	t.ordered = append(t.ordered, ix)
-	return ix
-}
-
-// CreateIndex builds a (optionally unique) index on the named columns,
-// indexing existing rows. Creating a unique index over data that violates
-// uniqueness fails and leaves the table without the index.
-func (t *Table) CreateIndex(name string, unique bool, columns ...string) (*Index, error) {
-	return t.CreateFunctionIndex(name, unique, columnKeyFunc(t.schema, columns))
-}
-
-// CreateFunctionIndex builds an index whose keys are computed by fn — the
-// engine's version of Oracle function-based indexes, used in §7.2 to index
-// application tables on triple.GET_SUBJECT() etc.
-func (t *Table) CreateFunctionIndex(name string, unique bool, fn KeyFunc) (*Index, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, dup := t.indexes[name]; dup {
-		return nil, fmt.Errorf("%w: index %s on %s", ErrDuplicateObject, name, t.name)
-	}
-	ix := &Index{name: name, unique: unique, keyOf: fn, tree: btree.New[Key](KeyCompare), owner: t}
-	for id, r := range t.rows {
-		if r == nil {
-			continue
-		}
-		k := fn(r)
-		if unique && !keyHasNull(k) && ix.tree.Contains(k) {
-			return nil, fmt.Errorf("%w: building index %s, key %s", ErrUniqueViolation, name, k)
-		}
-		ix.tree.Insert(k, RowID(id))
-	}
-	t.indexes[name] = ix
-	t.ordered = append(t.ordered, ix)
-	return ix, nil
-}
-
-// DropIndex removes an index.
-func (t *Table) DropIndex(name string) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.indexes[name]; !ok {
-		return fmt.Errorf("%w: %s on %s", ErrNoSuchIndex, name, t.name)
-	}
-	delete(t.indexes, name)
-	for i, ix := range t.ordered {
-		if ix.name == name {
-			t.ordered = append(t.ordered[:i], t.ordered[i+1:]...)
-			break
-		}
-	}
-	return nil
-}
-
-// Index returns a previously created index by name.
-func (t *Table) Index(name string) (*Index, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	ix, ok := t.indexes[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s on %s", ErrNoSuchIndex, name, t.name)
-	}
-	return ix, nil
-}
-
-// MustIndex is Index but panics on unknown names (index names in this
-// codebase are constants).
-func (t *Table) MustIndex(name string) *Index {
-	ix, err := t.Index(name)
-	if err != nil {
-		panic(err)
-	}
-	return ix
-}
-
-// Lookup returns the IDs of rows whose index key equals key.
-func (ix *Index) Lookup(key Key) []RowID {
-	ix.owner.mu.RLock()
-	defer ix.owner.mu.RUnlock()
-	return ix.tree.Get(key)
-}
-
-// LookupOne returns the single row ID for key in a unique index, or
-// (0, false) when absent.
-func (ix *Index) LookupOne(key Key) (RowID, bool) {
-	ids := ix.Lookup(key)
-	if len(ids) == 0 {
-		return 0, false
-	}
-	return ids[0], true
-}
-
-// Contains reports whether any row has the given key.
-func (ix *Index) Contains(key Key) bool {
-	ix.owner.mu.RLock()
-	defer ix.owner.mu.RUnlock()
-	return ix.tree.Contains(key)
-}
-
-// Scan visits (key, rowID) pairs with lo <= key <= hi in key order. Nil
-// bounds are unbounded. fn returning false stops the scan.
-func (ix *Index) Scan(lo, hi Key, fn func(key Key, id RowID) bool) {
-	ix.owner.mu.RLock()
-	defer ix.owner.mu.RUnlock()
-	var lb, hb *Key
-	if lo != nil {
-		lb = &lo
-	}
-	if hi != nil {
-		hb = &hi
-	}
-	ix.tree.AscendRange(lb, hb, func(k Key, id int64) bool {
-		return fn(k, id)
-	})
-}
-
-// ScanPrefix visits every entry whose key begins with prefix, in key order.
-func (ix *Index) ScanPrefix(prefix Key, fn func(key Key, id RowID) bool) {
-	ix.owner.mu.RLock()
-	defer ix.owner.mu.RUnlock()
-	ix.tree.AscendRange(&prefix, nil, func(key Key, id int64) bool {
-		if len(key) < len(prefix) {
-			return false
-		}
-		if key[:len(prefix)].Compare(prefix) != 0 {
-			return false
-		}
-		return fn(key, id)
-	})
-}
-
-// ScanPrefixRows is ScanPrefix, but also hands fn the live row for each
-// index entry, fetched under the same single read-lock hold (avoiding the
-// per-row Table.Get re-lock + Clone). The row passed to fn must not be
-// retained or mutated; Clone it to keep it. Entries whose row has been
-// tombstoned are skipped.
-func (ix *Index) ScanPrefixRows(prefix Key, fn func(key Key, id RowID, r Row) bool) {
-	ix.owner.mu.RLock()
-	defer ix.owner.mu.RUnlock()
-	ix.tree.AscendRange(&prefix, nil, func(key Key, id int64) bool {
-		if len(key) < len(prefix) {
-			return false
-		}
-		if key[:len(prefix)].Compare(prefix) != 0 {
-			return false
-		}
-		r, err := ix.owner.getLocked(id)
-		if err != nil {
-			return true
-		}
-		return fn(key, id, r)
-	})
-}
-
-// Len returns the number of entries in the index.
-func (ix *Index) Len() int {
-	ix.owner.mu.RLock()
-	defer ix.owner.mu.RUnlock()
-	return ix.tree.Len()
 }

@@ -185,14 +185,20 @@ func (k Key) Compare(o Key) int {
 	}
 	for i := 0; i < n; i++ {
 		a, b := k[i], o[i]
-		// Fast path for the all-integer keys that dominate the RDF link
-		// indexes (every hot-path key is IDs).
+		// Fast paths for what generic keys are made of: IDs next to a
+		// string or nullable column, and text.
 		if a.kind == KindInt && b.kind == KindInt {
 			switch {
 			case a.i < b.i:
 				return -1
 			case a.i > b.i:
 				return 1
+			}
+			continue
+		}
+		if a.kind == KindString && b.kind == KindString {
+			if c := strings.Compare(a.s, b.s); c != 0 {
+				return c
 			}
 			continue
 		}
