@@ -14,7 +14,9 @@ type Comparator[K any] func(a, b K) int
 
 const (
 	// degree is the minimum number of children of an internal node.
-	// Nodes hold between degree-1 and 2*degree-1 entries.
+	// Nodes hold between degree-1 and 2*degree-1 entries — except the
+	// nodes on the right edge of the tree, which may hold fewer than
+	// degree-1 (see splitChild); Delete refills one before it enters it.
 	degree   = 32
 	maxItems = 2*degree - 1
 	minItems = degree - 1
@@ -107,9 +109,10 @@ func (t *Tree[K]) insert(key K, id int64, unique bool) (int64, bool) {
 	if len(t.root.items) == maxItems {
 		old := t.root
 		t.root = &node[K]{children: []*node[K]{old}}
-		t.splitChild(t.root, 0)
+		t.splitChild(t.root, 0, t.after(old, key, id))
 	}
-	n := t.root
+	// edge: n is on the right edge of the tree, nothing is to its right.
+	n, edge := t.root, true
 	for {
 		i, found := t.find(n, key, id, unique)
 		if found {
@@ -126,23 +129,40 @@ func (t *Tree[K]) insert(key K, id int64, unique bool) (int64, bool) {
 		if len(n.children[i].items) == maxItems {
 			// A separator moves up to position i and may be the match or
 			// change the side: search n again.
-			t.splitChild(n, i)
+			t.splitChild(n, i, edge && i == len(n.items) && t.after(n.children[i], key, id))
 			continue
 		}
-		n = n.children[i]
+		n, edge = n.children[i], edge && i == len(n.items)
 	}
 }
 
-func (t *Tree[K]) splitChild(parent *node[K], i int) {
+// after reports whether (key, id) sorts after every entry of n itself.
+func (t *Tree[K]) after(n *node[K], key K, id int64) bool {
+	last := n.items[len(n.items)-1]
+	c := t.cmp(last.key, key)
+	return c < 0 || c == 0 && last.id < id
+}
+
+// splitChild splits the full parent.children[i] around one of its entries,
+// which moves up into parent. The split is in the middle, except atRight:
+// the child is on the right edge of the tree and the entry being inserted
+// goes to its right end, so the child stays full and the new right node
+// starts empty — keys that arrive in ascending order fill their nodes
+// instead of leaving each one half empty behind them.
+func (t *Tree[K]) splitChild(parent *node[K], i int, atRight bool) {
 	child := parent.children[i]
-	mid := child.items[minItems]
-	right := newLeaf[K]()
-	right.items = append(right.items, child.items[minItems+1:]...)
-	if !child.leaf() {
-		right.children = append([]*node[K](nil), child.children[minItems+1:]...)
-		child.children = child.children[:minItems+1]
+	at := minItems
+	if atRight {
+		at = maxItems - 1
 	}
-	child.items = child.items[:minItems]
+	mid := child.items[at]
+	right := newLeaf[K]()
+	right.items = append(right.items, child.items[at+1:]...)
+	if !child.leaf() {
+		right.children = append([]*node[K](nil), child.children[at+1:]...)
+		child.children = child.children[:at+1]
+	}
+	child.items = child.items[:at]
 
 	parent.items = append(parent.items, item[K]{})
 	copy(parent.items[i+1:], parent.items[i:])
@@ -194,7 +214,7 @@ func (t *Tree[K]) delete(n *node[K], it item[K]) bool {
 		return t.delete(child, it)
 	}
 	child := n.children[i]
-	if len(child.items) == minItems {
+	if len(child.items) <= minItems {
 		t.rebalance(n, i)
 		// Rebalancing may have moved the target; restart from n.
 		return t.delete(n, it)

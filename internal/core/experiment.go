@@ -62,6 +62,21 @@ func (s *Store) FlatQueryBySubject(model, subject string) ([]Triple, error) {
 	}
 }
 
+// rowToTerm rebuilds a term from an rdf_value$ row of a join's output.
+func rowToTerm(r reldb.Row) rdfterm.Term {
+	str := func(v reldb.Value) string {
+		if v.IsNull() {
+			return ""
+		}
+		return v.Str()
+	}
+	text := r[vcValueName].Str()
+	if !r[vcLongValue].IsNull() {
+		text = r[vcLongValue].Str()
+	}
+	return valueTerm(r[vcValueType].Str(), text, str(r[vcLiteralType]), str(r[vcLanguageType]))
+}
+
 // UnindexedQueryBySubject runs the Experiment II query WITHOUT the §7.2
 // function-based index: a full scan of the application table calling
 // GET_SUBJECT() per row. It exists for the indexing ablation (§7.2 notes

@@ -126,15 +126,15 @@ func (s *Store) findModelLocked(ctx context.Context, mid int64, pat Pattern) ([]
 		return true
 	}
 
-	// Each index scan hands over the live row with its entry. Only the
+	// Each index scan hands over the live row's cells with its entry. Only the
 	// residual check runs per row — the one component the index prefix
 	// does NOT already guarantee: one baked into the scanned prefix is
 	// equal on every row the scan returns.
 	var out []TripleS
 	collect := func(ix *reldb.Index, checkO bool, prefix ...int64) ([]TripleS, error) {
-		ix.ScanIntsRows(prefix, func(_ reldb.RowID, r reldb.Row) bool {
-			if !checkO || r[lcCanonEndNodeID].Int64() == oid {
-				out = append(out, s.tripleSFromRow(r))
+		ix.ScanIntsCells(prefix, func(c reldb.Cells) bool {
+			if !checkO || c.Int(lcCanonEndNodeID) == oid {
+				out = append(out, s.tripleSFromCells(c))
 			}
 			return tick()
 		})
@@ -159,8 +159,8 @@ func (s *Store) findModelLocked(ctx context.Context, mid int64, pat Pattern) ([]
 		// MO prefix covers (M,O-canon); nothing else is bound.
 		return collect(s.linkMO, false, mid, oid)
 	default:
-		err := s.links.ScanPartition(mid, func(_ reldb.RowID, r reldb.Row) bool {
-			out = append(out, s.tripleSFromRow(r))
+		err := s.links.ScanPartitionCells(mid, func(c reldb.Cells) bool {
+			out = append(out, s.tripleSFromCells(c))
 			return tick()
 		})
 		if ctxErr != nil {

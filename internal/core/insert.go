@@ -198,15 +198,17 @@ func (s *Store) insertLinkLocked(modelID int64, it internedTriple, context strin
 // asserted as fact is upgraded I → D (§5.2). Neither column is indexed, so
 // no index is touched. Caller holds s.mu for writing.
 func (s *Store) repeatLinkLocked(rid reldb.RowID, context string) (TripleS, bool, error) {
-	r, err := s.links.Get(rid)
-	if err != nil {
+	var ts TripleS
+	var newCost int64
+	var newCtx string
+	if err := s.links.Read(rid, func(c reldb.Cells) {
+		ts, newCost, newCtx = s.tripleSFromCells(c), c.Int(lcCost)+1, c.Str(lcContext)
+	}); err != nil {
 		return TripleS{}, false, err
 	}
-	newCost := r[lcCost].Int64() + 1
 	if err := s.links.UpdateColumn(rid, "COST", reldb.Int(newCost)); err != nil {
 		return TripleS{}, false, err
 	}
-	newCtx := r[lcContext].Str()
 	if context == ContextDirect && newCtx == ContextIndirect {
 		newCtx = ContextDirect
 		if err := s.links.UpdateColumn(rid, "CONTEXT", reldb.String_(newCtx)); err != nil {
@@ -214,12 +216,12 @@ func (s *Store) repeatLinkLocked(rid reldb.RowID, context string) (TripleS, bool
 		}
 	}
 	if err := s.logRecord(wal.Record{
-		Type: wal.TypeUpdateLink, LinkID: r[lcLinkID].Int64(),
+		Type: wal.TypeUpdateLink, LinkID: ts.TID,
 		Cost: newCost, Context: newCtx,
 	}); err != nil {
 		return TripleS{}, false, err
 	}
-	return s.tripleSFromRow(r), false, nil
+	return ts, false, nil
 }
 
 // reifFlag returns "Y" when any component references a reified triple via
@@ -416,11 +418,8 @@ func (s *Store) isTripleTermsLocked(mid int64, sub, prop, obj rdfterm.Term) (Tri
 	if !ok {
 		return TripleS{}, false, nil
 	}
-	r, err := s.links.Get(rid)
-	if err != nil {
-		return TripleS{}, false, err
-	}
-	return s.tripleSFromRow(r), true, nil
+	ts, err := s.tripleSAtLocked(rid)
+	return ts, err == nil, err
 }
 
 // lookupResolvedIDLocked maps a term (resolving model-scoped blank labels,

@@ -37,8 +37,8 @@ func (s *Store) CheckInvariants() []error {
 	}
 
 	audit := newLinkAudit()
-	s.links.Scan(func(_ reldb.RowID, r reldb.Row) bool {
-		s.checkLinkLocked(r, audit, addf, addf)
+	s.links.ScanCells(func(c reldb.Cells) bool {
+		s.checkLinkLocked(c, audit, addf, addf)
 		return true
 	})
 	s.checkNodeSetLocked(audit, addf)
@@ -68,10 +68,10 @@ func newLinkAudit() *linkAudit {
 // slices would otherwise report a false duplicate). CheckInvariants,
 // which audits everything under one lock hold, passes addf for both.
 // Caller holds s.mu (either mode).
-func (s *Store) checkLinkLocked(r reldb.Row, audit *linkAudit, addf, dupf func(format string, args ...interface{})) {
-	linkID := r[lcLinkID].Int64()
-	modelID := r[lcModelID].Int64()
-	sid, pid, oid, cid := r[lcStartNodeID].Int64(), r[lcPValueID].Int64(), r[lcEndNodeID].Int64(), r[lcCanonEndNodeID].Int64()
+func (s *Store) checkLinkLocked(r reldb.Cells, audit *linkAudit, addf, dupf func(format string, args ...interface{})) {
+	linkID := r.Int(lcLinkID)
+	modelID := r.Int(lcModelID)
+	sid, pid, oid, cid := r.Int(lcStartNodeID), r.Int(lcPValueID), r.Int(lcEndNodeID), r.Int(lcCanonEndNodeID)
 
 	for _, pair := range [][2]int64{{sid, 1}, {pid, 2}, {oid, 3}, {cid, 4}} {
 		if !s.valuePK.ContainsInts(pair[0]) {
@@ -81,7 +81,7 @@ func (s *Store) checkLinkLocked(r reldb.Row, audit *linkAudit, addf, dupf func(f
 	audit.usedNodes[sid] = true
 	audit.usedNodes[oid] = true
 
-	if cost := r[lcCost].Int64(); cost < 1 {
+	if cost := r.Int(lcCost); cost < 1 {
 		addf("link %d: COST = %d < 1", linkID, cost)
 	}
 	key := fmt.Sprintf("%d|%d|%d|%d", modelID, sid, pid, cid)
@@ -93,15 +93,15 @@ func (s *Store) checkLinkLocked(r reldb.Row, audit *linkAudit, addf, dupf func(f
 	if !s.modelPK.ContainsInts(modelID) {
 		addf("link %d: MODEL_ID %d not in rdf_model$", linkID, modelID)
 	}
-	if ctx := r[lcContext].Str(); ctx != ContextDirect && ctx != ContextIndirect {
+	if ctx := r.Str(lcContext); ctx != ContextDirect && ctx != ContextIndirect {
 		addf("link %d: CONTEXT %q", linkID, ctx)
 	}
-	if rf := r[lcReifLink].Str(); rf != "Y" && rf != "N" {
+	if rf := r.Str(lcReifLink); rf != "Y" && rf != "N" {
 		addf("link %d: REIF_LINK %q", linkID, rf)
 	}
 	if prop, err := s.getValueLocked(pid); err == nil {
-		if want := rdfterm.LinkType(prop.Value); r[lcLinkType].Str() != want {
-			addf("link %d: LINK_TYPE %q, predicate implies %q", linkID, r[lcLinkType].Str(), want)
+		if want := rdfterm.LinkType(prop.Value); r.Str(lcLinkType) != want {
+			addf("link %d: LINK_TYPE %q, predicate implies %q", linkID, r.Str(lcLinkType), want)
 		}
 	} else if s.valuePK.ContainsInts(pid) {
 		// The wholly-missing case is already reported as a dangling
@@ -156,9 +156,9 @@ func (s *Store) checkDictionaryLocked(addf func(format string, args ...interface
 	if len(s.termIDs) != s.values.Len() {
 		addf("term dictionary has %d entries for %d rdf_value$ rows", len(s.termIDs), s.values.Len())
 	}
-	s.values.Scan(func(_ reldb.RowID, r reldb.Row) bool {
-		if id, ok := s.termIDs[rowToTerm(r)]; !ok || id != r[vcValueID].Int64() {
-			addf("value %d: term dictionary says (%d, %v)", r[vcValueID].Int64(), id, ok)
+	s.values.ScanCells(func(c reldb.Cells) bool {
+		if id, ok := s.termIDs[termFromCells(c)]; !ok || id != c.Int(vcValueID) {
+			addf("value %d: term dictionary says (%d, %v)", c.Int(vcValueID), id, ok)
 		}
 		return true
 	})

@@ -49,9 +49,10 @@ func (n *RDFNetwork) WithContext(ctx context.Context) *RDFNetwork {
 // done reports whether the network's context has been cancelled.
 func (n *RDFNetwork) done() bool { return n.ctx.Err() != nil }
 
-// inScope reports whether a link row belongs to the selected models.
-func (n *RDFNetwork) inScope(r reldb.Row) bool {
-	return n.models == nil || n.models[r[lcModelID].Int64()]
+// inScope reports whether a link of model mid belongs to the selected
+// models.
+func (n *RDFNetwork) inScope(mid int64) bool {
+	return n.models == nil || n.models[mid]
 }
 
 // HasNode implements ndm.Graph over rdf_node$.
@@ -67,8 +68,8 @@ func (n *RDFNetwork) HasNode(node int64) bool {
 func (n *RDFNetwork) Nodes(fn func(node int64) bool) {
 	n.store.mu.RLock()
 	var nodes []int64
-	n.store.nodes.Scan(func(_ reldb.RowID, r reldb.Row) bool {
-		nodes = append(nodes, r[0].Int64())
+	n.store.nodes.ScanCells(func(c reldb.Cells) bool {
+		nodes = append(nodes, c.Int(0))
 		return len(nodes)%cancelEvery != 0 || !n.done()
 	})
 	n.store.mu.RUnlock()
@@ -113,11 +114,12 @@ func (n *RDFNetwork) visit(fromEnd bool, node int64, otherCol int, fn func(linkI
 		if i%cancelEvery == 0 && n.done() {
 			break
 		}
-		r, err := n.store.links.Get(rid)
-		if err != nil || !n.inScope(r) {
-			continue
-		}
-		hops = append(hops, hop{r[lcLinkID].Int64(), r[otherCol].Int64(), float64(r[lcCost].Int64())})
+		// The index entry was read under this lock hold, so the row is live.
+		_ = n.store.links.Read(rid, func(c reldb.Cells) {
+			if n.inScope(c.Int(lcModelID)) {
+				hops = append(hops, hop{c.Int(lcLinkID), c.Int(otherCol), float64(c.Int(lcCost))})
+			}
+		})
 	}
 	n.store.mu.RUnlock()
 	n.store.met.onTraversalSteps(len(hops))

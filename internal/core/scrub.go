@@ -135,13 +135,12 @@ func (sc *Scrub) Step() bool {
 		sc.cursor = key[0].Int64() + 1
 		n++
 		sc.report.Links++
-		r, err := s.links.Get(rid)
-		if err != nil {
+		if err := s.links.Read(rid, func(c reldb.Cells) {
+			s.checkLinkLocked(c, sc.audit, addf, dupf)
+			sc.statLocked(c)
+		}); err != nil {
 			addf("link %d: indexed in rdf_link$ PK but unreadable: %v", key[0].Int64(), err)
-			return n < sc.slice
 		}
-		s.checkLinkLocked(r, sc.audit, addf, dupf)
-		sc.statLocked(r)
 		return n < sc.slice
 	})
 	if n == sc.slice {
@@ -164,40 +163,40 @@ func (sc *Scrub) Step() bool {
 
 // statLocked folds one link row into the per-model statistics, mirroring
 // ModelStatistics. Caller holds s.mu.
-func (sc *Scrub) statLocked(r reldb.Row) {
+func (sc *Scrub) statLocked(r reldb.Cells) {
 	s := sc.s
-	mid := r[lcModelID].Int64()
+	mid := r.Int(lcModelID)
 	st := sc.stats[mid]
 	if st == nil {
 		st = &Statistics{ByLinkType: map[string]int{}}
 		sc.stats[mid] = st
 	}
 	st.Triples++
-	st.ByLinkType[r[lcLinkType].Str()]++
-	switch r[lcContext].Str() {
+	st.ByLinkType[r.Str(lcLinkType)]++
+	switch r.Str(lcContext) {
 	case ContextDirect:
 		st.Direct++
 	case ContextIndirect:
 		st.Indirect++
 	}
-	if r[lcReifLink].Str() != "Y" {
+	if r.Str(lcReifLink) != "Y" {
 		return
 	}
 	// Reification rows specifically: DBUri subject, rdf:type predicate,
 	// rdf:Statement object. Unresolvable IDs are already reported as
 	// dangling by checkLinkLocked; skip them here without double-reporting.
-	sub, err := s.getValueLocked(r[lcStartNodeID].Int64())
+	sub, err := s.getValueLocked(r.Int(lcStartNodeID))
 	if err != nil {
 		return
 	}
 	if _, isDBUri := ParseDBUri(sub.Value); !isDBUri {
 		return
 	}
-	prop, err := s.getValueLocked(r[lcPValueID].Int64())
+	prop, err := s.getValueLocked(r.Int(lcPValueID))
 	if err != nil || prop.Value != rdfterm.RDFType {
 		return
 	}
-	obj, err := s.getValueLocked(r[lcEndNodeID].Int64())
+	obj, err := s.getValueLocked(r.Int(lcEndNodeID))
 	if err != nil || obj.Value != rdfterm.RDFStatement {
 		return
 	}

@@ -113,37 +113,34 @@ func (s *Store) SaveAt(w io.Writer, walSeq int64) error {
 		snap.Models = append(snap.Models, m)
 		return true
 	})
-	s.values.Scan(func(_ reldb.RowID, r reldb.Row) bool {
-		v := snapValue{
-			ID:   r[vcValueID].Int64(),
-			Name: r[vcValueName].Str(),
-			Type: r[vcValueType].Str(),
-		}
-		if !r[vcLiteralType].IsNull() {
-			v.LiteralType = r[vcLiteralType].Str()
-		}
-		if !r[vcLanguageType].IsNull() {
-			v.Language = r[vcLanguageType].Str()
-		}
-		if !r[vcLongValue].IsNull() {
-			v.LongValue = r[vcLongValue].Str()
-			v.HasLong = true
-		}
-		snap.Values = append(snap.Values, v)
+	// The strings alias the tables' arenas: the image costs the encoder's
+	// buffer, not a second copy of the text.
+	snap.Values = make([]snapValue, 0, s.values.Len())
+	s.values.ScanCells(func(c reldb.Cells) bool {
+		snap.Values = append(snap.Values, snapValue{
+			ID:          c.Int(vcValueID),
+			Name:        c.Str(vcValueName),
+			Type:        c.Str(vcValueType),
+			LiteralType: c.Str(vcLiteralType),
+			Language:    c.Str(vcLanguageType),
+			LongValue:   c.Str(vcLongValue),
+			HasLong:     !c.IsNull(vcLongValue),
+		})
 		return true
 	})
-	s.links.Scan(func(_ reldb.RowID, r reldb.Row) bool {
+	snap.Links = make([]snapLink, 0, s.links.Len())
+	s.links.ScanCells(func(c reldb.Cells) bool {
 		snap.Links = append(snap.Links, snapLink{
-			ID:       r[lcLinkID].Int64(),
-			Start:    r[lcStartNodeID].Int64(),
-			P:        r[lcPValueID].Int64(),
-			End:      r[lcEndNodeID].Int64(),
-			Canon:    r[lcCanonEndNodeID].Int64(),
-			LinkType: r[lcLinkType].Str(),
-			Cost:     r[lcCost].Int64(),
-			Context:  r[lcContext].Str(),
-			Reif:     r[lcReifLink].Str() == "Y",
-			Model:    r[lcModelID].Int64(),
+			ID:       c.Int(lcLinkID),
+			Start:    c.Int(lcStartNodeID),
+			P:        c.Int(lcPValueID),
+			End:      c.Int(lcEndNodeID),
+			Canon:    c.Int(lcCanonEndNodeID),
+			LinkType: c.Str(lcLinkType),
+			Cost:     c.Int(lcCost),
+			Context:  c.Str(lcContext),
+			Reif:     c.Str(lcReifLink) == "Y",
+			Model:    c.Int(lcModelID),
 		})
 		return true
 	})
@@ -215,10 +212,9 @@ func LoadAt(r io.Reader) (*Store, int64, error) {
 			long = reldb.String_(v.LongValue)
 		}
 		row := reldb.Row{reldb.Int(v.ID), reldb.String_(v.Name), reldb.String_(v.Type), lit, lang, long}
-		if _, err := s.values.Insert(row); err != nil {
+		if err := s.addValueRowLocked(row); err != nil {
 			return nil, 0, corrupt("rdf_value$", err)
 		}
-		s.termIDs[rowToTerm(row)] = v.ID
 	}
 	for _, l := range snap.Links {
 		reif := "N"

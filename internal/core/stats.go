@@ -100,13 +100,10 @@ func (s *Store) buildPlanStatsLocked(mid int64) *PlanStats {
 	per := map[int64]*predSets{}
 	subjAll := map[int64]struct{}{}
 	objAll := map[int64]struct{}{}
-	_ = s.links.ScanPartition(mid, func(_ reldb.RowID, r reldb.Row) bool {
-		if r == nil {
-			return true
-		}
-		sid := r[lcStartNodeID].Int64()
-		pid := r[lcPValueID].Int64()
-		oid := r[lcCanonEndNodeID].Int64()
+	_ = s.links.ScanPartitionCells(mid, func(c reldb.Cells) bool {
+		sid := c.Int(lcStartNodeID)
+		pid := c.Int(lcPValueID)
+		oid := c.Int(lcCanonEndNodeID)
 		ps.Triples++
 		subjAll[sid] = struct{}{}
 		objAll[oid] = struct{}{}

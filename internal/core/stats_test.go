@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/ntriples"
 	"repro/internal/rdfterm"
+	"repro/internal/uniprot"
 )
 
 // TestPlanStatisticsCounts: a small known dataset must produce exact
@@ -250,5 +252,36 @@ func TestCollectLinksIndexPaths(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkBuildPlanStats is what the first query after the statistics go
+// stale pays under the read lock: one walk of a 65k-link partition, reading
+// the three ID columns the statistics are made of.
+func BenchmarkBuildPlanStats(b *testing.B) {
+	s := New()
+	if _, err := s.CreateRDFModel("m", "", ""); err != nil {
+		b.Fatal(err)
+	}
+	var batch []BatchTriple
+	if _, err := uniprot.Stream(uniprot.Config{Triples: 65_000, Seed: 1}, func(t ntriples.Triple, _ bool) error {
+		batch = append(batch, BatchTriple{Subject: t.Subject, Predicate: t.Predicate, Object: t.Object})
+		return nil
+	}); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := s.InsertBatch("m", batch); err != nil {
+		b.Fatal(err)
+	}
+	mid, _ := s.GetModelID("m")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.mu.RLock()
+		ps := s.buildPlanStatsLocked(mid)
+		s.mu.RUnlock()
+		if ps.Triples != len(batch) {
+			b.Fatalf("statistics over %d links, want %d", ps.Triples, len(batch))
+		}
 	}
 }

@@ -57,11 +57,12 @@ type Store struct {
 
 	// termIDs is the term dictionary: term → VALUE_ID for every
 	// rdf_value$ row, entered by the one function that inserts such rows
-	// (insertValueRowLocked) and by snapshot load. rdf_value$ rows are
-	// never deleted or rewritten, so it is complete and never stale, and a
-	// miss means "not interned" without consulting rdf_value_text. It is
-	// not bounded: a bound would put an index probe back behind every
-	// miss, and an entry costs a map slot whose strings the row shares.
+	// (addValueRowLocked: live inserts, WAL replay and snapshot load).
+	// rdf_value$ rows are never deleted or rewritten, so it is complete
+	// and never stale, and a miss means "not interned" without consulting
+	// rdf_value_text. It is not bounded: a bound would put an index probe
+	// back behind every miss, and an entry costs a map slot — a key's
+	// strings are the row's own bytes in rdf_value$'s arena.
 	// Entries are added only under the write lock; readers holding RLock
 	// may consult it because RWMutex excludes writers while any reader is
 	// in.

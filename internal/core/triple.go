@@ -123,21 +123,23 @@ func (s *Store) getTripleSLocked(linkID int64) (TripleS, error) {
 	if !ok {
 		return TripleS{}, fmt.Errorf("%w: LINK_ID %d", ErrNoSuchTriple, linkID)
 	}
-	r, err := s.links.Get(rid)
-	if err != nil {
-		return TripleS{}, err
-	}
-	return s.tripleSFromRow(r), nil
+	return s.tripleSAtLocked(rid)
 }
 
-func (s *Store) tripleSFromRow(r reldb.Row) TripleS {
+// tripleSAtLocked returns the storage object of the rdf_link$ row rid.
+func (s *Store) tripleSAtLocked(rid reldb.RowID) (ts TripleS, err error) {
+	err = s.links.Read(rid, func(c reldb.Cells) { ts = s.tripleSFromCells(c) })
+	return ts, err
+}
+
+func (s *Store) tripleSFromCells(c reldb.Cells) TripleS {
 	return TripleS{
 		store: s,
-		TID:   r[lcLinkID].Int64(),
-		MID:   r[lcModelID].Int64(),
-		SID:   r[lcStartNodeID].Int64(),
-		PID:   r[lcPValueID].Int64(),
-		OID:   r[lcEndNodeID].Int64(),
+		TID:   c.Int(lcLinkID),
+		MID:   c.Int(lcModelID),
+		SID:   c.Int(lcStartNodeID),
+		PID:   c.Int(lcPValueID),
+		OID:   c.Int(lcEndNodeID),
 	}
 }
 

@@ -63,19 +63,29 @@ func (s *Store) insertValueRowLocked(id int64, t rdfterm.Term) error {
 	if t.Language != "" {
 		lang = reldb.String_(t.Language)
 	}
-	row := reldb.Row{
+	return s.addValueRowLocked(reldb.Row{
 		reldb.Int(id),
 		reldb.String_(name),
 		reldb.String_(t.ValueType()),
 		lit,
 		lang,
 		long,
-	}
-	if _, err := s.values.Insert(row); err != nil {
+	})
+}
+
+// addValueRowLocked inserts an rdf_value$ row and enters its term in the
+// dictionary. The dictionary's key is the term read back from the table:
+// its strings are the table's own copy of the text, so whatever buffer the
+// caller's term came out of (a parser's input line, a decoded snapshot) is
+// not kept alive by it. Caller holds s.mu.
+func (s *Store) addValueRowLocked(row reldb.Row) error {
+	rid, err := s.values.Insert(row)
+	if err != nil {
 		return err
 	}
-	s.termIDs[t] = id
-	return nil
+	return s.values.Read(rid, func(c reldb.Cells) {
+		s.termIDs[termFromCells(c)] = c.Int(vcValueID)
+	})
 }
 
 // GetValue reconstructs the term stored under a VALUE_ID.
@@ -91,33 +101,32 @@ func (s *Store) getValueLocked(valueID int64) (rdfterm.Term, error) {
 	if !ok {
 		return rdfterm.Term{}, fmt.Errorf("%w: VALUE_ID %d", ErrNoSuchValue, valueID)
 	}
-	r, err := s.values.Get(rid)
-	if err != nil {
-		return rdfterm.Term{}, err
-	}
-	return rowToTerm(r), nil
+	var t rdfterm.Term
+	err := s.values.Read(rid, func(c reldb.Cells) { t = termFromCells(c) })
+	return t, err
 }
 
-// rowToTerm rebuilds a term from an rdf_value$ row.
-func rowToTerm(r reldb.Row) rdfterm.Term {
-	text := r[vcValueName].Str()
-	if !r[vcLongValue].IsNull() {
-		text = r[vcLongValue].Str()
+// termFromCells rebuilds a term from an rdf_value$ row. The term's strings
+// are the table's.
+func termFromCells(c reldb.Cells) rdfterm.Term {
+	text := c.Str(vcValueName)
+	if !c.IsNull(vcLongValue) {
+		text = c.Str(vcLongValue)
 	}
-	switch r[vcValueType].Str() {
+	// A NULL LITERAL_TYPE or LANGUAGE_TYPE reads "".
+	return valueTerm(c.Str(vcValueType), text, c.Str(vcLiteralType), c.Str(vcLanguageType))
+}
+
+// valueTerm is the term an rdf_value$ row stands for, given its VALUE_TYPE,
+// full text, and literal type and language ("" for none).
+func valueTerm(valueType, text, datatype, language string) rdfterm.Term {
+	switch valueType {
 	case rdfterm.VTUri:
 		return rdfterm.NewURI(text)
 	case rdfterm.VTBlank:
 		return rdfterm.NewBlank(text)
 	default:
-		t := rdfterm.Term{Kind: rdfterm.Literal, Value: text}
-		if !r[vcLiteralType].IsNull() {
-			t.Datatype = r[vcLiteralType].Str()
-		}
-		if !r[vcLanguageType].IsNull() {
-			t.Language = r[vcLanguageType].Str()
-		}
-		return t
+		return rdfterm.Term{Kind: rdfterm.Literal, Value: text, Datatype: datatype, Language: language}
 	}
 }
 

@@ -121,31 +121,31 @@ func (tx *ReadTx) CollectLinksLocked(dst []LinkIDs, mid, sid, pid, canonID int64
 	var tickErr error
 	// add extracts the ID tuple from a live rdf_link$ row, applying the
 	// residual checks the index prefix does not already guarantee. It runs
-	// under the links table lock (ScanPrefixRows/ScanPartition callback),
-	// reading the row without retaining it.
-	add := func(r reldb.Row, checkP, checkO bool) bool {
+	// under the links table lock (ScanIntsCells/ScanPartitionCells
+	// callback), reading the five ID columns where they are stored.
+	add := func(c reldb.Cells, checkP, checkO bool) bool {
 		if tickErr = tx.tickLocked(); tickErr != nil {
 			return false
 		}
-		if checkP && r[lcPValueID].Int64() != pid {
+		if checkP && c.Int(lcPValueID) != pid {
 			return true
 		}
-		if checkO && r[lcCanonEndNodeID].Int64() != canonID {
+		if checkO && c.Int(lcCanonEndNodeID) != canonID {
 			return true
 		}
 		dst = append(dst, LinkIDs{
-			TID:     r[lcLinkID].Int64(),
-			SID:     r[lcStartNodeID].Int64(),
-			PID:     r[lcPValueID].Int64(),
-			OID:     r[lcEndNodeID].Int64(),
-			CanonID: r[lcCanonEndNodeID].Int64(),
+			TID:     c.Int(lcLinkID),
+			SID:     c.Int(lcStartNodeID),
+			PID:     c.Int(lcPValueID),
+			OID:     c.Int(lcEndNodeID),
+			CanonID: c.Int(lcCanonEndNodeID),
 		})
 		return true
 	}
 
 	scan := func(ix *reldb.Index, checkP, checkO bool, prefix ...int64) {
-		ix.ScanIntsRows(prefix, func(_ reldb.RowID, r reldb.Row) bool {
-			return add(r, checkP, checkO)
+		ix.ScanIntsCells(prefix, func(c reldb.Cells) bool {
+			return add(c, checkP, checkO)
 		})
 	}
 	switch {
@@ -178,11 +178,8 @@ func (tx *ReadTx) CollectLinksLocked(dst []LinkIDs, mid, sid, pid, canonID int64
 		// MO prefix covers (M,O-canon); nothing else is bound.
 		scan(s.linkMO, false, false, mid, canonID)
 	default:
-		if err := s.links.ScanPartition(mid, func(_ reldb.RowID, r reldb.Row) bool {
-			if r == nil {
-				return true
-			}
-			return add(r, false, false)
+		if err := s.links.ScanPartitionCells(mid, func(c reldb.Cells) bool {
+			return add(c, false, false)
 		}); err != nil {
 			return dst, err
 		}

@@ -208,7 +208,8 @@ func (d *Database) DropView(name string) error {
 // Name returns the view name.
 func (v *View) Name() string { return v.name }
 
-// Scan visits the view's rows (projected if the view has a column list).
+// Scan visits the view's rows (projected if the view has a column list),
+// under Table.Scan's contract: fn must not retain the row it is handed.
 func (v *View) Scan(fn func(id RowID, r Row) bool) {
 	v.base.Scan(func(id RowID, r Row) bool {
 		if v.pred != nil && !v.pred(r) {

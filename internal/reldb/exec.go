@@ -67,14 +67,9 @@ func (f *rowFetchIter) Next() (Row, bool) {
 	for f.i < len(f.ids) {
 		id := f.ids[f.i]
 		f.i++
-		f.t.mu.RLock()
-		r, err := f.t.getLocked(id)
-		if err == nil {
-			out := r.Clone()
-			f.t.mu.RUnlock()
-			return out, true
+		if r, err := f.t.Get(id); err == nil {
+			return r, true
 		}
-		f.t.mu.RUnlock()
 	}
 	return nil, false
 }
@@ -82,14 +77,14 @@ func (f *rowFetchIter) Next() (Row, bool) {
 // NewTableScan returns a full-table scan.
 func NewTableScan(t *Table) Iterator {
 	var ids []RowID
-	t.Scan(func(id RowID, _ Row) bool { ids = append(ids, id); return true })
+	t.ScanCells(func(c Cells) bool { ids = append(ids, c.id); return true })
 	return &rowFetchIter{t: t, ids: ids}
 }
 
 // NewPartitionScan returns a partition-pruned scan.
 func NewPartitionScan(t *Table, part int64) (Iterator, error) {
 	var ids []RowID
-	if err := t.ScanPartition(part, func(id RowID, _ Row) bool { ids = append(ids, id); return true }); err != nil {
+	if err := t.ScanPartitionCells(part, func(c Cells) bool { ids = append(ids, c.id); return true }); err != nil {
 		return nil, err
 	}
 	return &rowFetchIter{t: t, ids: ids}, nil

@@ -11,44 +11,28 @@ import (
 // §7.2) pass arbitrary functions; column indexes use column extraction.
 type KeyFunc func(Row) Key
 
-// maxIntKeyCols is the widest key stored in the packed layout.
-const maxIntKeyCols = 4
-
-// intKey is the packed layout of an index key: the values of up to
-// maxIntKeyCols NOT NULL NUMBER columns, inline. Columns the index does
-// not have stay zero in every key and every bound, so they never decide a
-// comparison.
-type intKey [maxIntKeyCols]int64
-
-func intKeyCompare(a, b intKey) int {
-	for i := range a {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return 0
-}
-
 // Index is a B-tree index over a table. Read methods take the owning
 // table's lock, so an Index handle is safe for concurrent use.
 //
 // An index has one of two key layouts, decided by the schema when it is
 // created. A column index whose columns are all NOT NULL NUMBER (at most
-// maxIntKeyCols of them) is packed: its tree holds intKey entries, fixed
-// width and pointer-free. Every other index — string or nullable columns,
-// function-based — holds Key entries. Exactly one of ints and tree is set.
+// maxIntKeyCols of them) is packed: its tree holds the integers inline, in
+// entries as wide as the index and pointer-free (see packedTree). Every
+// other index — string or nullable columns, function-based — holds Key
+// entries. Exactly one of ints and tree is set.
 type Index struct {
 	name   string
 	unique bool
 	keyOf  KeyFunc
 	cols   []int // key column positions; nil for a function-based index
-	ints   *btree.Tree[intKey]
+	ints   *packedTree
 	tree   *btree.Tree[Key]
+	slab   []Value // unused end of the slab tree's newest keys are cut from
 	owner  *Table
 }
+
+// keySlab is how many Values a generic index allocates at a time for keys.
+const keySlab = 256
 
 // Name returns the index name.
 func (ix *Index) Name() string { return ix.name }
@@ -65,7 +49,7 @@ func newIndex(t *Table, name string, unique bool, cols []int, keyOf KeyFunc) *In
 		packed = packed && c.Kind == KindInt && !c.Nullable
 	}
 	if packed {
-		ix.ints = btree.New(intKeyCompare)
+		ix.ints = newPackedTree(len(cols))
 	} else {
 		ix.tree = btree.New(KeyCompare)
 	}
@@ -112,11 +96,12 @@ func (t *Table) attachIndex(ix *Index) (*Index, error) {
 	if _, dup := t.indexes[ix.name]; dup {
 		return nil, fmt.Errorf("%w: index %s on %s", ErrDuplicateObject, ix.name, t.name)
 	}
-	for id, r := range t.rows {
-		if r == nil {
+	for id := RowID(0); id < RowID(t.heap.n); id++ {
+		if t.heap.dead.get(id) {
 			continue
 		}
-		if _, ok := ix.add(r, RowID(id)); !ok {
+		r := t.heap.row(t.cur, id)
+		if _, ok := ix.add(r, id); !ok {
 			return nil, fmt.Errorf("%w: building index %s, key %s", ErrUniqueViolation, ix.name, ix.keyOf(r))
 		}
 	}
@@ -179,15 +164,22 @@ func (ix *Index) packRow(r Row) intKey {
 // and add returns that row's ID and false.
 func (ix *Index) add(r Row, id RowID) (RowID, bool) {
 	if ix.ints != nil {
-		if ix.unique {
-			return ix.ints.InsertUnique(ix.packRow(r), id)
-		}
-		ix.ints.Insert(ix.packRow(r), id)
-		return id, true
+		return ix.ints.insert(ix.packRow(r), id, ix.unique)
 	}
-	k := ix.keyOf(r)
+	// The entry's key is cut from a slab the index owns: one allocation
+	// per keySlab values rather than one per entry for the collector to
+	// find. A slab is garbage once every key cut from it has left the tree.
+	k, slab := ix.keyOf(r), ix.slab
+	if len(slab) < len(k) {
+		slab = make([]Value, max(keySlab, len(k)))
+	}
+	k, ix.slab = append(slab[:0:len(k)], k...), slab[len(k):]
 	if ix.unique && !keyHasNull(k) {
-		return ix.tree.InsertUnique(k, id)
+		other, ok := ix.tree.InsertUnique(k, id)
+		if !ok {
+			ix.slab = slab // k did not go in
+		}
+		return other, ok
 	}
 	ix.tree.Insert(k, id)
 	return id, true
@@ -196,7 +188,7 @@ func (ix *Index) add(r Row, id RowID) (RowID, bool) {
 // remove deletes row r's entry.
 func (ix *Index) remove(r Row, id RowID) {
 	if ix.ints != nil {
-		ix.ints.Delete(ix.packRow(r), id)
+		ix.ints.remove(ix.packRow(r), id)
 		return
 	}
 	ix.tree.Delete(ix.keyOf(r), id)
@@ -305,7 +297,7 @@ func (ix *Index) firstIntsLocked(key []int64) (RowID, bool) {
 		return ix.tree.First(intsKey(key))
 	}
 	if k, ok := ix.packFull(key); ok {
-		return ix.ints.First(k)
+		return ix.ints.first(k)
 	}
 	return 0, false
 }
@@ -320,7 +312,12 @@ func (ix *Index) Lookup(key Key) []RowID {
 	var buf intKey
 	if ints, ok := keyInts(key, &buf); ok {
 		if k, ok := ix.packFull(ints); ok {
-			return ix.ints.Get(k)
+			var ids []RowID
+			ix.ints.ascend(&k, &k, func(_ intKey, id RowID) bool {
+				ids = append(ids, id)
+				return true
+			})
+			return ids
 		}
 	}
 	return nil
@@ -392,12 +389,12 @@ func (ix *Index) Scan(lo, hi Key, fn func(key Key, id RowID) bool) {
 	}
 	buf := make(Key, len(ix.cols))
 	if exact {
-		ix.ints.AscendRange(lb, hb, func(k intKey, id int64) bool {
+		ix.ints.ascend(lb, hb, func(k intKey, id int64) bool {
 			return fn(ix.unpack(buf, k), id)
 		})
 		return
 	}
-	ix.ints.Ascend(func(k intKey, id int64) bool {
+	ix.ints.ascend(nil, nil, func(k intKey, id int64) bool {
 		key := ix.unpack(buf, k)
 		if lo != nil && key.Compare(lo) < 0 {
 			return true
@@ -428,7 +425,7 @@ func (ix *Index) scanPrefixLocked(prefix Key, fn func(key Key, id RowID) bool) {
 	}
 	if lo, hi, ok := ix.packPrefix(ints); ok {
 		buf := make(Key, len(ix.cols))
-		ix.ints.AscendRange(&lo, &hi, func(k intKey, id int64) bool {
+		ix.ints.ascend(&lo, &hi, func(k intKey, id int64) bool {
 			return fn(ix.unpack(buf, k), id)
 		})
 	}
@@ -442,7 +439,7 @@ func (ix *Index) scanIntsLocked(prefix []int64, fn func(id RowID) bool) {
 		return
 	}
 	if lo, hi, ok := ix.packPrefix(prefix); ok {
-		ix.ints.AscendRange(&lo, &hi, func(_ intKey, id int64) bool { return fn(id) })
+		ix.ints.ascend(&lo, &hi, func(_ intKey, id int64) bool { return fn(id) })
 	}
 }
 
@@ -453,7 +450,7 @@ func (ix *Index) ascendLocked(fn func(key Key, id RowID) bool) {
 		return
 	}
 	buf := make(Key, len(ix.cols))
-	ix.ints.Ascend(func(k intKey, id int64) bool { return fn(ix.unpack(buf, k), id) })
+	ix.ints.ascend(nil, nil, func(k intKey, id int64) bool { return fn(ix.unpack(buf, k), id) })
 }
 
 // ScanPrefix visits every entry whose key begins with prefix, in key order.
@@ -464,34 +461,37 @@ func (ix *Index) ScanPrefix(prefix Key, fn func(key Key, id RowID) bool) {
 }
 
 // ScanPrefixRows is ScanPrefix, but also hands fn the live row for each
-// index entry, fetched under the same single read-lock hold (avoiding the
-// per-row Table.Get re-lock + Clone). The row passed to fn must not be
-// retained or mutated; Clone it to keep it. Entries whose row has been
-// tombstoned are skipped.
+// index entry, built under the same single read-lock hold (avoiding the
+// per-row Table.Get re-lock and allocation). The row is one per-scan
+// buffer, overwritten for the next entry: fn must not retain or mutate it;
+// Clone it to keep it. Entries whose row has been tombstoned are skipped.
 func (ix *Index) ScanPrefixRows(prefix Key, fn func(key Key, id RowID, r Row) bool) {
-	ix.owner.mu.RLock()
-	defer ix.owner.mu.RUnlock()
+	t := ix.owner
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	buf := make(Row, len(t.heap.cols))
 	ix.scanPrefixLocked(prefix, func(key Key, id RowID) bool {
-		r, err := ix.owner.getLocked(id)
-		if err != nil {
-			return true
-		}
-		return fn(key, id, r)
+		return !t.heap.live(id) || fn(key, id, t.heap.row(buf, id))
 	})
 }
 
-// ScanIntsRows is ScanPrefixRows for a prefix of integers, given as such
-// and without the key: on a packed index nothing is built per entry.
-func (ix *Index) ScanIntsRows(prefix []int64, fn func(id RowID, r Row) bool) {
-	ix.owner.mu.RLock()
-	defer ix.owner.mu.RUnlock()
+// ScanIntsCells visits the live rows under an integer key prefix, in key
+// order, handing fn each row's cells in place: on a packed index nothing
+// is built per entry.
+func (ix *Index) ScanIntsCells(prefix []int64, fn func(c Cells) bool) {
+	t := ix.owner
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	ix.scanIntsLocked(prefix, func(id RowID) bool {
-		r, err := ix.owner.getLocked(id)
-		if err != nil {
-			return true
-		}
-		return fn(id, r)
+		return !t.heap.live(id) || fn(Cells{&t.heap, id})
 	})
+}
+
+// ScanIntsRows is ScanIntsCells with each row built in a per-scan buffer,
+// under ScanPrefixRows' contract.
+func (ix *Index) ScanIntsRows(prefix []int64, fn func(id RowID, r Row) bool) {
+	buf := make(Row, len(ix.owner.heap.cols))
+	ix.ScanIntsCells(prefix, func(c Cells) bool { return fn(c.id, c.h.row(buf, c.id)) })
 }
 
 // Len returns the number of entries in the index.
@@ -499,7 +499,8 @@ func (ix *Index) Len() int {
 	ix.owner.mu.RLock()
 	defer ix.owner.mu.RUnlock()
 	if ix.ints != nil {
-		return ix.ints.Len()
+		n, _ := ix.ints.counts()
+		return n
 	}
 	return ix.tree.Len()
 }
@@ -511,7 +512,8 @@ func (ix *Index) Mutations() uint64 {
 	ix.owner.mu.RLock()
 	defer ix.owner.mu.RUnlock()
 	if ix.ints != nil {
-		return ix.ints.Mutations()
+		_, muts := ix.ints.counts()
+		return muts
 	}
 	return ix.tree.Mutations()
 }

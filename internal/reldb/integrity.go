@@ -21,9 +21,9 @@ func (t *Table) CheckIntegrity() []error {
 		errs = append(errs, fmt.Errorf(format, args...))
 	}
 	live := map[RowID]Row{}
-	for id, r := range t.rows {
-		if r != nil {
-			live[RowID(id)] = r
+	for id := RowID(0); id < RowID(t.heap.n); id++ {
+		if !t.heap.dead.get(id) {
+			live[id] = t.heap.row(make(Row, len(t.heap.cols)), id)
 		}
 	}
 	if len(live) != t.live {

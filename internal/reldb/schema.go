@@ -91,5 +91,9 @@ func (s *Schema) validateCell(i int, v Value) error {
 		return fmt.Errorf("%w: column %s.%s expects %s, got %s",
 			ErrSchemaMismatch, s.tabName, c.Name, c.Kind, v.Kind())
 	}
+	if c.Kind == KindString && v.i > maxStringLen {
+		return fmt.Errorf("%w: column %s.%s: string of %d bytes, limit %d",
+			ErrSchemaMismatch, s.tabName, c.Name, v.i, maxStringLen)
+	}
 	return nil
 }

@@ -14,16 +14,25 @@ type RowID = int64
 // Table is a heap table with optional secondary indexes and optional list
 // partitioning on one integer column. All methods are safe for concurrent
 // use.
+//
+// Rows are stored by column (see heap), and Row and Value are the currency
+// at the edges: Insert takes a Row, Get builds one, and a scan callback is
+// handed either the row's Cells, to read in place, or a Row built in a
+// buffer the scan reuses for every row it visits — such a Row must not be
+// retained or mutated; Clone it to keep it. Its strings, like every string
+// the table hands out, alias the arena and stay valid.
 type Table struct {
 	mu      sync.RWMutex
 	name    string
 	schema  *Schema
-	rows    []Row // index = RowID; nil = tombstone
+	heap    heap
 	live    int
 	indexes map[string]*Index
 	ordered []*Index // maintenance order, deterministic
 	partCol int      // -1 when unpartitioned
 	partIdx *Index   // hidden partition index when partCol >= 0
+	// old and cur are the write paths' row buffers, under the write lock.
+	old, cur Row
 }
 
 // NewTable creates an unpartitioned table.
@@ -31,8 +40,11 @@ func NewTable(schema *Schema) *Table {
 	return &Table{
 		name:    schema.Table(),
 		schema:  schema,
+		heap:    newHeap(schema),
 		indexes: make(map[string]*Index),
 		partCol: -1,
+		old:     make(Row, schema.NumColumns()),
+		cur:     make(Row, schema.NumColumns()),
 	}
 }
 
@@ -94,42 +106,42 @@ func (t *Table) InsertOrGet(ix *Index, r Row) (RowID, bool, error) {
 	return t.insertLocked(r, ix)
 }
 
-// insertLocked enters r in every index — the unique check and the insert
-// are one descent each — and appends it to the heap. With first set, that
+// insertLocked appends r to the heap and enters it in every index — the
+// unique check and the insert are one descent each. With first set, that
 // index goes first and a conflict in it is an answer (the row holding the
-// key, false), not an error. Nothing stored refers to r itself.
+// key, false), not an error. Nothing stored refers to r or to its strings:
+// the indexes key the row as stored, whose strings are the arena's.
 func (t *Table) insertLocked(r Row, first *Index) (RowID, bool, error) {
-	id := RowID(len(t.rows))
-	var owned Row
+	id := RowID(t.heap.n)
 	if first != nil && first.ints != nil {
-		// Packed keys are read straight from r, so a caller whose key is
-		// already present pays no copy of the row.
-		if other, ok := first.ints.InsertUnique(first.packRow(r), id); !ok {
+		// A packed key can be read from r with the heap still untouched: a
+		// caller whose key is already present pays one descent.
+		if other, ok := first.ints.insert(first.packRow(r), id, true); !ok {
 			return other, false, nil
 		}
-		owned = r.Clone()
-	} else {
-		owned = r.Clone()
-		if first != nil {
-			if other, ok := first.add(owned, id); !ok {
-				return other, false, nil
-			}
+	}
+	t.heap.append(r)
+	stored := t.heap.row(t.cur, id)
+	if first != nil && first.ints == nil {
+		if other, ok := first.add(stored, id); !ok {
+			t.heap.pop()
+			return other, false, nil
 		}
 	}
 	for n, ix := range t.ordered {
 		if ix == first {
 			continue
 		}
-		if _, ok := ix.add(owned, id); !ok {
+		if _, ok := ix.add(stored, id); !ok {
 			for m, done := range t.ordered {
 				if m < n || done == first {
-					done.remove(owned, id)
+					done.remove(stored, id)
 				}
 			}
-			return 0, false, uniqueViolation(ix, owned)
+			t.heap.pop()
+			return 0, false, uniqueViolation(ix, stored)
 		}
 	}
-	t.rows = append(t.rows, owned)
 	t.live++
 	return id, true, nil
 }
@@ -138,22 +150,29 @@ func uniqueViolation(ix *Index, r Row) error {
 	return fmt.Errorf("%w: index %s key %s", ErrUniqueViolation, ix.name, ix.keyOf(r))
 }
 
-// Get returns a copy of the row with the given ID.
+func (t *Table) noSuchRow(id RowID) error {
+	return fmt.Errorf("%w: %s row %d", ErrNoSuchRow, t.name, id)
+}
+
+// Get returns the row with the given ID, newly built.
 func (t *Table) Get(id RowID) (Row, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	r, err := t.getLocked(id)
-	if err != nil {
-		return nil, err
+	if !t.heap.live(id) {
+		return nil, t.noSuchRow(id)
 	}
-	return r.Clone(), nil
+	return t.heap.row(make(Row, len(t.heap.cols)), id), nil
 }
 
-func (t *Table) getLocked(id RowID) (Row, error) {
-	if id < 0 || id >= int64(len(t.rows)) || t.rows[id] == nil {
-		return nil, fmt.Errorf("%w: %s row %d", ErrNoSuchRow, t.name, id)
+// Read hands fn the cells of the row with the given ID, in place.
+func (t *Table) Read(id RowID, fn func(c Cells)) error {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if !t.heap.live(id) {
+		return t.noSuchRow(id)
 	}
-	return t.rows[id], nil
+	fn(Cells{&t.heap, id})
+	return nil
 }
 
 // Update replaces the row with the given ID, maintaining indexes. Unique
@@ -165,34 +184,48 @@ func (t *Table) Update(id RowID, r Row) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	old, err := t.getLocked(id)
-	if err != nil {
-		return err
+	if !t.heap.live(id) {
+		return t.noSuchRow(id)
 	}
-	return t.updateLocked(id, old, r.Clone())
+	return t.updateLocked(id, r)
 }
 
-// updateLocked swaps row id from old to r (which the table keeps). A
-// changed key enters its index before the old one leaves, so a unique
-// conflict is found in that one descent and the indexes already moved are
-// moved back.
-func (t *Table) updateLocked(id RowID, old, r Row) error {
+// write overwrites the cells of row id, which reads from, that differ from
+// r's — to the bit: Compare calls NaN equal to every FLOAT.
+func (t *Table) write(id RowID, from, r Row) {
+	for c, v := range r {
+		if o := from[c]; o.kind != v.kind || o.i != v.i || v.kind == KindString && o.str() != v.str() {
+			t.heap.set(id, c, v)
+		}
+	}
+}
+
+// updateLocked overwrites row id with r. The cells go first, so that the
+// keys are built from the stored row (see insertLocked). A changed key
+// enters its index before the old one leaves, so a unique conflict is
+// found in that one descent; the indexes already moved are then moved
+// back, and the cells put back.
+func (t *Table) updateLocked(id RowID, r Row) error {
+	old := t.heap.row(t.old, id)
+	t.write(id, old, r)
+	cur := t.heap.row(t.cur, id)
 	for n, ix := range t.ordered {
-		if ix.sameKey(old, r) {
+		if ix.sameKey(old, cur) {
 			continue
 		}
-		if _, ok := ix.add(r, id); !ok {
+		if _, ok := ix.add(cur, id); !ok {
 			for _, done := range t.ordered[:n] {
-				if !done.sameKey(old, r) {
-					done.remove(r, id)
+				if !done.sameKey(old, cur) {
+					done.remove(cur, id)
 					done.add(old, id)
 				}
 			}
-			return uniqueViolation(ix, r)
+			err := uniqueViolation(ix, cur)
+			t.write(id, cur, old)
+			return err
 		}
 		ix.remove(old, id)
 	}
-	t.rows[id] = r
 	return nil
 }
 
@@ -205,18 +238,17 @@ func (t *Table) UpdateColumn(id RowID, column string, v Value) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	old, err := t.getLocked(id)
-	if err != nil {
-		return err
+	if !t.heap.live(id) {
+		return t.noSuchRow(id)
 	}
 	for _, ix := range t.ordered {
 		if ix.dependsOn(pos) {
-			r := old.Clone()
+			r := t.heap.row(make(Row, len(t.heap.cols)), id)
 			r[pos] = v
-			return t.updateLocked(id, old, r)
+			return t.updateLocked(id, r)
 		}
 	}
-	old[pos] = v
+	t.heap.set(id, pos, v)
 	return nil
 }
 
@@ -224,51 +256,59 @@ func (t *Table) UpdateColumn(id RowID, column string, v Value) error {
 func (t *Table) Delete(id RowID) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	r, err := t.getLocked(id)
-	if err != nil {
-		return err
+	if !t.heap.live(id) {
+		return t.noSuchRow(id)
 	}
+	r := t.heap.row(t.old, id)
 	for _, ix := range t.ordered {
 		ix.remove(r, id)
 	}
-	t.rows[id] = nil
+	t.heap.dead.set(id, true)
 	t.live--
 	return nil
 }
 
-// Scan visits every live row in row-ID order until fn returns false. The
-// row passed to fn must not be retained or mutated; Clone it to keep it.
-func (t *Table) Scan(fn func(id RowID, r Row) bool) {
+// ScanCells visits every live row in row-ID order until fn returns false,
+// handing fn the row's cells in place.
+func (t *Table) ScanCells(fn func(c Cells) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	for id, r := range t.rows {
-		if r == nil {
-			continue
-		}
-		if !fn(RowID(id), r) {
+	for id := RowID(0); id < RowID(t.heap.n); id++ {
+		if !t.heap.dead.get(id) && !fn(Cells{&t.heap, id}) {
 			return
 		}
 	}
 }
 
-// ScanPartition visits live rows of one partition (partition-pruned scan).
-// It requires a partitioned table.
-func (t *Table) ScanPartition(part int64, fn func(id RowID, r Row) bool) error {
+// Scan is ScanCells with each row built in a per-scan buffer: the row
+// passed to fn must not be retained or mutated; Clone it to keep it.
+func (t *Table) Scan(fn func(id RowID, r Row) bool) {
+	buf := make(Row, len(t.heap.cols))
+	t.ScanCells(func(c Cells) bool { return fn(c.id, t.heap.row(buf, c.id)) })
+}
+
+// ScanPartitionCells visits the live rows of one partition (partition-
+// pruned scan), handing fn each row's cells in place. It requires a
+// partitioned table.
+func (t *Table) ScanPartitionCells(part int64, fn func(c Cells) bool) error {
 	if t.partCol < 0 {
 		return fmt.Errorf("%w: table %s is not partitioned", ErrNoSuchPartition, t.name)
 	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	t.partIdx.scanIntsLocked([]int64{part}, func(id RowID) bool {
-		return fn(id, t.rows[id])
-	})
+	t.partIdx.ScanIntsCells([]int64{part}, fn)
 	return nil
+}
+
+// ScanPartition is ScanPartitionCells with each row built in a per-scan
+// buffer, under Scan's contract.
+func (t *Table) ScanPartition(part int64, fn func(id RowID, r Row) bool) error {
+	buf := make(Row, len(t.heap.cols))
+	return t.ScanPartitionCells(part, func(c Cells) bool { return fn(c.id, t.heap.row(buf, c.id)) })
 }
 
 // PartitionLen returns the number of live rows in one partition.
 func (t *Table) PartitionLen(part int64) int {
 	n := 0
-	if err := t.ScanPartition(part, func(RowID, Row) bool { n++; return true }); err != nil {
+	if err := t.ScanPartitionCells(part, func(Cells) bool { n++; return true }); err != nil {
 		return 0
 	}
 	return n
@@ -312,8 +352,8 @@ func (t *Table) TruncatePartition(part int64) (int, error) {
 		return 0, fmt.Errorf("%w: table %s is not partitioned", ErrNoSuchPartition, t.name)
 	}
 	var ids []RowID
-	if err := t.ScanPartition(part, func(id RowID, _ Row) bool {
-		ids = append(ids, id)
+	if err := t.ScanPartitionCells(part, func(c Cells) bool {
+		ids = append(ids, c.id)
 		return true
 	}); err != nil {
 		return 0, err

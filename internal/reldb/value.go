@@ -12,8 +12,10 @@ package reldb
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind enumerates the value types supported by the engine.
@@ -46,12 +48,12 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// Value is a single typed cell. The zero Value is NULL.
+// Value is a single typed cell. The zero Value is NULL. It is three words:
+// a string's bytes and length, or a number in the length word.
 type Value struct {
+	p    *byte // KindString: the string's bytes
+	i    int64 // KindInt, KindBool (0/1), KindFloat (IEEE 754 bits), KindString (length)
 	kind Kind
-	i    int64 // KindInt and KindBool (0/1)
-	f    float64
-	s    string
 }
 
 // Null returns the NULL value.
@@ -61,11 +63,17 @@ func Null() Value { return Value{} }
 func Int(v int64) Value { return Value{kind: KindInt, i: v} }
 
 // Float returns a floating-point value.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+func Float(v float64) Value { return Value{kind: KindFloat, i: int64(math.Float64bits(v))} }
 
 // String_ returns a string value. (Named with a trailing underscore because
 // String is the Stringer method.)
-func String_(v string) Value { return Value{kind: KindString, s: v} }
+func String_(v string) Value {
+	return Value{kind: KindString, p: unsafe.StringData(v), i: int64(len(v))}
+}
+
+// str and float decode the payload of a value known to be of that kind.
+func (v Value) str() string    { return unsafe.String(v.p, int(v.i)) }
+func (v Value) float() float64 { return math.Float64frombits(uint64(v.i)) }
 
 // Bool returns a boolean value.
 func Bool(v bool) Value {
@@ -96,7 +104,7 @@ func (v Value) Float64() float64 {
 	if v.kind != KindFloat {
 		panic(fmt.Sprintf("reldb: Float64 on %s value", v.kind))
 	}
-	return v.f
+	return v.float()
 }
 
 // Str returns the string payload.
@@ -104,7 +112,7 @@ func (v Value) Str() string {
 	if v.kind != KindString {
 		panic(fmt.Sprintf("reldb: Str on %s value", v.kind))
 	}
-	return v.s
+	return v.str()
 }
 
 // BoolVal returns the boolean payload.
@@ -123,9 +131,9 @@ func (v Value) String() string {
 	case KindInt:
 		return strconv.FormatInt(v.i, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case KindString:
-		return v.s
+		return v.str()
 	case KindBool:
 		if v.i != 0 {
 			return "TRUE"
@@ -157,15 +165,15 @@ func (v Value) Compare(o Value) int {
 		}
 		return 0
 	case KindFloat:
-		switch {
-		case v.f < o.f:
+		switch a, b := v.float(), o.float(); {
+		case a < b:
 			return -1
-		case v.f > o.f:
+		case a > b:
 			return 1
 		}
 		return 0
 	case KindString:
-		return strings.Compare(v.s, o.s)
+		return strings.Compare(v.str(), o.str())
 	}
 	return 0
 }
@@ -197,7 +205,7 @@ func (k Key) Compare(o Key) int {
 			continue
 		}
 		if a.kind == KindString && b.kind == KindString {
-			if c := strings.Compare(a.s, b.s); c != 0 {
+			if c := strings.Compare(a.str(), b.str()); c != 0 {
 				return c
 			}
 			continue

@@ -1,8 +1,10 @@
 package reldb
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestValueConstructorsAndAccessors(t *testing.T) {
@@ -70,6 +72,53 @@ func TestValueCompare(t *testing.T) {
 		if got := c.b.Compare(c.a); sign(got) != -c.want {
 			t.Errorf("Compare(%v,%v) = %d, want sign %d", c.b, c.a, got, -c.want)
 		}
+	}
+}
+
+// TestValueIsThreeWords: a cell is a string's bytes and length, or a number
+// in the length word, and a kind — a FLOAT has no word of its own.
+func TestValueIsThreeWords(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 24 {
+		t.Fatalf("Value is %d bytes, want 24", got)
+	}
+}
+
+// TestFloatOrder: a FLOAT kept as its bits still orders as a number, not
+// as the bits: negatives before positives, -0 equal to 0, and NaN — as
+// ever — equal to everything, so it never decides a comparison.
+func TestFloatOrder(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	asc := []float64{math.Inf(-1), -2.5, -1e-300, 0, 1e-300, 1.5, math.MaxFloat64, math.Inf(1)}
+	for i, a := range asc {
+		if got := Float(a).Float64(); got != a {
+			t.Errorf("Float(%v) round-trips as %v", a, got)
+		}
+		for j, b := range asc {
+			if got := sign(Float(a).Compare(Float(b))); got != sign(i-j) {
+				t.Errorf("Compare(%v, %v) = %d, want %d", a, b, got, sign(i-j))
+			}
+		}
+		if got := Float(math.NaN()).Compare(Float(a)) | Float(a).Compare(Float(math.NaN())); got != 0 {
+			t.Errorf("NaN against %v compares %d, want 0", a, got)
+		}
+	}
+	if !Float(negZero).Equal(Float(0)) || !math.Signbit(Float(negZero).Float64()) {
+		t.Error("-0 must equal 0 and keep its sign bit")
+	}
+	if !math.IsNaN(Float(math.NaN()).Float64()) {
+		t.Error("NaN does not round-trip")
+	}
+	// Kind tags still order across kinds, NULL first.
+	order := []Value{Null(), Int(math.MaxInt64), Float(math.Inf(-1)), String_(""), Bool(false)}
+	for i := range order {
+		for j := range order {
+			if got := sign(order[i].Compare(order[j])); got != sign(i-j) {
+				t.Errorf("Compare(%v, %v) = %d, want %d", order[i], order[j], got, sign(i-j))
+			}
+		}
+	}
+	if String_("").Str() != "" || String_("").Compare(String_("")) != 0 {
+		t.Error("empty string")
 	}
 }
 
