@@ -124,10 +124,12 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseQuery -fuzztime=30s ./internal/match
 	$(GO) test -fuzz=FuzzParseFilter -fuzztime=30s ./internal/match
 	$(GO) test -fuzz=FuzzTableOps -fuzztime=30s ./internal/reldb
+	$(GO) test -fuzz=FuzzScan -fuzztime=30s ./internal/wal
 
-# CI smoke slice of the fuzz targets: the parser-facing surfaces and the
-# table heap (operation sequences checked against a []Row model), ~30s
-# each, enough to catch fresh panics without owning a CI lane for an hour.
+# CI smoke slice of the fuzz targets: the parser-facing surfaces, the
+# table heap (operation sequences checked against a []Row model) and the
+# WAL scanner (arbitrary segment bytes), ~30s each, enough to catch fresh
+# panics without owning a CI lane for an hour.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseObject -fuzztime=30s ./internal/rdfterm
 	$(GO) test -fuzz=FuzzCanonical -fuzztime=30s ./internal/rdfterm
@@ -135,6 +137,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseQuery -fuzztime=30s ./internal/match
 	$(GO) test -fuzz=FuzzParseFilter -fuzztime=30s ./internal/match
 	$(GO) test -fuzz=FuzzTableOps -fuzztime=30s ./internal/reldb
+	$(GO) test -fuzz=FuzzScan -fuzztime=30s ./internal/wal
 
 # Regenerate the paper's evaluation tables (10k + 100k by default; pass
 # SIZES=10000,100000,1000000,5000000 for the full sweep).

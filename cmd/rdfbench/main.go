@@ -261,7 +261,7 @@ func (b *bench) startSelfServe(stdout io.Writer) (stop func(), injected func() (
 		scfg.WALPath = filepath.Join(dir, "bench.wal")
 	}
 	if b.cfg.chaosRate > 0 && !b.cfg.segmented {
-		scfg.OpenWAL = func(path string) (*wal.Log, wal.ScanResult, error) {
+		scfg.OpenWAL = func(path string, fn wal.RecordFunc) (*wal.Log, wal.ScanResult, error) {
 			return wal.OpenFileWith(path, func(f wal.File) wal.File {
 				fl := wal.NewFlaky(f)
 				flakyMu.Lock()
@@ -271,7 +271,7 @@ func (b *bench) startSelfServe(stdout io.Writer) (stop func(), injected func() (
 				flakies = append(flakies, fl)
 				flakyMu.Unlock()
 				return fl
-			})
+			}, fn)
 		}
 		b.armChaos = func() {
 			flakyMu.Lock()

@@ -27,14 +27,16 @@
 // watermark in the snapshot and retires the segments it covers; pass
 // the same -snapshot and -wal-dir back to continue.
 //
-// Bulk-load fast path: -workers parses the input with parallel workers
-// (0 = all CPUs), and -batch inserts triples through the store's batch
-// API — one write-lock acquisition and one WAL commit per batch instead
-// of per triple. -sync-every N adds WAL group commit on top: the log
+// Bulk load: -workers parses the input with parallel workers (0 = all
+// CPUs), and every statement — quad bases and their reification rows
+// included — goes through the store's batch API, -batch statements to a
+// group: one write-lock acquisition and one WAL commit per group. The
+// size only places the commit points; the stored result does not depend
+// on it. -sync-every N adds WAL group commit on top: the log
 // fsyncs once every N commits (a crash can lose at most the last N-1
 // committed batches, but always recovers to a consistent state). The
-// defaults load fast and sync on every batch; -batch 1 -workers 1
-// restores the original one-triple-one-commit path.
+// defaults sync on every group of 1024; -batch 1 commits (and, with a
+// WAL, fsyncs) every statement on its own.
 //
 // Observability: -admin ADDR serves the runtime metrics registry
 // (/metrics in Prometheus text format, /healthz, /events, /debug/pprof)
@@ -82,7 +84,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	snapPath := fs.String("snapshot", "", "checkpoint snapshot to load before replaying the WAL (continue a store checkpointed with -save -wal)")
 	format := fs.String("format", "nt", "input format: nt (N-Triples) or xml (RDF/XML)")
 	base := fs.String("base", "", "base URI for resolving rdf:ID in RDF/XML input")
-	batch := fs.Int("batch", 1024, "insert triples in batches of this size (1 = one insert, one WAL commit per triple)")
+	batch := fs.Int("batch", 1024, "statements per insert group: one WAL commit each (1 = a commit per statement; the stored result is the same at any size)")
 	workers := fs.Int("workers", 0, "parallel N-Triples parse workers (0 = all CPUs, 1 = serial)")
 	syncEvery := fs.Int("sync-every", 1, "with -wal, fsync once every N commits instead of every commit (group commit)")
 	traceWAL := fs.Bool("trace-wal", false, "record wal.flush span trees during a group-committed load and print the slowest flush (requires -sync-every > 1)")

@@ -47,6 +47,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/load"
 	"repro/internal/obs"
 	"repro/internal/reify"
 	"repro/internal/server"
@@ -54,6 +55,9 @@ import (
 	"repro/internal/trace"
 	"repro/internal/wal"
 )
+
+// ms rounds a start-up timing for printing.
+func ms(d time.Duration) time.Duration { return d.Round(time.Millisecond) }
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -145,7 +149,7 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	addr, model, load := f.addr, f.model, f.load
+	addr, model, loadPath := f.addr, f.model, f.load
 	walPath, snapPath, scrubInterval := f.walPath, f.snapPath, f.scrubInterval
 	walDir := f.walDir
 	chaosWrite, chaosSync, chaosSeed := f.chaosWrite, f.chaosSync, f.chaosSeed
@@ -216,6 +220,10 @@ func run(args []string, stdout io.Writer) error {
 						"rdfserve: warning: WAL had a torn tail (replayed %d records, kept %d bytes): %v\n",
 						info.Applied, info.ValidBytes, info.TailErr)
 				}
+				if info.Restore > 0 || info.Applied > 0 {
+					fmt.Fprintf(stdout, "recovered: snapshot %s, %d WAL records (scan %s, replay %s)\n",
+						ms(info.Restore), info.Applied, ms(info.Scan), ms(info.Replay))
+				}
 			},
 		}
 		if *walDir != "" {
@@ -236,12 +244,12 @@ func run(args []string, stdout io.Writer) error {
 			}
 		}
 		if *chaosWrite > 0 || *chaosSync > 0 {
-			cfg.OpenWAL = func(path string) (*wal.Log, wal.ScanResult, error) {
+			cfg.OpenWAL = func(path string, fn wal.RecordFunc) (*wal.Log, wal.ScanResult, error) {
 				return wal.OpenFileWith(path, func(f wal.File) wal.File {
 					fl := wal.NewFlaky(f)
 					fl.SetErrorRate(*chaosWrite, *chaosSync, *chaosSeed)
 					return fl
-				})
+				}, fn)
 			}
 			fmt.Fprintf(stdout, "chaos: WAL faults armed (write %.2f, sync %.2f, seed %d)\n",
 				*chaosWrite, *chaosSync, *chaosSeed)
@@ -270,23 +278,35 @@ func run(args []string, stdout io.Writer) error {
 	}); err != nil {
 		return fmt.Errorf("creating model %q: %w", *model, err)
 	}
-	if *load != "" {
-		f, err := os.Open(*load)
+	if *loadPath != "" {
+		f, err := os.Open(*loadPath)
 		if err != nil {
 			return err
 		}
-		var stats reify.Stats
-		err = backend.Mutate(func(st *core.Store) error {
-			loader := &reify.Loader{Store: st, Model: *model, Policy: reify.DropIncomplete, BatchSize: 1024}
-			var lerr error
-			stats, lerr = loader.Load(f)
-			return lerr
-		})
+		t0 := time.Now()
+		triples, err := load.Parse(f, load.Options{Workers: 1})
 		f.Close()
 		if err != nil {
-			return fmt.Errorf("loading %s: %w", *load, err)
+			return fmt.Errorf("loading %s: %w", *loadPath, err)
 		}
-		fmt.Fprintf(stdout, "loaded %d triples from %s into %q\n", stats.Read, *load, *model)
+		parsed := time.Since(t0)
+		// A commit group is one fsync; the load acknowledges nothing until
+		// the last one is down, which is before the listener opens.
+		fsyncs := func() int64 {
+			c, _ := reg.Snapshot().Counter("wal_fsyncs_total")
+			return c.Value
+		}
+		groups := fsyncs()
+		err = backend.Mutate(func(st *core.Store) error {
+			loader := &reify.Loader{Store: st, Model: *model, Policy: reify.DropIncomplete, BatchSize: 1024}
+			_, lerr := loader.LoadTriples(triples)
+			return lerr
+		})
+		if err != nil {
+			return fmt.Errorf("loading %s: %w", *loadPath, err)
+		}
+		fmt.Fprintf(stdout, "loaded %d triples from %s into %q (parse %s, fold+insert %s, %d commit groups)\n",
+			len(triples), *loadPath, *model, ms(parsed), ms(time.Since(t0)-parsed), fsyncs()-groups)
 	}
 
 	srv, err := server.New(server.Config{

@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
 	"repro/internal/rdfterm"
+	"repro/internal/reldb"
 	"repro/internal/wal"
 )
 
@@ -171,8 +173,8 @@ func TestInsertBatchErrors(t *testing.T) {
 // TestTermDictionaryComplete pins the term dictionary's contract: it is
 // unbounded and holds every rdf_value$ row however the store was built —
 // live inserts, snapshot load, WAL replay — so the read side resolves a
-// term, present or absent, without rdf_value_text. (The 1 M-entry cache it
-// replaces was dropped whole when full and fell back to that index.)
+// term, present or absent, with no text index behind it. (The 1 M-entry
+// cache it replaces was dropped whole when full and fell back to one.)
 func TestTermDictionaryComplete(t *testing.T) {
 	s, logFile := walStore(t)
 	if _, err := s.CreateRDFModel("m", "", ""); err != nil {
@@ -217,10 +219,10 @@ func TestTermDictionaryComplete(t *testing.T) {
 		if len(st.termIDs) != st.NumValues() {
 			t.Fatalf("%s: dictionary has %d entries, rdf_value$ %d rows", name, len(st.termIDs), st.NumValues())
 		}
-		// With rdf_value_text gone, reads still resolve every term and
-		// still know an absent one is absent.
-		if err := st.values.DropIndex(idxValueText); err != nil {
-			t.Fatal(err)
+		// rdf_value$ has no text index: the dictionary alone resolves every
+		// term and knows an absent one is absent.
+		if _, err := st.values.Index("rdf_value_text"); !errors.Is(err, reldb.ErrNoSuchIndex) {
+			t.Fatalf("%s: rdf_value$ still has a text index (%v)", name, err)
 		}
 		ts, ok, err := st.IsTripleTerms("m", subj, pred, rdfterm.NewURI("http://obj/7"))
 		if err != nil || !ok || ts.SID != res.Triples[7].SID {

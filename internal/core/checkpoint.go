@@ -105,37 +105,46 @@ func LoadFileAt(path string) (*Store, int64, error) {
 // positioned for appending; attach it (or a wal.Group over it) with
 // SetDurability to continue mutating durably.
 func RecoverFiles(snapPath, walPath string) (*Store, *wal.Log, RecoverInfo, error) {
-	return RecoverFilesWith(snapPath, walPath, wal.OpenFile)
+	return RecoverFilesWith(snapPath, walPath, func(path string, fn wal.RecordFunc) (*wal.Log, wal.ScanResult, error) {
+		return wal.OpenFileWith(path, nil, fn)
+	})
+}
+
+// loadOrNew is the first step of a file recovery: the store of the
+// snapshot at snapPath with its segmented-WAL watermark, or a fresh store
+// when snapPath is empty or names no file yet.
+func loadOrNew(snapPath string) (*Store, int64, time.Duration, error) {
+	if snapPath != "" {
+		t0 := time.Now()
+		s, walSeq, err := LoadFileAt(snapPath)
+		if err == nil {
+			return s, walSeq, time.Since(t0), nil
+		}
+		if !os.IsNotExist(err) {
+			return nil, 0, 0, err
+		}
+	}
+	return New(), 0, 0, nil
 }
 
 // RecoverFilesWith is RecoverFiles with an injectable WAL opener (tests
-// substitute fault-wrapped files via wal.OpenFileWith).
-func RecoverFilesWith(snapPath, walPath string, openWAL func(string) (*wal.Log, wal.ScanResult, error)) (*Store, *wal.Log, RecoverInfo, error) {
-	var s *Store
-	if snapPath != "" {
-		var err error
-		s, err = LoadFile(snapPath)
-		if err != nil && !os.IsNotExist(err) {
-			return nil, nil, RecoverInfo{}, err
-		}
-	}
-	if s == nil {
-		s = New()
-	}
-	log, res, err := openWAL(walPath)
+// substitute fault-wrapped files via wal.OpenFileWith). The opener hands
+// the log's records to fn as it reads them.
+func RecoverFilesWith(snapPath, walPath string,
+	openWAL func(path string, fn wal.RecordFunc) (*wal.Log, wal.ScanResult, error)) (*Store, *wal.Log, RecoverInfo, error) {
+	s, _, restore, err := loadOrNew(snapPath)
 	if err != nil {
 		return nil, nil, RecoverInfo{}, err
 	}
-	if err := s.Replay(res.Records); err != nil {
-		log.Close()
+	var log *wal.Log
+	info, err := s.replayStream(restore, func(apply wal.RecordFunc) (res wal.ScanResult, err error) {
+		log, res, err = openWAL(walPath, apply)
+		return res, err
+	})
+	if err != nil {
 		return nil, nil, RecoverInfo{}, err
 	}
-	return s, log, RecoverInfo{
-		Applied:    len(res.Records),
-		ValidBytes: res.ValidBytes,
-		Truncated:  res.Truncated,
-		TailErr:    res.TailErr,
-	}, nil
+	return s, log, info, nil
 }
 
 // Checkpoint makes the store's current state the new durable baseline:
@@ -253,40 +262,27 @@ func CheckpointDirCtx(ctx context.Context, s *Store, snapPath string, d *wal.Dir
 // deleted, the rest scanned (torn tail tolerated in the final segment
 // only) and replayed. The returned Dir is positioned for appending.
 func RecoverDir(snapPath, walDir string, opts wal.DirOptions) (*Store, *wal.Dir, RecoverInfo, error) {
-	return RecoverDirWith(snapPath, walDir, opts, wal.OpenDir)
+	return RecoverDirWith(snapPath, walDir, opts, wal.OpenDirFunc)
 }
 
 // RecoverDirWith is RecoverDir with an injectable opener (tests
-// substitute fault-wrapped segment files).
+// substitute fault-wrapped segment files). The opener hands the
+// segments' records to fn as it reads them.
 func RecoverDirWith(snapPath, walDir string, opts wal.DirOptions,
-	openDir func(string, int64, wal.DirOptions) (*wal.Dir, wal.DirScanResult, error)) (*Store, *wal.Dir, RecoverInfo, error) {
-	var s *Store
-	var walSeq int64
-	if snapPath != "" {
-		var err error
-		s, walSeq, err = LoadFileAt(snapPath)
-		if err != nil && !os.IsNotExist(err) {
-			return nil, nil, RecoverInfo{}, err
-		}
-	}
-	if s == nil {
-		s = New()
-		walSeq = 0
-	}
-	d, res, err := openDir(walDir, walSeq, opts)
+	openDir func(dir string, fromSeq int64, opts wal.DirOptions, fn wal.RecordFunc) (*wal.Dir, wal.DirScanResult, error)) (*Store, *wal.Dir, RecoverInfo, error) {
+	s, walSeq, restore, err := loadOrNew(snapPath)
 	if err != nil {
 		return nil, nil, RecoverInfo{}, err
 	}
-	if err := s.Replay(res.Records); err != nil {
-		d.Close()
+	var d *wal.Dir
+	var res wal.DirScanResult
+	info, err := s.replayStream(restore, func(apply wal.RecordFunc) (_ wal.ScanResult, err error) {
+		d, res, err = openDir(walDir, walSeq, opts, apply)
+		return wal.ScanResult{ValidBytes: res.TotalBytes, Truncated: res.Truncated, TailErr: res.TailErr, ScanTime: res.ScanTime}, err
+	})
+	if err != nil {
 		return nil, nil, RecoverInfo{}, err
 	}
-	return s, d, RecoverInfo{
-		Applied:    len(res.Records),
-		ValidBytes: res.TotalBytes,
-		Truncated:  res.Truncated,
-		TailErr:    res.TailErr,
-		Segments:   res.Segments,
-		Retired:    res.Removed,
-	}, nil
+	info.Segments, info.Retired = res.Segments, res.Removed
+	return s, d, info, nil
 }

@@ -16,10 +16,11 @@ import (
 //	  AND c.value_id = d.end_node_id
 //	  AND a.value_name = :subject
 //
-// executed as an explicit plan over the storage tables: an index lookup on
-// rdf_value$ for the subject text, an index prefix scan on rdf_link$
-// (MODEL_ID, START_NODE_ID), and two index-nested-loop joins back to
-// rdf_value$ — the three-way join the member functions hide.
+// executed as an explicit plan over the storage tables: the subject text
+// resolved to its rdf_value$ row (term dictionary, then rdf_value_pk), an
+// index prefix scan on rdf_link$ (MODEL_ID, START_NODE_ID), and two
+// index-nested-loop joins back to rdf_value$ — the three-way join the
+// member functions hide.
 func (s *Store) FlatQueryBySubject(model, subject string) ([]Triple, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -27,13 +28,16 @@ func (s *Store) FlatQueryBySubject(model, subject string) ([]Triple, error) {
 	if err != nil {
 		return nil, err
 	}
-	// rdf_value$ a: find the subject's VALUE_ID by text.
-	subjIter := reldb.NewIndexEq(s.values, s.valueText, termKey(rdfterm.NewURI(subject)))
-	subjRows := reldb.Collect(subjIter)
+	// rdf_value$ a: the subject's VALUE_ID by text, and its row.
+	id, ok := s.lookupValueIDLocked(rdfterm.NewURI(subject))
+	if !ok {
+		return nil, nil
+	}
+	sid := reldb.Int(id)
+	subjRows := reldb.Collect(reldb.NewIndexEq(s.values, s.valuePK, reldb.Key{sid}))
 	if len(subjRows) == 0 {
 		return nil, nil
 	}
-	sid := subjRows[0][vcValueID]
 
 	// rdf_link$ d: partition-pruned prefix scan on (MODEL_ID, START_NODE_ID).
 	linkIter := reldb.NewIndexPrefix(s.links, s.linkMSPO, reldb.Key{reldb.Int(mid), sid})
@@ -60,21 +64,6 @@ func (s *Store) FlatQueryBySubject(model, subject string) ([]Triple, error) {
 			Object:   rowToTerm(oRow),
 		})
 	}
-}
-
-// rowToTerm rebuilds a term from an rdf_value$ row of a join's output.
-func rowToTerm(r reldb.Row) rdfterm.Term {
-	str := func(v reldb.Value) string {
-		if v.IsNull() {
-			return ""
-		}
-		return v.Str()
-	}
-	text := r[vcValueName].Str()
-	if !r[vcLongValue].IsNull() {
-		text = r[vcLongValue].Str()
-	}
-	return valueTerm(r[vcValueType].Str(), text, str(r[vcLiteralType]), str(r[vcLanguageType]))
 }
 
 // UnindexedQueryBySubject runs the Experiment II query WITHOUT the §7.2

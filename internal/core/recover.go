@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"time"
 
 	"repro/internal/rdfterm"
 	"repro/internal/reldb"
@@ -31,34 +32,32 @@ type RecoverInfo struct {
 	// Retired is the number of segments below the snapshot's watermark
 	// deleted at open — an interrupted checkpoint's retention, finished.
 	Retired int
+	// Restore, Scan and Replay say where a restart's time went: loading
+	// the snapshot, reading and verifying the WAL, applying its records.
+	Restore, Scan, Replay time.Duration
 }
 
 // Recover rebuilds a store from an optional snapshot reader (nil for
 // none) and a WAL reader. The WAL must have been written against the
 // snapshot it is paired with (a checkpoint truncates the log).
 func Recover(snap io.Reader, log io.Reader) (*Store, RecoverInfo, error) {
-	var s *Store
-	var err error
+	s := New()
+	var restore time.Duration
 	if snap != nil {
+		t0 := time.Now()
+		var err error
 		if s, err = Load(snap); err != nil {
 			return nil, RecoverInfo{}, err
 		}
-	} else {
-		s = New()
+		restore = time.Since(t0)
 	}
-	res, err := wal.Scan(log)
+	info, err := s.replayStream(restore, func(apply wal.RecordFunc) (wal.ScanResult, error) {
+		return wal.ScanFunc(log, apply)
+	})
 	if err != nil {
 		return nil, RecoverInfo{}, err
 	}
-	if err := s.Replay(res.Records); err != nil {
-		return nil, RecoverInfo{}, err
-	}
-	return s, RecoverInfo{
-		Applied:    len(res.Records),
-		ValidBytes: res.ValidBytes,
-		Truncated:  res.Truncated,
-		TailErr:    res.TailErr,
-	}, nil
+	return s, info, nil
 }
 
 // Replay applies WAL records to the store in order. Records carry the
@@ -69,21 +68,53 @@ func Recover(snap io.Reader, log io.Reader) (*Store, RecoverInfo, error) {
 //
 //repro:vet-ignore walcheck replay applies records already durable in the WAL; re-logging them would duplicate every record on the next recovery
 func (s *Store) Replay(records []wal.Record) error {
-	t0 := s.met.startTimer()
+	_, err := s.replayStream(0, func(apply wal.RecordFunc) (wal.ScanResult, error) {
+		for i := range records {
+			if err := apply(&records[i]); err != nil {
+				return wal.ScanResult{}, err
+			}
+		}
+		return wal.ScanResult{}, nil
+	})
+	return err
+}
+
+// replayStream runs scan — a WAL reader that hands every record to the
+// apply function it is given, as it reads it — under one hold of the write
+// lock, so a log is replayed without ever being held in memory (a record
+// is only read during its apply call, wal.RecordFunc's contract), and
+// summarizes the recovery; restore is the time the snapshot load before it
+// took.
+func (s *Store) replayStream(restore time.Duration, scan func(apply wal.RecordFunc) (wal.ScanResult, error)) (RecoverInfo, error) {
+	t0 := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i, r := range records {
+	n := 0
+	res, err := scan(func(r *wal.Record) error {
 		if err := s.applyLocked(r); err != nil {
-			return fmt.Errorf("core: replaying WAL record %d (%s): %w", i, r.Type, err)
+			return fmt.Errorf("core: replaying WAL record %d (%s): %w", n, r.Type, err)
 		}
+		n++
+		return nil
+	})
+	if err != nil {
+		return RecoverInfo{}, err
 	}
-	s.met.onReplay(len(records), t0)
+	s.met.onReplay(n, t0)
 	s.met.setTriples(s.links.Len())
-	return nil
+	return RecoverInfo{
+		Applied:    n,
+		ValidBytes: res.ValidBytes,
+		Truncated:  res.Truncated,
+		TailErr:    res.TailErr,
+		Restore:    restore,
+		Scan:       res.ScanTime,
+		Replay:     time.Since(t0) - res.ScanTime,
+	}, nil
 }
 
 // applyLocked applies one logical mutation record. Caller holds s.mu.
-func (s *Store) applyLocked(r wal.Record) error {
+func (s *Store) applyLocked(r *wal.Record) error {
 	switch r.Type {
 	case wal.TypeCreateModel:
 		if err := s.addModelLocked(r.ModelID, r.Name, r.TableName, r.ColumnName); err != nil {
@@ -179,7 +210,7 @@ func (s *Store) applyLocked(r wal.Record) error {
 
 // termFromRecord rebuilds the interned term from a TypeInternValue
 // record (the inverse of the record built in internValueLocked).
-func termFromRecord(r wal.Record) rdfterm.Term {
+func termFromRecord(r *wal.Record) rdfterm.Term {
 	switch r.ValueType {
 	case rdfterm.VTUri:
 		return rdfterm.NewURI(r.Text)

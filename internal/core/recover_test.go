@@ -2,9 +2,13 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"io"
+	"strings"
 	"testing"
 
+	"repro/internal/rdfterm"
+	"repro/internal/reldb"
 	"repro/internal/wal"
 )
 
@@ -261,4 +265,74 @@ func TestRecoverRejectsNonWAL(t *testing.T) {
 	if _, _, err := Recover(nil, bytes.NewReader([]byte("GOBSNAP1 definitely not a log"))); err == nil {
 		t.Fatal("recover accepted a non-WAL stream")
 	}
+}
+
+// TestReplayRejectsDuplicateTerm: the term dictionary is what keeps a term
+// to one rdf_value$ row, so a log that interns one text under two VALUE_IDs
+// must fail recovery with the unique-constraint error, not replay into a
+// store whose dictionary silently points at the second row.
+func TestReplayRejectsDuplicateTerm(t *testing.T) {
+	f := &wal.BufferFile{}
+	log, err := wal.NewLog(f, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []wal.Record{
+		{Type: wal.TypeInternValue, ValueID: 1068, Text: "http://a", ValueType: rdfterm.VTUri},
+		{Type: wal.TypeInternValue, ValueID: 1069, Text: "chat", ValueType: rdfterm.VTPlainLang, Language: "fr"},
+		{Type: wal.TypeInternValue, ValueID: 1070, Text: "chat", ValueType: rdfterm.VTPlainLang, Language: "en"},
+		{Type: wal.TypeInternValue, ValueID: 1071, Text: "http://a", ValueType: rdfterm.VTUri},
+	} {
+		if err := log.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, _, err = Recover(nil, bytes.NewReader(f.Buffer.Bytes()))
+	if !errors.Is(err, reldb.ErrUniqueViolation) || !strings.Contains(err.Error(), "record 3") {
+		t.Fatalf("recovering a log that interns <http://a> twice: %v; want a unique violation at record 3", err)
+	}
+}
+
+// TestReplayKeepsNothingOfTheScanWindow: replay reads each record while
+// the scanner still owns it, strings and all. Whatever the store keeps —
+// model names, view names, blank labels, text — must be its own copy: the
+// window is overwritten by the next read.
+func TestReplayKeepsNothingOfTheScanWindow(t *testing.T) {
+	live, logFile := walStore(t)
+	for _, op := range walWorkload() {
+		if err := op.do(live); err != nil {
+			t.Fatalf("%s: %v", op.name, err)
+		}
+	}
+	rec := recoverImage(t, nil, logFile.Bytes())
+	// A different log of at least the same length, through the same
+	// (pooled) window.
+	other := &wal.BufferFile{}
+	olog, err := wal.NewLog(other, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for other.Buffer.Len() < logFile.Buffer.Len()+64 {
+		if err := olog.Append(wal.Record{Type: wal.TypeCreateModel, ModelID: 1, Name: strings.Repeat("#", 200)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := wal.ScanFunc(bytes.NewReader(other.Buffer.Bytes()), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(fingerprint(t, rec), fingerprint(t, live)) {
+		t.Fatal("recovered store changed when the scanner's window was reused")
+	}
+	names, err := rec.ModelNames()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		if _, err := rec.ModelView(name); err != nil {
+			t.Fatalf("model %q: %v", name, err)
+		}
+	}
+	assertInvariants(t, rec)
 }

@@ -21,7 +21,6 @@ const (
 	idxModelPK   = "rdf_model_pk"
 	idxModelName = "rdf_model_name"
 	idxValuePK   = "rdf_value_pk"
-	idxValueText = "rdf_value_text" // function index over full text + type
 	idxNodePK    = "rdf_node_pk"
 	idxLinkPK    = "rdf_link_pk"
 	idxLinkMSPO  = "rdf_link_mspo"  // unique (MODEL_ID, START, P, END)

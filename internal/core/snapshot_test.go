@@ -180,6 +180,25 @@ func TestLoadTypedErrors(t *testing.T) {
 			t.Fatalf("duplicate-ID error %v is not ErrSnapshotCorrupt", err)
 		}
 	})
+	t.Run("one term, two value rows", func(t *testing.T) {
+		// Distinct VALUE_IDs, so rdf_value_pk accepts both: only the term
+		// dictionary can refuse the second.
+		snap := snapshot{
+			Version: snapshotVersion,
+			Values: []snapValue{
+				{ID: 1068, Name: "http://a", Type: rdfterm.VTUri},
+				{ID: 1069, Name: "http://a", Type: rdfterm.VTUri},
+			},
+		}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Load(&buf)
+		if !errors.Is(err, ErrSnapshotCorrupt) || !strings.Contains(err.Error(), "already in rdf_value$") {
+			t.Fatalf("duplicate-term error %v is not ErrSnapshotCorrupt naming the term", err)
+		}
+	})
 }
 
 // Property: snapshot round-trips preserve counts and invariants for random

@@ -40,7 +40,6 @@ type Store struct {
 	modelPK   *reldb.Index //repro:guarded-by mu
 	modelName *reldb.Index //repro:guarded-by mu
 	valuePK   *reldb.Index //repro:guarded-by mu
-	valueText *reldb.Index //repro:guarded-by mu
 	nodePK    *reldb.Index //repro:guarded-by mu
 	linkPK    *reldb.Index //repro:guarded-by mu
 	linkMSPO  *reldb.Index //repro:guarded-by mu
@@ -59,10 +58,12 @@ type Store struct {
 	// rdf_value$ row, entered by the one function that inserts such rows
 	// (addValueRowLocked: live inserts, WAL replay and snapshot load).
 	// rdf_value$ rows are never deleted or rewritten, so it is complete
-	// and never stale, and a miss means "not interned" without consulting
-	// rdf_value_text. It is not bounded: a bound would put an index probe
-	// back behind every miss, and an entry costs a map slot — a key's
-	// strings are the row's own bytes in rdf_value$'s arena.
+	// and never stale. It is the store's only text → VALUE_ID access path
+	// — a miss means "not interned" — and what keeps a term to one row
+	// (addValueRowLocked refuses a second; CheckInvariants' invariant 8
+	// audits it against the table). It is not bounded, and an entry costs
+	// a map slot: a key's strings are the row's own bytes in rdf_value$'s
+	// arena.
 	// Entries are added only under the write lock; readers holding RLock
 	// may consult it because RWMutex excludes writers while any reader is
 	// in.
@@ -126,11 +127,6 @@ func New() *Store {
 	must(err)
 	s.valuePK, err = s.values.CreateIndex(idxValuePK, true, "VALUE_ID")
 	must(err)
-	// Uniqueness of text entries must consider the full text (long values
-	// live in LONG_VALUE) plus the type columns, so it is a function-based
-	// index over the reassembled key.
-	s.valueText, err = s.values.CreateFunctionIndex(idxValueText, true, valueTextKey)
-	must(err)
 	s.nodePK, err = s.nodes.CreateIndex(idxNodePK, true, "NODE_ID")
 	must(err)
 	s.linkPK, err = s.links.CreateIndex(idxLinkPK, true, "LINK_ID")
@@ -158,35 +154,6 @@ func New() *Store {
 	s.blankSeq, err = db.CreateSequence("rdf_blank_seq", 1)
 	must(err)
 	return s
-}
-
-// valueTextKey builds the uniqueness key for a rdf_value$ row: value type,
-// full text (LONG_VALUE when present, else VALUE_NAME), literal type, and
-// language tag.
-func valueTextKey(r reldb.Row) reldb.Key {
-	text := r[vcValueName]
-	if !r[vcLongValue].IsNull() {
-		text = r[vcLongValue]
-	}
-	lit, lang := r[vcLiteralType], r[vcLanguageType]
-	if lit.IsNull() {
-		lit = reldb.String_("")
-	}
-	if lang.IsNull() {
-		lang = reldb.String_("")
-	}
-	return reldb.Key{r[vcValueType], text, lit, lang}
-}
-
-// termKey builds the same key shape as valueTextKey directly from a term,
-// for lookups without materializing a row.
-func termKey(t rdfterm.Term) reldb.Key {
-	return reldb.Key{
-		reldb.String_(t.ValueType()),
-		reldb.String_(t.Lexical()),
-		reldb.String_(t.Datatype),
-		reldb.String_(t.Language),
-	}
 }
 
 // Database exposes the underlying schema for the flat-table experiments

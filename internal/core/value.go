@@ -74,11 +74,19 @@ func (s *Store) insertValueRowLocked(id int64, t rdfterm.Term) error {
 }
 
 // addValueRowLocked inserts an rdf_value$ row and enters its term in the
-// dictionary. The dictionary's key is the term read back from the table:
-// its strings are the table's own copy of the text, so whatever buffer the
-// caller's term came out of (a parser's input line, a decoded snapshot) is
-// not kept alive by it. Caller holds s.mu.
+// dictionary, which is also what keeps a term to one row: a live insert
+// comes here only after a miss, so a term already present is a replayed
+// log or a snapshot naming it twice, and is refused rather than left to
+// shadow the first row's entry. The dictionary's key is the term read back
+// from the table: its strings are the table's own copy of the text, so
+// whatever buffer the caller's term came out of (a parser's input line, a
+// WAL scanner's window, a decoded snapshot) is not kept alive by it.
+// Caller holds s.mu.
 func (s *Store) addValueRowLocked(row reldb.Row) error {
+	t := rowToTerm(row)
+	if id, dup := s.termIDs[t]; dup {
+		return fmt.Errorf("%w: %s is already in rdf_value$ as VALUE_ID %d", reldb.ErrUniqueViolation, t, id)
+	}
 	rid, err := s.values.Insert(row)
 	if err != nil {
 		return err
@@ -104,6 +112,21 @@ func (s *Store) getValueLocked(valueID int64) (rdfterm.Term, error) {
 	var t rdfterm.Term
 	err := s.values.Read(rid, func(c reldb.Cells) { t = termFromCells(c) })
 	return t, err
+}
+
+// rowToTerm is the term an rdf_value$ row given as values stands for.
+func rowToTerm(r reldb.Row) rdfterm.Term {
+	str := func(v reldb.Value) string {
+		if v.IsNull() {
+			return ""
+		}
+		return v.Str()
+	}
+	text := r[vcValueName].Str()
+	if !r[vcLongValue].IsNull() {
+		text = r[vcLongValue].Str()
+	}
+	return valueTerm(r[vcValueType].Str(), text, str(r[vcLiteralType]), str(r[vcLanguageType]))
 }
 
 // termFromCells rebuilds a term from an rdf_value$ row. The term's strings

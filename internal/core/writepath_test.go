@@ -33,7 +33,7 @@ func TestRepeatedTripleTouchesNoIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	others := func() uint64 {
-		return s.nodePK.Mutations() + s.valuePK.Mutations() + s.valueText.Mutations()
+		return s.nodePK.Mutations() + s.valuePK.Mutations()
 	}
 	links, rest := linkIndexMutations(s), others()
 	if links != 7 {
@@ -69,11 +69,11 @@ func TestRepeatedTripleTouchesNoIndex(t *testing.T) {
 
 // TestInsertBatchAllocBudget holds the line on allocations per triple of a
 // WAL-less InsertBatch of new triples (subject and object new, so two new
-// values and two new nodes each): the rdf_value_text key function's result
-// for each value — two — plus amortised growth of the column vectors, the
-// arenas, the key slabs and the trees, 2.6 measured. Rows, index entries,
-// probes and the dictionary key cost none. (With a kept copy of every row:
-// 7.9; before packed keys and the one-descent insert: 42.3.)
+// values and two new nodes each): amortised growth of the column vectors,
+// the arenas and the trees, 0.45 measured. Rows, index entries, probes and
+// the dictionary key cost none. (With a text-index key built per value:
+// 2.6; with a kept copy of every row: 7.9; before packed keys and the
+// one-descent insert: 42.3.)
 func TestInsertBatchAllocBudget(t *testing.T) {
 	const batchLen, runs = 256, 20
 	s := newStoreWithModel(t, "m")
@@ -96,8 +96,10 @@ func TestInsertBatchAllocBudget(t *testing.T) {
 		}
 		next++
 	})
-	if perTriple := perBatch / batchLen; perTriple > 4 {
-		t.Errorf("InsertBatch: %.1f allocations per new triple, budget 4", perTriple)
+	perTriple := perBatch / batchLen
+	t.Logf("InsertBatch: %.2f allocations per new triple", perTriple)
+	if perTriple > 1 {
+		t.Errorf("InsertBatch: %.1f allocations per new triple, budget 1", perTriple)
 	}
 	if got := s.TotalTriples(); got != (runs+1)*batchLen {
 		t.Fatalf("stored %d triples, want %d", got, (runs+1)*batchLen)

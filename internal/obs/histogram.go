@@ -20,14 +20,13 @@ var DurationBuckets = []float64{
 var CountBuckets = []float64{1, 4, 16, 64, 256, 1024, 4096, 16384, 65536}
 
 // Histogram is a fixed-bucket histogram. Observe is lock-free (one
-// atomic add per bucket plus count and sum); bucket bounds are fixed at
+// atomic add on its bucket plus the sum); bucket bounds are fixed at
 // creation. A nil Histogram is a valid no-op instrument.
 type Histogram struct {
 	name   string
 	help   string
 	bounds []float64 // strictly increasing upper bounds; +Inf is implicit
 	counts []atomic.Int64
-	count  atomic.Int64
 	sum    atomic.Uint64 // float64 bits, CAS-updated
 }
 
@@ -66,7 +65,6 @@ func (h *Histogram) Observe(v float64) {
 	// overflow bucket.
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sum.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -91,21 +89,23 @@ func (h *Histogram) ObserveSince(start time.Time) {
 	h.Observe(time.Since(start).Seconds())
 }
 
-// snapshot copies the histogram's current state. count and sum are read
-// first, then the buckets: a concurrent Observe can make the bucket sum
-// exceed Count but never fall below it, keeping cumulative bucket counts
-// monotone for scrapers.
+// snapshot copies the histogram's current state. Count is the total of the
+// bucket counts as read here, not a counter of its own: an exposition's
+// +Inf bucket must equal its _count, and two values read at different
+// moments under concurrent Observes do not. (Sum may run a few
+// observations ahead of or behind the buckets; no scraper checks it
+// against them.)
 func (h *Histogram) snapshot() HistogramSnap {
 	snap := HistogramSnap{
 		Name:   h.name,
 		Help:   h.help,
 		Bounds: h.bounds,
-		Count:  h.count.Load(),
 		Sum:    math.Float64frombits(h.sum.Load()),
 		Counts: make([]int64, len(h.counts)),
 	}
 	for i := range h.counts {
 		snap.Counts[i] = h.counts[i].Load()
+		snap.Count += snap.Counts[i]
 	}
 	return snap
 }

@@ -18,7 +18,7 @@ import (
 // stream with the paper's Table-2 share of reified statements, each
 // expanded to the standard four-triple quad, plus protein → protein edges
 // whose targets are Zipf-distributed (hubs, repeated objects).
-func benchmarkShapedCorpus(t *testing.T, triples int, seed int64) []ntriples.Triple {
+func benchmarkShapedCorpus(t testing.TB, triples int, seed int64) []ntriples.Triple {
 	t.Helper()
 	uri := rdfterm.NewURI
 	var out []ntriples.Triple
@@ -56,7 +56,7 @@ func benchmarkShapedCorpus(t *testing.T, triples int, seed int64) []ntriples.Tri
 	return out
 }
 
-func snapshotBytes(t *testing.T, s *core.Store) []byte {
+func snapshotBytes(t testing.TB, s *core.Store) []byte {
 	t.Helper()
 	var b bytes.Buffer
 	if err := s.Save(&b); err != nil {

@@ -67,10 +67,10 @@ type Loader struct {
 	// uses (the internal/load pipeline). 0 or 1 parses serially; < 0
 	// uses GOMAXPROCS.
 	Workers int
-	// BatchSize, when > 1, inserts non-quad triples through
-	// Store.InsertBatch in groups of BatchSize — one write-lock
-	// acquisition and one WAL commit point per group, instead of one
-	// per triple.
+	// BatchSize is the number of statements per Store.InsertBatch group
+	// — one write-lock acquisition and one WAL commit point each. It only
+	// places the commit points: the stored result does not depend on it.
+	// 0 or 1 commits every statement on its own.
 	BatchSize int
 }
 
@@ -106,8 +106,8 @@ type baseUse uint8
 const (
 	// baseAsserted: the input also states the base triple directly.
 	baseAsserted baseUse = 1 << iota
-	// baseFolded: the fold inserted the asserted base triple, and its
-	// first direct statement is still to be skipped.
+	// baseFolded: the fold's first stream carries the asserted base
+	// triple, and its first direct statement is still to be skipped.
 	baseFolded
 )
 
@@ -187,12 +187,6 @@ func (l *Loader) loadParsed(triples []ntriples.Triple, stats Stats) (Stats, erro
 		rest = append(rest, t)
 	}
 
-	// Pass 2: fold complete quads; base triples become indirect statements
-	// unless also asserted directly in the input. Quad resources are
-	// processed in sorted order so a load is deterministic: the same
-	// input always assigns the same VALUE_IDs and LINK_IDs, and two
-	// stores loaded from the same file are byte-identical.
-	//
 	// bases holds the base triple of every complete quad, and nothing
 	// else: the other statements are only looked up in it, and in a file
 	// without quads not even that.
@@ -209,130 +203,142 @@ func (l *Loader) loadParsed(triples []ntriples.Triple, stats Stats) (Stats, erro
 			}
 		}
 	}
+
+	// Pass 2: the fold, as three ordered streams through Store.InsertBatch
+	// — the quads' base triples, the reification rows that point at them,
+	// everything else — each cut into groups of BatchSize only to place
+	// the commit points (one write-lock acquisition and one WAL commit per
+	// group, so a durable load fsyncs once per group, not once per
+	// statement). The statements and their order are the same whatever
+	// the size, so the IDs are too, and the same input always builds
+	// byte-identical stores.
+	size := max(l.BatchSize, 1)
+	group := make([]core.BatchTriple, 0, min(size, len(triples)))
+	var baseIDs []int64 // LINK_IDs of stream 1's statements, in order
+	// flush inserts the queued group, which ends a stream; add queues one
+	// statement and flushes a full group.
+	flush := func(ids *[]int64) error {
+		if len(group) == 0 {
+			return nil
+		}
+		res, err := l.Store.InsertBatch(l.Model, group)
+		if err != nil {
+			return err
+		}
+		if ids != nil {
+			for _, ts := range res.Triples {
+				*ids = append(*ids, ts.TID)
+			}
+		}
+		group = group[:0]
+		return nil
+	}
+	add := func(bt core.BatchTriple, ids *[]int64) error {
+		if group = append(group, bt); len(group) < size {
+			return nil
+		}
+		return flush(ids)
+	}
+
+	// Stream 1: the base of every complete quad, quad resources in sorted
+	// order; an indirect statement unless the input also asserts it.
 	resources := make([]rdfterm.Term, 0, len(quads))
 	for res := range quads {
 		resources = append(resources, res)
 	}
 	sort.Slice(resources, func(i, j int) bool { return resources[i].Compare(resources[j]) < 0 })
-	dburiOf := map[rdfterm.Term]string{}
+	var folded []rdfterm.Term // resources of the complete quads, in stream order
+	var incomplete []core.BatchTriple
 	for _, res := range resources {
 		q := quads[res]
 		if !q.complete() {
 			stats.Incomplete++
-			if err := l.handleIncomplete(res, q, &stats); err != nil {
+			kept, err := l.handleIncomplete(res, q)
+			if err != nil {
 				return stats, err
 			}
+			incomplete = append(incomplete, kept...)
 			continue
 		}
 		base := ntriples.Triple{Subject: *q.sub, Predicate: *q.pred, Object: *q.obj}
-		var ts core.TripleS
-		var err error
-		if bases[base]&baseAsserted != 0 {
-			// Will be (or has been) inserted as a direct statement below;
-			// insert now so the fold sees the right context.
-			ts, err = l.Store.InsertTerms(l.Model, base.Subject, base.Predicate, base.Object)
-			if err != nil {
-				return stats, err
-			}
-			// Avoid double insert in pass 3 (COST would double-count).
+		asserted := bases[base]&baseAsserted != 0
+		if asserted {
+			// Inserted here as the direct statement it is; its first
+			// occurrence among the rest is skipped, so that COST counts one
+			// application reference.
 			bases[base] |= baseFolded
-		} else {
-			ts, err = l.insertImplied(base)
-			if err != nil {
-				return stats, err
-			}
 		}
-		if _, err := l.Store.Reify(l.Model, ts.TID); err != nil {
+		folded = append(folded, res)
+		if err := add(core.BatchTriple{Subject: base.Subject, Predicate: base.Predicate, Object: base.Object, Implied: !asserted}, &baseIDs); err != nil {
 			return stats, err
 		}
-		stats.QuadsFolded++
-		dburiOf[res] = core.DBUri(ts.TID)
-		if l.KeepOriginalURIs {
-			if _, err := l.Store.InsertTerms(l.Model,
-				rdfterm.NewURI(core.DBUri(ts.TID)),
-				rdfterm.NewURI(OrigResourceProperty),
-				res); err != nil {
-				return stats, err
-			}
-		}
+	}
+	if err := flush(&baseIDs); err != nil {
+		return stats, err
 	}
 
-	// Pass 3: insert remaining triples, rewriting references to folded
-	// quad resources into DBUris (assertions about reified statements).
-	// With BatchSize > 1 the inserts go through Store.InsertBatch —
-	// interning, link insertion, and the WAL commit are amortized over
-	// each batch instead of paid per triple.
-	var batch []core.BatchTriple
-	batchRewrites := 0
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
+	// Stream 2: <DBUri, rdf:type, rdf:Statement> for each base's LINK_ID
+	// (and the original resource, when kept).
+	dburiOf := make(map[rdfterm.Term]rdfterm.Term, len(folded))
+	rdfType, rdfStatement := rdfterm.NewURI(rdfterm.RDFType), rdfterm.NewURI(rdfterm.RDFStatement)
+	for i, res := range folded {
+		dburi := rdfterm.NewURI(core.DBUri(baseIDs[i]))
+		dburiOf[res] = dburi
+		err := add(core.BatchTriple{Subject: dburi, Predicate: rdfType, Object: rdfStatement}, nil)
+		if err == nil && l.KeepOriginalURIs {
+			err = add(core.BatchTriple{Subject: dburi, Predicate: rdfterm.NewURI(OrigResourceProperty), Object: res}, nil)
 		}
-		if _, err := l.Store.InsertBatch(l.Model, batch); err != nil {
-			return err
+		if err != nil {
+			return stats, err
 		}
-		stats.Inserted += len(batch)
-		stats.AssertionsRewritten += batchRewrites
-		batch = batch[:0]
-		batchRewrites = 0
-		return nil
 	}
+	if err := flush(nil); err != nil {
+		return stats, err
+	}
+	stats.QuadsFolded = len(folded)
+
+	// Stream 3: what InsertIncomplete keeps of the partial quads, then the
+	// remaining statements with references to folded quad resources
+	// rewritten into DBUris (assertions about reified statements).
+	for _, bt := range incomplete {
+		if err := add(bt, nil); err != nil {
+			return stats, err
+		}
+	}
+	stats.Inserted += len(incomplete)
 	for _, t := range rest {
 		if len(bases) > 0 && bases[t]&baseFolded != 0 {
-			// The base triple was already inserted during folding; skip the
-			// duplicate so COST reflects one application reference.
-			bases[t] &^= baseFolded
+			bases[t] &^= baseFolded // stream 1 inserted it
 			stats.Inserted++
 			continue
 		}
-		sub, obj := t.Subject, t.Object
-		rewritten := false
-		if d, ok := dburiOf[sub]; ok {
-			sub = rdfterm.NewURI(d)
-			rewritten = true
+		sub, subIsQuad := dburiOf[t.Subject]
+		if !subIsQuad {
+			sub = t.Subject
 		}
-		if d, ok := dburiOf[obj]; ok {
-			obj = rdfterm.NewURI(d)
-			rewritten = true
+		obj, objIsQuad := dburiOf[t.Object]
+		if !objIsQuad {
+			obj = t.Object
 		}
-		if l.BatchSize > 1 {
-			batch = append(batch, core.BatchTriple{Subject: sub, Predicate: t.Predicate, Object: obj})
-			if rewritten {
-				batchRewrites++
-			}
-			if len(batch) >= l.BatchSize {
-				if err := flush(); err != nil {
-					return stats, err
-				}
-			}
-			continue
-		}
-		if _, err := l.Store.InsertTerms(l.Model, sub, t.Predicate, obj); err != nil {
+		if err := add(core.BatchTriple{Subject: sub, Predicate: t.Predicate, Object: obj}, nil); err != nil {
 			return stats, err
 		}
 		stats.Inserted++
-		if rewritten {
+		if subIsQuad || objIsQuad {
 			stats.AssertionsRewritten++
 		}
 	}
-	return stats, flush()
+	return stats, flush(nil)
 }
 
-// insertImplied inserts the base triple of a reification as an indirect
-// statement (CONTEXT=I), like the paper's implied statements (§5.2). It
-// reuses AssertImplied's machinery minus the assertion.
-func (l *Loader) insertImplied(base ntriples.Triple) (core.TripleS, error) {
-	return l.Store.InsertImplied(l.Model, base.Subject, base.Predicate, base.Object)
-}
-
-func (l *Loader) handleIncomplete(res rdfterm.Term, q *quad, stats *Stats) error {
+// handleIncomplete applies the policy to a partial quad: its statements
+// are written to Report, returned for insertion, or dropped.
+func (l *Loader) handleIncomplete(res rdfterm.Term, q *quad) ([]core.BatchTriple, error) {
+	var keep []core.BatchTriple
 	emit := func(t ntriples.Triple) error {
 		switch l.Policy {
 		case InsertIncomplete:
-			if _, err := l.Store.InsertTerms(l.Model, t.Subject, t.Predicate, t.Object); err != nil {
-				return err
-			}
-			stats.Inserted++
+			keep = append(keep, core.BatchTriple{Subject: t.Subject, Predicate: t.Predicate, Object: t.Object})
 		case ReportIncomplete:
 			if l.Report != nil {
 				if _, err := fmt.Fprintln(l.Report, t.String()); err != nil {
@@ -351,24 +357,24 @@ func (l *Loader) handleIncomplete(res rdfterm.Term, q *quad, stats *Stats) error
 	if q.hasType {
 		stmt := rdfterm.NewURI(rdfterm.RDFStatement)
 		if err := rebuild(rdfterm.RDFType, &stmt); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if err := rebuild(rdfterm.RDFSubject, q.sub); err != nil {
-		return err
+		return nil, err
 	}
 	if err := rebuild(rdfterm.RDFPredicate, q.pred); err != nil {
-		return err
+		return nil, err
 	}
 	if err := rebuild(rdfterm.RDFObject, q.obj); err != nil {
-		return err
+		return nil, err
 	}
 	for _, t := range q.extras {
 		if err := emit(t); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return keep, nil
 }
 
 // quadMember reports whether t is one of the four reification-vocabulary

@@ -107,17 +107,17 @@ func TestDiskRecoveryNeverReachesFailed(t *testing.T) {
 		cfg.Backoff.MaxAttempts = 2
 		cfg.Segment.Budget = wal.Budget{HardBytes: 1 << 10}
 		// Make every re-baseline fail like a still-full disk until freed.
-		real := wal.OpenDir
-		cfg.OpenDir = func(dir string, fromSeq int64, opts wal.DirOptions) (*wal.Dir, wal.DirScanResult, error) {
+		real := wal.OpenDirFunc
+		cfg.OpenDir = func(dir string, fromSeq int64, opts wal.DirOptions, fn wal.RecordFunc) (*wal.Dir, wal.DirScanResult, error) {
 			select {
 			case <-block:
-				return real(dir, fromSeq, opts)
+				return real(dir, fromSeq, opts, fn)
 			default:
 			}
 			if armed.Load() {
 				return nil, wal.DirScanResult{}, fmt.Errorf("reopen: %w", wal.ErrNoSpace)
 			}
-			return real(dir, fromSeq, opts)
+			return real(dir, fromSeq, opts, fn)
 		}
 	})
 	armed.Store(true)

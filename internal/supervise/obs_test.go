@@ -147,8 +147,8 @@ func TestAdminEndpointEndToEnd(t *testing.T) {
 		cfg.Obs = reg
 		cfg.Backoff.Initial = time.Hour // first failed attempt parks in Degraded
 		inner := cfg.OpenWAL
-		cfg.OpenWAL = func(path string) (*wal.Log, wal.ScanResult, error) {
-			log, res, err := inner(path)
+		cfg.OpenWAL = func(path string, fn wal.RecordFunc) (*wal.Log, wal.ScanResult, error) {
+			log, res, err := inner(path, fn)
 			if err == nil {
 				log.SetMetrics(walMet)
 			}

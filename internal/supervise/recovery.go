@@ -134,7 +134,7 @@ func (sv *Supervisor) attemptRecovery(ctx context.Context) error {
 func (sv *Supervisor) rebaseline(ctx context.Context, st *core.Store, oldLog *wal.Log, oldDir *wal.Dir) error {
 	if sv.cfg.WALDir != "" {
 		sv.closeOldDir(oldDir)
-		dir, _, err := sv.cfg.OpenDir(sv.cfg.WALDir, 0, sv.cfg.Segment)
+		dir, _, err := sv.cfg.OpenDir(sv.cfg.WALDir, 0, sv.cfg.Segment, nil)
 		if err != nil {
 			return fmt.Errorf("reopening WAL dir: %w", err)
 		}
@@ -151,7 +151,7 @@ func (sv *Supervisor) rebaseline(ctx context.Context, st *core.Store, oldLog *wa
 		return nil
 	}
 	sv.closeOldLog(oldLog)
-	log, _, err := sv.cfg.OpenWAL(sv.cfg.WALPath)
+	log, _, err := sv.cfg.OpenWAL(sv.cfg.WALPath, nil)
 	if err != nil {
 		return fmt.Errorf("reopening WAL: %w", err)
 	}

@@ -163,11 +163,13 @@ type Config struct {
 	// Checkpoint shapes the automatic checkpoint policy (zero disables).
 	// Requires SnapshotPath.
 	Checkpoint CheckpointPolicy
-	// OpenWAL opens/creates the WAL (default wal.OpenFile). Tests inject
+	// OpenWAL opens/creates the WAL, handing its records to fn as it
+	// reads them (default wal.OpenFileWith, unwrapped). Tests inject
 	// fault-wrapped files via wal.OpenFileWith here.
-	OpenWAL func(path string) (*wal.Log, wal.ScanResult, error)
-	// OpenDir opens/creates the segmented WAL (default wal.OpenDir).
-	OpenDir func(dir string, fromSeq int64, opts wal.DirOptions) (*wal.Dir, wal.DirScanResult, error)
+	OpenWAL func(path string, fn wal.RecordFunc) (*wal.Log, wal.ScanResult, error)
+	// OpenDir opens/creates the segmented WAL likewise (default
+	// wal.OpenDirFunc).
+	OpenDir func(dir string, fromSeq int64, opts wal.DirOptions, fn wal.RecordFunc) (*wal.Dir, wal.DirScanResult, error)
 	// OnRecover, when set, observes the startup recovery's outcome —
 	// CLIs surface torn-tail repairs to stderr from here.
 	OnRecover func(core.RecoverInfo)
@@ -259,10 +261,12 @@ func Open(cfg Config) (*Supervisor, error) {
 		return nil, errors.New("supervise: open: one of WALPath or WALDir is required")
 	}
 	if cfg.OpenWAL == nil {
-		cfg.OpenWAL = wal.OpenFile
+		cfg.OpenWAL = func(path string, fn wal.RecordFunc) (*wal.Log, wal.ScanResult, error) {
+			return wal.OpenFileWith(path, nil, fn)
+		}
 	}
 	if cfg.OpenDir == nil {
-		cfg.OpenDir = wal.OpenDir
+		cfg.OpenDir = wal.OpenDirFunc
 	}
 	if cfg.Backoff.Initial <= 0 {
 		cfg.Backoff.Initial = 50 * time.Millisecond

@@ -29,7 +29,7 @@ type flakyOpener struct {
 	opens     int
 }
 
-func (fo *flakyOpener) open(path string) (*wal.Log, wal.ScanResult, error) {
+func (fo *flakyOpener) open(path string, fn wal.RecordFunc) (*wal.Log, wal.ScanResult, error) {
 	fo.mu.Lock()
 	defer fo.mu.Unlock()
 	fo.opens++
@@ -41,7 +41,7 @@ func (fo *flakyOpener) open(path string) (*wal.Log, wal.ScanResult, error) {
 	log, res, err := wal.OpenFileWith(path, func(f wal.File) wal.File {
 		fl = wal.NewFlaky(f)
 		return fl
-	})
+	}, fn)
 	if err != nil {
 		return nil, res, err
 	}

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"syscall"
+	"time"
 )
 
 // Segmented log: a Dir manages a directory of numbered segment files
@@ -96,11 +97,12 @@ type DirOptions struct {
 // DirOptions.SegmentBytes is zero.
 const DefaultSegmentBytes int64 = 64 << 20
 
-// DirScanResult is the outcome of opening a segmented WAL: the replayable
-// records plus what recovery found and repaired on the way.
+// DirScanResult is the outcome of opening a segmented WAL: what recovery
+// found and repaired on the way, and with OpenDir the replayable records.
 type DirScanResult struct {
 	// Records holds every verified record across all retained segments,
-	// in append order.
+	// in append order — filled by OpenDir only; OpenDirFunc hands records
+	// to its callback and keeps none.
 	Records []Record
 	// Segments is the number of retained segment files (current included).
 	Segments int
@@ -115,6 +117,9 @@ type DirScanResult struct {
 	// Removed is the number of segments below the watermark that were
 	// deleted at open — an interrupted checkpoint's retention, finished.
 	Removed int
+	// ScanTime is the time spent reading, verifying and decoding the
+	// segments, apart from the time spent inside the callback.
+	ScanTime time.Duration
 }
 
 // Dir is a segmented write-ahead log. It satisfies the same
@@ -159,16 +164,27 @@ func parseSegmentName(name string) (int64, bool) {
 	return seq, true
 }
 
-// OpenDir opens (or creates) a segmented WAL in dir. fromSeq is the
+// OpenDir is OpenDirFunc collecting the records into the result.
+func OpenDir(dir string, fromSeq int64, opts DirOptions) (*Dir, DirScanResult, error) {
+	var records []Record
+	d, res, err := OpenDirFunc(dir, fromSeq, opts, collect(&records))
+	res.Records = records
+	return d, res, err
+}
+
+// OpenDirFunc opens (or creates) a segmented WAL in dir. fromSeq is the
 // snapshot's watermark: segments numbered below it describe state the
 // snapshot already contains and are deleted before replay (finishing any
 // retention a crash interrupted); pass 0 when there is no snapshot.
 //
-// The retained segments are scanned in order. Damage in any non-final
-// segment is ErrSegmentCorrupt; a torn tail in the final segment is
-// repaired (truncated) and reported via the DirScanResult, after which
-// the Dir appends from the verified end.
-func OpenDir(dir string, fromSeq int64, opts DirOptions) (*Dir, DirScanResult, error) {
+// The retained segments are scanned in order and every verified record is
+// handed to fn as it is read (nil to only verify): the log is never held
+// in memory. An error from fn fails the open. Damage in any non-final
+// segment is ErrSegmentCorrupt — found when the scan reaches it, after fn
+// has seen the records before it; a torn tail in the final segment is
+// repaired (truncated) and reported via the DirScanResult, after which the
+// Dir appends from the verified end.
+func OpenDirFunc(dir string, fromSeq int64, opts DirOptions, fn RecordFunc) (*Dir, DirScanResult, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
 	}
@@ -236,12 +252,31 @@ func OpenDir(dir string, fromSeq int64, opts DirOptions) (*Dir, DirScanResult, e
 			ErrSegmentCorrupt, segmentName(fromSeq), segmentName(seqs[0]))
 	}
 
+	// An error from fn comes back as it went in, not as damage to the
+	// segment whose record raised it.
+	var fnErr error
+	apply := fn
+	if fn != nil {
+		apply = func(r *Record) error {
+			fnErr = fn(r)
+			return fnErr
+		}
+	}
 	for i, seq := range seqs {
 		name := segmentName(seq)
 		path := filepath.Join(dir, name)
 		final := i == len(seqs)-1
 		if !final {
-			sres, err := ScanFile(path)
+			f, err := os.Open(path)
+			if err != nil {
+				return nil, DirScanResult{}, fmt.Errorf("%w: %s: %v", ErrSegmentCorrupt, name, err)
+			}
+			sres, err := ScanFunc(f, apply)
+			f.Close()
+			res.ScanTime += sres.ScanTime
+			if fnErr != nil {
+				return nil, DirScanResult{}, fnErr
+			}
 			if err != nil {
 				return nil, DirScanResult{}, fmt.Errorf("%w: %s: %v", ErrSegmentCorrupt, name, err)
 			}
@@ -251,7 +286,6 @@ func OpenDir(dir string, fromSeq int64, opts DirOptions) (*Dir, DirScanResult, e
 			if sres.ValidBytes < int64(len(Magic)) {
 				return nil, DirScanResult{}, fmt.Errorf("%w: %s: empty segment before the final one", ErrSegmentCorrupt, name)
 			}
-			res.Records = append(res.Records, sres.Records...)
 			d.prev += sres.ValidBytes
 			continue
 		}
@@ -261,9 +295,13 @@ func OpenDir(dir string, fromSeq int64, opts DirOptions) (*Dir, DirScanResult, e
 		if err != nil {
 			return nil, DirScanResult{}, err
 		}
-		sres, err := Scan(f)
+		sres, err := ScanFunc(f, apply)
+		res.ScanTime += sres.ScanTime
 		if err != nil {
 			f.Close()
+			if fnErr != nil {
+				return nil, DirScanResult{}, fnErr
+			}
 			return nil, DirScanResult{}, fmt.Errorf("wal: %s: %w", name, err)
 		}
 		if err := f.Truncate(sres.ValidBytes); err != nil {
@@ -288,7 +326,6 @@ func OpenDir(dir string, fromSeq int64, opts DirOptions) (*Dir, DirScanResult, e
 			}
 			d.size = int64(len(Magic))
 		}
-		res.Records = append(res.Records, sres.Records...)
 		res.Truncated, res.TailErr = sres.Truncated, sres.TailErr
 	}
 	d.start = seqs[0]

@@ -76,7 +76,7 @@ func TestFlakyFileWrapsRealFile(t *testing.T) {
 	log, _, err := OpenFileWith(path, func(f File) File {
 		ff = NewFlaky(f)
 		return ff
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
+	"unsafe"
 )
 
 // Type discriminates logical mutation records.
@@ -114,6 +116,20 @@ type Record struct {
 	SeqValue int64
 }
 
+// Clone returns a copy of r that shares no memory with it: a record handed
+// to a ScanFunc callback aliases the scanner's buffer in its free-text
+// fields (ValueType, LinkType and Context never do, see payloadDecoder.enum).
+func (r *Record) Clone() Record {
+	c := *r
+	c.Name = strings.Clone(r.Name)
+	c.TableName = strings.Clone(r.TableName)
+	c.ColumnName = strings.Clone(r.ColumnName)
+	c.Text = strings.Clone(r.Text)
+	c.LiteralType = strings.Clone(r.LiteralType)
+	c.Language = strings.Clone(r.Language)
+	return c
+}
+
 // ErrBadRecord reports a payload that passed its checksum but does not
 // decode — a format/version mismatch rather than a torn write.
 var ErrBadRecord = errors.New("wal: malformed record payload")
@@ -164,13 +180,13 @@ func appendPayload(dst []byte, r *Record) []byte {
 	return dst
 }
 
-// decodePayload is the inverse of appendPayload.
-func decodePayload(p []byte) (Record, error) {
+// decodePayload is the inverse of appendPayload. It overwrites *r, whose
+// free-text strings then alias p.
+func decodePayload(p []byte, r *Record) error {
 	d := payloadDecoder{buf: p}
-	var r Record
-	r.Type = Type(d.byte())
+	*r = Record{Type: Type(d.byte())}
 	if r.Type == 0 || r.Type > maxType {
-		return Record{}, fmt.Errorf("%w: unknown type %d", ErrBadRecord, r.Type)
+		return fmt.Errorf("%w: unknown type %d", ErrBadRecord, r.Type)
 	}
 	switch r.Type {
 	case TypeCreateModel:
@@ -184,7 +200,7 @@ func decodePayload(p []byte) (Record, error) {
 	case TypeInternValue:
 		r.ValueID = d.varint()
 		r.Text = d.string()
-		r.ValueType = d.string()
+		r.ValueType = d.enum()
 		r.LiteralType = d.string()
 		r.Language = d.string()
 	case TypeInsertLink:
@@ -194,14 +210,14 @@ func decodePayload(p []byte) (Record, error) {
 		r.PropID = d.varint()
 		r.EndID = d.varint()
 		r.CanonID = d.varint()
-		r.LinkType = d.string()
+		r.LinkType = d.enum()
 		r.Cost = d.varint()
-		r.Context = d.string()
+		r.Context = d.enum()
 		r.Reif = d.bool()
 	case TypeUpdateLink:
 		r.LinkID = d.varint()
 		r.Cost = d.varint()
-		r.Context = d.string()
+		r.Context = d.enum()
 	case TypeDeleteLink:
 		r.LinkID = d.varint()
 	case TypeBlankNode:
@@ -213,12 +229,12 @@ func decodePayload(p []byte) (Record, error) {
 		r.SeqValue = d.varint()
 	}
 	if d.err != nil {
-		return Record{}, d.err
+		return d.err
 	}
 	if len(d.buf) != 0 {
-		return Record{}, fmt.Errorf("%w: %d trailing bytes after %s", ErrBadRecord, len(d.buf), r.Type)
+		return fmt.Errorf("%w: %d trailing bytes after %s", ErrBadRecord, len(d.buf), r.Type)
 	}
-	return r, nil
+	return nil
 }
 
 func appendString(dst []byte, s string) []byte {
@@ -282,15 +298,34 @@ func (d *payloadDecoder) uvarint() uint64 {
 	return v
 }
 
+// string returns the next string field as a view of the payload, not a
+// copy: it is valid for as long as the payload's buffer is.
 func (d *payloadDecoder) string() string {
 	n := d.uvarint()
 	if d.err != nil || uint64(len(d.buf)) < n {
 		d.fail()
 		return ""
 	}
-	s := string(d.buf[:n])
+	s := unsafe.String(unsafe.SliceData(d.buf), int(n))
 	d.buf = d.buf[n:]
 	return s
+}
+
+// enums are the values of the string fields that take one of a few: the
+// VALUE_TYPE codes, the LINK_TYPEs and the CONTEXTs.
+var enums = [...]string{"UR", "BN", "PL", "PL@", "TL", "PLL", "TLL", "STANDARD", "RDF_TYPE", "RDF_MEMBER", "RDF_*", "D", "I"}
+
+// enum returns the next string field of such a kind. A known value decodes
+// to its constant, so the millions of "UR"s and "D"s of a log cost neither
+// an allocation nor a reference into the payload; anything else is copied.
+func (d *payloadDecoder) enum() string {
+	s := d.string()
+	for _, e := range enums {
+		if s == e {
+			return e
+		}
+	}
+	return strings.Clone(s)
 }
 
 func (d *payloadDecoder) bool() bool { return d.byte() != 0 }

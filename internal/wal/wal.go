@@ -76,20 +76,27 @@ func NewLog(f File, fresh bool) (*Log, error) {
 	return l, nil
 }
 
-// OpenFile opens (or creates) a WAL at path for appending. Existing
-// records are scanned with torn-tail tolerance: the caller replays
-// the returned ScanResult's records, and the file itself is truncated to
-// the verified prefix so subsequent appends extend valid data.
+// OpenFile opens (or creates) a WAL at path for appending and collects
+// its records into the result; see OpenFileWith.
 func OpenFile(path string) (*Log, ScanResult, error) {
-	return OpenFileWith(path, nil)
+	var records []Record
+	l, res, err := OpenFileWith(path, nil, collect(&records))
+	res.Records = records
+	return l, res, err
 }
 
-// OpenFileWith is OpenFile with an injection seam: when wrap is non-nil
-// the Log appends through wrap(f) instead of the raw *os.File. Fault
-// tests wrap the real file in a FlakyFile so the on-disk image stays
-// genuine while writes and syncs misbehave on demand. Scanning and
-// torn-tail truncation happen on the raw file, before wrapping.
-func OpenFileWith(path string, wrap func(File) File) (*Log, ScanResult, error) {
+// OpenFileWith opens (or creates) a WAL at path for appending. Existing
+// records are scanned with torn-tail tolerance and handed to fn as they
+// are verified (nil to only verify), and the file itself is truncated to
+// the verified prefix so subsequent appends extend valid data. An error
+// from fn fails the open.
+//
+// wrap is an injection seam: when non-nil the Log appends through wrap(f)
+// instead of the raw *os.File. Fault tests wrap the real file in a
+// FlakyFile so the on-disk image stays genuine while writes and syncs
+// misbehave on demand. Scanning and torn-tail truncation happen on the raw
+// file, before wrapping.
+func OpenFileWith(path string, wrap func(File) File, fn RecordFunc) (*Log, ScanResult, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, ScanResult{}, err
@@ -111,7 +118,7 @@ func OpenFileWith(path string, wrap func(File) File) (*Log, ScanResult, error) {
 		}
 		return l, ScanResult{ValidBytes: int64(len(Magic))}, nil
 	}
-	res, err := Scan(f)
+	res, err := ScanFunc(f, fn)
 	if err != nil {
 		f.Close()
 		return nil, ScanResult{}, err

@@ -32,8 +32,8 @@ func sampleRecords() []Record {
 func TestRecordRoundTrip(t *testing.T) {
 	for _, want := range sampleRecords() {
 		payload := appendPayload(nil, &want)
-		got, err := decodePayload(payload)
-		if err != nil {
+		var got Record
+		if err := decodePayload(payload, &got); err != nil {
 			t.Fatalf("%s: decode: %v", want.Type, err)
 		}
 		if !reflect.DeepEqual(got, want) {
@@ -43,15 +43,16 @@ func TestRecordRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRejectsDamage(t *testing.T) {
-	if _, err := decodePayload([]byte{0xFF}); !errors.Is(err, ErrBadRecord) {
+	var got Record
+	if err := decodePayload([]byte{0xFF}, &got); !errors.Is(err, ErrBadRecord) {
 		t.Errorf("unknown type: got %v, want ErrBadRecord", err)
 	}
 	r := Record{Type: TypeDeleteLink, LinkID: 9}
 	payload := appendPayload(nil, &r)
-	if _, err := decodePayload(payload[:len(payload)-1]); !errors.Is(err, ErrBadRecord) {
+	if err := decodePayload(payload[:len(payload)-1], &got); !errors.Is(err, ErrBadRecord) {
 		t.Errorf("short payload: got %v, want ErrBadRecord", err)
 	}
-	if _, err := decodePayload(append(payload, 0)); !errors.Is(err, ErrBadRecord) {
+	if err := decodePayload(append(payload, 0), &got); !errors.Is(err, ErrBadRecord) {
 		t.Errorf("trailing bytes: got %v, want ErrBadRecord", err)
 	}
 }
@@ -71,7 +72,7 @@ func isPrefix(got, full []Record) bool {
 
 // writeSample appends all sample records to a fresh in-memory log and
 // returns the image.
-func writeSample(t *testing.T) []byte {
+func writeSample(t testing.TB) []byte {
 	t.Helper()
 	f := &BufferFile{}
 	l, err := NewLog(f, true)
