@@ -216,8 +216,8 @@ func TestTermDictionaryComplete(t *testing.T) {
 		if errs := st.CheckInvariants(); len(errs) > 0 {
 			t.Fatalf("%s: %v", name, errs)
 		}
-		if len(st.termIDs) != st.NumValues() {
-			t.Fatalf("%s: dictionary has %d entries, rdf_value$ %d rows", name, len(st.termIDs), st.NumValues())
+		if st.terms.n != st.NumValues() {
+			t.Fatalf("%s: dictionary has %d entries, rdf_value$ %d rows", name, st.terms.n, st.NumValues())
 		}
 		// rdf_value$ has no text index: the dictionary alone resolves every
 		// term and knows an absent one is absent.

@@ -17,10 +17,10 @@ import (
 //	  AND a.value_name = :subject
 //
 // executed as an explicit plan over the storage tables: the subject text
-// resolved to its rdf_value$ row (term dictionary, then rdf_value_pk), an
-// index prefix scan on rdf_link$ (MODEL_ID, START_NODE_ID), and two
-// index-nested-loop joins back to rdf_value$ — the three-way join the
-// member functions hide.
+// resolved to its rdf_value$ row (term dictionary, then the VALUE_ID
+// column rdf_value_pk searches), an index prefix scan on rdf_link$
+// (START_NODE_ID, MODEL_ID), and two index-nested-loop joins back to
+// rdf_value$ — the three-way join the member functions hide.
 func (s *Store) FlatQueryBySubject(model, subject string) ([]Triple, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -39,8 +39,8 @@ func (s *Store) FlatQueryBySubject(model, subject string) ([]Triple, error) {
 		return nil, nil
 	}
 
-	// rdf_link$ d: partition-pruned prefix scan on (MODEL_ID, START_NODE_ID).
-	linkIter := reldb.NewIndexPrefix(s.links, s.linkMSPO, reldb.Key{reldb.Int(mid), sid})
+	// rdf_link$ d: prefix scan on (START_NODE_ID, MODEL_ID).
+	linkIter := reldb.NewIndexPrefix(s.links, s.linkSMPO, reldb.Key{sid, reldb.Int(mid)})
 
 	// d ⋈ rdf_value$ b ON b.value_id = d.p_value_id
 	joinP := reldb.NewIndexJoin(linkIter, s.values, s.valuePK, reldb.ColKey(lcPValueID))

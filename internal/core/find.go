@@ -27,8 +27,8 @@ func P(t rdfterm.Term) *rdfterm.Term { return &t }
 const cancelEvery = 256
 
 // Find returns every triple in the model matching the pattern, choosing
-// the best available index: (M,S[,P[,O]]) prefix on the unique MSPO index,
-// (M,P) on the predicate index, (M,O-canon) on the object index, falling
+// the best available index: (S,M[,P[,O]]) prefix on the unique SMPO index,
+// (M,P) on the predicate index, (O-canon,M) on the object index, falling
 // back to a partition-pruned scan for fully unbound patterns.
 func (s *Store) Find(model string, pat Pattern) ([]TripleS, error) {
 	return s.FindCtx(context.Background(), model, pat)
@@ -146,18 +146,18 @@ func (s *Store) findModelLocked(ctx context.Context, mid int64, pat Pattern) ([]
 
 	switch {
 	case pat.Subject != nil && pat.Predicate != nil && pat.Object != nil:
-		return collect(s.linkMSPO, false, mid, sid, pid, oid)
+		return collect(s.linkSMPO, false, sid, mid, pid, oid)
 	case pat.Subject != nil && pat.Predicate != nil:
-		return collect(s.linkMSPO, false, mid, sid, pid)
+		return collect(s.linkSMPO, false, sid, mid, pid)
 	case pat.Subject != nil:
 		// The prefix cannot skip the P column to reach O: O is residual.
-		return collect(s.linkMSPO, pat.Object != nil, mid, sid)
+		return collect(s.linkSMPO, pat.Object != nil, sid, mid)
 	case pat.Predicate != nil:
 		// MP prefix covers (M,P); O is residual.
 		return collect(s.linkMP, pat.Object != nil, mid, pid)
 	case pat.Object != nil:
-		// MO prefix covers (M,O-canon); nothing else is bound.
-		return collect(s.linkMO, false, mid, oid)
+		// OM prefix covers (O-canon,M); nothing else is bound.
+		return collect(s.linkOM, false, oid, mid)
 	default:
 		err := s.links.ScanPartitionCells(mid, func(c reldb.Cells) bool {
 			out = append(out, s.tripleSFromCells(c))

@@ -148,7 +148,7 @@ func (s *Store) internTripleLocked(modelID int64, sub, prop, obj rdfterm.Term) (
 }
 
 // insertLinkLocked is the link phase: with all values interned, find or
-// create the rdf_link$ row — one descent of the MSPO index decides which.
+// create the rdf_link$ row — one descent of the SMPO index decides which.
 // Caller holds s.mu for writing.
 func (s *Store) insertLinkLocked(modelID int64, it internedTriple, context string) (TripleS, bool, error) {
 	sid, pid, oid, canonID := it.sid, it.pid, it.oid, it.canonID
@@ -156,7 +156,7 @@ func (s *Store) insertLinkLocked(modelID int64, it internedTriple, context strin
 	// A link is always created per new triple (§4), under the next
 	// LINK_ID; the sequence moves only if the row goes in.
 	linkID := s.linkSeq.Current()
-	rid, created, err := s.links.InsertOrGet(s.linkMSPO, reldb.Row{
+	rid, created, err := s.links.InsertOrGet(s.linkSMPO, reldb.Row{
 		reldb.Int(linkID),
 		reldb.Int(sid),
 		reldb.Int(pid),
@@ -414,7 +414,7 @@ func (s *Store) isTripleTermsLocked(mid int64, sub, prop, obj rdfterm.Term) (Tri
 	if !ok {
 		return TripleS{}, false, nil
 	}
-	rid, ok := s.linkMSPO.LookupInts(mid, sid, pid, canonID)
+	rid, ok := s.linkSMPO.LookupInts(sid, mid, pid, canonID)
 	if !ok {
 		return TripleS{}, false, nil
 	}

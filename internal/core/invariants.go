@@ -27,7 +27,8 @@ import (
 //     predicate's vocabulary classification;
 //  7. every rdf_blank_node$ mapping points at a BN-typed value;
 //  8. the term dictionary holds exactly the rdf_value$ rows (a miss in it
-//     is taken to mean "not interned", see Store.termIDs).
+//     is taken to mean "not interned", see termDict): as many entries as
+//     rows, and every row's term resolves to that row's VALUE_ID.
 func (s *Store) CheckInvariants() []error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -153,13 +154,19 @@ func (s *Store) checkBlanksLocked(addf func(format string, args ...interface{}))
 // the term dictionary under its VALUE_ID, and nothing else is. Caller
 // holds s.mu.
 func (s *Store) checkDictionaryLocked(addf func(format string, args ...interface{})) {
-	if len(s.termIDs) != s.values.Len() {
-		addf("term dictionary has %d entries for %d rdf_value$ rows", len(s.termIDs), s.values.Len())
+	if s.terms.n != s.values.Len() {
+		addf("term dictionary has %d entries for %d rdf_value$ rows", s.terms.n, s.values.Len())
 	}
+	// The lookups come after the scan: both read rdf_value$ under its lock.
+	var terms []rdfterm.Term
+	var ids []int64
 	s.values.ScanCells(func(c reldb.Cells) bool {
-		if id, ok := s.termIDs[termFromCells(c)]; !ok || id != c.Int(vcValueID) {
-			addf("value %d: term dictionary says (%d, %v)", c.Int(vcValueID), id, ok)
-		}
+		terms, ids = append(terms, termFromCells(c)), append(ids, c.Int(vcValueID))
 		return true
 	})
+	for i, t := range terms {
+		if id, ok := s.lookupValueIDLocked(t); !ok || id != ids[i] {
+			addf("value %d: term dictionary says (%d, %v)", ids[i], id, ok)
+		}
+	}
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/reldb"
 )
 
 // Metrics instruments the store against an obs registry. A nil *Metrics
@@ -29,6 +31,8 @@ type Metrics struct {
 
 	triples  *obs.Gauge
 	ndmSteps *obs.Counter
+
+	reg *obs.Registry // for the families SetMetrics registers
 }
 
 // NewMetrics registers the store metric families on reg. Returns nil
@@ -52,6 +56,8 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 
 		triples:  reg.Gauge("core_triples", "rdf_link$ rows across all models"),
 		ndmSteps: reg.Counter("ndm_traversal_steps_total", "graph elements visited by NDM traversals (nodes enumerated plus links expanded)"),
+
+		reg: reg,
 	}
 }
 
@@ -63,6 +69,29 @@ func (s *Store) SetMetrics(m *Metrics) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.met = m
+	m.exportIndexStats(s.models, s.values, s.nodes, s.links, s.blanks)
+}
+
+// exportIndexStats publishes how often each index of the central schema's
+// tables has been read, as reldb_index_probes_total and
+// reldb_index_scans_total{table,index}. The counts are the indexes' own
+// (reldb.Index.Stats), read when the registry is scraped: an access path
+// no plan takes shows as a zero that stays zero.
+func (m *Metrics) exportIndexStats(tables ...*reldb.Table) {
+	if m == nil {
+		return
+	}
+	family := func(name, help string, read func(reldb.IndexStats) uint64) {
+		m.reg.CounterFunc(name, help, func(emit func(labels string, value int64)) {
+			for _, t := range tables {
+				for _, ix := range t.Indexes() {
+					emit(fmt.Sprintf("table=%q,index=%q", t.Name(), ix.Name()), int64(read(ix.Stats())))
+				}
+			}
+		})
+	}
+	family("reldb_index_probes_total", "point lookups made through an index", func(st reldb.IndexStats) uint64 { return st.Probes })
+	family("reldb_index_scans_total", "range and prefix scans made through an index", func(st reldb.IndexStats) uint64 { return st.Scans })
 }
 
 // startTimer returns now, or the zero time when metrics are disabled so

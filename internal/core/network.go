@@ -93,33 +93,27 @@ func (n *RDFNetwork) InLinks(node int64, fn func(linkID, start int64, cost float
 
 func (n *RDFNetwork) visit(fromEnd bool, node int64, otherCol int, fn func(linkID, other int64, cost float64) bool) {
 	// Collect matching links under the read lock, call fn outside it
-	// (see Nodes). The index is selected inside the critical section so
-	// the guarded field read is covered by the lock.
+	// (see Nodes). The node's links in every model lie under the one-column
+	// prefix of the subject or object index; the index is selected inside
+	// the critical section so the guarded field read is covered by the lock.
 	type hop struct {
 		linkID, other int64
 		cost          float64
 	}
-	n.store.mu.RLock()
-	ix := n.store.linkStart
-	if fromEnd {
-		ix = n.store.linkEnd
-	}
-	var ids []reldb.RowID
-	ix.ScanPrefix(reldb.Key{reldb.Int(node)}, func(_ reldb.Key, rid reldb.RowID) bool {
-		ids = append(ids, rid)
-		return len(ids)%cancelEvery != 0 || !n.done()
-	})
 	var hops []hop
-	for i, rid := range ids {
-		if i%cancelEvery == 0 && n.done() {
-			break
+	scanned := 0
+	collect := func(c reldb.Cells) bool {
+		if n.inScope(c.Int(lcModelID)) {
+			hops = append(hops, hop{c.Int(lcLinkID), c.Int(otherCol), float64(c.Int(lcCost))})
 		}
-		// The index entry was read under this lock hold, so the row is live.
-		_ = n.store.links.Read(rid, func(c reldb.Cells) {
-			if n.inScope(c.Int(lcModelID)) {
-				hops = append(hops, hop{c.Int(lcLinkID), c.Int(otherCol), float64(c.Int(lcCost))})
-			}
-		})
+		scanned++
+		return scanned%cancelEvery != 0 || !n.done()
+	}
+	n.store.mu.RLock()
+	if fromEnd {
+		n.store.scanInLinksLocked(node, collect)
+	} else {
+		n.store.linkSMPO.ScanIntsCells([]int64{node}, collect)
 	}
 	n.store.mu.RUnlock()
 	n.store.met.onTraversalSteps(len(hops))

@@ -183,7 +183,7 @@ func (s *Store) isReifiedLocked(modelID, linkID int64) bool {
 	if !ok {
 		return false
 	}
-	return s.linkMSPO.ContainsInts(modelID, sid, pid, oid)
+	return s.linkSMPO.ContainsInts(sid, modelID, pid, oid)
 }
 
 // Assertions returns the assertions made about a reified triple in a

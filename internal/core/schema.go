@@ -23,12 +23,16 @@ const (
 	idxValuePK   = "rdf_value_pk"
 	idxNodePK    = "rdf_node_pk"
 	idxLinkPK    = "rdf_link_pk"
-	idxLinkMSPO  = "rdf_link_mspo"  // unique (MODEL_ID, START, P, END)
-	idxLinkMP    = "rdf_link_mp"    // (MODEL_ID, P_VALUE_ID)
-	idxLinkMO    = "rdf_link_mo"    // (MODEL_ID, CANON_END_NODE_ID)
-	idxLinkStart = "rdf_link_start" // global (START_NODE_ID) — NDM view
-	idxLinkEnd   = "rdf_link_end"   // global (END_NODE_ID) — NDM view
-	idxBlankPK   = "rdf_blank_pk"   // unique (MODEL_ID, ORIG_NAME)
+	idxBlankPK   = "rdf_blank_pk" // unique (MODEL_ID, ORIG_NAME)
+
+	// rdf_value_pk and rdf_link_pk are sequence indexes: VALUE_ID and
+	// LINK_ID rise with the row ID, so the column is the index and neither
+	// has a tree. rdf_link$ pays for three trees; a model's patterns read
+	// them by the longer prefixes, the NDM view and the orphan check, which
+	// span models, by the one-column ones.
+	idxLinkSMPO = "rdf_link_smpo" // unique (START, MODEL_ID, P, CANON_END); (s): out-links
+	idxLinkMP   = "rdf_link_mp"   // (MODEL_ID, P_VALUE_ID)
+	idxLinkOM   = "rdf_link_om"   // (CANON_END, MODEL_ID); (o): in-links
 )
 
 // Column positions in rdf_value$ (Figure 4).
@@ -72,7 +76,7 @@ const (
 
 func valueSchema() *reldb.Schema {
 	return reldb.NewSchema(TableValue,
-		reldb.Column{Name: "VALUE_ID", Kind: reldb.KindInt},
+		reldb.Column{Name: "VALUE_ID", Kind: reldb.KindInt, Ascending: true},
 		reldb.Column{Name: "VALUE_NAME", Kind: reldb.KindString},
 		reldb.Column{Name: "VALUE_TYPE", Kind: reldb.KindString},
 		reldb.Column{Name: "LITERAL_TYPE", Kind: reldb.KindString, Nullable: true},
@@ -83,7 +87,7 @@ func valueSchema() *reldb.Schema {
 
 func linkSchema() *reldb.Schema {
 	return reldb.NewSchema(TableLink,
-		reldb.Column{Name: "LINK_ID", Kind: reldb.KindInt},
+		reldb.Column{Name: "LINK_ID", Kind: reldb.KindInt, Ascending: true},
 		reldb.Column{Name: "START_NODE_ID", Kind: reldb.KindInt},
 		reldb.Column{Name: "P_VALUE_ID", Kind: reldb.KindInt},
 		reldb.Column{Name: "END_NODE_ID", Kind: reldb.KindInt},

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/rdfterm"
 	"repro/internal/reldb"
 	"repro/internal/wal"
 )
@@ -42,11 +41,9 @@ type Store struct {
 	valuePK   *reldb.Index //repro:guarded-by mu
 	nodePK    *reldb.Index //repro:guarded-by mu
 	linkPK    *reldb.Index //repro:guarded-by mu
-	linkMSPO  *reldb.Index //repro:guarded-by mu
+	linkSMPO  *reldb.Index //repro:guarded-by mu
 	linkMP    *reldb.Index //repro:guarded-by mu
-	linkMO    *reldb.Index //repro:guarded-by mu
-	linkStart *reldb.Index //repro:guarded-by mu
-	linkEnd   *reldb.Index //repro:guarded-by mu
+	linkOM    *reldb.Index //repro:guarded-by mu
 	blankPK   *reldb.Index //repro:guarded-by mu
 
 	valueSeq *reldb.Sequence //repro:guarded-by mu
@@ -54,20 +51,11 @@ type Store struct {
 	modelSeq *reldb.Sequence //repro:guarded-by mu
 	blankSeq *reldb.Sequence //repro:guarded-by mu
 
-	// termIDs is the term dictionary: term → VALUE_ID for every
-	// rdf_value$ row, entered by the one function that inserts such rows
-	// (addValueRowLocked: live inserts, WAL replay and snapshot load).
-	// rdf_value$ rows are never deleted or rewritten, so it is complete
-	// and never stale. It is the store's only text → VALUE_ID access path
-	// — a miss means "not interned" — and what keeps a term to one row
-	// (addValueRowLocked refuses a second; CheckInvariants' invariant 8
-	// audits it against the table). It is not bounded, and an entry costs
-	// a map slot: a key's strings are the row's own bytes in rdf_value$'s
-	// arena.
-	// Entries are added only under the write lock; readers holding RLock
-	// may consult it because RWMutex excludes writers while any reader is
-	// in.
-	termIDs map[rdfterm.Term]int64 //repro:guarded-by mu
+	// terms is the term dictionary, text → VALUE_ID for every rdf_value$
+	// row (see termDict). Entries are added only under the write lock;
+	// readers holding RLock may consult it because RWMutex excludes
+	// writers while any reader is in.
+	terms termDict //repro:guarded-by mu
 
 	// mu serializes multi-table mutations (value interning + link insert),
 	// keeping cross-table invariants atomic. Readers hold the read lock:
@@ -100,9 +88,8 @@ type Store struct {
 func New() *Store {
 	db := reldb.NewDatabase("MDSYS")
 	s := &Store{
-		db:      db,
-		stats:   &planStatsCache{byModel: map[int64]*PlanStats{}},
-		termIDs: map[rdfterm.Term]int64{},
+		db:    db,
+		stats: &planStatsCache{byModel: map[int64]*PlanStats{}},
 	}
 	must := func(err error) {
 		if err != nil {
@@ -114,6 +101,7 @@ func New() *Store {
 	must(err)
 	s.values, err = db.CreateTable(valueSchema())
 	must(err)
+	s.terms = newTermDict(s.values)
 	s.nodes, err = db.CreateTable(nodeSchema())
 	must(err)
 	s.links, err = db.CreatePartitionedTable(linkSchema(), "MODEL_ID")
@@ -131,16 +119,12 @@ func New() *Store {
 	must(err)
 	s.linkPK, err = s.links.CreateIndex(idxLinkPK, true, "LINK_ID")
 	must(err)
-	s.linkMSPO, err = s.links.CreateIndex(idxLinkMSPO, true,
-		"MODEL_ID", "START_NODE_ID", "P_VALUE_ID", "CANON_END_NODE_ID")
+	s.linkSMPO, err = s.links.CreateIndex(idxLinkSMPO, true,
+		"START_NODE_ID", "MODEL_ID", "P_VALUE_ID", "CANON_END_NODE_ID")
 	must(err)
 	s.linkMP, err = s.links.CreateIndex(idxLinkMP, false, "MODEL_ID", "P_VALUE_ID")
 	must(err)
-	s.linkMO, err = s.links.CreateIndex(idxLinkMO, false, "MODEL_ID", "CANON_END_NODE_ID")
-	must(err)
-	s.linkStart, err = s.links.CreateIndex(idxLinkStart, false, "START_NODE_ID")
-	must(err)
-	s.linkEnd, err = s.links.CreateIndex(idxLinkEnd, false, "END_NODE_ID")
+	s.linkOM, err = s.links.CreateIndex(idxLinkOM, false, "CANON_END_NODE_ID", "MODEL_ID")
 	must(err)
 	s.blankPK, err = s.blanks.CreateIndex(idxBlankPK, true, "MODEL_ID", "ORIG_NAME")
 	must(err)

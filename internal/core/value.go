@@ -14,18 +14,17 @@ const maxValueNameLen = rdfterm.LongLiteralThreshold
 
 // lookupValueIDLocked returns the VALUE_ID for a term, or (0,false) when the
 // text value is not interned yet. The term dictionary holds every
-// rdf_value$ row (see Store.termIDs), so a miss is final: one map probe,
-// no index descent.
+// rdf_value$ row (see termDict), so a miss is final: one hash probe, no
+// index descent.
 func (s *Store) lookupValueIDLocked(t rdfterm.Term) (int64, bool) {
-	id, ok := s.termIDs[t]
-	return id, ok
+	return s.terms.find(t, s.terms.hash(t))
 }
 
 // internValueLocked returns the VALUE_ID for a term, inserting a new
 // rdf_value$ row when the text value is first seen. Caller holds s.mu
 // for writing.
 func (s *Store) internValueLocked(t rdfterm.Term) (int64, error) {
-	if id, ok := s.termIDs[t]; ok {
+	if id, ok := s.lookupValueIDLocked(t); ok {
 		s.met.onCacheHit()
 		return id, nil
 	}
@@ -77,23 +76,25 @@ func (s *Store) insertValueRowLocked(id int64, t rdfterm.Term) error {
 // dictionary, which is also what keeps a term to one row: a live insert
 // comes here only after a miss, so a term already present is a replayed
 // log or a snapshot naming it twice, and is refused rather than left to
-// shadow the first row's entry. The dictionary's key is the term read back
-// from the table: its strings are the table's own copy of the text, so
-// whatever buffer the caller's term came out of (a parser's input line, a
-// WAL scanner's window, a decoded snapshot) is not kept alive by it.
-// Caller holds s.mu.
+// shadow the first row's entry. The dictionary keeps the row's number and
+// none of the caller's strings, so whatever buffer the caller's term came
+// out of (a parser's input line, a WAL scanner's window, a decoded
+// snapshot) is not kept alive by it. Caller holds s.mu.
 func (s *Store) addValueRowLocked(row reldb.Row) error {
 	t := rowToTerm(row)
-	if id, dup := s.termIDs[t]; dup {
+	h := s.terms.hash(t)
+	if id, dup := s.terms.find(t, h); dup {
 		return fmt.Errorf("%w: %s is already in rdf_value$ as VALUE_ID %d", reldb.ErrUniqueViolation, t, id)
+	}
+	if s.terms.n == maxTerms {
+		return fmt.Errorf("core: rdf_value$ is full: the term dictionary numbers %d rows", maxTerms)
 	}
 	rid, err := s.values.Insert(row)
 	if err != nil {
 		return err
 	}
-	return s.values.Read(rid, func(c reldb.Cells) {
-		s.termIDs[termFromCells(c)] = c.Int(vcValueID)
-	})
+	s.terms.add(rid, h)
+	return nil
 }
 
 // GetValue reconstructs the term stored under a VALUE_ID.
@@ -153,6 +154,28 @@ func valueTerm(valueType, text, datatype, language string) rdfterm.Term {
 	}
 }
 
+// scanInLinksLocked visits the rdf_link$ rows whose END_NODE_ID is node, in
+// every model, until fn returns false. rdf_link_om keys a link by its
+// object's canonical form, so the rows lie under the canonical VALUE_ID of
+// node's term — node itself, unless it is a literal written another way
+// ("01"^^xsd:int) — and those whose object is a different spelling of the
+// same value are passed over. Caller holds s.mu.
+func (s *Store) scanInLinksLocked(node int64, fn func(c reldb.Cells) bool) {
+	canon := node
+	if t, err := s.getValueLocked(node); err == nil {
+		if c := rdfterm.Canonical(t); c != t {
+			var ok bool
+			// A link interns its object's canonical form with it.
+			if canon, ok = s.lookupValueIDLocked(c); !ok {
+				return
+			}
+		}
+	}
+	s.linkOM.ScanIntsCells([]int64{canon}, func(c reldb.Cells) bool {
+		return c.Int(lcEndNodeID) != node || fn(c)
+	})
+}
+
 // internNodeLocked records a value ID in rdf_node$ if not present — graph
 // nodes (subjects/objects) are "stored only once, regardless of the number
 // of times they participate in triples" (§4). One descent of the node
@@ -167,7 +190,12 @@ func (s *Store) internNodeLocked(valueID int64) error {
 // attached to this link are not removed if there are other links connected
 // to them"). Caller holds s.mu.
 func (s *Store) removeNodeIfOrphanLocked(valueID int64) {
-	if s.linkStart.ContainsInts(valueID) || s.linkEnd.ContainsInts(valueID) {
+	used := false
+	mark := func(reldb.Cells) bool { used = true; return false }
+	if s.linkSMPO.ScanIntsCells([]int64{valueID}, mark); !used {
+		s.scanInLinksLocked(valueID, mark)
+	}
+	if used {
 		return
 	}
 	if rid, ok := s.nodePK.LookupInts(valueID); ok {

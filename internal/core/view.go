@@ -102,15 +102,15 @@ func (tx *ReadTx) ValueLocked(id int64) (rdfterm.Term, error) {
 }
 
 // ContainsLinkLocked reports whether the model holds a link with exactly
-// these IDs — a single probe of the unique MSPO index, the Contains half
+// these IDs — a single probe of the unique SMPO index, the Contains half
 // of the engine's Next/Contains duality.
 func (tx *ReadTx) ContainsLinkLocked(mid, sid, pid, canonID int64) bool {
-	return tx.s.linkMSPO.ContainsInts(mid, sid, pid, canonID)
+	return tx.s.linkSMPO.ContainsInts(sid, mid, pid, canonID)
 }
 
 // CollectLinksLocked appends to dst the ID tuples of every link in model
 // mid matching (sid, pid, canonID), where 0 means unconstrained, and
-// returns the grown slice. Index selection mirrors findModelLocked: MSPO
+// returns the grown slice. Index selection mirrors findModelLocked: SMPO
 // prefix when the subject is bound, the predicate index when only the
 // predicate is, the object index when only the object is, and a
 // partition-pruned scan otherwise. Residual components the chosen prefix
@@ -150,13 +150,13 @@ func (tx *ReadTx) CollectLinksLocked(dst []LinkIDs, mid, sid, pid, canonID int64
 	}
 	switch {
 	case sid != 0 && pid != 0 && canonID != 0:
-		scan(s.linkMSPO, false, false, mid, sid, pid, canonID)
+		scan(s.linkSMPO, false, false, sid, mid, pid, canonID)
 	case sid != 0 && pid != 0:
-		scan(s.linkMSPO, false, false, mid, sid, pid)
+		scan(s.linkSMPO, false, false, sid, mid, pid)
 	case sid != 0:
-		// The MSPO prefix cannot skip P to reach O: with P unbound, O is
+		// The SMPO prefix cannot skip P to reach O: with P unbound, O is
 		// the one possible residual.
-		scan(s.linkMSPO, false, canonID != 0, mid, sid)
+		scan(s.linkSMPO, false, canonID != 0, sid, mid)
 	case pid != 0 && canonID != 0:
 		// Predicate and object both bound, but no (M,P,O) index exists:
 		// either prefix works with a residual check on the other column.
@@ -167,7 +167,7 @@ func (tx *ReadTx) CollectLinksLocked(dst []LinkIDs, mid, sid, pid, canonID int64
 		ps := tx.PlanStatsLocked(mid)
 		avgObj := float64(ps.Triples) / float64(max(1, ps.DistinctObjects))
 		if avgObj < float64(ps.Pred(pid).Count) {
-			scan(s.linkMO, true, false, mid, canonID)
+			scan(s.linkOM, true, false, canonID, mid)
 		} else {
 			scan(s.linkMP, false, true, mid, pid)
 		}
@@ -175,8 +175,8 @@ func (tx *ReadTx) CollectLinksLocked(dst []LinkIDs, mid, sid, pid, canonID int64
 		// MP prefix covers (M,P); nothing else is bound.
 		scan(s.linkMP, false, false, mid, pid)
 	case canonID != 0:
-		// MO prefix covers (M,O-canon); nothing else is bound.
-		scan(s.linkMO, false, false, mid, canonID)
+		// OM prefix covers (O-canon,M); nothing else is bound.
+		scan(s.linkOM, false, false, canonID, mid)
 	default:
 		if err := s.links.ScanPartitionCells(mid, func(c reldb.Cells) bool {
 			return add(c, false, false)

@@ -12,10 +12,10 @@ import (
 )
 
 // linkIndexMutations sums the B-tree mutation counts of every rdf_link$
-// index, the hidden partition index included.
+// index: three trees, and the LINK_ID sequence index, which has none.
 func linkIndexMutations(s *Store) uint64 {
 	var n uint64
-	for _, name := range []string{"__part$MODEL_ID", idxLinkPK, idxLinkMSPO, idxLinkMP, idxLinkMO, idxLinkStart, idxLinkEnd} {
+	for _, name := range []string{idxLinkPK, idxLinkSMPO, idxLinkMP, idxLinkOM} {
 		n += s.links.MustIndex(name).Mutations()
 	}
 	return n
@@ -23,8 +23,8 @@ func linkIndexMutations(s *Store) uint64 {
 
 // TestRepeatedTripleTouchesNoIndex: inserting a stored triple again bumps
 // COST, and asserting an implied one upgrades CONTEXT I → D (§4, §5.2).
-// Neither column is indexed, so all seven rdf_link$ trees — and
-// rdf_node$'s and rdf_value$'s — must be left exactly as they were.
+// Neither column is indexed, so all three rdf_link$ trees — and
+// rdf_node$'s — must be left exactly as they were.
 func TestRepeatedTripleTouchesNoIndex(t *testing.T) {
 	s := newStoreWithModel(t, "m")
 	sub, prop, obj := rdfterm.NewURI("http://s"), rdfterm.NewURI("http://p"), rdfterm.NewTypedLiteral("07", rdfterm.XSDInt)
@@ -36,8 +36,8 @@ func TestRepeatedTripleTouchesNoIndex(t *testing.T) {
 		return s.nodePK.Mutations() + s.valuePK.Mutations()
 	}
 	links, rest := linkIndexMutations(s), others()
-	if links != 7 {
-		t.Fatalf("one new link made %d B-tree mutations, want 7 (one per rdf_link$ index)", links)
+	if links != 3 {
+		t.Fatalf("one new link made %d B-tree mutations, want 3 (one per rdf_link$ tree)", links)
 	}
 
 	again, err := s.InsertTerms("m", sub, prop, obj) // COST 2, I → D
@@ -70,8 +70,8 @@ func TestRepeatedTripleTouchesNoIndex(t *testing.T) {
 // TestInsertBatchAllocBudget holds the line on allocations per triple of a
 // WAL-less InsertBatch of new triples (subject and object new, so two new
 // values and two new nodes each): amortised growth of the column vectors,
-// the arenas and the trees, 0.45 measured. Rows, index entries, probes and
-// the dictionary key cost none. (With a text-index key built per value:
+// the arenas, the trees and the dictionary, 0.22 measured. Rows, index
+// entries, probes and dictionary entries cost none. (With a text-index key built per value:
 // 2.6; with a kept copy of every row: 7.9; before packed keys and the
 // one-descent insert: 42.3.)
 func TestInsertBatchAllocBudget(t *testing.T) {
@@ -120,7 +120,7 @@ func TestFindReadsRowsInPlace(t *testing.T) {
 	sid, _ := s.lookupValueIDLocked(sub)
 	rows := 0
 	if got := testing.AllocsPerRun(100, func() {
-		s.linkMSPO.ScanIntsCells([]int64{mid, sid}, func(reldb.Cells) bool { rows++; return true })
+		s.linkSMPO.ScanIntsCells([]int64{sid, mid}, func(reldb.Cells) bool { rows++; return true })
 	}); got > 0 || rows == 0 {
 		t.Errorf("ScanIntsCells over a subject's %d links: %.0f allocations, budget 0", rows/101, got)
 	}
@@ -151,7 +151,7 @@ func TestReadPathAllocBudget(t *testing.T) {
 	}
 	err := s.ReadView(context.Background(), func(tx *ReadTx) error {
 		dst := make([]LinkIDs, 0, 64)
-		for _, shape := range [][3]int64{{sid, 0, 0}, {0, 0, oid}, {0, 0, 0}} { // MSPO prefix, MO prefix, partition scan
+		for _, shape := range [][3]int64{{sid, 0, 0}, {0, 0, oid}, {0, 0, 0}} { // SMPO prefix, OM prefix, partition scan
 			var rows int
 			if got := testing.AllocsPerRun(200, func() {
 				out, err := tx.CollectLinksLocked(dst[:0], mid, shape[0], shape[1], shape[2])
@@ -170,12 +170,13 @@ func TestReadPathAllocBudget(t *testing.T) {
 	}
 }
 
-// TestDictionaryOwnsItsStrings: the term dictionary's keys are read back
-// from rdf_value$, so nothing the store keeps points into the buffer a
-// caller's terms were cut from — a parser's input line, a request body.
-// Here every term of a batch aliases one buffer, which is then overwritten:
-// had the dictionary kept the caller's strings, its keys would now read as
-// garbage and every lookup below would miss.
+// TestDictionaryOwnsItsStrings: the term dictionary keeps row numbers, and
+// compares a term against the row's own bytes in rdf_value$'s arena, so
+// nothing the store keeps points into the buffer a caller's terms were cut
+// from — a parser's input line, a request body. Here every term of a batch
+// aliases one buffer, which is then overwritten: had the dictionary (or the
+// table) kept the caller's strings, they would now read as garbage and
+// every lookup below would miss.
 func TestDictionaryOwnsItsStrings(t *testing.T) {
 	s := newStoreWithModel(t, "m")
 	var texts [][3]string

@@ -22,6 +22,12 @@ func (s Snapshot) WriteProm(w io.Writer) error {
 		writeHeader(bw, c.Name, c.Help, "counter")
 		fmt.Fprintf(bw, "%s %d\n", c.Name, c.Value)
 	}
+	for _, f := range s.Families {
+		writeHeader(bw, f.Name, f.Help, "counter")
+		for _, sample := range f.Samples {
+			fmt.Fprintf(bw, "%s{%s} %d\n", f.Name, sample.Labels, sample.Value)
+		}
+	}
 	for _, g := range s.Gauges {
 		writeHeader(bw, g.Name, g.Help, "gauge")
 		fmt.Fprintf(bw, "%s %d\n", g.Name, g.Value)

@@ -101,7 +101,15 @@ type Registry struct {
 	counts map[string]*Counter
 	gauges map[string]*Gauge
 	hists  map[string]*Histogram
+	funcs  map[string]*counterFunc
 	events *EventLog
+}
+
+// counterFunc is a family of labelled counters owned by the code that
+// registered it and read only when the registry is snapshotted.
+type counterFunc struct {
+	name, help string
+	collect    func(emit func(labels string, value int64))
 }
 
 // DefaultEventCapacity is the event ring size NewRegistry allocates.
@@ -114,6 +122,7 @@ func NewRegistry() *Registry {
 		counts: map[string]*Counter{},
 		gauges: map[string]*Gauge{},
 		hists:  map[string]*Histogram{},
+		funcs:  map[string]*counterFunc{},
 		events: NewEventLog(DefaultEventCapacity),
 	}
 }
@@ -141,6 +150,8 @@ func (r *Registry) checkName(name, kind string) {
 	_, isC := r.counts[name]
 	_, isG := r.gauges[name]
 	_, isH := r.hists[name]
+	_, isF := r.funcs[name]
+	taken(isF, "counter family")
 	taken(isC, "counter")
 	taken(isG, "gauge")
 	taken(isH, "histogram")
@@ -161,6 +172,22 @@ func (r *Registry) Counter(name, help string) *Counter {
 	c := &Counter{name: name, help: help}
 	r.counts[name] = c
 	return c
+}
+
+// CounterFunc registers a family of labelled counters that live outside
+// the registry: collect is called on every Snapshot and emits one value
+// per label block (`table="rdf_link$",index="rdf_link_mp"`), so counting
+// costs the owner nothing the registry can see, and nothing at all is
+// registered on a nil registry. Registering a name again replaces its
+// collect function.
+func (r *Registry) CounterFunc(name, help string, collect func(emit func(labels string, value int64))) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.checkName(name, "counter family")
+	r.funcs[name] = &counterFunc{name: name, help: help, collect: collect}
 }
 
 // Gauge returns the named gauge, creating it on first use. Returns nil
@@ -218,9 +245,21 @@ func (r *Registry) Snapshot() Snapshot {
 	for _, h := range r.hists {
 		hists = append(hists, h)
 	}
+	funcs := make([]*counterFunc, 0, len(r.funcs))
+	for _, f := range r.funcs {
+		funcs = append(funcs, f)
+	}
 	r.mu.Unlock()
 
 	var snap Snapshot
+	for _, f := range funcs {
+		fam := FamilySnap{Name: f.name, Help: f.help}
+		f.collect(func(labels string, value int64) {
+			fam.Samples = append(fam.Samples, LabelledSnap{Labels: labels, Value: value})
+		})
+		snap.Families = append(snap.Families, fam)
+	}
+	sort.Slice(snap.Families, func(i, j int) bool { return snap.Families[i].Name < snap.Families[j].Name })
 	for _, c := range counts {
 		snap.Counters = append(snap.Counters, CounterSnap{Name: c.name, Help: c.help, Value: c.v.Load()})
 	}
@@ -239,8 +278,23 @@ func (r *Registry) Snapshot() Snapshot {
 // Snapshot is a point-in-time copy of a registry's instruments.
 type Snapshot struct {
 	Counters   []CounterSnap
+	Families   []FamilySnap
 	Gauges     []GaugeSnap
 	Histograms []HistogramSnap
+}
+
+// FamilySnap is one labelled counter family's snapshot (see CounterFunc),
+// its samples in the order they were emitted.
+type FamilySnap struct {
+	Name    string
+	Help    string
+	Samples []LabelledSnap
+}
+
+// LabelledSnap is one sample of a family: a label block and its value.
+type LabelledSnap struct {
+	Labels string
+	Value  int64
 }
 
 // CounterSnap is one counter's snapshot.
@@ -259,7 +313,7 @@ type GaugeSnap struct {
 
 // Series returns the number of metric families in the snapshot.
 func (s Snapshot) Series() int {
-	return len(s.Counters) + len(s.Gauges) + len(s.Histograms)
+	return len(s.Counters) + len(s.Families) + len(s.Gauges) + len(s.Histograms)
 }
 
 // Histogram looks up a histogram snapshot by name.

@@ -14,10 +14,12 @@ import (
 // 20k-triple UniProt sample with its Table-2 reification quads is loaded
 // from N-Triples text, as rdfserve loads it, and the live heap it leaves
 // behind is divided by the rdf_link$ rows stored. The paper's schema is
-// IDs plus each text once (§3.1); measured here that is ~395 B and ~0.40
-// objects a triple — the rows as column vectors, the text in arenas, index
-// entries as wide as their index, the term dictionary, and nothing of the
-// input. (With a text index beside the dictionary: 521 B, 0.45; with a
+// IDs plus each text once (§3.1); measured here that is 208 B and 0.20
+// objects a triple — the rows as column vectors, the text in arenas, three
+// trees of entries as wide as their index, a term dictionary of row
+// numbers, and nothing of the input. The budgets are that plus a tenth.
+// (With seven trees on rdf_link$, one on rdf_value$ and a Go map for the
+// dictionary: 394 B, 0.40; with a text index beside it: 521 B, 0.45; with a
 // []Value per row and 40-byte packed entries: 1665 B, 4.8.)
 func TestLoadedStoreHeapBudget(t *testing.T) {
 	var text bytes.Buffer
@@ -51,12 +53,12 @@ func TestLoadedStoreHeapBudget(t *testing.T) {
 	stored := float64(st.TotalTriples())
 	bytesPer := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / stored
 	objectsPer := (float64(after.HeapObjects) - float64(before.HeapObjects)) / stored
-	t.Logf("%.0f triples stored: %.0f B and %.2f heap objects each", stored, bytesPer, objectsPer)
-	if bytesPer > 600 {
-		t.Errorf("live heap per stored triple: %.0f B, budget 600", bytesPer)
+	t.Logf("%.0f triples stored: %.0f B and %.3f heap objects each", stored, bytesPer, objectsPer)
+	if bytesPer > 230 {
+		t.Errorf("live heap per stored triple: %.0f B, budget 230", bytesPer)
 	}
-	if objectsPer > 0.5 {
-		t.Errorf("heap objects per stored triple: %.2f, budget 0.5", objectsPer)
+	if objectsPer > 0.22 {
+		t.Errorf("heap objects per stored triple: %.2f, budget 0.22", objectsPer)
 	}
 	runtime.KeepAlive(st)
 }

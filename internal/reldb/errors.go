@@ -10,6 +10,9 @@ var (
 	// ErrUniqueViolation reports an insert or update that would duplicate a
 	// key in a unique index.
 	ErrUniqueViolation = errors.New("reldb: unique constraint violation")
+	// ErrOutOfSequence reports an insert whose key in a sequence index does
+	// not rise above the last row's, or an update of such a key.
+	ErrOutOfSequence = errors.New("reldb: key out of sequence")
 	// ErrNoSuchRow reports an operation addressed to a row ID that does not
 	// exist or has been deleted.
 	ErrNoSuchRow = errors.New("reldb: no such row")

@@ -154,6 +154,34 @@ func (h *heap) live(id RowID) bool {
 	return id >= 0 && id < RowID(h.n) && !h.dead.get(id)
 }
 
+// seek returns the first of rows [lo, hi) of column c, ascending over
+// them, whose cell is at least v, or hi: a binary search whose every other
+// probe is where v would be were the values evenly spaced — a sequence's
+// nearly are, so it lands in a probe or two — and the rest halve the range,
+// which keeps it logarithmic when they are not.
+func (h *heap) seek(c int, v int64, lo, hi RowID) RowID {
+	cells := h.cols[c].cells
+	for halve := false; lo < hi; halve = !halve { // the answer is in [lo, hi]
+		a, b := cells[lo], cells[hi-1]
+		if v <= a {
+			return lo
+		}
+		if v > b {
+			return hi
+		}
+		mid := lo + (hi-lo)/2
+		if !halve { // a < v <= b: the quotient is in [0, 1]
+			mid = lo + RowID((float64(v)-float64(a))/(float64(b)-float64(a))*float64(hi-1-lo))
+		}
+		if cells[mid] < v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
 // row fills dst, which has one cell per column, with row id. Its strings
 // alias the arena.
 func (h *heap) row(dst Row, id RowID) Row {

@@ -3,6 +3,8 @@ package reldb
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync/atomic"
 
 	"repro/internal/btree"
 )
@@ -14,12 +16,17 @@ type KeyFunc func(Row) Key
 // Index is a B-tree index over a table. Read methods take the owning
 // table's lock, so an Index handle is safe for concurrent use.
 //
-// An index has one of two key layouts, decided by the schema when it is
-// created. A column index whose columns are all NOT NULL NUMBER (at most
-// maxIntKeyCols of them) is packed: its tree holds the integers inline, in
-// entries as wide as the index and pointer-free (see packedTree). Every
-// other index — string or nullable columns, function-based — holds Key
-// entries. Exactly one of ints and tree is set.
+// An index has one of three key layouts, decided by the schema when it is
+// created. A unique index on one column the schema declares Ascending is a
+// sequence index: the column vector is already sorted by key, so the index
+// stores nothing — a probe is a search of the vector (heap.seek) and the
+// dead bitmap, a scan a walk along it — and refuses a row whose key does
+// not rise above the last row's. Any other column index whose columns are
+// all NOT NULL NUMBER (at most maxIntKeyCols of them) is packed: its tree
+// holds the integers inline, in entries as wide as the index and
+// pointer-free (see packedTree). Every other index — string or nullable
+// columns, function-based — holds Key entries. At most one of ints and tree
+// is set; a sequence index has neither.
 type Index struct {
 	name   string
 	unique bool
@@ -29,6 +36,36 @@ type Index struct {
 	tree   *btree.Tree[Key]
 	slab   []Value // unused end of the slab tree's newest keys are cut from
 	owner  *Table
+	// probes and scans count the reads callers made through the index.
+	probes, scans atomic.Uint64
+}
+
+// IndexStats says how often an index has been read: Probes by the point
+// lookups (Lookup, LookupOne, LookupInts, Contains, ContainsInts), Scans by
+// the range and prefix scans. Index maintenance counts as neither.
+type IndexStats struct{ Probes, Scans uint64 }
+
+// Stats returns the index's read counters.
+func (ix *Index) Stats() IndexStats {
+	return IndexStats{Probes: ix.probes.Load(), Scans: ix.scans.Load()}
+}
+
+// sequence reports whether ix is a sequence index.
+func (ix *Index) sequence() bool { return ix.ints == nil && ix.tree == nil }
+
+// EntryBytes is what a row costs in the index's tree: nothing in a sequence
+// index; a row ID and 1, 2 or 4 key words in a packed one; a row ID and the
+// header of a key, whose Values lie in the index's slab, in a generic one.
+func (ix *Index) EntryBytes() int {
+	switch {
+	case ix.sequence():
+		return 0
+	case ix.ints == nil:
+		return 32
+	case len(ix.cols) > 2:
+		return 40
+	}
+	return 8 * (len(ix.cols) + 1)
 }
 
 // keySlab is how many Values a generic index allocates at a time for keys.
@@ -48,9 +85,12 @@ func newIndex(t *Table, name string, unique bool, cols []int, keyOf KeyFunc) *In
 		c := t.schema.Column(p)
 		packed = packed && c.Kind == KindInt && !c.Nullable
 	}
-	if packed {
+	switch {
+	case unique && len(cols) == 1 && t.schema.Column(cols[0]).Ascending:
+		// A sequence index: the column is the index.
+	case packed:
 		ix.ints = newPackedTree(len(cols))
-	} else {
+	default:
 		ix.tree = btree.New(KeyCompare)
 	}
 	return ix
@@ -97,6 +137,13 @@ func (t *Table) attachIndex(ix *Index) (*Index, error) {
 		return nil, fmt.Errorf("%w: index %s on %s", ErrDuplicateObject, ix.name, t.name)
 	}
 	for id := RowID(0); id < RowID(t.heap.n); id++ {
+		if ix.sequence() {
+			// Deleted rows keep their cells, and a search crosses them.
+			if cells := t.heap.cols[ix.cols[0]].cells; id > 0 && cells[id] <= cells[id-1] {
+				return nil, fmt.Errorf("%w: building index %s, row %d", ErrOutOfSequence, ix.name, id)
+			}
+			continue
+		}
 		if t.heap.dead.get(id) {
 			continue
 		}
@@ -138,6 +185,13 @@ func (t *Table) Index(name string) (*Index, error) {
 	return ix, nil
 }
 
+// Indexes returns the table's indexes in the order they were created.
+func (t *Table) Indexes() []*Index {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return slices.Clone(t.ordered)
+}
+
 // MustIndex is Index but panics on unknown names (index names in this
 // codebase are constants).
 func (t *Table) MustIndex(name string) *Index {
@@ -159,12 +213,32 @@ func (ix *Index) packRow(r Row) intKey {
 	return k
 }
 
-// add enters row r under id, in one descent. A unique index refuses a key
-// (without NULLs) that another row already holds: the tree is unchanged
-// and add returns that row's ID and false.
+// noRow is the row add names when it refuses a key no live row holds.
+const noRow RowID = -1
+
+// add enters row r, already stored under id, in one descent. A unique index
+// refuses a key (without NULLs) that another row already holds: the tree is
+// unchanged and add returns that row's ID and false. A sequence index takes
+// only the newest row, and only with a key above its predecessor's; it
+// names the live row that holds a key it refuses, or noRow — as it does for
+// any older row, whose key an update has changed.
 func (ix *Index) add(r Row, id RowID) (RowID, bool) {
 	if ix.ints != nil {
 		return ix.ints.insert(ix.packRow(r), id, ix.unique)
+	}
+	if ix.sequence() {
+		h, c := &ix.owner.heap, ix.cols[0]
+		cells := h.cols[c].cells
+		if id != RowID(h.n-1) {
+			return noRow, false // an update
+		}
+		if id == 0 || cells[id] > cells[id-1] {
+			return id, true
+		}
+		if other := h.seek(c, cells[id], 0, id); cells[other] == cells[id] && !h.dead.get(other) {
+			return other, false
+		}
+		return noRow, false
 	}
 	// The entry's key is cut from a slab the index owns: one allocation
 	// per keySlab values rather than one per entry for the collector to
@@ -185,13 +259,15 @@ func (ix *Index) add(r Row, id RowID) (RowID, bool) {
 	return id, true
 }
 
-// remove deletes row r's entry.
+// remove deletes row r's entry. A sequence index has none: the table's
+// dead bitmap is what hides the row from it.
 func (ix *Index) remove(r Row, id RowID) {
-	if ix.ints != nil {
+	switch {
+	case ix.ints != nil:
 		ix.ints.remove(ix.packRow(r), id)
-		return
+	case ix.tree != nil:
+		ix.tree.Delete(ix.keyOf(r), id)
 	}
-	ix.tree.Delete(ix.keyOf(r), id)
 }
 
 // sameKey reports whether rows a and b have the same key in this index.
@@ -247,7 +323,7 @@ func intsKey(ints []int64) Key {
 	return k
 }
 
-// packFull packs a complete key of a packed index. No entry can equal a
+// packFull packs a complete key of a packed or sequence index. No entry can equal a
 // key of another length.
 func (ix *Index) packFull(ints []int64) (intKey, bool) {
 	var k intKey
@@ -280,9 +356,28 @@ func (ix *Index) unpack(buf Key, k intKey) Key {
 	return buf
 }
 
+// ascendInts visits the entries of a packed or sequence index with
+// lo <= key <= hi in key order; a nil bound is open. Caller holds the lock.
+func (ix *Index) ascendInts(lo, hi *intKey, fn func(k intKey, id RowID) bool) {
+	if ix.ints != nil {
+		ix.ints.ascend(lo, hi, fn)
+		return
+	}
+	h, c := &ix.owner.heap, ix.cols[0]
+	cells, id := h.cols[c].cells, RowID(0)
+	if lo != nil {
+		id = h.seek(c, lo[0], 0, RowID(h.n))
+	}
+	for ; id < RowID(h.n) && (hi == nil || cells[id] <= hi[0]); id++ {
+		if !h.dead.get(id) && !fn(intKey{cells[id]}, id) {
+			return
+		}
+	}
+}
+
 // firstLocked returns the lowest row ID under key. Caller holds the lock.
 func (ix *Index) firstLocked(key Key) (RowID, bool) {
-	if ix.ints == nil {
+	if ix.tree != nil {
 		return ix.tree.First(key)
 	}
 	var buf intKey
@@ -293,27 +388,36 @@ func (ix *Index) firstLocked(key Key) (RowID, bool) {
 }
 
 func (ix *Index) firstIntsLocked(key []int64) (RowID, bool) {
-	if ix.ints == nil {
+	if ix.tree != nil {
 		return ix.tree.First(intsKey(key))
 	}
-	if k, ok := ix.packFull(key); ok {
+	k, ok := ix.packFull(key)
+	switch {
+	case !ok:
+		return 0, false
+	case ix.ints != nil:
 		return ix.ints.first(k)
+	}
+	h, c := &ix.owner.heap, ix.cols[0]
+	if id := h.seek(c, k[0], 0, RowID(h.n)); id < RowID(h.n) && h.cols[c].cells[id] == k[0] && !h.dead.get(id) {
+		return id, true
 	}
 	return 0, false
 }
 
 // Lookup returns the IDs of rows whose index key equals key.
 func (ix *Index) Lookup(key Key) []RowID {
+	ix.probes.Add(1)
 	ix.owner.mu.RLock()
 	defer ix.owner.mu.RUnlock()
-	if ix.ints == nil {
+	if ix.tree != nil {
 		return ix.tree.Get(key)
 	}
 	var buf intKey
 	if ints, ok := keyInts(key, &buf); ok {
 		if k, ok := ix.packFull(ints); ok {
 			var ids []RowID
-			ix.ints.ascend(&k, &k, func(_ intKey, id RowID) bool {
+			ix.ascendInts(&k, &k, func(_ intKey, id RowID) bool {
 				ids = append(ids, id)
 				return true
 			})
@@ -326,6 +430,7 @@ func (ix *Index) Lookup(key Key) []RowID {
 // LookupOne returns the single row ID for key in a unique index, or
 // (0, false) when absent.
 func (ix *Index) LookupOne(key Key) (RowID, bool) {
+	ix.probes.Add(1)
 	ix.owner.mu.RLock()
 	defer ix.owner.mu.RUnlock()
 	return ix.firstLocked(key)
@@ -338,8 +443,9 @@ func (ix *Index) Contains(key Key) bool {
 }
 
 // LookupInts is LookupOne for a key of integers, given as such: on a
-// packed index nothing is allocated.
+// packed or sequence index nothing is allocated.
 func (ix *Index) LookupInts(key ...int64) (RowID, bool) {
+	ix.probes.Add(1)
 	ix.owner.mu.RLock()
 	defer ix.owner.mu.RUnlock()
 	return ix.firstIntsLocked(key)
@@ -358,9 +464,10 @@ func (ix *Index) ContainsInts(key ...int64) bool {
 // Scan visits (key, rowID) pairs with lo <= key <= hi in key order. Nil
 // bounds are unbounded. fn returning false stops the scan.
 func (ix *Index) Scan(lo, hi Key, fn func(key Key, id RowID) bool) {
+	ix.scans.Add(1)
 	ix.owner.mu.RLock()
 	defer ix.owner.mu.RUnlock()
-	if ix.ints == nil {
+	if ix.tree != nil {
 		var lb, hb *Key
 		if lo != nil {
 			lb = &lo
@@ -389,12 +496,12 @@ func (ix *Index) Scan(lo, hi Key, fn func(key Key, id RowID) bool) {
 	}
 	buf := make(Key, len(ix.cols))
 	if exact {
-		ix.ints.ascend(lb, hb, func(k intKey, id int64) bool {
+		ix.ascendInts(lb, hb, func(k intKey, id int64) bool {
 			return fn(ix.unpack(buf, k), id)
 		})
 		return
 	}
-	ix.ints.ascend(nil, nil, func(k intKey, id int64) bool {
+	ix.ascendInts(nil, nil, func(k intKey, id int64) bool {
 		key := ix.unpack(buf, k)
 		if lo != nil && key.Compare(lo) < 0 {
 			return true
@@ -409,7 +516,8 @@ func (ix *Index) Scan(lo, hi Key, fn func(key Key, id RowID) bool) {
 // scanPrefixLocked visits every entry whose key begins with prefix, in
 // key order. Caller holds the lock.
 func (ix *Index) scanPrefixLocked(prefix Key, fn func(key Key, id RowID) bool) {
-	if ix.ints == nil {
+	ix.scans.Add(1)
+	if ix.tree != nil {
 		ix.tree.AscendRange(&prefix, nil, func(key Key, id int64) bool {
 			if len(key) < len(prefix) || key[:len(prefix)].Compare(prefix) != 0 {
 				return false
@@ -425,7 +533,7 @@ func (ix *Index) scanPrefixLocked(prefix Key, fn func(key Key, id RowID) bool) {
 	}
 	if lo, hi, ok := ix.packPrefix(ints); ok {
 		buf := make(Key, len(ix.cols))
-		ix.ints.ascend(&lo, &hi, func(k intKey, id int64) bool {
+		ix.ascendInts(&lo, &hi, func(k intKey, id int64) bool {
 			return fn(ix.unpack(buf, k), id)
 		})
 	}
@@ -434,23 +542,24 @@ func (ix *Index) scanPrefixLocked(prefix Key, fn func(key Key, id RowID) bool) {
 // scanIntsLocked visits the row IDs under an integer key prefix, in key
 // order, without building keys. Caller holds the lock.
 func (ix *Index) scanIntsLocked(prefix []int64, fn func(id RowID) bool) {
-	if ix.ints == nil {
+	if ix.tree != nil {
 		ix.scanPrefixLocked(intsKey(prefix), func(_ Key, id RowID) bool { return fn(id) })
 		return
 	}
+	ix.scans.Add(1)
 	if lo, hi, ok := ix.packPrefix(prefix); ok {
-		ix.ints.ascend(&lo, &hi, func(_ intKey, id int64) bool { return fn(id) })
+		ix.ascendInts(&lo, &hi, func(_ intKey, id int64) bool { return fn(id) })
 	}
 }
 
 // ascendLocked visits every entry in key order. Caller holds the lock.
 func (ix *Index) ascendLocked(fn func(key Key, id RowID) bool) {
-	if ix.ints == nil {
+	if ix.tree != nil {
 		ix.tree.Ascend(fn)
 		return
 	}
 	buf := make(Key, len(ix.cols))
-	ix.ints.ascend(nil, nil, func(k intKey, id int64) bool { return fn(ix.unpack(buf, k), id) })
+	ix.ascendInts(nil, nil, func(k intKey, id int64) bool { return fn(ix.unpack(buf, k), id) })
 }
 
 // ScanPrefix visits every entry whose key begins with prefix, in key order.
@@ -498,22 +607,29 @@ func (ix *Index) ScanIntsRows(prefix []int64, fn func(id RowID, r Row) bool) {
 func (ix *Index) Len() int {
 	ix.owner.mu.RLock()
 	defer ix.owner.mu.RUnlock()
-	if ix.ints != nil {
+	switch {
+	case ix.ints != nil:
 		n, _ := ix.ints.counts()
 		return n
+	case ix.tree != nil:
+		return ix.tree.Len()
 	}
-	return ix.tree.Len()
+	return ix.owner.live
 }
 
 // Mutations returns how many entries the index's tree has gained or lost
 // over its life, for tests and diagnostics: an update that changes no
-// indexed column must leave it alone.
+// indexed column must leave it alone. A sequence index has no tree to
+// mutate.
 func (ix *Index) Mutations() uint64 {
 	ix.owner.mu.RLock()
 	defer ix.owner.mu.RUnlock()
-	if ix.ints != nil {
+	switch {
+	case ix.ints != nil:
 		_, muts := ix.ints.counts()
 		return muts
+	case ix.tree != nil:
+		return ix.tree.Mutations()
 	}
-	return ix.tree.Mutations()
+	return 0
 }

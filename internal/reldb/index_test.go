@@ -8,17 +8,19 @@ import (
 	"testing"
 )
 
-// The packed layout must be indistinguishable from the generic one through
-// every read of the Index API. The oracle is the generic layout itself: a
-// function-based index always stores Key entries, so the same columns are
-// indexed twice on one table — once by CreateIndex (packed) and once by a
-// key function (generic) — and every read is asked of both.
+// The packed and sequence layouts must be indistinguishable from the
+// generic one through every read of the Index API. The oracle is the
+// generic layout itself: a function-based index always stores Key entries,
+// so the same columns are indexed twice on one table — once by CreateIndex
+// (packed, or a sequence index that stores nothing) and once by a key
+// function (generic) — and every read is asked of both.
 
-// pairedIndexes is one packed index and its generic twin.
+// pairedIndexes is one packed or sequence index and its generic twin.
 type pairedIndexes struct {
 	name            string
 	packed, generic *Index
 	cols            []int
+	probe           func(*rand.Rand) Value // a cell of a key to ask about
 }
 
 var diffSchema = NewSchema("diff",
@@ -49,7 +51,7 @@ func newPairedTable(t *testing.T) (*Table, []pairedIndexes) {
 		if packed.ints == nil || generic.tree == nil {
 			t.Fatalf("%s: layouts are packed=%v generic=%v, want both true", name, packed.ints != nil, generic.tree != nil)
 		}
-		pairs = append(pairs, pairedIndexes{name, packed, generic, pos})
+		pairs = append(pairs, pairedIndexes{name, packed, generic, pos, diffValue})
 	}
 	add("uniq2", true, "A", "B")
 	add("dup1", false, "C")
@@ -106,7 +108,7 @@ func checkPair(t *testing.T, rng *rand.Rand, step int, p pairedIndexes) {
 	key := make(Key, n)
 	ints := make([]int64, n)
 	for i := range key {
-		key[i] = diffValue(rng)
+		key[i] = p.probe(rng)
 		ints[i] = key[i].i
 	}
 	allInts := true
@@ -181,7 +183,7 @@ func checkPair(t *testing.T, rng *rand.Rand, step int, p pairedIndexes) {
 	// may be nil, short, long or hold a non-integer.
 	lo, hi := key, make(Key, rng.Intn(len(p.cols)+2))
 	for i := range hi {
-		hi[i] = diffValue(rng)
+		hi[i] = p.probe(rng)
 	}
 	switch rng.Intn(6) {
 	case 0:
@@ -252,6 +254,98 @@ func TestPackedIndexMatchesGeneric(t *testing.T) {
 	}
 }
 
+// TestSequenceIndexMatchesGeneric: the same differential for a sequence
+// index. Keys arrive as a sequence hands them out — rising, with gaps —
+// and now and then one that is taken, was deleted or was skipped, which
+// the index must refuse (as a duplicate only if a live row holds it); rows
+// leave one by one and a partition at a time.
+func TestSequenceIndexMatchesGeneric(t *testing.T) {
+	schema := NewSchema("seq",
+		Column{Name: "ID", Kind: KindInt, Ascending: true},
+		Column{Name: "PART", Kind: KindInt},
+		Column{Name: "S", Kind: KindString},
+	)
+	for _, seed := range []int64{1, 2, 3} {
+		rng := rand.New(rand.NewSource(seed))
+		tab := NewPartitionedTable(schema, "PART")
+		seq, err := tab.CreateIndex("seq", true, "ID")
+		if err != nil {
+			t.Fatal(err)
+		}
+		generic, err := tab.CreateFunctionIndex("generic", true, columnKeyFunc([]int{0}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !seq.sequence() || generic.tree == nil {
+			t.Fatalf("layouts are sequence=%v generic=%v, want both true", seq.sequence(), generic.tree != nil)
+		}
+		next := int64(1068) // rdf_value$'s first VALUE_ID
+		pair := pairedIndexes{"seq", seq, generic, []int{0}, func(rng *rand.Rand) Value {
+			if rng.Intn(6) == 0 {
+				return diffValue(rng)
+			}
+			return Int(1060 + rng.Int63n(next-1050))
+		}}
+		keyOf := map[RowID]int64{} // live rows
+		var past []int64           // every key handed out
+		duplicates, disorders := 0, 0
+		for step := 0; step < 3000; step++ {
+			switch op := rng.Intn(20); {
+			case op < 10 || len(keyOf) == 0:
+				next += 1 + rng.Int63n(3)*rng.Int63n(2)
+				id, err := tab.Insert(Row{Int(next), Int(rng.Int63n(3)), String_(fmt.Sprint(next))})
+				if err != nil {
+					t.Fatalf("seed %d step %d: insert of %d: %v", seed, step, next, err)
+				}
+				keyOf[id], past = next, append(past, next)
+			case op < 13: // a key the sequence is past
+				key := past[rng.Intn(len(past))] - rng.Int63n(2)
+				held := false
+				for _, k := range keyOf {
+					held = held || k == key
+				}
+				_, err := tab.Insert(Row{Int(key), Int(0), String_("late")})
+				if held && errors.Is(err, ErrUniqueViolation) {
+					duplicates++
+				} else if !held && errors.Is(err, ErrOutOfSequence) {
+					disorders++
+				} else {
+					t.Fatalf("seed %d step %d: insert of past key %d (held by a live row: %v): %v", seed, step, key, held, err)
+				}
+			case op < 19:
+				for id := range keyOf { // whichever the map yields first
+					if err := tab.Delete(id); err != nil {
+						t.Fatalf("seed %d step %d: %v", seed, step, err)
+					}
+					delete(keyOf, id)
+					break
+				}
+			default:
+				part := rng.Int63n(3)
+				want := tab.PartitionLen(part)
+				if n, err := tab.TruncatePartition(part); err != nil || n != want {
+					t.Fatalf("seed %d step %d: TruncatePartition(%d) = %d, %v; PartitionLen said %d", seed, step, part, n, err, want)
+				}
+				for id := range keyOf {
+					if !tab.heap.live(id) {
+						delete(keyOf, id)
+					}
+				}
+			}
+			checkPair(t, rng, step, pair)
+		}
+		if duplicates == 0 || disorders == 0 {
+			t.Errorf("seed %d: %d duplicate and %d out-of-order keys were refused, want some of each", seed, duplicates, disorders)
+		}
+		if errs := tab.CheckIntegrity(); len(errs) > 0 {
+			t.Fatalf("seed %d: %v", seed, errs)
+		}
+		if seq.Len() != len(keyOf) || generic.Len() != len(keyOf) || seq.Mutations() != 0 {
+			t.Fatalf("seed %d: %d/%d entries for %d live rows, %d mutations of a tree that is not there", seed, seq.Len(), generic.Len(), len(keyOf), seq.Mutations())
+		}
+	}
+}
+
 // TestIndexLayoutFollowsSchema: the layout is decided by the key columns'
 // declared types and by nothing else.
 func TestIndexLayoutFollowsSchema(t *testing.T) {
@@ -281,17 +375,34 @@ func TestIndexLayoutFollowsSchema(t *testing.T) {
 			t.Errorf("index on %v: packed = %v, want %v", tc.cols, got, tc.packed)
 		}
 	}
-	part := NewPartitionedTable(NewSchema("p", Column{Name: "M", Kind: KindInt}), "M")
-	if part.partIdx.ints == nil {
-		t.Error("partition index on a NOT NULL NUMBER column is not packed")
+	// A sequence index is one a unique index on one Ascending column; the
+	// same column in a wider or a non-unique index is packed like any other.
+	seq := NewTable(NewSchema("s", Column{Name: "ID", Kind: KindInt, Ascending: true}, Column{Name: "I", Kind: KindInt}))
+	for _, tc := range []struct {
+		unique   bool
+		cols     []string
+		sequence bool
+	}{
+		{true, []string{"ID"}, true},
+		{false, []string{"ID"}, false},
+		{true, []string{"ID", "I"}, false},
+		{true, []string{"I"}, false},
+	} {
+		ix, err := seq.CreateIndex(fmt.Sprint(tc.unique, tc.cols), tc.unique, tc.cols...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ix.sequence(); got != tc.sequence || got == (ix.ints != nil) {
+			t.Errorf("index on %v (unique %v): sequence = %v, packed = %v", tc.cols, tc.unique, got, ix.ints != nil)
+		}
 	}
 }
 
-// linkShapedTable is rdf_link$ as core declares it: ten columns, the
-// hidden partition index and six more, all but none of them packed.
+// linkShapedTable is rdf_link$ as core declares it: ten columns, a
+// sequence index on LINK_ID and three packed trees.
 func linkShapedTable(t testing.TB) (*Table, *Index) {
 	tab := NewPartitionedTable(NewSchema("link",
-		Column{Name: "LINK_ID", Kind: KindInt},
+		Column{Name: "LINK_ID", Kind: KindInt, Ascending: true},
 		Column{Name: "START_NODE_ID", Kind: KindInt},
 		Column{Name: "P_VALUE_ID", Kind: KindInt},
 		Column{Name: "END_NODE_ID", Kind: KindInt},
@@ -302,28 +413,26 @@ func linkShapedTable(t testing.TB) (*Table, *Index) {
 		Column{Name: "REIF_LINK", Kind: KindString},
 		Column{Name: "MODEL_ID", Kind: KindInt},
 	), "MODEL_ID")
-	var mspo *Index
+	var smpo *Index
 	for _, def := range []struct {
 		name   string
 		unique bool
 		cols   []string
 	}{
 		{"pk", true, []string{"LINK_ID"}},
-		{"mspo", true, []string{"MODEL_ID", "START_NODE_ID", "P_VALUE_ID", "CANON_END_NODE_ID"}},
+		{"smpo", true, []string{"START_NODE_ID", "MODEL_ID", "P_VALUE_ID", "CANON_END_NODE_ID"}},
 		{"mp", false, []string{"MODEL_ID", "P_VALUE_ID"}},
-		{"mo", false, []string{"MODEL_ID", "CANON_END_NODE_ID"}},
-		{"start", false, []string{"START_NODE_ID"}},
-		{"end", false, []string{"END_NODE_ID"}},
+		{"om", false, []string{"CANON_END_NODE_ID", "MODEL_ID"}},
 	} {
 		ix, err := tab.CreateIndex(def.name, def.unique, def.cols...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if def.name == "mspo" {
-			mspo = ix
+		if def.name == "smpo" {
+			smpo = ix
 		}
 	}
-	return tab, mspo
+	return tab, smpo
 }
 
 func linkShapedRow(id int64) Row {
@@ -341,7 +450,7 @@ func linkShapedRow(id int64) Row {
 // heap paid a copy of the row, the generic layout a Key per index, twice
 // for unique ones.)
 func TestLinkInsertAllocBudget(t *testing.T) {
-	tab, mspo := linkShapedTable(t)
+	tab, smpo := linkShapedTable(t)
 	id := int64(0)
 	for ; id < 5000; id++ {
 		if _, err := tab.Insert(linkShapedRow(id)); err != nil {
@@ -360,14 +469,23 @@ func TestLinkInsertAllocBudget(t *testing.T) {
 	}
 	// A key already present costs its descent and nothing else.
 	if got := testing.AllocsPerRun(2000, func() {
-		if _, inserted, err := tab.InsertOrGet(mspo, row); inserted || err != nil {
+		if _, inserted, err := tab.InsertOrGet(smpo, row); inserted || err != nil {
 			t.Fatalf("InsertOrGet of a stored row: inserted=%v err=%v", inserted, err)
 		}
 	}); got > 0 {
 		t.Errorf("InsertOrGet of a stored key: %.0f allocations, budget 0", got)
 	}
-	if got := testing.AllocsPerRun(2000, func() { mspo.LookupInts(1, id/12, id%12, id) }); got > 0 {
+	if got := testing.AllocsPerRun(2000, func() { smpo.LookupInts(id/12, 1, id%12, id) }); got > 0 {
 		t.Errorf("LookupInts: %.0f allocations, budget 0", got)
+	}
+	// The sequence-key probe: a search of the LINK_ID column.
+	pk := tab.MustIndex("pk")
+	if got := testing.AllocsPerRun(2000, func() {
+		if rid, ok := pk.LookupInts(id - 7); !ok || tab.heap.cols[0].cells[rid] != id-7 {
+			t.Fatalf("pk.LookupInts(%d) = (%d,%v)", id-7, rid, ok)
+		}
+	}); got > 0 {
+		t.Errorf("sequence-key LookupInts: %.0f allocations, budget 0", got)
 	}
 }
 
@@ -408,23 +526,26 @@ func TestUpdateSkipsUnchangedKeys(t *testing.T) {
 		t.Errorf("row after updates = %v", r)
 	}
 
-	// END_NODE_ID is in one index: one entry leaves, one enters.
+	// P_VALUE_ID is in two indexes: from each one entry leaves, one enters.
 	before = mutations(tab)
-	if err := tab.UpdateColumn(id, "END_NODE_ID", Int(12345)); err != nil {
+	if err := tab.UpdateColumn(id, "P_VALUE_ID", Int(12345)); err != nil {
 		t.Fatal(err)
 	}
-	if got := mutations(tab) - before; got != 2 {
-		t.Errorf("update of one indexed column made %d B-tree mutations, want 2", got)
+	if got := mutations(tab) - before; got != 4 {
+		t.Errorf("update of a column in two indexes made %d B-tree mutations, want 4", got)
+	}
+	// A sequence key is never updated, to a taken value or a free one.
+	for _, linkID := range []int64{0, 1000} {
+		if err := tab.UpdateColumn(id-1, "LINK_ID", Int(linkID)); !errors.Is(err, ErrOutOfSequence) {
+			t.Fatalf("LINK_ID %d into an old row: err = %v", linkID, err)
+		}
 	}
 	// A unique conflict found part-way leaves every index as it was.
-	if err := tab.UpdateColumn(id, "LINK_ID", Int(0)); !errors.Is(err, ErrUniqueViolation) {
-		t.Fatalf("duplicate LINK_ID: err = %v", err)
-	}
 	other, _ := tab.Get(0)
-	other[0] = Int(1000) // free LINK_ID: pk moves …
-	other[1], other[2], other[4] = r[1], r[2], r[4]
-	if err := tab.Update(0, other); !errors.Is(err, ErrUniqueViolation) { // … then mspo collides with row id
-		t.Fatalf("duplicate MSPO: err = %v", err)
+	other[4] = r[4] // om moves …
+	other[1], other[2] = r[1], Int(12345)
+	if err := tab.Update(0, other); !errors.Is(err, ErrUniqueViolation) { // … then smpo collides with row id
+		t.Fatalf("duplicate SMPO: err = %v", err)
 	}
 	if errs := tab.CheckIntegrity(); len(errs) > 0 {
 		t.Fatal(errs)

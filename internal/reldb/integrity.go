@@ -12,7 +12,13 @@ import "fmt"
 //  1. every live heap row has exactly one entry under its computed key;
 //  2. every index entry points at a live row whose computed key matches;
 //  3. unique indexes hold at most one row per non-NULL key;
-//  4. index cardinality equals the live row count.
+//  4. index cardinality equals the live row count;
+//  5. a sequence index's column rises strictly from row to row, deleted
+//     rows included (its probes search across them).
+//
+// And for a partitioned table: the zone map names exactly the partitions
+// that hold live rows, with their counts, and every such row lies in its
+// partition's row range.
 func (t *Table) CheckIntegrity() []error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -29,7 +35,30 @@ func (t *Table) CheckIntegrity() []error {
 	if len(live) != t.live {
 		addf("table %s: live counter %d, heap has %d live rows", t.name, t.live, len(live))
 	}
+	if t.partCol >= 0 {
+		counts := map[int64]int{}
+		for id, r := range live {
+			part := r[t.partCol].i
+			counts[part]++
+			if z, ok := t.parts[part]; !ok || id < z.min || id > z.max {
+				addf("table %s: row %d of partition %d outside its zone %+v (present: %v)", t.name, id, part, z, ok)
+			}
+		}
+		for part, z := range t.parts {
+			if z.live != counts[part] || z.live == 0 {
+				addf("table %s: zone map counts %d rows in partition %d, heap has %d", t.name, z.live, part, counts[part])
+			}
+		}
+	}
 	for _, ix := range t.ordered {
+		if ix.sequence() {
+			cells := t.heap.cols[ix.cols[0]].cells
+			for id := 1; id < t.heap.n; id++ {
+				if cells[id] <= cells[id-1] {
+					addf("index %s.%s: key %d of row %d does not rise above row %d's %d", t.name, ix.name, cells[id], id, id-1, cells[id-1])
+				}
+			}
+		}
 		entries := 0
 		perKey := map[string][]RowID{}
 		valid := true

@@ -77,3 +77,44 @@ func TestQuickIntegrityUnderRandomOps(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCheckIntegrityReadsTheStorageFreeStructures: a sequence index and a
+// zone map store nothing an entry-by-entry comparison could find wrong, so
+// CheckIntegrity audits what they rely on — the column's order, deleted
+// rows included, and the partitions' counts and row ranges.
+func TestCheckIntegrityReadsTheStorageFreeStructures(t *testing.T) {
+	build := func() *Table {
+		tb := NewPartitionedTable(NewSchema("z",
+			Column{Name: "ID", Kind: KindInt, Ascending: true},
+			Column{Name: "P", Kind: KindInt},
+		), "P")
+		if _, err := tb.CreateIndex("pk", true, "ID"); err != nil {
+			t.Fatal(err)
+		}
+		for i := int64(0); i < 9; i++ {
+			if _, err := tb.Insert(Row{Int(10 + i), Int(i % 3)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tb.Delete(4); err != nil {
+			t.Fatal(err)
+		}
+		return tb
+	}
+	if errs := build().CheckIntegrity(); len(errs) > 0 {
+		t.Fatal(errs)
+	}
+	for name, damage := range map[string]func(tb *Table){
+		"a deleted row's key out of order":  func(tb *Table) { tb.heap.cols[0].cells[4] = 99 },
+		"a zone that counts a row too many": func(tb *Table) { z := tb.parts[1]; z.live++; tb.parts[1] = z },
+		"a zone that ends before its rows":  func(tb *Table) { z := tb.parts[2]; z.max = 5; tb.parts[2] = z },
+		"a partition without a zone":        func(tb *Table) { delete(tb.parts, 0) },
+		"a zone without a partition":        func(tb *Table) { tb.parts[7] = zone{} },
+	} {
+		tb := build()
+		damage(tb)
+		if errs := tb.CheckIntegrity(); len(errs) == 0 {
+			t.Errorf("%s: CheckIntegrity found nothing", name)
+		}
+	}
+}

@@ -16,6 +16,11 @@ import (
 // decodes a byte string into a sequence of operations and applies each to
 // both, comparing every result. TestTableAgainstRowModel feeds it seeded
 // random bytes, FuzzTableOps whatever the fuzzer finds.
+//
+// The table under test is partitioned and carries every index layout: a
+// packed unique key (ID), packed and generic composites, a function-based
+// index, and — on SEQ, an ascending column — a sequence index, which stores
+// nothing and must still answer like a tree and refuse like a unique one.
 
 var modelSchema = NewSchema("model",
 	Column{Name: "ID", Kind: KindInt},
@@ -28,6 +33,7 @@ var modelSchema = NewSchema("model",
 	Column{Name: "U", Kind: KindString}, // in no index
 	Column{Name: "C", Kind: KindInt},    // in no index
 	Column{Name: "K", Kind: KindInt},
+	Column{Name: "SEQ", Kind: KindInt, Ascending: true},
 )
 
 const (
@@ -41,17 +47,41 @@ const (
 	mU
 	mC
 	mK
+	mSeq
 )
 
 // modelTable is the reference: rows by ID, nil once deleted, and the
 // unique constraints checked by looking at every row.
 type modelTable struct {
 	rows []Row
+	seqs []int64 // SEQ of every row ever stored: a deleted row keeps its place in the sequence
+}
+
+// refusal is what the sequence index on SEQ says to row id (the next row ID
+// for an insert) arriving with key v. An older row keeps the key it has.
+// The newest may take any key above its predecessor's; any other is a live
+// row's, or out of order.
+func (m *modelTable) refusal(id RowID, v int64) error {
+	switch {
+	case id < RowID(len(m.seqs)) && m.seqs[id] == v:
+		return nil // an update that leaves the key alone
+	case id < RowID(len(m.seqs))-1:
+		return ErrOutOfSequence
+	case id == 0 || v > m.seqs[id-1]:
+		return nil
+	}
+	for o, r := range m.rows {
+		if r != nil && RowID(o) != id && m.seqs[o] == v {
+			return ErrUniqueViolation
+		}
+	}
+	return ErrOutOfSequence
 }
 
 // The unique constraints of the table under test, in index order: ID, then
-// (PART, S) where S is not NULL, then K — which goes last, so that a
-// conflict on it finds every other index already entered.
+// (PART, S) where S is not NULL, then K — which goes last of the trees, so
+// that a conflict on it finds every other one already entered. The sequence
+// index on SEQ comes after them all: see refusal.
 func (m *modelTable) conflict(r Row, self RowID) (pkHolder RowID, pk, other bool) {
 	for id, o := range m.rows {
 		if o == nil || RowID(id) == self {
@@ -162,6 +192,7 @@ func (o *opBytes) row() Row {
 		mID: Int(int64(o.next() % 24)), mPart: Int(int64(o.next() % 3)), mA: Int(int64(o.next() % 4)),
 		mS: o.str(true), mLong: o.str(true), mF: Null(), mB: Bool(o.next()%2 == 0),
 		mU: o.str(false), mC: Int(int64(o.next())), mK: Int(int64(o.next() % 32)),
+		mSeq: Int(0), // the caller knows where the sequence stands
 	}
 	if b := o.next(); b%3 != 0 {
 		r[mF] = Float(modelFloats[b%len(modelFloats)])
@@ -196,6 +227,10 @@ func runTableOps(t *testing.T, data []byte) {
 		return Key{Int(int64(len(r[mLong].Str())))}
 	}))
 	mustIndex(tab.CreateIndex("k", true, "K"))
+	seq := mustIndex(tab.CreateIndex("seq", true, "SEQ"))
+	if !seq.sequence() {
+		t.Fatal("the unique index on an ascending column has a tree")
+	}
 	model := &modelTable{}
 	ops := &opBytes{data: data}
 
@@ -211,11 +246,27 @@ func runTableOps(t *testing.T, data []byte) {
 		}
 	}
 	pickID := func() RowID { return RowID(ops.next()%(len(model.rows)+2)) - 1 }
+	// nextSeq is usually the next value of the sequence, gaps included, and
+	// now and then one that is taken or was passed over.
+	nextSeq := func() Value {
+		last := int64(-1)
+		if n := len(model.seqs); n > 0 {
+			last = model.seqs[n-1]
+		}
+		b := ops.next()
+		if b%8 == 0 {
+			return Int(int64(ops.next()) % (last + 2))
+		}
+		return Int(last + 1 + int64(b%3))
+	}
 
 	for ; !ops.spent(); step++ {
 		switch op := ops.next() % 12; op {
 		case 0, 1, 2, 3: // Insert, InsertOrGet
 			r := ops.row()
+			if len(r) > mSeq {
+				r[mSeq] = nextSeq()
+			}
 			orGet := op == 3
 			var id RowID
 			var created bool
@@ -238,14 +289,21 @@ func runTableOps(t *testing.T, data []byte) {
 				}
 			case pkHit || other:
 				checkErr("conflicting insert", err, ErrUniqueViolation)
+			case model.refusal(RowID(len(model.rows)), r[mSeq].Int64()) != nil:
+				checkErr("insert out of sequence", err, model.refusal(RowID(len(model.rows)), r[mSeq].Int64()))
 			default:
 				if err != nil || !created || id != RowID(len(model.rows)) {
 					fail("insert = (%d, %v, %v), want (%d, true, nil)", id, created, err, len(model.rows))
 				}
-				model.rows = append(model.rows, r.Clone())
+				model.rows, model.seqs = append(model.rows, r.Clone()), append(model.seqs, r[mSeq].Int64())
 			}
 		case 4: // Update
 			id, r := pickID(), ops.row()
+			if len(r) > mSeq {
+				if r[mSeq] = nextSeq(); model.live(id) && ops.next()%4 != 0 {
+					r[mSeq] = model.rows[id][mSeq] // mostly, as every caller does, leave the key alone
+				}
+			}
 			err := tab.Update(id, r)
 			if modelSchema.Validate(r) != nil {
 				checkErr("update to a bad row", err, ErrSchemaMismatch)
@@ -257,13 +315,15 @@ func runTableOps(t *testing.T, data []byte) {
 				checkErr("update of a dead row", err, ErrNoSuchRow)
 			case pkHit || other:
 				checkErr("conflicting update", err, ErrUniqueViolation)
+			case model.refusal(id, r[mSeq].Int64()) != nil:
+				checkErr("update of a sequence key", err, model.refusal(id, r[mSeq].Int64()))
 			default:
 				checkErr("update", err, nil)
-				model.rows[id] = r.Clone()
+				model.rows[id], model.seqs[id] = r.Clone(), r[mSeq].Int64()
 			}
 		case 5, 6: // UpdateColumn: 5 an indexed column, 6 one no index reads
 			id := pickID()
-			cols := [][]int{{mA, mK, mS, mLong}, {mU, mC}}[op-5]
+			cols := [][]int{{mA, mK, mS, mLong, mSeq, mPart}, {mU, mC}}[op-5]
 			col := cols[ops.next()%len(cols)]
 			var v Value
 			switch modelSchema.Column(col).Kind {
@@ -283,8 +343,12 @@ func runTableOps(t *testing.T, data []byte) {
 				checkErr("conflicting column update", err, ErrUniqueViolation)
 				continue
 			}
+			if want := model.refusal(id, r[mSeq].Int64()); want != nil {
+				checkErr("column update of a sequence key", err, want)
+				continue
+			}
 			checkErr("column update", err, nil)
-			model.rows[id] = r
+			model.rows[id], model.seqs[id] = r, r[mSeq].Int64()
 		case 7: // Delete
 			id := pickID()
 			err := tab.Delete(id)
@@ -312,17 +376,17 @@ func runTableOps(t *testing.T, data []byte) {
 				fail("TruncatePartition(%d) removed %d rows, want %d", part, n, want)
 			}
 		default:
-			compareReads(t, step, tab, pk, pa, byLen, model, int64(ops.next()%3), int64(ops.next()%4))
+			compareReads(t, step, tab, pk, pa, byLen, seq, model, int64(ops.next()%3), int64(ops.next()%4))
 		}
 	}
-	compareReads(t, step, tab, pk, pa, byLen, model, 1, 1)
+	compareReads(t, step, tab, pk, pa, byLen, seq, model, 1, 1)
 	for _, err := range tab.CheckIntegrity() {
 		t.Errorf("after %d steps: %v", step, err)
 	}
 }
 
 // compareReads asks the table and the model the same questions.
-func compareReads(t *testing.T, step int, tab *Table, pk, pa, byLen *Index, model *modelTable, part, a int64) {
+func compareReads(t *testing.T, step int, tab *Table, pk, pa, byLen, seq *Index, model *modelTable, part, a int64) {
 	t.Helper()
 	all := func(Row) bool { return true }
 	check := func(what string, want []RowID, scan func(visit func(id RowID, r Row) bool)) {
@@ -357,6 +421,30 @@ func compareReads(t *testing.T, step int, tab *Table, pk, pa, byLen *Index, mode
 	})
 	if got, want := tab.PartitionLen(part), len(model.ids(inPart, nil)); got != want {
 		t.Fatalf("step %d: PartitionLen(%d) = %d, want %d", step, part, got, want)
+	}
+	var parts []int64
+	for p := int64(0); p < 32; p++ { // PART is below 3 in a row, below 32 after a column update
+		if len(model.ids(func(r Row) bool { return r[mPart].Int64() == p }, nil)) > 0 {
+			parts = append(parts, p)
+		}
+	}
+	if got := tab.Partitions(); fmt.Sprint(got) != fmt.Sprint(parts) {
+		t.Fatalf("step %d: Partitions() = %v, want %v", step, got, parts)
+	}
+	// The sequence index, as scrub.go reads rdf_link_pk: from a cursor to
+	// the end, in key order — which is row order — keys included.
+	cursor := part*7 + a
+	check("sequence Scan", model.ids(func(r Row) bool { return r[mSeq].Int64() >= cursor }, nil), func(visit func(RowID, Row) bool) {
+		seq.Scan(Key{Int(cursor)}, nil, func(k Key, id RowID) bool {
+			r, err := tab.Get(id)
+			if err != nil || k.Compare(Key{r[mSeq]}) != 0 {
+				t.Fatalf("step %d: sequence Scan: key %v with row %d = %v, %v", step, k, id, r, err)
+			}
+			return visit(id, r)
+		})
+	})
+	if seq.Len() != tab.Len() {
+		t.Fatalf("step %d: the sequence index counts %d entries, the table %d rows", step, seq.Len(), tab.Len())
 	}
 	byA := func(x, y Row) int { return x[mA].Compare(y[mA]) }
 	check("ScanPrefixRows", model.ids(inPart, byA), func(visit func(RowID, Row) bool) {
@@ -398,6 +486,23 @@ func compareReads(t *testing.T, step int, tab *Table, pk, pa, byLen *Index, mode
 			t.Fatalf("step %d: pk lookup of row %d = %d, %v", step, id, got, ok)
 		}
 	}
+	// Every key the sequence ever held, and the gaps between: a live row's
+	// finds the row, a deleted row's and a skipped one find nothing.
+	holder := map[int64]RowID{}
+	for id, v := range model.seqs {
+		if model.live(RowID(id)) {
+			holder[v] = RowID(id)
+		}
+	}
+	for v := int64(-1); len(model.seqs) > 0 && v <= model.seqs[len(model.seqs)-1]+1; v++ {
+		want, live := holder[v]
+		if got, ok := seq.LookupInts(v); ok != live || ok && got != want {
+			t.Fatalf("step %d: sequence LookupInts(%d) = (%d, %v), want (%d, %v)", step, v, got, ok, want, live)
+		}
+		if got := seq.Lookup(Key{Int(v)}); len(got) > 1 || (len(got) == 1) != live || live && got[0] != want {
+			t.Fatalf("step %d: sequence Lookup(%d) = %v, want row %d present %v", step, v, got, want, live)
+		}
+	}
 }
 
 func TestTableAgainstRowModel(t *testing.T) {
@@ -429,7 +534,7 @@ func TestLateUniqueConflictRollsBack(t *testing.T) {
 		}
 	}
 	row := func(id, k int64, s string) Row {
-		return Row{Int(id), Int(1), Int(0), String_(s), Null(), Null(), Bool(true), String_("u"), Int(0), Int(k)}
+		return Row{Int(id), Int(1), Int(0), String_(s), Null(), Null(), Bool(true), String_("u"), Int(0), Int(k), Int(id)}
 	}
 	if _, err := tab.Insert(row(1, 7, "first")); err != nil {
 		t.Fatal(err)
@@ -447,8 +552,8 @@ func TestLateUniqueConflictRollsBack(t *testing.T) {
 	if errs := tab.CheckIntegrity(); len(errs) > 0 || tab.Len() != 1 || tab.heap.n != 1 {
 		t.Fatalf("after the refused insert: %d rows, heap of %d, integrity %v", tab.Len(), tab.heap.n, errs)
 	}
-	if got := muts() - before; got != 6 { // partition, pk, ps: in and out again
-		t.Fatalf("refused insert made %d index mutations, want 6", got)
+	if got := muts() - before; got != 4 { // pk, ps: in and out again
+		t.Fatalf("refused insert made %d index mutations, want 4", got)
 	}
 	id, err := tab.Insert(row(2, 8, "second"))
 	if err != nil || id != 1 {
@@ -476,7 +581,7 @@ func TestScanRowIsAScratchRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < 5; i++ {
-		r := Row{Int(i), Int(1), Int(i), String_(fmt.Sprint("s", i)), Null(), Null(), Bool(true), String_("u"), Int(i), Int(i)}
+		r := Row{Int(i), Int(1), Int(i), String_(fmt.Sprint("s", i)), Null(), Null(), Bool(true), String_("u"), Int(i), Int(i), Int(i)}
 		if _, err := tab.Insert(r); err != nil {
 			t.Fatal(err)
 		}

@@ -10,6 +10,12 @@ type Column struct {
 	Name     string
 	Kind     Kind
 	Nullable bool
+	// Ascending declares that the column's values rise strictly with the
+	// row ID: fed by a sequence, never updated (LINK_ID, VALUE_ID). The
+	// column vector is then sorted, and a unique index on the column alone
+	// is that vector — it stores nothing and refuses a row out of order
+	// (see Index). Only a NOT NULL NUMBER column can be.
+	Ascending bool
 }
 
 // Schema is an ordered list of columns.
@@ -30,6 +36,9 @@ func NewSchema(table string, cols ...Column) *Schema {
 			panic(fmt.Sprintf("reldb: duplicate column %q in table %q", c.Name, table))
 		}
 		s.byName[key] = i
+		if c.Ascending && (c.Kind != KindInt || c.Nullable) {
+			panic(fmt.Sprintf("reldb: ascending column %s.%s must be NOT NULL NUMBER", table, c.Name))
+		}
 	}
 	return s
 }

@@ -2,6 +2,7 @@ package reldb
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -30,9 +31,19 @@ type Table struct {
 	indexes map[string]*Index
 	ordered []*Index // maintenance order, deterministic
 	partCol int      // -1 when unpartitioned
-	partIdx *Index   // hidden partition index when partCol >= 0
+	// parts is the partitioned table's zone map: for every partition that
+	// holds rows, how many, and the row IDs they lie between. A partition's
+	// rows are found by sweeping the partition column over that range.
+	parts map[int64]zone
 	// old and cur are the write paths' row buffers, under the write lock.
 	old, cur Row
+}
+
+// zone describes one partition: live rows, all of them in [min, max]. The
+// range only ever widens while the partition has rows.
+type zone struct {
+	live     int
+	min, max RowID
 }
 
 // NewTable creates an unpartitioned table.
@@ -49,19 +60,17 @@ func NewTable(schema *Schema) *Table {
 }
 
 // NewPartitionedTable creates a table list-partitioned on the named integer
-// column. Partition pruning is available through ScanPartition, and
-// partition-local access paths are composite indexes prefixed with the
-// partition column. This mirrors how the paper's rdf_link$ table is
-// partitioned by MODEL_ID (§4).
+// column. Partition pruning is available through ScanPartition (a sweep of
+// the partition's row range, see zone), and partition-local access paths
+// are composite indexes that include the partition column. This mirrors how
+// the paper's rdf_link$ table is partitioned by MODEL_ID (§4).
 func NewPartitionedTable(schema *Schema, partColumn string) *Table {
 	t := NewTable(schema)
 	t.partCol = schema.MustColumnIndex(partColumn)
 	if schema.Column(t.partCol).Kind != KindInt {
 		panic(fmt.Sprintf("reldb: partition column %s.%s must be NUMBER", schema.Table(), partColumn))
 	}
-	t.partIdx = t.newColumnIndex("__part$"+partColumn, false, []string{partColumn})
-	t.indexes[t.partIdx.name] = t.partIdx
-	t.ordered = append(t.ordered, t.partIdx)
+	t.parts = make(map[int64]zone)
 	return t
 }
 
@@ -125,6 +134,9 @@ func (t *Table) insertLocked(r Row, first *Index) (RowID, bool, error) {
 	if first != nil && first.ints == nil {
 		if other, ok := first.add(stored, id); !ok {
 			t.heap.pop()
+			if other == noRow {
+				return 0, false, refused(first, stored, other)
+			}
 			return other, false, nil
 		}
 	}
@@ -132,22 +144,55 @@ func (t *Table) insertLocked(r Row, first *Index) (RowID, bool, error) {
 		if ix == first {
 			continue
 		}
-		if _, ok := ix.add(stored, id); !ok {
+		if other, ok := ix.add(stored, id); !ok {
 			for m, done := range t.ordered {
 				if m < n || done == first {
 					done.remove(stored, id)
 				}
 			}
 			t.heap.pop()
-			return 0, false, uniqueViolation(ix, stored)
+			return 0, false, refused(ix, stored, other)
 		}
 	}
 	t.live++
+	t.enter(stored, id)
 	return id, true, nil
 }
 
-func uniqueViolation(ix *Index, r Row) error {
-	return fmt.Errorf("%w: index %s key %s", ErrUniqueViolation, ix.name, ix.keyOf(r))
+// refused is the error for row r, which ix would not take because row
+// other holds its key — or, other being noRow, because ix is a sequence
+// index and the key is out of order.
+func refused(ix *Index, r Row, other RowID) error {
+	why := ErrUniqueViolation
+	if other == noRow {
+		why = ErrOutOfSequence
+	}
+	return fmt.Errorf("%w: index %s key %s", why, ix.name, ix.keyOf(r))
+}
+
+// enter and leave keep the zone map: row id, whose cells are r's, has
+// joined or left its partition. Caller holds the write lock.
+func (t *Table) enter(r Row, id RowID) {
+	if t.partCol < 0 {
+		return
+	}
+	z, ok := t.parts[r[t.partCol].i]
+	if !ok {
+		z.min, z.max = id, id
+	}
+	t.parts[r[t.partCol].i] = zone{z.live + 1, min(z.min, id), max(z.max, id)}
+}
+
+func (t *Table) leave(r Row) {
+	if t.partCol < 0 {
+		return
+	}
+	z := t.parts[r[t.partCol].i]
+	if z.live--; z.live > 0 {
+		t.parts[r[t.partCol].i] = z
+	} else {
+		delete(t.parts, r[t.partCol].i)
+	}
 }
 
 func (t *Table) noSuchRow(id RowID) error {
@@ -213,18 +258,22 @@ func (t *Table) updateLocked(id RowID, r Row) error {
 		if ix.sameKey(old, cur) {
 			continue
 		}
-		if _, ok := ix.add(cur, id); !ok {
+		if other, ok := ix.add(cur, id); !ok {
 			for _, done := range t.ordered[:n] {
 				if !done.sameKey(old, cur) {
 					done.remove(cur, id)
 					done.add(old, id)
 				}
 			}
-			err := uniqueViolation(ix, cur)
+			err := refused(ix, cur, other)
 			t.write(id, cur, old)
 			return err
 		}
 		ix.remove(old, id)
+	}
+	if t.partCol >= 0 && old[t.partCol].i != cur[t.partCol].i {
+		t.leave(old)
+		t.enter(cur, id)
 	}
 	return nil
 }
@@ -241,12 +290,14 @@ func (t *Table) UpdateColumn(id RowID, column string, v Value) error {
 	if !t.heap.live(id) {
 		return t.noSuchRow(id)
 	}
+	depends := pos == t.partCol
 	for _, ix := range t.ordered {
-		if ix.dependsOn(pos) {
-			r := t.heap.row(make(Row, len(t.heap.cols)), id)
-			r[pos] = v
-			return t.updateLocked(id, r)
-		}
+		depends = depends || ix.dependsOn(pos)
+	}
+	if depends {
+		r := t.heap.row(make(Row, len(t.heap.cols)), id)
+		r[pos] = v
+		return t.updateLocked(id, r)
 	}
 	t.heap.set(id, pos, v)
 	return nil
@@ -265,6 +316,7 @@ func (t *Table) Delete(id RowID) error {
 	}
 	t.heap.dead.set(id, true)
 	t.live--
+	t.leave(r)
 	return nil
 }
 
@@ -287,14 +339,25 @@ func (t *Table) Scan(fn func(id RowID, r Row) bool) {
 	t.ScanCells(func(c Cells) bool { return fn(c.id, t.heap.row(buf, c.id)) })
 }
 
-// ScanPartitionCells visits the live rows of one partition (partition-
-// pruned scan), handing fn each row's cells in place. It requires a
-// partitioned table.
+// ScanPartitionCells visits the live rows of one partition in row-ID order
+// (partition-pruned scan: only the partition's row range is swept), handing
+// fn each row's cells in place. It requires a partitioned table.
 func (t *Table) ScanPartitionCells(part int64, fn func(c Cells) bool) error {
 	if t.partCol < 0 {
 		return fmt.Errorf("%w: table %s is not partitioned", ErrNoSuchPartition, t.name)
 	}
-	t.partIdx.ScanIntsCells([]int64{part}, fn)
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	z, ok := t.parts[part]
+	if !ok {
+		return nil
+	}
+	cells := t.heap.cols[t.partCol].cells
+	for id := z.min; id <= z.max; id++ {
+		if cells[id] == part && !t.heap.dead.get(id) && !fn(Cells{&t.heap, id}) {
+			break
+		}
+	}
 	return nil
 }
 
@@ -307,11 +370,9 @@ func (t *Table) ScanPartition(part int64, fn func(id RowID, r Row) bool) error {
 
 // PartitionLen returns the number of live rows in one partition.
 func (t *Table) PartitionLen(part int64) int {
-	n := 0
-	if err := t.ScanPartitionCells(part, func(Cells) bool { n++; return true }); err != nil {
-		return 0
-	}
-	return n
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.parts[part].live
 }
 
 // Partitions returns the distinct partition key values that currently hold
@@ -322,17 +383,11 @@ func (t *Table) Partitions() []int64 {
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var parts []int64
-	var last *int64
-	t.partIdx.ascendLocked(func(key Key, _ RowID) bool {
-		v := key[0].Int64()
-		if last == nil || *last != v {
-			parts = append(parts, v)
-			v2 := v
-			last = &v2
-		}
-		return true
-	})
+	parts := make([]int64, 0, len(t.parts))
+	for part := range t.parts {
+		parts = append(parts, part)
+	}
+	slices.Sort(parts)
 	return parts
 }
 
