@@ -64,26 +64,35 @@ govulncheck:
 test:
 	$(GO) test ./...
 
+# Named-test gates run through tools/run-named-tests.sh, which fails when
+# a listed test did not run — `go test -run` alone passes on no match.
+RUN_NAMED = GO=$(GO) bash tools/run-named-tests.sh
+
 # Supervisor fault-injection stress under the race detector: concurrent
 # writers/readers/scrubber driven through injected WAL faults, asserting
 # the full Healthy→Degraded→Recovering→Healthy cycle, no corrupt reads,
-# and zero loss of acknowledged commits.
+# and zero loss of acknowledged commits; then the crash-point matrix
+# and checkpoint windows at their sampled (-short) depth.
 chaos:
-	$(GO) test -race -count=3 -run 'TestChaosCycle|TestDurabilityFault|TestDegradedReads' \
-		./internal/supervise/ ./internal/core/ -v
+	TESTS='TestChaosCycle TestDurabilityFaultDegradesThenRecovers TestDegradedReadsWhileWritesRejected' \
+		$(RUN_NAMED) -race -count=3 ./internal/supervise/ ./internal/core/
+	TESTS='TestDirCrashMatrix TestDirCheckpointCrashWindows' \
+		$(RUN_NAMED) -race -short -count=1 ./internal/core/
 
-# Disk-pressure chaos for the segmented WAL: the crash-point matrix over
-# every byte of a multi-segment run, checkpoint crash windows, the
-# supervisor-level ENOSPC chaos cycle (injected no-space and partial
-# writes under concurrent load, asserting zero acked-commit loss and
-# automatic return to Healthy), then an end-to-end rdfbench drill
-# against a live segmented-WAL rdfserve with ENOSPC faults armed —
-# every injected fault must surface as a typed 507/503, never a 500.
+# Disk-pressure chaos for the WAL: the crash-point matrix at full depth
+# (every byte of a one-segment log, every third across rotating
+# segments, with and without group commit) and the checkpoint crash
+# windows, the supervisor-level ENOSPC chaos cycle
+# (injected no-space and partial writes under concurrent load,
+# asserting zero acked-commit loss and automatic return to Healthy),
+# then an end-to-end rdfbench drill against a live rdfserve with write
+# and ENOSPC faults armed — every injected fault must surface as a
+# typed 507/503, never a 500.
 chaos-disk:
-	$(GO) test -race -count=1 -run 'TestDirCrashMatrix|TestDirCheckpointCrashWindows' \
-		./internal/core/ -v
-	$(GO) test -race -count=1 -run 'TestChaosDiskENOSPC|TestHardBudgetDegradesAndSelfHeals|TestDiskRecoveryNeverReachesFailed' \
-		./internal/supervise/ -v
+	TESTS='TestDirCrashMatrix TestDirCheckpointCrashWindows' \
+		$(RUN_NAMED) -race -count=1 ./internal/core/
+	TESTS='TestChaosDiskENOSPC TestHardBudgetDegradesAndSelfHeals TestDiskRecoveryNeverReachesFailed' \
+		$(RUN_NAMED) -race -count=1 ./internal/supervise/
 	$(GO) run ./cmd/rdfbench -conns 32 -duration 3s -burst 64 \
 		-wal-segment-bytes 4096 -wal-soft-bytes 65536 -chaos-wal-enospc-rate 0.01
 

@@ -18,12 +18,11 @@
 //	rdfbench -conns 1000 -duration 10s          # self-serve chaos drill
 //
 // Without -base, rdfbench starts an in-process rdfserve-equivalent over
-// a supervised store whose WAL is wrapped with a deterministic fault
-// injector (-chaos-wal-write-rate), so the bench exercises the
+// a supervised store whose WAL segments are wrapped with a deterministic
+// fault injector (-chaos-wal-write-rate), so the bench exercises the
 // Degraded/Recovering 503 paths and WAL recovery under fire, then
-// shuts the server down mid-load to verify the drain contract. With
-// -segmented-wal (or any of the -wal-*-bytes / -chaos-wal-enospc-rate
-// knobs) the store runs on the segmented WAL instead: rotation, disk
+// shuts the server down mid-load to verify the drain contract. The
+// -wal-*-bytes and -chaos-wal-enospc-rate knobs add rotation, disk
 // budgets, automatic checkpoints, and the Degraded(disk) 507 path under
 // injected ENOSPC. Results
 // (p50/p99 latency per endpoint, status and rejection tallies,
@@ -80,7 +79,6 @@ type config struct {
 	burst        int
 	inflight     int64
 	hangSlack    time.Duration
-	segmented    bool
 	segmentBytes int64
 	softBytes    int64
 	hardBytes    int64
@@ -100,11 +98,10 @@ func newFlagSet() (*flag.FlagSet, *config) {
 	fs.StringVar(&cfg.jsonPath, "json", "", "write the machine-readable report to this file")
 	fs.Float64Var(&cfg.chaosRate, "chaos-wal-write-rate", 0.02, "self-serve: probability each WAL write fails")
 	fs.Int64Var(&cfg.chaosSeed, "chaos-seed", 1, "self-serve: fault injector seed")
-	fs.BoolVar(&cfg.segmented, "segmented-wal", false, "self-serve: segmented WAL directory instead of a single log file")
-	fs.Int64Var(&cfg.segmentBytes, "wal-segment-bytes", 0, "self-serve: segment rotation threshold in bytes (0 = 64 MiB default; implies -segmented-wal)")
-	fs.Int64Var(&cfg.softBytes, "wal-soft-bytes", 0, "self-serve: soft disk watermark triggering automatic checkpoints (implies -segmented-wal)")
-	fs.Int64Var(&cfg.hardBytes, "wal-hard-bytes", 0, "self-serve: hard disk budget — writes past it answer 507 until recovery frees segments (implies -segmented-wal)")
-	fs.Float64Var(&cfg.enospcRate, "chaos-wal-enospc-rate", 0, "self-serve: probability each segment write fails with injected ENOSPC (implies -segmented-wal)")
+	fs.Int64Var(&cfg.segmentBytes, "wal-segment-bytes", 0, "self-serve: segment rotation threshold in bytes (0 = 64 MiB default)")
+	fs.Int64Var(&cfg.softBytes, "wal-soft-bytes", 0, "self-serve: soft disk watermark triggering automatic checkpoints")
+	fs.Int64Var(&cfg.hardBytes, "wal-hard-bytes", 0, "self-serve: hard disk budget — writes past it answer 507 until recovery frees segments")
+	fs.Float64Var(&cfg.enospcRate, "chaos-wal-enospc-rate", 0, "self-serve: probability each segment write fails with injected ENOSPC")
 	fs.IntVar(&cfg.burst, "burst", 256, "size of the synchronized heavy-query burst that must overflow admission")
 	fs.Int64Var(&cfg.inflight, "max-inflight", 32, "self-serve: server admission capacity (small, so the burst rejects)")
 	fs.DurationVar(&cfg.hangSlack, "hang-slack", 15*time.Second, "client-side hang budget past the server's max timeout")
@@ -119,9 +116,6 @@ func run(args []string, stdout io.Writer) error {
 	cfg := *cfgp
 	if cfg.conns < 1 {
 		return errors.New("-conns must be >= 1")
-	}
-	if cfg.segmentBytes > 0 || cfg.softBytes > 0 || cfg.hardBytes > 0 || cfg.enospcRate > 0 {
-		cfg.segmented = true
 	}
 
 	b := newBench(cfg)
@@ -225,60 +219,38 @@ func (b *bench) startSelfServe(stdout io.Writer) (stop func(), injected func() (
 	var flakyMu sync.Mutex
 	var flakies []*wal.FlakyFile
 	var armed bool // faults arm after the seed insert (armChaos)
+	// arm sets the fault rates of the i-th segment file the run opened.
+	arm := func(fl *wal.FlakyFile, i int) {
+		seed := b.cfg.chaosSeed + int64(i)
+		fl.SetErrorRate(b.cfg.chaosRate, 0, seed)
+		fl.SetNoSpaceRate(b.cfg.enospcRate, seed)
+	}
 	scfg := supervise.Config{
 		SnapshotPath: filepath.Join(dir, "bench.snap"),
-		Obs:          obs.NewRegistry(),
-	}
-	if b.cfg.segmented {
-		scfg.WALDir = filepath.Join(dir, "bench.wal.d")
-		scfg.Segment = wal.DirOptions{
+		WALDir:       filepath.Join(dir, "bench.wal.d"),
+		Segment: wal.DirOptions{
 			SegmentBytes: b.cfg.segmentBytes,
 			Budget:       wal.Budget{SoftBytes: b.cfg.softBytes, HardBytes: b.cfg.hardBytes},
-		}
-		if b.cfg.enospcRate > 0 {
-			var seq int64
-			scfg.Segment.Wrap = func(f wal.File) wal.File {
-				fl := wal.NewFlaky(f)
-				flakyMu.Lock()
-				seq++
-				if armed {
-					fl.SetNoSpaceRate(b.cfg.enospcRate, b.cfg.chaosSeed+seq)
-				}
-				flakies = append(flakies, fl)
-				flakyMu.Unlock()
-				return fl
-			}
-			b.armChaos = func() {
-				flakyMu.Lock()
-				defer flakyMu.Unlock()
-				armed = true
-				for i, fl := range flakies {
-					fl.SetNoSpaceRate(b.cfg.enospcRate, b.cfg.chaosSeed+int64(i)+1)
-				}
-			}
-		}
-	} else {
-		scfg.WALPath = filepath.Join(dir, "bench.wal")
+		},
+		Obs: obs.NewRegistry(),
 	}
-	if b.cfg.chaosRate > 0 && !b.cfg.segmented {
-		scfg.OpenWAL = func(path string, fn wal.RecordFunc) (*wal.Log, wal.ScanResult, error) {
-			return wal.OpenFileWith(path, func(f wal.File) wal.File {
-				fl := wal.NewFlaky(f)
-				flakyMu.Lock()
-				if armed {
-					fl.SetErrorRate(b.cfg.chaosRate, 0, b.cfg.chaosSeed)
-				}
-				flakies = append(flakies, fl)
-				flakyMu.Unlock()
-				return fl
-			}, fn)
+	if b.cfg.chaosRate > 0 || b.cfg.enospcRate > 0 {
+		scfg.Segment.Wrap = func(f wal.File) wal.File {
+			fl := wal.NewFlaky(f)
+			flakyMu.Lock()
+			flakies = append(flakies, fl)
+			if armed {
+				arm(fl, len(flakies))
+			}
+			flakyMu.Unlock()
+			return fl
 		}
 		b.armChaos = func() {
 			flakyMu.Lock()
 			defer flakyMu.Unlock()
 			armed = true
-			for _, fl := range flakies {
-				fl.SetErrorRate(b.cfg.chaosRate, 0, b.cfg.chaosSeed)
+			for i, fl := range flakies {
+				arm(fl, i+1)
 			}
 		}
 	}
@@ -316,13 +288,8 @@ func (b *bench) startSelfServe(stdout io.Writer) (stop func(), injected func() (
 	}
 	go srv.Serve(ln)
 	b.cfg.base = "http://" + ln.Addr().String()
-	if b.cfg.segmented {
-		fmt.Fprintf(stdout, "self-serve: %s (segmented WAL, ENOSPC rate %.2f, capacity %d)\n",
-			b.cfg.base, b.cfg.enospcRate, b.cfg.inflight)
-	} else {
-		fmt.Fprintf(stdout, "self-serve: %s (chaos write rate %.2f, capacity %d)\n",
-			b.cfg.base, b.cfg.chaosRate, b.cfg.inflight)
-	}
+	fmt.Fprintf(stdout, "self-serve: %s (chaos write rate %.2f, ENOSPC rate %.2f, capacity %d)\n",
+		b.cfg.base, b.cfg.chaosRate, b.cfg.enospcRate, b.cfg.inflight)
 
 	injected = func() (int, int) {
 		flakyMu.Lock()

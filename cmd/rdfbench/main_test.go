@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -46,5 +47,25 @@ func TestServingKnobTableInSync(t *testing.T) {
 	got := strings.TrimSpace(doc[i+len(begin) : j])
 	if got != want {
 		t.Fatalf("SERVING.md rdfbench knob table out of sync; regenerate it as:\n%s", want)
+	}
+}
+
+// TestSelfServeInjectsWriteFaultsOnSegments runs the self-serve drill
+// with a segment knob and a write-fault rate set together: the write rate
+// must arm on every segment file alongside the segment options, so the
+// report counts injected write failures.
+func TestSelfServeInjectsWriteFaultsOnSegments(t *testing.T) {
+	if testing.Short() {
+		t.Skip("self-serve drill skipped in -short mode")
+	}
+	var out strings.Builder
+	err := run([]string{"-conns", "4", "-duration", "1s", "-burst", "8",
+		"-wal-segment-bytes", "4096", "-chaos-wal-write-rate", "0.3"}, &out)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out.String())
+	}
+	m := regexp.MustCompile(`injected WAL faults (\d+)`).FindStringSubmatch(out.String())
+	if m == nil || m[1] == "0" {
+		t.Fatalf("the drill injected no WAL write faults:\n%s", out.String())
 	}
 }

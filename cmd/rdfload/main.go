@@ -10,22 +10,18 @@
 //
 //	rdfload -model name [-policy drop|insert|report] [-keep-orig] file.nt
 //	cat file.nt | rdfload -model name
-//	rdfload -model name -wal store.wal file.nt        # durable load
-//	rdfload -model name -batch 4096 -workers 0 -wal store.wal file.nt
+//	rdfload -model name -wal-dir store.d file.nt        # durable load
+//	rdfload -model name -batch 4096 -workers 0 -wal-dir store.d file.nt
 //
-// With -wal, every mutation is appended to a write-ahead log before the
-// command exits, and an existing log at that path is replayed first — so
-// an interrupted load resumes from its last durable record instead of
-// starting over. Pair with -save to checkpoint: the snapshot is written
-// and the log truncated, keeping recovery (snapshot + log) small. To
-// keep loading into a checkpointed store, pass the snapshot back with
-// -snapshot alongside -wal.
-//
-// -wal-dir selects the segmented WAL instead of a single file: rotating
-// segment files (-wal-segment-bytes) under an optional disk budget
-// (-wal-hard-bytes). With -save the checkpoint records a segment
-// watermark in the snapshot and retires the segments it covers; pass
-// the same -snapshot and -wal-dir back to continue.
+// With -wal-dir, every mutation is appended to a write-ahead log — a
+// directory of rotating segment files (-wal-segment-bytes) under an
+// optional disk budget (-wal-hard-bytes) — before the command exits, and
+// an existing log there is replayed first, so an interrupted load resumes
+// from its last durable record instead of starting over. Pair with -save
+// to checkpoint: the snapshot records a segment watermark and the
+// segments it covers are retired, keeping recovery (snapshot + log)
+// small. To keep loading into a checkpointed store, pass the same
+// -snapshot and -wal-dir back.
 //
 // Bulk load: -workers parses the input with parallel workers (0 = all
 // CPUs), and every statement — quad bases and their reification rows
@@ -77,16 +73,15 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	policy := fs.String("policy", "drop", "incomplete-quad policy: drop, insert, or report")
 	keepOrig := fs.Bool("keep-orig", false, "store original quad-resource URIs alongside DBUris")
 	save := fs.String("save", "", "write a store snapshot to this file after loading (readable by rdfquery -snapshot)")
-	walPath := fs.String("wal", "", "write-ahead log file: mutations are logged durably, and an existing log is replayed before loading")
-	walDir := fs.String("wal-dir", "", "segmented write-ahead log directory (rotating segments; mutually exclusive with -wal)")
+	walDir := fs.String("wal-dir", "", "write-ahead log directory (rotating segments): mutations are logged durably, and an existing log is replayed before loading")
 	segmentBytes := fs.Int64("wal-segment-bytes", 0, "segment rotation threshold in bytes (0 = 64 MiB default; requires -wal-dir)")
 	hardBytes := fs.Int64("wal-hard-bytes", 0, "hard disk budget for the WAL directory: appends past it fail with a typed disk-full error (0 disables; requires -wal-dir)")
-	snapPath := fs.String("snapshot", "", "checkpoint snapshot to load before replaying the WAL (continue a store checkpointed with -save -wal)")
+	snapPath := fs.String("snapshot", "", "checkpoint snapshot to load before replaying the WAL (continue a store checkpointed with -save -wal-dir)")
 	format := fs.String("format", "nt", "input format: nt (N-Triples) or xml (RDF/XML)")
 	base := fs.String("base", "", "base URI for resolving rdf:ID in RDF/XML input")
 	batch := fs.Int("batch", 1024, "statements per insert group: one WAL commit each (1 = a commit per statement; the stored result is the same at any size)")
 	workers := fs.Int("workers", 0, "parallel N-Triples parse workers (0 = all CPUs, 1 = serial)")
-	syncEvery := fs.Int("sync-every", 1, "with -wal, fsync once every N commits instead of every commit (group commit)")
+	syncEvery := fs.Int("sync-every", 1, "with -wal-dir, fsync once every N commits instead of every commit (group commit)")
 	traceWAL := fs.Bool("trace-wal", false, "record wal.flush span trees during a group-committed load and print the slowest flush (requires -sync-every > 1)")
 	adminAddr := fs.String("admin", "", "serve /metrics, /healthz, /events, and /debug/pprof on this address (e.g. 127.0.0.1:9090) while loading")
 	adminLinger := fs.Duration("admin-linger", 0, "with -admin, keep serving this long after the load finishes so the endpoint can be scraped")
@@ -99,11 +94,8 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if *syncEvery < 1 {
 		return fmt.Errorf("-sync-every must be >= 1 (got %d)", *syncEvery)
 	}
-	if *walPath != "" && *walDir != "" {
-		return errors.New("-wal and -wal-dir are mutually exclusive")
-	}
-	if *traceWAL && (*syncEvery < 2 || (*walPath == "" && *walDir == "")) {
-		return errors.New("-trace-wal requires -wal or -wal-dir with -sync-every > 1 (flush spans come from group commit)")
+	if *traceWAL && (*syncEvery < 2 || *walDir == "") {
+		return errors.New("-trace-wal requires -wal-dir with -sync-every > 1 (flush spans come from group commit)")
 	}
 	if (*segmentBytes > 0 || *hardBytes > 0) && *walDir == "" {
 		return errors.New("-wal-segment-bytes/-wal-hard-bytes require -wal-dir")
@@ -138,9 +130,10 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 
 	store := core.New()
 	var dir *wal.Dir
-	if *walDir != "" {
-		// Segmented WAL: snapshot (with its segment watermark), retention
-		// cleanup, and replay happen in one recovery step.
+	switch {
+	case *walDir != "":
+		// Snapshot (with its segment watermark), retention cleanup, and
+		// replay happen in one recovery step.
 		if *snapPath != "" {
 			if _, err := os.Stat(*snapPath); err != nil {
 				return err
@@ -154,14 +147,12 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		})
 		if err != nil {
 			switch {
-			case errors.Is(err, core.ErrSnapshotVersion):
-				return fmt.Errorf("snapshot %s was written by an incompatible format version — regenerate it with this build's -save (%v)", *snapPath, err)
-			case errors.Is(err, core.ErrSnapshotCorrupt):
-				return fmt.Errorf("snapshot %s is damaged and cannot be loaded (%v)", *snapPath, err)
 			case errors.Is(err, wal.ErrSegmentCorrupt):
 				return fmt.Errorf("WAL directory %s is damaged (a non-final segment is torn or missing): %v", *walDir, err)
+			case errors.Is(err, wal.ErrNotWAL):
+				return fmt.Errorf("%s does not hold WAL segments (wrong path?): %v", *walDir, err)
 			}
-			return err
+			return snapshotError(*snapPath, err)
 		}
 		defer dir.Close()
 		if *snapPath != "" {
@@ -173,71 +164,23 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		if info.Truncated {
 			fmt.Fprintf(os.Stderr, "rdfload: warning: WAL had a torn tail (truncated to last valid record): %v\n", info.TailErr)
 		}
-	} else if *snapPath != "" {
-		f, err := os.Open(*snapPath)
-		if err != nil {
-			return err
-		}
-		store, err = core.Load(f)
-		f.Close()
-		if err != nil {
-			switch {
-			case errors.Is(err, core.ErrSnapshotVersion):
-				return fmt.Errorf("snapshot %s was written by an incompatible format version — regenerate it with this build's -save (%v)", *snapPath, err)
-			case errors.Is(err, core.ErrSnapshotCorrupt):
-				return fmt.Errorf("snapshot %s is damaged and cannot be loaded (%v)", *snapPath, err)
-			}
-			return err
+	case *snapPath != "":
+		var err error
+		if store, err = core.LoadFile(*snapPath); err != nil {
+			return snapshotError(*snapPath, err)
 		}
 		fmt.Fprintf(stdout, "loaded checkpoint snapshot %s\n", *snapPath)
 	}
 	store.SetMetrics(core.NewMetrics(reg))
-	var log *wal.Log
 	var group *wal.GroupLog
-	if *walPath != "" {
-		var res wal.ScanResult
-		var err error
-		log, res, err = wal.OpenFile(*walPath)
-		if err != nil {
-			if errors.Is(err, wal.ErrNotWAL) {
-				return fmt.Errorf("%s is not a WAL file (wrong path?): %v", *walPath, err)
-			}
-			return err
-		}
-		defer log.Close()
-		if len(res.Records) > 0 {
-			if err := store.Replay(res.Records); err != nil {
-				return fmt.Errorf("replaying %s: %w", *walPath, err)
-			}
-			fmt.Fprintf(stdout, "replayed %d WAL records from %s\n", len(res.Records), *walPath)
-		}
-		if res.Truncated {
-			fmt.Fprintf(os.Stderr, "rdfload: warning: WAL had a torn tail (truncated to last valid record): %v\n", res.TailErr)
-		}
+	if dir != nil {
 		// Log mutations from here on; replayed records are already durable.
 		if *syncEvery > 1 {
 			// Group commit: fsync once every N commits. A crash mid-load can
 			// lose at most the last N-1 committed batches; the surviving log
-			// prefix still replays to a consistent store.
-			group = wal.Group(log, wal.GroupOptions{SyncEvery: *syncEvery})
-			store.SetDurability(group)
-		} else {
-			store.SetDurability(log)
-		}
-		if reg != nil {
-			m := wal.NewMetrics(reg)
-			if group != nil {
-				group.SetMetrics(m) // also attaches to the underlying log
-			} else {
-				log.SetMetrics(m)
-			}
-		}
-	}
-	if dir != nil {
-		// Same durability wiring over the segmented sink: group commit
-		// composes with rotation (each flushed batch lands in one segment).
-		if *syncEvery > 1 {
-			group = wal.GroupSink(dir, wal.GroupOptions{SyncEvery: *syncEvery})
+			// prefix still replays to a consistent store. Each flushed batch
+			// lands in one segment.
+			group = wal.Group(dir, wal.GroupOptions{SyncEvery: *syncEvery})
 			store.SetDurability(group)
 		} else {
 			store.SetDurability(dir)
@@ -306,7 +249,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	}
 	if group != nil {
 		// Make the tail of the load durable before reporting success (and
-		// before any -save checkpoint truncates the log).
+		// before any -save checkpoint rotates the log).
 		if err := group.Flush(); err != nil {
 			return fmt.Errorf("flushing group-committed WAL: %w", err)
 		}
@@ -347,32 +290,22 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			trace.WriteTree(stdout, slowest)
 		}
 	}
-	if *save != "" {
-		switch {
-		case dir != nil:
-			// Segmented checkpoint: rotate, write the snapshot with the new
-			// segment number as its watermark, then retire older segments.
-			if err := core.CheckpointDir(store, *save, dir); err != nil {
-				return fmt.Errorf("checkpointing WAL directory: %w", err)
-			}
-			fmt.Fprintf(stdout, "snapshot written to %s\n", *save)
-			fmt.Fprintf(stdout, "WAL %s checkpointed (stale segments retired)\n", *walDir)
-		default:
-			// Atomic checkpoint: tmp file + fsync + rename, so a crash
-			// mid-save never clobbers an existing good snapshot.
-			if err := store.SaveFile(*save); err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "snapshot written to %s\n", *save)
-			if log != nil {
-				// Checkpoint: the snapshot now holds everything the log did,
-				// so the log restarts empty.
-				if err := log.Reset(); err != nil {
-					return fmt.Errorf("truncating WAL after checkpoint: %w", err)
-				}
-				fmt.Fprintf(stdout, "WAL %s checkpointed (truncated)\n", *walPath)
-			}
+	switch {
+	case *save != "" && dir != nil:
+		// Checkpoint: rotate, write the snapshot with the new segment number
+		// as its watermark, then retire older segments.
+		if err := core.CheckpointDir(store, *save, dir); err != nil {
+			return fmt.Errorf("checkpointing WAL directory: %w", err)
 		}
+		fmt.Fprintf(stdout, "snapshot written to %s\n", *save)
+		fmt.Fprintf(stdout, "WAL %s checkpointed (stale segments retired)\n", *walDir)
+	case *save != "":
+		// Atomic: tmp file + fsync + rename, so a crash mid-save never
+		// clobbers an existing good snapshot.
+		if err := store.SaveFile(*save); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "snapshot written to %s\n", *save)
 	}
 	if *adminAddr != "" && *adminLinger > 0 {
 		// Keep the admin endpoint up so post-load scrapes (CI smoke,
@@ -381,4 +314,16 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		time.Sleep(*adminLinger)
 	}
 	return nil
+}
+
+// snapshotError turns a snapshot's typed load failures into actionable
+// messages.
+func snapshotError(path string, err error) error {
+	switch {
+	case errors.Is(err, core.ErrSnapshotVersion):
+		return fmt.Errorf("snapshot %s was written by an incompatible format version — regenerate it with this build's -save (%v)", path, err)
+	case errors.Is(err, core.ErrSnapshotCorrupt):
+		return fmt.Errorf("snapshot %s is damaged and cannot be loaded (%v)", path, err)
+	}
+	return err
 }

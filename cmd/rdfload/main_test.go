@@ -140,11 +140,11 @@ func TestRunXMLBadFormatAndParse(t *testing.T) {
 
 func TestRunWALDurableLoad(t *testing.T) {
 	dir := t.TempDir()
-	walPath := filepath.Join(dir, "store.wal")
+	walDir := filepath.Join(dir, "store.d")
 
 	// First load writes through the WAL.
 	var out strings.Builder
-	err := run([]string{"-model", "m", "-wal", walPath},
+	err := run([]string{"-model", "m", "-wal-dir", walDir},
 		strings.NewReader("<http://a> <http://p> <http://b> .\n"), &out)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +153,7 @@ func TestRunWALDurableLoad(t *testing.T) {
 	// Second invocation replays the log and keeps loading into the same
 	// model — the resumed-load path.
 	out.Reset()
-	err = run([]string{"-model", "m", "-wal", walPath},
+	err = run([]string{"-model", "m", "-wal-dir", walDir},
 		strings.NewReader("<http://c> <http://p> <http://d> .\n"), &out)
 	if err != nil {
 		t.Fatal(err)
@@ -166,26 +166,55 @@ func TestRunWALDurableLoad(t *testing.T) {
 	}
 
 	// Recover directly from the log and check both loads survived.
-	res, err := wal.ScanFile(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := core.New()
-	if err := st.Replay(res.Records); err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := st.NumTriples("m"); n != 2 {
+	if n := recoveredTriples(t, "", walDir); n != 2 {
 		t.Fatalf("recovered store has %d triples, want 2", n)
 	}
 }
 
+// recoveredTriples recovers snap + walDir from disk alone and counts
+// model m's triples.
+func recoveredTriples(t *testing.T, snap, walDir string) int {
+	t.Helper()
+	st, d, info, err := core.RecoverDir(snap, walDir, wal.DirOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Close()
+	if info.Truncated {
+		t.Fatalf("unexpected torn tail: %v", info.TailErr)
+	}
+	n, err := st.NumTriples("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// walRecords is the number of records left in walDir's segments.
+func walRecords(t *testing.T, walDir string) int {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(walDir, "wal-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, seg := range segs {
+		res, err := wal.ScanFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += len(res.Records)
+	}
+	return n
+}
+
 func TestRunWALCheckpointOnSave(t *testing.T) {
 	dir := t.TempDir()
-	walPath := filepath.Join(dir, "store.wal")
+	walDir := filepath.Join(dir, "store.d")
 	snap := filepath.Join(dir, "store.snap")
 
 	var out strings.Builder
-	err := run([]string{"-model", "m", "-wal", walPath, "-save", snap},
+	err := run([]string{"-model", "m", "-wal-dir", walDir, "-save", snap},
 		strings.NewReader("<http://a> <http://p> <http://b> .\n"), &out)
 	if err != nil {
 		t.Fatal(err)
@@ -194,19 +223,10 @@ func TestRunWALCheckpointOnSave(t *testing.T) {
 		t.Errorf("no checkpoint message:\n%s", out.String())
 	}
 	// After the checkpoint the log is empty; the snapshot holds the data.
-	res, err := wal.ScanFile(walPath)
-	if err != nil {
-		t.Fatal(err)
+	if n := walRecords(t, walDir); n != 0 {
+		t.Fatalf("WAL still has %d records after checkpoint", n)
 	}
-	if len(res.Records) != 0 {
-		t.Fatalf("WAL still has %d records after checkpoint", len(res.Records))
-	}
-	f, err := os.Open(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	st, err := core.Load(f)
+	st, err := core.LoadFile(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,13 +236,12 @@ func TestRunWALCheckpointOnSave(t *testing.T) {
 }
 
 func TestRunWALRejectsNonWAL(t *testing.T) {
-	dir := t.TempDir()
-	notWAL := filepath.Join(dir, "bogus.wal")
-	if err := os.WriteFile(notWAL, []byte("this is not a log at all"), 0o600); err != nil {
+	walDir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(walDir, "wal-000001.log"), []byte("this is not a log at all"), 0o600); err != nil {
 		t.Fatal(err)
 	}
 	var out strings.Builder
-	err := run([]string{"-model", "m", "-wal", notWAL},
+	err := run([]string{"-model", "m", "-wal-dir", walDir},
 		strings.NewReader(""), &out)
 	if err == nil || !strings.Contains(err.Error(), "not a WAL") {
 		t.Fatalf("err = %v, want not-a-WAL error", err)
@@ -231,19 +250,19 @@ func TestRunWALRejectsNonWAL(t *testing.T) {
 
 func TestRunWALContinueAfterCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	walPath := filepath.Join(dir, "store.wal")
+	walDir := filepath.Join(dir, "store.d")
 	snap := filepath.Join(dir, "store.snap")
 
 	// Load + checkpoint, then keep loading with the snapshot passed back
 	// in: the post-checkpoint log must apply cleanly on top of it.
 	var out strings.Builder
-	err := run([]string{"-model", "m", "-wal", walPath, "-save", snap},
+	err := run([]string{"-model", "m", "-wal-dir", walDir, "-save", snap},
 		strings.NewReader("<http://a> <http://p> <http://b> .\n"), &out)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out.Reset()
-	err = run([]string{"-model", "m", "-snapshot", snap, "-wal", walPath},
+	err = run([]string{"-model", "m", "-snapshot", snap, "-wal-dir", walDir},
 		strings.NewReader("<http://c> <http://p> <http://d> .\n"), &out)
 	if err != nil {
 		t.Fatal(err)
@@ -256,24 +275,10 @@ func TestRunWALContinueAfterCheckpoint(t *testing.T) {
 	}
 
 	// Recovery = snapshot + post-checkpoint records.
-	sf, err := os.Open(snap)
-	if err != nil {
-		t.Fatal(err)
+	if n := walRecords(t, walDir); n == 0 {
+		t.Fatal("the second load logged nothing past the checkpoint")
 	}
-	defer sf.Close()
-	lf, err := os.Open(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lf.Close()
-	st, info, err := core.Recover(sf, lf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Truncated {
-		t.Fatalf("unexpected torn tail: %v", info.TailErr)
-	}
-	if n, _ := st.NumTriples("m"); n != 2 {
+	if n := recoveredTriples(t, snap, walDir); n != 2 {
 		t.Fatalf("recovered store has %d triples, want 2", n)
 	}
 }
@@ -301,51 +306,34 @@ func TestRunFastPathFlagsMatchSerial(t *testing.T) {
 
 func TestRunWALGroupCommit(t *testing.T) {
 	dir := t.TempDir()
-	walPath := filepath.Join(dir, "store.wal")
+	walDir := filepath.Join(dir, "store.d")
 
 	// Group commit (-sync-every 8) buffers commits, but the final Flush
 	// before exit makes the whole load durable.
 	var out strings.Builder
 	doc := "<http://a> <http://p> <http://b> .\n<http://c> <http://p> <http://d> .\n<http://e> <http://p> <http://f> .\n"
-	err := run([]string{"-model", "m", "-wal", walPath, "-sync-every", "8", "-batch", "2"},
+	err := run([]string{"-model", "m", "-wal-dir", walDir, "-sync-every", "8", "-batch", "2"},
 		strings.NewReader(doc), &out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := wal.ScanFile(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := core.New()
-	if err := st.Replay(res.Records); err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := st.NumTriples("m"); n != 3 {
+	if n := recoveredTriples(t, "", walDir); n != 3 {
 		t.Fatalf("recovered store has %d triples, want 3", n)
 	}
 
 	// Checkpoint under group commit: the buffered tail must be flushed
-	// before the snapshot is written and the log truncated.
+	// before the snapshot is written and the old segments retired.
 	snap := filepath.Join(dir, "store.snap")
 	out.Reset()
-	err = run([]string{"-model", "m", "-wal", walPath, "-sync-every", "4", "-save", snap},
+	err = run([]string{"-model", "m", "-wal-dir", walDir, "-sync-every", "4", "-save", snap},
 		strings.NewReader("<http://g> <http://p> <http://h> .\n"), &out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = wal.ScanFile(walPath)
-	if err != nil {
-		t.Fatal(err)
+	if n := walRecords(t, walDir); n != 0 {
+		t.Fatalf("WAL still has %d records after checkpoint", n)
 	}
-	if len(res.Records) != 0 {
-		t.Fatalf("WAL still has %d records after checkpoint", len(res.Records))
-	}
-	f, err := os.Open(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	st, err = core.Load(f)
+	st, err := core.LoadFile(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,8 +356,7 @@ func TestRunRejectsBadFastPathFlags(t *testing.T) {
 // lingers, with the exposition strictly parsed and checked for the
 // store and WAL series the load must have produced.
 func TestRunAdminEndpoint(t *testing.T) {
-	dir := t.TempDir()
-	walPath := filepath.Join(dir, "store.wal")
+	walDir := filepath.Join(t.TempDir(), "store.d")
 	// Reserve a port, free it, and hand it to -admin. (A small window
 	// exists where another process could grab it; tests tolerate that
 	// by failing loudly rather than flaking silently.)
@@ -383,7 +370,7 @@ func TestRunAdminEndpoint(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- run([]string{
-			"-model", "m", "-wal", walPath, "-sync-every", "4",
+			"-model", "m", "-wal-dir", walDir, "-sync-every", "4",
 			"-admin", addr, "-admin-linger", "5s",
 		}, strings.NewReader("<http://a> <http://p> <http://b> .\n"), &strings.Builder{})
 	}()
@@ -439,8 +426,8 @@ func TestRunAdminBadAddr(t *testing.T) {
 	}
 }
 
-// TestRunWALDirDurableLoad mirrors TestRunWALDurableLoad over the
-// segmented WAL: load, resume (replaying segments), checkpoint with
+// TestRunWALDirDurableLoad is TestRunWALDurableLoad with segments small
+// enough to rotate: load, resume (replaying segments), checkpoint with
 // -save (snapshot watermark + retention), resume again from snapshot +
 // surviving segments.
 func TestRunWALDirDurableLoad(t *testing.T) {
@@ -489,25 +476,21 @@ func TestRunWALDirDurableLoad(t *testing.T) {
 	}
 
 	// Recover from disk alone.
-	st, d, _, err := core.RecoverDir(snap, walDir, wal.DirOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Close()
-	if n, _ := st.NumTriples("m"); n != 3 {
+	if n := recoveredTriples(t, snap, walDir); n != 3 {
 		t.Fatalf("recovered store has %d triples, want 3", n)
 	}
 }
 
-// TestRunWALDirExclusiveFlags pins the flag validation.
+// TestRunWALDirExclusiveFlags pins the flag validation: the segment
+// knobs need -wal-dir, and -wal-dir is the only log (-wal is no flag).
 func TestRunWALDirExclusiveFlags(t *testing.T) {
 	var out strings.Builder
-	err := run([]string{"-wal", "a.wal", "-wal-dir", "b.d"}, strings.NewReader(""), &out)
-	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("err = %v, want mutual-exclusion error", err)
-	}
-	err = run([]string{"-wal-hard-bytes", "1024"}, strings.NewReader(""), &out)
+	err := run([]string{"-wal-hard-bytes", "1024"}, strings.NewReader(""), &out)
 	if err == nil || !strings.Contains(err.Error(), "require -wal-dir") {
 		t.Fatalf("err = %v, want require--wal-dir error", err)
+	}
+	err = run([]string{"-wal", "store.wal"}, strings.NewReader(""), &out)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -wal") {
+		t.Fatalf("err = %v, want -wal to be an unknown flag", err)
 	}
 }

@@ -7,15 +7,15 @@
 //	         [-alias gov=http://www.us.gov#] [-rule 'ante=>cons' ...] [-rdfs] \
 //	         [-timeout 10s]
 //	rdfquery -snapshot store.snap -model data -query '(?s ?p ?o)'
-//	rdfquery -snapshot store.snap -wal store.wal -model data -query '(?s ?p ?o)'
+//	rdfquery -snapshot store.snap -wal-dir store.d -model data -query '(?s ?p ?o)'
 //	rdfquery -data file.nt -stats
 //
 // Rules passed with -rule are collected into an ad-hoc rulebase, a rules
 // index is built, and the query runs with inference enabled. -snapshot
-// reopens a store written by rdfload -save; adding -wal replays the
+// reopens a store written by rdfload -save; adding -wal-dir replays the
 // write-ahead log on top of it (crash recovery: the snapshot is the
-// checkpoint, the log holds everything since; -wal alone recovers from
-// the log only). -stats prints the model's storage statistics (rows,
+// checkpoint, the log holds everything since; -wal-dir alone recovers
+// from the log only). -stats prints the model's storage statistics (rows,
 // contexts, link types) instead of querying.
 //
 // Observability: -explain appends an EXPLAIN-style execution trace to
@@ -89,8 +89,7 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("rdfquery", flag.ContinueOnError)
 	data := fs.String("data", "", "N-Triples file to load (default: stdin)")
 	snapshot := fs.String("snapshot", "", "store snapshot to open instead of loading N-Triples (see rdfload -save)")
-	walPath := fs.String("wal", "", "write-ahead log to replay (on top of -snapshot when both are given; see rdfload -wal)")
-	walDir := fs.String("wal-dir", "", "segmented write-ahead log directory to replay (see rdfload -wal-dir; mutually exclusive with -wal)")
+	walDir := fs.String("wal-dir", "", "write-ahead log directory to replay (on top of -snapshot when both are given; see rdfload -wal-dir)")
 	query := fs.String("query", "", "match query, e.g. '(?s ?p ?o)'")
 	queryModel := fs.String("model", "data", "model to query when opening a snapshot")
 	stats := fs.Bool("stats", false, "print model storage statistics instead of running a query")
@@ -112,9 +111,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *query == "" && !*stats {
 		return fmt.Errorf("-query is required (or pass -stats)")
-	}
-	if *walPath != "" && *walDir != "" {
-		return errors.New("-wal and -wal-dir are mutually exclusive")
 	}
 
 	// Admin surface: serve the metrics registry while the command runs.
@@ -154,9 +150,9 @@ func run(args []string, stdout io.Writer) error {
 
 	var store *core.Store
 	model := *queryModel
-	if *snapshot != "" || *walPath != "" || *walDir != "" {
+	if *snapshot != "" || *walDir != "" {
 		var err error
-		store, err = openDurable(*snapshot, *walPath, *walDir, stdout)
+		store, err = openDurable(*snapshot, *walDir, stdout)
 		if err != nil {
 			return err
 		}
@@ -337,82 +333,54 @@ func run(args []string, stdout io.Writer) error {
 }
 
 // openDurable rebuilds a store from a snapshot (checkpoint) and/or a
-// write-ahead log — single-file (walPath) or segmented (walDir) —
-// translating the typed failure modes into actionable messages.
-func openDurable(snapPath, walPath, walDir string, stdout io.Writer) (*core.Store, error) {
-	if walDir != "" {
-		if snapPath != "" {
-			if _, err := os.Stat(snapPath); err != nil {
-				return nil, err
-			}
-		}
-		store, d, info, err := core.RecoverDir(snapPath, walDir, wal.DirOptions{})
+// write-ahead log directory, translating the typed failure modes into
+// actionable messages.
+func openDurable(snapPath, walDir string, stdout io.Writer) (*core.Store, error) {
+	if walDir == "" {
+		store, err := core.LoadFile(snapPath)
 		if err != nil {
-			switch {
-			case errors.Is(err, core.ErrSnapshotVersion):
-				return nil, fmt.Errorf("snapshot %s was written by an incompatible format version — regenerate it with this build's rdfload -save (%v)", snapPath, err)
-			case errors.Is(err, core.ErrSnapshotCorrupt):
-				return nil, fmt.Errorf("snapshot %s is damaged and cannot be loaded — regenerate it with rdfload -save (%v)", snapPath, err)
-			case errors.Is(err, wal.ErrSegmentCorrupt):
-				return nil, fmt.Errorf("WAL directory %s is damaged (a non-final segment is torn or missing): %v", walDir, err)
-			case errors.Is(err, wal.ErrNotWAL):
-				return nil, fmt.Errorf("%s does not hold WAL segments — pass the directory written by rdfload -wal-dir (%v)", walDir, err)
-			}
-			return nil, err
+			return nil, snapshotError(snapPath, err)
 		}
-		d.Close() // read-only use: the query never appends
-		if snapPath != "" {
-			fmt.Fprintf(stdout, "recovered from snapshot %s + WAL directory %s (%d records replayed, %d segments)\n",
-				snapPath, walDir, info.Applied, info.Segments)
-		} else {
-			fmt.Fprintf(stdout, "recovered from WAL directory %s (%d records replayed, %d segments)\n",
-				walDir, info.Applied, info.Segments)
-		}
-		if info.Truncated {
-			fmt.Fprintf(os.Stderr, "rdfquery: warning: WAL had a torn tail (recovered to the last valid record): %v\n", info.TailErr)
-		}
+		fmt.Fprintf(stdout, "opened snapshot %s\n", snapPath)
 		return store, nil
 	}
-	var snapR io.Reader
 	if snapPath != "" {
-		f, err := os.Open(snapPath)
-		if err != nil {
+		if _, err := os.Stat(snapPath); err != nil {
 			return nil, err
 		}
-		defer f.Close()
-		snapR = f
 	}
-	var logR io.Reader = strings.NewReader(wal.Magic) // no log: just the header
-	if walPath != "" {
-		f, err := os.Open(walPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		logR = f
-	}
-	store, info, err := core.Recover(snapR, logR)
+	store, d, info, err := core.RecoverDir(snapPath, walDir, wal.DirOptions{})
 	if err != nil {
 		switch {
-		case errors.Is(err, core.ErrSnapshotVersion):
-			return nil, fmt.Errorf("snapshot %s was written by an incompatible format version — regenerate it with this build's rdfload -save (%v)", snapPath, err)
-		case errors.Is(err, core.ErrSnapshotCorrupt):
-			return nil, fmt.Errorf("snapshot %s is damaged and cannot be loaded — regenerate it with rdfload -save (%v)", snapPath, err)
+		case errors.Is(err, wal.ErrSegmentCorrupt):
+			return nil, fmt.Errorf("WAL directory %s is damaged (a non-final segment is torn or missing): %v", walDir, err)
 		case errors.Is(err, wal.ErrNotWAL):
-			return nil, fmt.Errorf("%s is not a WAL file — pass the log written by rdfload -wal (%v)", walPath, err)
+			return nil, fmt.Errorf("%s does not hold WAL segments — pass the directory written by rdfload -wal-dir (%v)", walDir, err)
 		}
-		return nil, err
+		return nil, snapshotError(snapPath, err)
 	}
-	switch {
-	case snapPath != "" && walPath != "":
-		fmt.Fprintf(stdout, "recovered from snapshot %s + WAL %s (%d records replayed)\n", snapPath, walPath, info.Applied)
-	case walPath != "":
-		fmt.Fprintf(stdout, "recovered from WAL %s (%d records replayed)\n", walPath, info.Applied)
-	default:
-		fmt.Fprintf(stdout, "opened snapshot %s\n", snapPath)
+	d.Close() // read-only use: the query never appends
+	if snapPath != "" {
+		fmt.Fprintf(stdout, "recovered from snapshot %s + WAL directory %s (%d records replayed, %d segments)\n",
+			snapPath, walDir, info.Applied, info.Segments)
+	} else {
+		fmt.Fprintf(stdout, "recovered from WAL directory %s (%d records replayed, %d segments)\n",
+			walDir, info.Applied, info.Segments)
 	}
 	if info.Truncated {
 		fmt.Fprintf(os.Stderr, "rdfquery: warning: WAL had a torn tail (recovered to the last valid record): %v\n", info.TailErr)
 	}
 	return store, nil
+}
+
+// snapshotError turns a snapshot's typed load failures into actionable
+// messages.
+func snapshotError(path string, err error) error {
+	switch {
+	case errors.Is(err, core.ErrSnapshotVersion):
+		return fmt.Errorf("snapshot %s was written by an incompatible format version — regenerate it with this build's rdfload -save (%v)", path, err)
+	case errors.Is(err, core.ErrSnapshotCorrupt):
+		return fmt.Errorf("snapshot %s is damaged and cannot be loaded — regenerate it with rdfload -save (%v)", path, err)
+	}
+	return err
 }

@@ -185,47 +185,41 @@ func TestStatsFlag(t *testing.T) {
 	}
 }
 
-// loadWithWAL runs rdfload's pipeline by hand: a store writing through a
-// WAL at path, loaded with the given N-Triples, optionally snapshotted.
-func loadWithWAL(t *testing.T, walPath, snapPath, nt string) {
+// loadWithWAL runs rdfload's pipeline by hand: a store recovered from
+// snapPath + walDir (either may not exist yet), loaded with the given
+// N-Triples through the WAL, and checkpointed into snapPath when
+// checkpoint is set.
+func loadWithWAL(t *testing.T, walDir, snapPath, nt string, checkpoint bool) {
 	t.Helper()
-	log, _, err := wal.OpenFile(walPath)
+	st, d, _, err := core.RecoverDir(snapPath, walDir, wal.DirOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer log.Close()
-	st := core.New()
-	st.SetDurability(log)
-	if _, err := st.CreateRDFModel("data", "", ""); err != nil {
-		t.Fatal(err)
+	defer d.Close()
+	st.SetDurability(d)
+	if _, err := st.GetModelID("data"); err != nil {
+		if _, err := st.CreateRDFModel("data", "", ""); err != nil {
+			t.Fatal(err)
+		}
 	}
 	loader := &reify.Loader{Store: st, Model: "data"}
 	if _, err := loader.Load(strings.NewReader(nt)); err != nil {
 		t.Fatal(err)
 	}
-	if snapPath != "" {
-		f, err := os.Create(snapPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		if err := st.Save(f); err != nil {
-			t.Fatal(err)
-		}
-		if err := log.Reset(); err != nil {
+	if checkpoint {
+		if err := core.CheckpointDir(st, snapPath, d); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
 func TestQueryFromWAL(t *testing.T) {
-	dir := t.TempDir()
-	walPath := filepath.Join(dir, "store.wal")
-	loadWithWAL(t, walPath, "", icData)
+	walDir := filepath.Join(t.TempDir(), "store.d")
+	loadWithWAL(t, walDir, "", icData, false)
 
 	var out strings.Builder
 	err := run([]string{
-		"-wal", walPath,
+		"-wal-dir", walDir,
 		"-query", "(?s ?p ?o)",
 	}, &out)
 	if err != nil {
@@ -239,39 +233,19 @@ func TestQueryFromWAL(t *testing.T) {
 
 func TestQueryFromSnapshotPlusWAL(t *testing.T) {
 	dir := t.TempDir()
-	walPath := filepath.Join(dir, "store.wal")
+	walDir := filepath.Join(dir, "store.d")
 	snapPath := filepath.Join(dir, "store.snap")
 	// Checkpoint the first triple into the snapshot, leave the second in
 	// the log only.
-	loadWithWAL(t, walPath, snapPath,
-		"<http://www.us.gov#files> <http://www.us.gov#terrorSuspect> <http://www.us.id#JohnDoe> .\n")
-	log, _, err := wal.OpenFile(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sf, err := os.Open(snapPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := core.Load(sf)
-	sf.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.SetDurability(log)
-	loader := &reify.Loader{Store: st, Model: "data"}
-	if _, err := loader.Load(strings.NewReader(
-		`<http://www.us.id#JimDoe> <http://www.us.gov#terrorAction> "bombing" .` + "\n")); err != nil {
-		t.Fatal(err)
-	}
-	if err := log.Close(); err != nil {
-		t.Fatal(err)
-	}
+	loadWithWAL(t, walDir, snapPath,
+		"<http://www.us.gov#files> <http://www.us.gov#terrorSuspect> <http://www.us.id#JohnDoe> .\n", true)
+	loadWithWAL(t, walDir, snapPath,
+		`<http://www.us.id#JimDoe> <http://www.us.gov#terrorAction> "bombing" .`+"\n", false)
 
 	var out strings.Builder
-	err = run([]string{
+	err := run([]string{
 		"-snapshot", snapPath,
-		"-wal", walPath,
+		"-wal-dir", walDir,
 		"-query", "(?s ?p ?o)",
 	}, &out)
 	if err != nil {
@@ -284,22 +258,22 @@ func TestQueryFromSnapshotPlusWAL(t *testing.T) {
 }
 
 func TestQueryTornWALRecovers(t *testing.T) {
-	dir := t.TempDir()
-	walPath := filepath.Join(dir, "store.wal")
-	loadWithWAL(t, walPath, "", icData)
+	walDir := filepath.Join(t.TempDir(), "store.d")
+	loadWithWAL(t, walDir, "", icData, false)
 	// Tear the tail: chop bytes off the last record.
-	img, err := os.ReadFile(walPath)
+	seg := filepath.Join(walDir, "wal-000001.log")
+	img, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(walPath, img[:len(img)-3], 0o600); err != nil {
+	if err := os.WriteFile(seg, img[:len(img)-3], 0o600); err != nil {
 		t.Fatal(err)
 	}
 
 	var out strings.Builder
 	stderr := captureStderr(t)
 	err = run([]string{
-		"-wal", walPath,
+		"-wal-dir", walDir,
 		"-query", "(?s ?p ?o)",
 	}, &out)
 	warnings := stderr()
@@ -350,12 +324,15 @@ func TestQuerySnapshotErrorMessages(t *testing.T) {
 		t.Fatalf("corrupt snapshot error = %v, want 'damaged' message", err)
 	}
 
-	notWAL := filepath.Join(dir, "bogus.wal")
-	if err := os.WriteFile(notWAL, []byte("junk that is not a log 12345"), 0o600); err != nil {
+	notWAL := filepath.Join(dir, "bogus.d")
+	if err := os.Mkdir(notWAL, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(notWAL, "wal-000001.log"), []byte("junk that is not a log 12345"), 0o600); err != nil {
 		t.Fatal(err)
 	}
 	out.Reset()
-	err = run([]string{"-wal", notWAL, "-query", "(?s ?p ?o)"}, &out)
+	err = run([]string{"-wal-dir", notWAL, "-query", "(?s ?p ?o)"}, &out)
 	if err == nil || !strings.Contains(err.Error(), "not a WAL") {
 		t.Fatalf("non-WAL error = %v, want 'not a WAL' message", err)
 	}

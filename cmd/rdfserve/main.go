@@ -9,22 +9,22 @@
 // Usage:
 //
 //	rdfserve -addr 127.0.0.1:8080 -model data -load data.nt
-//	rdfserve -addr :8080 -wal store.wal -snapshot store.snap
+//	rdfserve -addr :8080 -wal-dir store.d -snapshot store.snap
 //	rdfserve -addr :8080 -wal-dir store.d -snapshot store.snap -wal-soft-bytes 268435456
-//	rdfserve -addr :8080 -wal store.wal -chaos-wal-write-rate 0.05
+//	rdfserve -addr :8080 -wal-dir store.d -chaos-wal-write-rate 0.05
 //
-// Without -wal/-wal-dir the store is memory-only and always Healthy.
-// With -wal (and optionally -snapshot) the store runs under the
+// Without -wal-dir the store is memory-only and always Healthy. With
+// -wal-dir (and optionally -snapshot) the store runs under the
 // supervisor: recovery, scrubbing, and the health states that gate
 // admission (Degraded/Recovering answer 503 + Retry-After; Failed
-// answers 503). -wal-dir selects the segmented WAL instead: rotating
-// segment files with checkpoint-driven retention and a disk budget —
-// crossing -wal-soft-bytes triggers an automatic checkpoint, exhausting
+// answers 503). The log is a directory of rotating segment files with
+// checkpoint-driven retention and a disk budget — crossing
+// -wal-soft-bytes triggers an automatic checkpoint, exhausting
 // -wal-hard-bytes (or a real ENOSPC) moves the store to Degraded(disk),
 // where writes answer 507 + Retry-After until space is freed. The
-// -chaos-wal-* flags wrap the WAL file(s) with a deterministic fault
-// injector — writes/syncs fail with the given probability — for
-// robustness drills: the server keeps serving reads while the
+// -chaos-wal-* flags wrap every segment file with a deterministic fault
+// injector — writes, syncs, or ENOSPC fail with the given probability —
+// for robustness drills: the server keeps serving reads while the
 // supervisor degrades and recovers underneath it.
 //
 // SIGINT/SIGTERM drain gracefully: new requests get 503 shutting_down,
@@ -71,8 +71,7 @@ func main() {
 // and main_test.go fails when either side drifts.
 type serveFlags struct {
 	addr, model, load *string
-	walPath, snapPath *string
-	walDir            *string
+	snapPath, walDir  *string
 	segmentBytes      *int64
 	softBytes         *int64
 	hardBytes         *int64
@@ -108,17 +107,16 @@ func newFlagSet() (*flag.FlagSet, *serveFlags) {
 		model: fs.String("model", "data", "default model for requests that name none (created if missing)"),
 		load:  fs.String("load", "", "N-Triples file to bulk-load into the model at startup"),
 
-		walPath:       fs.String("wal", "", "write-ahead log: run under the supervisor with durable mutations"),
 		snapPath:      fs.String("snapshot", "", "checkpoint snapshot to load before replaying the WAL"),
-		walDir:        fs.String("wal-dir", "", "segmented WAL directory (rotating segments, checkpoint retention, disk budget); mutually exclusive with -wal"),
+		walDir:        fs.String("wal-dir", "", "write-ahead log directory (rotating segments, checkpoint retention, disk budget): run under the supervisor with durable mutations"),
 		segmentBytes:  fs.Int64("wal-segment-bytes", 0, "segment rotation threshold in bytes (0 = 64 MiB default; requires -wal-dir)"),
 		softBytes:     fs.Int64("wal-soft-bytes", 0, "soft disk watermark: crossing it triggers an automatic checkpoint (0 disables; requires -wal-dir and -snapshot)"),
 		hardBytes:     fs.Int64("wal-hard-bytes", 0, "hard disk budget: appends past it are rejected and the store enters Degraded(disk) (0 disables; requires -wal-dir)"),
 		ckptInterval:  fs.Duration("checkpoint-interval", 0, "automatic checkpoint age trigger (0 disables; requires -snapshot)"),
 		ckptWALBytes:  fs.Int64("checkpoint-wal-bytes", 0, "automatic checkpoint WAL-size trigger in bytes (0 disables; requires -snapshot)"),
-		scrubInterval: fs.Duration("scrub-interval", 0, "background invariant scrub cadence (0 disables; requires -wal/-wal-dir)"),
-		chaosWrite:    fs.Float64("chaos-wal-write-rate", 0, "probability each WAL write fails (fault-injection drill; requires -wal)"),
-		chaosSync:     fs.Float64("chaos-wal-sync-rate", 0, "probability each WAL sync fails (requires -wal)"),
+		scrubInterval: fs.Duration("scrub-interval", 0, "background invariant scrub cadence (0 disables; requires -wal-dir)"),
+		chaosWrite:    fs.Float64("chaos-wal-write-rate", 0, "probability each WAL write fails (fault-injection drill; requires -wal-dir)"),
+		chaosSync:     fs.Float64("chaos-wal-sync-rate", 0, "probability each WAL sync fails (requires -wal-dir)"),
 		chaosENOSPC:   fs.Float64("chaos-wal-enospc-rate", 0, "probability each segment write fails with injected ENOSPC (requires -wal-dir)"),
 		chaosSeed:     fs.Int64("chaos-seed", 1, "deterministic seed for the WAL fault injector"),
 
@@ -150,8 +148,7 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	addr, model, loadPath := f.addr, f.model, f.load
-	walPath, snapPath, scrubInterval := f.walPath, f.snapPath, f.scrubInterval
-	walDir := f.walDir
+	snapPath, walDir, scrubInterval := f.snapPath, f.walDir, f.scrubInterval
 	chaosWrite, chaosSync, chaosSeed := f.chaosWrite, f.chaosSync, f.chaosSeed
 	maxInflight, maxQueue, queueWait, tenantCap := f.maxInflight, f.maxQueue, f.queueWait, f.tenantCap
 	defaultTimeout, maxTimeout := f.defaultTimeout, f.maxTimeout
@@ -168,18 +165,10 @@ func run(args []string, stdout io.Writer) error {
 	default:
 		return fmt.Errorf("-degraded-reads %q: want reject or serve", *degraded)
 	}
-	durable := *walPath != "" || *walDir != ""
-	if *walPath != "" && *walDir != "" {
-		return errors.New("-wal and -wal-dir are mutually exclusive")
-	}
-	if (*snapPath != "" || *scrubInterval > 0) && !durable {
-		return errors.New("-snapshot/-scrub-interval require -wal or -wal-dir")
-	}
-	if (*chaosWrite > 0 || *chaosSync > 0) && *walPath == "" {
-		return errors.New("-chaos-wal-write-rate/-chaos-wal-sync-rate require -wal")
-	}
-	if (*f.segmentBytes > 0 || *f.softBytes > 0 || *f.hardBytes > 0 || *f.chaosENOSPC > 0) && *walDir == "" {
-		return errors.New("-wal-segment-bytes/-wal-soft-bytes/-wal-hard-bytes/-chaos-wal-enospc-rate require -wal-dir")
+	chaos := *chaosWrite > 0 || *chaosSync > 0 || *f.chaosENOSPC > 0
+	if *walDir == "" && (*snapPath != "" || *scrubInterval > 0 || chaos ||
+		*f.segmentBytes > 0 || *f.softBytes > 0 || *f.hardBytes > 0) {
+		return errors.New("-snapshot, -scrub-interval, -wal-*-bytes and -chaos-wal-* require -wal-dir")
 	}
 	if (*f.ckptInterval > 0 || *f.ckptWALBytes > 0 || *f.softBytes > 0) && *snapPath == "" {
 		return errors.New("-checkpoint-interval/-checkpoint-wal-bytes/-wal-soft-bytes require -snapshot (checkpoints need a target)")
@@ -199,13 +188,12 @@ func run(args []string, stdout io.Writer) error {
 		})
 	}
 
-	// Backend: supervised (durable, health-gated) with -wal or -wal-dir,
-	// bare in-memory store otherwise.
+	// Backend: supervised (durable, health-gated) with -wal-dir, bare
+	// in-memory store otherwise.
 	var backend server.Backend
-	if durable {
+	if *walDir != "" {
 		cfg := supervise.Config{
 			SnapshotPath:  *snapPath,
-			WALPath:       *walPath,
 			WALDir:        *walDir,
 			ScrubInterval: *scrubInterval,
 			Obs:           reg,
@@ -226,33 +214,24 @@ func run(args []string, stdout io.Writer) error {
 				}
 			},
 		}
-		if *walDir != "" {
-			cfg.Segment = wal.DirOptions{
-				SegmentBytes: *f.segmentBytes,
-				Budget:       wal.Budget{SoftBytes: *f.softBytes, HardBytes: *f.hardBytes},
-			}
-			if *f.chaosENOSPC > 0 {
-				var nextSeed atomic.Int64
-				nextSeed.Store(*chaosSeed)
-				cfg.Segment.Wrap = func(f0 wal.File) wal.File {
-					fl := wal.NewFlaky(f0)
-					fl.SetNoSpaceRate(*f.chaosENOSPC, nextSeed.Add(1))
-					return fl
-				}
-				fmt.Fprintf(stdout, "chaos: WAL ENOSPC faults armed (rate %g, seed %d)\n",
-					*f.chaosENOSPC, *chaosSeed)
-			}
+		cfg.Segment = wal.DirOptions{
+			SegmentBytes: *f.segmentBytes,
+			Budget:       wal.Budget{SoftBytes: *f.softBytes, HardBytes: *f.hardBytes},
 		}
-		if *chaosWrite > 0 || *chaosSync > 0 {
-			cfg.OpenWAL = func(path string, fn wal.RecordFunc) (*wal.Log, wal.ScanResult, error) {
-				return wal.OpenFileWith(path, func(f wal.File) wal.File {
-					fl := wal.NewFlaky(f)
-					fl.SetErrorRate(*chaosWrite, *chaosSync, *chaosSeed)
-					return fl
-				}, fn)
+		if chaos {
+			// One injector per segment file, each seeded afresh, arming the
+			// write, sync and ENOSPC rates together.
+			var nextSeed atomic.Int64
+			nextSeed.Store(*chaosSeed)
+			cfg.Segment.Wrap = func(f0 wal.File) wal.File {
+				fl := wal.NewFlaky(f0)
+				seed := nextSeed.Add(1)
+				fl.SetErrorRate(*chaosWrite, *chaosSync, seed)
+				fl.SetNoSpaceRate(*f.chaosENOSPC, seed)
+				return fl
 			}
-			fmt.Fprintf(stdout, "chaos: WAL faults armed (write %.2f, sync %.2f, seed %d)\n",
-				*chaosWrite, *chaosSync, *chaosSeed)
+			fmt.Fprintf(stdout, "chaos: WAL faults armed (write %.2f, sync %.2f, ENOSPC %g, seed %d)\n",
+				*chaosWrite, *chaosSync, *f.chaosENOSPC, *chaosSeed)
 		}
 		sv, err := supervise.Open(cfg)
 		if err != nil {

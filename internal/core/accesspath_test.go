@@ -25,7 +25,7 @@ func TestEveryIndexIsAnAccessPath(t *testing.T) {
 
 	// A store whose log has every record type in it: repeats and deletes
 	// make UpdateLink and DeleteLink records, which replay finds by LINK_ID.
-	logged, logFile := walStore(t)
+	logged, log := walStore(t)
 	for _, m := range []string{"m", "other"} {
 		if _, err := logged.CreateRDFModel(m, "", ""); err != nil {
 			t.Fatal(err)
@@ -74,7 +74,7 @@ func TestEveryIndexIsAnAccessPath(t *testing.T) {
 	}
 
 	step("WAL replay", func() {
-		s = recoverImage(t, nil, logFile.Bytes())
+		s = recoverLog(t, "", log.Path())
 		s.SetMetrics(NewMetrics(reg))
 	})
 	sub, pred, obj := uri("s1"), uri("p1"), num("1")

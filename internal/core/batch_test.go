@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/rdfterm"
@@ -115,13 +116,7 @@ func TestInsertBatchCostAndContext(t *testing.T) {
 // TestInsertBatchWALReplay: one batch = one WAL commit; replaying the
 // log reproduces the batch store exactly.
 func TestInsertBatchWALReplay(t *testing.T) {
-	f := &wal.BufferFile{}
-	log, err := wal.NewLog(f, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New()
-	s.SetDurability(log)
+	s, log := walStore(t)
 	if _, err := s.CreateRDFModel("m", "", ""); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +124,7 @@ func TestInsertBatchWALReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := wal.ScanBytes(f.Bytes())
+	res, err := wal.ScanFile(filepath.Join(log.Path(), "wal-000001.log"))
 	if err != nil || res.Truncated {
 		t.Fatalf("scan: %v (truncated=%v)", err, res.Truncated)
 	}
@@ -176,7 +171,7 @@ func TestInsertBatchErrors(t *testing.T) {
 // term, present or absent, with no text index behind it. (The 1 M-entry
 // cache it replaces was dropped whole when full and fell back to one.)
 func TestTermDictionaryComplete(t *testing.T) {
-	s, logFile := walStore(t)
+	s, log := walStore(t)
 	if _, err := s.CreateRDFModel("m", "", ""); err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +205,7 @@ func TestTermDictionaryComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed := recoverImage(t, nil, logFile.Bytes())
+	replayed := recoverLog(t, "", log.Path())
 
 	for name, st := range map[string]*Store{"live": s, "loaded": loaded, "replayed": replayed} {
 		if errs := st.CheckInvariants(); len(errs) > 0 {

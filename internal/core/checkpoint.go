@@ -27,8 +27,8 @@ func (s *Store) SaveFile(path string) error {
 	return s.SaveFileAt(path, 0)
 }
 
-// SaveFileAt is SaveFile recording walSeq as the segmented-WAL
-// watermark (see SaveAt).
+// SaveFileAt is SaveFile recording walSeq as the WAL watermark (see
+// SaveAt).
 func (s *Store) SaveFileAt(path string, walSeq int64) error {
 	tmp := path + tmpSuffix
 	f, err := os.Create(tmp)
@@ -86,8 +86,8 @@ func LoadFile(path string) (*Store, error) {
 	return s, err
 }
 
-// LoadFileAt is LoadFile returning also the snapshot's segmented-WAL
-// watermark (0 when the snapshot predates segmented logs).
+// LoadFileAt is LoadFile returning also the snapshot's WAL watermark (0
+// when the snapshot was saved without one).
 func LoadFileAt(path string) (*Store, int64, error) {
 	RemoveStaleSnapshot(path)
 	f, err := os.Open(path)
@@ -98,21 +98,9 @@ func LoadFileAt(path string) (*Store, int64, error) {
 	return LoadAt(f)
 }
 
-// RecoverFiles rebuilds a store from an on-disk checkpoint + WAL pair:
-// stale snapshot tmp removed, snapshot loaded when present (fresh store
-// otherwise), WAL opened (created when absent) with its torn tail
-// truncated, and the verified records replayed. The returned log is
-// positioned for appending; attach it (or a wal.Group over it) with
-// SetDurability to continue mutating durably.
-func RecoverFiles(snapPath, walPath string) (*Store, *wal.Log, RecoverInfo, error) {
-	return RecoverFilesWith(snapPath, walPath, func(path string, fn wal.RecordFunc) (*wal.Log, wal.ScanResult, error) {
-		return wal.OpenFileWith(path, nil, fn)
-	})
-}
-
-// loadOrNew is the first step of a file recovery: the store of the
-// snapshot at snapPath with its segmented-WAL watermark, or a fresh store
-// when snapPath is empty or names no file yet.
+// loadOrNew is the first step of a recovery: the store of the snapshot at
+// snapPath with its WAL watermark, or a fresh store when snapPath is empty
+// or names no file yet.
 func loadOrNew(snapPath string) (*Store, int64, time.Duration, error) {
 	if snapPath != "" {
 		t0 := time.Now()
@@ -127,75 +115,8 @@ func loadOrNew(snapPath string) (*Store, int64, time.Duration, error) {
 	return New(), 0, 0, nil
 }
 
-// RecoverFilesWith is RecoverFiles with an injectable WAL opener (tests
-// substitute fault-wrapped files via wal.OpenFileWith). The opener hands
-// the log's records to fn as it reads them.
-func RecoverFilesWith(snapPath, walPath string,
-	openWAL func(path string, fn wal.RecordFunc) (*wal.Log, wal.ScanResult, error)) (*Store, *wal.Log, RecoverInfo, error) {
-	s, _, restore, err := loadOrNew(snapPath)
-	if err != nil {
-		return nil, nil, RecoverInfo{}, err
-	}
-	var log *wal.Log
-	info, err := s.replayStream(restore, func(apply wal.RecordFunc) (res wal.ScanResult, err error) {
-		log, res, err = openWAL(walPath, apply)
-		return res, err
-	})
-	if err != nil {
-		return nil, nil, RecoverInfo{}, err
-	}
-	return s, log, info, nil
-}
-
-// Checkpoint makes the store's current state the new durable baseline:
-// the snapshot is written atomically (SaveFile), then the WAL is
-// truncated back to its header. Readers proceed throughout (Save holds
-// only the read lock); the caller must ensure no mutation commits
-// between the snapshot and the truncation — the supervisor does this by
-// excluding mutations for the duration, single-threaded CLIs get it for
-// free. A crash after the snapshot rename but before the truncation
-// leaves a WAL whose records the snapshot already contains; replaying
-// them fails loudly on duplicate IDs rather than corrupting silently —
-// restart recovery from the snapshot alone in that case. (The segmented
-// CheckpointDir closes that window with a watermark.)
-func Checkpoint(s *Store, snapPath string, log *wal.Log) error {
-	return CheckpointCtx(context.Background(), s, snapPath, log)
-}
-
-// CheckpointCtx is Checkpoint recording its phases — snapshot write,
-// WAL truncation — on the span carried by ctx (see internal/trace).
-// The context is not consulted for cancellation: a checkpoint, once
-// started, must reach one of its documented crash-safe states.
-func CheckpointCtx(ctx context.Context, s *Store, snapPath string, log *wal.Log) error {
-	t0 := s.met.startTimer()
-	sp := trace.FromContext(ctx)
-	var phaseStart time.Time
-	if sp != nil {
-		phaseStart = time.Now()
-	}
-	if err := s.SaveFile(snapPath); err != nil {
-		sp.AddCompleted("core.snapshot", phaseStart, since(sp, phaseStart), nil, true)
-		return err
-	}
-	if sp != nil {
-		now := time.Now()
-		sp.AddCompleted("core.snapshot", phaseStart, now.Sub(phaseStart),
-			map[string]string{"path": snapPath}, false)
-		phaseStart = now
-	}
-	if log != nil {
-		if err := log.Reset(); err != nil {
-			sp.AddCompleted("core.wal_reset", phaseStart, since(sp, phaseStart), nil, true)
-			return fmt.Errorf("core: checkpoint: truncating WAL: %w", err)
-		}
-	}
-	sp.AddCompleted("core.wal_reset", phaseStart, since(sp, phaseStart), nil, false)
-	s.met.onCheckpoint(t0)
-	return nil
-}
-
-// CheckpointDir is Checkpoint for a segmented WAL, with the crash window
-// the single-file protocol documents closed by a watermark:
+// CheckpointDir makes the store's current state the new durable
+// baseline and reclaims the log's space, in three steps:
 //
 //  1. Rotate — every mutation the snapshot will contain now lives in
 //     segments below the fresh segment's number N.
@@ -207,14 +128,18 @@ func CheckpointCtx(ctx context.Context, s *Store, snapPath string, log *wal.Log)
 // the old snapshot; a crash between 2 and 3 leaves segments below the
 // new snapshot's watermark, which recovery deletes instead of replaying
 // (wal.OpenDir finishes the retention). No window double-applies or
-// loses an acked commit. The caller must exclude mutations for the
-// duration, exactly as for Checkpoint.
+// loses an acked commit. Readers proceed throughout (Save holds only the
+// read lock); the caller must ensure no mutation commits for the
+// duration — the supervisor excludes mutations, single-threaded CLIs get
+// it for free.
 func CheckpointDir(s *Store, snapPath string, d *wal.Dir) error {
 	return CheckpointDirCtx(context.Background(), s, snapPath, d)
 }
 
 // CheckpointDirCtx is CheckpointDir recording its phases — rotate,
-// snapshot write, retention — on the span carried by ctx.
+// snapshot write, retention — on the span carried by ctx. The context is
+// not consulted for cancellation: a checkpoint, once started, must reach
+// one of its documented crash-safe states.
 func CheckpointDirCtx(ctx context.Context, s *Store, snapPath string, d *wal.Dir) error {
 	t0 := s.met.startTimer()
 	sp := trace.FromContext(ctx)
@@ -256,7 +181,7 @@ func CheckpointDirCtx(ctx context.Context, s *Store, snapPath string, d *wal.Dir
 	return nil
 }
 
-// RecoverDir rebuilds a store from an on-disk checkpoint + segmented WAL
+// RecoverDir rebuilds a store from an on-disk checkpoint + WAL
 // directory: stale snapshot tmp removed, snapshot loaded when present
 // (fresh store otherwise), segments below the snapshot's watermark
 // deleted, the rest scanned (torn tail tolerated in the final segment

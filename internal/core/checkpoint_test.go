@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -64,15 +65,15 @@ func TestLoadFileRemovesStaleTmp(t *testing.T) {
 	}
 }
 
-// Full file-based lifecycle: fresh recover → mutate durably → recover
-// replays the WAL → checkpoint truncates it → recover uses the snapshot.
+// Full on-disk lifecycle: fresh recover → mutate durably → recover
+// replays the WAL → checkpoint retires it → recover uses the snapshot.
 func TestRecoverFilesCheckpointCycle(t *testing.T) {
 	dir := t.TempDir()
 	snap := filepath.Join(dir, "store.snap")
-	walPath := filepath.Join(dir, "store.wal")
+	walDir := filepath.Join(dir, "wal")
 	a := govAliases()
 
-	s, log, info, err := RecoverFiles(snap, walPath)
+	s, log, info, err := RecoverDir(snap, walDir, wal.DirOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestRecoverFilesCheckpointCycle(t *testing.T) {
 	}
 
 	// Crash-restart: no snapshot yet, everything comes from the WAL.
-	s2, log2, info2, err := RecoverFiles(snap, walPath)
+	s2, log2, info2, err := RecoverDir(snap, walDir, wal.DirOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,22 +107,23 @@ func TestRecoverFilesCheckpointCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Checkpoint: snapshot becomes the baseline, WAL resets to empty.
-	if err := Checkpoint(s2, snap, log2); err != nil {
+	// Checkpoint: the snapshot becomes the baseline, the WAL keeps only an
+	// empty segment past its watermark.
+	if err := CheckpointDir(s2, snap, log2); err != nil {
 		t.Fatal(err)
 	}
 	if err := log2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	fi, err := os.Stat(walPath)
-	if err != nil {
-		t.Fatal(err)
+	segs, err := filepath.Glob(filepath.Join(walDir, "wal-*.log"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("checkpoint left segments %v (err %v), want one", segs, err)
 	}
-	if fi.Size() != int64(len(wal.Magic)) {
-		t.Fatalf("WAL not truncated to header by checkpoint: %d bytes", fi.Size())
+	if fi, err := os.Stat(segs[0]); err != nil || fi.Size() != int64(len(wal.Magic)) {
+		t.Fatalf("post-checkpoint segment is not header-only: %v, %v", fi, err)
 	}
 
-	s3, log3, info3, err := RecoverFiles(snap, walPath)
+	s3, log3, info3, err := RecoverDir(snap, walDir, wal.DirOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,6 +135,56 @@ func TestRecoverFilesCheckpointCycle(t *testing.T) {
 		t.Fatalf("post-checkpoint store has %d triples", n)
 	}
 	assertInvariants(t, s3)
+}
+
+// TestSingleFileStoreMigratesToDir pins the migration from the retired
+// single-file log with data: testdata/single-file-store was written by
+// rdfload -wal (see its README), and a log moved to
+// <dir>/wal-000001.log is a one-segment WAL directory that RecoverDir
+// reads — on its own, or behind the snapshot it was checkpointed into
+// (a snapshot with watermark 0).
+func TestSingleFileStoreMigratesToDir(t *testing.T) {
+	fixture := filepath.Join("testdata", "single-file-store")
+	var stores []*Store
+	for _, tc := range []struct{ name, snap, log string }{
+		{"log only", "", "solo.wal"},
+		{"snapshot + log", "store.snap", "store.wal"},
+	} {
+		img, err := os.ReadFile(filepath.Join(fixture, tc.log))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := filepath.Join(t.TempDir(), "store.d")
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "wal-000001.log"), img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		snap := ""
+		if tc.snap != "" {
+			snap = filepath.Join(fixture, tc.snap)
+		}
+		st, d, info, err := RecoverDir(snap, dir, wal.DirOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		d.Close()
+		if info.Applied == 0 || info.Truncated || info.Retired != 0 {
+			t.Fatalf("%s: recovery %+v, want a clean replay", tc.name, info)
+		}
+		assertInvariants(t, st)
+		if n, err := st.NumTriples("m"); err != nil || n != 8 {
+			t.Fatalf("%s: %d triples (err %v), want 8", tc.name, n, err)
+		}
+		if n, err := st.ReifiedCount("m"); err != nil || n != 1 {
+			t.Fatalf("%s: %d reified statements (err %v), want 1", tc.name, n, err)
+		}
+		stores = append(stores, st)
+	}
+	if !bytes.Equal(fingerprint(t, stores[0]), fingerprint(t, stores[1])) {
+		t.Fatal("the log alone and snapshot + log recover different stores")
+	}
 }
 
 // SaveFile over an existing snapshot must never destroy the old one

@@ -24,13 +24,7 @@ import (
 // check: after the dust settles, replaying the log must rebuild a store
 // identical to the live one.
 func TestConcurrentReadersWriterStress(t *testing.T) {
-	f := &wal.BufferFile{}
-	log, err := wal.NewLog(f, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New()
-	s.SetDurability(log)
+	s, log := walStore(t)
 	a := rdfterm.Default().With(rdfterm.Alias{Prefix: "x", Namespace: "http://x#"})
 
 	const models = 3
@@ -174,7 +168,7 @@ func TestConcurrentReadersWriterStress(t *testing.T) {
 	assertInvariants(t, s)
 
 	// The log written under concurrency must replay to the same store.
-	rec := recoverImage(t, nil, f.Bytes())
+	rec := recoverLog(t, "", log.Path())
 	if got, want := fingerprint(t, rec), fingerprint(t, s); !bytes.Equal(got, want) {
 		t.Fatal("WAL written under concurrent load does not replay to the live store")
 	}
@@ -188,11 +182,15 @@ func TestConcurrentReadersWriterStress(t *testing.T) {
 // broken, mutations are rejected with the typed ErrDurability while
 // concurrent readers keep serving consistent results the whole time.
 func TestDegradedReadsWhileWritesRejected(t *testing.T) {
-	fl := wal.NewFlaky(&wal.BufferFile{})
-	log, err := wal.NewLog(fl, true)
+	var fl *wal.FlakyFile
+	log, _, err := wal.OpenDir(t.TempDir(), 0, wal.DirOptions{Wrap: func(f wal.File) wal.File {
+		fl = wal.NewFlaky(f)
+		return fl
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer log.Close()
 	s := New()
 	s.SetDurability(log)
 	a := rdfterm.Default().With(rdfterm.Alias{Prefix: "x", Namespace: "http://x#"})

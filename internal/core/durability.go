@@ -18,7 +18,7 @@ var ErrDurability = errors.New("core: durability sink failed")
 // Durability receives the store's logical mutations as WAL records. The
 // paper's Oracle deployment gets redo logging from the engine; here the
 // hook is pluggable so the pure in-memory configuration (d == nil) pays
-// nothing. *wal.Log is the standard implementation.
+// nothing. *wal.Dir (or a wal.GroupLog over one) is the implementation.
 //
 // Append is called under the store's write lock, once per logical
 // mutation, in commit order — any prefix of the record stream is a

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/rdfterm"
@@ -11,10 +10,11 @@ import (
 )
 
 // Crash recovery: a store's durable state is a snapshot (checkpoint)
-// plus the WAL records appended since. Recover rebuilds the store by
-// loading the snapshot (or starting fresh) and replaying the log's
-// verified prefix; a torn or corrupted tail is reported, not fatal,
-// because the prefix before it is a consistent commit boundary.
+// plus the WAL records appended since. RecoverDir (checkpoint.go)
+// rebuilds the store by loading the snapshot (or starting fresh) and
+// replaying the log's verified prefix; a torn or corrupted tail is
+// reported, not fatal, because the prefix before it is a consistent
+// commit boundary.
 
 // RecoverInfo summarizes a recovery.
 type RecoverInfo struct {
@@ -26,8 +26,7 @@ type RecoverInfo struct {
 	Truncated bool
 	// TailErr describes the damage when Truncated is set.
 	TailErr error
-	// Segments is the number of retained WAL segments (segmented
-	// recovery only; 0 for a single-file WAL).
+	// Segments is the number of retained WAL segments.
 	Segments int
 	// Retired is the number of segments below the snapshot's watermark
 	// deleted at open — an interrupted checkpoint's retention, finished.
@@ -35,29 +34,6 @@ type RecoverInfo struct {
 	// Restore, Scan and Replay say where a restart's time went: loading
 	// the snapshot, reading and verifying the WAL, applying its records.
 	Restore, Scan, Replay time.Duration
-}
-
-// Recover rebuilds a store from an optional snapshot reader (nil for
-// none) and a WAL reader. The WAL must have been written against the
-// snapshot it is paired with (a checkpoint truncates the log).
-func Recover(snap io.Reader, log io.Reader) (*Store, RecoverInfo, error) {
-	s := New()
-	var restore time.Duration
-	if snap != nil {
-		t0 := time.Now()
-		var err error
-		if s, err = Load(snap); err != nil {
-			return nil, RecoverInfo{}, err
-		}
-		restore = time.Since(t0)
-	}
-	info, err := s.replayStream(restore, func(apply wal.RecordFunc) (wal.ScanResult, error) {
-		return wal.ScanFunc(log, apply)
-	})
-	if err != nil {
-		return nil, RecoverInfo{}, err
-	}
-	return s, info, nil
 }
 
 // Replay applies WAL records to the store in order. Records carry the

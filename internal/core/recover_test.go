@@ -3,7 +3,8 @@ package core
 import (
 	"bytes"
 	"errors"
-	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -12,31 +13,30 @@ import (
 	"repro/internal/wal"
 )
 
-// walStore returns a fresh store logging to a fresh in-memory WAL.
-func walStore(t *testing.T) (*Store, *wal.BufferFile) {
+// walStore returns a fresh store logging to a fresh WAL directory. The
+// log skips fsyncs (noFault): these tests read it back through the page
+// cache.
+func walStore(t *testing.T) (*Store, *wal.Dir) {
 	t.Helper()
-	f := &wal.BufferFile{}
-	log, err := wal.NewLog(f, true)
+	d, _, err := wal.OpenDir(filepath.Join(t.TempDir(), "wal"), 0, wal.DirOptions{Wrap: noFault().Wrap})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { d.Close() })
 	s := New()
-	s.SetDurability(log)
-	return s, f
+	s.SetDurability(d)
+	return s, d
 }
 
-// recoverImage rebuilds a store from a snapshot (nil for none) and a WAL
-// image, asserting the recovery is clean.
-func recoverImage(t *testing.T, snap, img []byte) *Store {
+// recoverLog rebuilds a store from a snapshot ("" for none) and a WAL
+// directory, asserting the recovery is clean.
+func recoverLog(t *testing.T, snapPath, dir string) *Store {
 	t.Helper()
-	var snapR io.Reader
-	if snap != nil {
-		snapR = bytes.NewReader(snap)
-	}
-	s, info, err := Recover(snapR, bytes.NewReader(img))
+	s, d, info, err := RecoverDir(snapPath, dir, wal.DirOptions{})
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
+	d.Close()
 	if info.Truncated {
 		t.Fatalf("unexpected torn tail: %v", info.TailErr)
 	}
@@ -47,13 +47,13 @@ func recoverImage(t *testing.T, snap, img []byte) *Store {
 // TestWALRoundTrip runs the full crash workload with logging on and
 // checks that replaying the log alone reproduces the live store exactly.
 func TestWALRoundTrip(t *testing.T) {
-	s, f := walStore(t)
+	s, log := walStore(t)
 	for _, op := range walWorkload() {
 		if err := op.do(s); err != nil {
 			t.Fatalf("op %q: %v", op.name, err)
 		}
 	}
-	rec := recoverImage(t, nil, f.Bytes())
+	rec := recoverLog(t, "", log.Path())
 	if got, want := fingerprint(t, rec), fingerprint(t, s); !bytes.Equal(got, want) {
 		t.Fatal("recovered store differs from live store")
 	}
@@ -62,16 +62,11 @@ func TestWALRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRecoverFromCheckpoint snapshots mid-history (the checkpoint),
-// truncates the log, keeps mutating, and recovers from snapshot + WAL.
+// TestRecoverFromCheckpoint checkpoints mid-history (snapshot, retire the
+// log), keeps mutating, and recovers from snapshot + WAL.
 func TestRecoverFromCheckpoint(t *testing.T) {
-	f := &wal.BufferFile{}
-	log, err := wal.NewLog(f, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New()
-	s.SetDurability(log)
+	s, log := walStore(t)
+	snap := filepath.Join(t.TempDir(), "store.snap")
 	a := govAliases()
 
 	if _, err := s.CreateRDFModel("gov", "", ""); err != nil {
@@ -80,20 +75,9 @@ func TestRecoverFromCheckpoint(t *testing.T) {
 	if _, err := s.NewTripleS("gov", "gov:a", "gov:p", "gov:b", a); err != nil {
 		t.Fatal(err)
 	}
-
-	// Checkpoint: snapshot the store, then truncate the log. BufferFile
-	// has no Truncate, so model the reset by swapping in a fresh file —
-	// the same state transition Log.Reset performs on disk.
-	var snap bytes.Buffer
-	if err := s.Save(&snap); err != nil {
+	if err := CheckpointDir(s, snap, log); err != nil {
 		t.Fatal(err)
 	}
-	f2 := &wal.BufferFile{}
-	log2, err := wal.NewLog(f2, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetDurability(log2)
 
 	// Post-checkpoint history: new work plus a delete of pre-checkpoint
 	// state, so replay must patch the snapshot, not just extend it.
@@ -107,7 +91,7 @@ func TestRecoverFromCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rec := recoverImage(t, snap.Bytes(), f2.Bytes())
+	rec := recoverLog(t, snap, log.Path())
 	if got, want := fingerprint(t, rec), fingerprint(t, s); !bytes.Equal(got, want) {
 		t.Fatal("snapshot+WAL recovery differs from live store")
 	}
@@ -119,61 +103,61 @@ func TestRecoverFromCheckpoint(t *testing.T) {
 	}
 }
 
-// TestRecoverThenContinue crashes mid-workload, recovers, attaches a new
-// log, keeps going, and recovers again — the restart loop of a real
-// process, twice over.
+// TestRecoverThenContinue crashes mid-workload, recovers, keeps going on
+// the recovered log after a checkpoint, and recovers again — the restart
+// loop of a real process, twice over.
 func TestRecoverThenContinue(t *testing.T) {
 	ops := walWorkload()
 	cutAfter := 7 // crash after the first 7 ops
 
-	s1, f1 := walStore(t)
+	s1, log1 := walStore(t)
 	for _, op := range ops[:cutAfter] {
 		if err := op.do(s1); err != nil {
 			t.Fatalf("op %q: %v", op.name, err)
 		}
 	}
-	// "Crash": s1 is discarded; only the log image survives.
-	s2 := recoverImage(t, nil, f1.Bytes())
+	// "Crash": s1 is discarded; only its log survives.
+	log1.Close()
+	snap := filepath.Join(t.TempDir(), "store.snap")
+	s2, log2, _, err := RecoverDir(snap, log1.Path(), wal.DirOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log2.Close()
 	if got, want := fingerprint(t, s2), fingerprint(t, s1); !bytes.Equal(got, want) {
 		t.Fatal("first recovery differs from pre-crash store")
 	}
 
-	// Continue on a fresh log paired with a checkpoint of the recovered
+	// Continue on the recovered log after a checkpoint of the recovered
 	// state, then crash and recover once more.
-	var snap bytes.Buffer
-	if err := s2.Save(&snap); err != nil {
-		t.Fatal(err)
-	}
-	f2 := &wal.BufferFile{}
-	log2, err := wal.NewLog(f2, true)
-	if err != nil {
-		t.Fatal(err)
-	}
 	s2.SetDurability(log2)
+	if err := CheckpointDir(s2, snap, log2); err != nil {
+		t.Fatal(err)
+	}
 	for _, op := range ops[cutAfter:] {
 		if err := op.do(s2); err != nil {
 			t.Fatalf("op %q: %v", op.name, err)
 		}
 	}
-	s3 := recoverImage(t, snap.Bytes(), f2.Bytes())
+	s3 := recoverLog(t, snap, log2.Path())
 	if got, want := fingerprint(t, s3), fingerprint(t, s2); !bytes.Equal(got, want) {
 		t.Fatal("second recovery differs from live store")
 	}
 }
 
-// TestLogResetCheckpointOnDisk exercises the real checkpoint sequence
-// against an on-disk WAL file: write, snapshot, Reset, write more,
-// reopen, recover.
+// TestLogResetCheckpointOnDisk exercises the checkpoint sequence against
+// the log on disk: write, checkpoint (the log is reset to the segments
+// after the snapshot's watermark), write more, close, recover.
 func TestLogResetCheckpointOnDisk(t *testing.T) {
-	path := t.TempDir() + "/store.wal"
-	log, res, err := wal.OpenFile(path)
+	dir := t.TempDir()
+	snap, walDir := filepath.Join(dir, "store.snap"), filepath.Join(dir, "wal")
+	s, log, info, err := RecoverDir(snap, walDir, wal.DirOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Records) != 0 {
-		t.Fatalf("fresh WAL has %d records", len(res.Records))
+	if info.Applied != 0 {
+		t.Fatalf("fresh WAL replayed %d records", info.Applied)
 	}
-	s := New()
 	s.SetDurability(log)
 	a := govAliases()
 	if _, err := s.CreateRDFModel("gov", "", ""); err != nil {
@@ -182,13 +166,11 @@ func TestLogResetCheckpointOnDisk(t *testing.T) {
 	if _, err := s.NewTripleS("gov", "gov:a", "gov:p", "gov:b", a); err != nil {
 		t.Fatal(err)
 	}
-
-	var snap bytes.Buffer
-	if err := s.Save(&snap); err != nil {
+	if err := CheckpointDir(s, snap, log); err != nil {
 		t.Fatal(err)
 	}
-	if err := log.Reset(); err != nil {
-		t.Fatal(err)
+	if log.Segments() != 1 || log.Size() != int64(len(wal.Magic)) {
+		t.Fatalf("checkpoint left %d segments, %d bytes; want one empty segment", log.Segments(), log.Size())
 	}
 	if _, err := s.NewTripleS("gov", "gov:c", "gov:p", "gov:d", a); err != nil {
 		t.Fatal(err)
@@ -197,18 +179,14 @@ func TestLogResetCheckpointOnDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Restart: reopen the WAL, load the snapshot, replay the tail.
-	log2, res2, err := wal.OpenFile(path)
+	// Restart: the snapshot plus the post-checkpoint tail.
+	rec, log2, info, err := RecoverDir(snap, walDir, wal.DirOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer log2.Close()
-	rec, err := Load(bytes.NewReader(snap.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rec.Replay(res2.Records); err != nil {
-		t.Fatal(err)
+	if info.Applied == 0 {
+		t.Fatal("post-checkpoint mutation was not replayed")
 	}
 	assertInvariants(t, rec)
 	if got, want := fingerprint(t, rec), fingerprint(t, s); !bytes.Equal(got, want) {
@@ -220,7 +198,7 @@ func TestLogResetCheckpointOnDisk(t *testing.T) {
 // surviving model, and checks WAL replay reproduces the post-drop state:
 // shared nodes kept, exclusive nodes gone, model catalog and view gone.
 func TestDropModelRecovery(t *testing.T) {
-	s, f := walStore(t)
+	s, log := walStore(t)
 	a := govAliases()
 	for _, m := range []string{"keep", "doomed"} {
 		if _, err := s.CreateRDFModel(m, "", ""); err != nil {
@@ -242,7 +220,7 @@ func TestDropModelRecovery(t *testing.T) {
 	}
 	assertInvariants(t, s)
 
-	rec := recoverImage(t, nil, f.Bytes())
+	rec := recoverLog(t, "", log.Path())
 	if got, want := fingerprint(t, rec), fingerprint(t, s); !bytes.Equal(got, want) {
 		t.Fatal("post-drop recovery differs from live store")
 	}
@@ -259,11 +237,15 @@ func TestDropModelRecovery(t *testing.T) {
 	assertInvariants(t, rec)
 }
 
-// TestRecoverRejectsNonWAL makes sure recovery refuses a stream that is
+// TestRecoverRejectsNonWAL makes sure recovery refuses a segment that is
 // not a WAL instead of misreading it.
 func TestRecoverRejectsNonWAL(t *testing.T) {
-	if _, _, err := Recover(nil, bytes.NewReader([]byte("GOBSNAP1 definitely not a log"))); err == nil {
-		t.Fatal("recover accepted a non-WAL stream")
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "wal-000001.log"), []byte("GOBSNAP1 definitely not a log"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := RecoverDir("", dir, wal.DirOptions{}); !errors.Is(err, wal.ErrNotWAL) {
+		t.Fatalf("recover of a non-WAL segment: %v, want wal.ErrNotWAL", err)
 	}
 }
 
@@ -272,11 +254,7 @@ func TestRecoverRejectsNonWAL(t *testing.T) {
 // must fail recovery with the unique-constraint error, not replay into a
 // store whose dictionary silently points at the second row.
 func TestReplayRejectsDuplicateTerm(t *testing.T) {
-	f := &wal.BufferFile{}
-	log, err := wal.NewLog(f, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, log := walStore(t)
 	for _, r := range []wal.Record{
 		{Type: wal.TypeInternValue, ValueID: 1068, Text: "http://a", ValueType: rdfterm.VTUri},
 		{Type: wal.TypeInternValue, ValueID: 1069, Text: "chat", ValueType: rdfterm.VTPlainLang, Language: "fr"},
@@ -287,7 +265,7 @@ func TestReplayRejectsDuplicateTerm(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, _, err = Recover(nil, bytes.NewReader(f.Buffer.Bytes()))
+	_, _, _, err := RecoverDir("", log.Path(), wal.DirOptions{})
 	if !errors.Is(err, reldb.ErrUniqueViolation) || !strings.Contains(err.Error(), "record 3") {
 		t.Fatalf("recovering a log that interns <http://a> twice: %v; want a unique violation at record 3", err)
 	}
@@ -298,27 +276,23 @@ func TestReplayRejectsDuplicateTerm(t *testing.T) {
 // model names, view names, blank labels, text — must be its own copy: the
 // window is overwritten by the next read.
 func TestReplayKeepsNothingOfTheScanWindow(t *testing.T) {
-	live, logFile := walStore(t)
+	live, log := walStore(t)
 	for _, op := range walWorkload() {
 		if err := op.do(live); err != nil {
 			t.Fatalf("%s: %v", op.name, err)
 		}
 	}
-	rec := recoverImage(t, nil, logFile.Bytes())
+	rec := recoverLog(t, "", log.Path())
 	// A different log of at least the same length, through the same
 	// (pooled) window.
-	other := &wal.BufferFile{}
-	olog, err := wal.NewLog(other, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for other.Buffer.Len() < logFile.Buffer.Len()+64 {
-		if err := olog.Append(wal.Record{Type: wal.TypeCreateModel, ModelID: 1, Name: strings.Repeat("#", 200)}); err != nil {
+	_, other := walStore(t)
+	for other.Size() < log.Size()+64 {
+		if err := other.Append(wal.Record{Type: wal.TypeCreateModel, ModelID: 1, Name: strings.Repeat("#", 200)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := wal.ScanFunc(bytes.NewReader(other.Buffer.Bytes()), nil); err != nil {
+		if _, err := wal.ScanFile(filepath.Join(other.Path(), "wal-000001.log")); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/wal"
 )
 
 // TestChaosCycle drives concurrent writers, readers, and a background
@@ -32,8 +33,8 @@ func TestChaosCycle(t *testing.T) {
 	rec := &recorder{}
 	sv, err := Open(Config{
 		SnapshotPath:  filepath.Join(dir, "store.snap"),
-		WALPath:       filepath.Join(dir, "store.wal"),
-		OpenWAL:       fo.open,
+		WALDir:        filepath.Join(dir, "wal"),
+		OpenDir:       fo.open,
 		OnTransition:  rec.note,
 		ScrubInterval: 5 * time.Millisecond,
 		ScrubSlice:    64,
@@ -127,7 +128,7 @@ func TestChaosCycle(t *testing.T) {
 	}
 
 	// Chaos: while the store is healthy, periodically trip the current
-	// WAL file so in-flight appends or syncs fail.
+	// WAL segment so in-flight appends or syncs fail.
 	wg.Add(1)
 	faults := 0
 	go func() {
@@ -184,11 +185,11 @@ func TestChaosCycle(t *testing.T) {
 
 	// Post-mortem: recover from the on-disk image alone. Every
 	// acknowledged commit must be present and invariants must hold.
-	st, log, _, err := core.RecoverFiles(filepath.Join(dir, "store.snap"), filepath.Join(dir, "store.wal"))
+	st, d, _, err := core.RecoverDir(filepath.Join(dir, "store.snap"), filepath.Join(dir, "wal"), wal.DirOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer log.Close()
+	defer d.Close()
 	if errs := st.CheckInvariants(); len(errs) > 0 {
 		t.Fatalf("recovered store violates invariants: %v", errs[0])
 	}

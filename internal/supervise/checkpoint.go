@@ -2,14 +2,13 @@ package supervise
 
 import (
 	"context"
-	"os"
 	"time"
 
 	"repro/internal/trace"
 )
 
 // Automatic checkpointing. The policy loop turns the manual-only
-// Checkpoint into the segmented WAL's retention engine: without it an
+// Checkpoint into the WAL's retention engine: without it an
 // rdfserve left running would grow its log without bound and the disk
 // budget would only ever be hit, never relieved. Two trigger classes:
 //
@@ -92,13 +91,5 @@ func (sv *Supervisor) checkpointDue(urgent bool) bool {
 	if p.Interval > 0 && time.Since(last) >= p.Interval {
 		return true
 	}
-	if p.WALBytes > 0 {
-		if dir != nil {
-			return dir.Size() >= p.WALBytes
-		}
-		if fi, err := os.Stat(sv.cfg.WALPath); err == nil && fi.Size() >= p.WALBytes {
-			return true
-		}
-	}
-	return false
+	return p.WALBytes > 0 && dir != nil && dir.Size() >= p.WALBytes
 }

@@ -198,8 +198,8 @@ func TestAutoCheckpointSoftWatermark(t *testing.T) {
 	}
 }
 
-// TestAutoCheckpointInterval: the age trigger checkpoints a single-file
-// WAL too (the policy is not segmented-only).
+// TestAutoCheckpointInterval: the age trigger checkpoints on its own,
+// with no disk budget configured.
 func TestAutoCheckpointInterval(t *testing.T) {
 	sv, _, _, dir := openTestSupervisor(t, func(cfg *Config) {
 		cfg.Checkpoint = CheckpointPolicy{Interval: 5 * time.Millisecond, Poll: time.Millisecond}

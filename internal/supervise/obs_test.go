@@ -11,7 +11,6 @@ import (
 	"repro/internal/match"
 	"repro/internal/obs"
 	"repro/internal/rdfterm"
-	"repro/internal/wal"
 )
 
 // TestTransitionsRouteToEventLog: every state change lands in the obs
@@ -142,18 +141,9 @@ func (*fakeViolation) Error() string { return "fabricated dangling link" }
 // flips to 503 once the store is forced out of Healthy.
 func TestAdminEndpointEndToEnd(t *testing.T) {
 	reg := obs.NewRegistry()
-	walMet := wal.NewMetrics(reg)
 	sv, fo, _, _ := openTestSupervisor(t, func(cfg *Config) {
 		cfg.Obs = reg
 		cfg.Backoff.Initial = time.Hour // first failed attempt parks in Degraded
-		inner := cfg.OpenWAL
-		cfg.OpenWAL = func(path string, fn wal.RecordFunc) (*wal.Log, wal.ScanResult, error) {
-			log, res, err := inner(path, fn)
-			if err == nil {
-				log.SetMetrics(walMet)
-			}
-			return log, res, err
-		}
 	})
 	sv.Store().SetMetrics(core.NewMetrics(reg))
 

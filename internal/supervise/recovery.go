@@ -14,9 +14,9 @@ import (
 // Recovery. After a durability fault the in-memory store is AHEAD of the
 // broken log and authoritative: every acknowledged mutation is in memory,
 // so recovery is NOT a replay — it is re-establishing a durable baseline
-// for what memory already holds. Each attempt reopens the WAL file,
-// checkpoints the current memory image atomically (core.SaveFile: tmp +
-// fsync + rename + dir fsync), and truncates the fresh log. One
+// for what memory already holds. Each attempt reopens the WAL directory,
+// checkpoints the current memory image atomically (core.CheckpointDir:
+// rotate, snapshot with watermark, retire the segments below it). One
 // acknowledged-durability wart is inherent here: a mutation whose WAL
 // append failed was rejected to its caller but may have partially applied
 // in memory; re-baselining persists it. That errs on the side of keeping
@@ -115,54 +115,35 @@ func (sv *Supervisor) attemptRecovery(ctx context.Context) error {
 	sv.opMu.Lock()
 	defer sv.opMu.Unlock()
 	sv.mu.Lock()
-	st, oldLog, oldDir, rootCause := sv.store, sv.log, sv.dir, sv.rootCause
+	st, oldDir, rootCause := sv.store, sv.dir, sv.rootCause
 	sv.mu.Unlock()
 
 	var scrubErr *ScrubError
 	if errors.As(rootCause, &scrubErr) {
-		return sv.recoverFromCorruption(st, oldLog, oldDir)
+		return sv.recoverFromCorruption(st, oldDir)
 	}
-	return sv.rebaseline(ctx, st, oldLog, oldDir)
+	return sv.rebaseline(ctx, st, oldDir)
 }
 
 // rebaseline re-establishes durability for the authoritative in-memory
 // image: close the broken log, reopen the WAL, checkpoint memory, and
-// reclaim the old log's space (truncation for a single file; rotate +
-// watermark + segment retention for a directory — which is also what
-// frees disk in a DegradedDisk episode). Called with opMu held
-// exclusively.
-func (sv *Supervisor) rebaseline(ctx context.Context, st *core.Store, oldLog *wal.Log, oldDir *wal.Dir) error {
-	if sv.cfg.WALDir != "" {
-		sv.closeOldDir(oldDir)
-		dir, _, err := sv.cfg.OpenDir(sv.cfg.WALDir, 0, sv.cfg.Segment, nil)
-		if err != nil {
-			return fmt.Errorf("reopening WAL dir: %w", err)
-		}
-		dir.SetMetrics(sv.walMet)
-		if err := core.CheckpointDirCtx(ctx, st, sv.cfg.SnapshotPath, dir); err != nil {
-			dir.Close()
-			return fmt.Errorf("re-baselining: %w", err)
-		}
-		st.SetDurability(dir)
-		sv.mu.Lock()
-		sv.dir = dir
-		sv.mu.Unlock()
-		sv.noteCheckpoint()
-		return nil
-	}
-	sv.closeOldLog(oldLog)
-	log, _, err := sv.cfg.OpenWAL(sv.cfg.WALPath, nil)
+// reclaim the old log's space (rotate + watermark + segment retention —
+// which is also what frees disk in a DegradedDisk episode). Called with
+// opMu held exclusively.
+func (sv *Supervisor) rebaseline(ctx context.Context, st *core.Store, oldDir *wal.Dir) error {
+	sv.closeOldDir(oldDir)
+	dir, _, err := sv.cfg.OpenDir(sv.cfg.WALDir, 0, sv.cfg.Segment, nil)
 	if err != nil {
-		return fmt.Errorf("reopening WAL: %w", err)
+		return fmt.Errorf("reopening WAL dir: %w", err)
 	}
-	log.SetMetrics(sv.walMet)
-	if err := core.CheckpointCtx(ctx, st, sv.cfg.SnapshotPath, log); err != nil {
-		log.Close()
+	dir.SetMetrics(sv.walMet)
+	if err := core.CheckpointDirCtx(ctx, st, sv.cfg.SnapshotPath, dir); err != nil {
+		dir.Close()
 		return fmt.Errorf("re-baselining: %w", err)
 	}
-	st.SetDurability(log)
+	st.SetDurability(dir)
 	sv.mu.Lock()
-	sv.log = log
+	sv.dir = dir
 	sv.mu.Unlock()
 	sv.noteCheckpoint()
 	return nil
@@ -171,60 +152,30 @@ func (sv *Supervisor) rebaseline(ctx context.Context, st *core.Store, oldLog *wa
 // recoverFromCorruption handles a scrubber-confirmed invariant failure:
 // re-verify memory (the scrub may predate a fix), and rebuild from disk
 // when the damage is real. Called with opMu held exclusively.
-func (sv *Supervisor) recoverFromCorruption(st *core.Store, oldLog *wal.Log, oldDir *wal.Dir) error {
+func (sv *Supervisor) recoverFromCorruption(st *core.Store, oldDir *wal.Dir) error {
 	if len(sv.cfg.Verify(st)) == 0 {
 		// Memory verifies clean now; keep it and its log.
 		return nil
 	}
-	if sv.cfg.WALDir != "" {
-		sv.closeOldDir(oldDir)
-		fresh, dir, _, err := core.RecoverDirWith(sv.cfg.SnapshotPath, sv.cfg.WALDir, sv.cfg.Segment, sv.cfg.OpenDir)
-		if err != nil {
-			return fmt.Errorf("rebuilding from disk: %w", err)
-		}
-		if errs := sv.cfg.Verify(fresh); len(errs) > 0 {
-			dir.Close()
-			return fmt.Errorf("disk image fails verification too: %w", errs[0])
-		}
-		dir.SetMetrics(sv.walMet)
-		fresh.SetDurability(dir)
-		sv.mu.Lock()
-		sv.store, sv.dir = fresh, dir
-		sv.mu.Unlock()
-		return nil
-	}
-	sv.closeOldLog(oldLog)
-	fresh, log, _, err := core.RecoverFilesWith(sv.cfg.SnapshotPath, sv.cfg.WALPath, sv.cfg.OpenWAL)
+	sv.closeOldDir(oldDir)
+	fresh, dir, _, err := core.RecoverDirWith(sv.cfg.SnapshotPath, sv.cfg.WALDir, sv.cfg.Segment, sv.cfg.OpenDir)
 	if err != nil {
 		return fmt.Errorf("rebuilding from disk: %w", err)
 	}
 	if errs := sv.cfg.Verify(fresh); len(errs) > 0 {
-		log.Close()
+		dir.Close()
 		return fmt.Errorf("disk image fails verification too: %w", errs[0])
 	}
-	log.SetMetrics(sv.walMet)
-	fresh.SetDurability(log)
+	dir.SetMetrics(sv.walMet)
+	fresh.SetDurability(dir)
 	sv.mu.Lock()
-	sv.store, sv.log = fresh, log
+	sv.store, sv.dir = fresh, dir
 	sv.mu.Unlock()
 	return nil
 }
 
-// closeOldLog detaches and closes the failed log, tolerating errors (the
-// sink is already known broken) and repeated attempts (sv.log nils out).
-func (sv *Supervisor) closeOldLog(oldLog *wal.Log) {
-	if oldLog == nil {
-		return
-	}
-	oldLog.Close()
-	sv.mu.Lock()
-	if sv.log == oldLog {
-		sv.log = nil
-	}
-	sv.mu.Unlock()
-}
-
-// closeOldDir is closeOldLog for the segmented WAL.
+// closeOldDir detaches and closes the failed log, tolerating errors (the
+// sink is already known broken) and repeated attempts (sv.dir nils out).
 func (sv *Supervisor) closeOldDir(oldDir *wal.Dir) {
 	if oldDir == nil {
 		return

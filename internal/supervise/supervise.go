@@ -15,8 +15,8 @@
 // serving from the in-memory image (which is ahead of the broken log and
 // authoritative). A background recovery loop retries with exponential
 // backoff — reopen the WAL, checkpoint the current memory image
-// atomically, truncate the log — until the sink heals or the attempt
-// budget runs out (Failed, terminal; reads still served).
+// atomically, retire the old segments — until the sink heals or the
+// attempt budget runs out (Failed, terminal; reads still served).
 //
 // A background scrubber periodically sweeps the store's invariants and
 // per-model statistics in bounded slices (core.ScrubPass), escalating
@@ -128,8 +128,8 @@ type Transition struct {
 }
 
 // CheckpointPolicy drives the supervisor's automatic checkpoints — the
-// retention mechanism that keeps a segmented WAL's disk footprint
-// bounded without operator involvement. The zero value disables the
+// retention mechanism that keeps the WAL's disk footprint bounded
+// without operator involvement. The zero value disables the
 // policy loop (manual Checkpoint still works); the soft disk watermark
 // (Config.Segment.Budget.SoftBytes) additionally triggers an immediate
 // checkpoint regardless of these thresholds.
@@ -147,28 +147,23 @@ type CheckpointPolicy struct {
 
 // Config configures Open.
 type Config struct {
-	// SnapshotPath and WALPath locate the durable state. Checkpoints are
-	// written atomically (core.SaveFile): tmp + fsync + rename.
+	// SnapshotPath and WALDir locate the durable state (WALDir is
+	// required): a snapshot written atomically at each checkpoint
+	// (core.SaveFile: tmp + fsync + rename) and a directory of rotating
+	// WAL segments with checkpoint-driven retention and an optional disk
+	// budget (see wal.Dir).
 	SnapshotPath string
-	WALPath      string
-	// WALDir selects the segmented WAL instead of the single file: a
-	// directory of rotating segment files with checkpoint-driven
-	// retention and an optional disk budget (see wal.Dir). Mutually
-	// exclusive with WALPath.
-	WALDir string
-	// Segment configures the segmented WAL (rotation size, disk budget,
+	WALDir       string
+	// Segment configures the WAL (rotation size, disk budget,
 	// fault-injection wrap). The supervisor chains its own checkpoint
-	// trigger onto Segment.OnSoft. Ignored without WALDir.
+	// trigger onto Segment.OnSoft.
 	Segment wal.DirOptions
 	// Checkpoint shapes the automatic checkpoint policy (zero disables).
 	// Requires SnapshotPath.
 	Checkpoint CheckpointPolicy
-	// OpenWAL opens/creates the WAL, handing its records to fn as it
-	// reads them (default wal.OpenFileWith, unwrapped). Tests inject
-	// fault-wrapped files via wal.OpenFileWith here.
-	OpenWAL func(path string, fn wal.RecordFunc) (*wal.Log, wal.ScanResult, error)
-	// OpenDir opens/creates the segmented WAL likewise (default
-	// wal.OpenDirFunc).
+	// OpenDir opens/creates the WAL, handing its records to fn as it
+	// reads them (default wal.OpenDirFunc). Tests substitute openers that
+	// refuse or fault-wrap here.
 	OpenDir func(dir string, fromSeq int64, opts wal.DirOptions, fn wal.RecordFunc) (*wal.Dir, wal.DirScanResult, error)
 	// OnRecover, when set, observes the startup recovery's outcome —
 	// CLIs surface torn-tail repairs to stderr from here.
@@ -218,7 +213,7 @@ type Supervisor struct {
 	// opMu serializes mutations against recovery and checkpointing:
 	// mutations hold it shared for the duration of the store call, the
 	// recovery loop and Checkpoint hold it exclusively, so the WAL is
-	// never swapped or truncated under an in-flight mutation. It guards
+	// never swapped or rotated under an in-flight mutation. It guards
 	// an execution window, not data — the data guard is mu below.
 	opMu sync.RWMutex
 
@@ -227,7 +222,6 @@ type Supervisor struct {
 	reason     error            //repro:guarded-by mu
 	rootCause  error            //repro:guarded-by mu
 	store      *core.Store      //repro:guarded-by mu
-	log        *wal.Log         //repro:guarded-by mu
 	dir        *wal.Dir         //repro:guarded-by mu
 	closed     bool             //repro:guarded-by mu
 	recoveries int              //repro:guarded-by mu
@@ -250,20 +244,12 @@ type Supervisor struct {
 	walMet *wal.Metrics
 }
 
-// Open recovers the store from SnapshotPath + WALPath or WALDir (the
-// snapshot may be absent — a fresh baseline is created), attaches the
-// WAL, and starts the supervisor's background loops.
+// Open recovers the store from SnapshotPath + WALDir (the snapshot may
+// be absent — a fresh baseline is created), attaches the WAL, and starts
+// the supervisor's background loops.
 func Open(cfg Config) (*Supervisor, error) {
-	if cfg.WALPath != "" && cfg.WALDir != "" {
-		return nil, errors.New("supervise: open: WALPath and WALDir are mutually exclusive")
-	}
-	if cfg.WALPath == "" && cfg.WALDir == "" {
-		return nil, errors.New("supervise: open: one of WALPath or WALDir is required")
-	}
-	if cfg.OpenWAL == nil {
-		cfg.OpenWAL = func(path string, fn wal.RecordFunc) (*wal.Log, wal.ScanResult, error) {
-			return wal.OpenFileWith(path, nil, fn)
-		}
+	if cfg.WALDir == "" {
+		return nil, errors.New("supervise: open: WALDir is required")
 	}
 	if cfg.OpenDir == nil {
 		cfg.OpenDir = wal.OpenDirFunc
@@ -307,45 +293,31 @@ func Open(cfg Config) (*Supervisor, error) {
 		walMet:    wal.NewMetrics(cfg.Obs),
 		lastCkpt:  time.Now(),
 	}
-	// Chain the supervisor's immediate-checkpoint trigger onto the
-	// segmented WAL's soft watermark (preserving any user callback). The
-	// chained callback only pokes a buffered channel, so it is safe to
-	// fire from inside an Append.
-	if cfg.WALDir != "" {
-		userSoft := cfg.Segment.OnSoft
-		sv.cfg.Segment.OnSoft = func(total int64) {
-			if userSoft != nil {
-				userSoft(total)
-			}
-			select {
-			case sv.ckptWake <- struct{}{}:
-			default:
-			}
+	// Chain the supervisor's immediate-checkpoint trigger onto the WAL's
+	// soft watermark (preserving any user callback). The chained callback
+	// only pokes a buffered channel, so it is safe to fire from inside an
+	// Append.
+	userSoft := cfg.Segment.OnSoft
+	sv.cfg.Segment.OnSoft = func(total int64) {
+		if userSoft != nil {
+			userSoft(total)
+		}
+		select {
+		case sv.ckptWake <- struct{}{}:
+		default:
 		}
 	}
 
-	var info core.RecoverInfo
-	if cfg.WALDir != "" {
-		st, dir, inf, err := core.RecoverDirWith(cfg.SnapshotPath, cfg.WALDir, sv.cfg.Segment, cfg.OpenDir)
-		if err != nil {
-			cancel()
-			return nil, fmt.Errorf("supervise: open: %w", err)
-		}
-		dir.SetMetrics(sv.walMet)
-		st.SetDurability(dir)
-		sv.store, sv.dir, info = st, dir, inf
-	} else {
-		st, log, inf, err := core.RecoverFilesWith(cfg.SnapshotPath, cfg.WALPath, cfg.OpenWAL)
-		if err != nil {
-			cancel()
-			return nil, fmt.Errorf("supervise: open: %w", err)
-		}
-		log.SetMetrics(sv.walMet)
-		st.SetDurability(log)
-		sv.store, sv.log, info = st, log, inf
+	st, dir, info, err := core.RecoverDirWith(cfg.SnapshotPath, cfg.WALDir, sv.cfg.Segment, cfg.OpenDir)
+	if err != nil {
+		cancel()
+		return nil, fmt.Errorf("supervise: open: %w", err)
 	}
+	dir.SetMetrics(sv.walMet)
+	st.SetDurability(dir)
+	sv.store, sv.dir = st, dir
 	if info.Truncated {
-		sv.walMet.OnTornTail(sv.walSource(), info.ValidBytes, info.TailErr)
+		sv.walMet.OnTornTail(cfg.WALDir, info.ValidBytes, info.TailErr)
 	}
 	if cfg.OnRecover != nil {
 		cfg.OnRecover(info)
@@ -364,15 +336,6 @@ func Open(cfg Config) (*Supervisor, error) {
 	return sv, nil
 }
 
-// walSource names the WAL for diagnostics: the directory in segmented
-// mode, the file otherwise.
-func (sv *Supervisor) walSource() string {
-	if sv.cfg.WALDir != "" {
-		return sv.cfg.WALDir
-	}
-	return sv.cfg.WALPath
-}
-
 // checkpointLoopEnabled reports whether the automatic checkpoint loop
 // has anything to do: a policy trigger or a soft disk watermark, plus a
 // snapshot path to checkpoint into.
@@ -381,8 +344,7 @@ func (sv *Supervisor) checkpointLoopEnabled() bool {
 		return false
 	}
 	p := sv.cfg.Checkpoint
-	return p.Interval > 0 || p.WALBytes > 0 ||
-		(sv.cfg.WALDir != "" && sv.cfg.Segment.Budget.SoftBytes > 0)
+	return p.Interval > 0 || p.WALBytes > 0 || sv.cfg.Segment.Budget.SoftBytes > 0
 }
 
 // State returns the current health state.
@@ -526,8 +488,8 @@ func (sv *Supervisor) FindModels(ctx context.Context, models []string, pat core.
 }
 
 // Checkpoint snapshots the current state atomically and reclaims WAL
-// space (truncation for a single file, rotate + watermark + segment
-// retention for a directory), excluding mutations for the duration. A
+// space (rotate + watermark + segment retention, core.CheckpointDir),
+// excluding mutations for the duration. A
 // failed checkpoint trips the supervisor to Degraded — or to
 // DegradedDisk when the failure is disk exhaustion — while the previous
 // snapshot stays intact (SaveFile never overwrites in place).
@@ -546,14 +508,9 @@ func (sv *Supervisor) CheckpointCtx(ctx context.Context) error {
 		return err
 	}
 	sv.mu.Lock()
-	log, dir := sv.log, sv.dir
+	dir := sv.dir
 	sv.mu.Unlock()
-	if dir != nil {
-		err = core.CheckpointDirCtx(ctx, st, sv.cfg.SnapshotPath, dir)
-	} else {
-		err = core.CheckpointCtx(ctx, st, sv.cfg.SnapshotPath, log)
-	}
-	if err != nil {
+	if err := core.CheckpointDirCtx(ctx, st, sv.cfg.SnapshotPath, dir); err != nil {
 		err = fmt.Errorf("supervise: checkpoint: %w", err)
 		sv.degrade(err)
 		return err
@@ -591,14 +548,9 @@ func (sv *Supervisor) Close() error {
 	sv.opMu.Lock()
 	defer sv.opMu.Unlock()
 	sv.mu.Lock()
-	log, dir := sv.log, sv.dir
-	sv.log, sv.dir = nil, nil
+	dir := sv.dir
+	sv.dir = nil
 	sv.mu.Unlock()
-	if log != nil {
-		if err := log.Close(); err != nil {
-			return fmt.Errorf("supervise: close: %w", err)
-		}
-	}
 	if dir != nil {
 		if err := dir.Close(); err != nil {
 			return fmt.Errorf("supervise: close: %w", err)

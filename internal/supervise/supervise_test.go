@@ -18,10 +18,10 @@ func testAliases() *rdfterm.AliasSet {
 	return rdfterm.Default().With(rdfterm.Alias{Prefix: "x", Namespace: "http://x#"})
 }
 
-// flakyOpener is an OpenWAL hook that wraps every opened WAL file in a
-// FlakyFile and keeps a handle to the current one so tests can inject
-// faults mid-run. It can also refuse opens entirely (failOpens), to make
-// recovery attempts themselves fail.
+// flakyOpener is an OpenDir hook that wraps every segment file the WAL
+// opens or rotates into in a FlakyFile and keeps a handle to the current
+// one so tests can inject faults mid-run. It can also refuse opens
+// entirely (failOpens), to make recovery attempts themselves fail.
 type flakyOpener struct {
 	mu        sync.Mutex
 	cur       *wal.FlakyFile
@@ -29,24 +29,23 @@ type flakyOpener struct {
 	opens     int
 }
 
-func (fo *flakyOpener) open(path string, fn wal.RecordFunc) (*wal.Log, wal.ScanResult, error) {
+func (fo *flakyOpener) open(dir string, fromSeq int64, opts wal.DirOptions, fn wal.RecordFunc) (*wal.Dir, wal.DirScanResult, error) {
 	fo.mu.Lock()
-	defer fo.mu.Unlock()
 	fo.opens++
 	if fo.failOpens > 0 {
 		fo.failOpens--
-		return nil, wal.ScanResult{}, fmt.Errorf("%w: injected open refusal", wal.ErrInjected)
+		fo.mu.Unlock()
+		return nil, wal.DirScanResult{}, fmt.Errorf("%w: injected open refusal", wal.ErrInjected)
 	}
-	var fl *wal.FlakyFile
-	log, res, err := wal.OpenFileWith(path, func(f wal.File) wal.File {
-		fl = wal.NewFlaky(f)
+	fo.mu.Unlock()
+	opts.Wrap = func(f wal.File) wal.File {
+		fl := wal.NewFlaky(f)
+		fo.mu.Lock()
+		fo.cur = fl
+		fo.mu.Unlock()
 		return fl
-	}, fn)
-	if err != nil {
-		return nil, res, err
 	}
-	fo.cur = fl
-	return log, res, nil
+	return wal.OpenDirFunc(dir, fromSeq, opts, fn)
 }
 
 func (fo *flakyOpener) current() *wal.FlakyFile {
@@ -115,8 +114,8 @@ func openTestSupervisor(t *testing.T, mutate func(*Config)) (*Supervisor, *flaky
 	rec := &recorder{}
 	cfg := Config{
 		SnapshotPath: filepath.Join(dir, "store.snap"),
-		WALPath:      filepath.Join(dir, "store.wal"),
-		OpenWAL:      fo.open,
+		WALDir:       filepath.Join(dir, "wal"),
+		OpenDir:      fo.open,
 		OnTransition: rec.note,
 		Backoff:      Backoff{Initial: time.Millisecond, Max: 10 * time.Millisecond, Multiplier: 2, Jitter: 0.1},
 	}
@@ -135,7 +134,7 @@ func TestLifecycleAndRestart(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{
 		SnapshotPath: filepath.Join(dir, "store.snap"),
-		WALPath:      filepath.Join(dir, "store.wal"),
+		WALDir:       filepath.Join(dir, "wal"),
 	}
 	sv, err := Open(cfg)
 	if err != nil {

@@ -18,8 +18,9 @@ import (
 //
 //	wal-000001.log, wal-000002.log, ...
 //
-// each carrying the same Magic header and CRC-framed records as a
-// single-file Log. Appends go to the highest-numbered (current) segment;
+// each carrying the Magic header followed by CRC-framed records. A
+// directory holding only wal-000001.log is a plain single-file log.
+// Appends go to the highest-numbered (current) segment;
 // when it would grow past SegmentBytes the Dir rotates: the current
 // segment is fsynced, a fresh one is created, and writes continue there.
 // Because rotation syncs before the next segment exists, every non-final
@@ -85,7 +86,8 @@ type DirOptions struct {
 	Budget Budget
 	// Wrap, when non-nil, interposes on every segment file the Dir
 	// appends to (fault injection: wrap the real *os.File in a
-	// FlakyFile). Recovery scanning always reads the raw files.
+	// FlakyFile, or a FaultInjector's). Recovery scanning always reads
+	// the raw files.
 	Wrap func(File) File
 	// OnSoft is called (outside the Dir's lock) when an append first
 	// pushes the directory past Budget.SoftBytes; it re-arms once
@@ -122,11 +124,11 @@ type DirScanResult struct {
 	ScanTime time.Duration
 }
 
-// Dir is a segmented write-ahead log. It satisfies the same
-// Append/Commit contract as Log (core.Durability) and the Reset
-// contract of a checkpoint target, so the store and supervisor cannot
-// tell the difference — except that space is reclaimed by deleting
-// whole segments instead of truncating a live file.
+// Dir is the write-ahead log: a core.Durability (Append, then Commit at
+// each commit point) over a directory of segments, whose space a
+// checkpoint reclaims by deleting whole segments (Rotate, then
+// RemoveBelow once the snapshot is durable) — never by truncating a live
+// file.
 type Dir struct {
 	mu   sync.Mutex
 	path string
@@ -558,22 +560,6 @@ func (d *Dir) RemoveBelow(seq int64) (int, error) {
 		d.softFired = false
 	}
 	return removed, nil
-}
-
-// Reset is the single-file checkpoint contract mapped onto segments:
-// rotate, then delete everything below the new segment. Prefer
-// core.CheckpointDir, which also records the watermark in the snapshot
-// so a crash between snapshot and retention cannot double-replay.
-func (d *Dir) Reset() error {
-	seq, err := d.Rotate()
-	if err != nil {
-		return err
-	}
-	if _, err := d.RemoveBelow(seq); err != nil {
-		return err
-	}
-	d.met.onReset()
-	return nil
 }
 
 // Seq returns the current (append) segment number.

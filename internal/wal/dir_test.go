@@ -282,24 +282,31 @@ func TestDirRemoveBelowKeepsCurrent(t *testing.T) {
 	}
 }
 
+// TestDirReset: a checkpoint's rotate + retention leaves the Dir as empty
+// as a fresh one — one header-only segment — and only later appends
+// replay.
 func TestDirReset(t *testing.T) {
 	dir := t.TempDir()
 	d, _ := openTestDir(t, dir, 0, DirOptions{})
 	appendN(t, d, 0, 40)
-	if err := d.Reset(); err != nil {
+	seq, err := d.Rotate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.RemoveBelow(seq); err != nil {
 		t.Fatal(err)
 	}
 	if d.Segments() != 1 {
-		t.Fatalf("after Reset: %d segments, want 1", d.Segments())
+		t.Fatalf("after retention: %d segments, want 1", d.Segments())
 	}
 	if d.Size() != int64(len(Magic)) {
-		t.Fatalf("after Reset: size %d, want header only", d.Size())
+		t.Fatalf("after retention: size %d, want header only", d.Size())
 	}
 	appendN(t, d, 100, 2)
 	d.Close()
-	_, res := openTestDir(t, dir, 0, DirOptions{})
+	_, res := openTestDir(t, dir, seq, DirOptions{})
 	if len(res.Records) != 2 {
-		t.Fatalf("after Reset+append: replayed %d records, want 2", len(res.Records))
+		t.Fatalf("after retention+append: replayed %d records, want 2", len(res.Records))
 	}
 }
 
@@ -418,7 +425,7 @@ func TestDirInjectedENOSPCSurfacesAsNoSpace(t *testing.T) {
 func TestDirGroupLogOverSegments(t *testing.T) {
 	dir := t.TempDir()
 	d, _ := openTestDir(t, dir, 0, DirOptions{})
-	g := GroupSink(d, GroupOptions{SyncEvery: 8})
+	g := Group(d, GroupOptions{SyncEvery: 8})
 	for i := 0; i < 40; i++ {
 		if err := g.Append(dirRec(i)); err != nil {
 			t.Fatalf("group append %d: %v", i, err)

@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -10,20 +9,23 @@ import (
 	"syscall"
 )
 
-// Fault injection for crash testing. A FaultFile stands in for the WAL's
-// backing file and misbehaves at a configured byte offset, modelling the
+// Fault injection for crash testing. A FaultInjector interposes on every
+// segment file a Dir writes (DirOptions.Wrap) and misbehaves once, at one
+// byte offset counted across all of them in write order, modelling the
 // three ways a crash interacts with an append-only log:
 //
 //   - FailStop: the write that would reach the offset fails atomically —
-//     the process dies between appends, the file ends on a frame boundary
-//     of whatever had been written.
+//     the process dies between writes, and every file ends where its last
+//     whole write left it.
 //   - ShortWrite: the write tears mid-frame at the offset — the classic
 //     torn write of a crash during write(2).
 //   - CorruptByte: the byte at the offset is bit-flipped but writing
 //     continues — latent media corruption that only the checksum catches.
 //
-// The crash-point matrix test in internal/core drives every offset of a
-// recorded workload through each mode and proves recovery.
+// Once FailStop or ShortWrite fires, every later write and sync fails as
+// if the process had died. Syncs are otherwise skipped: the crash-point
+// matrix in internal/core reads the files back through the page cache,
+// and real fsyncs would dominate its thousands of runs.
 
 // FaultMode selects the misbehavior.
 type FaultMode int
@@ -49,88 +51,107 @@ func (m FaultMode) String() string {
 	}
 }
 
-// ErrInjected is returned by a tripped FaultFile.
+// ErrInjected is returned by a tripped FaultInjector or an armed FlakyFile.
 var ErrInjected = errors.New("wal: injected fault")
 
-// FaultFile is an in-memory File that injects a fault at byte FailAt.
-type FaultFile struct {
-	// FailAt is the global byte offset (counting every byte ever written,
-	// header included) at which the fault fires.
+// FaultInjector injects one fault at byte FailAt of everything written
+// through the files it wraps. Pass its Wrap method as DirOptions.Wrap.
+type FaultInjector struct {
+	// FailAt is the offset, counting every byte written through any
+	// wrapped file (segment headers included), at which the fault fires.
 	FailAt int64
 	// Mode selects what happens at FailAt.
 	Mode FaultMode
 
-	buf     bytes.Buffer
+	mu      sync.Mutex
 	written int64
 	tripped bool
+	open    []File // every wrapped file, for CloseAll after a crash
 }
 
-// Write appends p, injecting the configured fault when the write crosses
+// Wrap interposes the injector on f.
+func (inj *FaultInjector) Wrap(f File) File {
+	inj.mu.Lock()
+	defer inj.mu.Unlock()
+	inj.open = append(inj.open, f)
+	return &faultFile{inj: inj, inner: f}
+}
+
+// Written returns the number of bytes that reached the wrapped files.
+func (inj *FaultInjector) Written() int64 {
+	inj.mu.Lock()
+	defer inj.mu.Unlock()
+	return inj.written
+}
+
+// CloseAll closes every file the injector wrapped — the handles a
+// crashed Dir abandons.
+func (inj *FaultInjector) CloseAll() {
+	inj.mu.Lock()
+	defer inj.mu.Unlock()
+	for _, f := range inj.open {
+		f.Close()
+	}
+	inj.open = nil
+}
+
+// faultFile is one file wrapped by a FaultInjector.
+type faultFile struct {
+	inj   *FaultInjector
+	inner File
+}
+
+// Write passes p through, injecting the fault when the write crosses
 // FailAt.
-func (f *FaultFile) Write(p []byte) (int, error) {
-	if f.tripped {
+func (f *faultFile) Write(p []byte) (int, error) {
+	inj := f.inj
+	inj.mu.Lock()
+	defer inj.mu.Unlock()
+	if inj.tripped {
 		return 0, ErrInjected
 	}
-	end := f.written + int64(len(p))
-	if end <= f.FailAt || f.Mode == CorruptByte {
-		if f.Mode == CorruptByte && f.written <= f.FailAt && f.FailAt < end {
+	end := inj.written + int64(len(p))
+	if end <= inj.FailAt || inj.Mode == CorruptByte {
+		if inj.Mode == CorruptByte && inj.written <= inj.FailAt && inj.FailAt < end {
 			// Flip one bit at the fault offset, then carry on as if the
 			// write succeeded — silent corruption.
 			q := append([]byte(nil), p...)
-			q[f.FailAt-f.written] ^= 0x01
+			q[inj.FailAt-inj.written] ^= 0x01
 			p = q
 		}
-		f.buf.Write(p)
-		f.written = end
-		return len(p), nil
+		n, err := f.inner.Write(p)
+		inj.written += int64(n)
+		return n, err
 	}
-	f.tripped = true
-	switch f.Mode {
-	case FailStop:
-		// Nothing of this write lands.
-		return 0, ErrInjected
-	default: // ShortWrite
-		n := int(f.FailAt - f.written)
-		f.buf.Write(p[:n])
-		f.written += int64(n)
-		return n, ErrInjected
+	inj.tripped = true
+	if inj.Mode == FailStop {
+		return 0, ErrInjected // nothing of this write lands
 	}
+	n := 0 // ShortWrite: the prefix before FailAt lands, then the crash
+	if cut := int(inj.FailAt - inj.written); cut > 0 {
+		n, _ = f.inner.Write(p[:cut])
+		inj.written += int64(n)
+	}
+	return n, ErrInjected
 }
 
-// Sync fails once the fault has fired (the kernel would have no file to
-// flush to), succeeds otherwise.
-func (f *FaultFile) Sync() error {
-	if f.tripped {
+// Sync fails once the fault has fired and is skipped otherwise.
+func (f *faultFile) Sync() error {
+	f.inj.mu.Lock()
+	defer f.inj.mu.Unlock()
+	if f.inj.tripped {
 		return ErrInjected
 	}
 	return nil
 }
 
-// Close is a no-op so post-mortem Bytes() still works.
-func (f *FaultFile) Close() error { return nil }
-
-// Bytes returns the surviving file image — what recovery gets to read.
-func (f *FaultFile) Bytes() []byte { return f.buf.Bytes() }
-
-// Written returns the number of bytes durably written.
-func (f *FaultFile) Written() int64 { return f.written }
-
-// BufferFile is a plain in-memory File with no faults, used to record a
-// golden log image in tests.
-type BufferFile struct {
-	bytes.Buffer
-}
-
-// Sync is a no-op for an in-memory file.
-func (b *BufferFile) Sync() error { return nil }
-
-// Close is a no-op.
-func (b *BufferFile) Close() error { return nil }
+// Close closes the wrapped file.
+func (f *faultFile) Close() error { return f.inner.Close() }
 
 // FlakyFile models a disk that misbehaves *transiently*: writes or syncs
 // fail for a while and then start succeeding again — a controller reset,
-// a full-then-freed filesystem, an NFS hiccup. Where FaultFile dies at
-// one byte offset forever (crash modelling), a FlakyFile is the substrate
+// a full-then-freed filesystem, an NFS hiccup. Where a FaultInjector dies
+// at one byte offset forever (crash modelling), a FlakyFile is the substrate
 // for degraded-mode testing: the store must reject mutations cleanly
 // while the fault lasts and recover once it clears.
 //
@@ -148,8 +169,8 @@ func (b *BufferFile) Close() error { return nil }
 // writes, where a failing write lands a prefix first — the shape a real
 // ENOSPC takes when write(2) runs out of blocks partway. When inner is
 // nil the FlakyFile is its own in-memory backing store; otherwise
-// successful calls pass through to inner (typically an *os.File via
-// OpenFileWith), so the surviving on-disk image is real.
+// successful calls pass through to inner (a segment's *os.File, via
+// DirOptions.Wrap), so the surviving on-disk image is real.
 type FlakyFile struct {
 	mu    sync.Mutex
 	inner File   // nil = self-backed in-memory image
@@ -346,41 +367,27 @@ func (f *FlakyFile) Sync() error {
 	return nil
 }
 
-// Truncate supports checkpoint Reset: it forwards to the inner file when
-// that is truncatable, and trims the in-memory image otherwise.
+// Truncate and Seek forward to the inner file, so a Dir can roll a torn
+// write back through the wrapper.
 func (f *FlakyFile) Truncate(size int64) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.inner != nil {
-		t, ok := f.inner.(truncatable)
-		if !ok {
-			return fmt.Errorf("wal: inner file %T does not support Truncate", f.inner)
-		}
-		return t.Truncate(size)
+	t, ok := f.inner.(truncatable)
+	if !ok {
+		return fmt.Errorf("wal: inner file %T does not support Truncate", f.inner)
 	}
-	if size < 0 || size > int64(len(f.buf)) {
-		return fmt.Errorf("wal: truncate to %d outside file of %d bytes", size, len(f.buf))
-	}
-	f.buf = f.buf[:size]
-	return nil
+	return t.Truncate(size)
 }
 
-// Seek supports checkpoint Reset (in-memory writes always append, so only
-// the inner-file case needs a real seek).
+// Seek: see Truncate.
 func (f *FlakyFile) Seek(offset int64, whence int) (int64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.inner != nil {
-		t, ok := f.inner.(truncatable)
-		if !ok {
-			return 0, fmt.Errorf("wal: inner file %T does not support Seek", f.inner)
-		}
-		return t.Seek(offset, whence)
+	t, ok := f.inner.(truncatable)
+	if !ok {
+		return 0, fmt.Errorf("wal: inner file %T does not support Seek", f.inner)
 	}
-	if whence != io.SeekStart {
-		return 0, fmt.Errorf("wal: in-memory FlakyFile only supports SeekStart")
-	}
-	return offset, nil
+	return t.Seek(offset, whence)
 }
 
 // Close closes the file; later writes and syncs fail.

@@ -3,9 +3,6 @@ package wal
 import (
 	"bytes"
 	"errors"
-	"os"
-	"path/filepath"
-	"sync"
 	"testing"
 )
 
@@ -67,38 +64,30 @@ func TestFlakyFileErrorRate(t *testing.T) {
 	}
 }
 
-// TestFlakyFileWrapsRealFile: through OpenFileWith, injected failures
-// leave the on-disk image a valid WAL holding exactly the acknowledged
-// records.
+// TestFlakyFileWrapsRealFile: wrapped around a Dir's segment, injected
+// failures leave the on-disk image a valid WAL holding exactly the
+// acknowledged records.
 func TestFlakyFileWrapsRealFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "flaky.wal")
 	var ff *FlakyFile
-	log, _, err := OpenFileWith(path, func(f File) File {
+	d, seg := openSegment(t, func(f File) File {
 		ff = NewFlaky(f)
 		return ff
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	good := Record{Type: TypeInternValue, ValueID: 1068, Text: "http://a", ValueType: "UR"}
-	if err := log.Append(good); err != nil {
+	if err := d.Append(good); err != nil {
 		t.Fatal(err)
 	}
-	if err := log.Commit(); err != nil {
+	if err := d.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	ff.FailWrites(1)
-	if err := log.Append(Record{Type: TypeInternValue, ValueID: 1069, Text: "lost", ValueType: "UR"}); !errors.Is(err, ErrInjected) {
+	if err := d.Append(Record{Type: TypeInternValue, ValueID: 1069, Text: "lost", ValueType: "UR"}); !errors.Is(err, ErrInjected) {
 		t.Fatalf("append through armed fault: %v, want ErrInjected", err)
 	}
-	if err := log.Close(); err != nil {
+	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	img, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Scan(bytes.NewReader(img))
+	res, err := ScanFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,80 +96,6 @@ func TestFlakyFileWrapsRealFile(t *testing.T) {
 	}
 	if len(res.Records) != 1 || res.Records[0].Text != "http://a" {
 		t.Fatalf("disk holds %d records %+v, want just the acknowledged one", len(res.Records), res.Records)
-	}
-}
-
-// TestGroupLogReopen: a latched flush error rejects every later operation
-// with the original error — including operations racing the failure —
-// until Reopen clears the latch, after which the group commits again.
-func TestGroupLogReopen(t *testing.T) {
-	ff := NewFlaky(nil)
-	l, err := NewLog(ff, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := Group(l, GroupOptions{SyncEvery: 1})
-	rec := Record{Type: TypeInternValue, ValueID: 1068, Text: "http://a", ValueType: "UR"}
-	if err := g.Append(rec); err != nil {
-		t.Fatal(err)
-	}
-	ff.FailWrites(1)
-	first := g.Commit()
-	if !errors.Is(first, ErrInjected) {
-		t.Fatalf("commit through armed fault: %v, want ErrInjected", first)
-	}
-
-	// Pre-Reopen waiters: every operation issued while the latch is set
-	// must see the original flush error, not success and not a new one.
-	var wg sync.WaitGroup
-	errs := make([]error, 8)
-	for i := range errs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if i%2 == 0 {
-				errs[i] = g.Append(rec)
-			} else {
-				errs[i] = g.Commit()
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if !errors.Is(err, ErrInjected) {
-			t.Fatalf("pre-Reopen op %d: err = %v, want the latched flush error", i, err)
-		}
-		if err.Error() != first.Error() {
-			t.Fatalf("pre-Reopen op %d: %q, want the original %q", i, err, first)
-		}
-	}
-	if g.Err() == nil {
-		t.Fatal("latch not visible through Err()")
-	}
-
-	// Recovery: restart the log (checkpoint stands in for the snapshot the
-	// real supervisor writes first), then clear the latch.
-	ff2 := NewFlaky(nil)
-	l2, err := NewLog(ff2, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Reopen(l2)
-	if g.Err() != nil {
-		t.Fatalf("latch survives Reopen: %v", g.Err())
-	}
-	if err := g.Append(rec); err != nil {
-		t.Fatalf("append after Reopen: %v", err)
-	}
-	if err := g.Commit(); err != nil {
-		t.Fatalf("commit after Reopen: %v", err)
-	}
-	res, err := Scan(bytes.NewReader(ff2.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Records) != 1 {
-		t.Fatalf("reopened log holds %d records, want 1 (stale pre-fault buffer must be discarded)", len(res.Records))
 	}
 }
 
@@ -272,19 +187,16 @@ func TestFlakyFilePartialWrite(t *testing.T) {
 	// A torn frame is exactly what recovery truncates: write a valid log
 	// through a tearing file and prove the scan survives.
 	f3 := NewFlaky(nil)
-	l, err := NewLog(f3, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append(Record{Type: TypeDeleteLink, LinkID: 1}); err != nil {
+	first, second := Record{Type: TypeDeleteLink, LinkID: 1}, Record{Type: TypeDeleteLink, LinkID: 2}
+	if _, err := f3.Write(appendFrame([]byte(Magic), &first)); err != nil {
 		t.Fatal(err)
 	}
 	f3.SetPartialWriteFraction(0.4)
 	f3.FailWithENOSPC(1)
-	if err := l.Append(Record{Type: TypeDeleteLink, LinkID: 2}); err == nil {
+	if _, err := f3.Write(appendFrame(nil, &second)); err == nil {
 		t.Fatal("torn append reported success")
 	}
-	res, err := ScanBytes(f3.Bytes())
+	res, err := scanBytes(f3.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,10 +10,11 @@ import (
 
 // Group commit: a bulk load that fsyncs once per triple is bounded by
 // disk flush latency, not bandwidth. A GroupLog sits between the store
-// and a Log, buffering framed records in memory and acknowledging
+// and a Dir, buffering framed records in memory and acknowledging
 // commits without syncing; every SyncEvery commits (or every Interval,
 // whichever comes first) the buffered frames are written and fsynced in
-// one batch.
+// one batch, which lands whole in one segment (the Dir rotates between
+// batches, never inside one).
 //
 // The durability contract weakens in exactly one documented way: a crash
 // may lose up to the last SyncEvery-1 committed mutations. What survives
@@ -31,41 +32,28 @@ type GroupOptions struct {
 	Interval time.Duration
 }
 
-// Sink is a group-commit target: a *Log (single file) or a *Dir
-// (segmented). The interface is satisfiable only inside this package —
-// group commit composes with the WAL's own framing, not arbitrary
-// writers.
-type Sink interface {
-	// writeRaw lands already-framed bytes; the sink may rotate segments
-	// before (never inside) the batch.
-	writeRaw(b []byte) error
-	Commit() error
-	Close() error
-	SetMetrics(m *Metrics)
-}
-
-// GroupLog wraps a Sink with group commit. It satisfies the same
-// Append/Commit contract as Log (core.Durability), so the store cannot
-// tell the difference. Close flushes and closes the underlying sink.
+// GroupLog wraps a Dir with group commit. It satisfies the same
+// Append/Commit contract as the Dir (core.Durability), so the store
+// cannot tell the difference. Close flushes and closes the Dir.
 type GroupLog struct {
-	log  Sink
+	log  *Dir
 	opts GroupOptions
 
 	mu      sync.Mutex
-	buf     []byte         // framed records not yet written to the file
-	pending int            // commits since the last sync
-	err     error          // first flush failure, latched: the log is behind memory
-	met     *Metrics       // nil when instrumentation is disabled
-	tracer  *trace.Tracer  // nil when tracing is disabled
+	buf     []byte        // framed records not yet written to the file
+	pending int           // commits since the last sync
+	err     error         // first flush failure, latched: the log is behind memory
+	met     *Metrics      // nil when instrumentation is disabled
+	tracer  *trace.Tracer // nil when tracing is disabled
 
 	stop chan struct{} // closes the interval flusher
 	done chan struct{}
 }
 
 // SetMetrics attaches instrumentation to the group layer and the
-// underlying Log (the Log records fsync latency; the group layer records
-// appends, flush batching, and the buffered-commit gauge). Call before
-// the GroupLog is shared.
+// underlying Dir (the Dir records fsync latency and disk usage; the group
+// layer records appends, flush batching, and the buffered-commit gauge).
+// Call before the GroupLog is shared.
 func (g *GroupLog) SetMetrics(m *Metrics) {
 	g.mu.Lock()
 	g.met = m
@@ -85,22 +73,14 @@ func (g *GroupLog) SetTracer(tr *trace.Tracer) {
 	g.mu.Unlock()
 }
 
-// Group wraps l with group commit. With an Interval, a background
+// Group wraps d with group commit. With an Interval, a background
 // goroutine flushes periodically; call Close (or Flush + stopping use)
 // before discarding the GroupLog.
-func Group(l *Log, opts GroupOptions) *GroupLog {
-	return GroupSink(l, opts)
-}
-
-// GroupSink is Group for any Sink — in particular a segmented *Dir,
-// where each flushed batch lands in one segment (the Dir rotates between
-// batches, so group commit and segment handoff compose without the
-// GroupLog knowing).
-func GroupSink(s Sink, opts GroupOptions) *GroupLog {
+func Group(d *Dir, opts GroupOptions) *GroupLog {
 	if opts.SyncEvery < 1 {
 		opts.SyncEvery = 1
 	}
-	g := &GroupLog{log: s, opts: opts}
+	g := &GroupLog{log: d, opts: opts}
 	if opts.Interval > 0 {
 		g.stop = make(chan struct{})
 		g.done = make(chan struct{})
@@ -159,7 +139,7 @@ func (g *GroupLog) Commit() error {
 }
 
 // Flush writes and fsyncs everything buffered, regardless of SyncEvery.
-// Call it before checkpointing (snapshot + Reset) and before exit.
+// Call it before checkpointing and before exit.
 func (g *GroupLog) Flush() error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -230,39 +210,6 @@ func (g *GroupLog) Err() error {
 	return g.err
 }
 
-// Reopen clears a latched flush error and rebinds the GroupLog to l
-// (nil keeps the current Log), discarding any frames still buffered from
-// before the fault. It is the recovery path's reset: once a flush has
-// failed, the in-memory store is ahead of the log, and the only sound way
-// forward is to checkpoint the store into a snapshot and restart the log
-// — after which the stale buffer describes state the snapshot already
-// holds. Callers must therefore checkpoint (snapshot + log reset/reopen)
-// BEFORE calling Reopen; calling it without a checkpoint silently drops
-// the buffered commits from durability.
-//
-// Appends and commits that failed before Reopen keep the error they were
-// given — Reopen only unlatches future operations.
-func (g *GroupLog) Reopen(l *Log) {
-	if l == nil {
-		g.ReopenSink(nil)
-		return
-	}
-	g.ReopenSink(l)
-}
-
-// ReopenSink is Reopen for any Sink (nil keeps the current one); see
-// Reopen for the checkpoint-first contract.
-func (g *GroupLog) ReopenSink(s Sink) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if s != nil {
-		g.log = s
-	}
-	g.err = nil
-	g.buf = g.buf[:0]
-	g.pending = 0
-}
-
 // Buffered reports the number of commits currently held in memory —
 // the most a crash right now could lose.
 func (g *GroupLog) Buffered() int {
@@ -272,7 +219,7 @@ func (g *GroupLog) Buffered() int {
 }
 
 // Close stops the interval flusher, flushes outstanding commits, and
-// closes the underlying Log.
+// closes the Dir.
 func (g *GroupLog) Close() error {
 	if g.stop != nil {
 		close(g.stop)

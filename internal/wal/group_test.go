@@ -3,7 +3,10 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -22,31 +25,35 @@ func groupRecords() []Record {
 	}
 }
 
-// TestGroupLogSameImage: a GroupLog must produce byte-identical log
-// images to a plain Log for the same record stream.
+// openSegment opens a fresh one-segment Dir (optionally wrapping its
+// files) and returns it with the path of its segment file.
+func openSegment(t *testing.T, wrap func(File) File) (*Dir, string) {
+	t.Helper()
+	dir := t.TempDir()
+	d, _, err := OpenDir(dir, 0, DirOptions{Wrap: wrap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, filepath.Join(dir, segmentName(1))
+}
+
+// TestGroupLogSameImage: a GroupLog must produce a byte-identical
+// segment to a plain Dir for the same record stream.
 func TestGroupLogSameImage(t *testing.T) {
 	recs := groupRecords()
 
-	plain := &BufferFile{}
-	l, err := NewLog(plain, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain, plainPath := openSegment(t, nil)
 	for _, r := range recs {
-		if err := l.Append(r); err != nil {
+		if err := plain.Append(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Commit(); err != nil {
+	if err := plain.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	grouped := &BufferFile{}
-	gl, err := NewLog(grouped, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := Group(gl, GroupOptions{SyncEvery: 3})
+	d, groupedPath := openSegment(t, nil)
+	g := Group(d, GroupOptions{SyncEvery: 3})
 	for _, r := range recs {
 		if err := g.Append(r); err != nil {
 			t.Fatal(err)
@@ -55,14 +62,21 @@ func TestGroupLogSameImage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := g.Flush(); err != nil {
+	if err := g.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(plain.Bytes(), grouped.Bytes()) {
-		t.Fatalf("group image (%d bytes) differs from plain image (%d bytes)",
-			grouped.Len(), plain.Len())
+	want, err := os.ReadFile(plainPath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	res, err := ScanBytes(grouped.Bytes())
+	got, err := os.ReadFile(groupedPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, got) {
+		t.Fatalf("group image (%d bytes) differs from plain image (%d bytes)", len(got), len(want))
+	}
+	res, err := ScanFile(groupedPath)
 	if err != nil || res.Truncated {
 		t.Fatalf("scan: %v (truncated=%v)", err, res.Truncated)
 	}
@@ -74,13 +88,10 @@ func TestGroupLogSameImage(t *testing.T) {
 // TestGroupLogBuffersUntilThreshold: commits below SyncEvery stay in
 // memory; the SyncEvery-th lands everything at once.
 func TestGroupLogBuffersUntilThreshold(t *testing.T) {
-	f := &BufferFile{}
-	l, err := NewLog(f, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := Group(l, GroupOptions{SyncEvery: 3})
-	header := f.Len()
+	d, seg := openSegment(t, nil)
+	g := Group(d, GroupOptions{SyncEvery: 3})
+	defer g.Close()
+	header := d.Size()
 
 	for i := 0; i < 2; i++ {
 		if err := g.Append(Record{Type: TypeDeleteLink, LinkID: int64(i)}); err != nil {
@@ -90,8 +101,8 @@ func TestGroupLogBuffersUntilThreshold(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if f.Len() != header {
-		t.Fatalf("bytes written before threshold: %d", f.Len()-header)
+	if d.Size() != header {
+		t.Fatalf("bytes written before threshold: %d", d.Size()-header)
 	}
 	if got := g.Buffered(); got != 2 {
 		t.Fatalf("Buffered() = %d, want 2", got)
@@ -102,10 +113,10 @@ func TestGroupLogBuffersUntilThreshold(t *testing.T) {
 	if err := g.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if f.Len() == header {
+	if d.Size() == header {
 		t.Fatal("threshold commit wrote nothing")
 	}
-	res, err := ScanBytes(f.Bytes())
+	res, err := ScanFile(seg)
 	if err != nil || res.Truncated || len(res.Records) != 3 {
 		t.Fatalf("scan after group flush: %v records=%d truncated=%v", err, len(res.Records), res.Truncated)
 	}
@@ -117,12 +128,8 @@ func TestGroupLogBuffersUntilThreshold(t *testing.T) {
 // TestGroupLogIntervalFlush: with an Interval, a lone commit becomes
 // durable without reaching SyncEvery.
 func TestGroupLogIntervalFlush(t *testing.T) {
-	f := &BufferFile{}
-	l, err := NewLog(f, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := Group(l, GroupOptions{SyncEvery: 1000, Interval: 5 * time.Millisecond})
+	d, seg := openSegment(t, nil)
+	g := Group(d, GroupOptions{SyncEvery: 1000, Interval: 5 * time.Millisecond})
 	defer g.Close()
 	if err := g.Append(Record{Type: TypeDeleteLink, LinkID: 1}); err != nil {
 		t.Fatal(err)
@@ -137,7 +144,7 @@ func TestGroupLogIntervalFlush(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	res, err := ScanBytes(f.Bytes())
+	res, err := ScanFile(seg)
 	if err != nil || len(res.Records) != 1 {
 		t.Fatalf("scan after interval flush: %v records=%d", err, len(res.Records))
 	}
@@ -146,12 +153,10 @@ func TestGroupLogIntervalFlush(t *testing.T) {
 // TestGroupLogLatchesFlushError: after a failed flush the in-memory
 // store is ahead of the log; every later operation must keep failing.
 func TestGroupLogLatchesFlushError(t *testing.T) {
-	ff := &FaultFile{FailAt: int64(len(Magic)), Mode: FailStop}
-	l, err := NewLog(ff, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := Group(l, GroupOptions{SyncEvery: 2})
+	inj := &FaultInjector{FailAt: int64(len(Magic)), Mode: FailStop}
+	d, _ := openSegment(t, inj.Wrap)
+	defer inj.CloseAll()
+	g := Group(d, GroupOptions{SyncEvery: 2})
 	if err := g.Append(Record{Type: TypeDeleteLink, LinkID: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -178,12 +183,8 @@ func TestGroupLogLatchesFlushError(t *testing.T) {
 // TestGroupLogCloseFlushes: Close must land buffered commits before
 // closing the file.
 func TestGroupLogCloseFlushes(t *testing.T) {
-	f := &BufferFile{}
-	l, err := NewLog(f, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := Group(l, GroupOptions{SyncEvery: 100, Interval: time.Hour})
+	d, seg := openSegment(t, nil)
+	g := Group(d, GroupOptions{SyncEvery: 100, Interval: time.Hour})
 	if err := g.Append(Record{Type: TypeDeleteLink, LinkID: 9}); err != nil {
 		t.Fatal(err)
 	}
@@ -193,150 +194,82 @@ func TestGroupLogCloseFlushes(t *testing.T) {
 	if err := g.Close(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := ScanBytes(f.Bytes())
+	res, err := ScanFile(seg)
 	if err != nil || len(res.Records) != 1 {
 		t.Fatalf("scan after Close: %v records=%d", err, len(res.Records))
 	}
 }
 
-// TestGroupLogLatchRaces: the flush-error latch and Reopen are exercised
-// under -race with concurrent appenders. Appenders hammer Append/Commit
-// while the "supervisor" goroutine injects flush failures and Reopens
-// onto fresh sinks, repeatedly. The invariants:
+// TestGroupLogLatchRaces: the flush-error latch under -race with
+// concurrent appenders. Each cycle hammers a fresh group with
+// Append/Commit from several goroutines while a sync failure trips the
+// latch. The invariants:
 //
 //   - no data race (the point of running under -race);
-//   - an appender either succeeds or gets the latched error — never a
+//   - an appender either succeeds or gets the injected error — never a
 //     partial/torn state;
-//   - after the final Reopen onto a healthy sink, appends succeed and
-//     the sink's image is scannable.
+//   - once tripped, Append and Commit keep returning the latched error;
+//   - the segment image stays scannable: a failed sync tears nothing.
 func TestGroupLogLatchRaces(t *testing.T) {
-	f := NewFlaky(nil)
-	l, err := NewLog(f, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := Group(l, GroupOptions{SyncEvery: 4})
-
 	const appenders = 4
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for a := 0; a < appenders; a++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				r := Record{Type: TypeDeleteLink, LinkID: int64(id*1_000_000 + i)}
-				if err := g.Append(r); err != nil {
-					continue // latched; wait for Reopen
-				}
-				g.Commit() // may latch; next iteration observes it
-			}
-		}(a)
-	}
-
-	// Supervisor side: fault, observe the latch, recover, repeat.
 	for cycle := 0; cycle < 20; cycle++ {
-		f.FailSyncs(1)
+		var fl *FlakyFile
+		d, seg := openSegment(t, func(f File) File { fl = NewFlaky(f); return fl })
+		g := Group(d, GroupOptions{SyncEvery: 4})
+
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		var stray atomic.Value // first error that is not the injected one
+		for a := 0; a < appenders; a++ {
+			wg.Add(1)
+			go func(id int) {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					err := g.Append(Record{Type: TypeDeleteLink, LinkID: int64(id*1_000_000 + i)})
+					if err == nil {
+						err = g.Commit()
+					}
+					if err != nil && !errors.Is(err, ErrInjected) {
+						stray.CompareAndSwap(nil, err)
+					}
+				}
+			}(a)
+		}
+
+		fl.FailSyncs(1)
 		// Drive commits until the latch trips (the appenders' commits may
 		// trip it first; either way Err() goes non-nil).
 		for i := 0; g.Err() == nil && i < 1000; i++ {
 			g.Append(Record{Type: TypeDeleteLink, LinkID: int64(-cycle)})
 			g.Commit()
 		}
-		if g.Err() == nil {
+		close(stop)
+		wg.Wait()
+		latched := g.Err()
+		if latched == nil {
 			t.Fatalf("cycle %d: latch never tripped", cycle)
 		}
-		// Checkpoint-equivalent: fresh sink, then unlatch.
-		f = NewFlaky(nil)
-		nl, err := NewLog(f, true)
+		if err := stray.Load(); err != nil {
+			t.Fatalf("cycle %d: appender saw %v, want success or the injected error", cycle, err)
+		}
+		if err := g.Append(Record{Type: TypeDeleteLink, LinkID: 7}); err != latched {
+			t.Fatalf("cycle %d: Append after the latch = %v, want %v", cycle, err, latched)
+		}
+		if err := g.Commit(); err != latched {
+			t.Fatalf("cycle %d: Commit after the latch = %v, want %v", cycle, err, latched)
+		}
+		g.Close()
+		res, err := ScanFile(seg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		g.Reopen(nl)
-	}
-	close(stop)
-	wg.Wait()
-
-	// The final sink is healthy: appends flush and the image scans clean.
-	if err := g.Append(Record{Type: TypeDeleteLink, LinkID: 7}); err != nil {
-		t.Fatalf("append after final reopen: %v", err)
-	}
-	if err := g.Flush(); err != nil {
-		t.Fatalf("flush after final reopen: %v", err)
-	}
-	res, err := ScanBytes(f.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Truncated {
-		t.Fatalf("healthy sink image torn: %v", res.TailErr)
-	}
-
-	// Idle-sink guard: the latch must reject both Append and Commit with
-	// the same error instance semantics while tripped.
-	f2 := NewFlaky(nil)
-	l2, err := NewLog(f2, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2 := Group(l2, GroupOptions{SyncEvery: 1})
-	f2.FailSyncs(1)
-	g2.Append(Record{Type: TypeDeleteLink, LinkID: 1})
-	if err := g2.Commit(); err == nil {
-		t.Fatal("failing sync did not latch")
-	}
-	if aerr := g2.Append(Record{Type: TypeDeleteLink, LinkID: 2}); !errors.Is(aerr, g2.Err()) {
-		t.Fatalf("Append error %v does not match latched %v", aerr, g2.Err())
-	}
-	g2.Close()
-	g.Close()
-}
-
-// TestGroupLogReopenSinkSwapsToDir: ReopenSink rebinds a GroupLog from a
-// single-file Log to a segmented Dir — the supervisor's upgrade path —
-// and the post-swap records land in segments.
-func TestGroupLogReopenSinkSwapsToDir(t *testing.T) {
-	bf := &BufferFile{}
-	l, err := NewLog(bf, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := Group(l, GroupOptions{SyncEvery: 2})
-	g.Append(Record{Type: TypeDeleteLink, LinkID: 1})
-	if err := g.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	d, _, err := OpenDir(dir, 0, DirOptions{SegmentBytes: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.ReopenSink(d)
-	for i := 10; i < 50; i++ {
-		if err := g.Append(Record{Type: TypeDeleteLink, LinkID: int64(i)}); err != nil {
-			t.Fatal(err)
+		if res.Truncated {
+			t.Fatalf("cycle %d: segment torn by a failed sync: %v", cycle, res.TailErr)
 		}
-		if err := g.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := g.Close(); err != nil { // closes the Dir
-		t.Fatal(err)
-	}
-	_, res, err := OpenDir(dir, 0, DirOptions{SegmentBytes: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Records) != 40 {
-		t.Fatalf("dir replayed %d records after sink swap, want 40", len(res.Records))
-	}
-	if res.Segments < 2 {
-		t.Errorf("sink swap never rotated: %d segments", res.Segments)
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"repro/internal/obs"
 )
 
-// Metrics instruments a Log (and optionally a GroupLog) against an obs
+// Metrics instruments a Dir (and optionally a GroupLog) against an obs
 // registry. A nil *Metrics is the disabled state: every hook below is a
 // nil-receiver no-op, so the uninstrumented hot path costs one branch
 // and never calls time.Now. Attach with SetMetrics before the log is
@@ -18,7 +18,6 @@ type Metrics struct {
 	fsyncs      *obs.Counter
 	fsyncErrors *obs.Counter
 	fsyncLat    *obs.Histogram
-	resets      *obs.Counter
 
 	groupFlushes    *obs.Counter
 	groupFlushErrs  *obs.Counter
@@ -48,14 +47,13 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		fsyncs:      reg.Counter("wal_fsyncs_total", "fsync calls on the WAL file"),
 		fsyncErrors: reg.Counter("wal_fsync_errors_total", "failed fsync calls on the WAL file"),
 		fsyncLat:    reg.Histogram("wal_fsync_seconds", "WAL fsync latency", obs.DurationBuckets),
-		resets:      reg.Counter("wal_resets_total", "checkpoint truncations of the WAL"),
 
 		groupFlushes:    reg.Counter("wal_group_flushes_total", "group-commit flushes (write + fsync batches)"),
 		groupFlushErrs:  reg.Counter("wal_group_flush_errors_total", "group-commit flushes that failed and latched an error"),
 		groupCommitsPer: reg.Histogram("wal_group_commits_per_flush", "commits acknowledged per group flush", obs.CountBuckets),
 		groupBuffered:   reg.Gauge("wal_group_buffered_commits", "commits currently buffered in memory (max loss on crash)"),
 
-		segments:      reg.Gauge("wal_segments", "retained WAL segment files (segmented mode)"),
+		segments:      reg.Gauge("wal_segments", "retained WAL segment files"),
 		diskBytes:     reg.Gauge("wal_disk_bytes", "total bytes across retained WAL segments"),
 		rotations:     reg.Counter("wal_rotations_total", "segment rotations (full segment sealed, fresh one opened)"),
 		retired:       reg.Counter("wal_segments_retired_total", "segments deleted by checkpoint retention"),
@@ -116,13 +114,6 @@ func (m *Metrics) onFsyncError() {
 		return
 	}
 	m.fsyncErrors.Inc()
-}
-
-func (m *Metrics) onReset() {
-	if m == nil {
-		return
-	}
-	m.resets.Inc()
 }
 
 func (m *Metrics) onGroupFlush(commits int) {

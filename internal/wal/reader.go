@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -19,8 +18,7 @@ var ErrNotWAL = errors.New("wal: not a WAL file (bad magic)")
 // ScanResult is the outcome of reading a log.
 type ScanResult struct {
 	// Records holds every verified record, in append order — filled by
-	// the collecting readers (Scan, ScanFile, ScanBytes, OpenFile) only;
-	// ScanFunc hands records to its callback and keeps none.
+	// ScanFile only; ScanFunc hands records to its callback and keeps none.
 	Records []Record
 	// ValidBytes is the length of the verified prefix (header included);
 	// a recovering writer truncates the file to this length.
@@ -200,8 +198,8 @@ func (sc *scanner) scan(r io.Reader, fn RecordFunc) (res ScanResult, err error) 
 	}
 }
 
-// collect is the ScanFunc callback of the collecting readers: it appends a
-// copy of each record to *dst.
+// collect is the ScanFunc callback of the collecting readers (ScanFile,
+// OpenDir): it appends a copy of each record to *dst.
 func collect(dst *[]Record) RecordFunc {
 	return func(r *Record) error {
 		*dst = append(*dst, r.Clone())
@@ -209,22 +207,8 @@ func collect(dst *[]Record) RecordFunc {
 	}
 }
 
-// scanAll is ScanFunc collecting the records into the result. size, the
-// log's length in bytes when known, sizes the slice once — grown by
-// doubling it is copied and cleared several times over, which costs more
-// than the decoding does.
-func scanAll(r io.Reader, size int64) (ScanResult, error) {
-	const typicalFrame = 48 // bytes; a store's records average 50–55
-	records := make([]Record, 0, size/typicalFrame)
-	res, err := ScanFunc(r, collect(&records))
-	res.Records = records
-	return res, err
-}
-
-// Scan is ScanFunc collecting the records into the result.
-func Scan(r io.Reader) (ScanResult, error) { return scanAll(r, 0) }
-
-// ScanFile scans a WAL file on disk (read-only).
+// ScanFile scans a WAL segment on disk (read-only), collecting its
+// records into the result.
 func ScanFile(path string) (ScanResult, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -235,10 +219,12 @@ func ScanFile(path string) (ScanResult, error) {
 	if err != nil {
 		return ScanResult{}, err
 	}
-	return scanAll(f, st.Size())
-}
-
-// ScanBytes scans an in-memory log image.
-func ScanBytes(b []byte) (ScanResult, error) {
-	return scanAll(bytes.NewReader(b), int64(len(b)))
+	// Sized once from the file: grown by doubling, the slice would be
+	// copied and cleared several times over, which costs more than the
+	// decoding does.
+	const typicalFrame = 48 // bytes; a store's records average 50–55
+	records := make([]Record, 0, st.Size()/typicalFrame)
+	res, err := ScanFunc(f, collect(&records))
+	res.Records = records
+	return res, err
 }

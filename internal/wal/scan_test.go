@@ -67,7 +67,7 @@ func FuzzScan(f *testing.F) {
 			t.Fatalf("valid %d of %d bytes, err %v", wres.ValidBytes, len(b), werr)
 		}
 		input := append([]byte(nil), b...)
-		cres, cerr := ScanBytes(input)
+		cres, cerr := scanBytes(input)
 		for i := range input {
 			input[i] = 0xAA
 		}
@@ -88,7 +88,7 @@ func FuzzScan(f *testing.F) {
 // and the caller's input is the caller's to reuse.
 func TestScannedRecordsDoNotAliasAfterCollect(t *testing.T) {
 	img := writeSample(t)
-	res, err := ScanBytes(img)
+	res, err := scanBytes(img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestScannedRecordsDoNotAliasAfterCollect(t *testing.T) {
 		other = appendFrame(other, &r)
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := ScanBytes(other); err != nil {
+		if _, err := scanBytes(other); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -123,7 +123,7 @@ func TestScanAcrossSlabsAndWindows(t *testing.T) {
 	for i := range want {
 		img = appendFrame(img, &want[i])
 	}
-	res, err := ScanBytes(img)
+	res, err := scanBytes(img)
 	if err != nil || res.Truncated || res.ValidBytes != int64(len(img)) {
 		t.Fatalf("scan: valid %d of %d, truncated %v (%v), err %v", res.ValidBytes, len(img), res.Truncated, res.TailErr, err)
 	}

@@ -70,29 +70,27 @@ func isPrefix(got, full []Record) bool {
 	return true
 }
 
-// writeSample appends all sample records to a fresh in-memory log and
-// returns the image.
+// writeSample frames all sample records into a fresh segment image.
 func writeSample(t testing.TB) []byte {
 	t.Helper()
-	f := &BufferFile{}
-	l, err := NewLog(f, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	img := []byte(Magic)
 	for _, r := range sampleRecords() {
-		if err := l.Append(r); err != nil {
-			t.Fatal(err)
-		}
+		img = appendFrame(img, &r)
 	}
-	if err := l.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	return f.Buffer.Bytes()
+	return img
+}
+
+// scanBytes scans an in-memory segment image, collecting its records.
+func scanBytes(b []byte) (ScanResult, error) {
+	var records []Record
+	res, err := ScanFunc(bytes.NewReader(b), collect(&records))
+	res.Records = records
+	return res, err
 }
 
 func TestScanRoundTrip(t *testing.T) {
 	img := writeSample(t)
-	res, err := ScanBytes(img)
+	res, err := scanBytes(img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,14 +107,14 @@ func TestScanRoundTrip(t *testing.T) {
 
 func TestScanTornTail(t *testing.T) {
 	img := writeSample(t)
-	full, err := ScanBytes(img)
+	full, err := scanBytes(img)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Every strict prefix must scan without a hard error and yield a
 	// prefix of the full record sequence.
 	for cut := 0; cut < len(img); cut++ {
-		res, err := ScanBytes(img[:cut])
+		res, err := scanBytes(img[:cut])
 		if err != nil {
 			t.Fatalf("cut %d: hard error %v", cut, err)
 		}
@@ -138,13 +136,13 @@ func TestScanTornTail(t *testing.T) {
 
 func TestScanCorruptByte(t *testing.T) {
 	img := writeSample(t)
-	full, _ := ScanBytes(img)
+	full, _ := scanBytes(img)
 	// Flip one bit at every offset past the header: scanning must stop at
 	// or before the damaged frame and never return damaged content.
 	for off := len(Magic); off < len(img); off++ {
 		bad := append([]byte(nil), img...)
 		bad[off] ^= 0x01
-		res, err := ScanBytes(bad)
+		res, err := scanBytes(bad)
 		if err != nil {
 			t.Fatalf("offset %d: hard error %v", off, err)
 		}
@@ -161,135 +159,44 @@ func TestScanCorruptByte(t *testing.T) {
 }
 
 func TestScanBadMagic(t *testing.T) {
-	if _, err := ScanBytes([]byte("NOTAWAL!\x00\x00\x00\x00")); !errors.Is(err, ErrNotWAL) {
+	if _, err := scanBytes([]byte("NOTAWAL!\x00\x00\x00\x00")); !errors.Is(err, ErrNotWAL) {
 		t.Errorf("got %v, want ErrNotWAL", err)
 	}
 }
 
 func TestScanEmptyAndHeaderOnly(t *testing.T) {
-	res, err := ScanBytes(nil)
+	res, err := scanBytes(nil)
 	if err != nil || res.Truncated || len(res.Records) != 0 {
 		t.Errorf("empty: res=%+v err=%v", res, err)
 	}
-	res, err = ScanBytes([]byte(Magic))
+	res, err = scanBytes([]byte(Magic))
 	if err != nil || res.Truncated || res.ValidBytes != int64(len(Magic)) {
 		t.Errorf("header only: res=%+v err=%v", res, err)
 	}
 }
 
-func TestOpenFileAppendReopen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "test.wal")
-	l, res, err := OpenFile(path)
+// crashSample appends the sample records through a Dir whose segment is
+// wrapped by inj, stopping at the first error (the crash), and returns
+// that error with the surviving segment image.
+func crashSample(t *testing.T, inj *FaultInjector) ([]byte, error) {
+	t.Helper()
+	dir := t.TempDir()
+	d, _, err := OpenDir(dir, 0, DirOptions{Wrap: inj.Wrap})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Records) != 0 {
-		t.Fatalf("fresh file has %d records", len(res.Records))
-	}
-	recs := sampleRecords()
-	for _, r := range recs[:5] {
-		if err := l.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen, verify, append the rest.
-	l, res, err = OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Records, recs[:5]) {
-		t.Fatalf("reopen: got %d records, want 5", len(res.Records))
-	}
-	for _, r := range recs[5:] {
-		if err := l.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	final, err := ScanFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(final.Records, recs) {
-		t.Fatalf("after reopen+append: records mismatch")
-	}
-}
-
-func TestOpenFileTruncatesTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "torn.wal")
-	l, _, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append(Record{Type: TypeDeleteLink, LinkID: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a crash mid-append: tack on half a frame.
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{9, 0, 0, 0, 1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	l, res, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Truncated || len(res.Records) != 1 {
-		t.Fatalf("res=%+v, want 1 record + truncation", res)
-	}
-	// The file must have been physically truncated and be appendable.
-	if err := l.Append(Record{Type: TypeDeleteLink, LinkID: 2}); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-	final, err := ScanFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.Truncated || len(final.Records) != 2 {
-		t.Fatalf("after repair: res=%+v, want 2 clean records", final)
-	}
-}
-
-func TestLogReset(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "reset.wal")
-	l, _, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var appendErr error
 	for _, r := range sampleRecords() {
-		if err := l.Append(r); err != nil {
-			t.Fatal(err)
+		if appendErr = d.Append(r); appendErr != nil {
+			break
 		}
 	}
-	if err := l.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append(Record{Type: TypeDeleteLink, LinkID: 99}); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-	res, err := ScanFile(path)
+	inj.CloseAll()
+	img, err := os.ReadFile(filepath.Join(dir, segmentName(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Records) != 1 || res.Records[0].LinkID != 99 {
-		t.Fatalf("after reset: %+v", res.Records)
-	}
+	return img, appendErr
 }
 
 func TestFaultFileModes(t *testing.T) {
@@ -297,46 +204,31 @@ func TestFaultFileModes(t *testing.T) {
 	golden := writeSample(t)
 
 	t.Run("FailStop", func(t *testing.T) {
-		f := &FaultFile{FailAt: 30, Mode: FailStop}
-		l, err := NewLog(f, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var appendErr error
-		for _, r := range sampleRecords() {
-			if appendErr = l.Append(r); appendErr != nil {
-				break
-			}
-		}
+		img, appendErr := crashSample(t, &FaultInjector{FailAt: 30, Mode: FailStop})
 		if !errors.Is(appendErr, ErrInjected) {
 			t.Fatalf("append error = %v, want ErrInjected", appendErr)
 		}
 		// Nothing of the failing write landed: image is a strict prefix of
 		// the golden image ending on a frame boundary.
-		if !bytes.Equal(f.Bytes(), golden[:len(f.Bytes())]) {
+		if !bytes.Equal(img, golden[:len(img)]) {
 			t.Error("image is not a golden prefix")
 		}
-		res, err := ScanBytes(f.Bytes())
+		res, err := scanBytes(img)
 		if err != nil || res.Truncated {
 			t.Errorf("recovery saw damage: %+v %v", res, err)
 		}
 	})
 
 	t.Run("ShortWrite", func(t *testing.T) {
-		f := &FaultFile{FailAt: 30, Mode: ShortWrite}
-		l, _ := NewLog(f, true)
-		for _, r := range sampleRecords() {
-			if err := l.Append(r); err != nil {
-				break
-			}
+		inj := &FaultInjector{FailAt: 30, Mode: ShortWrite}
+		img, _ := crashSample(t, inj)
+		if inj.Written() != 30 {
+			t.Fatalf("wrote %d bytes, want exactly 30", inj.Written())
 		}
-		if f.Written() != 30 {
-			t.Fatalf("wrote %d bytes, want exactly 30", f.Written())
-		}
-		if !bytes.Equal(f.Bytes(), golden[:30]) {
+		if !bytes.Equal(img, golden[:30]) {
 			t.Error("torn image is not a byte prefix of golden")
 		}
-		res, err := ScanBytes(f.Bytes())
+		res, err := scanBytes(img)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -346,17 +238,14 @@ func TestFaultFileModes(t *testing.T) {
 	})
 
 	t.Run("CorruptByte", func(t *testing.T) {
-		f := &FaultFile{FailAt: 30, Mode: CorruptByte}
-		l, _ := NewLog(f, true)
-		for _, r := range sampleRecords() {
-			if err := l.Append(r); err != nil {
-				t.Fatal(err) // corruption is silent; writes keep succeeding
-			}
+		img, appendErr := crashSample(t, &FaultInjector{FailAt: 30, Mode: CorruptByte})
+		if appendErr != nil {
+			t.Fatal(appendErr) // corruption is silent; writes keep succeeding
 		}
-		if len(f.Bytes()) != len(golden) {
-			t.Fatalf("image length %d, want %d", len(f.Bytes()), len(golden))
+		if len(img) != len(golden) {
+			t.Fatalf("image length %d, want %d", len(img), len(golden))
 		}
-		res, err := ScanBytes(f.Bytes())
+		res, err := scanBytes(img)
 		if err != nil {
 			t.Fatal(err)
 		}
