@@ -10,7 +10,7 @@ STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 LINT_STRICT ?=
 
-.PHONY: all build vet test race cover bench bench-join-check fuzz \
+.PHONY: all build vet test race cover bench fuzz \
 	experiments examples clean lint analyzers staticcheck govulncheck \
 	fuzz-smoke chaos chaos-disk server-smoke lint-race
 
@@ -114,14 +114,6 @@ cover:
 # One benchmark family per paper table/figure, plus ablations.
 bench:
 	$(GO) test -bench=. -benchmem .
-
-# Join-planner regression gate: re-run the 3-pattern chain join at the
-# CI size recorded in BENCH_3.json and fail when the streaming-vs-
-# materializing speedup drops below 70% of the committed baseline. The
-# ratio (not absolute throughput) is compared, so the gate holds across
-# machines.
-bench-join-check:
-	$(GO) run ./cmd/benchjoin -check BENCH_3.json
 
 # Short fuzz passes over every fuzz target (regression corpora run in
 # plain `make test` already).

@@ -19,7 +19,8 @@
 // contexts, link types) instead of querying.
 //
 // Observability: -explain appends an EXPLAIN-style execution trace to
-// the output (plan order, per-stage candidate counts and timings);
+// the output (the cost planner's order, per-stage estimated and actual
+// cardinalities, timings);
 // -slow DURATION logs any query over the threshold with its trace;
 // -admin ADDR serves the runtime metrics registry (/metrics, /healthz,
 // /events, /debug/pprof) while the command runs.
@@ -96,11 +97,9 @@ func run(args []string, stdout io.Writer) error {
 	timeout := fs.Duration("timeout", 0, "abort the query if it runs longer than this (e.g. 500ms, 10s; 0 = no limit)")
 	filter := fs.String("filter", "", "optional filter expression")
 	rdfs := fs.Bool("rdfs", false, "enable the built-in RDFS rulebase")
-	explain := fs.Bool("explain", false, "print the query execution trace (planner, plan order, per-stage estimated vs actual cardinalities, timings) after the rows")
-	planner := fs.String("planner", "cost", "pattern ordering strategy: cost, heuristic, or naive")
-	engine := fs.String("engine", "streaming", "join execution engine: streaming or materialize")
+	explain := fs.Bool("explain", false, "print the query execution trace (the cost planner's pattern order, per-stage estimated vs actual cardinalities, timings) after the rows")
 	slow := fs.Duration("slow", 0, "log queries slower than this threshold with their full trace (0 = off)")
-	spans := fs.Bool("trace", false, "run the query under a span tree and print it after the rows (planner + per-stage spans)")
+	spans := fs.Bool("trace", false, "run the query under a span tree and print it after the rows (query + per-stage spans)")
 	adminAddr := fs.String("admin", "", "serve /metrics, /healthz, /events, and /debug/pprof on this address while the command runs")
 	adminLinger := fs.Duration("admin-linger", 0, "with -admin, keep serving this long after the query finishes so the endpoint can be scraped")
 	var aliases, rules multiFlag
@@ -208,24 +207,6 @@ func run(args []string, stdout io.Writer) error {
 		Filter:    *filter,
 		Metrics:   match.NewMetrics(reg),
 		SlowQuery: *slow,
-	}
-	switch *planner {
-	case "cost":
-		opts.Planner = match.PlannerCost
-	case "heuristic":
-		opts.Planner = match.PlannerHeuristic
-	case "naive":
-		opts.Planner = match.PlannerNaive
-	default:
-		return fmt.Errorf("bad -planner %q (want cost, heuristic, or naive)", *planner)
-	}
-	switch *engine {
-	case "streaming":
-		opts.Engine = match.EngineStreaming
-	case "materialize":
-		opts.Engine = match.EngineMaterialize
-	default:
-		return fmt.Errorf("bad -engine %q (want streaming or materialize)", *engine)
 	}
 	var mtrace match.Trace
 	if *explain || *slow > 0 {

@@ -388,9 +388,16 @@ func TestQueryExplain(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := out.String()
-	for _, want := range []string{"explain:", "plan: ", "stage 1: #", "candidates=", "total "} {
+	for _, want := range []string{"explain:", "plan: ", "stage 1: #", "candidates=", "est=", "total "} {
 		if !strings.Contains(got, want) {
 			t.Errorf("explain output missing %q:\n%s", want, got)
+		}
+	}
+	// One engine, one planner: the old selector flags are unknown.
+	for _, flag := range []string{"-planner=naive", "-engine=materialize"} {
+		err := run([]string{"-data", path, "-query", "(?s ?p ?o)", flag}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%s: err = %v, want an unknown-flag error", flag, err)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -104,6 +105,13 @@ func TestEveryIndexIsAnAccessPath(t *testing.T) {
 				ids[i] = id
 			}
 		}
+		pick := func(i int, t *rdfterm.Term) *rdfterm.Term {
+			if bound[i] {
+				return t
+			}
+			return nil
+		}
+		findMatchesCollect(t, s, Pattern{pick(0, &sub), pick(1, &pred), pick(2, &obj)}, ids)
 		step(fmt.Sprintf("match%v", bound), func() {
 			must(s.ReadView(context.Background(), func(tx *ReadTx) error {
 				links, err := tx.CollectLinksLocked(nil, mid, ids[0], ids[1], ids[2])
@@ -119,6 +127,31 @@ func TestEveryIndexIsAnAccessPath(t *testing.T) {
 			}))
 		})
 	}
+	// (p, o) is the one shape with a choice of tree: MP when the
+	// predicate is rare, OM when the object is. Either way Find and the
+	// engine read the same tree and get the same links.
+	for _, c := range []struct {
+		name, tree     string
+		ix             func(*Store) *reldb.Index
+		preds, objects int // distinct predicates and objects over 24 links
+	}{
+		{"MP wins", "MP", func(s *Store) *reldb.Index { return s.linkMP }, 24, 1},
+		{"OM wins", "OM", func(s *Store) *reldb.Index { return s.linkOM }, 1, 24},
+	} {
+		po := newStoreWithModel(t, "m")
+		for i := 0; i < 24; i++ {
+			mustInsert(t, po, "m", uri(fmt.Sprint("s", i)), uri(fmt.Sprint("p", i%c.preds)), uri(fmt.Sprint("o", i%c.objects)))
+		}
+		scans := c.ix(po).Stats().Scans
+		p0, o0 := uri("p0"), uri("o0")
+		pid, _ := po.lookupValueIDLocked(p0)
+		oid, _ := po.lookupValueIDLocked(o0)
+		findMatchesCollect(t, po, Pattern{Predicate: &p0, Object: &o0}, [3]int64{0, pid, oid})
+		if got := c.ix(po).Stats().Scans - scans; got != 2 {
+			t.Errorf("%s: Find and CollectLinksLocked scanned %s %d times, want 2", c.name, c.tree, got)
+		}
+	}
+
 	step("IsReified", func() {
 		if ok, err := s.IsReified("m", "http://n/s0", "http://n/p0", `"00"^^<`+rdfterm.XSDInt+`>`, nil); err != nil || !ok {
 			t.Fatalf("IsReified = %v, %v", ok, err)
@@ -195,5 +228,37 @@ func TestEveryIndexIsAnAccessPath(t *testing.T) {
 	New().SetMetrics(NewMetrics(nil))
 	if bare := obs.NewRegistry().Snapshot(); len(bare.Families) != 0 {
 		t.Errorf("an untouched registry has families %v", bare.Families)
+	}
+}
+
+// findMatchesCollect checks that Store.Find and ReadTx.CollectLinksLocked,
+// the two readers of the access-path table, return the same non-empty
+// link set for one pattern in model "m" (ids are the pattern's resolved
+// subject, predicate and canonical object IDs, 0 where unbound).
+func findMatchesCollect(t *testing.T, s *Store, pat Pattern, ids [3]int64) {
+	t.Helper()
+	found, err := s.Find("m", pat)
+	mid, _ := s.GetModelID("m")
+	var links []LinkIDs
+	if err == nil {
+		err = s.ReadView(context.Background(), func(tx *ReadTx) (err error) {
+			links, err = tx.CollectLinksLocked(nil, mid, ids[0], ids[1], ids[2])
+			return err
+		})
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got []int64
+	for _, ts := range found {
+		want = append(want, ts.TID)
+	}
+	for _, l := range links {
+		got = append(got, l.TID)
+	}
+	slices.Sort(want)
+	slices.Sort(got)
+	if len(want) == 0 || !slices.Equal(got, want) {
+		t.Errorf("pattern %+v: Find links %v, CollectLinksLocked %v", pat, want, got)
 	}
 }

@@ -26,10 +26,11 @@ func P(t rdfterm.Term) *rdfterm.Term { return &t }
 // invisible in scan throughput.
 const cancelEvery = 256
 
-// Find returns every triple in the model matching the pattern, choosing
-// the best available index: (S,M[,P[,O]]) prefix on the unique SMPO index,
-// (M,P) on the predicate index, (O-canon,M) on the object index, falling
-// back to a partition-pruned scan for fully unbound patterns.
+// Find returns every triple in the model matching the pattern, reading
+// rdf_link$ through the access-path table of scanLinksLocked: an
+// (S,M[,P[,O]]) prefix of the unique SMPO index, (M,P) on the predicate
+// index, (O-canon,M) on the object index, or the model's partition for a
+// fully unbound pattern.
 func (s *Store) Find(model string, pat Pattern) ([]TripleS, error) {
 	return s.FindCtx(context.Background(), model, pat)
 }
@@ -114,60 +115,83 @@ func (s *Store) findModelLocked(ctx context.Context, mid int64, pat Pattern) ([]
 	// scanned counts visited rows; the context is polled every cancelEvery
 	// increments.
 	scanned := 0
-	var ctxErr error
-	tick := func() bool {
+	tick := func() error {
 		scanned++
 		if scanned%cancelEvery == 0 {
 			if err := ctx.Err(); err != nil {
-				ctxErr = fmt.Errorf("core: find: %w", err)
-				return false
+				return fmt.Errorf("core: find: %w", err)
 			}
+		}
+		return nil
+	}
+	var out []TripleS
+	if err := s.scanLinksLocked(mid, sid, pid, oid, tick, func(c reldb.Cells) {
+		out = append(out, s.tripleSFromCells(c))
+	}); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// scanLinksLocked is the access-path table of rdf_link$: it hands fn every
+// live row of model mid matching (sid, pid, canon) — 0 leaves a position
+// unconstrained; canon is a CANON_END_NODE_ID — scanning the tree the
+// bound positions pick:
+//
+//	s bound        SMPO by its longest bound prefix; with p unbound the
+//	               prefix cannot reach O, so O is residual
+//	p and o bound  MP or OM, whichever the model's statistics expect to
+//	               be shorter, with the other column residual
+//	p bound        MP
+//	o bound        OM
+//	nothing        the model's partition
+//
+// Residual columns are checked here, so fn sees exact matches only. tick
+// runs once per visited row, before the residual check; an error from it
+// stops the scan and is returned. Find, export and the query engine all
+// read rdf_link$ through this one table. Caller holds s.mu (either mode).
+func (s *Store) scanLinksLocked(mid, sid, pid, canon int64, tick func() error, fn func(reldb.Cells)) error {
+	var err error
+	var checkP, checkO bool
+	visit := func(c reldb.Cells) bool {
+		if err = tick(); err != nil {
+			return false
+		}
+		if (!checkP || c.Int(lcPValueID) == pid) && (!checkO || c.Int(lcCanonEndNodeID) == canon) {
+			fn(c)
 		}
 		return true
 	}
-
-	// Each index scan hands over the live row's cells with its entry. Only the
-	// residual check runs per row — the one component the index prefix
-	// does NOT already guarantee: one baked into the scanned prefix is
-	// equal on every row the scan returns.
-	var out []TripleS
-	collect := func(ix *reldb.Index, checkO bool, prefix ...int64) ([]TripleS, error) {
-		ix.ScanIntsCells(prefix, func(c reldb.Cells) bool {
-			if !checkO || c.Int(lcCanonEndNodeID) == oid {
-				out = append(out, s.tripleSFromCells(c))
-			}
-			return tick()
-		})
-		if ctxErr != nil {
-			return nil, ctxErr
-		}
-		return out, nil
-	}
-
 	switch {
-	case pat.Subject != nil && pat.Predicate != nil && pat.Object != nil:
-		return collect(s.linkSMPO, false, sid, mid, pid, oid)
-	case pat.Subject != nil && pat.Predicate != nil:
-		return collect(s.linkSMPO, false, sid, mid, pid)
-	case pat.Subject != nil:
-		// The prefix cannot skip the P column to reach O: O is residual.
-		return collect(s.linkSMPO, pat.Object != nil, sid, mid)
-	case pat.Predicate != nil:
-		// MP prefix covers (M,P); O is residual.
-		return collect(s.linkMP, pat.Object != nil, mid, pid)
-	case pat.Object != nil:
-		// OM prefix covers (O-canon,M); nothing else is bound.
-		return collect(s.linkOM, false, oid, mid)
-	default:
-		err := s.links.ScanPartitionCells(mid, func(c reldb.Cells) bool {
-			out = append(out, s.tripleSFromCells(c))
-			return tick()
-		})
-		if ctxErr != nil {
-			return nil, ctxErr
+	case sid != 0 && pid != 0 && canon != 0:
+		s.linkSMPO.ScanIntsCells([]int64{sid, mid, pid, canon}, visit)
+	case sid != 0 && pid != 0:
+		s.linkSMPO.ScanIntsCells([]int64{sid, mid, pid}, visit)
+	case sid != 0:
+		checkO = canon != 0
+		s.linkSMPO.ScanIntsCells([]int64{sid, mid}, visit)
+	case pid != 0 && canon != 0:
+		// No (M,P,O) tree exists: compare the predicate's link count with
+		// the model's average per-object fanout. Stale statistics only
+		// cost speed — the residual check keeps matches exact either way.
+		ps := s.planStatsLocked(mid)
+		if float64(ps.Triples)/float64(max(1, ps.DistinctObjects)) < float64(ps.Pred(pid).Count) {
+			checkP = true
+			s.linkOM.ScanIntsCells([]int64{canon, mid}, visit)
+		} else {
+			checkO = true
+			s.linkMP.ScanIntsCells([]int64{mid, pid}, visit)
 		}
-		return out, err
+	case pid != 0:
+		s.linkMP.ScanIntsCells([]int64{mid, pid}, visit)
+	case canon != 0:
+		s.linkOM.ScanIntsCells([]int64{canon, mid}, visit)
+	default:
+		if perr := s.links.ScanPartitionCells(mid, visit); perr != nil {
+			return perr
+		}
 	}
+	return err
 }
 
 // FindBySubjectText is the paper's Experiment II query shape: all triples

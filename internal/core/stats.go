@@ -28,11 +28,10 @@ type PlanStats struct {
 	DistinctObjects  int
 	Preds            map[int64]PredStats
 
-	// builtLen is the total rdf_link$ size at build time; the cache
-	// rebuilds when the live size drifts more than 1/8 from it. The total
-	// (not the partition length) is the staleness proxy because it is
-	// O(1) to read, where a partition length costs a full partition walk
-	// — too expensive to pay on every query.
+	// builtLen is the model's partition length at build time; the cache
+	// rebuilds when the live length drifts more than 1/8 from it. The
+	// partition's zone map keeps its live count, so the check is O(1) and
+	// a model growing inside a larger store is noticed on its own.
 	builtLen int
 }
 
@@ -63,11 +62,16 @@ const statsDriftDenom = 8
 // PlanStatsLocked returns planner statistics for one model, building or
 // rebuilding them from a single partition scan when absent or stale. The
 // returned PlanStats is immutable — callers may keep it for the duration
-// of a query without re-checking. Caller holds s.mu (either mode), so the
-// build scans a consistent snapshot.
+// of a query without re-checking.
 func (tx *ReadTx) PlanStatsLocked(mid int64) *PlanStats {
-	s := tx.s
-	cur := s.links.Len()
+	return tx.s.planStatsLocked(mid)
+}
+
+// planStatsLocked is PlanStatsLocked for the store's own read paths.
+// Caller holds s.mu (either mode), so a build scans a consistent
+// snapshot.
+func (s *Store) planStatsLocked(mid int64) *PlanStats {
+	cur := s.links.PartitionLen(mid)
 	s.stats.mu.Lock()
 	ps := s.stats.byModel[mid]
 	s.stats.mu.Unlock()
@@ -126,7 +130,7 @@ func (s *Store) buildPlanStatsLocked(mid int64) *PlanStats {
 	}
 	ps.DistinctSubjects = len(subjAll)
 	ps.DistinctObjects = len(objAll)
-	ps.builtLen = s.links.Len()
+	ps.builtLen = ps.Triples
 	return ps
 }
 

@@ -137,6 +137,29 @@ func TestPlanStatsCacheStaleness(t *testing.T) {
 	}
 }
 
+// TestPlanStatsDriftIsPerModel: staleness is measured against the
+// model's own partition, so a small model growing inside a larger store
+// gets fresh statistics even though the store's total barely moves.
+func TestPlanStatsDriftIsPerModel(t *testing.T) {
+	s := newStoreWithModel(t, "big")
+	if _, err := s.CreateRDFModel("small", "", ""); err != nil {
+		t.Fatal(err)
+	}
+	a := govAliases()
+	for i := 0; i < 400; i++ {
+		s.NewTripleS("big", fmt.Sprintf("gov:s%d", i), "gov:p", fmt.Sprintf("gov:o%d", i), a)
+	}
+	if ps, err := s.PlanStatistics(context.Background(), "small"); err != nil || ps.Triples != 0 {
+		t.Fatalf("empty model: Triples = %d, %v; want 0", ps.Triples, err)
+	}
+	for i := 0; i < 40; i++ {
+		s.NewTripleS("small", fmt.Sprintf("gov:t%d", i), "gov:p", fmt.Sprintf("gov:u%d", i), a)
+	}
+	if ps, err := s.PlanStatistics(context.Background(), "small"); err != nil || ps.Triples != 40 {
+		t.Fatalf("after 40 inserts: Triples = %d, %v; want 40 (statistics stale)", ps.Triples, err)
+	}
+}
+
 // TestReadViewCancellation: a canceled context fails the view up front,
 // and a scan inside the view aborts once the poll notices the cancel.
 func TestReadViewCancellation(t *testing.T) {

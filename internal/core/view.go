@@ -110,29 +110,11 @@ func (tx *ReadTx) ContainsLinkLocked(mid, sid, pid, canonID int64) bool {
 
 // CollectLinksLocked appends to dst the ID tuples of every link in model
 // mid matching (sid, pid, canonID), where 0 means unconstrained, and
-// returns the grown slice. Index selection mirrors findModelLocked: SMPO
-// prefix when the subject is bound, the predicate index when only the
-// predicate is, the object index when only the object is, and a
-// partition-pruned scan otherwise. Residual components the chosen prefix
-// cannot guarantee are checked here, so callers get exact matches. The
-// scan polls the view's context every cancelEvery rows.
+// returns the grown slice. It reads through scanLinksLocked, the same
+// access-path table as Find, so callers get exact matches; the scan polls
+// the view's context every cancelEvery rows.
 func (tx *ReadTx) CollectLinksLocked(dst []LinkIDs, mid, sid, pid, canonID int64) ([]LinkIDs, error) {
-	s := tx.s
-	var tickErr error
-	// add extracts the ID tuple from a live rdf_link$ row, applying the
-	// residual checks the index prefix does not already guarantee. It runs
-	// under the links table lock (ScanIntsCells/ScanPartitionCells
-	// callback), reading the five ID columns where they are stored.
-	add := func(c reldb.Cells, checkP, checkO bool) bool {
-		if tickErr = tx.tickLocked(); tickErr != nil {
-			return false
-		}
-		if checkP && c.Int(lcPValueID) != pid {
-			return true
-		}
-		if checkO && c.Int(lcCanonEndNodeID) != canonID {
-			return true
-		}
+	err := tx.s.scanLinksLocked(mid, sid, pid, canonID, tx.tickLocked, func(c reldb.Cells) {
 		dst = append(dst, LinkIDs{
 			TID:     c.Int(lcLinkID),
 			SID:     c.Int(lcStartNodeID),
@@ -140,49 +122,6 @@ func (tx *ReadTx) CollectLinksLocked(dst []LinkIDs, mid, sid, pid, canonID int64
 			OID:     c.Int(lcEndNodeID),
 			CanonID: c.Int(lcCanonEndNodeID),
 		})
-		return true
-	}
-
-	scan := func(ix *reldb.Index, checkP, checkO bool, prefix ...int64) {
-		ix.ScanIntsCells(prefix, func(c reldb.Cells) bool {
-			return add(c, checkP, checkO)
-		})
-	}
-	switch {
-	case sid != 0 && pid != 0 && canonID != 0:
-		scan(s.linkSMPO, false, false, sid, mid, pid, canonID)
-	case sid != 0 && pid != 0:
-		scan(s.linkSMPO, false, false, sid, mid, pid)
-	case sid != 0:
-		// The SMPO prefix cannot skip P to reach O: with P unbound, O is
-		// the one possible residual.
-		scan(s.linkSMPO, false, canonID != 0, sid, mid)
-	case pid != 0 && canonID != 0:
-		// Predicate and object both bound, but no (M,P,O) index exists:
-		// either prefix works with a residual check on the other column.
-		// Choose the shorter expected scan — the predicate's link count
-		// versus the model's average per-object fanout — from the cached
-		// planner statistics. Stale statistics only cost speed, never
-		// correctness: the residual check keeps matches exact either way.
-		ps := tx.PlanStatsLocked(mid)
-		avgObj := float64(ps.Triples) / float64(max(1, ps.DistinctObjects))
-		if avgObj < float64(ps.Pred(pid).Count) {
-			scan(s.linkOM, true, false, canonID, mid)
-		} else {
-			scan(s.linkMP, false, true, mid, pid)
-		}
-	case pid != 0:
-		// MP prefix covers (M,P); nothing else is bound.
-		scan(s.linkMP, false, false, mid, pid)
-	case canonID != 0:
-		// OM prefix covers (O-canon,M); nothing else is bound.
-		scan(s.linkOM, false, false, canonID, mid)
-	default:
-		if err := s.links.ScanPartitionCells(mid, func(c reldb.Cells) bool {
-			return add(c, false, false)
-		}); err != nil {
-			return dst, err
-		}
-	}
-	return dst, tickErr
+	})
+	return dst, err
 }

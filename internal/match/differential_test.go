@@ -1,6 +1,7 @@
 package match
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -8,12 +9,13 @@ import (
 	"repro/internal/core"
 )
 
-// Differential tests: the streaming engine under every planner must
-// return the exact same result multiset as the materializing engine
-// running the patterns in naive text order. The two engines share no
-// join code — one walks ID rows under a read view, the other
-// materializes term bindings per stage — so agreement is strong evidence
-// both are right.
+// Differential tests: the streaming engine must return the exact same
+// result multiset as the materializing oracle (oracle_test.go), which
+// runs the patterns in text order — under the cost planner's order and,
+// for queries of up to four patterns, under every forced permutation.
+// The two share no join code — one walks ID rows under a read view, the
+// other materializes term bindings per stage — so agreement is strong
+// evidence both are right.
 
 // resultKeys canonicalizes a result set into a sorted multiset of row
 // strings (per-variable Term.String, \x1f-joined).
@@ -30,52 +32,61 @@ func resultKeys(rs *ResultSet) []string {
 	return keys
 }
 
-// diffCase runs one (store, query, options) case on the naive
-// materializing oracle and on every other engine/planner combination,
-// requiring identical variable lists and row multisets.
+// permutations returns every ordering of 0..n-1.
+func permutations(n int) [][]int {
+	if n == 0 {
+		return [][]int{{}}
+	}
+	var out [][]int
+	for _, p := range permutations(n - 1) {
+		for i := 0; i <= len(p); i++ {
+			out = append(out, append(append(append([]int{}, p[:i]...), n-1), p[i:]...))
+		}
+	}
+	return out
+}
+
+// diffCase runs one (store, query, options) case on the oracle and on the
+// engine under each plan, requiring identical variable lists and row
+// multisets.
 func diffCase(t *testing.T, s *core.Store, models []string, query string, base Options) {
 	t.Helper()
 	base.Models = models
 	if base.Aliases == nil {
 		base.Aliases = govAliases()
 	}
-	oracle := base
-	oracle.Engine = EngineMaterialize
-	oracle.Planner = PlannerNaive
-	want, err := Match(s, query, oracle)
+	want, err := oracleMatch(s, query, base)
 	if err != nil {
 		t.Fatalf("oracle failed on %q: %v", query, err)
 	}
 	wantKeys := resultKeys(want)
-	combos := []struct {
-		name string
-		eng  Engine
-		pl   Planner
-	}{
-		{"streaming/cost", EngineStreaming, PlannerCost},
-		{"streaming/heuristic", EngineStreaming, PlannerHeuristic},
-		{"streaming/naive", EngineStreaming, PlannerNaive},
-		{"materialize/heuristic", EngineMaterialize, PlannerHeuristic},
-	}
-	for _, c := range combos {
-		opts := base
-		opts.Engine = c.eng
-		opts.Planner = c.pl
-		got, err := Match(s, query, opts)
+	check := func(plan string) {
+		t.Helper()
+		got, err := Match(s, query, base)
 		if err != nil {
-			t.Fatalf("%s failed on %q: %v", c.name, query, err)
+			t.Fatalf("plan %s failed on %q: %v", plan, query, err)
 		}
 		if !equalStrings(got.Vars, want.Vars) {
-			t.Fatalf("%s on %q: Vars = %v, oracle %v", c.name, query, got.Vars, want.Vars)
+			t.Fatalf("plan %s on %q: Vars = %v, oracle %v", plan, query, got.Vars, want.Vars)
 		}
 		gotKeys := resultKeys(got)
 		if !equalStrings(gotKeys, wantKeys) {
-			t.Fatalf("%s on %q: %d rows, oracle %d\n got: %v\nwant: %v",
-				c.name, query, len(gotKeys), len(wantKeys), gotKeys, wantKeys)
+			t.Fatalf("plan %s on %q: %d rows, oracle %d\n got: %v\nwant: %v",
+				plan, query, len(gotKeys), len(wantKeys), gotKeys, wantKeys)
 		}
 		if got.Truncated != want.Truncated {
-			t.Fatalf("%s on %q: Truncated = %v, oracle %v", c.name, query, got.Truncated, want.Truncated)
+			t.Fatalf("plan %s on %q: Truncated = %v, oracle %v", plan, query, got.Truncated, want.Truncated)
 		}
+	}
+	check("cost")
+	pats, err := ParseQuery(query, base.Aliases)
+	if err != nil || len(pats) > 4 {
+		return
+	}
+	defer func() { forcedOrder = nil }()
+	for _, order := range permutations(len(pats)) {
+		forcedOrder = order
+		check(fmt.Sprint(order))
 	}
 }
 
@@ -92,8 +103,8 @@ func equalStrings(a, b []string) bool {
 }
 
 // TestDifferentialCorpus sweeps the fixture stores with the query corpus
-// (including the parser fuzz seeds that are valid queries) across all
-// engine/planner combinations.
+// (including the parser fuzz seeds that are valid queries) across every
+// plan.
 func TestDifferentialCorpus(t *testing.T) {
 	ic := icStore(t)
 	icModels := []string{"cia", "dhs", "fbi"}
@@ -142,8 +153,8 @@ func TestDifferentialCorpus(t *testing.T) {
 }
 
 // TestDifferentialModifiers exercises filter, distinct, order-by, and
-// limit across the combinations — the projection paths diverge most
-// between the engines (ID-keyed vs string-keyed DISTINCT, early
+// limit across every plan — the projection paths diverge most between
+// the engine and the oracle (ID-keyed vs string-keyed DISTINCT, early
 // termination vs post-hoc truncation).
 func TestDifferentialModifiers(t *testing.T) {
 	ic := icStore(t)
@@ -163,7 +174,7 @@ func TestDifferentialModifiers(t *testing.T) {
 	diffCase(t, ic, icModels, `(?s gov:terrorSuspect ?name)`, Options{
 		Filter: `?missing = "x"`, // names a variable the query never binds
 	})
-	// ORDER BY with and without LIMIT: deterministic top-N on both engines.
+	// ORDER BY with and without LIMIT: a deterministic top-N.
 	diffCase(t, chain, []string{"g"}, `(?x gov:p1 ?y)`, Options{
 		OrderBy: []string{"x", "y"},
 	})
@@ -174,9 +185,10 @@ func TestDifferentialModifiers(t *testing.T) {
 		Distinct: true, OrderBy: []string{"s", "p", "o"}, Limit: 5,
 	})
 
-	// LIMIT without ORDER BY: which rows survive is engine-dependent, so
-	// compare counts and containment in the full result instead.
-	full, err := Match(chain, `(?x gov:p1 ?y)`, Options{Models: []string{"g"}, Aliases: govAliases()})
+	// LIMIT without ORDER BY: which rows survive depends on the plan, so
+	// compare counts and containment in the oracle's full result instead.
+	const limitQuery = `(?x gov:p1 ?y) (?y gov:p2 ?z)`
+	full, err := oracleMatch(chain, limitQuery, Options{Models: []string{"g"}, Aliases: govAliases()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,19 +196,19 @@ func TestDifferentialModifiers(t *testing.T) {
 	for _, k := range resultKeys(full) {
 		fullSet[k] = true
 	}
-	for _, eng := range []Engine{EngineStreaming, EngineMaterialize} {
-		rs, err := Match(chain, `(?x gov:p1 ?y)`, Options{
-			Models: []string{"g"}, Aliases: govAliases(), Limit: 6, Engine: eng,
-		})
+	defer func() { forcedOrder = nil }()
+	for _, order := range [][]int{nil, {0, 1}, {1, 0}} {
+		forcedOrder = order
+		rs, err := Match(chain, limitQuery, Options{Models: []string{"g"}, Aliases: govAliases(), Limit: 6})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rs.Len() != 6 || !rs.Truncated {
-			t.Fatalf("engine %d: limit rows = %d truncated = %v", eng, rs.Len(), rs.Truncated)
+			t.Fatalf("plan %v: limit rows = %d truncated = %v", order, rs.Len(), rs.Truncated)
 		}
 		for _, k := range resultKeys(rs) {
 			if !fullSet[k] {
-				t.Fatalf("engine %d: limited result contains row not in full result: %q", eng, k)
+				t.Fatalf("plan %v: limited result contains row not in full result: %q", order, k)
 			}
 		}
 	}
@@ -204,7 +216,7 @@ func TestDifferentialModifiers(t *testing.T) {
 
 // TestDifferentialFuzzSeeds replays the stored FuzzParseQuery corpus
 // inputs that parse as valid queries through the differential harness —
-// regressions found by fuzzing stay fixed on both engines.
+// regressions found by fuzzing stay fixed under every plan.
 func TestDifferentialFuzzSeeds(t *testing.T) {
 	ic := icStore(t)
 	icModels := []string{"cia", "dhs", "fbi"}

@@ -31,9 +31,8 @@ func runStreaming(ctx context.Context, store *core.Store, scope []string, pats [
 			}
 			mids[i] = mid
 		}
-		plan := buildPlan(tx, mids, pats, varIdx, len(vars), opts.Planner)
+		plan := buildPlan(tx, mids, pats, varIdx, len(vars))
 		if traced {
-			trace.Planner = plan.planner
 			trace.PlanOrder = trace.PlanOrder[:0]
 			for _, sp := range plan.stages {
 				trace.PlanOrder = append(trace.PlanOrder, sp.pi)

@@ -12,10 +12,9 @@ import (
 // pull iterators over ID rows: one unit seed plus one joinIter per
 // pattern, in plan order. Rows carry VALUE_IDs, not terms — term text is
 // materialized once per distinct ID at projection time — so a join stage
-// costs a handful of int64 moves per candidate instead of the map-copy,
-// term-fetch work of the materializing engine (legacy.go). The whole
-// pipeline runs inside one core.ReadView: one lock acquisition and one
-// snapshot for every probe of every stage.
+// costs a handful of int64 moves per candidate instead of a map copy and
+// a term fetch. The whole pipeline runs inside one core.ReadView: one
+// lock acquisition and one snapshot for every probe of every stage.
 
 // row is a fixed-width binding over the query's variable table: two
 // int64s per variable slot. Slot 2i holds the canonical VALUE_ID

@@ -28,37 +28,6 @@ type RulebaseResolver interface {
 	ResolveIndex(models, rulebases []string) (string, error)
 }
 
-// Engine selects the join execution engine.
-type Engine int
-
-const (
-	// EngineStreaming (the default) evaluates the join as a pipeline of
-	// streaming iterators over ID rows inside one store read view — see
-	// iterator.go.
-	EngineStreaming Engine = iota
-	// EngineMaterialize is the original engine — full term-binding
-	// materialization per stage, one store probe per (binding, model) —
-	// kept as the differential-testing oracle (legacy.go).
-	EngineMaterialize
-)
-
-// Planner selects how the patterns are ordered before execution.
-type Planner int
-
-const (
-	// PlannerCost (the default) orders patterns by estimated selectivity
-	// from per-predicate store statistics, falling back to the heuristic
-	// when statistics are missing. Only the streaming engine costs plans;
-	// under EngineMaterialize this behaves like PlannerHeuristic.
-	PlannerCost Planner = iota
-	// PlannerHeuristic is the static boundness heuristic (planOrder):
-	// more concrete terms first, stable.
-	PlannerHeuristic
-	// PlannerNaive keeps the query's textual pattern order — the
-	// baseline the differential tests compare against.
-	PlannerNaive
-)
-
 // Options configure a Match call, mirroring the SDO_RDF_MATCH arguments
 // (§6.1): models, rulebases, aliases, filter.
 type Options struct {
@@ -81,10 +50,6 @@ type Options struct {
 	// OrderBy sorts results by the named variables (lexical order of the
 	// bound terms), applied after Filter and Distinct.
 	OrderBy []string
-	// Engine selects the execution engine (default EngineStreaming).
-	Engine Engine
-	// Planner selects the pattern-ordering strategy (default PlannerCost).
-	Planner Planner
 	// Trace, when non-nil, is filled with the EXPLAIN-style execution
 	// record (plan order, per-stage estimated and actual cardinalities,
 	// timings).
@@ -99,15 +64,14 @@ type Options struct {
 	// Limit, when positive, caps the number of result rows. Rows beyond
 	// the cap are dropped and ResultSet.Truncated is set. With OrderBy
 	// the full result is sorted first, so the cap returns the true top-N;
-	// without it the streaming engine stops the whole pipeline at the
-	// cap.
+	// without it the engine stops the whole pipeline at the cap.
 	Limit int
 	// MaxBindings, when positive, bounds the intermediate binding set a
 	// join stage may produce. A query whose join explodes past the bound
 	// is aborted with an ErrBudget error instead of exhausting memory —
-	// the admission price of serving untrusted queries. The streaming
-	// engine accounts incrementally, so the abort fires as the bound is
-	// crossed, not after a stage materializes.
+	// the admission price of serving untrusted queries. The engine
+	// accounts incrementally, so the abort fires as the bound is crossed,
+	// not after a stage materializes.
 	MaxBindings int
 }
 
@@ -160,11 +124,11 @@ func Match(store *core.Store, query string, opts Options) (*ResultSet, error) {
 	return MatchContext(context.Background(), store, query, opts)
 }
 
-// cancelEvery is how many rows the engines process between context checks
+// cancelEvery is how many rows the engine processes between context checks
 // (the index scans underneath poll on their own cadence inside core).
 const cancelEvery = 256
 
-// MatchContext is Match with cancellation: the engines poll ctx between
+// MatchContext is Match with cancellation: the engine polls ctx between
 // rows and each index scan polls it internally, so a combinatorial join
 // aborts promptly — releasing the store's read lock — once the deadline
 // passes or the caller cancels.
@@ -204,7 +168,7 @@ func MatchContext(ctx context.Context, store *core.Store, query string, opts Opt
 	}
 
 	// Tracing, metrics, the slow-query log, and the request span share
-	// one gate: when none is requested the engines take the untimed path
+	// one gate: when none is requested the engine takes the untimed path
 	// and never call time.Now (the "zero overhead when disabled" budget,
 	// DESIGN.md §7). A span in ctx forces the timed path — the request
 	// is being traced, so the per-stage wall times must be real.
@@ -220,18 +184,12 @@ func MatchContext(ctx context.Context, store *core.Store, query string, opts Opt
 		tr.Query = query
 		tr.PlanOrder = tr.PlanOrder[:0]
 		tr.Stages = tr.Stages[:0]
-		tr.Planner = ""
 		tr.TraceID = sp.TraceID()
 		queryStart = time.Now()
 	}
 
 	vars := collectVars(pats)
-	var rs *ResultSet
-	if opts.Engine == EngineMaterialize {
-		rs, err = runMaterialize(ctx, store, scope, pats, vars, filter, opts, traced, tr)
-	} else {
-		rs, err = runStreaming(ctx, store, scope, pats, vars, filter, opts, traced, tr)
-	}
+	rs, err := runStreaming(ctx, store, scope, pats, vars, filter, opts, traced, tr)
 	if err != nil {
 		if sp != nil {
 			sp.AddCompleted("match.query", queryStart, time.Since(queryStart),
@@ -253,7 +211,7 @@ func MatchContext(ctx context.Context, store *core.Store, query string, opts Opt
 
 // collectVars returns the query's variables in first-occurrence (textual)
 // order — the projection order of the result set and the slot order of
-// the streaming engine's rows.
+// the engine's rows.
 func collectVars(pats []TriplePattern) []string {
 	var vars []string
 	seen := map[string]bool{}

@@ -282,11 +282,10 @@ func TestMatchStringsAndProjectionOrder(t *testing.T) {
 }
 
 func TestPlanOrderPrefersBoundPatterns(t *testing.T) {
-	a := govAliases()
-	pats, _ := ParseQuery(`(?x ?p ?y) (gov:files gov:terrorSuspect ?x)`, a)
-	order := planOrder(pats)
+	order, _ := planFor(t, icStore(t), `(?x ?p ?y) (gov:files gov:terrorSuspect ?x)`,
+		Options{Models: []string{"cia", "dhs", "fbi"}})
 	if order[0] != 1 {
-		t.Fatalf("planOrder = %v, want bound pattern first", order)
+		t.Fatalf("plan = %v, want bound pattern first", order)
 	}
 }
 

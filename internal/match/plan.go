@@ -1,43 +1,22 @@
 package match
 
-import (
-	"sort"
+import "repro/internal/core"
 
-	"repro/internal/core"
-)
-
-// The cost-based planner. Pattern order dominates join cost: starting
-// from the most selective pattern keeps every intermediate binding set
-// small, and each later pattern should share a variable with the ones
-// already run so it probes instead of re-scanning. The estimates come
-// from core.PlanStats — per-predicate link counts and distinct
+// The planner. Pattern order dominates join cost: starting from the
+// most selective pattern keeps every intermediate binding set small,
+// and each later pattern should share a variable with the ones already
+// run so it probes instead of re-scanning. The estimates come from
+// core.PlanStats — per-predicate link counts and distinct
 // subject/object cardinalities — under the usual independence
-// assumptions; when a model has no statistics (empty partition) the
-// planner falls back to the static boundness heuristic (planOrder).
+// assumptions. Statistics track each model's own partition, so zero
+// totals mean the scoped models are empty and every order is as good
+// as any other (ties keep query-text order).
 
-// planOrder returns pattern indexes sorted by decreasing boundness
-// (number of concrete terms), stable for equal counts. Variables bound by
-// earlier patterns make later ones selective at execution time, so this
-// is a reasonable static order without statistics.
-func planOrder(pats []TriplePattern) []int {
-	order := make([]int, len(pats))
-	for i := range order {
-		order[i] = i
-	}
-	bound := func(p TriplePattern) int {
-		n := 0
-		for _, pt := range []PatternTerm{p.S, p.P, p.O} {
-			if !pt.IsVar() {
-				n++
-			}
-		}
-		return n
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return bound(pats[order[a]]) > bound(pats[order[b]])
-	})
-	return order
-}
+// forcedOrder, when non-nil, replaces the greedy choice with a fixed
+// execution order of pattern indexes, one per pattern. It is a test
+// seam — the differential tests run every permutation of a query
+// through the engine — and production leaves it nil.
+var forcedOrder []int
 
 // patIDs holds one pattern's concrete-term IDs resolved against one
 // model: 0 where the position is a variable. ok is false when some
@@ -50,10 +29,10 @@ type patIDs struct {
 
 // stagePlan is one pattern prepared for execution: its variable slots,
 // its per-model concrete IDs, and the planner's cumulative output
-// estimate (-1 when the active planner does not estimate).
+// estimate.
 type stagePlan struct {
 	pi               int     // pattern index in the query text
-	est              float64 // estimated OutBindings; -1 = no estimate
+	est              float64 // estimated OutBindings
 	sVar, pVar, oVar int     // variable slots, -1 for concrete positions
 	ids              []patIDs
 }
@@ -63,18 +42,17 @@ type queryPlan struct {
 	stages []stagePlan
 	// empty: some pattern cannot match in any scoped model, so the whole
 	// conjunction is empty — no stage needs to run.
-	empty   bool
-	planner string // "cost", "heuristic", or "naive"
+	empty bool
 }
 
 // buildPlan resolves every pattern's concrete terms against every scoped
-// model and orders the stages according to the requested planner. nvars
-// is the size of the query's variable table; varIdx maps names to slots.
-func buildPlan(tx *core.ReadTx, mids []int64, pats []TriplePattern, varIdx map[string]int, nvars int, planner Planner) queryPlan {
+// model and orders the stages by estimated cost. nvars is the size of the
+// query's variable table; varIdx maps names to slots.
+func buildPlan(tx *core.ReadTx, mids []int64, pats []TriplePattern, varIdx map[string]int, nvars int) queryPlan {
 	stages := make([]stagePlan, len(pats))
 	empty := false
 	for i, pat := range pats {
-		sp := stagePlan{pi: i, est: -1, sVar: -1, pVar: -1, oVar: -1, ids: make([]patIDs, len(mids))}
+		sp := stagePlan{pi: i, sVar: -1, pVar: -1, oVar: -1, ids: make([]patIDs, len(mids))}
 		if pat.S.IsVar() {
 			sp.sVar = varIdx[pat.S.Var]
 		}
@@ -115,34 +93,7 @@ func buildPlan(tx *core.ReadTx, mids []int64, pats []TriplePattern, varIdx map[s
 		stages[i] = sp
 	}
 
-	plan := queryPlan{empty: empty}
-	switch planner {
-	case PlannerNaive:
-		plan.planner = "naive"
-		plan.stages = stages
-	case PlannerHeuristic:
-		plan.planner = "heuristic"
-		plan.stages = permuteStages(stages, planOrder(pats))
-	default: // PlannerCost
-		ag := gatherStats(tx, mids)
-		if ag.total == 0 {
-			// No statistics to estimate from (empty models): fall back.
-			plan.planner = "heuristic"
-			plan.stages = permuteStages(stages, planOrder(pats))
-		} else {
-			plan.planner = "cost"
-			plan.stages = costOrder(stages, ag, nvars)
-		}
-	}
-	return plan
-}
-
-func permuteStages(stages []stagePlan, order []int) []stagePlan {
-	out := make([]stagePlan, 0, len(stages))
-	for _, pi := range order {
-		out = append(out, stages[pi])
-	}
-	return out
+	return queryPlan{stages: costOrder(stages, gatherStats(tx, mids), nvars), empty: empty}
 }
 
 // aggStats is core.PlanStats summed across the query's scoped models, so
@@ -238,38 +189,25 @@ func connectedTo(sp *stagePlan, bound []bool) bool {
 	return false
 }
 
-// costOrder greedily picks the cheapest next stage: the minimum-estimate
-// pattern overall for the first stage, then the minimum-estimate pattern
-// among those connected to the bound variables (avoiding cross products;
-// only when nothing is connected does it fall back to the global
-// minimum). Ties keep query-text order. est accumulates down the
-// pipeline, so each stage records its estimated output cardinality.
+// costOrder greedily picks the cheapest next stage (see cheapestNext)
+// until every pattern is placed. est accumulates down the pipeline, so
+// each stage records its estimated output cardinality — under
+// forcedOrder too, which only replaces the choice.
 func costOrder(stages []stagePlan, ag aggStats, nvars int) []stagePlan {
-	n := len(stages)
 	bound := make([]bool, nvars)
-	used := make([]bool, n)
-	out := make([]stagePlan, 0, n)
+	used := make([]bool, len(stages))
+	out := make([]stagePlan, 0, len(stages))
 	run := 1.0
-	for len(out) < n {
-		best := -1
-		bestConn := false
-		bestEst := 0.0
-		for i := 0; i < n; i++ {
-			if used[i] {
-				continue
-			}
-			conn := connectedTo(&stages[i], bound)
-			est := estimateStage(&stages[i], bound, ag)
-			better := best < 0 ||
-				(conn && !bestConn) ||
-				(conn == bestConn && est < bestEst)
-			if better {
-				best, bestConn, bestEst = i, conn, est
-			}
+	for len(out) < len(stages) {
+		var best int
+		if forcedOrder != nil {
+			best = forcedOrder[len(out)]
+		} else {
+			best = cheapestNext(stages, used, bound, ag)
 		}
 		sp := stages[best]
 		used[best] = true
-		run *= bestEst
+		run *= estimateStage(&sp, bound, ag)
 		sp.est = run
 		for _, v := range []int{sp.sVar, sp.pVar, sp.oVar} {
 			if v >= 0 {
@@ -279,4 +217,26 @@ func costOrder(stages []stagePlan, ag aggStats, nvars int) []stagePlan {
 		out = append(out, sp)
 	}
 	return out
+}
+
+// cheapestNext returns the unused stage to run next: the minimum-estimate
+// pattern overall for the first stage, then the minimum-estimate pattern
+// among those connected to the bound variables (avoiding cross products;
+// only when nothing is connected does it fall back to the global
+// minimum). Ties keep query-text order.
+func cheapestNext(stages []stagePlan, used, bound []bool, ag aggStats) int {
+	best := -1
+	bestConn := false
+	bestEst := 0.0
+	for i := range stages {
+		if used[i] {
+			continue
+		}
+		conn := connectedTo(&stages[i], bound)
+		est := estimateStage(&stages[i], bound, ag)
+		if best < 0 || (conn && !bestConn) || (conn == bestConn && est < bestEst) {
+			best, bestConn, bestEst = i, conn, est
+		}
+	}
+	return best
 }

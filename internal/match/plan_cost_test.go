@@ -10,10 +10,10 @@ import (
 
 // Golden plan tests for the cost-based planner: a known stats fixture
 // must produce a known iterator order, observable through
-// Trace.PlanOrder and Trace.Planner.
+// Trace.PlanOrder.
 
-// planFor runs the query traced and returns the chosen order and planner.
-func planFor(t *testing.T, s *core.Store, query string, opts Options) ([]int, string, *Trace) {
+// planFor runs the query traced and returns the chosen order.
+func planFor(t *testing.T, s *core.Store, query string, opts Options) ([]int, *Trace) {
 	t.Helper()
 	var tr Trace
 	opts.Trace = &tr
@@ -26,7 +26,7 @@ func planFor(t *testing.T, s *core.Store, query string, opts Options) ([]int, st
 	if _, err := Match(s, query, opts); err != nil {
 		t.Fatal(err)
 	}
-	return tr.PlanOrder, tr.Planner, &tr
+	return tr.PlanOrder, &tr
 }
 
 // TestCostPlanChain: on the chain fixture the cost planner starts from
@@ -35,12 +35,9 @@ func planFor(t *testing.T, s *core.Store, query string, opts Options) ([]int, st
 // disconnected first pattern and cross-product).
 func TestCostPlanChain(t *testing.T) {
 	s := chainStore(t, 100)
-	order, planner, tr := planFor(t, s, threeJoinQuery, Options{})
+	order, tr := planFor(t, s, threeJoinQuery, Options{})
 	if !reflect.DeepEqual(order, []int{2, 1, 0}) {
 		t.Fatalf("cost plan = %v, want [2 1 0]", order)
-	}
-	if planner != "cost" {
-		t.Fatalf("planner = %q, want cost", planner)
 	}
 	for i, st := range tr.Stages {
 		if st.EstRows < 0 {
@@ -52,8 +49,8 @@ func TestCostPlanChain(t *testing.T) {
 // invStore builds the selectivity-inversion fixture: n chains
 // (s_i p1 m_i)(m_i p2 "common") where EVERY p2 object is the same
 // literal, plus a single (s_0 type "rare"). The two 2-bound patterns in
-// the query look identical to the boundness heuristic, but statistics
-// show p2="common" matches n rows while type="rare" matches one.
+// the query look identical by boundness alone, but statistics show
+// p2="common" matches n rows while type="rare" matches one.
 func invStore(t *testing.T, n int) *core.Store {
 	t.Helper()
 	s := core.New()
@@ -77,24 +74,17 @@ func invStore(t *testing.T, n int) *core.Store {
 
 const inversionQuery = `(?s gov:p1 ?m) (?m gov:p2 "common") (?s gov:type "rare")`
 
-// TestCostPlanSelectivityInversion: the heuristic ties the two 2-bound
-// patterns and keeps text order (pattern 1 first — the unselective one);
-// the cost planner sees count(type)=1 vs count(p2)/distinct-objects=n
-// and starts from the rare probe, then chains through ?s.
+// TestCostPlanSelectivityInversion: by boundness the two 2-bound
+// patterns tie (text order would run pattern 1 — the unselective one —
+// first); the cost planner sees count(type)=1 vs
+// count(p2)/distinct-objects=n and starts from the rare probe, then
+// chains through ?s.
 func TestCostPlanSelectivityInversion(t *testing.T) {
 	s := invStore(t, 50)
-	order, planner, _ := planFor(t, s, inversionQuery, Options{})
-	if planner != "cost" {
-		t.Fatalf("planner = %q, want cost", planner)
-	}
+	order, _ := planFor(t, s, inversionQuery, Options{})
 	if !reflect.DeepEqual(order, []int{2, 0, 1}) {
 		t.Fatalf("cost plan = %v, want [2 0 1]", order)
 	}
-	horder, hplanner, _ := planFor(t, s, inversionQuery, Options{Planner: PlannerHeuristic})
-	if hplanner != "heuristic" || !reflect.DeepEqual(horder, []int{1, 2, 0}) {
-		t.Fatalf("heuristic plan = %v (%s), want [1 2 0]", horder, hplanner)
-	}
-	// Both plans return the same single row.
 	rs, err := Match(s, inversionQuery, Options{Models: []string{"g"}, Aliases: govAliases()})
 	if err != nil {
 		t.Fatal(err)
@@ -104,42 +94,39 @@ func TestCostPlanSelectivityInversion(t *testing.T) {
 	}
 }
 
-// TestCostPlanFallbackEmptyStats: a model with no triples has no
-// statistics; the cost planner must fall back to the heuristic rather
-// than divide by zero or order arbitrarily.
-func TestCostPlanFallbackEmptyStats(t *testing.T) {
+// TestCostPlanEmptyStats: statistics are per model, so a model with no
+// triples has zero statistics. The cost planner must still produce a
+// complete plan — zero estimates, no division by zero, ties in text
+// order — and the query returns no rows.
+func TestCostPlanEmptyStats(t *testing.T) {
 	s := core.New()
 	if _, err := s.CreateRDFModel("g", "", ""); err != nil {
 		t.Fatal(err)
 	}
-	order, planner, _ := planFor(t, s, `(?s ?p ?o) (?s gov:p1 ?o)`, Options{})
-	if planner != "heuristic" {
-		t.Fatalf("planner = %q, want heuristic fallback on empty stats", planner)
+	order, tr := planFor(t, s, `(?s ?p ?o) (?o ?q ?r)`, Options{})
+	if !reflect.DeepEqual(order, []int{0, 1}) || len(tr.Stages) != 2 || tr.Rows != 0 {
+		t.Fatalf("empty stats: plan %v, %d stages, %d rows; want [0 1], 2, 0", order, len(tr.Stages), tr.Rows)
 	}
-	if !reflect.DeepEqual(order, []int{1, 0}) {
-		t.Fatalf("fallback plan = %v, want [1 0]", order)
-	}
-}
-
-// TestPlannerNaiveKeepsTextOrder: PlannerNaive must execute patterns in
-// query-text order on both engines — it is the differential baseline.
-func TestPlannerNaiveKeepsTextOrder(t *testing.T) {
-	s := chainStore(t, 20)
-	for _, eng := range []Engine{EngineStreaming, EngineMaterialize} {
-		order, planner, _ := planFor(t, s, threeJoinQuery, Options{Planner: PlannerNaive, Engine: eng})
-		if planner != "naive" || !reflect.DeepEqual(order, []int{0, 1, 2}) {
-			t.Fatalf("engine %d: naive plan = %v (%s), want [0 1 2]", eng, order, planner)
+	for i, st := range tr.Stages {
+		if st.EstRows != 0 {
+			t.Fatalf("stage %d EstRows = %v, want 0 on an empty model", i, st.EstRows)
 		}
 	}
 }
 
-// TestPlannerHeuristicOption: explicitly requesting the boundness
-// heuristic on the streaming engine reproduces planOrder's choice.
-func TestPlannerHeuristicOption(t *testing.T) {
+// TestPlannerNaiveKeepsTextOrder: the naive text order — the oracle's,
+// forced through the test seam — executes patterns in query-text order,
+// and the forced plan still estimates every stage.
+func TestPlannerNaiveKeepsTextOrder(t *testing.T) {
 	s := chainStore(t, 20)
-	order, planner, _ := planFor(t, s, threeJoinQuery, Options{Planner: PlannerHeuristic})
-	if planner != "heuristic" || !reflect.DeepEqual(order, []int{2, 0, 1}) {
-		t.Fatalf("heuristic plan = %v (%s), want [2 0 1]", order, planner)
+	forcedOrder = []int{0, 1, 2}
+	defer func() { forcedOrder = nil }()
+	order, tr := planFor(t, s, threeJoinQuery, Options{})
+	if !reflect.DeepEqual(order, []int{0, 1, 2}) {
+		t.Fatalf("naive plan = %v, want [0 1 2]", order)
+	}
+	if tr.Stages[0].EstRows != 20 || tr.Rows != 1 {
+		t.Fatalf("naive plan: first stage est %v, rows %d; want 20 and 1", tr.Stages[0].EstRows, tr.Rows)
 	}
 }
 
@@ -176,21 +163,6 @@ func TestEmptyCollapse(t *testing.T) {
 	}
 }
 
-// TestEstRowsMaterializeUnestimated: the materializing engine does not
-// cost plans; its stages must carry EstRows = -1 so Format omits est=.
-func TestEstRowsMaterializeUnestimated(t *testing.T) {
-	s := chainStore(t, 20)
-	_, _, tr := planFor(t, s, threeJoinQuery, Options{Engine: EngineMaterialize})
-	if len(tr.Stages) == 0 {
-		t.Fatal("no stages traced")
-	}
-	for i, st := range tr.Stages {
-		if st.EstRows != -1 {
-			t.Fatalf("stage %d EstRows = %v, want -1 on the materializing engine", i, st.EstRows)
-		}
-	}
-}
-
 // TestCostPlanMultiModelStats: statistics aggregate across the scoped
 // models, so a probe selective in the union is still chosen first when
 // the qualifying triples live in a different model than the chains.
@@ -223,7 +195,7 @@ func TestCostPlanMultiModelStats(t *testing.T) {
 	if rs.Len() != 1 {
 		t.Fatalf("rows = %d, want 1", rs.Len())
 	}
-	if tr.Planner != "cost" || len(tr.PlanOrder) != 3 || tr.PlanOrder[0] != 2 {
-		t.Fatalf("plan = %v (%s), want type probe first", tr.PlanOrder, tr.Planner)
+	if len(tr.PlanOrder) != 3 || tr.PlanOrder[0] != 2 {
+		t.Fatalf("plan = %v, want type probe first", tr.PlanOrder)
 	}
 }

@@ -17,41 +17,12 @@ func mustParse(t testing.TB, q string) []TriplePattern {
 	return pats
 }
 
-// TestPlanOrderMostSelectiveFirst: planOrder must run patterns with more
-// concrete terms first, keeping input order among equally-bound patterns.
-func TestPlanOrderMostSelectiveFirst(t *testing.T) {
-	cases := []struct {
-		query string
-		want  []int
-	}{
-		// Fully unbound last, two-bound patterns first in input order.
-		{`(?s ?p ?o) (gov:files gov:terrorSuspect ?x) (?x gov:terrorAction "bombing")`, []int{1, 2, 0}},
-		// Fully bound beats everything.
-		{`(?a ?b ?c) (gov:files gov:terrorSuspect id:JohnDoe)`, []int{1, 0}},
-		// Strictly decreasing boundness, given in increasing order: reversed.
-		{`(?a ?b ?c) (?x gov:terrorAction ?y) (?x gov:terrorAction "bombing") (gov:files gov:terrorSuspect id:JohnDoe)`, []int{3, 2, 1, 0}},
-		// All ties (one bound term each): stable, input order preserved.
-		{`(?a gov:p1 ?b) (?b gov:p2 ?c) (?c gov:p3 ?d)`, []int{0, 1, 2}},
-		// Mixed ties: the two 2-bound patterns keep their relative order.
-		{`(?x gov:terrorAction "bombing") (?s ?p ?o) (gov:files gov:terrorSuspect ?y) (?z gov:p1 ?w)`, []int{0, 2, 3, 1}},
-		// Single pattern.
-		{`(?s gov:p1 ?o)`, []int{0}},
-	}
-	for _, c := range cases {
-		pats := mustParse(t, c.query)
-		got := planOrder(pats)
-		if !reflect.DeepEqual(got, c.want) {
-			t.Errorf("planOrder(%s) = %v, want %v", c.query, got, c.want)
-		}
-	}
-}
-
-// TestPlanOrderBoundnessOnly: a variable repeated across positions does
-// not count as bound — only concrete terms do.
+// TestPlanOrderBoundnessOnly: a variable repeated across positions is
+// not a bound term, so the planner starts from the predicate-bound one.
 func TestPlanOrderBoundnessOnly(t *testing.T) {
-	pats := mustParse(t, `(?x ?p ?x) (?x gov:p1 ?y)`)
-	if got := planOrder(pats); !reflect.DeepEqual(got, []int{1, 0}) {
-		t.Fatalf("planOrder = %v, want [1 0] (repeated variable is not a bound term)", got)
+	order, _ := planFor(t, chainStore(t, 20), `(?x ?p ?x) (?x gov:p1 ?y)`, Options{})
+	if !reflect.DeepEqual(order, []int{1, 0}) {
+		t.Fatalf("plan = %v, want [1 0] (repeated variable is not a bound term)", order)
 	}
 }
 
@@ -116,5 +87,37 @@ func BenchmarkThreePatternJoin(b *testing.B) {
 		if rs.Len() != 1 {
 			b.Fatalf("join returned %d rows", rs.Len())
 		}
+	}
+}
+
+// TestChainJoinPlanBudget is the join planner's regression gate, in
+// counts rather than timings so it holds on any machine: chain3-selective
+// at 30 000 triples must run the type probe first and walk the chain
+// back (plan 2 -> 1 -> 0), touching one candidate per stage where text or
+// boundness order visits 10 002, and the untraced query stays within its
+// allocation budget.
+func TestChainJoinPlanBudget(t *testing.T) {
+	s := chainStore(t, 10000)
+	var tr Trace
+	opts := Options{Models: []string{"g"}, Aliases: govAliases()}
+	traced := opts
+	traced.Trace = &tr
+	if _, err := Match(s, threeJoinQuery, traced); err != nil {
+		t.Fatal(err)
+	}
+	candidates := 0
+	for _, st := range tr.Stages {
+		candidates += st.Candidates
+	}
+	if !reflect.DeepEqual(tr.PlanOrder, []int{2, 1, 0}) || candidates != 3 || tr.Rows != 1 {
+		t.Fatalf("plan %v, %d candidates, %d rows; want [2 1 0], 3, 1", tr.PlanOrder, candidates, tr.Rows)
+	}
+	const allocBudget = 80
+	if got := testing.AllocsPerRun(20, func() {
+		if rs, err := Match(s, threeJoinQuery, opts); err != nil || rs.Len() != 1 {
+			t.Fatalf("Match = %v, %v", rs, err)
+		}
+	}); got > allocBudget {
+		t.Fatalf("chain3-selective: %.0f allocations per query, budget %d", got, allocBudget)
 	}
 }

@@ -11,9 +11,10 @@ import (
 	"repro/internal/trace"
 )
 
-// EXPLAIN-style tracing for Match. A Trace records what the heuristic
-// planner chose and what each join stage actually did — inputs,
-// candidates scanned, outputs, wall time — so "why is this query slow"
+// EXPLAIN-style tracing for Match. A Trace records the order the cost
+// planner chose, what it estimated, and what each join stage actually
+// did — inputs, candidates scanned, outputs, wall time — so "why is this
+// query slow"
 // is answerable without re-running it under a profiler. The same
 // per-stage numbers feed the match metrics and the slow-query event
 // log; all three share one gate in MatchContext, and when none is
@@ -33,8 +34,7 @@ type StageTrace struct {
 	Candidates int
 	// OutBindings is the number of extended bindings leaving the stage.
 	OutBindings int
-	// EstRows is the planner's estimated OutBindings for the stage, or
-	// -1 when the active planner does not estimate (heuristic/naive).
+	// EstRows is the planner's estimated OutBindings for the stage.
 	// Comparing it against OutBindings shows where the cost model was
 	// wrong.
 	EstRows  float64
@@ -47,10 +47,7 @@ type Trace struct {
 	Query string
 	// PlanOrder holds pattern indexes in execution order.
 	PlanOrder []int
-	// Planner names the strategy that chose the order: "cost",
-	// "heuristic", or "naive".
-	Planner string
-	Stages  []StageTrace
+	Stages    []StageTrace
 	// Rows is the final row count after filter, distinct, and order-by.
 	Rows  int
 	Total time.Duration
@@ -64,7 +61,7 @@ type Trace struct {
 // Format renders the trace, one stage per line:
 //
 //	plan: 1 -> 0 -> 2
-//	stage 1: #1 ?x <urn:type> <urn:T>  in=1 candidates=40 out=40  312µs
+//	stage 1: #1 ?x <urn:type> <urn:T>  in=1 candidates=40 out=40 est=40  312µs
 //	...
 //	total 1.8ms, 12 rows
 func (t *Trace) Format(w io.Writer) {
@@ -73,19 +70,11 @@ func (t *Trace) Format(w io.Writer) {
 		for i, pi := range t.PlanOrder {
 			parts[i] = strconv.Itoa(pi)
 		}
-		if t.Planner != "" {
-			fmt.Fprintf(w, "plan: %s (%s)\n", strings.Join(parts, " -> "), t.Planner)
-		} else {
-			fmt.Fprintf(w, "plan: %s\n", strings.Join(parts, " -> "))
-		}
+		fmt.Fprintf(w, "plan: %s\n", strings.Join(parts, " -> "))
 	}
 	for i, st := range t.Stages {
-		est := ""
-		if st.EstRows >= 0 {
-			est = fmt.Sprintf(" est=%s", formatEst(st.EstRows))
-		}
-		fmt.Fprintf(w, "stage %d: #%d %s  in=%d candidates=%d out=%d%s  %s\n",
-			i+1, st.Index, st.Pattern, st.InBindings, st.Candidates, st.OutBindings, est,
+		fmt.Fprintf(w, "stage %d: #%d %s  in=%d candidates=%d out=%d est=%s  %s\n",
+			i+1, st.Index, st.Pattern, st.InBindings, st.Candidates, st.OutBindings, formatEst(st.EstRows),
 			st.Duration.Round(time.Microsecond))
 	}
 	fmt.Fprintf(w, "total %s, %d rows\n", t.Total.Round(time.Microsecond), t.Rows)
@@ -100,21 +89,16 @@ func (t *Trace) summary() map[string]string {
 	}
 	stages := make([]string, len(t.Stages))
 	for i, st := range t.Stages {
-		est := ""
-		if st.EstRows >= 0 {
-			est = " est=" + formatEst(st.EstRows)
-		}
-		stages[i] = fmt.Sprintf("#%d in=%d cand=%d out=%d%s %s",
-			st.Index, st.InBindings, st.Candidates, st.OutBindings, est,
+		stages[i] = fmt.Sprintf("#%d in=%d cand=%d out=%d est=%s %s",
+			st.Index, st.InBindings, st.Candidates, st.OutBindings, formatEst(st.EstRows),
 			st.Duration.Round(time.Microsecond))
 	}
 	m := map[string]string{
-		"query":   t.Query,
-		"plan":    strings.Join(plan, ","),
-		"planner": t.Planner,
-		"stages":  strings.Join(stages, "; "),
-		"rows":    strconv.Itoa(t.Rows),
-		"total":   t.Total.Round(time.Microsecond).String(),
+		"query":  t.Query,
+		"plan":   strings.Join(plan, ","),
+		"stages": strings.Join(stages, "; "),
+		"rows":   strconv.Itoa(t.Rows),
+		"total":  t.Total.Round(time.Microsecond).String(),
 	}
 	if t.TraceID != "" {
 		m["trace_id"] = t.TraceID
@@ -139,9 +123,8 @@ func (t *Trace) attachSpan(sp *trace.Span, start time.Time) {
 		plan[i] = strconv.Itoa(pi)
 	}
 	q := sp.AddCompleted("match.query", start, t.Total, map[string]string{
-		"planner": t.Planner,
-		"plan":    strings.Join(plan, ","),
-		"rows":    strconv.Itoa(t.Rows),
+		"plan": strings.Join(plan, ","),
+		"rows": strconv.Itoa(t.Rows),
 	}, false)
 	stageStart := start
 	for i := range t.Stages {
@@ -151,9 +134,7 @@ func (t *Trace) attachSpan(sp *trace.Span, start time.Time) {
 			"in":         strconv.Itoa(st.InBindings),
 			"candidates": strconv.Itoa(st.Candidates),
 			"out":        strconv.Itoa(st.OutBindings),
-		}
-		if st.EstRows >= 0 {
-			attrs["est"] = formatEst(st.EstRows)
+			"est":        formatEst(st.EstRows),
 		}
 		q.AddCompleted(fmt.Sprintf("match.stage %d: #%d", i+1, st.Index), stageStart, st.Duration, attrs, false)
 		stageStart = stageStart.Add(st.Duration)

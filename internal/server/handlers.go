@@ -149,7 +149,6 @@ type queryResponse struct {
 
 type traceJSON struct {
 	PlanOrder []int       `json:"plan_order"`
-	Planner   string      `json:"planner,omitempty"`
 	Stages    []stageJSON `json:"stages"`
 	Rows      int         `json:"rows"`
 	TotalUS   int64       `json:"total_us"`
@@ -162,9 +161,9 @@ type stageJSON struct {
 	Candidates int    `json:"candidates"`
 	Out        int    `json:"out"`
 	// EstRows is the planner's estimated output cardinality for the
-	// stage; omitted when the active planner does not estimate.
-	EstRows    *float64 `json:"est_rows,omitempty"`
-	DurationUS int64    `json:"duration_us"`
+	// stage.
+	EstRows    float64 `json:"est_rows"`
+	DurationUS int64   `json:"duration_us"`
 }
 
 func (s *Server) handleQuery(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
@@ -222,17 +221,12 @@ func (s *Server) handleQuery(ctx context.Context, w http.ResponseWriter, r *http
 		s.met.onTruncated()
 	}
 	if req.Trace {
-		tj := &traceJSON{PlanOrder: explain.PlanOrder, Planner: explain.Planner, Rows: explain.Rows, TotalUS: explain.Total.Microseconds()}
+		tj := &traceJSON{PlanOrder: explain.PlanOrder, Rows: explain.Rows, TotalUS: explain.Total.Microseconds()}
 		for _, st := range explain.Stages {
-			sj := stageJSON{
-				Index: st.Index, Pattern: st.Pattern, In: st.InBindings,
-				Candidates: st.Candidates, Out: st.OutBindings, DurationUS: st.Duration.Microseconds(),
-			}
-			if st.EstRows >= 0 {
-				est := st.EstRows
-				sj.EstRows = &est
-			}
-			tj.Stages = append(tj.Stages, sj)
+			tj.Stages = append(tj.Stages, stageJSON{
+				Index: st.Index, Pattern: st.Pattern, In: st.InBindings, Candidates: st.Candidates,
+				Out: st.OutBindings, EstRows: st.EstRows, DurationUS: st.Duration.Microseconds(),
+			})
 		}
 		resp.Trace = tj
 	}

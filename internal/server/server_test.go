@@ -132,6 +132,22 @@ func TestQueryTrace(t *testing.T) {
 	if resp.Trace == nil || len(resp.Trace.Stages) != 1 {
 		t.Fatalf("trace = %+v, want 1 stage", resp.Trace)
 	}
+	// One planner: no planner key, and every executed stage carries its
+	// estimate.
+	var raw struct {
+		Trace struct {
+			Planner *string
+			Stages  []struct {
+				EstRows *float64 `json:"est_rows"`
+			}
+		}
+	}
+	if err := json.Unmarshal(rr.Body.Bytes(), &raw); err != nil {
+		t.Fatal(err)
+	}
+	if raw.Trace.Planner != nil || len(raw.Trace.Stages) != 1 || raw.Trace.Stages[0].EstRows == nil {
+		t.Fatalf("trace = %s, want no planner and est_rows on every stage", rr.Body.String())
+	}
 }
 
 func TestQueryErrors(t *testing.T) {
