@@ -10,7 +10,7 @@ STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 LINT_STRICT ?=
 
-.PHONY: all build vet test race cover bench fuzz \
+.PHONY: all build vet test race cover fuzz \
 	experiments examples clean lint analyzers staticcheck govulncheck \
 	fuzz-smoke chaos chaos-disk server-smoke lint-race
 
@@ -111,10 +111,6 @@ server-smoke:
 cover:
 	$(GO) test -cover ./...
 
-# One benchmark family per paper table/figure, plus ablations.
-bench:
-	$(GO) test -bench=. -benchmem .
-
 # Short fuzz passes over every fuzz target (regression corpora run in
 # plain `make test` already).
 fuzz:
@@ -140,11 +136,11 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzTableOps -fuzztime=30s ./internal/reldb
 	$(GO) test -fuzz=FuzzScan -fuzztime=30s ./internal/wal
 
-# Regenerate the paper's evaluation tables (10k + 100k by default; pass
-# SIZES=10000,100000,1000000,5000000 for the full sweep).
-SIZES ?= 10000,100000
+# Regenerate the measured tables of EXPERIMENTS.md (the blocks between
+# its experiments markers) over the paper's size sweep, 10 k to 5 M
+# triples. The 5 M point loads one system at a time and takes minutes.
 experiments:
-	$(GO) run ./cmd/benchrepro -sizes $(SIZES)
+	$(GO) test ./internal/experiments -run TestExperimentsDoc -v -timeout 0 -args -update
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -24,10 +24,10 @@
 // shuts the server down mid-load to verify the drain contract. The
 // -wal-*-bytes and -chaos-wal-enospc-rate knobs add rotation, disk
 // budgets, automatic checkpoints, and the Degraded(disk) 507 path under
-// injected ENOSPC. Results
-// (p50/p99 latency per endpoint, status and rejection tallies,
-// corruption and hang counts) print as a table and, with -json, land
-// in a machine-readable report (BENCH_6.json in CI).
+// injected ENOSPC. It is a drill, not a latency report: it prints the
+// status and error-code tallies, the corruption, hang and injected-fault
+// counts and the slowest requests' trace IDs, and exits non-zero when
+// the contract breaks. The benchmark under benchmark/ measures latency.
 package main
 
 import (
@@ -73,7 +73,6 @@ type config struct {
 	conns        int
 	duration     time.Duration
 	model        string
-	jsonPath     string
 	chaosRate    float64
 	chaosSeed    int64
 	burst        int
@@ -95,7 +94,6 @@ func newFlagSet() (*flag.FlagSet, *config) {
 	fs.IntVar(&cfg.conns, "conns", 1000, "concurrent connections")
 	fs.DurationVar(&cfg.duration, "duration", 10*time.Second, "steady-state load duration")
 	fs.StringVar(&cfg.model, "model", "bench", "model name")
-	fs.StringVar(&cfg.jsonPath, "json", "", "write the machine-readable report to this file")
 	fs.Float64Var(&cfg.chaosRate, "chaos-wal-write-rate", 0.02, "self-serve: probability each WAL write fails")
 	fs.Int64Var(&cfg.chaosSeed, "chaos-seed", 1, "self-serve: fault injector seed")
 	fs.Int64Var(&cfg.segmentBytes, "wal-segment-bytes", 0, "self-serve: segment rotation threshold in bytes (0 = 64 MiB default)")
@@ -155,11 +153,10 @@ type bench struct {
 	srv    *server.Server // self-serve only
 	sup    *supervise.Supervisor
 
-	mu        sync.Mutex
-	latencies map[string][]time.Duration // endpoint -> samples
-	statuses  map[int]int64
-	codes     map[string]int64
-	slowest   []slowSample // ten slowest requests with their trace IDs
+	mu       sync.Mutex
+	statuses map[int]int64
+	codes    map[string]int64
+	slowest  []slowSample // ten slowest requests with their trace IDs
 
 	corrupt  atomic.Int64
 	hung     atomic.Int64
@@ -168,27 +165,8 @@ type bench struct {
 
 	burstRejected    int64
 	burstOK          int64
-	drainResult      *drainReport
-	traceResult      *traceReport
 	injectedFailures func() (int, int)
 	armChaos         func()
-}
-
-// traceReport is the self-serve trace-retention verification: after the
-// chaos run, /debug/traces must hold at least one slow or errored trace
-// and a retained trace must be retrievable by its ID.
-type traceReport struct {
-	Retained     int    `json:"retained"`
-	VerifiedID   string `json:"verified_id,omitempty"`
-	LookupStatus int    `json:"lookup_status"`
-}
-
-type drainReport struct {
-	InflightAtDrain int64 `json:"inflight_at_drain"`
-	Completed       int64 `json:"completed"`
-	Hung            int64 `json:"hung"`
-	Rejected503     int64 `json:"rejected_shutting_down"`
-	DrainMS         int64 `json:"drain_ms"`
 }
 
 func newBench(cfg config) *bench {
@@ -202,9 +180,8 @@ func newBench(cfg config) *bench {
 				MaxConnsPerHost:     0,
 			},
 		},
-		latencies: map[string][]time.Duration{},
-		statuses:  map[int]int64{},
-		codes:     map[string]int64{},
+		statuses: map[int]int64{},
+		codes:    map[string]int64{},
 	}
 }
 
@@ -426,11 +403,10 @@ func (b *bench) doTraced(method, path string, body any, tenant string) (int, []b
 // slowSample is one of the run's slowest requests, with the trace ID an
 // operator needs to pull its span tree from /debug/traces.
 type slowSample struct {
-	Endpoint  string  `json:"endpoint"`
-	Status    int     `json:"status"`
-	LatencyMS float64 `json:"latency_ms"`
-	TraceID   string  `json:"trace_id,omitempty"`
-	lat       time.Duration
+	endpoint string
+	status   int
+	traceID  string
+	lat      time.Duration
 }
 
 // record books one completed request into the tallies.
@@ -463,11 +439,7 @@ func (b *bench) recordTraced(endpoint string, status int, bodyBytes []byte, trac
 			b.codes[env.Error.Code]++
 		}
 	}
-	b.latencies[endpoint] = append(b.latencies[endpoint], lat)
-	b.slowest = append(b.slowest, slowSample{
-		Endpoint: endpoint, Status: status, TraceID: traceID,
-		LatencyMS: float64(lat.Microseconds()) / 1000, lat: lat,
-	})
+	b.slowest = append(b.slowest, slowSample{endpoint: endpoint, status: status, traceID: traceID, lat: lat})
 	if len(b.slowest) > 10 {
 		sort.Slice(b.slowest, func(i, j int) bool { return b.slowest[i].lat > b.slowest[j].lat })
 		b.slowest = b.slowest[:10]
@@ -630,14 +602,11 @@ func (b *bench) tracePhase(stdout io.Writer) error {
 	if err := json.Unmarshal(body, &list); err != nil {
 		return fmt.Errorf("trace check: decoding list: %w", err)
 	}
-	tr := &traceReport{Retained: list.Retained}
-	b.traceResult = tr
 	if list.Retained == 0 || len(list.Traces) == 0 {
 		return errors.New("trace check: chaos run retained no traces — tail sampling never kept a slow/errored request")
 	}
 	id := list.Traces[0].ID
 	status, body, _, err = b.do("GET", "/debug/traces/"+id, nil, "")
-	tr.LookupStatus = status
 	if err != nil || status != 200 {
 		return fmt.Errorf("trace check: GET /debug/traces/%s: status %d, err %v", id, status, err)
 	}
@@ -648,7 +617,6 @@ func (b *bench) tracePhase(stdout io.Writer) error {
 	if err := json.Unmarshal(body, &td); err != nil || td.ID != id || len(td.Spans) == 0 {
 		return fmt.Errorf("trace check: trace %s lookup returned id=%q spans=%d (err %v)", id, td.ID, len(td.Spans), err)
 	}
-	tr.VerifiedID = id
 	fmt.Fprintf(stdout, "traces: %d retained, %s retrievable by ID (%d spans)\n", list.Retained, id, len(td.Spans))
 	return nil
 }
@@ -657,7 +625,6 @@ func (b *bench) tracePhase(stdout io.Writer) error {
 // running and verifies every in-flight request terminates promptly.
 func (b *bench) drainPhase(stdout io.Writer) error {
 	fmt.Fprintln(stdout, "drain: shutting down under load")
-	var dr drainReport
 	stop := make(chan struct{})
 	var drainStarted atomic.Bool
 	var wg sync.WaitGroup
@@ -690,7 +657,6 @@ func (b *bench) drainPhase(stdout io.Writer) error {
 						} `json:"error"`
 					}
 					if json.Unmarshal(body, &env) == nil && env.Error.Code == "shutting_down" {
-						atomic.AddInt64(&dr.Rejected503, 1)
 						return // the server is draining; this worker is done
 					}
 				}
@@ -698,151 +664,67 @@ func (b *bench) drainPhase(stdout io.Writer) error {
 		}(w)
 	}
 	time.Sleep(200 * time.Millisecond) // let the workers get in flight
-	dr.InflightAtDrain = outstanding.Load()
+	inflight := outstanding.Load()
 
 	t0 := time.Now()
 	drainStarted.Store(true)
 	sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	err := b.srv.Shutdown(sctx)
-	dr.DrainMS = time.Since(t0).Milliseconds()
+	drainTime := time.Since(t0)
 	close(stop)
 
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
+	var hung int64
 	select {
 	case <-done:
 	case <-time.After(45 * time.Second):
-		dr.Hung = outstanding.Load()
+		hung = outstanding.Load()
 	}
-	dr.Completed = dr.InflightAtDrain - dr.Hung
-	b.drainResult = &dr
 	fmt.Fprintf(stdout, "drain: %d in flight at shutdown, drained in %dms, %d hung\n",
-		dr.InflightAtDrain, dr.DrainMS, dr.Hung)
+		inflight, drainTime.Milliseconds(), hung)
 	if err != nil {
 		return fmt.Errorf("shutdown under load: %w", err)
 	}
-	if dr.Hung > 0 {
-		return fmt.Errorf("%d requests hung through shutdown", dr.Hung)
+	if hung > 0 {
+		return fmt.Errorf("%d requests hung through shutdown", hung)
 	}
 	return nil
 }
 
 // ---- reporting ----
 
-type endpointStats struct {
-	Count int     `json:"count"`
-	P50MS float64 `json:"p50_ms"`
-	P99MS float64 `json:"p99_ms"`
-	MaxMS float64 `json:"max_ms"`
-}
-
-type report struct {
-	Bench       string                   `json:"bench"`
-	Base        string                   `json:"base"`
-	Conns       int                      `json:"conns"`
-	DurationS   float64                  `json:"duration_s"`
-	Requests    int64                    `json:"requests"`
-	Endpoints   map[string]endpointStats `json:"endpoints"`
-	Statuses    map[string]int64         `json:"statuses"`
-	ErrorCodes  map[string]int64         `json:"error_codes"`
-	BurstOK     int64                    `json:"burst_served"`
-	BurstReject int64                    `json:"burst_rejected"`
-	Corrupt     int64                    `json:"corrupt_reads"`
-	Hung        int64                    `json:"hung_requests"`
-	NetErrs     int64                    `json:"transport_errors"`
-	InjectedWAL int                      `json:"injected_wal_write_failures"`
-	Slowest     []slowSample             `json:"slowest_requests,omitempty"`
-	Traces      *traceReport             `json:"traces,omitempty"`
-	Drain       *drainReport             `json:"drain,omitempty"`
-}
-
-func percentile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(p * float64(len(sorted)-1))
-	return sorted[i]
-}
-
+// report prints the run's tallies and fails the run when the robustness
+// contract broke.
 func (b *bench) report(stdout io.Writer) error {
-	rep := report{
-		Bench:       "server_chaos",
-		Base:        b.cfg.base,
-		Conns:       b.cfg.conns,
-		DurationS:   b.cfg.duration.Seconds(),
-		Requests:    b.requests.Load(),
-		Endpoints:   map[string]endpointStats{},
-		Statuses:    map[string]int64{},
-		ErrorCodes:  b.codes,
-		BurstOK:     b.burstOK,
-		BurstReject: b.burstRejected,
-		Corrupt:     b.corrupt.Load(),
-		Hung:        b.hung.Load(),
-		NetErrs:     b.netErrs.Load(),
-		Traces:      b.traceResult,
-		Drain:       b.drainResult,
-	}
-	sort.Slice(b.slowest, func(i, j int) bool { return b.slowest[i].lat > b.slowest[j].lat })
-	rep.Slowest = b.slowest
+	injected := 0
 	if b.injectedFailures != nil {
-		rep.InjectedWAL, _ = b.injectedFailures()
+		injected, _ = b.injectedFailures()
 	}
-	for st, n := range b.statuses {
-		rep.Statuses[fmt.Sprintf("%d", st)] = n
-	}
-	for ep, lats := range b.latencies {
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		rep.Endpoints[ep] = endpointStats{
-			Count: len(lats),
-			P50MS: float64(percentile(lats, 0.50).Microseconds()) / 1000,
-			P99MS: float64(percentile(lats, 0.99).Microseconds()) / 1000,
-			MaxMS: float64(percentile(lats, 1.0).Microseconds()) / 1000,
-		}
-	}
-
-	fmt.Fprintf(stdout, "\n%-10s %10s %10s %10s %10s\n", "endpoint", "count", "p50 ms", "p99 ms", "max ms")
-	eps := make([]string, 0, len(rep.Endpoints))
-	for ep := range rep.Endpoints {
-		eps = append(eps, ep)
-	}
-	sort.Strings(eps)
-	for _, ep := range eps {
-		s := rep.Endpoints[ep]
-		fmt.Fprintf(stdout, "%-10s %10d %10.2f %10.2f %10.2f\n", ep, s.Count, s.P50MS, s.P99MS, s.MaxMS)
-	}
-	fmt.Fprintf(stdout, "statuses: %v\nerror codes: %v\n", rep.Statuses, rep.ErrorCodes)
+	corrupt, hung := b.corrupt.Load(), b.hung.Load()
+	fmt.Fprintf(stdout, "\nstatuses: %v\nerror codes: %v\n", b.statuses, b.codes)
 	fmt.Fprintf(stdout, "requests %d, corrupt reads %d, hung %d, transport errors %d, injected WAL faults %d\n",
-		rep.Requests, rep.Corrupt, rep.Hung, rep.NetErrs, rep.InjectedWAL)
-	if len(rep.Slowest) > 0 {
-		fmt.Fprintf(stdout, "\nslowest requests (trace IDs fetchable from %s/debug/traces/{id} while the server runs):\n", rep.Base)
-		for _, s := range rep.Slowest {
-			id := s.TraceID
+		b.requests.Load(), corrupt, hung, b.netErrs.Load(), injected)
+	sort.Slice(b.slowest, func(i, j int) bool { return b.slowest[i].lat > b.slowest[j].lat })
+	if len(b.slowest) > 0 {
+		fmt.Fprintf(stdout, "\nslowest requests (trace IDs fetchable from %s/debug/traces/{id} while the server runs):\n", b.cfg.base)
+		for _, s := range b.slowest {
+			id := s.traceID
 			if id == "" {
 				id = "-" // server ran without tracing, or the trace was not sampled
 			}
-			fmt.Fprintf(stdout, "  %-10s %4d %10.2fms  %s\n", s.Endpoint, s.Status, s.LatencyMS, id)
+			fmt.Fprintf(stdout, "  %-10s %4d %10.2fms  %s\n", s.endpoint, s.status, float64(s.lat.Microseconds())/1000, id)
 		}
 	}
 
-	if b.cfg.jsonPath != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(b.cfg.jsonPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "report written to %s\n", b.cfg.jsonPath)
+	if corrupt > 0 {
+		return fmt.Errorf("CORRUPT READS: %d sentinel reads returned wrong data", corrupt)
 	}
-
-	if rep.Corrupt > 0 {
-		return fmt.Errorf("CORRUPT READS: %d sentinel reads returned wrong data", rep.Corrupt)
+	if hung > 0 {
+		return fmt.Errorf("%d requests exceeded the hang budget", hung)
 	}
-	if rep.Hung > 0 {
-		return fmt.Errorf("%d requests exceeded the hang budget", rep.Hung)
-	}
-	if b.cfg.burst > int(b.cfg.inflight) && rep.BurstReject == 0 && b.cfg.base == "" {
+	if b.cfg.burst > int(b.cfg.inflight) && b.burstRejected == 0 && b.srv != nil {
 		return errors.New("burst exceeded capacity but nothing was rejected — admission control is not engaging")
 	}
 	fmt.Fprintln(stdout, "PASS: zero corrupt reads, zero hung requests")

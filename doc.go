@@ -6,7 +6,7 @@
 //
 //   - internal/reldb — an embedded relational engine (heap tables, B-tree,
 //     unique and function-based indexes, list partitioning, sequences,
-//     views, iterator executor), standing in for the Oracle storage layer;
+//     views, integrity checks), standing in for the Oracle storage layer;
 //   - internal/ndm — the Network Data Model (directed logical networks and
 //     the NDM analysis suite);
 //   - internal/core — the paper's contribution: the central RDF schema
@@ -15,12 +15,13 @@
 //     DBUri reification;
 //   - internal/match and internal/inference — SDO_RDF_MATCH querying,
 //     rulebases, the built-in RDFS rulebase, and rules indexes;
-//   - internal/jena — the Jena1/Jena2 baseline schemas and the naïve quad
-//     reification scheme the paper compares against;
-//   - internal/uniprot and internal/bench — the synthetic evaluation
-//     corpus and the harness regenerating every table and figure of §7.
+//   - internal/uniprot — the synthetic evaluation corpus;
+//   - internal/experiments — the paper's evaluation: the Jena1/Jena2
+//     baseline schemas, the naïve quad reification scheme and Experiment
+//     I's flat-table join the paper compares against, and the harness
+//     that measures every table of §7 into EXPERIMENTS.md.
 //
 // See README.md for a tour, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for paper-vs-measured results. The benchmarks in
-// bench_test.go regenerate each table/figure under `go test -bench`.
+// EXPERIMENTS.md for paper-vs-measured results (`make experiments`
+// regenerates its tables).
 package repro

@@ -15,6 +15,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/inference"
@@ -160,34 +161,39 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Deduplicate suspects (the repeated triple appears per model), then
-	// join to the address table with the executor.
+	// The address table keyed by name, then each suspect looked up in it
+	// (the repeated triple appears once per model, so deduplicate).
+	addressOf := map[string]string{}
+	address.Scan(func(_ reldb.RowID, r reldb.Row) bool {
+		addressOf[r[0].Str()] = r[1].Str()
+		return true
+	})
 	seen := map[string]bool{}
-	var matchRows []reldb.Row
+	var out [][2]string
 	for i := 0; i < rs.Len(); i++ {
 		name, _ := rs.Get(i, "name")
-		if !seen[name.Value] {
+		if loc, ok := addressOf[name.Value]; ok && !seen[name.Value] {
 			seen[name.Value] = true
-			matchRows = append(matchRows, reldb.Row{reldb.String_(name.Value)})
+			out = append(out, [2]string{aliases.Compact(name.Value), loc})
 		}
-	}
-	join := reldb.NewHashJoin(
-		reldb.NewSliceIter(matchRows), reldb.ColKey(0),
-		reldb.NewTableScan(address), reldb.ColKey(0),
-	)
-	var out []reldb.Row
-	for {
-		r, ok := join.Next()
-		if !ok {
-			break
-		}
-		out = append(out, reldb.Row{
-			reldb.String_(aliases.Compact(r[0].Str())),
-			r[2],
-		})
 	}
 	fmt.Println()
-	fmt.Print(reldb.FormatRows([]string{"TERROR_WATCH_LIST", "LOCATION"}, out))
+	printTable([2]string{"TERROR_WATCH_LIST", "LOCATION"}, out)
+}
+
+// printTable prints two-column rows under a header, each column padded to
+// its widest cell.
+func printTable(header [2]string, rows [][2]string) {
+	w := [2]int{len(header[0]), len(header[1])}
+	for _, r := range rows {
+		w[0], w[1] = max(w[0], len(r[0])), max(w[1], len(r[1]))
+	}
+	line := func(a, b string) { fmt.Printf("%-*s  %-*s\n", w[0], a, w[1], b) }
+	line(header[0], header[1])
+	line(strings.Repeat("-", w[0]), strings.Repeat("-", w[1]))
+	for _, r := range rows {
+		line(r[0], r[1])
+	}
 }
 
 func upper(s string) string {

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,6 +20,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	store := core.New()
 	if _, err := store.CreateRDFModel("social", "", ""); err != nil {
 		log.Fatal(err)
@@ -62,7 +64,7 @@ func main() {
 	}
 
 	// Shortest path alice → dave (link cost = COST column = 1 per triple).
-	path, err := ndm.ShortestPath(net, id("ex:alice"), id("ex:dave"))
+	path, err := ndm.ShortestPathCtx(ctx, net, id("ex:alice"), id("ex:dave"))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -76,7 +78,7 @@ func main() {
 	fmt.Println()
 
 	// Reachability.
-	reach, err := ndm.Reachable(net, id("ex:alice"), -1)
+	reach, err := ndm.ReachableCtx(ctx, net, id("ex:alice"), -1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -90,7 +92,7 @@ func main() {
 	fmt.Println()
 
 	// Within cost 1 (direct acquaintances).
-	within, err := ndm.WithinCost(net, id("ex:alice"), 1)
+	within, err := ndm.WithinCost(ctx, net, id("ex:alice"), 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -104,7 +106,7 @@ func main() {
 	fmt.Println()
 
 	// Nearest neighbours.
-	nn, err := ndm.NearestNeighbors(net, id("ex:alice"), 2)
+	nn, err := ndm.NearestNeighbors(ctx, net, id("ex:alice"), 2)
 	if err != nil {
 		log.Fatal(err)
 	}

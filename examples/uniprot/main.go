@@ -11,7 +11,7 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/bench"
+	"repro/internal/experiments"
 	"repro/internal/uniprot"
 )
 
@@ -22,7 +22,7 @@ func main() {
 	reified := uniprot.PaperReifiedCount(*size)
 	fmt.Printf("generating %d UniProt-like triples (%d reified statements)…\n", *size, reified)
 	start := time.Now()
-	ds, err := bench.LoadOracle(*size, reified, 1)
+	ds, err := experiments.LoadOracle(*size, reified)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func main() {
 	fmt.Printf("IS_REIFIED(P93259, rdfs:seeAlso, PF09103) = %v (paper: false)\n", isReif)
 
 	// The flat-table path (Experiment I / Figure 9) returns the same rows.
-	flat, err := ds.Store.FlatQueryBySubject(ds.Model, uniprot.ProbeSubject)
+	flat, err := experiments.FlatQueryBySubject(ds.Store, ds.Model, uniprot.ProbeSubject)
 	if err != nil {
 		log.Fatal(err)
 	}

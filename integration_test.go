@@ -6,14 +6,15 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/inference"
-	"repro/internal/jena"
 	"repro/internal/match"
 	"repro/internal/ndm"
 	"repro/internal/ntriples"
@@ -119,8 +120,8 @@ func TestCoreVsJenaFindEquivalence(t *testing.T) {
 	if _, err := store.CreateRDFModel("m", "", ""); err != nil {
 		t.Fatal(err)
 	}
-	j1 := jena.NewJena1Store()
-	j2 := jena.NewJena2Store()
+	j1 := experiments.NewJena1Store()
+	j2 := experiments.NewJena2Store()
 	if err := j2.CreateModel("m"); err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestCoreVsJenaFindEquivalence(t *testing.T) {
 		if _, err := store.InsertTerms("m", tr.T.Subject, tr.T.Predicate, tr.T.Object); err != nil {
 			t.Fatal(err)
 		}
-		st := jena.Statement{Subject: tr.T.Subject, Predicate: tr.T.Predicate, Object: tr.T.Object}
+		st := experiments.Statement{Subject: tr.T.Subject, Predicate: tr.T.Predicate, Object: tr.T.Object}
 		if err := j1.Add(st); err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +150,7 @@ func TestCoreVsJenaFindEquivalence(t *testing.T) {
 		sort.Strings(out)
 		return out
 	}
-	canonJena := func(ss []jena.Statement) []string {
+	canonJena := func(ss []experiments.Statement) []string {
 		var out []string
 		for _, s := range ss {
 			out = append(out, s.Subject.String()+"|"+s.Predicate.String()+"|"+s.Object.String())
@@ -263,7 +264,7 @@ func TestNetworkAnalysisOverLoadedData(t *testing.T) {
 	if out != uniprot.ProbeRows {
 		t.Fatalf("probe out-degree = %d, want %d", out, uniprot.ProbeRows)
 	}
-	reach, err := ndm.Reachable(net, probeID, 1)
+	reach, err := ndm.ReachableCtx(context.Background(), net, probeID, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,11 +335,11 @@ func TestReificationSchemesAgree(t *testing.T) {
 	if _, err := store.CreateRDFModel("m", "", ""); err != nil {
 		t.Fatal(err)
 	}
-	js := jena.NewJena2Store()
+	js := experiments.NewJena2Store()
 	if err := js.CreateModel("m"); err != nil {
 		t.Fatal(err)
 	}
-	quad := jena.NewQuadReifier(js, "m")
+	quad := experiments.NewQuadReifier(js, "m")
 
 	rng := func(i int) bool { return i%3 == 0 } // deterministic "random" choice
 	type stmt struct {
@@ -358,7 +359,7 @@ func TestReificationSchemesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		jst := jena.Statement{
+		jst := experiments.Statement{
 			Subject:   rdfterm.NewURI(st.s),
 			Predicate: rdfterm.NewURI(st.p),
 			Object:    rdfterm.NewURI(st.o),
@@ -380,7 +381,7 @@ func TestReificationSchemesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		quadGot, err := quad.IsReified(jena.Statement{
+		quadGot, err := quad.IsReified(experiments.Statement{
 			Subject:   rdfterm.NewURI(st.s),
 			Predicate: rdfterm.NewURI(st.p),
 			Object:    rdfterm.NewURI(st.o),

@@ -162,11 +162,6 @@ func TestEveryIndexIsAnAccessPath(t *testing.T) {
 			t.Fatalf("LinkInfo = %+v, %v", info, err)
 		}
 	})
-	step("flat-table query", func() {
-		if rows, err := s.FlatQueryBySubject("m", "http://n/s1"); err != nil || len(rows) == 0 {
-			t.Fatalf("FlatQueryBySubject = %v, %v", rows, err)
-		}
-	})
 	net := mustNetwork(t, s)
 	step("NDM out-links", func() {
 		if len(outLinks(net, sid)) == 0 || !net.HasNode(sid) {

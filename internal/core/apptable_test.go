@@ -212,3 +212,15 @@ func TestNetworkView(t *testing.T) {
 		t.Fatal("missing model accepted")
 	}
 }
+
+func TestApplicationTableAccessor(t *testing.T) {
+	s := newStoreWithModel(t, "m")
+	at := newAppTable(t, s, "t")
+	if at.Table() == nil || at.Table().Name() != "t" {
+		t.Fatal("Table accessor wrong")
+	}
+	// InsertTriple propagates constructor errors.
+	if _, err := at.InsertTriple([]reldb.Value{reldb.Int(1)}, "ghost", "gov:a", "gov:p", "gov:b", govAliases()); err == nil {
+		t.Fatal("missing model accepted")
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/ndm"
 	"repro/internal/rdfterm"
 )
 
@@ -199,4 +200,52 @@ func TestOrphanCheckSeesEveryModelAndSpelling(t *testing.T) {
 	has(`"02", an object in m2`, keep.OID, true)
 	has("g, used by m1 alone", gone.SID, false)
 	has(`"2", used as written by m1 alone`, gone.OID, false)
+}
+
+func TestNetworkNodesAndInLinks(t *testing.T) {
+	s := newStoreWithModel(t, "m")
+	a := govAliases()
+	s.NewTripleS("m", "gov:a", "gov:p", "gov:c", a)
+	s.NewTripleS("m", "gov:b", "gov:p", "gov:c", a)
+	net, err := s.Network("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := 0
+	net.Nodes(func(int64) bool { count++; return true })
+	if count != 3 { // a, b, c
+		t.Fatalf("network nodes = %d", count)
+	}
+	// Early stop.
+	count = 0
+	net.Nodes(func(int64) bool { count++; return false })
+	if count != 1 {
+		t.Fatalf("early stop visited %d", count)
+	}
+	cID, _ := net.NodeID(rdfterm.NewURI("http://www.us.gov#c"))
+	in, out := ndm.Degree(net, cID)
+	if in != 2 || out != 0 {
+		t.Fatalf("degree(c) = (%d,%d)", in, out)
+	}
+	var starts []string
+	net.InLinks(cID, func(_, start int64, cost float64) bool {
+		term, err := net.NodeTerm(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cost != 1 {
+			t.Fatalf("link cost = %g", cost)
+		}
+		starts = append(starts, term.Value)
+		return true
+	})
+	if len(starts) != 2 {
+		t.Fatalf("InLinks = %v", starts)
+	}
+	// InLinks early stop.
+	n := 0
+	net.InLinks(cID, func(_, _ int64, _ float64) bool { n++; return false })
+	if n != 1 {
+		t.Fatalf("InLinks early stop visited %d", n)
+	}
 }

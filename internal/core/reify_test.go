@@ -288,3 +288,26 @@ func TestReifiedStatementSurvivesInGetters(t *testing.T) {
 		t.Fatalf("resolve = %v, %v", got, err)
 	}
 }
+
+func TestInsertImpliedDirectly(t *testing.T) {
+	s := newStoreWithModel(t, "m")
+	ts, err := s.InsertImplied("m",
+		rdfterm.NewURI("http://s"), rdfterm.NewURI("http://p"), rdfterm.NewURI("http://o"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, _ := s.LinkInfo(ts.TID)
+	if info.Context != ContextIndirect {
+		t.Fatalf("CONTEXT = %s", info.Context)
+	}
+	// Existing fact keeps its context.
+	fact, _ := s.InsertTerms("m", rdfterm.NewURI("http://s2"), rdfterm.NewURI("http://p"), rdfterm.NewURI("http://o"))
+	again, err := s.InsertImplied("m", rdfterm.NewURI("http://s2"), rdfterm.NewURI("http://p"), rdfterm.NewURI("http://o"))
+	if err != nil || again.TID != fact.TID {
+		t.Fatalf("implied reinsert = %v, %v", again, err)
+	}
+	info, _ = s.LinkInfo(fact.TID)
+	if info.Context != ContextDirect {
+		t.Fatalf("fact downgraded to %s", info.Context)
+	}
+}

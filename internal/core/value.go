@@ -81,7 +81,7 @@ func (s *Store) insertValueRowLocked(id int64, t rdfterm.Term) error {
 // out of (a parser's input line, a WAL scanner's window, a decoded
 // snapshot) is not kept alive by it. Caller holds s.mu.
 func (s *Store) addValueRowLocked(row reldb.Row) error {
-	t := rowToTerm(row)
+	t := ValueRowTerm(row)
 	h := s.terms.hash(t)
 	if id, dup := s.terms.find(t, h); dup {
 		return fmt.Errorf("%w: %s is already in rdf_value$ as VALUE_ID %d", reldb.ErrUniqueViolation, t, id)
@@ -115,8 +115,10 @@ func (s *Store) getValueLocked(valueID int64) (rdfterm.Term, error) {
 	return t, err
 }
 
-// rowToTerm is the term an rdf_value$ row given as values stands for.
-func rowToTerm(r reldb.Row) rdfterm.Term {
+// ValueRowTerm is the term an rdf_value$ row given as values stands for:
+// the decoder for readers of the table through Store.Database, such as
+// the paper's flat-table baseline.
+func ValueRowTerm(r reldb.Row) rdfterm.Term {
 	str := func(v reldb.Value) string {
 		if v.IsNull() {
 			return ""

@@ -47,16 +47,10 @@ type edgeTo struct {
 	link int64
 }
 
-// ShortestPath returns a minimum-cost directed path from source to target
-// (Dijkstra; link costs must be non-negative, which AddLink enforces).
-func ShortestPath(g Graph, source, target int64) (Path, error) {
-	//repro:vet-ignore ctxcheck compatibility wrapper for context-free callers; the serving path enters through ShortestPathCtx
-	return ShortestPathCtx(context.Background(), g, source, target)
-}
-
-// ShortestPathCtx is ShortestPath with cancellation: the Dijkstra loop
-// polls ctx every cancelEvery pops, so a search over a large network
-// aborts promptly on cancel or deadline.
+// ShortestPathCtx returns a minimum-cost directed path from source to
+// target (Dijkstra; link costs must be non-negative, which AddLink
+// enforces). The Dijkstra loop polls ctx every cancelEvery pops, so a
+// search over a large network aborts promptly on cancel or deadline.
 func ShortestPathCtx(ctx context.Context, g Graph, source, target int64) (Path, error) {
 	if err := ctx.Err(); err != nil {
 		return Path{}, fmt.Errorf("ndm: shortest path: %w", err)
@@ -128,14 +122,8 @@ type NodeCost struct {
 
 // WithinCost returns every node reachable from source with total path cost
 // <= maxCost (excluding source itself), sorted by cost then node ID — NDM's
-// "within cost" analysis.
-func WithinCost(g Graph, source int64, maxCost float64) ([]NodeCost, error) {
-	//repro:vet-ignore ctxcheck compatibility wrapper for context-free callers; the serving path enters through WithinCostCtx
-	return WithinCostCtx(context.Background(), g, source, maxCost)
-}
-
-// WithinCostCtx is WithinCost with cancellation (see ShortestPathCtx).
-func WithinCostCtx(ctx context.Context, g Graph, source int64, maxCost float64) ([]NodeCost, error) {
+// "within cost" analysis. It polls ctx as ShortestPathCtx does.
+func WithinCost(ctx context.Context, g Graph, source int64, maxCost float64) ([]NodeCost, error) {
 	dist, err := dijkstraAll(ctx, g, source, maxCost)
 	if err != nil {
 		return nil, err
@@ -151,15 +139,9 @@ func WithinCostCtx(ctx context.Context, g Graph, source int64, maxCost float64) 
 }
 
 // NearestNeighbors returns the k reachable nodes closest to source
-// (excluding source), sorted by cost then node ID.
-func NearestNeighbors(g Graph, source int64, k int) ([]NodeCost, error) {
-	//repro:vet-ignore ctxcheck compatibility wrapper for context-free callers; the serving path enters through NearestNeighborsCtx
-	return NearestNeighborsCtx(context.Background(), g, source, k)
-}
-
-// NearestNeighborsCtx is NearestNeighbors with cancellation (see
-// ShortestPathCtx).
-func NearestNeighborsCtx(ctx context.Context, g Graph, source int64, k int) ([]NodeCost, error) {
+// (excluding source), sorted by cost then node ID. It polls ctx as
+// ShortestPathCtx does.
+func NearestNeighbors(ctx context.Context, g Graph, source int64, k int) ([]NodeCost, error) {
 	dist, err := dijkstraAll(ctx, g, source, -1)
 	if err != nil {
 		return nil, err
@@ -226,16 +208,9 @@ func dijkstraAll(ctx context.Context, g Graph, source int64, maxCost float64) (m
 	return dist, nil
 }
 
-// Reachable returns every node reachable from source by directed links
+// ReachableCtx returns every node reachable from source by directed links
 // within maxDepth hops (maxDepth < 0 = unbounded), excluding source,
-// sorted by node ID.
-func Reachable(g Graph, source int64, maxDepth int) ([]int64, error) {
-	//repro:vet-ignore ctxcheck compatibility wrapper for context-free callers; the serving path enters through ReachableCtx
-	return ReachableCtx(context.Background(), g, source, maxDepth)
-}
-
-// ReachableCtx is Reachable with cancellation: the BFS polls ctx every
-// cancelEvery frontier visits.
+// sorted by node ID. The BFS polls ctx every cancelEvery frontier visits.
 func ReachableCtx(ctx context.Context, g Graph, source int64, maxDepth int) ([]int64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("ndm: reachability: %w", err)

@@ -49,18 +49,18 @@ func TestAnalysisCtxCancellation(t *testing.T) {
 	if _, err := ShortestPathCtx(ctx, net, src, dst); !errors.Is(err, context.Canceled) {
 		t.Fatalf("ShortestPathCtx = %v", err)
 	}
-	if _, err := WithinCostCtx(ctx, net, src, 100); !errors.Is(err, context.Canceled) {
-		t.Fatalf("WithinCostCtx = %v", err)
+	if _, err := WithinCost(ctx, net, src, 100); !errors.Is(err, context.Canceled) {
+		t.Fatalf("WithinCost = %v", err)
 	}
-	if _, err := NearestNeighborsCtx(ctx, net, src, 5); !errors.Is(err, context.Canceled) {
-		t.Fatalf("NearestNeighborsCtx = %v", err)
+	if _, err := NearestNeighbors(ctx, net, src, 5); !errors.Is(err, context.Canceled) {
+		t.Fatalf("NearestNeighbors = %v", err)
 	}
 	if _, err := ReachableCtx(ctx, net, src, -1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("ReachableCtx = %v", err)
 	}
 
 	// The background-context entry points still work and agree.
-	p, err := ShortestPath(net, src, dst)
+	p, err := ShortestPathCtx(bg, net, src, dst)
 	if err != nil || len(p.Links) != 7 {
 		t.Fatalf("ShortestPath after cancel tests = %+v, %v", p, err)
 	}

@@ -2,18 +2,21 @@ package ndm
 
 import (
 	"container/heap"
+	"context"
+	"errors"
 	"sort"
 )
 
 // KShortestPaths returns up to k loopless paths from source to target in
 // ascending cost order (Yen's algorithm) — NDM's multiple-paths analysis.
 // It returns fewer than k paths when the graph does not contain them, and
-// an empty slice when target is unreachable.
-func KShortestPaths(g Graph, source, target int64, k int) ([]Path, error) {
+// an empty slice when target is unreachable. Each spur search polls ctx as
+// ShortestPathCtx does.
+func KShortestPaths(ctx context.Context, g Graph, source, target int64, k int) ([]Path, error) {
 	if k <= 0 {
 		return nil, nil
 	}
-	first, err := ShortestPath(g, source, target)
+	first, err := ShortestPathCtx(ctx, g, source, target)
 	if err == ErrNoPath || (err != nil && source != target) {
 		if err == ErrNoPath {
 			return nil, nil
@@ -45,9 +48,12 @@ func KShortestPaths(g Graph, source, target int64, k int) ([]Path, error) {
 				maskedNodes[n] = true
 			}
 			mg := &maskedGraph{g: g, links: maskedLinks, nodes: maskedNodes}
-			spur, err := ShortestPath(mg, spurNode, target)
-			if err != nil {
+			spur, err := ShortestPathCtx(ctx, mg, spurNode, target)
+			if errors.Is(err, ErrNoPath) {
 				continue // no spur path from here
+			}
+			if err != nil {
+				return nil, err
 			}
 			total := Path{
 				Nodes: append(append([]int64{}, rootNodes[:len(rootNodes)-1]...), spur.Nodes...),

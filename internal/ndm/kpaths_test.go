@@ -13,7 +13,7 @@ func TestKShortestPathsBasic(t *testing.T) {
 		{1, 3, 2}, {3, 4, 2},
 		{1, 4, 10},
 	})
-	paths, err := KShortestPaths(net, 1, 4, 3)
+	paths, err := KShortestPaths(bg, net, 1, 4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestKShortestPathsBasic(t *testing.T) {
 
 func TestKShortestPathsFewerThanK(t *testing.T) {
 	net := buildNet(t, 3, [][3]int64{{1, 2, 1}, {2, 3, 1}})
-	paths, err := KShortestPaths(net, 1, 3, 5)
+	paths, err := KShortestPaths(bg, net, 1, 3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +44,11 @@ func TestKShortestPathsFewerThanK(t *testing.T) {
 
 func TestKShortestPathsUnreachable(t *testing.T) {
 	net := buildNet(t, 3, [][3]int64{{1, 2, 1}})
-	paths, err := KShortestPaths(net, 1, 3, 2)
+	paths, err := KShortestPaths(bg, net, 1, 3, 2)
 	if err != nil || len(paths) != 0 {
 		t.Fatalf("paths = %v, %v", paths, err)
 	}
-	if paths, _ := KShortestPaths(net, 1, 2, 0); paths != nil {
+	if paths, _ := KShortestPaths(bg, net, 1, 2, 0); paths != nil {
 		t.Fatal("k=0 returned paths")
 	}
 }
@@ -58,7 +58,7 @@ func TestKShortestPathsLoopless(t *testing.T) {
 	net := buildNet(t, 4, [][3]int64{
 		{1, 2, 1}, {2, 3, 1}, {3, 2, 1}, {3, 4, 1}, {2, 4, 5},
 	})
-	paths, err := KShortestPaths(net, 1, 4, 4)
+	paths, err := KShortestPaths(bg, net, 1, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,14 +89,14 @@ func TestKShortestPathsOrdered(t *testing.T) {
 		}
 		net := buildNet(t, n, links)
 		src, dst := int64(1), int64(n)
-		paths, err := KShortestPaths(net, src, dst, 4)
+		paths, err := KShortestPaths(bg, net, src, dst, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(paths) == 0 {
 			continue
 		}
-		sp, err := ShortestPath(net, src, dst)
+		sp, err := ShortestPathCtx(bg, net, src, dst)
 		if err != nil {
 			t.Fatal(err)
 		}

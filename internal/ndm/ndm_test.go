@@ -1,12 +1,16 @@
 package ndm
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
 
 	"repro/internal/reldb"
 )
+
+// bg is the context of analyses that are not cancelled.
+var bg = context.Background()
 
 // buildNet creates a network with nodes 1..n (IDs assigned sequentially
 // from 1) and the given links.
@@ -89,7 +93,7 @@ func TestRemoveLink(t *testing.T) {
 func TestShortestPath(t *testing.T) {
 	// 1 →(1) 2 →(1) 3, plus direct 1 →(5) 3: path through 2 wins.
 	net := buildNet(t, 3, [][3]int64{{1, 2, 1}, {2, 3, 1}, {1, 3, 5}})
-	p, err := ShortestPath(net, 1, 3)
+	p, err := ShortestPathCtx(bg, net, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,29 +104,29 @@ func TestShortestPath(t *testing.T) {
 		t.Fatalf("links = %v", p.Links)
 	}
 	// Direction matters.
-	if _, err := ShortestPath(net, 3, 1); !errors.Is(err, ErrNoPath) {
+	if _, err := ShortestPathCtx(bg, net, 3, 1); !errors.Is(err, ErrNoPath) {
 		t.Fatalf("reverse path err = %v", err)
 	}
 	// Self path.
-	p, err = ShortestPath(net, 2, 2)
+	p, err = ShortestPathCtx(bg, net, 2, 2)
 	if err != nil || p.Cost != 0 || len(p.Nodes) != 1 {
 		t.Fatalf("self path = %+v, %v", p, err)
 	}
-	if _, err := ShortestPath(net, 1, 99); err == nil {
+	if _, err := ShortestPathCtx(bg, net, 1, 99); err == nil {
 		t.Fatal("missing endpoint accepted")
 	}
 }
 
 func TestWithinCostAndNearestNeighbors(t *testing.T) {
 	net := buildNet(t, 5, [][3]int64{{1, 2, 1}, {2, 3, 1}, {3, 4, 1}, {1, 5, 10}})
-	within, err := WithinCost(net, 1, 2)
+	within, err := WithinCost(bg, net, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(within) != 2 || within[0].Node != 2 || within[1].Node != 3 {
 		t.Fatalf("WithinCost = %+v", within)
 	}
-	nn, err := NearestNeighbors(net, 1, 3)
+	nn, err := NearestNeighbors(bg, net, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +134,7 @@ func TestWithinCostAndNearestNeighbors(t *testing.T) {
 		t.Fatalf("NearestNeighbors = %+v", nn)
 	}
 	// k larger than reachable set.
-	nn, _ = NearestNeighbors(net, 1, 100)
+	nn, _ = NearestNeighbors(bg, net, 1, 100)
 	if len(nn) != 4 {
 		t.Fatalf("NN(100) = %+v", nn)
 	}
@@ -138,14 +142,14 @@ func TestWithinCostAndNearestNeighbors(t *testing.T) {
 
 func TestReachable(t *testing.T) {
 	net := buildNet(t, 6, [][3]int64{{1, 2, 1}, {2, 3, 1}, {3, 1, 1}, {4, 5, 1}})
-	r, err := Reachable(net, 1, -1)
+	r, err := ReachableCtx(bg, net, 1, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(r) != 2 || r[0] != 2 || r[1] != 3 {
 		t.Fatalf("Reachable = %v", r)
 	}
-	r, _ = Reachable(net, 1, 1)
+	r, _ = ReachableCtx(bg, net, 1, 1)
 	if len(r) != 1 || r[0] != 2 {
 		t.Fatalf("Reachable depth 1 = %v", r)
 	}
@@ -202,7 +206,7 @@ func TestShortestPathNeverBeatenByRandomWalk(t *testing.T) {
 		}
 		net := buildNet(t, n, links)
 		src, dst := int64(rng.Intn(n)+1), int64(rng.Intn(n)+1)
-		sp, err := ShortestPath(net, src, dst)
+		sp, err := ShortestPathCtx(bg, net, src, dst)
 		if errors.Is(err, ErrNoPath) {
 			continue
 		}

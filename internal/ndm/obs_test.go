@@ -11,7 +11,7 @@ func TestInstrumentCountsTraversalSteps(t *testing.T) {
 	reg := obs.NewRegistry()
 	g := NewMetrics(reg).Instrument(net)
 
-	p, err := ShortestPath(g, 1, 4)
+	p, err := ShortestPathCtx(bg, g, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,15 +101,16 @@ func TestIndexPrefixIterator(t *testing.T) {
 	for i := int64(0); i < 12; i++ {
 		tb.Insert(Row{Int(i % 3), Int(i)})
 	}
-	it := NewIndexPrefix(tb, ix, Key{Int(1)})
-	rows := Collect(it)
-	if len(rows) != 4 {
-		t.Fatalf("prefix rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r[0].Int64() != 1 {
-			t.Fatalf("leaked row %v", r)
+	n := 0
+	ix.ScanPrefix(Key{Int(1)}, func(_ Key, id RowID) bool {
+		n++
+		if r, err := tb.Get(id); err != nil || r[0].Int64() != 1 {
+			t.Fatalf("leaked row %v, %v", r, err)
 		}
+		return true
+	})
+	if n != 4 {
+		t.Fatalf("prefix rows = %d", n)
 	}
 }
 

@@ -7,9 +7,9 @@ import (
 	"repro/internal/reldb"
 )
 
-// Example builds a small schema and runs an index-nested-loop join with
-// the iterator executor — the access path behind the paper's Experiment I
-// flat-table query.
+// Example builds a small schema and joins two tables by probing a unique
+// index per outer row — an index nested-loop join, the access path behind
+// the paper's Experiment I flat-table query.
 func Example() {
 	db := reldb.NewDatabase("demo")
 	people, err := db.CreateTable(reldb.NewSchema("people",
@@ -36,14 +36,13 @@ func Example() {
 	orders.Insert(reldb.Row{reldb.Int(1), reldb.String_("desk")})
 
 	// SELECT o.item, p.name FROM orders o JOIN people p ON p.id = o.person_id
-	join := reldb.NewIndexJoin(reldb.NewTableScan(orders), people, pk, reldb.ColKey(0))
-	for {
-		r, ok := join.Next()
-		if !ok {
-			break
+	orders.Scan(func(_ reldb.RowID, o reldb.Row) bool {
+		if id, ok := pk.LookupOne(reldb.Key{o[0]}); ok {
+			p, _ := people.Get(id)
+			fmt.Printf("%s -> %s\n", o[1].Str(), p[1].Str())
 		}
-		fmt.Printf("%s -> %s\n", r[1].Str(), r[3].Str())
-	}
+		return true
+	})
 	// Output:
 	// lamp -> bob
 	// desk -> ann

@@ -1,6 +1,10 @@
 package reldb
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
 
 // CheckIntegrity validates a table's internal consistency — every index
 // agrees exactly with the heap — returning all violations found. It backs
@@ -117,4 +121,20 @@ func keyHasNullEncoded(_ string, _ map[string][]RowID, ix *Index, live map[RowID
 		return false
 	}
 	return keyHasNull(ix.keyOf(r))
+}
+
+// encodeKey produces a collision-free string encoding of a key, for
+// grouping index entries by key (length-prefixed so ("ab","c") !=
+// ("a","bc")).
+func encodeKey(k Key) string {
+	var b strings.Builder
+	for _, v := range k {
+		s := v.String()
+		b.WriteString(strconv.Itoa(int(v.Kind())))
+		b.WriteByte(':')
+		b.WriteString(strconv.Itoa(len(s)))
+		b.WriteByte(':')
+		b.WriteString(s)
+	}
+	return b.String()
 }

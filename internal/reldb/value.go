@@ -1,7 +1,7 @@
 // Package reldb is a small embedded, in-memory relational engine: typed
 // rows, heap tables with stable row IDs, B-tree secondary and unique
 // indexes, function-based indexes, list partitioning, sequences, views, and
-// an iterator-based executor.
+// integrity checks.
 //
 // It is this reproduction's stand-in for the Oracle storage layer the paper
 // builds on: the RDF central schema (rdf_value$, rdf_link$, …), the Jena1

@@ -457,7 +457,7 @@ func (s *Server) handleTraverse(ctx context.Context, w http.ResponseWriter, r *h
 		}
 		resp.Count = len(resp.Path)
 	case "within_cost":
-		ncs, err := ndm.WithinCostCtx(ctx, g, src, req.MaxCost)
+		ncs, err := ndm.WithinCost(ctx, g, src, req.MaxCost)
 		if err != nil {
 			return err
 		}
@@ -469,7 +469,7 @@ func (s *Server) handleTraverse(ctx context.Context, w http.ResponseWriter, r *h
 		if k <= 0 || k > limit {
 			k = limit
 		}
-		ncs, err := ndm.NearestNeighborsCtx(ctx, g, src, k)
+		ncs, err := ndm.NearestNeighbors(ctx, g, src, k)
 		if err != nil {
 			return err
 		}
