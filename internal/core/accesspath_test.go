@@ -46,7 +46,7 @@ func TestEveryIndexIsAnAccessPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	doomed := mustInsert(t, logged, "m", uri("gone"), uri("p0"), num("09"))
-	if err := logged.deleteByLinkID(doomed.TID); err != nil {
+	if err := logged.write(func() error { return logged.deleteByLinkIDLocked(doomed.TID) }); err != nil {
 		t.Fatal(err)
 	}
 

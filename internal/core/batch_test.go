@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -57,7 +58,7 @@ func TestInsertBatchMatchesPerTriple(t *testing.T) {
 	if _, err := many.CreateRDFModel("m", "", ""); err != nil {
 		t.Fatal(err)
 	}
-	res, err := many.InsertBatch("m", batch)
+	res, err := many.InsertBatchCtx(context.Background(), "m", batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestInsertBatchCostAndContext(t *testing.T) {
 	sub := rdfterm.NewURI("http://g/s")
 	prop := rdfterm.NewURI("http://g/p")
 	obj := rdfterm.NewURI("http://g/o")
-	res, err := s.InsertBatch("m", []BatchTriple{
+	res, err := s.InsertBatchCtx(context.Background(), "m", []BatchTriple{
 		{Subject: sub, Predicate: prop, Object: obj, Implied: true},
 		{Subject: sub, Predicate: prop, Object: obj}, // upgrade I -> D, cost 2
 		{Subject: sub, Predicate: prop, Object: obj}, // cost 3
@@ -120,7 +121,7 @@ func TestInsertBatchWALReplay(t *testing.T) {
 	if _, err := s.CreateRDFModel("m", "", ""); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.InsertBatch("m", batchWorkload()); err != nil {
+	if _, err := s.InsertBatchCtx(context.Background(), "m", batchWorkload()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -151,13 +152,13 @@ func TestInsertBatchWALReplay(t *testing.T) {
 // predicates report cleanly with the batch index.
 func TestInsertBatchErrors(t *testing.T) {
 	s := newStoreWithModel(t, "m")
-	if _, err := s.InsertBatch("m", nil); err != nil {
+	if _, err := s.InsertBatchCtx(context.Background(), "m", nil); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
-	if _, err := s.InsertBatch("nope", batchWorkload()); err == nil {
+	if _, err := s.InsertBatchCtx(context.Background(), "nope", batchWorkload()); err == nil {
 		t.Fatal("unknown model accepted")
 	}
-	_, err := s.InsertBatch("m", []BatchTriple{
+	_, err := s.InsertBatchCtx(context.Background(), "m", []BatchTriple{
 		{Subject: rdfterm.NewURI("http://a"), Predicate: rdfterm.NewLiteral("notauri"), Object: rdfterm.NewURI("http://b")},
 	})
 	if err == nil {
@@ -186,7 +187,7 @@ func TestTermDictionaryComplete(t *testing.T) {
 		})
 	}
 	batch = append(batch, batchWorkload()...) // blanks, canonical forms, language tags
-	res, err := s.InsertBatch("m", batch)
+	res, err := s.InsertBatchCtx(context.Background(), "m", batch)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func seedLargeModel(t testing.TB, s *Store, m string, n int) {
 				Object:    rdfterm.NewURI(fmt.Sprintf("http://x#o%d", i)),
 			})
 		}
-		if _, err := s.InsertBatch(m, batch); err != nil {
+		if _, err := s.InsertBatchCtx(context.Background(), m, batch); err != nil {
 			t.Fatal(err)
 		}
 	}

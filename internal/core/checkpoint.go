@@ -143,42 +143,33 @@ func CheckpointDir(s *Store, snapPath string, d *wal.Dir) error {
 func CheckpointDirCtx(ctx context.Context, s *Store, snapPath string, d *wal.Dir) error {
 	t0 := s.met.startTimer()
 	sp := trace.FromContext(ctx)
-	var phaseStart time.Time
-	if sp != nil {
-		phaseStart = time.Now()
-	}
+	phase := sp.Child("core.wal_rotate")
 	seq, err := d.Rotate()
-	if err != nil {
-		sp.AddCompleted("core.wal_rotate", phaseStart, since(sp, phaseStart), nil, true)
+	phase.SetInt("watermark", seq)
+	if endPhase(phase, err) != nil {
 		return fmt.Errorf("core: checkpoint: %w", err)
 	}
-	if sp != nil {
-		now := time.Now()
-		sp.AddCompleted("core.wal_rotate", phaseStart,
-			now.Sub(phaseStart), map[string]string{"watermark": fmt.Sprint(seq)}, false)
-		phaseStart = now
-	}
-	if err := s.SaveFileAt(snapPath, seq); err != nil {
-		sp.AddCompleted("core.snapshot", phaseStart, since(sp, phaseStart), nil, true)
+	phase = sp.Child("core.snapshot")
+	phase.SetAttr("path", snapPath)
+	if err := endPhase(phase, s.SaveFileAt(snapPath, seq)); err != nil {
 		return err
 	}
-	if sp != nil {
-		now := time.Now()
-		sp.AddCompleted("core.snapshot", phaseStart, now.Sub(phaseStart),
-			map[string]string{"path": snapPath}, false)
-		phaseStart = now
-	}
+	phase = sp.Child("core.wal_retention")
 	removed, err := d.RemoveBelow(seq)
-	if err != nil {
-		sp.AddCompleted("core.wal_retention", phaseStart, since(sp, phaseStart), nil, true)
+	phase.SetInt("removed_segments", int64(removed))
+	if endPhase(phase, err) != nil {
 		return fmt.Errorf("core: checkpoint: %w", err)
-	}
-	if sp != nil {
-		sp.AddCompleted("core.wal_retention", phaseStart, time.Since(phaseStart),
-			map[string]string{"removed_segments": fmt.Sprint(removed)}, false)
 	}
 	s.met.onCheckpoint(t0)
 	return nil
+}
+
+// endPhase ends a traced phase, failed when err is non-nil, and returns
+// err. Nil-safe: untraced paths never read the clock.
+func endPhase(phase *trace.Span, err error) error {
+	phase.SetError(err)
+	phase.End()
+	return err
 }
 
 // RecoverDir rebuilds a store from an on-disk checkpoint + WAL

@@ -257,3 +257,44 @@ func TestDegradedReadsWhileWritesRejected(t *testing.T) {
 		t.Fatalf("invariants violated after degraded churn: %v", errs[0])
 	}
 }
+
+// TestAppendToContainerConcurrent: an append counts the container's
+// members and inserts the next one in one transaction, so N goroutines
+// appending to one rdf:Seq at once take exactly the indices 1..N — no
+// two read the same count and store the same rdf:_n.
+func TestAppendToContainerConcurrent(t *testing.T) {
+	const n = 64
+	s := newStoreWithModel(t, "m")
+	seq, err := s.CreateContainer("m", SeqContainer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]int, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = s.AppendToContainer("m", seq, rdfterm.NewLiteral(fmt.Sprint("member ", i)))
+		}(i)
+	}
+	wg.Wait()
+	seen := make(map[int]int, n)
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("append %d: %v", i, errs[i])
+		}
+		seen[got[i]]++
+	}
+	for idx := 1; idx <= n; idx++ {
+		if seen[idx] != 1 {
+			t.Errorf("rdf:_%d was handed out %d times, want once", idx, seen[idx])
+		}
+	}
+	members, err := s.ContainerMembers("m", seq)
+	if err != nil || len(members) != n {
+		t.Fatalf("container has %d members (%v), want %d", len(members), err, n)
+	}
+	assertInvariants(t, s)
+}

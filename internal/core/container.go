@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -24,38 +25,58 @@ const (
 
 // CreateContainer builds a container of the given kind holding members
 // (object terms), returning the container's blank node. Members are
-// numbered rdf:_1, rdf:_2, … in order.
+// numbered rdf:_1, rdf:_2, … in order. The container is one transaction:
+// a crash keeps all of it or none.
 func (s *Store) CreateContainer(model string, kind ContainerKind, members ...rdfterm.Term) (rdfterm.Term, error) {
 	switch kind {
 	case BagContainer, SeqContainer, AltContainer:
 	default:
 		return rdfterm.Term{}, fmt.Errorf("core: unknown container kind %q", kind)
 	}
-	node, err := s.NewBlankNode(model)
+	var node rdfterm.Term
+	err := s.write(func() error {
+		mid, err := s.getModelIDLocked(model)
+		if err != nil {
+			return err
+		}
+		if node, err = s.newBlankNodeLocked(mid); err != nil {
+			return err
+		}
+		if _, _, err := s.insertLocked(mid, node, rdfterm.NewURI(rdfterm.RDFType), rdfterm.NewURI(string(kind)), ContextDirect); err != nil {
+			return err
+		}
+		for i, m := range members {
+			if _, _, err := s.insertLocked(mid, node, rdfterm.NewURI(rdfterm.MembershipProperty(i+1)), m, ContextDirect); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return rdfterm.Term{}, err
-	}
-	if _, err := s.InsertTerms(model, node, rdfterm.NewURI(rdfterm.RDFType), rdfterm.NewURI(string(kind))); err != nil {
-		return rdfterm.Term{}, err
-	}
-	for i, m := range members {
-		prop := rdfterm.NewURI(rdfterm.MembershipProperty(i + 1))
-		if _, err := s.InsertTerms(model, node, prop, m); err != nil {
-			return rdfterm.Term{}, err
-		}
 	}
 	return node, nil
 }
 
-// AppendToContainer adds a member with the next free rdf:_n index.
+// AppendToContainer adds a member with the next free rdf:_n index. The
+// members are counted under the same write lock that inserts the new one,
+// so concurrent appends take distinct indices.
 func (s *Store) AppendToContainer(model string, container rdfterm.Term, member rdfterm.Term) (int, error) {
-	existing, err := s.ContainerMembers(model, container)
+	var n int
+	err := s.write(func() error {
+		mid, err := s.getModelIDLocked(model)
+		if err != nil {
+			return err
+		}
+		members, err := s.containerMembersLocked(mid, container)
+		if err != nil {
+			return err
+		}
+		n = len(members) + 1
+		_, _, err = s.insertLocked(mid, container, rdfterm.NewURI(rdfterm.MembershipProperty(n)), member, ContextDirect)
+		return err
+	})
 	if err != nil {
-		return 0, err
-	}
-	n := len(existing) + 1
-	prop := rdfterm.NewURI(rdfterm.MembershipProperty(n))
-	if _, err := s.InsertTerms(model, container, prop, member); err != nil {
 		return 0, err
 	}
 	return n, nil
@@ -63,7 +84,19 @@ func (s *Store) AppendToContainer(model string, container rdfterm.Term, member r
 
 // ContainerMembers returns the members of a container in rdf:_n order.
 func (s *Store) ContainerMembers(model string, container rdfterm.Term) ([]rdfterm.Term, error) {
-	ts, err := s.Find(model, Pattern{Subject: &container})
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	mid, err := s.getModelIDLocked(model)
+	if err != nil {
+		return nil, err
+	}
+	return s.containerMembersLocked(mid, container)
+}
+
+// containerMembersLocked is ContainerMembers with the model resolved and
+// s.mu held (either mode).
+func (s *Store) containerMembersLocked(mid int64, container rdfterm.Term) ([]rdfterm.Term, error) {
+	links, err := s.findModelLocked(context.Background(), mid, Pattern{Subject: &container})
 	if err != nil {
 		return nil, err
 	}
@@ -72,13 +105,17 @@ func (s *Store) ContainerMembers(model string, container rdfterm.Term) ([]rdfter
 		term rdfterm.Term
 	}
 	var members []numbered
-	for _, t := range ts {
-		tr, err := t.GetTriple()
+	for _, l := range links {
+		prop, err := s.getValueLocked(l.PID)
 		if err != nil {
 			return nil, err
 		}
-		if n, ok := rdfterm.IsMembershipProperty(tr.Property.Value); ok {
-			members = append(members, numbered{n: n, term: tr.Object})
+		if n, ok := rdfterm.IsMembershipProperty(prop.Value); ok {
+			obj, err := s.getValueLocked(l.OID)
+			if err != nil {
+				return nil, err
+			}
+			members = append(members, numbered{n: n, term: obj})
 		}
 	}
 	sort.Slice(members, func(i, j int) bool { return members[i].n < members[j].n })

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -181,12 +182,12 @@ func walWorkload() []walOp {
 		{"drop cia", func(s *Store) error { return s.DropRDFModel("cia") }},
 		ins("gov", "gov:after", "gov:p", "gov:q"), // store usable after drop
 		{"batch insert", func(s *Store) error {
-			_, err := s.InsertBatch("gov", batchWorkload())
+			_, err := s.InsertBatchCtx(context.Background(), "gov", batchWorkload())
 			return err
 		}},
 		{"batch repeat", func(s *Store) error {
 			// Re-run part of the batch: pure cost bumps, no new links.
-			_, err := s.InsertBatch("gov", batchWorkload()[:3])
+			_, err := s.InsertBatchCtx(context.Background(), "gov", batchWorkload()[:3])
 			return err
 		}},
 	}
@@ -406,7 +407,7 @@ func TestDirCrashMatrix(t *testing.T) {
 				if _, err := rec.NewTripleS("post", "gov:s", "gov:p", "gov:o", govAliases()); err != nil {
 					t.Fatalf("%s: insert after recovery: %v", label, err)
 				}
-				if _, err := rec.InsertBatch("post", batchWorkload()); err != nil {
+				if _, err := rec.InsertBatchCtx(context.Background(), "post", batchWorkload()); err != nil {
 					t.Fatalf("%s: batch insert after recovery: %v", label, err)
 				}
 				if errs := rec.CheckInvariants(); len(errs) > 0 {

@@ -15,10 +15,10 @@ import (
 // keeps alive no buffer a caller's term was cut from.
 //
 // Rows are entered by the one function that inserts them
-// (addValueRowLocked: live inserts, WAL replay and snapshot load) and are
+// (insertValueRowLocked, through the applier) and are
 // never deleted or rewritten, so the dictionary is complete and never
 // stale. It is the store's only text → VALUE_ID access path — a miss means
-// "not interned" — and what keeps a term to one row (addValueRowLocked
+// "not interned" — and what keeps a term to one row (insertValueRowLocked
 // refuses a second; CheckInvariants' invariant 8 audits it against the
 // table).
 type termDict struct {

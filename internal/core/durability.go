@@ -20,10 +20,11 @@ var ErrDurability = errors.New("core: durability sink failed")
 // hook is pluggable so the pure in-memory configuration (d == nil) pays
 // nothing. *wal.Dir (or a wal.GroupLog over one) is the implementation.
 //
-// Append is called under the store's write lock, once per logical
-// mutation, in commit order — any prefix of the record stream is a
-// consistent store state. Commit is called at the end of each successful
-// public mutation and should make the appended records durable (fsync).
+// Append is called under the store's write lock with each record the
+// store has just applied (emitLocked) — any prefix of the record stream
+// is a consistent store state. Commit is called once per successful
+// public mutation, at the store's one commit point (write), and should
+// make the appended records durable (fsync).
 type Durability interface {
 	Append(r wal.Record) error
 	Commit() error
@@ -37,6 +38,33 @@ func (s *Store) SetDurability(d Durability) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.dur = d
+}
+
+// write runs one public mutation as one transaction: it takes the write
+// lock (timing the wait), runs fn, which changes the store only through
+// emitLocked, refreshes the core_triples gauge and, if fn succeeded,
+// seals fn's records at the store's one commit point.
+func (s *Store) write(fn func() error) error {
+	t0 := s.met.startTimer()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.met.onWriteLockAcquired(t0)
+	err := fn()
+	s.met.setTriples(s.links.Len())
+	if err != nil {
+		return err
+	}
+	return s.logCommit()
+}
+
+// emitLocked applies one mutation record, then logs it: the only way a
+// live mutation changes the central schema, so replay (applyLocked
+// alone) rebuilds exactly what it built. Caller holds s.mu for writing.
+func (s *Store) emitLocked(r *wal.Record) error {
+	if err := s.applyLocked(r); err != nil {
+		return err
+	}
+	return s.logRecord(*r)
 }
 
 // logRecord forwards one mutation record to the durability sink. Caller
@@ -53,7 +81,8 @@ func (s *Store) logRecord(r wal.Record) error {
 	return nil
 }
 
-// logCommit marks the end of a public mutation (the commit point).
+// logCommit marks the end of a public mutation (the commit point). write
+// is its only caller.
 func (s *Store) logCommit() error {
 	if s.dur == nil {
 		return nil
@@ -62,16 +91,4 @@ func (s *Store) logCommit() error {
 		return fmt.Errorf("%w: committing WAL: %w", ErrDurability, err)
 	}
 	return nil
-}
-
-// valueRecord builds the TypeInternValue record for a term assigned vid.
-func valueRecord(vid int64, text, valueType, literalType, language string) wal.Record {
-	return wal.Record{
-		Type:        wal.TypeInternValue,
-		ValueID:     vid,
-		Text:        text,
-		ValueType:   valueType,
-		LiteralType: literalType,
-		Language:    language,
-	}
 }

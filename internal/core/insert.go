@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -20,19 +21,24 @@ import (
 // existed only as the base of a reification (CONTEXT = "I"), the context
 // is upgraded to "D" (§5.2).
 func (s *Store) NewTripleS(model, subject, property, object string, aliases *rdfterm.AliasSet) (TripleS, error) {
-	sub, err := parseSubjectDB(subject, aliases)
-	if err != nil {
-		return TripleS{}, err
-	}
-	prop, err := rdfterm.ParsePredicate(property, aliases)
-	if err != nil {
-		return TripleS{}, err
-	}
-	obj, err := parseObjectDB(object, aliases)
+	sub, prop, obj, err := parseTripleDB(subject, property, object, aliases)
 	if err != nil {
 		return TripleS{}, err
 	}
 	return s.InsertTerms(model, sub, prop, obj)
+}
+
+// parseTripleDB parses a triple's three strings, recognizing DBUri
+// resources in subject and object position as URIs.
+func parseTripleDB(subject, property, object string, aliases *rdfterm.AliasSet) (sub, prop, obj rdfterm.Term, err error) {
+	if sub, err = parseSubjectDB(subject, aliases); err != nil {
+		return sub, prop, obj, err
+	}
+	if prop, err = rdfterm.ParsePredicate(property, aliases); err != nil {
+		return sub, prop, obj, err
+	}
+	obj, err = parseObjectDB(object, aliases)
+	return sub, prop, obj, err
 }
 
 // parseSubjectDB parses a subject string, recognizing DBUri resources
@@ -60,31 +66,28 @@ func isDBUri(s string) bool {
 
 // InsertTerms inserts a triple given already-parsed terms, as a fact.
 func (s *Store) InsertTerms(model string, sub, prop, obj rdfterm.Term) (TripleS, error) {
-	return s.insertTermsCtx(model, sub, prop, obj, ContextDirect)
+	return s.insertAs(model, sub, prop, obj, ContextDirect)
 }
 
 // InsertImplied inserts a triple as an indirect statement (CONTEXT = "I",
 // §5.2) — a statement that exists only as the base of a reification. If
 // the triple already exists its context is untouched.
 func (s *Store) InsertImplied(model string, sub, prop, obj rdfterm.Term) (TripleS, error) {
-	return s.insertTermsCtx(model, sub, prop, obj, ContextIndirect)
+	return s.insertAs(model, sub, prop, obj, ContextIndirect)
 }
 
-func (s *Store) insertTermsCtx(model string, sub, prop, obj rdfterm.Term, context string) (TripleS, error) {
-	t0 := s.met.startTimer()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.met.onWriteLockAcquired(t0)
-	mid, err := s.getModelIDLocked(model)
-	if err != nil {
-		return TripleS{}, err
-	}
-	ts, _, err := s.insertLocked(mid, sub, prop, obj, context)
-	if err != nil {
-		return TripleS{}, err
-	}
-	s.met.setTriples(s.links.Len())
-	return ts, s.logCommit()
+// insertAs inserts one triple with the given CONTEXT as one transaction.
+func (s *Store) insertAs(model string, sub, prop, obj rdfterm.Term, context string) (TripleS, error) {
+	var ts TripleS
+	err := s.write(func() error {
+		mid, err := s.getModelIDLocked(model)
+		if err != nil {
+			return err
+		}
+		ts, _, err = s.insertLocked(mid, sub, prop, obj, context)
+		return err
+	})
+	return ts, err
 }
 
 // internedTriple carries one triple between the two phases of an insert:
@@ -92,9 +95,10 @@ func (s *Store) insertTermsCtx(model string, sub, prop, obj rdfterm.Term, contex
 // terms' text, so the link phase needs no text. Batch inserts run the
 // intern phase over the whole batch before touching rdf_link$.
 type internedTriple struct {
-	sid, pid, oid  int64
-	canonID        int64
-	linkType, reif string // LINK_TYPE, REIF_LINK
+	sid, pid, oid int64
+	canonID       int64
+	linkType      string // LINK_TYPE
+	reif          bool   // REIF_LINK
 }
 
 // insertLocked implements the §4.1 parsing pipeline. Caller holds s.mu.
@@ -143,98 +147,72 @@ func (s *Store) internTripleLocked(modelID int64, sub, prop, obj rdfterm.Term) (
 	}
 	return internedTriple{
 		sid: sid, pid: pid, oid: oid, canonID: canonID,
-		linkType: rdfterm.LinkType(prop.Value), reif: reifFlag(sub, prop, obj),
+		linkType: rdfterm.LinkType(prop.Value), reif: reifLink(sub, prop, obj),
 	}, nil
 }
 
-// insertLinkLocked is the link phase: with all values interned, find or
-// create the rdf_link$ row — one descent of the SMPO index decides which.
-// Caller holds s.mu for writing.
+// insertLinkLocked is the link phase: with all values interned, emit the
+// new rdf_link$ row, or — when the applier's one descent of the SMPO
+// index finds the triple already stored — the COST bump of the link that
+// holds it. Caller holds s.mu for writing.
 func (s *Store) insertLinkLocked(modelID int64, it internedTriple, context string) (TripleS, bool, error) {
-	sid, pid, oid, canonID := it.sid, it.pid, it.oid, it.canonID
-	linkType, reif := it.linkType, it.reif
 	// A link is always created per new triple (§4), under the next
 	// LINK_ID; the sequence moves only if the row goes in.
-	linkID := s.linkSeq.Current()
-	rid, created, err := s.links.InsertOrGet(s.linkSMPO, reldb.Row{
-		reldb.Int(linkID),
-		reldb.Int(sid),
-		reldb.Int(pid),
-		reldb.Int(oid),
-		reldb.Int(canonID),
-		reldb.String_(linkType),
-		reldb.Int(1),
-		reldb.String_(context),
-		reldb.String_(reif),
-		reldb.Int(modelID),
-	})
+	r := wal.Record{
+		Type: wal.TypeInsertLink, LinkID: s.linkSeq.Current(), ModelID: modelID,
+		StartID: it.sid, PropID: it.pid, EndID: it.oid, CanonID: it.canonID,
+		LinkType: it.linkType, Cost: 1, Context: context, Reif: it.reif,
+	}
+	err := s.emitLocked(&r)
+	if errors.Is(err, errLinkStored) {
+		return s.repeatLinkLocked(r.LinkID, context) // r.LinkID names the stored link
+	}
 	if err != nil {
 		return TripleS{}, false, err
 	}
-	if !created {
-		return s.repeatLinkLocked(rid, context)
-	}
-	s.linkSeq.AdvanceTo(linkID + 1)
-	// Subjects and objects are NDM nodes, stored once (§4).
-	if err := s.internNodeLocked(sid); err != nil {
-		return TripleS{}, false, err
-	}
-	if err := s.internNodeLocked(oid); err != nil {
-		return TripleS{}, false, err
-	}
-	if err := s.logRecord(wal.Record{
-		Type: wal.TypeInsertLink, LinkID: linkID, ModelID: modelID,
-		StartID: sid, PropID: pid, EndID: oid, CanonID: canonID,
-		LinkType: linkType, Cost: 1, Context: context, Reif: reif == "Y",
-	}); err != nil {
-		return TripleS{}, false, err
-	}
-	return TripleS{store: s, TID: linkID, MID: modelID, SID: sid, PID: pid, OID: oid}, true, nil
+	return TripleS{store: s, TID: r.LinkID, MID: modelID, SID: it.sid, PID: it.pid, OID: it.oid}, true, nil
 }
 
-// repeatLinkLocked records one more insert of the triple already stored in
-// rdf_link$ row rid: COST is bumped (§4: "the number of times the triple
-// is stored in an application table") and an indirect statement now
+// repeatLinkLocked records one more insert of the triple already stored
+// as link linkID: COST is bumped (§4: "the number of times the triple is
+// stored in an application table") and an indirect statement now
 // asserted as fact is upgraded I → D (§5.2). Neither column is indexed, so
 // no index is touched. Caller holds s.mu for writing.
-func (s *Store) repeatLinkLocked(rid reldb.RowID, context string) (TripleS, bool, error) {
+func (s *Store) repeatLinkLocked(linkID int64, context string) (TripleS, bool, error) {
+	rid, ok := s.linkPK.LookupInts(linkID)
+	if !ok {
+		return TripleS{}, false, fmt.Errorf("%w: LINK_ID %d", ErrNoSuchTriple, linkID)
+	}
 	var ts TripleS
-	var newCost int64
-	var newCtx string
+	var cost int64
+	var linkCtx string
 	if err := s.links.Read(rid, func(c reldb.Cells) {
-		ts, newCost, newCtx = s.tripleSFromCells(c), c.Int(lcCost)+1, c.Str(lcContext)
+		ts, cost, linkCtx = s.tripleSFromCells(c), c.Int(lcCost), c.Str(lcContext)
 	}); err != nil {
 		return TripleS{}, false, err
 	}
-	if err := s.links.UpdateColumn(rid, "COST", reldb.Int(newCost)); err != nil {
-		return TripleS{}, false, err
+	if context == ContextDirect {
+		linkCtx = ContextDirect
 	}
-	if context == ContextDirect && newCtx == ContextIndirect {
-		newCtx = ContextDirect
-		if err := s.links.UpdateColumn(rid, "CONTEXT", reldb.String_(newCtx)); err != nil {
-			return TripleS{}, false, err
-		}
-	}
-	if err := s.logRecord(wal.Record{
-		Type: wal.TypeUpdateLink, LinkID: ts.TID,
-		Cost: newCost, Context: newCtx,
+	if err := s.emitLocked(&wal.Record{
+		Type: wal.TypeUpdateLink, LinkID: linkID, Cost: cost + 1, Context: linkCtx,
 	}); err != nil {
 		return TripleS{}, false, err
 	}
 	return ts, false, nil
 }
 
-// reifFlag returns "Y" when any component references a reified triple via
+// reifLink reports whether any component references a reified triple via
 // a DBUri (the REIF_LINK column, §4).
-func reifFlag(terms ...rdfterm.Term) string {
+func reifLink(terms ...rdfterm.Term) bool {
 	for _, t := range terms {
 		if t.Kind == rdfterm.URI {
 			if _, ok := ParseDBUri(t.Value); ok {
-				return "Y"
+				return true
 			}
 		}
 	}
-	return "N"
+	return false
 }
 
 // resolveBlankLocked maps a user-supplied blank node label to its
@@ -262,17 +240,14 @@ func (s *Store) resolveBlankLocked(modelID int64, t rdfterm.Term) (rdfterm.Term,
 	if err != nil {
 		return rdfterm.Term{}, err
 	}
-	if _, err := s.blanks.Insert(reldb.Row{reldb.Int(modelID), reldb.String_(t.Value), reldb.Int(vid)}); err != nil {
-		return rdfterm.Term{}, err
-	}
 	// The internal label consumed a blank-sequence slot; persist the
 	// position so a replayed store never re-issues it.
-	if err := s.logRecord(wal.Record{
+	if err := s.emitLocked(&wal.Record{
 		Type: wal.TypeSeqAdvance, Seq: wal.SeqBlank, SeqValue: s.blankSeq.Current(),
 	}); err != nil {
 		return rdfterm.Term{}, err
 	}
-	if err := s.logRecord(wal.Record{
+	if err := s.emitLocked(&wal.Record{
 		Type: wal.TypeBlankNode, ModelID: modelID, Name: t.Value, ValueID: vid,
 	}); err != nil {
 		return rdfterm.Term{}, err
@@ -284,104 +259,73 @@ func (s *Store) resolveBlankLocked(modelID int64, t rdfterm.Term) (rdfterm.Term,
 // any triple — used for containers, which hang members off a generated
 // blank node (§2).
 func (s *Store) NewBlankNode(model string) (rdfterm.Term, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	mid, err := s.getModelIDLocked(model)
-	if err != nil {
-		return rdfterm.Term{}, err
-	}
+	var t rdfterm.Term
+	err := s.write(func() error {
+		mid, err := s.getModelIDLocked(model)
+		if err != nil {
+			return err
+		}
+		t, err = s.newBlankNodeLocked(mid)
+		return err
+	})
+	return t, err
+}
+
+// newBlankNodeLocked is NewBlankNode with the model resolved and s.mu
+// held for writing.
+func (s *Store) newBlankNodeLocked(modelID int64) (rdfterm.Term, error) {
 	// The label slot consumed here is covered by the SeqAdvance record
 	// resolveBlankLocked emits after its own (later) allocation.
-	label := "m" + strconv.FormatInt(mid, 10) + "b" + strconv.FormatInt(s.blankSeq.Next(), 10)
-	t, err := s.resolveBlankLocked(mid, rdfterm.NewBlank(label))
-	if err != nil {
-		return rdfterm.Term{}, err
-	}
-	return t, s.logCommit()
+	label := "m" + strconv.FormatInt(modelID, 10) + "b" + strconv.FormatInt(s.blankSeq.Next(), 10)
+	return s.resolveBlankLocked(modelID, rdfterm.NewBlank(label))
 }
 
 // DeleteTriple removes one application-table reference to a triple: the
 // link's COST is decremented, and when it reaches zero the link row is
 // removed. Nodes are removed only when no other link references them (§4).
 func (s *Store) DeleteTriple(model, subject, property, object string, aliases *rdfterm.AliasSet) error {
-	sub, err := parseSubjectDB(subject, aliases)
+	sub, prop, obj, err := parseTripleDB(subject, property, object, aliases)
 	if err != nil {
 		return err
 	}
-	prop, err := rdfterm.ParsePredicate(property, aliases)
-	if err != nil {
-		return err
-	}
-	obj, err := parseObjectDB(object, aliases)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	mid, err := s.getModelIDLocked(model)
-	if err != nil {
-		return err
-	}
-	ts, ok, err := s.isTripleTermsLocked(mid, sub, prop, obj)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("%w: %s %s %s in model %s", ErrNoSuchTriple, subject, property, object, model)
-	}
-	return s.deleteByLinkIDLocked(ts.TID)
+	return s.write(func() error {
+		mid, err := s.getModelIDLocked(model)
+		if err != nil {
+			return err
+		}
+		ts, ok, err := s.isTripleTermsLocked(mid, sub, prop, obj)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return fmt.Errorf("%w: %s %s %s in model %s", ErrNoSuchTriple, subject, property, object, model)
+		}
+		return s.deleteByLinkIDLocked(ts.TID)
+	})
 }
 
-func (s *Store) deleteByLinkID(linkID int64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.deleteByLinkIDLocked(linkID)
-}
-
+// deleteByLinkIDLocked emits the COST decrement of link linkID, or its
+// delete once no other reference is left. Caller holds s.mu for writing.
 func (s *Store) deleteByLinkIDLocked(linkID int64) error {
 	rid, ok := s.linkPK.LookupInts(linkID)
 	if !ok {
 		return fmt.Errorf("%w: LINK_ID %d", ErrNoSuchTriple, linkID)
 	}
-	r, err := s.links.Get(rid)
-	if err != nil {
+	var cost int64
+	var linkCtx string
+	if err := s.links.Read(rid, func(c reldb.Cells) { cost, linkCtx = c.Int(lcCost), c.Str(lcContext) }); err != nil {
 		return err
 	}
-	if cost := r[lcCost].Int64(); cost > 1 {
-		if err := s.links.UpdateColumn(rid, "COST", reldb.Int(cost-1)); err != nil {
-			return err
-		}
-		if err := s.logRecord(wal.Record{
-			Type: wal.TypeUpdateLink, LinkID: linkID,
-			Cost: cost - 1, Context: r[lcContext].Str(),
-		}); err != nil {
-			return err
-		}
-		return s.logCommit()
+	if cost > 1 {
+		return s.emitLocked(&wal.Record{Type: wal.TypeUpdateLink, LinkID: linkID, Cost: cost - 1, Context: linkCtx})
 	}
-	if err := s.links.Delete(rid); err != nil {
-		return err
-	}
-	s.removeNodeIfOrphanLocked(r[lcStartNodeID].Int64())
-	s.removeNodeIfOrphanLocked(r[lcEndNodeID].Int64())
-	if err := s.logRecord(wal.Record{Type: wal.TypeDeleteLink, LinkID: linkID}); err != nil {
-		return err
-	}
-	return s.logCommit()
+	return s.emitLocked(&wal.Record{Type: wal.TypeDeleteLink, LinkID: linkID})
 }
 
 // IsTriple reports whether the triple exists in the model, returning its
 // storage object — the paper's SDO_RDF.IS_TRIPLE().
 func (s *Store) IsTriple(model, subject, property, object string, aliases *rdfterm.AliasSet) (TripleS, bool, error) {
-	sub, err := parseSubjectDB(subject, aliases)
-	if err != nil {
-		return TripleS{}, false, err
-	}
-	prop, err := rdfterm.ParsePredicate(property, aliases)
-	if err != nil {
-		return TripleS{}, false, err
-	}
-	obj, err := parseObjectDB(object, aliases)
+	sub, prop, obj, err := parseTripleDB(subject, property, object, aliases)
 	if err != nil {
 		return TripleS{}, false, err
 	}

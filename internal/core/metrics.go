@@ -42,8 +42,8 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		return nil
 	}
 	return &Metrics{
-		batches:     reg.Counter("core_insert_batches_total", "InsertBatch calls"),
-		batchSize:   reg.Histogram("core_insert_batch_triples", "triples per InsertBatch call", obs.CountBuckets),
+		batches:     reg.Counter("core_insert_batches_total", "InsertBatchCtx calls"),
+		batchSize:   reg.Histogram("core_insert_batch_triples", "triples per InsertBatchCtx call", obs.CountBuckets),
 		cacheHits:   reg.Counter("core_term_cache_hits_total", "term interning resolved from the term dictionary"),
 		cacheMisses: reg.Counter("core_term_cache_misses_total", "term interning that found a new term"),
 		lockWaitW:   reg.Histogram("core_write_lock_wait_seconds", "time spent acquiring the store write lock", obs.DurationBuckets),

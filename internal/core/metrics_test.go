@@ -20,7 +20,7 @@ func TestStoreMetricsSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := batchWorkload()
-	if _, err := s.InsertBatch("m", batch); err != nil {
+	if _, err := s.InsertBatchCtx(context.Background(), "m", batch); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Find("m", Pattern{}); err != nil {
@@ -49,6 +49,69 @@ func TestStoreMetricsSeries(t *testing.T) {
 	}
 	if g, ok := snap.Gauge("core_triples"); !ok || g.Value == 0 {
 		t.Fatalf("core_triples = %+v", g)
+	}
+}
+
+// TestEveryMutationUpdatesStoreMetrics: every public mutator runs through
+// the one commit point, which refreshes core_triples and times the write
+// lock, so after each kind of mutation the gauge equals TotalTriples and
+// core_write_lock_wait_seconds has one more observation.
+func TestEveryMutationUpdatesStoreMetrics(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := New()
+	s.SetMetrics(NewMetrics(reg))
+	a := govAliases()
+	uri := rdfterm.NewURI
+	var base TripleS
+	var bag rdfterm.Term
+	steps := []struct {
+		name string
+		do   func() error
+	}{
+		{"CreateRDFModel", func() error { _, err := s.CreateRDFModel("gov", "", ""); return err }},
+		{"CreateRDFModel", func() error { _, err := s.CreateRDFModel("tmp", "", ""); return err }},
+		{"NewTripleS", func() (err error) {
+			base, err = s.NewTripleS("gov", "gov:files", "gov:terrorSuspect", "id:JohnDoe", a)
+			return err
+		}},
+		{"InsertTerms", func() error {
+			_, err := s.InsertTerms("tmp", uri("http://s"), uri("http://p"), uri("http://o"))
+			return err
+		}},
+		{"InsertImplied", func() error {
+			_, err := s.InsertImplied("gov", uri("http://s"), uri("http://p"), uri("http://o"))
+			return err
+		}},
+		{"Reify", func() error { _, err := s.Reify("gov", base.TID); return err }},
+		{"AssertAboutTriple", func() error { _, err := s.AssertAboutTriple("gov", "gov:MI5", "gov:source", base.TID, a); return err }},
+		{"AssertImplied", func() error {
+			_, err := s.AssertImplied("gov", "gov:Interpol", "gov:said", "gov:x", "gov:y", "gov:z", a)
+			return err
+		}},
+		{"NewBlankNode", func() error { _, err := s.NewBlankNode("gov"); return err }},
+		{"CreateContainer", func() (err error) {
+			bag, err = s.CreateContainer("gov", BagContainer, uri("http://m/1"))
+			return err
+		}},
+		{"AppendToContainer", func() error { _, err := s.AppendToContainer("gov", bag, uri("http://m/2")); return err }},
+		{"InsertBatchCtx", func() error { _, err := s.InsertBatchCtx(context.Background(), "gov", batchWorkload()); return err }},
+		{"DeleteTriple", func() error { return s.DeleteTriple("gov", "gov:x", "gov:y", "gov:z", a) }},
+		{"DropRDFModel", func() error { return s.DropRDFModel("tmp") }},
+	}
+	var waits int64
+	for _, step := range steps {
+		if err := step.do(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		snap := reg.Snapshot()
+		if g, _ := snap.Gauge("core_triples"); g.Value != int64(s.TotalTriples()) {
+			t.Errorf("after %s: core_triples = %d, TotalTriples = %d", step.name, g.Value, s.TotalTriples())
+		}
+		h, _ := snap.Histogram("core_write_lock_wait_seconds")
+		if h.Count != waits+1 {
+			t.Errorf("after %s: core_write_lock_wait_seconds has %d observations, want %d", step.name, h.Count, waits+1)
+		}
+		waits = h.Count
 	}
 }
 
@@ -94,7 +157,7 @@ func benchmarkInsertBatch(b *testing.B, m *Metrics) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.InsertBatch("m", batches[i]); err != nil {
+		if _, err := s.InsertBatchCtx(context.Background(), "m", batches[i]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -156,7 +156,7 @@ func TestOrphanCheckSeesEveryModelAndSpelling(t *testing.T) {
 	}
 	del := func(ts TripleS) {
 		t.Helper()
-		if err := s.deleteByLinkID(ts.TID); err != nil {
+		if err := s.write(func() error { return s.deleteByLinkIDLocked(ts.TID) }); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -37,10 +37,10 @@ type RecoverInfo struct {
 }
 
 // Replay applies WAL records to the store in order. Records carry the
-// IDs assigned before the crash, so sequences are advanced past them and
-// derived state (rdf_node$, indexes, model views) is rebuilt by the same
-// code paths as live mutations. Replay does not re-log: attach a
-// durability sink after recovery.
+// IDs assigned before the crash, so sequences are advanced past them, and
+// the applier every live mutation goes through too rebuilds the tables and
+// their derived state. Replay does not re-log: attach a durability sink
+// after recovery.
 //
 //repro:vet-ignore walcheck replay applies records already durable in the WAL; re-logging them would duplicate every record on the next recovery
 func (s *Store) Replay(records []wal.Record) error {
@@ -89,7 +89,13 @@ func (s *Store) replayStream(restore time.Duration, scan func(apply wal.RecordFu
 	}, nil
 }
 
-// applyLocked applies one logical mutation record. Caller holds s.mu.
+// applyLocked applies one logical mutation record. It is the only code
+// that writes rdf_model$, rdf_value$, rdf_link$ and rdf_blank_node$, and
+// it keeps their derived state (rdf_node$, indexes, model views) in step:
+// replay, snapshot loading and every live mutation (emitLocked) come
+// through here. Caller holds s.mu.
+//
+//repro:wal-applier
 func (s *Store) applyLocked(r *wal.Record) error {
 	switch r.Type {
 	case wal.TypeCreateModel:
@@ -114,23 +120,29 @@ func (s *Store) applyLocked(r *wal.Record) error {
 		if r.Reif {
 			reif = "Y"
 		}
-		row := reldb.Row{
+		// One descent of the SMPO index both checks and inserts.
+		rid, created, err := s.links.InsertOrGet(s.linkSMPO, reldb.Row{
 			reldb.Int(r.LinkID), reldb.Int(r.StartID), reldb.Int(r.PropID),
 			reldb.Int(r.EndID), reldb.Int(r.CanonID), reldb.String_(r.LinkType),
 			reldb.Int(r.Cost), reldb.String_(r.Context), reldb.String_(reif),
 			reldb.Int(r.ModelID),
-		}
-		if _, err := s.links.Insert(row); err != nil {
+		})
+		if err != nil {
 			return err
 		}
+		if !created {
+			// Name the stored link in r for a live insert's COST bump.
+			if err := s.links.Read(rid, func(c reldb.Cells) { r.LinkID = c.Int(lcLinkID) }); err != nil {
+				return err
+			}
+			return errLinkStored
+		}
+		s.linkSeq.AdvanceTo(r.LinkID + 1)
+		// Subjects and objects are NDM nodes, stored once (§4).
 		if err := s.internNodeLocked(r.StartID); err != nil {
 			return err
 		}
-		if err := s.internNodeLocked(r.EndID); err != nil {
-			return err
-		}
-		s.linkSeq.AdvanceTo(r.LinkID + 1)
-		return nil
+		return s.internNodeLocked(r.EndID)
 
 	case wal.TypeUpdateLink:
 		rid, ok := s.linkPK.LookupInts(r.LinkID)
@@ -183,6 +195,11 @@ func (s *Store) applyLocked(r *wal.Record) error {
 		return fmt.Errorf("core: unknown WAL record type %d", r.Type)
 	}
 }
+
+// errLinkStored refuses a TypeInsertLink whose triple is already stored,
+// naming the stored link in the record's LinkID: an error on replay, a
+// COST bump for a live insert (repeatLinkLocked).
+var errLinkStored = fmt.Errorf("%w: the triple is already in rdf_link$", reldb.ErrUniqueViolation)
 
 // termFromRecord rebuilds the interned term from a TypeInternValue
 // record (the inverse of the record built in internValueLocked).

@@ -15,22 +15,21 @@ import (
 // is idempotent (the existing reification triple's COST is bumped, like
 // any repeated insert).
 func (s *Store) Reify(model string, linkID int64) (TripleS, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	mid, err := s.getModelIDLocked(model)
-	if err != nil {
-		return TripleS{}, err
-	}
-	// The reified triple must exist somewhere in the store; its DBUri is a
-	// direct row pointer.
-	if _, err := s.getTripleSLocked(linkID); err != nil {
-		return TripleS{}, err
-	}
-	ts, err := s.reifyLocked(mid, linkID)
-	if err != nil {
-		return TripleS{}, err
-	}
-	return ts, s.logCommit()
+	var ts TripleS
+	err := s.write(func() error {
+		mid, err := s.getModelIDLocked(model)
+		if err != nil {
+			return err
+		}
+		// The reified triple must exist somewhere in the store; its DBUri
+		// is a direct row pointer.
+		if _, err := s.getTripleSLocked(linkID); err != nil {
+			return err
+		}
+		ts, err = s.reifyLocked(mid, linkID)
+		return err
+	})
+	return ts, err
 }
 
 func (s *Store) reifyLocked(modelID, linkID int64) (TripleS, error) {
@@ -48,33 +47,28 @@ func (s *Store) reifyLocked(modelID, linkID int64) (TripleS, error) {
 // <subject, property, DBUri(rdf_t_id)> — e.g. Figure 7's
 // <gov:MI5, gov:source, R>.
 func (s *Store) AssertAboutTriple(model, subject, property string, linkID int64, aliases *rdfterm.AliasSet) (TripleS, error) {
-	sub, err := parseSubjectDB(subject, aliases)
+	sub, prop, obj, err := parseTripleDB(subject, property, DBUri(linkID), aliases)
 	if err != nil {
 		return TripleS{}, err
 	}
-	prop, err := rdfterm.ParsePredicate(property, aliases)
-	if err != nil {
-		return TripleS{}, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	mid, err := s.getModelIDLocked(model)
-	if err != nil {
-		return TripleS{}, err
-	}
-	if _, err := s.getTripleSLocked(linkID); err != nil {
-		return TripleS{}, err
-	}
-	if !s.isReifiedLocked(mid, linkID) {
-		if _, err := s.reifyLocked(mid, linkID); err != nil {
-			return TripleS{}, err
+	var ts TripleS
+	err = s.write(func() error {
+		mid, err := s.getModelIDLocked(model)
+		if err != nil {
+			return err
 		}
-	}
-	ts, _, err := s.insertLocked(mid, sub, prop, rdfterm.NewURI(DBUri(linkID)), ContextDirect)
-	if err != nil {
-		return TripleS{}, err
-	}
-	return ts, s.logCommit()
+		if _, err := s.getTripleSLocked(linkID); err != nil {
+			return err
+		}
+		if !s.isReifiedLocked(mid, linkID) {
+			if _, err := s.reifyLocked(mid, linkID); err != nil {
+				return err
+			}
+		}
+		ts, _, err = s.insertLocked(mid, sub, prop, obj, ContextDirect)
+		return err
+	})
+	return ts, err
 }
 
 // AssertImplied is the assertion constructor SDO_RDF_TRIPLE_S(model_name,
@@ -92,39 +86,30 @@ func (s *Store) AssertImplied(model, reifSub, reifProp, subject, property, objec
 	if err != nil {
 		return TripleS{}, err
 	}
-	sub, err := parseSubjectDB(subject, aliases)
+	sub, prop, obj, err := parseTripleDB(subject, property, object, aliases)
 	if err != nil {
 		return TripleS{}, err
 	}
-	prop, err := rdfterm.ParsePredicate(property, aliases)
-	if err != nil {
-		return TripleS{}, err
-	}
-	obj, err := parseObjectDB(object, aliases)
-	if err != nil {
-		return TripleS{}, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	mid, err := s.getModelIDLocked(model)
-	if err != nil {
-		return TripleS{}, err
-	}
-	// Insert (or find) the base triple as an indirect statement.
-	base, _, err := s.insertLocked(mid, sub, prop, obj, ContextIndirect)
-	if err != nil {
-		return TripleS{}, err
-	}
-	if !s.isReifiedLocked(mid, base.TID) {
-		if _, err := s.reifyLocked(mid, base.TID); err != nil {
-			return TripleS{}, err
+	var ts TripleS
+	err = s.write(func() error {
+		mid, err := s.getModelIDLocked(model)
+		if err != nil {
+			return err
 		}
-	}
-	ts, _, err := s.insertLocked(mid, rs, rp, rdfterm.NewURI(DBUri(base.TID)), ContextDirect)
-	if err != nil {
-		return TripleS{}, err
-	}
-	return ts, s.logCommit()
+		// Insert (or find) the base triple as an indirect statement.
+		base, _, err := s.insertLocked(mid, sub, prop, obj, ContextIndirect)
+		if err != nil {
+			return err
+		}
+		if !s.isReifiedLocked(mid, base.TID) {
+			if _, err := s.reifyLocked(mid, base.TID); err != nil {
+				return err
+			}
+		}
+		ts, _, err = s.insertLocked(mid, rs, rp, rdfterm.NewURI(DBUri(base.TID)), ContextDirect)
+		return err
+	})
+	return ts, err
 }
 
 // IsReified reports whether the given triple is reified in the model —
@@ -132,15 +117,7 @@ func (s *Store) AssertImplied(model, reifSub, reifProp, subject, property, objec
 // index lookups: resolve the triple to its LINK_ID, then look for the
 // single <DBUri, rdf:type, rdf:Statement> row.
 func (s *Store) IsReified(model, subject, property, object string, aliases *rdfterm.AliasSet) (bool, error) {
-	sub, err := parseSubjectDB(subject, aliases)
-	if err != nil {
-		return false, err
-	}
-	prop, err := rdfterm.ParsePredicate(property, aliases)
-	if err != nil {
-		return false, err
-	}
-	obj, err := parseObjectDB(object, aliases)
+	sub, prop, obj, err := parseTripleDB(subject, property, object, aliases)
 	if err != nil {
 		return false, err
 	}

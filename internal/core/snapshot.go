@@ -5,9 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 
 	"repro/internal/reldb"
+	"repro/internal/wal"
 )
 
 // Typed snapshot errors, so tools can distinguish "wrong format version"
@@ -163,7 +163,9 @@ func Load(r io.Reader) (*Store, error) {
 }
 
 // LoadAt is Load returning also the snapshot's segmented-WAL watermark
-// (0 for single-file snapshots and snapshots predating the field).
+// (0 for single-file snapshots and snapshots predating the field). The
+// rows are rebuilt as the WAL records that would have created them,
+// through the same applier replay uses.
 func LoadAt(r io.Reader) (*Store, int64, error) {
 	var snap snapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
@@ -179,66 +181,45 @@ func LoadAt(r io.Reader) (*Store, int64, error) {
 	// Rebuild errors below mean the decoded content violates the schema
 	// (duplicate IDs, bad rows): the stream decoded but is not a valid
 	// snapshot, so classify as corruption.
-	corrupt := func(section string, err error) error {
-		return fmt.Errorf("%w: rebuilding %s: %v", ErrSnapshotCorrupt, section, err)
+	apply := func(section string, rec wal.Record) error {
+		if err := s.applyLocked(&rec); err != nil {
+			return fmt.Errorf("%w: rebuilding %s: %v", ErrSnapshotCorrupt, section, err)
+		}
+		return nil
 	}
 	for _, m := range snap.Models {
-		tn, cn := reldb.Null(), reldb.Null()
-		if m.TableName != "" {
-			tn = reldb.String_(m.TableName)
-		}
-		if m.Column != "" {
-			cn = reldb.String_(m.Column)
-		}
-		if _, err := s.models.Insert(reldb.Row{reldb.Int(m.ID), reldb.String_(m.Name), tn, cn}); err != nil {
-			return nil, 0, corrupt("rdf_model$", err)
-		}
-		mid := m.ID
-		if _, err := s.db.CreateView("rdfm_"+strings.ToLower(m.Name), s.links, func(row reldb.Row) bool {
-			return row[lcModelID].Int64() == mid
+		if err := apply("rdf_model$", wal.Record{
+			Type: wal.TypeCreateModel, ModelID: m.ID, Name: m.Name, TableName: m.TableName, ColumnName: m.Column,
 		}); err != nil {
-			return nil, 0, corrupt("model views", err)
+			return nil, 0, err
 		}
 	}
 	for _, v := range snap.Values {
-		lit, lang, long := reldb.Null(), reldb.Null(), reldb.Null()
-		if v.LiteralType != "" {
-			lit = reldb.String_(v.LiteralType)
-		}
-		if v.Language != "" {
-			lang = reldb.String_(v.Language)
-		}
+		text := v.Name
 		if v.HasLong {
-			long = reldb.String_(v.LongValue)
+			text = v.LongValue
 		}
-		row := reldb.Row{reldb.Int(v.ID), reldb.String_(v.Name), reldb.String_(v.Type), lit, lang, long}
-		if err := s.addValueRowLocked(row); err != nil {
-			return nil, 0, corrupt("rdf_value$", err)
+		if err := apply("rdf_value$", wal.Record{
+			Type: wal.TypeInternValue, ValueID: v.ID, Text: text,
+			ValueType: v.Type, LiteralType: v.LiteralType, Language: v.Language,
+		}); err != nil {
+			return nil, 0, err
 		}
 	}
 	for _, l := range snap.Links {
-		reif := "N"
-		if l.Reif {
-			reif = "Y"
-		}
-		row := reldb.Row{
-			reldb.Int(l.ID), reldb.Int(l.Start), reldb.Int(l.P), reldb.Int(l.End),
-			reldb.Int(l.Canon), reldb.String_(l.LinkType), reldb.Int(l.Cost),
-			reldb.String_(l.Context), reldb.String_(reif), reldb.Int(l.Model),
-		}
-		if _, err := s.links.Insert(row); err != nil {
-			return nil, 0, corrupt("rdf_link$", err)
-		}
-		if err := s.internNodeLocked(l.Start); err != nil {
-			return nil, 0, corrupt("rdf_node$", err)
-		}
-		if err := s.internNodeLocked(l.End); err != nil {
-			return nil, 0, corrupt("rdf_node$", err)
+		if err := apply("rdf_link$", wal.Record{
+			Type: wal.TypeInsertLink, LinkID: l.ID, ModelID: l.Model,
+			StartID: l.Start, PropID: l.P, EndID: l.End, CanonID: l.Canon,
+			LinkType: l.LinkType, Cost: l.Cost, Context: l.Context, Reif: l.Reif,
+		}); err != nil {
+			return nil, 0, err
 		}
 	}
 	for _, b := range snap.Blanks {
-		if _, err := s.blanks.Insert(reldb.Row{reldb.Int(b.Model), reldb.String_(b.OrigName), reldb.Int(b.ValueID)}); err != nil {
-			return nil, 0, corrupt("rdf_blank_node$", err)
+		if err := apply("rdf_blank_node$", wal.Record{
+			Type: wal.TypeBlankNode, ModelID: b.Model, Name: b.OrigName, ValueID: b.ValueID,
+		}); err != nil {
+			return nil, 0, err
 		}
 	}
 	// Restore sequence positions (New() starts them at the paper's bases;

@@ -293,7 +293,7 @@ func BenchmarkBuildPlanStats(b *testing.B) {
 	}); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := s.InsertBatch("m", batch); err != nil {
+	if _, err := s.InsertBatchCtx(context.Background(), "m", batch); err != nil {
 		b.Fatal(err)
 	}
 	mid, _ := s.GetModelID("m")

@@ -151,29 +151,25 @@ func (s *Store) Database() *reldb.Database { return s.db }
 // SDO_RDF.CREATE_RDF_MODEL), and creates the rdfm_<model> view over
 // rdf_link$ restricted to the model's partition.
 func (s *Store) CreateRDFModel(name, tableName, columnName string) (int64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if name == "" {
-		return 0, fmt.Errorf("core: empty model name")
-	}
-	if s.modelName.Contains(reldb.Key{reldb.String_(name)}) {
-		return 0, fmt.Errorf("%w: %q", ErrDuplicateModel, name)
-	}
-	id := s.modelSeq.Next()
-	if err := s.addModelLocked(id, name, tableName, columnName); err != nil {
-		return 0, err
-	}
-	if err := s.logRecord(wal.Record{
-		Type: wal.TypeCreateModel, ModelID: id, Name: name,
-		TableName: tableName, ColumnName: columnName,
-	}); err != nil {
-		return 0, err
-	}
-	return id, s.logCommit()
+	var id int64
+	err := s.write(func() error {
+		if name == "" {
+			return fmt.Errorf("core: empty model name")
+		}
+		if s.modelName.Contains(reldb.Key{reldb.String_(name)}) {
+			return fmt.Errorf("%w: %q", ErrDuplicateModel, name)
+		}
+		id = s.modelSeq.Next()
+		return s.emitLocked(&wal.Record{
+			Type: wal.TypeCreateModel, ModelID: id, Name: name,
+			TableName: tableName, ColumnName: columnName,
+		})
+	})
+	return id, err
 }
 
 // addModelLocked inserts the rdf_model$ row and creates the model view —
-// shared by CreateRDFModel and WAL replay. Caller holds s.mu.
+// the applier's TypeCreateModel case. Caller holds s.mu.
 func (s *Store) addModelLocked(id int64, name, tableName, columnName string) error {
 	tn, cn := reldb.Null(), reldb.Null()
 	if tableName != "" {
@@ -250,23 +246,17 @@ func (s *Store) ModelView(name string) (*reldb.View, error) {
 // may be referenced by other models); orphaned rdf_node$ entries are
 // cleaned up.
 func (s *Store) DropRDFModel(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	id, err := s.getModelIDLocked(name)
-	if err != nil {
-		return err
-	}
-	if err := s.dropModelLocked(id, name); err != nil {
-		return err
-	}
-	if err := s.logRecord(wal.Record{Type: wal.TypeDropModel, ModelID: id, Name: name}); err != nil {
-		return err
-	}
-	return s.logCommit()
+	return s.write(func() error {
+		id, err := s.getModelIDLocked(name)
+		if err != nil {
+			return err
+		}
+		return s.emitLocked(&wal.Record{Type: wal.TypeDropModel, ModelID: id, Name: name})
+	})
 }
 
 // dropModelLocked removes the model's links, blank mappings, catalog row,
-// view, and newly orphaned nodes — shared by DropRDFModel and WAL replay.
+// view, and newly orphaned nodes — the applier's TypeDropModel case.
 // Caller holds s.mu.
 func (s *Store) dropModelLocked(id int64, name string) error {
 	// Collect node IDs referenced by this model's links before deleting.

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/rdfterm"
 	"repro/internal/reldb"
+	"repro/internal/wal"
 )
 
 // maxValueNameLen caps the VALUE_NAME column; longer literal text spills
@@ -35,10 +36,10 @@ func (s *Store) internValueLocked(t rdfterm.Term) (int64, error) {
 		return 0, err
 	}
 	id := s.valueSeq.Next()
-	if err := s.insertValueRowLocked(id, t); err != nil {
-		return 0, err
-	}
-	if err := s.logRecord(valueRecord(id, t.Lexical(), t.ValueType(), t.Datatype, t.Language)); err != nil {
+	if err := s.emitLocked(&wal.Record{
+		Type: wal.TypeInternValue, ValueID: id, Text: t.Lexical(),
+		ValueType: t.ValueType(), LiteralType: t.Datatype, Language: t.Language,
+	}); err != nil {
 		return 0, err
 	}
 	return id, nil
@@ -46,8 +47,14 @@ func (s *Store) internValueLocked(t rdfterm.Term) (int64, error) {
 
 // insertValueRowLocked inserts the rdf_value$ row for a term under an
 // already-assigned VALUE_ID (splitting long literals into LONG_VALUE) and
-// enters the term in the dictionary — shared by internValueLocked and WAL
-// replay. Caller holds s.mu.
+// enters the term in the dictionary — the applier's TypeInternValue case.
+// The dictionary is also what keeps a term to one row: a live insert
+// comes here only after a miss, so a term already present is a replayed
+// log or a snapshot naming it twice, and is refused rather than left to
+// shadow the first row's entry. The dictionary keeps the row's number and
+// none of the caller's strings, so whatever buffer the caller's term came
+// out of (a parser's input line, a WAL scanner's window, a decoded
+// snapshot) is not kept alive by it. Caller holds s.mu.
 func (s *Store) insertValueRowLocked(id int64, t rdfterm.Term) error {
 	name := t.Lexical()
 	long := reldb.Null()
@@ -62,29 +69,18 @@ func (s *Store) insertValueRowLocked(id int64, t rdfterm.Term) error {
 	if t.Language != "" {
 		lang = reldb.String_(t.Language)
 	}
-	return s.addValueRowLocked(reldb.Row{
+	row := reldb.Row{
 		reldb.Int(id),
 		reldb.String_(name),
 		reldb.String_(t.ValueType()),
 		lit,
 		lang,
 		long,
-	})
-}
-
-// addValueRowLocked inserts an rdf_value$ row and enters its term in the
-// dictionary, which is also what keeps a term to one row: a live insert
-// comes here only after a miss, so a term already present is a replayed
-// log or a snapshot naming it twice, and is refused rather than left to
-// shadow the first row's entry. The dictionary keeps the row's number and
-// none of the caller's strings, so whatever buffer the caller's term came
-// out of (a parser's input line, a WAL scanner's window, a decoded
-// snapshot) is not kept alive by it. Caller holds s.mu.
-func (s *Store) addValueRowLocked(row reldb.Row) error {
-	t := ValueRowTerm(row)
-	h := s.terms.hash(t)
-	if id, dup := s.terms.find(t, h); dup {
-		return fmt.Errorf("%w: %s is already in rdf_value$ as VALUE_ID %d", reldb.ErrUniqueViolation, t, id)
+	}
+	stored := ValueRowTerm(row)
+	h := s.terms.hash(stored)
+	if prev, dup := s.terms.find(stored, h); dup {
+		return fmt.Errorf("%w: %s is already in rdf_value$ as VALUE_ID %d", reldb.ErrUniqueViolation, stored, prev)
 	}
 	if s.terms.n == maxTerms {
 		return fmt.Errorf("core: rdf_value$ is full: the term dictionary numbers %d rows", maxTerms)

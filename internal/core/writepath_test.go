@@ -44,7 +44,7 @@ func TestRepeatedTripleTouchesNoIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.InsertBatch("m", []BatchTriple{{Subject: sub, Predicate: prop, Object: obj}}) // COST 3
+	res, err := s.InsertBatchCtx(context.Background(), "m", []BatchTriple{{Subject: sub, Predicate: prop, Object: obj}}) // COST 3
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestInsertBatchAllocBudget(t *testing.T) {
 	}
 	next := 0
 	perBatch := testing.AllocsPerRun(runs, func() {
-		if _, err := s.InsertBatch("m", batches[next]); err != nil {
+		if _, err := s.InsertBatchCtx(context.Background(), "m", batches[next]); err != nil {
 			t.Fatal(err)
 		}
 		next++
@@ -201,7 +201,7 @@ func TestDictionaryOwnsItsStrings(t *testing.T) {
 		batch[i] = BatchTriple{Subject: rdfterm.NewURI(cut(len(tr[0]))), Predicate: rdfterm.NewURI(cut(len(tr[1])))}
 		batch[i].Object = rdfterm.Term{Kind: rdfterm.Literal, Value: cut(len(tr[2])), Language: cut(3)[1:]}
 	}
-	if _, err := s.InsertBatch("m", batch); err != nil {
+	if _, err := s.InsertBatchCtx(context.Background(), "m", batch); err != nil {
 		t.Fatal(err)
 	}
 	for i := range whole {

@@ -17,6 +17,7 @@ package load
 
 import (
 	"bufio"
+	"context"
 	"io"
 	"runtime"
 	"sync"
@@ -95,7 +96,7 @@ func Parse(r io.Reader, opts Options) ([]ntriples.Triple, error) {
 	return out, err
 }
 
-// BulkLoad streams r straight into store.InsertBatch on model — the
+// BulkLoad streams r straight into store.InsertBatchCtx on model — the
 // fast path for inputs without reification quads to fold. Each batch is
 // one write-lock acquisition and one WAL commit point.
 func BulkLoad(store *core.Store, model string, r io.Reader, opts Options) (int, error) {
@@ -105,7 +106,7 @@ func BulkLoad(store *core.Store, model string, r io.Reader, opts Options) (int, 
 		for _, t := range ts {
 			batch = append(batch, core.BatchTriple{Subject: t.Subject, Predicate: t.Predicate, Object: t.Object})
 		}
-		_, err := store.InsertBatch(model, batch)
+		_, err := store.InsertBatchCtx(context.Background(), model, batch)
 		return err
 	})
 }

@@ -30,7 +30,7 @@ func buildJoinStore(t testing.TB, w, total int) *core.Store {
 		if len(batch) == 0 {
 			return
 		}
-		if _, err := s.InsertBatch("big", batch); err != nil {
+		if _, err := s.InsertBatchCtx(context.Background(), "big", batch); err != nil {
 			t.Fatal(err)
 		}
 		batch = batch[:0]

@@ -23,6 +23,7 @@
 package reify
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -67,7 +68,7 @@ type Loader struct {
 	// uses (the internal/load pipeline). 0 or 1 parses serially; < 0
 	// uses GOMAXPROCS.
 	Workers int
-	// BatchSize is the number of statements per Store.InsertBatch group
+	// BatchSize is the number of statements per Store.InsertBatchCtx group
 	// — one write-lock acquisition and one WAL commit point each. It only
 	// places the commit points: the stored result does not depend on it.
 	// 0 or 1 commits every statement on its own.
@@ -204,7 +205,7 @@ func (l *Loader) loadParsed(triples []ntriples.Triple, stats Stats) (Stats, erro
 		}
 	}
 
-	// Pass 2: the fold, as three ordered streams through Store.InsertBatch
+	// Pass 2: the fold, as three ordered streams through Store.InsertBatchCtx
 	// — the quads' base triples, the reification rows that point at them,
 	// everything else — each cut into groups of BatchSize only to place
 	// the commit points (one write-lock acquisition and one WAL commit per
@@ -221,7 +222,7 @@ func (l *Loader) loadParsed(triples []ntriples.Triple, stats Stats) (Stats, erro
 		if len(group) == 0 {
 			return nil
 		}
-		res, err := l.Store.InsertBatch(l.Model, group)
+		res, err := l.Store.InsertBatchCtx(context.Background(), l.Model, group)
 		if err != nil {
 			return err
 		}

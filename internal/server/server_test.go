@@ -33,7 +33,7 @@ func testStore(t testing.TB) *core.Store {
 		{Subject: u("b"), Predicate: u("p"), Object: u("c")},
 		{Subject: u("a"), Predicate: u("name"), Object: rdfterm.NewLiteral("alice")},
 	}
-	if _, err := s.InsertBatch("m", batch); err != nil {
+	if _, err := s.InsertBatchCtx(context.Background(), "m", batch); err != nil {
 		t.Fatal(err)
 	}
 	return s

@@ -453,12 +453,12 @@ func (sv *Supervisor) noteMutation() {
 	sv.mu.Unlock()
 }
 
-// InsertBatch is Mutate(core.InsertBatch) with the result threaded out.
+// InsertBatch is Mutate(core.Store.InsertBatchCtx) with the result threaded out.
 func (sv *Supervisor) InsertBatch(model string, batch []core.BatchTriple) (core.BatchResult, error) {
 	var res core.BatchResult
 	err := sv.Mutate(func(st *core.Store) error {
 		var err error
-		res, err = st.InsertBatch(model, batch)
+		res, err = st.InsertBatchCtx(context.Background(), model, batch)
 		return err
 	})
 	return res, err

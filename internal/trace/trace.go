@@ -329,9 +329,12 @@ func (s *Span) SetAttr(key, value string) {
 	s.rec.mu.Unlock()
 }
 
-// SetInt records an integer attribute on the span.
+// SetInt records an integer attribute on the span. Nil-safe without
+// formatting the value.
 func (s *Span) SetInt(key string, value int64) {
-	s.SetAttr(key, fmt.Sprintf("%d", value))
+	if s != nil {
+		s.SetAttr(key, fmt.Sprintf("%d", value))
+	}
 }
 
 // SetError marks the span (and hence the trace) failed when err is

@@ -18,7 +18,9 @@
 // The pass tracks lock state linearly through each function body,
 // following if/for/switch structure; function literals are analyzed with
 // the state at their definition point (go statements with an empty
-// state, since the goroutine runs after the caller releases the lock).
+// state, since the goroutine runs after the caller releases the lock),
+// and literals passed to a transaction wrapper — a method that calls a
+// parameter after locking its receiver — with that mutex held.
 // Locals are exempt: a store constructed inside the function is not yet
 // shared, so New()-style builders need no lock.
 package lockcheck
@@ -45,7 +47,8 @@ func run(pass *framework.Pass) error {
 	if len(g.Guarded) == 0 {
 		return nil
 	}
-	c := &checker{pass: pass, g: g, locking: map[*types.Func]bool{}}
+	c := &checker{pass: pass, g: g, locking: map[*types.Func]bool{},
+		runsArgs: map[*types.Func]bool{}, lockedLits: map[*ast.FuncLit]string{}}
 
 	// Phase 1: which methods acquire their receiver's guard mutex?
 	// (These are the "locking methods" a *Locked helper must not call.)
@@ -55,8 +58,8 @@ func run(pass *framework.Pass) error {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok && c.acquiresReceiverMutex(fd) {
-				c.locking[fn] = true
+			if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
+				c.locking[fn], c.runsArgs[fn] = c.acquiresReceiverMutex(fd)
 			}
 		}
 	}
@@ -78,6 +81,10 @@ type checker struct {
 	pass    *framework.Pass
 	g       *guard.Info
 	locking map[*types.Func]bool
+	// runsArgs marks the locking methods that are transaction wrappers;
+	// lockedLits maps a literal passed to one to its mutex's state key.
+	runsArgs   map[*types.Func]bool
+	lockedLits map[*ast.FuncLit]string
 
 	// Per-function state:
 	fn       *ast.FuncDecl
@@ -120,32 +127,33 @@ func (st lockState) inherit() lockState {
 }
 
 // acquiresReceiverMutex reports whether fd's body contains a direct
-// Lock/RLock of a guard mutex rooted at fd's receiver.
-func (c *checker) acquiresReceiverMutex(fd *ast.FuncDecl) bool {
-	if fd.Recv == nil {
-		return false
-	}
+// Lock/RLock of a guard mutex rooted at fd's receiver, and whether it
+// calls one of its own parameters after that: a transaction wrapper.
+func (c *checker) acquiresReceiverMutex(fd *ast.FuncDecl) (locks, runsArgs bool) {
 	recv := receiverObj(c.pass, fd)
 	if recv == nil {
-		return false
+		return false, false
 	}
-	found := false
+	params := fd.Type.Params
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		op, mutexExpr := c.mutexOp(call)
-		if op != "Lock" && op != "RLock" {
-			return true
+		if id, ok := call.Fun.(*ast.Ident); ok && locks {
+			if v, ok := c.pass.TypesInfo.Uses[id].(*types.Var); ok && v.Pos() >= params.Pos() && v.Pos() < params.End() {
+				runsArgs = true
+			}
 		}
-		if root := guard.RootIdent(mutexExpr); root != nil && c.pass.TypesInfo.Uses[root] == recv {
-			found = true
-			return false
+		op, mutexExpr := c.mutexOp(call)
+		if op == "Lock" || op == "RLock" {
+			if root := guard.RootIdent(mutexExpr); root != nil && c.pass.TypesInfo.Uses[root] == recv {
+				locks = true
+			}
 		}
 		return true
 	})
-	return found
+	return locks, runsArgs
 }
 
 // mutexOp recognizes <expr>.mu.Lock()/RLock()/Unlock()/RUnlock() where mu
@@ -524,15 +532,35 @@ func (c *checker) scanExpr(e ast.Expr, st lockState) {
 	ast.Inspect(e, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.FuncLit:
-			c.walkStmts(x.Body.List, st.inherit())
+			inner := st.inherit()
+			if key, ok := c.lockedLits[x]; ok {
+				inner[key] = lockMode{held: true, inherited: true}
+			}
+			c.walkStmts(x.Body.List, inner)
 			return false
 		case *ast.CallExpr:
 			c.checkCall(x, st)
+			c.markLockedLits(x)
 		case *ast.SelectorExpr:
 			c.checkGuardedAccess(x, st)
 		}
 		return true
 	})
+}
+
+// markLockedLits records the function literals call passes to a
+// transaction wrapper, so scanExpr walks them with its mutex held.
+func (c *checker) markLockedLits(call *ast.CallExpr) {
+	fn, base := c.lockingMethodCall(call)
+	if fn == nil || !c.runsArgs[fn] || !c.enforceableRoot(base) {
+		return
+	}
+	tn := guard.NamedOf(c.pass.TypesInfo.Types[base].Type)
+	for _, arg := range call.Args {
+		if lit, ok := arg.(*ast.FuncLit); ok && tn != nil {
+			c.lockedLits[lit] = c.mutexKeyFor(base, tn)
+		}
+	}
 }
 
 // checkGuardedAccess flags guarded field reads outside the lock.

@@ -89,3 +89,31 @@ func (s *Store) Async() {
 		s.tab.Insert(1) // want `exported Async accesses guarded field s\.tab without holding s\.mu`
 	}()
 }
+
+// write is a transaction wrapper: it runs fn with the lock held.
+func (s *Store) write(fn func()) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	fn()
+}
+
+// Nested calls a locking method inside the wrapper's callback.
+func (s *Store) Nested() {
+	s.write(func() {
+		s.Reload() // want `Nested calls Reload while holding s\.mu`
+	})
+}
+
+// early runs fn before it takes the lock, so fn gets no lock from it.
+func (s *Store) early(fn func()) {
+	fn()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+}
+
+// Early relies on a lock early does not hold while fn runs.
+func (s *Store) Early() {
+	s.early(func() {
+		s.seq++ // want `exported Early accesses guarded field s\.seq without holding s\.mu`
+	})
+}

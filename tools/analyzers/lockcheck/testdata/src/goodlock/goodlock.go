@@ -1,7 +1,8 @@
 // Package goodlock exercises the patterns lockcheck must accept: defer
 // unlocks, manual unlock on every path, *Locked helpers, constructors on
-// unshared locals, goroutines that lock for themselves, and multi-level
-// receiver chains. The analyzer must stay silent on this package.
+// unshared locals, goroutines that lock for themselves, multi-level
+// receiver chains, and callbacks of a transaction wrapper that runs them
+// under the lock. The analyzer must stay silent on this package.
 package goodlock
 
 import "sync"
@@ -154,4 +155,21 @@ func (r *Ring) emitLocked(v int) {
 	}
 	r.buf[r.next%len(r.buf)] = v
 	r.next++
+}
+
+// write is a transaction wrapper: it runs fn with the lock held.
+func (s *Store) write(fn func() error) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return fn()
+}
+
+// Put touches guarded state inside the wrapper's callback, which runs
+// under the lock write takes.
+func (s *Store) Put(v int) error {
+	return s.write(func() error {
+		s.tab.Insert(v)
+		s.seq++
+		return nil
+	})
 }

@@ -9,6 +9,8 @@ func (t *Table) Insert(v int) { t.rows = append(t.rows, v) }
 func (t *Table) Delete(i int) {}
 func (t *Table) Len() int     { return len(t.rows) }
 
+func (t *Table) InsertOrGet(v int) bool { t.Insert(v); return true }
+
 type Store struct {
 	mu  sync.Mutex
 	tab *Table //repro:guarded-by mu
@@ -49,8 +51,23 @@ func (s *Store) mergeLocked(v int) { s.tab.Insert(v) }
 func (s *Store) Reset() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.logRecord("reset") // want `result of logRecord is discarded`
+	s.logRecord("reset")           // want `result of logRecord is discarded`
 	_ = s.logRecord("reset-again") // want `result of logRecord is discarded`
 	s.tab.Delete(0)
-	return s.logCommit()
+	return s.logCommit() // want `logCommit has 2 call sites in package badwal; seal every mutation at one commit point`
+}
+
+// Upsert hides its mutation in InsertOrGet, which changes the table as
+// surely as Insert does, and never touches the WAL.
+func (s *Store) Upsert(v int) bool { // want `exported Upsert mutates guarded state \(s\.tab\.InsertOrGet\) but never calls logRecord`
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.tab.InsertOrGet(v)
+}
+
+// Sync seals the WAL at a second commit point beside Reset's.
+func (s *Store) Sync() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.logCommit() // want `logCommit has 2 call sites in package badwal; seal every mutation at one commit point`
 }

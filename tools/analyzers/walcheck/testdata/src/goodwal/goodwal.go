@@ -1,5 +1,6 @@
 // Package goodwal exercises the durable-mutation shapes walcheck must
-// accept: record+commit inline, logging delegated to a helper, read-only
+// accept: record and mutation inside a transaction wrapper that seals
+// them at the one commit point, logging delegated to a helper, read-only
 // exported methods, and a justified replay exemption.
 package goodwal
 
@@ -20,23 +21,33 @@ type Store struct {
 func (s *Store) logRecord(op string) error { s.wal = append(s.wal, op); return nil }
 func (s *Store) logCommit() error          { s.wal = append(s.wal, "commit"); return nil }
 
-// Insert follows the contract inline: record, mutate, commit.
-func (s *Store) Insert(v int) error {
+// write runs fn under the lock and seals what it logged: the package's
+// one commit point.
+func (s *Store) write(fn func() error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.logRecord("insert"); err != nil {
+	if err := fn(); err != nil {
 		return err
 	}
-	s.tab.Insert(v)
 	return s.logCommit()
 }
 
-// Remove delegates both the mutation and the logging to a helper; the
-// transitive walk must find them there.
+// Insert follows the contract inside the wrapper: record, mutate, and
+// the wrapper commits.
+func (s *Store) Insert(v int) error {
+	return s.write(func() error {
+		if err := s.logRecord("insert"); err != nil {
+			return err
+		}
+		s.tab.Insert(v)
+		return nil
+	})
+}
+
+// Remove delegates the mutation and the logging to a helper; the
+// transitive walk must find them there, and the commit in write.
 func (s *Store) Remove(i int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.removeLocked(i)
+	return s.write(func() error { return s.removeLocked(i) })
 }
 
 func (s *Store) removeLocked(i int) error {
@@ -44,7 +55,7 @@ func (s *Store) removeLocked(i int) error {
 		return err
 	}
 	s.tab.Delete(i)
-	return s.logCommit()
+	return nil
 }
 
 // Len reads guarded state without mutating; no WAL obligation.

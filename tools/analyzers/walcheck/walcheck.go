@@ -1,16 +1,23 @@
 // Package walcheck enforces the store's durability contract: an exported
 // method of a guard-annotated struct (see repro/tools/analyzers/guard)
-// that mutates a guarded table — calling Insert, Update, UpdateColumn,
-// Delete, or TruncatePartition on a //repro:guarded-by field, directly
-// or through intra-package helpers — must, somewhere in the same call
-// graph, append a WAL record (logRecord) and seal it (logCommit).
-// Otherwise a crash after the in-memory mutation loses the change, which
-// is exactly the failure the write-ahead log exists to prevent.
+// that mutates a guarded table — calling Insert, InsertOrGet, Update,
+// UpdateColumn, Delete, or TruncatePartition on a //repro:guarded-by
+// field, directly or through intra-package helpers — must, somewhere in
+// the same call graph, append a WAL record (logRecord) and seal it
+// (logCommit). Otherwise a crash after the in-memory mutation loses the
+// change, which is exactly the failure the write-ahead log exists to
+// prevent.
 //
 // The pass also flags discarded logRecord errors: a WAL append that
 // fails and is ignored silently downgrades the store to best-effort
 // durability, so `s.logRecord(...)` as a bare statement or assigned to
 // blank is reported.
+//
+// Two rules keep the write path single: logCommit has one call site, and
+// in a package that marks its WAL applier (`//repro:wal-applier`) only
+// the applier and helpers called only from applier-only code mutate a
+// guarded table directly — live mutations hand it records, so replay
+// rebuilds exactly what they built.
 //
 // Replay-style code that re-applies records already present in the WAL
 // is the intended exemption; it carries a justified //repro:vet-ignore.
@@ -19,6 +26,8 @@ package walcheck
 import (
 	"go/ast"
 	"go/types"
+	"slices"
+	"strings"
 
 	"repro/tools/analyzers/framework"
 	"repro/tools/analyzers/guard"
@@ -27,7 +36,7 @@ import (
 // Analyzer is the walcheck pass.
 var Analyzer = &framework.Analyzer{
 	Name:          "walcheck",
-	Doc:           "check that guarded-table mutations reach logRecord+logCommit and that logRecord errors are handled",
+	Doc:           "check that guarded-table mutations reach logRecord+logCommit, happen only in the WAL applier, and are sealed at one commit point, and that logRecord errors are handled",
 	Run:           run,
 	SkipTestFiles: true,
 }
@@ -35,6 +44,7 @@ var Analyzer = &framework.Analyzer{
 // mutators are the table methods that change durable state.
 var mutators = map[string]bool{
 	"Insert":            true,
+	"InsertOrGet":       true,
 	"Update":            true,
 	"UpdateColumn":      true,
 	"Delete":            true,
@@ -46,12 +56,13 @@ type funcFacts struct {
 	decl *ast.FuncDecl
 	// mutation is a rendered example like "s.links.Insert" ("" when the
 	// body performs no guarded-table mutation).
-	mutation    string
-	logsRecord  bool
-	logsCommit  bool
+	mutation   string
+	logsRecord bool
+	logsCommit bool
 	calls      []*types.Func // intra-package callees
 	onGuarded  bool          // method on a guard-annotated struct
 	isExported bool
+	applier    bool // marked //repro:wal-applier
 }
 
 func run(pass *framework.Pass) error {
@@ -62,6 +73,10 @@ func run(pass *framework.Pass) error {
 	w := &walker{pass: pass, g: g, facts: map[*types.Func]*funcFacts{}}
 
 	for _, f := range pass.Files {
+		// Tests call helpers freely; they are no part of the write path.
+		if strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
+			continue
+		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -74,6 +89,15 @@ func run(pass *framework.Pass) error {
 			w.facts[fn] = w.collect(fd)
 		}
 	}
+
+	if len(w.commits) > 1 {
+		for _, call := range w.commits {
+			w.pass.Reportf(call.Pos(),
+				"logCommit has %d call sites in package %s; seal every mutation at one commit point",
+				len(w.commits), w.pass.Pkg.Name())
+		}
+	}
+	w.checkApplier()
 
 	for fn, facts := range w.facts {
 		if !facts.onGuarded || !facts.isExported {
@@ -98,15 +122,58 @@ func run(pass *framework.Pass) error {
 }
 
 type walker struct {
-	pass  *framework.Pass
-	g     *guard.Info
-	facts map[*types.Func]*funcFacts
+	pass    *framework.Pass
+	g       *guard.Info
+	facts   map[*types.Func]*funcFacts
+	commits []*ast.CallExpr // every logCommit call site
+}
+
+// checkApplier reports, in a package that marks its WAL applier, every
+// direct guarded-table mutation outside applier-only code.
+func (w *walker) checkApplier() {
+	named := false
+	only := map[*types.Func]bool{}
+	callers := map[*types.Func][]*types.Func{}
+	for fn, facts := range w.facts {
+		named = named || facts.applier
+		only[fn] = facts.applier
+		for _, callee := range facts.calls {
+			callers[callee] = append(callers[callee], fn)
+		}
+	}
+	for grew := named; grew; {
+		grew = false
+		for fn, cs := range callers {
+			n := 0
+			for _, c := range cs {
+				if c == fn || only[c] {
+					n++
+				}
+			}
+			if !only[fn] && n == len(cs) {
+				only[fn], grew = true, true
+			}
+		}
+	}
+	for fn, facts := range w.facts {
+		if named && facts.mutation != "" && !only[fn] {
+			w.pass.Reportf(facts.decl.Name.Pos(),
+				"%s mutates guarded state (%s) outside the WAL applier; build the record and let the applier apply it",
+				fn.Name(), facts.mutation)
+		}
+	}
 }
 
 // collect scans one function body for mutations, log calls, intra-package
 // callees, and discarded logRecord errors.
 func (w *walker) collect(fd *ast.FuncDecl) *funcFacts {
-	facts := &funcFacts{decl: fd, isExported: ast.IsExported(fd.Name.Name)}
+	facts := &funcFacts{
+		decl:       fd,
+		isExported: ast.IsExported(fd.Name.Name),
+		applier: fd.Doc != nil && slices.ContainsFunc(fd.Doc.List, func(c *ast.Comment) bool {
+			return c.Text == "//repro:wal-applier"
+		}),
+	}
 	if fd.Recv != nil && len(fd.Recv.List) > 0 {
 		if tn := guard.NamedOf(w.pass.TypesInfo.Types[fd.Recv.List[0].Type].Type); tn != nil && w.g.ByType[tn] != nil {
 			facts.onGuarded = true
@@ -164,6 +231,7 @@ func (w *walker) collectCall(facts *funcFacts, call *ast.CallExpr) {
 					facts.logsRecord = true
 				} else {
 					facts.logsCommit = true
+					w.commits = append(w.commits, call)
 				}
 			case mutators[fn.Name()] && w.guardedReceiver(fun.X):
 				if facts.mutation == "" {

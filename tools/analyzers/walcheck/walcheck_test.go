@@ -7,5 +7,5 @@ import (
 )
 
 func TestWalcheck(t *testing.T) {
-	framework.RunTest(t, "testdata", Analyzer, "badwal", "goodwal")
+	framework.RunTest(t, "testdata", Analyzer, "badwal", "goodwal", "badapply", "goodapply")
 }
