@@ -243,7 +243,7 @@ func run(args []string, stdout io.Writer) error {
 			}
 			rbNames = append(rbNames, "cli_rb")
 		}
-		ix, err := cat.CreateRulesIndex("cli_rix", []string{model}, rbNames)
+		ix, err := cat.CreateRulesIndex(context.Background(), "cli_rix", []string{model}, rbNames)
 		if err != nil {
 			return err
 		}

@@ -7,8 +7,8 @@
 //   - internal/reldb — an embedded relational engine (heap tables, B-tree,
 //     unique and function-based indexes, list partitioning, sequences,
 //     views, integrity checks), standing in for the Oracle storage layer;
-//   - internal/ndm — the Network Data Model (directed logical networks and
-//     the NDM analysis suite);
+//   - internal/ndm — the Network Data Model analysis suite, run over the
+//     RDF tables themselves (core.RDFNetwork);
 //   - internal/core — the paper's contribution: the central RDF schema
 //     (rdf_model$, rdf_value$, rdf_node$, rdf_link$, rdf_blank_node$), the
 //     SDO_RDF_TRIPLE / SDO_RDF_TRIPLE_S object types, and streamlined

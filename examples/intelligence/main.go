@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -25,6 +26,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	store := core.New()
 	govAliases := []rdfterm.Alias{
 		{Prefix: "gov", Namespace: "http://www.us.gov#"},
@@ -123,7 +125,7 @@ func main() {
 	}); err != nil {
 		log.Fatal(err)
 	}
-	ix, err := catalog.CreateRulesIndex("rdfs_rix_intel",
+	ix, err := catalog.CreateRulesIndex(ctx, "rdfs_rix_intel",
 		[]string{"cia", "dhs", "fbi"},
 		[]string{inference.RDFSRulebaseName, "intel_rb"})
 	if err != nil {
@@ -152,7 +154,7 @@ func main() {
 
 	// SELECT a.name, b.address FROM TABLE(SDO_RDF_MATCH(...)) a, ic.address b
 	// WHERE a.name = b.name;
-	rs, err := match.Match(store, `(gov:files gov:terrorSuspect ?name)`, match.Options{
+	rs, err := match.MatchContext(ctx, store, `(gov:files gov:terrorSuspect ?name)`, match.Options{
 		Models:    []string{"cia", "dhs", "fbi"},
 		Rulebases: []string{inference.RDFSRulebaseName, "intel_rb"},
 		Resolver:  catalog,

@@ -120,7 +120,10 @@ func main() {
 	fmt.Println()
 
 	// Weakly connected components.
-	comps := ndm.ConnectedComponents(net)
+	comps, err := ndm.ConnectedComponents(ctx, net)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\nconnected components: %d\n", len(comps))
 	for i, comp := range comps {
 		fmt.Printf("  component %d:", i+1)
@@ -131,7 +134,7 @@ func main() {
 	}
 
 	// Minimum-cost spanning tree of alice's component.
-	edgesMCST, total, err := ndm.MinimumCostSpanningTree(net, id("ex:alice"))
+	edgesMCST, total, err := ndm.MinimumCostSpanningTree(ctx, net, id("ex:alice"))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,6 +19,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	store := core.New()
 	if _, err := store.CreateRDFModel("intel", "", ""); err != nil {
 		log.Fatal(err)
@@ -79,7 +81,7 @@ func main() {
 
 	// 2. Everything a given source has vouched for: match on the source,
 	// resolve each DBUri to its base statement.
-	rs, err := match.Match(store, `(src:Interpol gov:source ?stmt)`, match.Options{
+	rs, err := match.MatchContext(ctx, store, `(src:Interpol gov:source ?stmt)`, match.Options{
 		Models:  []string{"intel"},
 		Aliases: aliases,
 	})
@@ -101,7 +103,7 @@ func main() {
 
 	// 3. Separate facts from hearsay using CONTEXT (D vs I).
 	fmt.Println("\nterror suspects by evidence level:")
-	suspects, err := store.Find("intel", core.Pattern{
+	suspects, err := store.Find(ctx, "intel", core.Pattern{
 		Subject:   core.P(rdfterm.NewURI("http://www.us.gov#files")),
 		Predicate: core.P(rdfterm.NewURI("http://www.us.gov#terrorSuspect")),
 	})

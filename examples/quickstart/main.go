@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -71,7 +72,7 @@ func main() {
 		store.TotalTriples(), store.NumValues(), store.NumNodes())
 
 	// Step 5: SDO_RDF_MATCH (§6.1).
-	rs, err := match.Match(store, `(gov:files gov:terrorSuspect ?who)`, match.Options{
+	rs, err := match.MatchContext(context.Background(), store, `(gov:files gov:terrorSuspect ?who)`, match.Options{
 		Models:  []string{"cia"},
 		Aliases: aliases,
 	})

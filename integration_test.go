@@ -97,12 +97,17 @@ func TestPipelineGenerateSerializeLoadQuery(t *testing.T) {
 		t.Fatalf("probe CONTEXT = %s", info.Context)
 	}
 	// Subject query returns the probe's 24 rows.
-	rows, err := store.FindBySubjectText("up", uniprot.ProbeSubject)
+	rows, err := store.Find(context.Background(), "up", core.Pattern{Subject: core.P(rdfterm.NewURI(uniprot.ProbeSubject))})
 	if err != nil || len(rows) != uniprot.ProbeRows {
 		t.Fatalf("probe rows = %d, %v", len(rows), err)
 	}
+	for _, ts := range rows {
+		if _, err := ts.GetTriple(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	// Match sees the same rows.
-	rs, err := match.Match(store, fmt.Sprintf("(<%s> ?p ?o)", uniprot.ProbeSubject),
+	rs, err := match.MatchContext(context.Background(), store, fmt.Sprintf("(<%s> ?p ?o)", uniprot.ProbeSubject),
 		match.Options{Models: []string{"up"}})
 	if err != nil || rs.Len() != uniprot.ProbeRows {
 		t.Fatalf("match rows = %d, %v", rs.Len(), err)
@@ -169,7 +174,7 @@ func TestCoreVsJenaFindEquivalence(t *testing.T) {
 		{Subject: &sub, Predicate: &pred},
 	}
 	for qi, q := range queries {
-		coreRes, err := store.Find("m", q)
+		coreRes, err := store.Find(context.Background(), "m", q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,10 +217,10 @@ func TestInferenceOverLoadedCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	cat := inference.NewCatalog(store)
-	if _, err := cat.CreateRulesIndex("upix", []string{"up"}, []string{inference.RDFSRulebaseName}); err != nil {
+	if _, err := cat.CreateRulesIndex(context.Background(), "upix", []string{"up"}, []string{inference.RDFSRulebaseName}); err != nil {
 		t.Fatal(err)
 	}
-	rs, err := match.Match(store,
+	rs, err := match.MatchContext(context.Background(), store,
 		fmt.Sprintf("(?x rdf:type <%sMacromolecule>)", uniprot.CoreNS),
 		match.Options{
 			Models:    []string{"up"},
@@ -271,9 +276,9 @@ func TestNetworkAnalysisOverLoadedData(t *testing.T) {
 	if len(reach) == 0 || len(reach) > uniprot.ProbeRows {
 		t.Fatalf("probe reachable set = %d", len(reach))
 	}
-	comps := ndm.ConnectedComponents(net)
-	if len(comps) == 0 {
-		t.Fatal("no components")
+	comps, err := ndm.ConnectedComponents(context.Background(), net)
+	if err != nil || len(comps) == 0 {
+		t.Fatalf("no components: %v", err)
 	}
 	total := 0
 	for _, c := range comps {
@@ -309,7 +314,7 @@ func TestDeleteKeepsSystemsConsistent(t *testing.T) {
 	if _, ok, _ := store.IsTriple("m", "x:a", "x:p", "x:b", a); ok {
 		t.Fatal("deleted triple still visible")
 	}
-	rs, err := match.Match(store, "(?s ?p ?o)", match.Options{Models: []string{"m"}})
+	rs, err := match.MatchContext(context.Background(), store, "(?s ?p ?o)", match.Options{Models: []string{"m"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +435,7 @@ func TestRDFXMLThroughFullStack(t *testing.T) {
 	if got {
 		t.Fatal("plain statement reified")
 	}
-	rs, err := match.Match(store, `(?s <http://www.us.gov#terrorSuspect> ?o)`, match.Options{Models: []string{"m"}})
+	rs, err := match.MatchContext(context.Background(), store, `(?s <http://www.us.gov#terrorSuspect> ?o)`, match.Options{Models: []string{"m"}})
 	if err != nil || rs.Len() != 2 {
 		t.Fatalf("match rows = %d, %v", rs.Len(), err)
 	}

@@ -85,7 +85,7 @@ func TestEveryIndexIsAnAccessPath(t *testing.T) {
 		"Find(o)": {Object: &obj}, "Find()": {},
 	} {
 		step(name, func() {
-			ts, err := s.FindModels([]string{"m", "other"}, pat)
+			ts, err := s.FindModelsCtx(context.Background(), []string{"m", "other"}, pat)
 			must(err)
 			for _, found := range ts {
 				_, err := found.GetTriple()
@@ -232,7 +232,7 @@ func TestEveryIndexIsAnAccessPath(t *testing.T) {
 // subject, predicate and canonical object IDs, 0 where unbound).
 func findMatchesCollect(t *testing.T, s *Store, pat Pattern, ids [3]int64) {
 	t.Helper()
-	found, err := s.Find("m", pat)
+	found, err := s.Find(context.Background(), "m", pat)
 	mid, _ := s.GetModelID("m")
 	var links []LinkIDs
 	if err == nil {

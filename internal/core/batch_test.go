@@ -227,7 +227,7 @@ func TestTermDictionaryComplete(t *testing.T) {
 		if _, ok, _ := st.IsTripleTerms("m", subj, pred, rdfterm.NewURI("http://obj/absent")); ok {
 			t.Fatalf("%s: absent term resolved", name)
 		}
-		got, err := st.Find("m", Pattern{Subject: &subj})
+		got, err := st.Find(context.Background(), "m", Pattern{Subject: &subj})
 		if err != nil || len(got) != 200 {
 			t.Fatalf("%s: Find by subject = %d triples, err %v", name, len(got), err)
 		}

@@ -35,15 +35,15 @@ func seedLargeModel(t testing.TB, s *Store, m string, n int) {
 
 // A cancelled context aborts a full-scan Find over a 100k-triple model
 // promptly — and the read lock is released, so writers proceed.
-func TestFindCtxCancelReleasesPromptly(t *testing.T) {
+func TestFindCancelReleasesPromptly(t *testing.T) {
 	s := newStoreWithModel(t, "big")
 	seedLargeModel(t, s, "big", 100000)
 
 	// Already-cancelled context: immediate error, no scanning.
 	pre, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.FindCtx(pre, "big", Pattern{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("FindCtx with cancelled ctx = %v", err)
+	if _, err := s.Find(pre, "big", Pattern{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Find with cancelled ctx = %v", err)
 	}
 
 	// Cancel mid-scan: the scan must notice within 100ms.
@@ -52,7 +52,7 @@ func TestFindCtxCancelReleasesPromptly(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		close(started)
-		_, err := s.FindCtx(ctx, "big", Pattern{})
+		_, err := s.Find(ctx, "big", Pattern{})
 		done <- err
 	}()
 	<-started
@@ -63,13 +63,13 @@ func TestFindCtxCancelReleasesPromptly(t *testing.T) {
 		// The scan may legitimately have finished before the cancel won
 		// the race; only a cancellation slower than 100ms is a failure.
 		if err != nil && !errors.Is(err, context.Canceled) {
-			t.Fatalf("FindCtx returned unexpected error: %v", err)
+			t.Fatalf("Find returned unexpected error: %v", err)
 		}
 		if d := time.Since(cancelledAt); d > 100*time.Millisecond {
-			t.Fatalf("FindCtx returned %v after cancellation (budget 100ms)", d)
+			t.Fatalf("Find returned %v after cancellation (budget 100ms)", d)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("FindCtx did not return after cancellation")
+		t.Fatal("Find did not return after cancellation")
 	}
 
 	// The read lock must be free: a write completes immediately.
@@ -88,13 +88,13 @@ func TestFindCtxCancelReleasesPromptly(t *testing.T) {
 	}
 }
 
-func TestExportModelCtxCancel(t *testing.T) {
+func TestExportModelCancel(t *testing.T) {
 	s := newStoreWithModel(t, "m")
 	seedLargeModel(t, s, "m", 2000)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := s.ExportModelCtx(ctx, "m", discard{}, ExportOptions{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ExportModelCtx with cancelled ctx = %v", err)
+	if err := s.ExportModel(ctx, "m", discard{}, ExportOptions{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ExportModel with cancelled ctx = %v", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -100,7 +101,7 @@ func TestConcurrentReadersWriterStress(t *testing.T) {
 		}()
 	}
 	reader(0, func(i int) error {
-		_, err := s.Find(fmt.Sprintf("m%d", i%models), Pattern{})
+		_, err := s.Find(context.Background(), fmt.Sprintf("m%d", i%models), Pattern{})
 		return err
 	})
 	reader(1, func(i int) error {
@@ -120,7 +121,7 @@ func TestConcurrentReadersWriterStress(t *testing.T) {
 		if i%4 != 0 {
 			return nil
 		}
-		return s.ExportModel(fmt.Sprintf("m%d", i%models), io.Discard, ExportOptions{})
+		return s.ExportModel(context.Background(), fmt.Sprintf("m%d", i%models), io.Discard, ExportOptions{})
 	})
 	reader(3, func(i int) error {
 		// Full invariant sweeps hold the read lock for a while; mix them
@@ -215,7 +216,7 @@ func TestDegradedReadsWhileWritesRejected(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				rows, err := s.Find("m", Pattern{})
+				rows, err := s.Find(context.Background(), "m", Pattern{})
 				if err != nil {
 					errCh <- fmt.Errorf("read while degraded: %w", err)
 					return

@@ -130,7 +130,7 @@ func (s *Store) containerMembersLocked(mid int64, container rdfterm.Term) ([]rdf
 // node is not typed as a container in the model.
 func (s *Store) ContainerKindOf(model string, node rdfterm.Term) (ContainerKind, error) {
 	typ := rdfterm.NewURI(rdfterm.RDFType)
-	ts, err := s.Find(model, Pattern{Subject: &node, Predicate: &typ})
+	ts, err := s.Find(context.Background(), model, Pattern{Subject: &node, Predicate: &typ})
 	if err != nil {
 		return "", err
 	}

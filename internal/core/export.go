@@ -22,15 +22,10 @@ type ExportOptions struct {
 	ExpandReification bool
 }
 
-// ExportModel writes the model to w.
-func (s *Store) ExportModel(model string, w io.Writer, opts ExportOptions) error {
-	return s.ExportModelCtx(context.Background(), model, w, opts)
-}
-
-// ExportModelCtx is ExportModel with cancellation: both the locked link
-// scan and the per-triple serialization loop poll ctx, so a long export
-// can be aborted by deadline or cancel without finishing the pass.
-func (s *Store) ExportModelCtx(ctx context.Context, model string, w io.Writer, opts ExportOptions) error {
+// ExportModel writes the model to w. Both the locked link scan and the
+// per-triple serialization loop poll ctx, so a long export can be aborted
+// by deadline or cancel without finishing the pass.
+func (s *Store) ExportModel(ctx context.Context, model string, w io.Writer, opts ExportOptions) error {
 	// Snapshot the link set under the read lock, then release it: the
 	// per-triple value lookups below take their own read locks, and
 	// RWMutex read locks must not nest.

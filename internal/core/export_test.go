@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -15,7 +16,7 @@ func TestExportModelRoundTrip(t *testing.T) {
 	s.NewTripleS("m", "_:x", "gov:p", `"25"^^xsd:int`, a)
 
 	var buf strings.Builder
-	if err := s.ExportModel("m", &buf, ExportOptions{}); err != nil {
+	if err := s.ExportModel(context.Background(), "m", &buf, ExportOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ntriples.NewReader(strings.NewReader(buf.String())).ReadAll()
@@ -49,7 +50,7 @@ func TestExportModelExpandReification(t *testing.T) {
 	}
 	// Store now has 3 rows: base, reification, assertion.
 	var buf strings.Builder
-	if err := s.ExportModel("m", &buf, ExportOptions{ExpandReification: true}); err != nil {
+	if err := s.ExportModel(context.Background(), "m", &buf, ExportOptions{ExpandReification: true}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -90,7 +91,7 @@ func TestExportModelExpandReification(t *testing.T) {
 
 func TestExportMissingModel(t *testing.T) {
 	s := New()
-	if err := s.ExportModel("ghost", &strings.Builder{}, ExportOptions{}); err == nil {
+	if err := s.ExportModel(context.Background(), "ghost", &strings.Builder{}, ExportOptions{}); err == nil {
 		t.Fatal("missing model accepted")
 	}
 }

@@ -30,16 +30,10 @@ const cancelEvery = 256
 // rdf_link$ through the access-path table of scanLinksLocked: an
 // (S,M[,P[,O]]) prefix of the unique SMPO index, (M,P) on the predicate
 // index, (O-canon,M) on the object index, or the model's partition for a
-// fully unbound pattern.
-func (s *Store) Find(model string, pat Pattern) ([]TripleS, error) {
-	return s.FindCtx(context.Background(), model, pat)
-}
-
-// FindCtx is Find with cancellation: the scan aborts (returning ctx.Err
-// wrapped) as soon as ctx is done, checking every cancelEvery rows, so a
-// runaway query releases the read lock promptly after a cancel or
-// deadline.
-func (s *Store) FindCtx(ctx context.Context, model string, pat Pattern) ([]TripleS, error) {
+// fully unbound pattern. The scan aborts (returning ctx.Err wrapped) as
+// soon as ctx is done, checking every cancelEvery rows, so a runaway query
+// releases the read lock promptly after a cancel or deadline.
+func (s *Store) Find(ctx context.Context, model string, pat Pattern) ([]TripleS, error) {
 	t0 := s.met.startTimer()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -51,17 +45,12 @@ func (s *Store) FindCtx(ctx context.Context, model string, pat Pattern) ([]Tripl
 	return s.findModelLocked(ctx, mid, pat)
 }
 
-// FindModels runs Find over several models, concatenating results — the
+// FindModelsCtx runs Find over several models, concatenating results — the
 // multi-model scope of SDO_RDF_MATCH (§6.1). The whole call holds one
 // read lock: all model names are resolved up front (an unknown model
 // fails before any scanning), and a concurrent writer cannot commit
 // between the per-model scans, so the result is a consistent snapshot
-// across every model in the list.
-func (s *Store) FindModels(models []string, pat Pattern) ([]TripleS, error) {
-	return s.FindModelsCtx(context.Background(), models, pat)
-}
-
-// FindModelsCtx is FindModels with cancellation (see FindCtx).
+// across every model in the list. It polls ctx as Find does.
 func (s *Store) FindModelsCtx(ctx context.Context, models []string, pat Pattern) ([]TripleS, error) {
 	t0 := s.met.startTimer()
 	s.mu.RLock()
@@ -192,29 +181,4 @@ func (s *Store) scanLinksLocked(mid, sid, pid, canon int64, tick func() error, f
 		}
 	}
 	return err
-}
-
-// FindBySubjectText is the paper's Experiment II query shape: all triples
-// of a model whose subject text equals subject. It exercises the member-
-// function access path (value lookup → link index prefix scan).
-func (s *Store) FindBySubjectText(model, subject string) ([]Triple, error) {
-	return s.FindBySubjectTextCtx(context.Background(), model, subject)
-}
-
-// FindBySubjectTextCtx is FindBySubjectText with cancellation (see
-// FindCtx).
-func (s *Store) FindBySubjectTextCtx(ctx context.Context, model, subject string) ([]Triple, error) {
-	ts, err := s.FindCtx(ctx, model, Pattern{Subject: P(rdfterm.NewURI(subject))})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Triple, 0, len(ts))
-	for _, t := range ts {
-		tr, err := t.GetTriple()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, tr)
-	}
-	return out, nil
 }

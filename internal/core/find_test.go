@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -25,14 +26,14 @@ func TestFindSubjectObjectResidual(t *testing.T) {
 	o1 := rdfterm.NewURI("http://www.us.gov#o1")
 	o2 := rdfterm.NewURI("http://www.us.gov#o2")
 
-	got, err := s.Find("m", Pattern{Subject: &sub, Object: &o2})
+	got, err := s.Find(context.Background(), "m", Pattern{Subject: &sub, Object: &o2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 2 {
 		t.Fatalf("s1/?p/o2 matched %d rows, want 2", len(got))
 	}
-	got, err = s.Find("m", Pattern{Subject: &sub, Object: &o1})
+	got, err = s.Find(context.Background(), "m", Pattern{Subject: &sub, Object: &o1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestFindSubjectObjectResidual(t *testing.T) {
 		t.Fatal(err)
 	}
 	alias := rdfterm.NewTypedLiteral("01", rdfterm.XSDInt)
-	got, err = s.Find("m", Pattern{Subject: &sub, Object: &alias})
+	got, err = s.Find(context.Background(), "m", Pattern{Subject: &sub, Object: &alias})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestFindModelsUnknownModel(t *testing.T) {
 	s := newStoreWithModel(t, "cia")
 	a := govAliases()
 	s.NewTripleS("cia", "gov:files", "gov:terrorSuspect", "id:JohnDoe", a)
-	out, err := s.FindModels([]string{"cia", "nope"}, Pattern{})
+	out, err := s.FindModelsCtx(context.Background(), []string{"cia", "nope"}, Pattern{})
 	if !errors.Is(err, ErrNoSuchModel) {
 		t.Fatalf("err = %v, want ErrNoSuchModel", err)
 	}
@@ -71,7 +72,7 @@ func TestFindModelsUnknownModel(t *testing.T) {
 	}
 }
 
-// TestFindModelsSnapshot: FindModels holds one read lock for the whole
+// TestFindModelsSnapshot: FindModelsCtx holds one read lock for the whole
 // multi-model scan. The writer inserts each triple into model a and
 // then model b, so in any consistent snapshot count(a) is count(b) or
 // count(b)+1. With per-model locking, a writer slipping between the a
@@ -108,7 +109,7 @@ func TestFindModelsSnapshot(t *testing.T) {
 			stop = true
 		default:
 		}
-		out, err := s.FindModels([]string{"a", "b"}, Pattern{Subject: &sub})
+		out, err := s.FindModelsCtx(context.Background(), []string{"a", "b"}, Pattern{Subject: &sub})
 		if err != nil {
 			t.Fatal(err)
 		}

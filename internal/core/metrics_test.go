@@ -23,7 +23,7 @@ func TestStoreMetricsSeries(t *testing.T) {
 	if _, err := s.InsertBatchCtx(context.Background(), "m", batch); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Find("m", Pattern{}); err != nil {
+	if _, err := s.Find(context.Background(), "m", Pattern{}); err != nil {
 		t.Fatal(err)
 	}
 

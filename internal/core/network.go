@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/ndm"
 	"repro/internal/rdfterm"
@@ -11,8 +12,9 @@ import (
 // RDFNetwork exposes the store's rdf_link$/rdf_node$ tables as an NDM
 // directed logical network (§1, §4): nodes are VALUE_IDs of subjects and
 // objects, links are triples, and link cost is the COST column. With a
-// model filter the network is restricted to selected models; with none it
-// spans the whole store — "analysis … across all applications in the
+// model filter the network is restricted to selected models — their links,
+// and the nodes those links start or end at; with none it spans the whole
+// store — "analysis … across all applications in the
 // database or on selected applications" (§1).
 type RDFNetwork struct {
 	store  *Store
@@ -40,8 +42,8 @@ func (s *Store) Network(models ...string) (*RDFNetwork, error) {
 // WithContext returns a view of the network whose traversals stop once
 // ctx is done: Nodes/OutLinks/InLinks simply stop visiting, so any NDM
 // analysis running over the view winds down instead of walking the rest
-// of the graph. Pair with the ndm package's *Ctx analysis entry points,
-// which additionally report the cancellation as an error.
+// of the graph. Pair with the ndm analyses, which take the same ctx and
+// additionally report the cancellation as an error.
 func (n *RDFNetwork) WithContext(ctx context.Context) *RDFNetwork {
 	return &RDFNetwork{store: n.store, models: n.models, ctx: ctx}
 }
@@ -55,23 +57,72 @@ func (n *RDFNetwork) inScope(mid int64) bool {
 	return n.models == nil || n.models[mid]
 }
 
-// HasNode implements ndm.Graph over rdf_node$.
+// HasNode implements ndm.Graph. The whole-store network's nodes are the
+// rows of rdf_node$; a model-scoped network's are the nodes some link of a
+// selected model starts or ends at.
 func (n *RDFNetwork) HasNode(node int64) bool {
 	n.store.mu.RLock()
 	defer n.store.mu.RUnlock()
-	return n.store.nodePK.ContainsInts(node)
+	return n.hasNodeLocked(node)
+}
+
+// hasNodeLocked is HasNode's probe: one descent of rdf_node$'s index, or,
+// scoped, an (S,M) prefix of the subject index and an (O-canon,M) prefix
+// of the object index per selected model. Caller holds store.mu.
+func (n *RDFNetwork) hasNodeLocked(node int64) bool {
+	if n.models == nil {
+		return n.store.nodePK.ContainsInts(node)
+	}
+	found := false
+	stop := func(reldb.Cells) bool { found = true; return false }
+	for mid := range n.models {
+		if n.store.linkSMPO.ScanIntsCells([]int64{node, mid}, stop); found {
+			return true
+		}
+		if n.store.scanInLinksLocked(node, mid, stop); found {
+			return true
+		}
+	}
+	return false
 }
 
 // Nodes implements ndm.Graph. The node set is snapshotted under the
 // store's read lock and fn is invoked outside it, so analysis callbacks
-// may freely call back into the store (read locks must not nest).
+// may freely call back into the store (read locks must not nest). A
+// scoped network gathers the endpoints of its models' partitions and
+// visits them in ID order.
 func (n *RDFNetwork) Nodes(fn func(node int64) bool) {
-	n.store.mu.RLock()
 	var nodes []int64
-	n.store.nodes.ScanCells(func(c reldb.Cells) bool {
-		nodes = append(nodes, c.Int(0))
-		return len(nodes)%cancelEvery != 0 || !n.done()
-	})
+	scanned := 0
+	poll := func() bool {
+		scanned++
+		return scanned%cancelEvery != 0 || !n.done()
+	}
+	n.store.mu.RLock()
+	if n.models == nil {
+		n.store.nodes.ScanCells(func(c reldb.Cells) bool {
+			nodes = append(nodes, c.Int(0))
+			return poll()
+		})
+	} else {
+		seen := map[int64]bool{}
+		add := func(node int64) {
+			if !seen[node] {
+				seen[node] = true
+				nodes = append(nodes, node)
+			}
+		}
+		for mid := range n.models {
+			// rdf_link$ is partitioned by MODEL_ID, so the scan cannot
+			// fail.
+			_ = n.store.links.ScanPartitionCells(mid, func(c reldb.Cells) bool {
+				add(c.Int(lcStartNodeID))
+				add(c.Int(lcEndNodeID))
+				return poll()
+			})
+		}
+		slices.Sort(nodes)
+	}
 	n.store.mu.RUnlock()
 	n.store.met.onTraversalSteps(len(nodes))
 	for _, node := range nodes {
@@ -111,7 +162,7 @@ func (n *RDFNetwork) visit(fromEnd bool, node int64, otherCol int, fn func(linkI
 	}
 	n.store.mu.RLock()
 	if fromEnd {
-		n.store.scanInLinksLocked(node, collect)
+		n.store.scanInLinksLocked(node, 0, collect)
 	} else {
 		n.store.linkSMPO.ScanIntsCells([]int64{node}, collect)
 	}
@@ -124,11 +175,14 @@ func (n *RDFNetwork) visit(fromEnd bool, node int64, otherCol int, fn func(linkI
 	}
 }
 
-// NodeID resolves a term to its network node (VALUE_ID).
+// NodeID resolves a term to its network node (VALUE_ID). A term that is
+// interned but is not a node of this network — a predicate-only IRI, or a
+// node only other models use — has none.
 func (n *RDFNetwork) NodeID(t rdfterm.Term) (int64, bool) {
 	n.store.mu.RLock()
 	defer n.store.mu.RUnlock()
-	return n.store.lookupValueIDLocked(t)
+	id, ok := n.store.lookupValueIDLocked(t)
+	return id, ok && n.hasNodeLocked(id)
 }
 
 // NodeTerm resolves a network node back to its term.

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
 
 	"repro/internal/ndm"
+	"repro/internal/obs"
 	"repro/internal/rdfterm"
 )
 
@@ -133,8 +135,10 @@ func TestInLinksOfNonCanonicalLiteral(t *testing.T) {
 		t.Fatal("two spellings share a VALUE_ID")
 	}
 	// The canonical form of "007" is interned, and is no node.
-	seven, ok := n.NodeID(lit("7"))
-	if !ok || n.HasNode(seven) || len(inLinks(n, seven)) != 0 {
+	s.mu.RLock()
+	seven, ok := s.lookupValueIDLocked(lit("7"))
+	s.mu.RUnlock()
+	if _, node := n.NodeID(lit("7")); !ok || node || n.HasNode(seven) || len(inLinks(n, seven)) != 0 {
 		t.Errorf(`"7": interned %v, node %v, in-links %v`, ok, n.HasNode(seven), inLinks(n, seven))
 	}
 }
@@ -247,5 +251,111 @@ func TestNetworkNodesAndInLinks(t *testing.T) {
 	net.InLinks(cID, func(_, _ int64, _ float64) bool { n++; return false })
 	if n != 1 {
 		t.Fatalf("InLinks early stop visited %d", n)
+	}
+}
+
+// twoModelNetworkStore holds m1: a→b (and the typed literal "01"), and
+// m2: a→c, d→e, f→f (and "1"), so m2's c, d, e, f are nodes of the store
+// but not of m1, p is interned but is a node of neither, and "1" is the
+// canonical form of m1's "01" without being one of its nodes.
+func twoModelNetworkStore(t *testing.T) (*Store, []TripleS) {
+	t.Helper()
+	s := newStoreWithModel(t, "m1", "m2")
+	uri := func(x string) rdfterm.Term { return rdfterm.NewURI("http://n/" + x) }
+	lit := func(lex string) rdfterm.Term { return rdfterm.NewTypedLiteral(lex, rdfterm.XSDInt) }
+	return s, []TripleS{
+		mustInsert(t, s, "m1", uri("a"), uri("p"), uri("b")),
+		mustInsert(t, s, "m1", uri("a"), uri("p"), lit("01")),
+		mustInsert(t, s, "m2", uri("a"), uri("p"), uri("c")),
+		mustInsert(t, s, "m2", uri("d"), uri("p"), uri("e")),
+		mustInsert(t, s, "m2", uri("f"), uri("p"), uri("f")),
+		mustInsert(t, s, "m2", uri("g"), uri("p"), lit("1")),
+	}
+}
+
+// A network's nodes are the endpoints of its links: HasNode holds exactly
+// for the nodes Nodes visits, NodeID finds exactly those, and each has a
+// link in the network's scope.
+func TestNetworkNodesAreLinkEndpoints(t *testing.T) {
+	s, ts := twoModelNetworkStore(t)
+	var candidates []int64
+	for _, tr := range ts {
+		candidates = append(candidates, tr.SID, tr.PID, tr.OID)
+	}
+	for _, models := range [][]string{nil, {"m1"}, {"m2"}, {"m1", "m2"}} {
+		n := mustNetwork(t, s, models...)
+		nodes := map[int64]bool{}
+		n.Nodes(func(node int64) bool { nodes[node] = true; return true })
+		for node := range nodes {
+			if !n.HasNode(node) {
+				t.Errorf("models %v: Nodes visits %d, HasNode denies it", models, node)
+			}
+			if len(outLinks(n, node))+len(inLinks(n, node)) == 0 {
+				t.Errorf("models %v: node %d has no link in scope", models, node)
+			}
+		}
+		for _, id := range candidates {
+			if n.HasNode(id) != nodes[id] {
+				t.Errorf("models %v: HasNode(%d) = %v, Nodes visits it: %v", models, id, n.HasNode(id), nodes[id])
+			}
+			term, err := s.GetValue(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, ok := n.NodeID(term); ok != nodes[id] || ok && got != id {
+				t.Errorf("models %v: NodeID(%s) = %d, %v", models, term, got, ok)
+			}
+		}
+	}
+}
+
+func TestConnectedComponentsOfScopedNetwork(t *testing.T) {
+	s, _ := twoModelNetworkStore(t)
+	for _, tc := range []struct {
+		models []string
+		want   int
+	}{
+		{nil, 4},            // {a b c "01"} {d e} {f} {g "1"}
+		{[]string{"m1"}, 1}, // {a b "01"}
+		{[]string{"m2"}, 4}, // {a c} {d e} {f} {g "1"}
+		{[]string{"m1", "m2"}, 4},
+	} {
+		comps, err := ndm.ConnectedComponents(context.Background(), mustNetwork(t, s, tc.models...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(comps) != tc.want {
+			t.Errorf("models %v: %d components %v, want %d", tc.models, len(comps), comps, tc.want)
+		}
+	}
+}
+
+// ndm_traversal_steps_total counts the rows a traversal materialises: the
+// nodes Nodes visits and the links OutLinks and InLinks visit, scoped or
+// not (DESIGN.md §7).
+func TestNetworkCountsTraversalSteps(t *testing.T) {
+	s, ts := twoModelNetworkStore(t)
+	reg := obs.NewRegistry()
+	s.SetMetrics(NewMetrics(reg))
+	steps := func() int64 {
+		c, ok := reg.Snapshot().Counter("ndm_traversal_steps_total")
+		if !ok {
+			t.Fatal("ndm_traversal_steps_total not registered")
+		}
+		return c.Value
+	}
+	a, b := ts[0].SID, ts[0].OID
+	for _, models := range [][]string{nil, {"m1"}, {"m2"}} {
+		n := mustNetwork(t, s, models...)
+		visits := 0
+		count := func(int64, int64, float64) bool { visits++; return true }
+		before := steps()
+		n.Nodes(func(int64) bool { visits++; return true })
+		n.OutLinks(a, count)
+		n.InLinks(b, count)
+		n.InLinks(a, count)
+		if got := steps() - before; got != int64(visits) || visits == 0 {
+			t.Errorf("models %v: steps grew by %d for %d visited rows", models, got, visits)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"repro/internal/rdfterm"
 )
 
@@ -169,7 +171,7 @@ func (s *Store) isReifiedLocked(modelID, linkID int64) bool {
 // itself.
 func (s *Store) Assertions(model string, linkID int64) ([]Triple, error) {
 	dburi := rdfterm.NewURI(DBUri(linkID))
-	ts, err := s.Find(model, Pattern{Object: &dburi})
+	ts, err := s.Find(context.Background(), model, Pattern{Object: &dburi})
 	if err != nil {
 		return nil, err
 	}
@@ -192,7 +194,7 @@ func (s *Store) Assertions(model string, linkID int64) ([]Triple, error) {
 func (s *Store) ReifiedCount(model string) (int, error) {
 	typ := rdfterm.NewURI(rdfterm.RDFType)
 	stmt := rdfterm.NewURI(rdfterm.RDFStatement)
-	ts, err := s.Find(model, Pattern{Predicate: &typ, Object: &stmt})
+	ts, err := s.Find(context.Background(), model, Pattern{Predicate: &typ, Object: &stmt})
 	if err != nil {
 		return 0, err
 	}

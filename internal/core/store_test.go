@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -440,7 +441,7 @@ func TestFind(t *testing.T) {
 		{Pattern{Subject: P(rdfterm.NewURI("http://nope"))}, 0},
 	}
 	for i, c := range cases {
-		got, err := s.Find("m", c.pat)
+		got, err := s.Find(context.Background(), "m", c.pat)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -448,7 +449,7 @@ func TestFind(t *testing.T) {
 			t.Errorf("case %d: Find returned %d, want %d", i, len(got), c.want)
 		}
 	}
-	if _, err := s.Find("nope", Pattern{}); !errors.Is(err, ErrNoSuchModel) {
+	if _, err := s.Find(context.Background(), "nope", Pattern{}); !errors.Is(err, ErrNoSuchModel) {
 		t.Fatalf("Find on missing model: %v", err)
 	}
 }
@@ -459,9 +460,9 @@ func TestFindModels(t *testing.T) {
 	s.NewTripleS("cia", "gov:files", "gov:terrorSuspect", "id:JohnDoe", a)
 	s.NewTripleS("dhs", "gov:files", "gov:terrorSuspect", "id:JohnDoe", a)
 	prop := rdfterm.NewURI("http://www.us.gov#terrorSuspect")
-	all, err := s.FindModels([]string{"cia", "dhs"}, Pattern{Predicate: &prop})
+	all, err := s.FindModelsCtx(context.Background(), []string{"cia", "dhs"}, Pattern{Predicate: &prop})
 	if err != nil || len(all) != 2 {
-		t.Fatalf("FindModels = %d, %v", len(all), err)
+		t.Fatalf("FindModelsCtx = %d, %v", len(all), err)
 	}
 }
 

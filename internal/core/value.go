@@ -153,12 +153,12 @@ func valueTerm(valueType, text, datatype, language string) rdfterm.Term {
 }
 
 // scanInLinksLocked visits the rdf_link$ rows whose END_NODE_ID is node, in
-// every model, until fn returns false. rdf_link_om keys a link by its
-// object's canonical form, so the rows lie under the canonical VALUE_ID of
-// node's term — node itself, unless it is a literal written another way
-// ("01"^^xsd:int) — and those whose object is a different spelling of the
-// same value are passed over. Caller holds s.mu.
-func (s *Store) scanInLinksLocked(node int64, fn func(c reldb.Cells) bool) {
+// model mid (0: in every model), until fn returns false. rdf_link_om keys
+// a link by its object's canonical form, so the rows lie under the
+// canonical VALUE_ID of node's term — node itself, unless it is a literal
+// written another way ("01"^^xsd:int) — and those whose object is a
+// different spelling of the same value are passed over. Caller holds s.mu.
+func (s *Store) scanInLinksLocked(node, mid int64, fn func(c reldb.Cells) bool) {
 	canon := node
 	if t, err := s.getValueLocked(node); err == nil {
 		if c := rdfterm.Canonical(t); c != t {
@@ -169,7 +169,11 @@ func (s *Store) scanInLinksLocked(node int64, fn func(c reldb.Cells) bool) {
 			}
 		}
 	}
-	s.linkOM.ScanIntsCells([]int64{canon}, func(c reldb.Cells) bool {
+	prefix := []int64{canon, mid}
+	if mid == 0 {
+		prefix = prefix[:1]
+	}
+	s.linkOM.ScanIntsCells(prefix, func(c reldb.Cells) bool {
 		return c.Int(lcEndNodeID) != node || fn(c)
 	})
 }
@@ -191,7 +195,7 @@ func (s *Store) removeNodeIfOrphanLocked(valueID int64) {
 	used := false
 	mark := func(reldb.Cells) bool { used = true; return false }
 	if s.linkSMPO.ScanIntsCells([]int64{valueID}, mark); !used {
-		s.scanInLinksLocked(valueID, mark)
+		s.scanInLinksLocked(valueID, 0, mark)
 	}
 	if used {
 		return

@@ -24,6 +24,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"time"
@@ -609,7 +610,7 @@ func RunAblations() ([]Ablation, error) {
 		}
 		model := fmt.Sprintf("m%d", shape.models/2)
 		add(partitioning, shape.variant, func() error {
-			got, err := st.Find(model, core.Pattern{})
+			got, err := st.Find(context.Background(), model, core.Pattern{})
 			if err == nil && len(got) != shape.perModel {
 				err = fmt.Errorf("experiments: scan of %s = %d rows, want %d", model, len(got), shape.perModel)
 			}
@@ -644,7 +645,7 @@ func RunAblations() ([]Ablation, error) {
 	const rules = "Rules index vs. inferring per query (Figure 8 query)"
 	add(rules, "materialized rules index", fig8.query)
 	add(rules, "rebuild the index, then query", func() error {
-		if err := fig8.cat.Rebuild("rix"); err != nil {
+		if err := fig8.cat.Rebuild(context.Background(), "rix"); err != nil {
 			return err
 		}
 		return fig8.query()
@@ -769,7 +770,7 @@ func newFigure8() (*figure8, error) {
 		return nil, err
 	}
 	rulebases := []string{inference.RDFSRulebaseName, "intel_rb"}
-	if _, err := cat.CreateRulesIndex("rix", models, rulebases); err != nil {
+	if _, err := cat.CreateRulesIndex(context.Background(), "rix", models, rulebases); err != nil {
 		return nil, err
 	}
 	return &figure8{store: store, cat: cat, opts: match.Options{
@@ -779,7 +780,7 @@ func newFigure8() (*figure8, error) {
 
 // query runs the Figure 8 query; the inferred JimDoe makes three suspects.
 func (f *figure8) query() error {
-	rs, err := match.Match(f.store, `(gov:files gov:terrorSuspect ?name)`, f.opts)
+	rs, err := match.MatchContext(context.Background(), f.store, `(gov:files gov:terrorSuspect ?name)`, f.opts)
 	if err == nil && rs.Len() < 3 {
 		err = fmt.Errorf("experiments: Figure 8 query = %d rows, want at least 3", rs.Len())
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"sort"
 	"testing"
 
@@ -53,9 +54,17 @@ func TestFlatQueryMatchesMemberFunctions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bySubText, err := s.FindBySubjectText("m", subject)
+	var bySubText []core.Triple
+	found, err := s.Find(context.Background(), "m", core.Pattern{Subject: core.P(rdfterm.NewURI(subject))})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, ts := range found {
+		tr, err := ts.GetTriple()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bySubText = append(bySubText, tr)
 	}
 	canon := func(ts []core.Triple) []string {
 		out := make([]string, len(ts))
@@ -70,7 +79,7 @@ func TestFlatQueryMatchesMemberFunctions(t *testing.T) {
 		t.Fatalf("member rows = %d", len(want))
 	}
 	for name, got := range map[string][]core.Triple{
-		"flat": flat, "unindexed": unindexed, "findBySubjectText": bySubText,
+		"flat": flat, "unindexed": unindexed, "find by subject": bySubText,
 	} {
 		g := canon(got)
 		if len(g) != len(want) {

@@ -4,6 +4,7 @@ package inference
 // set-up cost, analogous to §7.3's note about reification set-up costs).
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -21,7 +22,7 @@ func BenchmarkRulesIndexBuild10k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := NewCatalog(s)
-		ix, err := c.CreateRulesIndex("ix", []string{"up"}, []string{RDFSRulebaseName})
+		ix, err := c.CreateRulesIndex(context.Background(), "ix", []string{"up"}, []string{RDFSRulebaseName})
 		if err != nil {
 			b.Fatal(err)
 		}

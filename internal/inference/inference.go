@@ -9,6 +9,7 @@
 package inference
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -179,8 +180,9 @@ func (ix *RulesIndex) IndexModel() string { return ix.indexModel }
 // CreateRulesIndex is SDO_RDF_INFERENCE.CREATE_RULES_INDEX (Figure 8): it
 // computes the fixpoint of the given rulebases over the given models and
 // materializes the *new* triples (those not present in any source model)
-// into a hidden model.
-func (c *Catalog) CreateRulesIndex(name string, models, rulebases []string) (*RulesIndex, error) {
+// into a hidden model. The rule evaluation polls ctx (see
+// match.MatchContext), so a long build can be cancelled.
+func (c *Catalog) CreateRulesIndex(ctx context.Context, name string, models, rulebases []string) (*RulesIndex, error) {
 	if name == "" {
 		return nil, fmt.Errorf("inference: empty index name")
 	}
@@ -208,7 +210,7 @@ func (c *Catalog) CreateRulesIndex(name string, models, rulebases []string) (*Ru
 		return nil, err
 	}
 	ix := &RulesIndex{name: name, models: models, rulebases: rulebases, indexModel: indexModel}
-	if err := c.populate(ix, rbs); err != nil {
+	if err := c.populate(ctx, ix, rbs); err != nil {
 		_ = c.store.DropRDFModel(indexModel)
 		return nil, err
 	}
@@ -234,8 +236,8 @@ func (c *Catalog) DropRulesIndex(name string) error {
 }
 
 // Rebuild recomputes a rules index after base-model updates (Oracle
-// requires the same).
-func (c *Catalog) Rebuild(name string) error {
+// requires the same), polling ctx as CreateRulesIndex does.
+func (c *Catalog) Rebuild(ctx context.Context, name string) error {
 	c.mu.Lock()
 	ix, ok := c.indexes[name]
 	if !ok {
@@ -254,13 +256,13 @@ func (c *Catalog) Rebuild(name string) error {
 		return err
 	}
 	ix.inferred = 0
-	return c.populate(ix, rbs)
+	return c.populate(ctx, ix, rbs)
 }
 
 // populate runs the rules to fixpoint. Each round evaluates every rule's
 // antecedent over base models + already-inferred triples, inserting new
 // consequents into the index model; it stops when a round adds nothing.
-func (c *Catalog) populate(ix *RulesIndex, rbs []*Rulebase) error {
+func (c *Catalog) populate(ctx context.Context, ix *RulesIndex, rbs []*Rulebase) error {
 	scope := append(append([]string{}, ix.models...), ix.indexModel)
 	const maxRounds = 64
 	// Per-rule memo of consequent instances already emitted or found to
@@ -276,7 +278,7 @@ func (c *Catalog) populate(ix *RulesIndex, rbs []*Rulebase) error {
 		added := 0
 		for _, rb := range rbs {
 			for _, rule := range rb.rules {
-				n, err := c.applyRule(ix, scope, rule, memo[rb.name+"/"+rule.Name])
+				n, err := c.applyRule(ctx, ix, scope, rule, memo[rb.name+"/"+rule.Name])
 				if err != nil {
 					return fmt.Errorf("inference: rule %s/%s: %w", rb.name, rule.Name, err)
 				}
@@ -293,9 +295,9 @@ func (c *Catalog) populate(ix *RulesIndex, rbs []*Rulebase) error {
 
 // applyRule evaluates one rule over the scope and inserts new consequent
 // instances, returning how many new triples were materialized.
-func (c *Catalog) applyRule(ix *RulesIndex, scope []string, rule Rule, emitted map[string]bool) (int, error) {
+func (c *Catalog) applyRule(ctx context.Context, ix *RulesIndex, scope []string, rule Rule, emitted map[string]bool) (int, error) {
 	aliases := rdfterm.Default().With(rule.Aliases...)
-	rs, err := match.Match(c.store, rule.Antecedent, match.Options{
+	rs, err := match.MatchContext(ctx, c.store, rule.Antecedent, match.Options{
 		Models:  scope,
 		Aliases: aliases,
 		Filter:  rule.Filter,

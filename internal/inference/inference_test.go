@@ -1,6 +1,7 @@
 package inference
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -113,7 +114,7 @@ func TestFigure8Inference(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := c.CreateRulesIndex("rdfs_rix_intel",
+	ix, err := c.CreateRulesIndex(context.Background(), "rdfs_rix_intel",
 		[]string{"cia", "dhs", "fbi"},
 		[]string{RDFSRulebaseName, "intel_rb"})
 	if err != nil {
@@ -122,7 +123,7 @@ func TestFigure8Inference(t *testing.T) {
 	if ix.InferredCount() == 0 {
 		t.Fatal("no triples inferred")
 	}
-	rs, err := match.Match(s, `(gov:files gov:terrorSuspect ?name)`, match.Options{
+	rs, err := match.MatchContext(context.Background(), s, `(gov:files gov:terrorSuspect ?name)`, match.Options{
 		Models:    []string{"cia", "dhs", "fbi"},
 		Rulebases: []string{RDFSRulebaseName, "intel_rb"},
 		Resolver:  c,
@@ -160,7 +161,7 @@ func TestFigure8Inference(t *testing.T) {
 func TestRulesIndexScopeResolution(t *testing.T) {
 	s := icStore(t)
 	c := NewCatalog(s)
-	if _, err := c.CreateRulesIndex("ix1", []string{"cia"}, []string{RDFSRulebaseName}); err != nil {
+	if _, err := c.CreateRulesIndex(context.Background(), "ix1", []string{"cia"}, []string{RDFSRulebaseName}); err != nil {
 		t.Fatal(err)
 	}
 	// Exact scope resolves regardless of argument order.
@@ -172,16 +173,16 @@ func TestRulesIndexScopeResolution(t *testing.T) {
 		t.Fatalf("wrong scope resolved: %v", err)
 	}
 	// Duplicate index name rejected; missing rulebase rejected.
-	if _, err := c.CreateRulesIndex("ix1", []string{"cia"}, nil); err == nil {
+	if _, err := c.CreateRulesIndex(context.Background(), "ix1", []string{"cia"}, nil); err == nil {
 		t.Error("duplicate index accepted")
 	}
-	if _, err := c.CreateRulesIndex("ix2", []string{"cia"}, []string{"ghost"}); !errors.Is(err, ErrNoSuchRulebase) {
+	if _, err := c.CreateRulesIndex(context.Background(), "ix2", []string{"cia"}, []string{"ghost"}); !errors.Is(err, ErrNoSuchRulebase) {
 		t.Errorf("ghost rulebase: %v", err)
 	}
-	if _, err := c.CreateRulesIndex("ix3", nil, nil); err == nil {
+	if _, err := c.CreateRulesIndex(context.Background(), "ix3", nil, nil); err == nil {
 		t.Error("no models accepted")
 	}
-	if _, err := c.CreateRulesIndex("", []string{"cia"}, nil); err == nil {
+	if _, err := c.CreateRulesIndex(context.Background(), "", []string{"cia"}, nil); err == nil {
 		t.Error("empty name accepted")
 	}
 }
@@ -208,12 +209,12 @@ func TestRDFSSubClassReasoning(t *testing.T) {
 	ins("ex:alice", "ex:hasPet", "ex:rex")
 
 	c := NewCatalog(s)
-	if _, err := c.CreateRulesIndex("onto_ix", []string{"onto"}, []string{RDFSRulebaseName}); err != nil {
+	if _, err := c.CreateRulesIndex(context.Background(), "onto_ix", []string{"onto"}, []string{RDFSRulebaseName}); err != nil {
 		t.Fatal(err)
 	}
 	q := func(query string) int {
 		t.Helper()
-		rs, err := match.Match(s, query, match.Options{
+		rs, err := match.MatchContext(context.Background(), s, query, match.Options{
 			Models:    []string{"onto"},
 			Rulebases: []string{RDFSRulebaseName},
 			Resolver:  c,
@@ -275,10 +276,10 @@ func TestRuleWithFilter(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.CreateRulesIndex("gix", []string{"m"}, []string{"grade"}); err != nil {
+	if _, err := c.CreateRulesIndex(context.Background(), "gix", []string{"m"}, []string{"grade"}); err != nil {
 		t.Fatal(err)
 	}
-	rs, err := match.Match(s, `(?x ex:status ex:passed)`, match.Options{
+	rs, err := match.MatchContext(context.Background(), s, `(?x ex:status ex:passed)`, match.Options{
 		Models: []string{"m"}, Rulebases: []string{"grade"}, Resolver: c, Aliases: a,
 	})
 	if err != nil {
@@ -306,10 +307,10 @@ func TestTransitiveClosureConvergence(t *testing.T) {
 		}
 	}
 	c := NewCatalog(s)
-	if _, err := c.CreateRulesIndex("cix", []string{"chain"}, []string{RDFSRulebaseName}); err != nil {
+	if _, err := c.CreateRulesIndex(context.Background(), "cix", []string{"chain"}, []string{RDFSRulebaseName}); err != nil {
 		t.Fatal(err)
 	}
-	rs, err := match.Match(s, `(<http://c#a00> rdfs:subClassOf <http://c#a12>)`, match.Options{
+	rs, err := match.MatchContext(context.Background(), s, `(<http://c#a00> rdfs:subClassOf <http://c#a12>)`, match.Options{
 		Models: []string{"chain"}, Rulebases: []string{RDFSRulebaseName}, Resolver: c, Aliases: a,
 	})
 	if err != nil {
@@ -330,7 +331,7 @@ func TestDropAndRebuildRulesIndex(t *testing.T) {
 		Consequent: `(gov:files gov:terrorSuspect ?x)`,
 		Aliases:    govAliases(),
 	})
-	ix, err := c.CreateRulesIndex("rix", []string{"dhs"}, []string{"intel_rb"})
+	ix, err := c.CreateRulesIndex(context.Background(), "rix", []string{"dhs"}, []string{"intel_rb"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,10 +341,10 @@ func TestDropAndRebuildRulesIndex(t *testing.T) {
 	// New base data requires Rebuild to show up.
 	a := aliasSet()
 	s.NewTripleS("dhs", "id:NewGuy", "gov:terrorAction", "bombing", a)
-	if err := c.Rebuild("rix"); err != nil {
+	if err := c.Rebuild(context.Background(), "rix"); err != nil {
 		t.Fatal(err)
 	}
-	rs, err := match.Match(s, `(gov:files gov:terrorSuspect ?x)`, match.Options{
+	rs, err := match.MatchContext(context.Background(), s, `(gov:files gov:terrorSuspect ?x)`, match.Options{
 		Models: []string{"dhs"}, Rulebases: []string{"intel_rb"}, Resolver: c, Aliases: a,
 	})
 	if err != nil {
@@ -361,7 +362,7 @@ func TestDropAndRebuildRulesIndex(t *testing.T) {
 	if err := c.DropRulesIndex("rix"); !errors.Is(err, ErrNoRulesIndex) {
 		t.Fatalf("double drop: %v", err)
 	}
-	if err := c.Rebuild("rix"); !errors.Is(err, ErrNoRulesIndex) {
+	if err := c.Rebuild(context.Background(), "rix"); !errors.Is(err, ErrNoRulesIndex) {
 		t.Fatalf("rebuild after drop: %v", err)
 	}
 }
@@ -372,11 +373,11 @@ func TestDropAndRebuildRulesIndex(t *testing.T) {
 func TestInferenceNoGarbage(t *testing.T) {
 	s := icStore(t)
 	c := NewCatalog(s)
-	ix, err := c.CreateRulesIndex("g", []string{"cia"}, []string{RDFSRulebaseName})
+	ix, err := c.CreateRulesIndex(context.Background(), "g", []string{"cia"}, []string{RDFSRulebaseName})
 	if err != nil {
 		t.Fatal(err)
 	}
-	found, err := s.Find(ix.IndexModel(), core.Pattern{})
+	found, err := s.Find(context.Background(), ix.IndexModel(), core.Pattern{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package match
 
 import (
+	"context"
 	"errors"
 	"testing"
 )
@@ -12,7 +13,7 @@ import (
 
 func TestMatchLimitTruncates(t *testing.T) {
 	s := buildJoinStore(t, 6, 0) // 6-wide all-to-all layers: 36 rows per 2-hop
-	rs, err := Match(s, "(?a <http://x#p> ?b)", Options{Models: []string{"big"}, Limit: 10})
+	rs, err := MatchContext(context.Background(), s, "(?a <http://x#p> ?b)", Options{Models: []string{"big"}, Limit: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +21,7 @@ func TestMatchLimitTruncates(t *testing.T) {
 		t.Fatalf("rows = %d truncated = %v, want 10/true", rs.Len(), rs.Truncated)
 	}
 	// A limit above the result size must not mark truncation.
-	rs, err = Match(s, "(<http://x#n0_0> <http://x#p> ?b)", Options{Models: []string{"big"}, Limit: 100})
+	rs, err = MatchContext(context.Background(), s, "(<http://x#n0_0> <http://x#p> ?b)", Options{Models: []string{"big"}, Limit: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,13 +32,13 @@ func TestMatchLimitTruncates(t *testing.T) {
 
 func TestMatchLimitWithOrderByReturnsTopN(t *testing.T) {
 	s := buildJoinStore(t, 5, 0)
-	full, err := Match(s, "(<http://x#n0_0> <http://x#p> ?b)", Options{
+	full, err := MatchContext(context.Background(), s, "(<http://x#n0_0> <http://x#p> ?b)", Options{
 		Models: []string{"big"}, OrderBy: []string{"b"},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	top, err := Match(s, "(<http://x#n0_0> <http://x#p> ?b)", Options{
+	top, err := MatchContext(context.Background(), s, "(<http://x#n0_0> <http://x#p> ?b)", Options{
 		Models: []string{"big"}, OrderBy: []string{"b"}, Limit: 2,
 	})
 	if err != nil {
@@ -58,12 +59,12 @@ func TestMatchLimitWithOrderByReturnsTopN(t *testing.T) {
 func TestMatchMaxBindingsAborts(t *testing.T) {
 	s := buildJoinStore(t, 10, 0) // w⁴ = 10000 bindings by the last stage
 	query := "(?a <http://x#p> ?b) (?b <http://x#p> ?c) (?c <http://x#p> ?d)"
-	_, err := Match(s, query, Options{Models: []string{"big"}, MaxBindings: 50})
+	_, err := MatchContext(context.Background(), s, query, Options{Models: []string{"big"}, MaxBindings: 50})
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget in chain", err)
 	}
 	// The same query with headroom completes.
-	rs, err := Match(s, query, Options{Models: []string{"big"}, MaxBindings: 20000})
+	rs, err := MatchContext(context.Background(), s, query, Options{Models: []string{"big"}, MaxBindings: 20000})
 	if err != nil {
 		t.Fatal(err)
 	}

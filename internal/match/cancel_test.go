@@ -83,7 +83,7 @@ func TestMatchContextCancelsLargeJoin(t *testing.T) {
 	query := "(?a <http://x#p> ?b) (?b <http://x#p> ?c) (?c <http://x#p> ?d)"
 
 	// Sanity: the query itself is valid — a narrowed variant completes.
-	narrow, err := Match(s, "(<http://x#n0_0> <http://x#p> ?b) (?b <http://x#p> ?c)", Options{Models: []string{"big"}})
+	narrow, err := MatchContext(context.Background(), s, "(<http://x#n0_0> <http://x#p> ?b) (?b <http://x#p> ?c)", Options{Models: []string{"big"}})
 	if err != nil {
 		t.Fatal(err)
 	}

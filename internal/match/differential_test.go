@@ -1,6 +1,7 @@
 package match
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -62,7 +63,7 @@ func diffCase(t *testing.T, s *core.Store, models []string, query string, base O
 	wantKeys := resultKeys(want)
 	check := func(plan string) {
 		t.Helper()
-		got, err := Match(s, query, base)
+		got, err := MatchContext(context.Background(), s, query, base)
 		if err != nil {
 			t.Fatalf("plan %s failed on %q: %v", plan, query, err)
 		}
@@ -199,7 +200,7 @@ func TestDifferentialModifiers(t *testing.T) {
 	defer func() { forcedOrder = nil }()
 	for _, order := range [][]int{nil, {0, 1}, {1, 0}} {
 		forcedOrder = order
-		rs, err := Match(chain, limitQuery, Options{Models: []string{"g"}, Aliases: govAliases(), Limit: 6})
+		rs, err := MatchContext(context.Background(), chain, limitQuery, Options{Models: []string{"g"}, Aliases: govAliases(), Limit: 6})
 		if err != nil {
 			t.Fatal(err)
 		}

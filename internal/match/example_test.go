@@ -1,6 +1,7 @@
 package match_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -38,13 +39,13 @@ func Example() {
 		Consequent: `(gov:files gov:terrorSuspect ?x)`,
 		Aliases:    gov,
 	})
-	if _, err := cat.CreateRulesIndex("rdfs_rix_intel",
+	if _, err := cat.CreateRulesIndex(context.Background(), "rdfs_rix_intel",
 		[]string{"cia", "dhs", "fbi"},
 		[]string{inference.RDFSRulebaseName, "intel_rb"}); err != nil {
 		log.Fatal(err)
 	}
 
-	rs, err := match.Match(store, `(gov:files gov:terrorSuspect ?name)`, match.Options{
+	rs, err := match.MatchContext(context.Background(), store, `(gov:files gov:terrorSuspect ?name)`, match.Options{
 		Models:    []string{"cia", "dhs", "fbi"},
 		Rulebases: []string{inference.RDFSRulebaseName, "intel_rb"},
 		Resolver:  cat,
@@ -73,7 +74,7 @@ func Example_filter() {
 	store.NewTripleS("m", "x:alice", "x:age", `"31"^^xsd:int`, a)
 	store.NewTripleS("m", "x:bob", "x:age", `"17"^^xsd:int`, a)
 
-	rs, _ := match.Match(store, `(?who x:age ?age)`, match.Options{
+	rs, _ := match.MatchContext(context.Background(), store, `(?who x:age ?age)`, match.Options{
 		Models:  []string{"m"},
 		Aliases: a,
 		Filter:  `?age >= 18`,

@@ -115,23 +115,17 @@ func (r *ResultSet) Strings(i int) []string {
 // Len returns the number of rows.
 func (r *ResultSet) Len() int { return len(r.Rows) }
 
-// Match is SDO_RDF_MATCH (§6.1): it evaluates the conjunctive triple
-// patterns of query over the given models (plus the rules index's inferred
-// triples when rulebases are requested), applies the filter, and returns
-// the variable bindings.
-func Match(store *core.Store, query string, opts Options) (*ResultSet, error) {
-	//repro:vet-ignore ctxcheck compatibility wrapper for context-free callers (tools, tests); the serving path enters through MatchContext
-	return MatchContext(context.Background(), store, query, opts)
-}
-
 // cancelEvery is how many rows the engine processes between context checks
 // (the index scans underneath poll on their own cadence inside core).
 const cancelEvery = 256
 
-// MatchContext is Match with cancellation: the engine polls ctx between
-// rows and each index scan polls it internally, so a combinatorial join
-// aborts promptly — releasing the store's read lock — once the deadline
-// passes or the caller cancels.
+// MatchContext is SDO_RDF_MATCH (§6.1): it evaluates the conjunctive
+// triple patterns of query over the given models (plus the rules index's
+// inferred triples when rulebases are requested), applies the filter, and
+// returns the variable bindings. The engine polls ctx between rows and
+// each index scan polls it internally, so a combinatorial join aborts
+// promptly — releasing the store's read lock — once the deadline passes
+// or the caller cancels.
 func MatchContext(ctx context.Context, store *core.Store, query string, opts Options) (*ResultSet, error) {
 	if len(opts.Models) == 0 {
 		return nil, fmt.Errorf("match: at least one model is required")

@@ -1,6 +1,7 @@
 package match
 
 import (
+	"context"
 	"sort"
 	"strings"
 	"testing"
@@ -96,7 +97,7 @@ func TestParseQueryForms(t *testing.T) {
 
 func TestMatchSinglePattern(t *testing.T) {
 	s := icStore(t)
-	rs, err := Match(s, `(gov:files gov:terrorSuspect ?name)`, Options{
+	rs, err := MatchContext(context.Background(), s, `(gov:files gov:terrorSuspect ?name)`, Options{
 		Models:  []string{"cia", "dhs", "fbi"},
 		Aliases: govAliases(),
 	})
@@ -124,7 +125,7 @@ func TestMatchSinglePattern(t *testing.T) {
 func TestMatchJoin(t *testing.T) {
 	s := icStore(t)
 	// Who entered the country and is a terror suspect?
-	rs, err := Match(s, `(gov:files gov:terrorSuspect ?x) (?x gov:enteredCountry ?d)`, Options{
+	rs, err := MatchContext(context.Background(), s, `(gov:files gov:terrorSuspect ?x) (?x gov:enteredCountry ?d)`, Options{
 		Models:  []string{"cia", "dhs", "fbi"},
 		Aliases: govAliases(),
 	})
@@ -146,7 +147,7 @@ func TestMatchJoin(t *testing.T) {
 
 func TestMatchVariablePredicate(t *testing.T) {
 	s := icStore(t)
-	rs, err := Match(s, `(id:JohnDoe ?p ?o)`, Options{
+	rs, err := MatchContext(context.Background(), s, `(id:JohnDoe ?p ?o)`, Options{
 		Models:  []string{"fbi"},
 		Aliases: govAliases(),
 	})
@@ -168,7 +169,7 @@ func TestMatchRepeatedVariable(t *testing.T) {
 	a := govAliases()
 	s.NewTripleS("m", "gov:a", "gov:knows", "gov:a", a) // self-loop
 	s.NewTripleS("m", "gov:a", "gov:knows", "gov:b", a)
-	rs, err := Match(s, `(?x gov:knows ?x)`, Options{Models: []string{"m"}, Aliases: a})
+	rs, err := MatchContext(context.Background(), s, `(?x gov:knows ?x)`, Options{Models: []string{"m"}, Aliases: a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestMatchRepeatedVariable(t *testing.T) {
 
 func TestMatchFilter(t *testing.T) {
 	s := icStore(t)
-	rs, err := Match(s, `(gov:files gov:terrorSuspect ?name)`, Options{
+	rs, err := MatchContext(context.Background(), s, `(gov:files gov:terrorSuspect ?name)`, Options{
 		Models:  []string{"cia"},
 		Aliases: govAliases(),
 		Filter:  `?name != "http://www.us.id#JohnDoe"`,
@@ -198,7 +199,7 @@ func TestMatchFilter(t *testing.T) {
 
 func TestMatchFilterLike(t *testing.T) {
 	s := icStore(t)
-	rs, err := Match(s, `(?s gov:terrorSuspect ?name)`, Options{
+	rs, err := MatchContext(context.Background(), s, `(?s gov:terrorSuspect ?name)`, Options{
 		Models:  []string{"cia"},
 		Aliases: govAliases(),
 		Filter:  `LIKE(?name, "%Jane%")`,
@@ -219,7 +220,7 @@ func TestMatchCanonicalLiteral(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Query with a non-canonical lexical form.
-	rs, err := Match(s, `(?s gov:age "+025"^^xsd:int)`, Options{Models: []string{"m"}, Aliases: a})
+	rs, err := MatchContext(context.Background(), s, `(?s gov:age "+025"^^xsd:int)`, Options{Models: []string{"m"}, Aliases: a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,26 +231,26 @@ func TestMatchCanonicalLiteral(t *testing.T) {
 
 func TestMatchErrors(t *testing.T) {
 	s := icStore(t)
-	if _, err := Match(s, `(?s ?p ?o)`, Options{}); err == nil {
+	if _, err := MatchContext(context.Background(), s, `(?s ?p ?o)`, Options{}); err == nil {
 		t.Error("no models accepted")
 	}
-	if _, err := Match(s, `(?s ?p ?o)`, Options{Models: []string{"missing"}}); err == nil {
+	if _, err := MatchContext(context.Background(), s, `(?s ?p ?o)`, Options{Models: []string{"missing"}}); err == nil {
 		t.Error("missing model accepted")
 	}
-	if _, err := Match(s, `bad query`, Options{Models: []string{"cia"}}); err == nil {
+	if _, err := MatchContext(context.Background(), s, `bad query`, Options{Models: []string{"cia"}}); err == nil {
 		t.Error("bad query accepted")
 	}
-	if _, err := Match(s, `(?s ?p ?o)`, Options{Models: []string{"cia"}, Filter: "?s ~~ 3"}); err == nil {
+	if _, err := MatchContext(context.Background(), s, `(?s ?p ?o)`, Options{Models: []string{"cia"}, Filter: "?s ~~ 3"}); err == nil {
 		t.Error("bad filter accepted")
 	}
-	if _, err := Match(s, `(?s ?p ?o)`, Options{Models: []string{"cia"}, Rulebases: []string{"RDFS"}}); err == nil {
+	if _, err := MatchContext(context.Background(), s, `(?s ?p ?o)`, Options{Models: []string{"cia"}, Rulebases: []string{"RDFS"}}); err == nil {
 		t.Error("rulebases without resolver accepted")
 	}
 }
 
 func TestMatchNoResults(t *testing.T) {
 	s := icStore(t)
-	rs, err := Match(s, `(gov:nothing gov:matches ?x)`, Options{
+	rs, err := MatchContext(context.Background(), s, `(gov:nothing gov:matches ?x)`, Options{
 		Models: []string{"cia"}, Aliases: govAliases(),
 	})
 	if err != nil {
@@ -266,7 +267,7 @@ func TestMatchNoResults(t *testing.T) {
 
 func TestMatchStringsAndProjectionOrder(t *testing.T) {
 	s := icStore(t)
-	rs, err := Match(s, `(?who gov:terrorAction ?what)`, Options{
+	rs, err := MatchContext(context.Background(), s, `(?who gov:terrorAction ?what)`, Options{
 		Models: []string{"dhs"}, Aliases: govAliases(),
 	})
 	if err != nil || rs.Len() != 1 {
@@ -356,21 +357,21 @@ func TestFilterParseErrors(t *testing.T) {
 func TestMatchAgainstReferenceJoin(t *testing.T) {
 	s := icStore(t)
 	a := govAliases()
-	rs, err := Match(s, `(gov:files gov:terrorSuspect ?x) (?x gov:enteredCountry ?d)`, Options{
+	rs, err := MatchContext(context.Background(), s, `(gov:files gov:terrorSuspect ?x) (?x gov:enteredCountry ?d)`, Options{
 		Models: []string{"cia", "dhs", "fbi"}, Aliases: a,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Reference: enumerate all suspects, then all enteredCountry rows.
-	suspects, _ := s.FindModels([]string{"cia", "dhs", "fbi"}, core.Pattern{
+	suspects, _ := s.FindModelsCtx(context.Background(), []string{"cia", "dhs", "fbi"}, core.Pattern{
 		Subject:   core.P(rdfterm.NewURI("http://www.us.gov#files")),
 		Predicate: core.P(rdfterm.NewURI("http://www.us.gov#terrorSuspect")),
 	})
 	var want []string
 	for _, ts := range suspects {
 		obj, _ := ts.GetObject()
-		entered, _ := s.FindModels([]string{"cia", "dhs", "fbi"}, core.Pattern{
+		entered, _ := s.FindModelsCtx(context.Background(), []string{"cia", "dhs", "fbi"}, core.Pattern{
 			Subject:   core.P(rdfterm.NewURI(obj)),
 			Predicate: core.P(rdfterm.NewURI("http://www.us.gov#enteredCountry")),
 		})

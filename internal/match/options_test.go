@@ -1,6 +1,7 @@
 package match
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -9,7 +10,7 @@ import (
 func TestMatchDistinct(t *testing.T) {
 	s := icStore(t)
 	// Without DISTINCT: JohnDoe appears 3× (once per model).
-	rs, err := Match(s, `(gov:files gov:terrorSuspect ?name)`, Options{
+	rs, err := MatchContext(context.Background(), s, `(gov:files gov:terrorSuspect ?name)`, Options{
 		Models:  []string{"cia", "dhs", "fbi"},
 		Aliases: govAliases(),
 	})
@@ -19,7 +20,7 @@ func TestMatchDistinct(t *testing.T) {
 	if rs.Len() != 4 {
 		t.Fatalf("plain rows = %d", rs.Len())
 	}
-	rs, err = Match(s, `(gov:files gov:terrorSuspect ?name)`, Options{
+	rs, err = MatchContext(context.Background(), s, `(gov:files gov:terrorSuspect ?name)`, Options{
 		Models:   []string{"cia", "dhs", "fbi"},
 		Aliases:  govAliases(),
 		Distinct: true,
@@ -34,7 +35,7 @@ func TestMatchDistinct(t *testing.T) {
 
 func TestMatchOrderBy(t *testing.T) {
 	s := icStore(t)
-	rs, err := Match(s, `(gov:files gov:terrorSuspect ?name)`, Options{
+	rs, err := MatchContext(context.Background(), s, `(gov:files gov:terrorSuspect ?name)`, Options{
 		Models:   []string{"cia", "dhs", "fbi"},
 		Aliases:  govAliases(),
 		Distinct: true,
@@ -55,7 +56,7 @@ func TestMatchOrderBy(t *testing.T) {
 
 func TestMatchOrderByMultipleVars(t *testing.T) {
 	s := icStore(t)
-	rs, err := Match(s, `(?s ?p ?o)`, Options{
+	rs, err := MatchContext(context.Background(), s, `(?s ?p ?o)`, Options{
 		Models:  []string{"cia", "dhs", "fbi"},
 		OrderBy: []string{"s", "p", "o"},
 	})
@@ -76,7 +77,7 @@ func TestMatchOrderByMultipleVars(t *testing.T) {
 
 func TestMatchOrderByUnknownVar(t *testing.T) {
 	s := icStore(t)
-	if _, err := Match(s, `(?s ?p ?o)`, Options{
+	if _, err := MatchContext(context.Background(), s, `(?s ?p ?o)`, Options{
 		Models:  []string{"cia"},
 		OrderBy: []string{"ghost"},
 	}); err == nil {
@@ -86,7 +87,7 @@ func TestMatchOrderByUnknownVar(t *testing.T) {
 
 func TestMatchDistinctWithFilter(t *testing.T) {
 	s := icStore(t)
-	rs, err := Match(s, `(gov:files gov:terrorSuspect ?name)`, Options{
+	rs, err := MatchContext(context.Background(), s, `(gov:files gov:terrorSuspect ?name)`, Options{
 		Models:   []string{"cia", "dhs", "fbi"},
 		Aliases:  govAliases(),
 		Distinct: true,
@@ -113,7 +114,7 @@ func TestMatchJoinThroughBlankNodes(t *testing.T) {
 	s.NewTripleS("m", "_:bag", "rdf:_2", "gov:member2", a)
 	s.NewTripleS("m", "gov:notbag", "rdf:_1", "gov:other", a)
 
-	rs, err := Match(s, `(?c rdf:type rdf:Bag) (?c rdf:_1 ?first)`, Options{
+	rs, err := MatchContext(context.Background(), s, `(?c rdf:type rdf:Bag) (?c rdf:_1 ?first)`, Options{
 		Models: []string{"m"}, Aliases: a,
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 package match
 
 import (
+	"context"
 	"strings"
 
 	"repro/internal/core"
@@ -9,7 +10,7 @@ import (
 
 // The differential-testing oracle: the original materializing engine,
 // run in query-text order. It evaluates the join left-deep over fully
-// materialized []map[string]rdfterm.Term binding sets, one Store.FindModels
+// materialized []map[string]rdfterm.Term binding sets, one Store.FindModelsCtx
 // probe per binding, and shares no join or planning code with the
 // streaming engine — simple, slow, and independently correct.
 
@@ -103,7 +104,7 @@ func findPattern(store *core.Store, models []string, pat TriplePattern, b map[st
 		}
 		return nil
 	}
-	found, err := store.FindModels(models, core.Pattern{
+	found, err := store.FindModelsCtx(context.Background(), models, core.Pattern{
 		Subject:   resolve(pat.S),
 		Predicate: resolve(pat.P),
 		Object:    resolve(pat.O),

@@ -1,6 +1,7 @@
 package match
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -23,7 +24,7 @@ func planFor(t *testing.T, s *core.Store, query string, opts Options) ([]int, *T
 	if opts.Aliases == nil {
 		opts.Aliases = govAliases()
 	}
-	if _, err := Match(s, query, opts); err != nil {
+	if _, err := MatchContext(context.Background(), s, query, opts); err != nil {
 		t.Fatal(err)
 	}
 	return tr.PlanOrder, &tr
@@ -85,7 +86,7 @@ func TestCostPlanSelectivityInversion(t *testing.T) {
 	if !reflect.DeepEqual(order, []int{2, 0, 1}) {
 		t.Fatalf("cost plan = %v, want [2 0 1]", order)
 	}
-	rs, err := Match(s, inversionQuery, Options{Models: []string{"g"}, Aliases: govAliases()})
+	rs, err := MatchContext(context.Background(), s, inversionQuery, Options{Models: []string{"g"}, Aliases: govAliases()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestPlannerNaiveKeepsTextOrder(t *testing.T) {
 func TestEmptyCollapse(t *testing.T) {
 	s := chainStore(t, 20)
 	var tr Trace
-	rs, err := Match(s, `(?x gov:nosuchpred ?y) (?x gov:p1 ?z)`, Options{
+	rs, err := MatchContext(context.Background(), s, `(?x gov:nosuchpred ?y) (?x gov:p1 ?z)`, Options{
 		Models: []string{"g"}, Aliases: govAliases(), Trace: &tr,
 	})
 	if err != nil {
@@ -152,7 +153,7 @@ func TestEmptyCollapse(t *testing.T) {
 		t.Fatalf("Vars = %v, want x,y,z reported even for an empty result", rs.Vars)
 	}
 	// An unresolvable literal object collapses the same way.
-	rs, err = Match(s, `(?z gov:type "no-such-type") (?y gov:p2 ?z)`, Options{
+	rs, err = MatchContext(context.Background(), s, `(?z gov:type "no-such-type") (?y gov:p2 ?z)`, Options{
 		Models: []string{"g"}, Aliases: govAliases(),
 	})
 	if err != nil {
@@ -186,7 +187,7 @@ func TestCostPlanMultiModelStats(t *testing.T) {
 	}
 	ins("m2", "gov:leaf7", "gov:type", `"target"`)
 	var tr Trace
-	rs, err := Match(s, threeJoinQuery, Options{
+	rs, err := MatchContext(context.Background(), s, threeJoinQuery, Options{
 		Models: []string{"m1", "m2"}, Aliases: govAliases(), Trace: &tr,
 	})
 	if err != nil {

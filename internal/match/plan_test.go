@@ -1,6 +1,7 @@
 package match
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -60,7 +61,7 @@ const threeJoinQuery = `(?x gov:p1 ?y) (?y gov:p2 ?z) (?z gov:type "target")`
 // probe, so the join finds the single qualifying chain.
 func TestThreePatternJoin(t *testing.T) {
 	s := chainStore(t, 100)
-	rs, err := Match(s, threeJoinQuery, Options{Models: []string{"g"}, Aliases: govAliases()})
+	rs, err := MatchContext(context.Background(), s, threeJoinQuery, Options{Models: []string{"g"}, Aliases: govAliases()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func BenchmarkThreePatternJoin(b *testing.B) {
 	opts := Options{Models: []string{"g"}, Aliases: govAliases()}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rs, err := Match(s, threeJoinQuery, opts)
+		rs, err := MatchContext(context.Background(), s, threeJoinQuery, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -102,7 +103,7 @@ func TestChainJoinPlanBudget(t *testing.T) {
 	opts := Options{Models: []string{"g"}, Aliases: govAliases()}
 	traced := opts
 	traced.Trace = &tr
-	if _, err := Match(s, threeJoinQuery, traced); err != nil {
+	if _, err := MatchContext(context.Background(), s, threeJoinQuery, traced); err != nil {
 		t.Fatal(err)
 	}
 	candidates := 0
@@ -114,7 +115,7 @@ func TestChainJoinPlanBudget(t *testing.T) {
 	}
 	const allocBudget = 80
 	if got := testing.AllocsPerRun(20, func() {
-		if rs, err := Match(s, threeJoinQuery, opts); err != nil || rs.Len() != 1 {
+		if rs, err := MatchContext(context.Background(), s, threeJoinQuery, opts); err != nil || rs.Len() != 1 {
 			t.Fatalf("Match = %v, %v", rs, err)
 		}
 	}); got > allocBudget {

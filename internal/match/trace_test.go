@@ -16,7 +16,7 @@ import (
 func TestTraceThreePatternJoin(t *testing.T) {
 	s := chainStore(t, 100)
 	var tr Trace
-	rs, err := Match(s, threeJoinQuery, Options{
+	rs, err := MatchContext(context.Background(), s, threeJoinQuery, Options{
 		Models: []string{"g"}, Aliases: govAliases(), Trace: &tr,
 	})
 	if err != nil {
@@ -67,7 +67,7 @@ func TestMatchMetricsAndSlowQuery(t *testing.T) {
 	s := chainStore(t, 50)
 	reg := obs.NewRegistry()
 	met := NewMetrics(reg)
-	_, err := Match(s, threeJoinQuery, Options{
+	_, err := MatchContext(context.Background(), s, threeJoinQuery, Options{
 		Models: []string{"g"}, Aliases: govAliases(),
 		Metrics: met, SlowQuery: time.Nanosecond,
 	})
@@ -116,7 +116,7 @@ func TestMatchMetricsAndSlowQuery(t *testing.T) {
 // the overhead benchmark compares against.
 func TestUntracedMatchUnchanged(t *testing.T) {
 	s := chainStore(t, 20)
-	rs, err := Match(s, threeJoinQuery, Options{Models: []string{"g"}, Aliases: govAliases()})
+	rs, err := MatchContext(context.Background(), s, threeJoinQuery, Options{Models: []string{"g"}, Aliases: govAliases()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func BenchmarkThreePatternJoinTraced(b *testing.B) {
 	opts := Options{Models: []string{"g"}, Aliases: govAliases(), Trace: &tr, Metrics: met}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rs, err := Match(s, threeJoinQuery, opts)
+		rs, err := MatchContext(context.Background(), s, threeJoinQuery, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -8,7 +8,7 @@ import (
 )
 
 // cancelEvery is how many search steps (heap pops / frontier visits) an
-// analysis performs between context checks in the *Ctx entry points.
+// analysis performs between context checks.
 const cancelEvery = 256
 
 // Path is a walk through the network: Nodes has one more element than
@@ -48,9 +48,10 @@ type edgeTo struct {
 }
 
 // ShortestPathCtx returns a minimum-cost directed path from source to
-// target (Dijkstra; link costs must be non-negative, which AddLink
-// enforces). The Dijkstra loop polls ctx every cancelEvery pops, so a
-// search over a large network aborts promptly on cancel or deadline.
+// target (Dijkstra; link costs must be non-negative, and over the RDF
+// store they are COST reference counts, never negative). The Dijkstra
+// loop polls ctx every cancelEvery pops, so a search over a large network
+// aborts promptly on cancel or deadline.
 func ShortestPathCtx(ctx context.Context, g Graph, source, target int64) (Path, error) {
 	if err := ctx.Err(); err != nil {
 		return Path{}, fmt.Errorf("ndm: shortest path: %w", err)
@@ -252,43 +253,17 @@ func ReachableCtx(ctx context.Context, g Graph, source int64, maxDepth int) ([]i
 	return out, nil
 }
 
-// IsReachable reports whether target can be reached from source.
-func IsReachable(g Graph, source, target int64) bool {
-	if !g.HasNode(source) || !g.HasNode(target) {
-		return false
-	}
-	if source == target {
-		return true
-	}
-	seen := map[int64]bool{source: true}
-	stack := []int64{source}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		found := false
-		g.OutLinks(n, func(_, end int64, _ float64) bool {
-			if end == target {
-				found = true
-				return false
-			}
-			if !seen[end] {
-				seen[end] = true
-				stack = append(stack, end)
-			}
-			return true
-		})
-		if found {
-			return true
-		}
-	}
-	return false
-}
-
 // ConnectedComponents returns the weakly connected components (treating
 // links as undirected), each sorted by node ID, ordered by smallest member.
-func ConnectedComponents(g Graph) [][]int64 {
+// It walks the whole network, polling ctx every cancelEvery node visits.
+func ConnectedComponents(ctx context.Context, g Graph) ([][]int64, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("ndm: connected components: %w", err)
+	}
 	seen := map[int64]bool{}
 	var comps [][]int64
+	var err error
+	visits := 0
 	g.Nodes(func(start int64) bool {
 		if seen[start] {
 			return true
@@ -297,6 +272,12 @@ func ConnectedComponents(g Graph) [][]int64 {
 		stack := []int64{start}
 		seen[start] = true
 		for len(stack) > 0 {
+			visits++
+			if visits%cancelEvery == 0 {
+				if err = ctx.Err(); err != nil {
+					return false
+				}
+			}
 			n := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			comp = append(comp, n)
@@ -313,8 +294,11 @@ func ConnectedComponents(g Graph) [][]int64 {
 		comps = append(comps, comp)
 		return true
 	})
+	if err != nil {
+		return nil, fmt.Errorf("ndm: connected components: %w", err)
+	}
 	sort.Slice(comps, func(i, j int) bool { return comps[i][0] < comps[j][0] })
-	return comps
+	return comps, nil
 }
 
 // SpanningTreeEdge is one edge of a minimum-cost spanning tree.
@@ -326,8 +310,11 @@ type SpanningTreeEdge struct {
 
 // MinimumCostSpanningTree runs Prim's algorithm over the undirected view
 // of the component containing root, returning the tree edges and total
-// cost — NDM's MCST analysis.
-func MinimumCostSpanningTree(g Graph, root int64) ([]SpanningTreeEdge, float64, error) {
+// cost — NDM's MCST analysis. It polls ctx every cancelEvery heap pops.
+func MinimumCostSpanningTree(ctx context.Context, g Graph, root int64) ([]SpanningTreeEdge, float64, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, 0, fmt.Errorf("ndm: spanning tree: %w", err)
+	}
 	if !g.HasNode(root) {
 		return nil, 0, fmt.Errorf("ndm: node %d does not exist", root)
 	}
@@ -347,7 +334,14 @@ func MinimumCostSpanningTree(g Graph, root int64) ([]SpanningTreeEdge, float64, 
 		})
 	}
 	push(root)
+	steps := 0
 	for h.Len() > 0 {
+		steps++
+		if steps%cancelEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, 0, fmt.Errorf("ndm: spanning tree: %w", err)
+			}
+		}
 		e := heap.Pop(h).(SpanningTreeEdge)
 		if inTree[e.To] {
 			continue

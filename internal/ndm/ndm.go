@@ -1,20 +1,13 @@
-// Package ndm reproduces the Oracle Spatial Network Data Model layer the
-// paper builds the RDF store on (§1, §4): directed logical networks stored
-// in node$/link$ tables, plus the NDM analysis suite (shortest paths,
+// Package ndm reproduces the analysis suite of the Oracle Spatial Network
+// Data Model the paper builds the RDF store on (§1, §4): shortest paths,
 // within-cost, nearest neighbours, reachability, connected components,
-// spanning trees).
+// spanning trees and degree.
 //
-// Analysis functions operate on the Graph interface, so they run equally
-// over a standalone LogicalNetwork and over the RDF store's rdf_link$
-// table — which is exactly the paper's point: the RDF graph *is* an NDM
-// network, and "all the NDM functionality is exposed to RDF data".
+// The analyses run over the Graph interface, and the network they run over
+// is the RDF store itself: core.RDFNetwork reads rdf_node$ and rdf_link$,
+// so the RDF graph *is* an NDM network and "all the NDM functionality is
+// exposed to RDF data".
 package ndm
-
-import (
-	"fmt"
-
-	"repro/internal/reldb"
-)
 
 // Graph is the directed-graph view NDM analysis operates on. Node and link
 // IDs are int64, matching NDM's NODE_ID/LINK_ID columns.
@@ -28,172 +21,3 @@ type Graph interface {
 	// InLinks visits links entering node.
 	InLinks(node int64, fn func(linkID, start int64, cost float64) bool)
 }
-
-// LogicalNetwork is a standalone directed logical network persisted in
-// node$ and link$ tables of a reldb Database — the NDM schema (§4).
-type LogicalNetwork struct {
-	name  string
-	nodes *reldb.Table
-	links *reldb.Table
-
-	nodePK    *reldb.Index
-	linkPK    *reldb.Index
-	linkStart *reldb.Index
-	linkEnd   *reldb.Index
-
-	nodeSeq *reldb.Sequence
-	linkSeq *reldb.Sequence
-}
-
-// NodeSchema returns the node$ schema for a network.
-func NodeSchema(network string) *reldb.Schema {
-	return reldb.NewSchema(network+"_node$",
-		reldb.Column{Name: "NODE_ID", Kind: reldb.KindInt},
-		reldb.Column{Name: "NODE_NAME", Kind: reldb.KindString, Nullable: true},
-		reldb.Column{Name: "ACTIVE", Kind: reldb.KindBool},
-	)
-}
-
-// LinkSchema returns the link$ schema for a network.
-func LinkSchema(network string) *reldb.Schema {
-	return reldb.NewSchema(network+"_link$",
-		reldb.Column{Name: "LINK_ID", Kind: reldb.KindInt},
-		reldb.Column{Name: "LINK_NAME", Kind: reldb.KindString, Nullable: true},
-		reldb.Column{Name: "START_NODE_ID", Kind: reldb.KindInt},
-		reldb.Column{Name: "END_NODE_ID", Kind: reldb.KindInt},
-		reldb.Column{Name: "COST", Kind: reldb.KindFloat},
-		reldb.Column{Name: "ACTIVE", Kind: reldb.KindBool},
-	)
-}
-
-// CreateLogicalNetwork creates the node$/link$ tables for a named network
-// in db and returns the network handle.
-func CreateLogicalNetwork(db *reldb.Database, name string) (*LogicalNetwork, error) {
-	nodes, err := db.CreateTable(NodeSchema(name))
-	if err != nil {
-		return nil, err
-	}
-	links, err := db.CreateTable(LinkSchema(name))
-	if err != nil {
-		return nil, err
-	}
-	n := &LogicalNetwork{name: name, nodes: nodes, links: links}
-	if n.nodePK, err = nodes.CreateIndex("node_pk", true, "NODE_ID"); err != nil {
-		return nil, err
-	}
-	if n.linkPK, err = links.CreateIndex("link_pk", true, "LINK_ID"); err != nil {
-		return nil, err
-	}
-	if n.linkStart, err = links.CreateIndex("link_start", false, "START_NODE_ID"); err != nil {
-		return nil, err
-	}
-	if n.linkEnd, err = links.CreateIndex("link_end", false, "END_NODE_ID"); err != nil {
-		return nil, err
-	}
-	if n.nodeSeq, err = db.CreateSequence(name+"_node_seq", 1); err != nil {
-		return nil, err
-	}
-	if n.linkSeq, err = db.CreateSequence(name+"_link_seq", 1); err != nil {
-		return nil, err
-	}
-	return n, nil
-}
-
-// Name returns the network name.
-func (n *LogicalNetwork) Name() string { return n.name }
-
-// AddNode inserts a node and returns its ID.
-func (n *LogicalNetwork) AddNode(name string) (int64, error) {
-	id := n.nodeSeq.Next()
-	var nm reldb.Value
-	if name != "" {
-		nm = reldb.String_(name)
-	}
-	if _, err := n.nodes.Insert(reldb.Row{reldb.Int(id), nm, reldb.Bool(true)}); err != nil {
-		return 0, err
-	}
-	return id, nil
-}
-
-// AddLink inserts a directed link from start to end with the given cost
-// and returns its ID. Both endpoints must exist.
-func (n *LogicalNetwork) AddLink(name string, start, end int64, cost float64) (int64, error) {
-	if !n.HasNode(start) {
-		return 0, fmt.Errorf("ndm: start node %d does not exist", start)
-	}
-	if !n.HasNode(end) {
-		return 0, fmt.Errorf("ndm: end node %d does not exist", end)
-	}
-	if cost < 0 {
-		return 0, fmt.Errorf("ndm: negative link cost %g", cost)
-	}
-	id := n.linkSeq.Next()
-	var nm reldb.Value
-	if name != "" {
-		nm = reldb.String_(name)
-	}
-	row := reldb.Row{reldb.Int(id), nm, reldb.Int(start), reldb.Int(end), reldb.Float(cost), reldb.Bool(true)}
-	if _, err := n.links.Insert(row); err != nil {
-		return 0, err
-	}
-	return id, nil
-}
-
-// RemoveLink deletes a link by ID.
-func (n *LogicalNetwork) RemoveLink(linkID int64) error {
-	rid, ok := n.linkPK.LookupOne(reldb.Key{reldb.Int(linkID)})
-	if !ok {
-		return fmt.Errorf("%w: link %d", reldb.ErrNoSuchRow, linkID)
-	}
-	return n.links.Delete(rid)
-}
-
-// NumNodes and NumLinks report the network size.
-func (n *LogicalNetwork) NumNodes() int { return n.nodes.Len() }
-
-// NumLinks reports the number of links.
-func (n *LogicalNetwork) NumLinks() int { return n.links.Len() }
-
-// HasNode implements Graph.
-func (n *LogicalNetwork) HasNode(node int64) bool {
-	return n.nodePK.Contains(reldb.Key{reldb.Int(node)})
-}
-
-// Nodes implements Graph.
-func (n *LogicalNetwork) Nodes(fn func(node int64) bool) {
-	n.nodes.Scan(func(_ reldb.RowID, r reldb.Row) bool {
-		return fn(r[0].Int64())
-	})
-}
-
-// OutLinks implements Graph.
-func (n *LogicalNetwork) OutLinks(node int64, fn func(linkID, end int64, cost float64) bool) {
-	n.visitLinks(n.linkStart, node, 3, fn)
-}
-
-// InLinks implements Graph.
-func (n *LogicalNetwork) InLinks(node int64, fn func(linkID, start int64, cost float64) bool) {
-	n.visitLinks(n.linkEnd, node, 2, fn)
-}
-
-// visitLinks materializes the matching row IDs first (so the index lock is
-// not held while rows are fetched), then streams link rows to fn; otherCol
-// is the column holding the far endpoint.
-func (n *LogicalNetwork) visitLinks(ix *reldb.Index, node int64, otherCol int, fn func(linkID, other int64, cost float64) bool) {
-	var ids []reldb.RowID
-	ix.ScanPrefix(reldb.Key{reldb.Int(node)}, func(_ reldb.Key, id reldb.RowID) bool {
-		ids = append(ids, id)
-		return true
-	})
-	for _, id := range ids {
-		r, err := n.links.Get(id)
-		if err != nil {
-			continue
-		}
-		if !fn(r[0].Int64(), r[otherCol].Int64(), r[4].Float64()) {
-			return
-		}
-	}
-}
-
-var _ Graph = (*LogicalNetwork)(nil)

@@ -5,88 +5,60 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
-
-	"repro/internal/reldb"
 )
 
 // bg is the context of analyses that are not cancelled.
 var bg = context.Background()
 
-// buildNet creates a network with nodes 1..n (IDs assigned sequentially
-// from 1) and the given links.
-func buildNet(t *testing.T, nNodes int, links [][3]int64) *LogicalNetwork {
+// mapGraph is a map-backed Graph: nodes 1..n and links numbered from 1
+// in the order they were added.
+type mapGraph struct {
+	n       int64
+	out, in map[int64][]hop
+}
+
+// hop is one link seen from one of its endpoints.
+type hop struct {
+	link, other int64
+	cost        float64
+}
+
+// buildNet creates a network with nodes 1..n and the given
+// {start, end, cost} links.
+func buildNet(t *testing.T, nNodes int, links [][3]int64) *mapGraph {
 	t.Helper()
-	db := reldb.NewDatabase("test")
-	net, err := CreateLogicalNetwork(db, "net")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < nNodes; i++ {
-		if _, err := net.AddNode(""); err != nil {
-			t.Fatal(err)
+	g := &mapGraph{n: int64(nNodes), out: map[int64][]hop{}, in: map[int64][]hop{}}
+	for i, l := range links {
+		if !g.HasNode(l[0]) || !g.HasNode(l[1]) || l[2] < 0 {
+			t.Fatalf("bad link %v", l)
 		}
+		id := int64(i + 1)
+		g.out[l[0]] = append(g.out[l[0]], hop{id, l[1], float64(l[2])})
+		g.in[l[1]] = append(g.in[l[1]], hop{id, l[0], float64(l[2])})
 	}
-	for _, l := range links {
-		if _, err := net.AddLink("", l[0], l[1], float64(l[2])); err != nil {
-			t.Fatal(err)
+	return g
+}
+
+func (g *mapGraph) HasNode(node int64) bool { return node >= 1 && node <= g.n }
+
+func (g *mapGraph) Nodes(fn func(node int64) bool) {
+	for n := int64(1); n <= g.n && fn(n); n++ {
+	}
+}
+
+func (g *mapGraph) OutLinks(node int64, fn func(linkID, end int64, cost float64) bool) {
+	visitHops(g.out[node], fn)
+}
+
+func (g *mapGraph) InLinks(node int64, fn func(linkID, start int64, cost float64) bool) {
+	visitHops(g.in[node], fn)
+}
+
+func visitHops(hops []hop, fn func(linkID, other int64, cost float64) bool) {
+	for _, h := range hops {
+		if !fn(h.link, h.other, h.cost) {
+			return
 		}
-	}
-	return net
-}
-
-func TestAddNodeLink(t *testing.T) {
-	net := buildNet(t, 3, [][3]int64{{1, 2, 5}, {2, 3, 7}})
-	if net.NumNodes() != 3 || net.NumLinks() != 2 {
-		t.Fatalf("size = %d nodes %d links", net.NumNodes(), net.NumLinks())
-	}
-	if net.Name() != "net" {
-		t.Fatalf("Name = %q", net.Name())
-	}
-	if !net.HasNode(1) || net.HasNode(99) {
-		t.Fatal("HasNode wrong")
-	}
-	if _, err := net.AddLink("", 1, 99, 1); err == nil {
-		t.Fatal("link to missing node accepted")
-	}
-	if _, err := net.AddLink("", 1, 2, -1); err == nil {
-		t.Fatal("negative cost accepted")
-	}
-}
-
-func TestOutInLinks(t *testing.T) {
-	net := buildNet(t, 3, [][3]int64{{1, 2, 5}, {1, 3, 7}, {2, 3, 1}})
-	var outs []int64
-	net.OutLinks(1, func(_, end int64, _ float64) bool {
-		outs = append(outs, end)
-		return true
-	})
-	if len(outs) != 2 {
-		t.Fatalf("OutLinks(1) = %v", outs)
-	}
-	var ins []int64
-	net.InLinks(3, func(_, start int64, _ float64) bool {
-		ins = append(ins, start)
-		return true
-	})
-	if len(ins) != 2 {
-		t.Fatalf("InLinks(3) = %v", ins)
-	}
-	in, out := Degree(net, 1)
-	if in != 0 || out != 2 {
-		t.Fatalf("Degree(1) = (%d,%d)", in, out)
-	}
-}
-
-func TestRemoveLink(t *testing.T) {
-	net := buildNet(t, 2, [][3]int64{{1, 2, 5}})
-	if err := net.RemoveLink(1); err != nil {
-		t.Fatal(err)
-	}
-	if net.NumLinks() != 0 {
-		t.Fatal("link not removed")
-	}
-	if err := net.RemoveLink(1); err == nil {
-		t.Fatal("double remove accepted")
 	}
 }
 
@@ -153,20 +125,17 @@ func TestReachable(t *testing.T) {
 	if len(r) != 1 || r[0] != 2 {
 		t.Fatalf("Reachable depth 1 = %v", r)
 	}
-	if !IsReachable(net, 1, 3) || IsReachable(net, 1, 5) {
-		t.Fatal("IsReachable wrong")
-	}
-	if !IsReachable(net, 6, 6) {
-		t.Fatal("self reachability wrong")
-	}
-	if IsReachable(net, 1, 99) {
-		t.Fatal("missing target reachable")
+	if _, err := ReachableCtx(bg, net, 99, -1); err == nil {
+		t.Fatal("missing source accepted")
 	}
 }
 
 func TestConnectedComponents(t *testing.T) {
 	net := buildNet(t, 6, [][3]int64{{1, 2, 1}, {3, 2, 1}, {4, 5, 1}})
-	comps := ConnectedComponents(net)
+	comps, err := ConnectedComponents(bg, net)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(comps) != 3 {
 		t.Fatalf("components = %v", comps)
 	}
@@ -181,14 +150,14 @@ func TestConnectedComponents(t *testing.T) {
 func TestMinimumCostSpanningTree(t *testing.T) {
 	// Triangle 1-2 (1), 2-3 (2), 1-3 (10): MCST = {1-2, 2-3} cost 3.
 	net := buildNet(t, 3, [][3]int64{{1, 2, 1}, {2, 3, 2}, {1, 3, 10}})
-	edges, total, err := MinimumCostSpanningTree(net, 1)
+	edges, total, err := MinimumCostSpanningTree(bg, net, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(edges) != 2 || total != 3 {
 		t.Fatalf("MCST = %+v total %g", edges, total)
 	}
-	if _, _, err := MinimumCostSpanningTree(net, 99); err == nil {
+	if _, _, err := MinimumCostSpanningTree(bg, net, 99); err == nil {
 		t.Fatal("missing root accepted")
 	}
 }
@@ -258,7 +227,7 @@ func TestMCSTSpansComponent(t *testing.T) {
 				int64(rng.Intn(n) + 1), int64(rng.Intn(n) + 1), int64(rng.Intn(9) + 1)})
 		}
 		net := buildNet(t, n, links)
-		edges, _, err := MinimumCostSpanningTree(net, 1)
+		edges, _, err := MinimumCostSpanningTree(bg, net, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

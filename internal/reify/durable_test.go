@@ -2,6 +2,7 @@ package reify
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -210,7 +211,7 @@ func TestLoadCrashAtCommitGroups(t *testing.T) {
 		if _, err := got.GetModelID("m"); err != nil {
 			return got // cut before the model existed
 		}
-		rows, err := got.Find("m", core.Pattern{Predicate: &typ, Object: &stmt})
+		rows, err := got.Find(context.Background(), "m", core.Pattern{Predicate: &typ, Object: &stmt})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,7 +238,7 @@ func TestLoadCrashAtCommitGroups(t *testing.T) {
 				t.Fatal(err)
 			}
 			implied := 0
-			all, err := got.Find("m", core.Pattern{})
+			all, err := got.Find(context.Background(), "m", core.Pattern{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package reify
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -156,7 +157,7 @@ func TestLoadKeepOriginalURIs(t *testing.T) {
 		t.Fatal(err)
 	}
 	orig := rdfterm.NewURI(OrigResourceProperty)
-	found, err := s.Find("m", core.Pattern{Predicate: &orig})
+	found, err := s.Find(context.Background(), "m", core.Pattern{Predicate: &orig})
 	if err != nil || len(found) != 1 {
 		t.Fatalf("origResource rows = %d, %v", len(found), err)
 	}

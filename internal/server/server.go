@@ -7,7 +7,7 @@
 //   - Deadlines. Every request runs under a context deadline — the
 //     client's ?timeout= clamped by the server's maximum, or the
 //     server's default. The deadline propagates through the whole read
-//     surface (match.MatchContext, core.FindCtx, NDM *Ctx), so an
+//     surface (match.MatchContext, core.Find, the NDM analyses), so an
 //     abandoned query releases the store's read lock promptly. Response
 //     writes carry a slow-client write deadline on top.
 //   - Admission control. A weighted concurrency limiter with a bounded

@@ -236,6 +236,27 @@ func TestTraverseEndpoint(t *testing.T) {
 		"op": "warp", "source": "<http://x#a>",
 	}, nil)
 	wantStatus(t, rr, 400)
+
+	// A source that is no node of the scoped models is a bad request for
+	// every op: a node only another model uses, and a term interned only
+	// as a predicate.
+	st := s.cfg.Backend.Store()
+	if _, err := st.CreateRDFModel("other", "", ""); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.InsertTerms("other", rdfterm.NewURI("http://x#z"), rdfterm.NewURI("http://x#q"), rdfterm.NewURI("http://x#a")); err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []string{"<http://x#z>", "<http://x#p>"} {
+		for _, op := range []string{"shortest_path", "reachable", "within_cost", "nearest"} {
+			rr = do(t, s.Handler(), "POST", "/traverse", map[string]any{
+				"models": []string{"m"}, "op": op, "source": src, "target": "<http://x#c>", "max_cost": 5,
+			}, nil)
+			if rr.Code != 400 {
+				t.Errorf("%s from %s: status %d, want 400: %s", op, src, rr.Code, rr.Body.String())
+			}
+		}
+	}
 }
 
 func TestInsertEndpoint(t *testing.T) {

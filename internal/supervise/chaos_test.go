@@ -176,7 +176,7 @@ func TestChaosCycle(t *testing.T) {
 	// Settle: let the final recovery land, then make everything durable
 	// and shut down.
 	waitState(t, sv, Healthy, 5*time.Second)
-	if err := sv.Checkpoint(); err != nil {
+	if err := sv.Checkpoint(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if err := sv.Close(); err != nil {
@@ -193,7 +193,7 @@ func TestChaosCycle(t *testing.T) {
 	if errs := st.CheckInvariants(); len(errs) > 0 {
 		t.Fatalf("recovered store violates invariants: %v", errs[0])
 	}
-	rows, err := st.Find("chaos", core.Pattern{})
+	rows, err := st.Find(context.Background(), "chaos", core.Pattern{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ func (sv *Supervisor) checkpointLoop() {
 		} else {
 			sp.SetAttr("trigger", "policy")
 		}
-		err := sv.CheckpointCtx(trace.WithSpan(context.Background(), sp))
+		err := sv.Checkpoint(trace.WithSpan(context.Background(), sp))
 		sp.SetError(err)
 		sp.End()
 		if err != nil {

@@ -102,7 +102,7 @@ func TestHardBudgetDegradesAndSelfHeals(t *testing.T) {
 // retrying in DegradedDisk rather than going terminal.
 func TestDiskRecoveryNeverReachesFailed(t *testing.T) {
 	block := make(chan struct{}) // closed when the test frees space
-	var armed atomic.Bool       // false during the initial Open
+	var armed atomic.Bool        // false during the initial Open
 	sv, _, _ := openDiskSupervisor(t, func(cfg *Config) {
 		cfg.Backoff.MaxAttempts = 2
 		cfg.Segment.Budget = wal.Budget{HardBytes: 1 << 10}
@@ -391,7 +391,7 @@ func TestChaosDiskENOSPC(t *testing.T) {
 
 	// Settle and shut down cleanly.
 	waitState(t, sv, Healthy, 10*time.Second)
-	if err := sv.Checkpoint(); err != nil {
+	if err := sv.Checkpoint(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if err := sv.Close(); err != nil {
@@ -408,7 +408,7 @@ func TestChaosDiskENOSPC(t *testing.T) {
 	if errs := st.CheckInvariants(); len(errs) > 0 {
 		t.Fatalf("recovered store violates invariants: %v", errs[0])
 	}
-	rows, err := st.Find("chaos", core.Pattern{})
+	rows, err := st.Find(context.Background(), "chaos", core.Pattern{})
 	if err != nil {
 		t.Fatal(err)
 	}

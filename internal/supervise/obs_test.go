@@ -168,7 +168,7 @@ func TestAdminEndpointEndToEnd(t *testing.T) {
 	if _, err := sv.InsertBatch("m", []core.BatchTriple{{Subject: sub, Predicate: pred, Object: obj}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := match.Match(sv.Store(), `(?s ?p ?o)`, match.Options{
+	if _, err := match.MatchContext(context.Background(), sv.Store(), `(?s ?p ?o)`, match.Options{
 		Models: []string{"m"}, Aliases: testAliases(), Metrics: match.NewMetrics(reg),
 	}); err != nil {
 		t.Fatal(err)

@@ -477,7 +477,7 @@ func (sv *Supervisor) readCtx(ctx context.Context) (context.Context, context.Can
 func (sv *Supervisor) Find(ctx context.Context, model string, pat core.Pattern) ([]core.TripleS, error) {
 	ctx, cancel := sv.readCtx(ctx)
 	defer cancel()
-	return sv.Store().FindCtx(ctx, model, pat)
+	return sv.Store().Find(ctx, model, pat)
 }
 
 // FindModels is Find over several models under one consistent snapshot.
@@ -492,15 +492,11 @@ func (sv *Supervisor) FindModels(ctx context.Context, models []string, pat core.
 // excluding mutations for the duration. A
 // failed checkpoint trips the supervisor to Degraded — or to
 // DegradedDisk when the failure is disk exhaustion — while the previous
-// snapshot stays intact (SaveFile never overwrites in place).
-func (sv *Supervisor) Checkpoint() error {
-	return sv.CheckpointCtx(context.Background())
-}
-
-// CheckpointCtx is Checkpoint recording its phases on the span carried
-// by ctx (see internal/trace) — the automatic checkpoint loop passes a
-// "supervise.checkpoint" root span through here.
-func (sv *Supervisor) CheckpointCtx(ctx context.Context) error {
+// snapshot stays intact (SaveFile never overwrites in place). Its phases
+// are recorded on the span carried by ctx (see internal/trace) — the
+// automatic checkpoint loop passes a "supervise.checkpoint" root span
+// through here.
+func (sv *Supervisor) Checkpoint(ctx context.Context) error {
 	sv.opMu.Lock()
 	defer sv.opMu.Unlock()
 	st, err := sv.gate()

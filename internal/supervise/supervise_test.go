@@ -152,7 +152,7 @@ func TestLifecycleAndRestart(t *testing.T) {
 	if err := insert(sv, "m", "x:s", "x:p", "x:o"); err != nil {
 		t.Fatal(err)
 	}
-	if err := sv.Checkpoint(); err != nil {
+	if err := sv.Checkpoint(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if err := insert(sv, "m", "x:s2", "x:p", "x:o2"); err != nil {
@@ -312,7 +312,7 @@ func TestScrubberEscalatesAndRecoveryRebuildsFromDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Make the durable image current, then condemn memory.
-	if err := sv.Checkpoint(); err != nil {
+	if err := sv.Checkpoint(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	before := sv.Store()
@@ -400,7 +400,7 @@ func TestCorruptionRecoverySurvivesTransientAttemptFailure(t *testing.T) {
 	if err := insert(sv, "m", "x:s", "x:p", "x:o"); err != nil {
 		t.Fatal(err)
 	}
-	if err := sv.Checkpoint(); err != nil {
+	if err := sv.Checkpoint(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	before := sv.Store()

@@ -130,7 +130,7 @@ func isContextRoot(pass *framework.Pass, call *ast.CallExpr) (string, bool) {
 }
 
 // ctxVariantOf returns the name of a context-taking sibling of the
-// callee ("FindCtx", "store.FindContext") when the call neither takes
+// callee ("CheckpointDirCtx", "exec.CommandContext") when the call neither takes
 // nor receives a context, or "" when the call is fine.
 func ctxVariantOf(pass *framework.Pass, call *ast.CallExpr) string {
 	// Already threading a context? Fine.
