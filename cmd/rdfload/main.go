@@ -195,7 +195,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		}
 	}
 	// -trace-wal: every group-commit flush records a wal.flush root span
-	// (wal.write + wal.fsync children); retain them all (sample 1.0) in a
+	// (the Dir's one write and fsync); retain them all (sample 1.0) in a
 	// modest ring and print the slowest tree after the load.
 	var flushTracer *trace.Tracer
 	if *traceWAL && group != nil {

@@ -42,6 +42,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -111,7 +112,7 @@ func newFlagSet() (*flag.FlagSet, *serveFlags) {
 		walDir:        fs.String("wal-dir", "", "write-ahead log directory (rotating segments, checkpoint retention, disk budget): run under the supervisor with durable mutations"),
 		segmentBytes:  fs.Int64("wal-segment-bytes", 0, "segment rotation threshold in bytes (0 = 64 MiB default; requires -wal-dir)"),
 		softBytes:     fs.Int64("wal-soft-bytes", 0, "soft disk watermark: crossing it triggers an automatic checkpoint (0 disables; requires -wal-dir and -snapshot)"),
-		hardBytes:     fs.Int64("wal-hard-bytes", 0, "hard disk budget: appends past it are rejected and the store enters Degraded(disk) (0 disables; requires -wal-dir)"),
+		hardBytes:     fs.Int64("wal-hard-bytes", 0, "hard disk budget: writes past it are rejected and the store enters Degraded(disk) (0 disables; requires -wal-dir)"),
 		ckptInterval:  fs.Duration("checkpoint-interval", 0, "automatic checkpoint age trigger (0 disables; requires -snapshot)"),
 		ckptWALBytes:  fs.Int64("checkpoint-wal-bytes", 0, "automatic checkpoint WAL-size trigger in bytes (0 disables; requires -snapshot)"),
 		scrubInterval: fs.Duration("scrub-interval", 0, "background invariant scrub cadence (0 disables; requires -wal-dir)"),
@@ -284,8 +285,15 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("loading %s: %w", *loadPath, err)
 		}
+		n := len(triples)
+		// The parsed input is garbage now, but the load's last GC may have
+		// marked it live and set the heap goal from it. A forced collection
+		// that returns the freed pages to the OS costs tens of
+		// milliseconds, so it runs beside start-up, not in it.
+		triples = nil
+		go debug.FreeOSMemory()
 		fmt.Fprintf(stdout, "loaded %d triples from %s into %q (parse %s, fold+insert %s, %d commit groups)\n",
-			len(triples), *loadPath, *model, ms(parsed), ms(time.Since(t0)-parsed), fsyncs()-groups)
+			n, *loadPath, *model, ms(parsed), ms(time.Since(t0)-parsed), fsyncs()-groups)
 	}
 
 	srv, err := server.New(server.Config{

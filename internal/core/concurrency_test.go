@@ -182,6 +182,11 @@ func TestConcurrentReadersWriterStress(t *testing.T) {
 // supervisor's Degraded mode is built on: when the durability sink is
 // broken, mutations are rejected with the typed ErrDurability while
 // concurrent readers keep serving consistent results the whole time.
+//
+// The first rejected write fails at its commit, after the store applied
+// it: it may stay visible, but only whole. From then on the store is
+// fail-stop — every write is refused before it runs — so every read
+// sees exactly the count left after that first rejection.
 func TestDegradedReadsWhileWritesRejected(t *testing.T) {
 	var fl *wal.FlakyFile
 	log, _, err := wal.OpenDir(t.TempDir(), 0, wal.DirOptions{Wrap: func(f wal.File) wal.File {
@@ -208,6 +213,26 @@ func TestDegradedReadsWhileWritesRejected(t *testing.T) {
 	// Break the sink permanently: the store is now effectively read-only.
 	fl.FailWrites(1 << 30)
 
+	// One rejected write: visible whole or not at all.
+	if _, err := s.NewTripleS("m", "x:rejected", "x:p", "x:o", a); !errors.Is(err, ErrDurability) {
+		t.Fatalf("first write against the broken WAL: %v, want ErrDurability", err)
+	}
+	rows, err := s.Find(context.Background(), "m", Pattern{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	visible := len(rows)
+	_, present, err := s.IsTriple("m", "x:rejected", "x:p", "x:o", a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	switch {
+	case visible == seeded && !present, visible == seeded+1 && present:
+	default:
+		t.Fatalf("after the rejected write: %d rows, rejected triple present=%v; want %d without it or %d with it",
+			visible, present, seeded, seeded+1)
+	}
+
 	var stop atomic.Bool
 	errCh := make(chan error, 8)
 	var wg sync.WaitGroup
@@ -221,8 +246,8 @@ func TestDegradedReadsWhileWritesRejected(t *testing.T) {
 					errCh <- fmt.Errorf("read while degraded: %w", err)
 					return
 				}
-				if len(rows) != seeded {
-					errCh <- fmt.Errorf("read while degraded saw %d rows, want %d", len(rows), seeded)
+				if len(rows) != visible {
+					errCh <- fmt.Errorf("read while degraded saw %d rows, want %d", len(rows), visible)
 					return
 				}
 				for _, row := range rows {
@@ -235,18 +260,28 @@ func TestDegradedReadsWhileWritesRejected(t *testing.T) {
 		}()
 	}
 
-	// Writers hammer the broken sink: every attempt must come back as a
-	// typed durability error, and none may leak a partial row into what
-	// the readers see (the count check above would catch it).
-	for i := 0; i < 25; i++ {
-		_, err := s.NewTripleS("m", fmt.Sprintf("x:new%d", i), "x:p", "x:o", a)
-		if err == nil {
-			t.Fatal("mutation against broken WAL succeeded")
-		}
-		if !errors.Is(err, ErrDurability) {
-			t.Fatalf("mutation error %v does not wrap ErrDurability", err)
-		}
+	// Writers hammer the broken store: every attempt must come back as a
+	// typed durability error, and none may leak a row into what the
+	// readers see (the count check above would catch it).
+	var writers sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			for i := 0; i < 25; i++ {
+				_, err := s.NewTripleS("m", fmt.Sprintf("x:new%d_%d", w, i), "x:p", "x:o", a)
+				if err == nil {
+					errCh <- errors.New("mutation against broken WAL succeeded")
+					return
+				}
+				if !errors.Is(err, ErrDurability) {
+					errCh <- fmt.Errorf("mutation error %v does not wrap ErrDurability", err)
+					return
+				}
+			}
+		}(w)
 	}
+	writers.Wait()
 
 	stop.Store(true)
 	wg.Wait()

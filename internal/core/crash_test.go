@@ -32,9 +32,10 @@ import (
 // segment holds the whole log in one file. Rotating segments are small
 // enough that the workload spans dozens of them, so crashes also land on
 // rotation boundaries: the old segment's last frame, the new segment's
-// header. SyncEvery 3 runs through a wal.GroupLog, whose frames reach the
-// file only at sync points, one batch per write: a crash loses up to two
-// whole commits, and what survives must still be a golden prefix. The
+// header. Frames reach the file only at commit points, one batch per
+// write: a commit's at SyncEvery 1, three commits' through a
+// wal.GroupLog at SyncEvery 3, where a crash loses up to two whole
+// commits and what survives must still be a golden prefix. The
 // checkpoint windows are the last axis (TestDirCheckpointCrashWindows).
 
 // crashSegmentBytes forces rotation every few records.

@@ -11,8 +11,10 @@ import (
 // (WAL append or commit failure) rather than by the mutation itself. At
 // that point the in-memory store is ahead of the log: the mutation was
 // not acknowledged, but its in-memory effects may persist and will be
-// captured by the next checkpoint. Supervisors match this sentinel with
-// errors.Is to transition the store into degraded (read-only) mode.
+// captured by the next checkpoint. From then on the store refuses every
+// mutation with ErrDurability, before running it, until SetDurability
+// attaches a log again. Supervisors match this sentinel with errors.Is
+// to transition the store into degraded (read-only) mode.
 var ErrDurability = errors.New("core: durability sink failed")
 
 // Durability receives the store's logical mutations as WAL records. The
@@ -22,39 +24,55 @@ var ErrDurability = errors.New("core: durability sink failed")
 //
 // Append is called under the store's write lock with each record the
 // store has just applied (emitLocked) — any prefix of the record stream
-// is a consistent store state. Commit is called once per successful
-// public mutation, at the store's one commit point (write), and should
-// make the appended records durable (fsync).
+// is a consistent store state. It may only buffer the record (*wal.Dir
+// frames it in memory). Commit is called once per successful public
+// mutation, at the store's one commit point (write), and should make the
+// appended records durable: *wal.Dir writes the transaction's frames in
+// one write and fsyncs, so a failed write or budget rejection surfaces
+// at Commit, after the whole transaction was applied in memory. Records
+// appended by a mutation that failed before its commit stay with the
+// sink and reach the log with the next write (a Commit, a checkpoint's
+// Rotate, Close).
 type Durability interface {
 	Append(r wal.Record) error
 	Commit() error
 }
 
-// SetDurability attaches (or, with nil, detaches) a durability sink.
-// Attach before sharing the store across goroutines; records are emitted
-// only for mutations after the attach, so pair it with an empty log and a
-// fresh/recovered store, or checkpoint first.
+// SetDurability attaches (or, with nil, detaches) a durability sink and
+// lifts the refusal a failed commit left behind. Attach before sharing
+// the store across goroutines; records are emitted only for mutations
+// after the attach, so pair it with an empty log and a fresh/recovered
+// store, or checkpoint first.
 func (s *Store) SetDurability(d Durability) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.dur = d
+	s.durErr = nil
 }
 
 // write runs one public mutation as one transaction: it takes the write
 // lock (timing the wait), runs fn, which changes the store only through
 // emitLocked, refreshes the core_triples gauge and, if fn succeeded,
-// seals fn's records at the store's one commit point.
+// seals fn's records at the store's one commit point. Once the sink has
+// failed, write is fail-stop: it refuses every mutation before running
+// it, so the in-memory state readers see stops moving with the log.
 func (s *Store) write(fn func() error) error {
 	t0 := s.met.startTimer()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.met.onWriteLockAcquired(t0)
+	if s.durErr != nil {
+		return fmt.Errorf("core: refusing writes after a failed commit: %w", s.durErr)
+	}
 	err := fn()
 	s.met.setTriples(s.links.Len())
-	if err != nil {
-		return err
+	if err == nil {
+		err = s.logCommit()
 	}
-	return s.logCommit()
+	if errors.Is(err, ErrDurability) {
+		s.durErr = err
+	}
+	return err
 }
 
 // emitLocked applies one mutation record, then logs it: the only way a

@@ -265,6 +265,9 @@ func TestReplayRejectsDuplicateTerm(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if err := log.Commit(); err != nil {
+		t.Fatal(err)
+	}
 	_, _, _, err := RecoverDir("", log.Path(), wal.DirOptions{})
 	if !errors.Is(err, reldb.ErrUniqueViolation) || !strings.Contains(err.Error(), "record 3") {
 		t.Fatalf("recovering a log that interns <http://a> twice: %v; want a unique violation at record 3", err)
@@ -288,6 +291,9 @@ func TestReplayKeepsNothingOfTheScanWindow(t *testing.T) {
 	_, other := walStore(t)
 	for other.Size() < log.Size()+64 {
 		if err := other.Append(wal.Record{Type: wal.TypeCreateModel, ModelID: 1, Name: strings.Repeat("#", 200)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := other.Commit(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -69,6 +69,10 @@ type Store struct {
 	// (see durability.go). nil — the default — costs nothing.
 	dur Durability
 
+	// durErr is the sink's first failure; while set, write refuses every
+	// mutation (see write). SetDurability clears it.
+	durErr error //repro:guarded-by mu
+
 	// met, when non-nil, receives instrumentation hooks (see metrics.go).
 	// Deliberately NOT guarded-by mu: lock-wait timing reads it before
 	// acquiring the lock, so the synchronization is attach-before-share

@@ -257,13 +257,15 @@ func TestChaosDiskENOSPC(t *testing.T) {
 	rec := &recorder{}
 
 	// Track every segment file ever created so chaos can arm the latest.
+	// Segment n draws from seed 99+n: one shared seed would replay the
+	// same first draws in every short-lived segment.
 	var fmu sync.Mutex
 	var flakies []*wal.FlakyFile
 	wrapSeg := func(f wal.File) wal.File {
 		fl := wal.NewFlaky(f)
-		fl.SetNoSpaceRate(0.02, 99)
 		fl.SetPartialWriteFraction(0.5) // half the ENOSPCs tear mid-frame
 		fmu.Lock()
+		fl.SetNoSpaceRate(0.02, 99+int64(len(flakies)))
 		flakies = append(flakies, fl)
 		fmu.Unlock()
 		return fl

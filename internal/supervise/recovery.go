@@ -18,8 +18,9 @@ import (
 // checkpoints the current memory image atomically (core.CheckpointDir:
 // rotate, snapshot with watermark, retire the segments below it). One
 // acknowledged-durability wart is inherent here: a mutation whose WAL
-// append failed was rejected to its caller but may have partially applied
-// in memory; re-baselining persists it. That errs on the side of keeping
+// commit failed was rejected to its caller but was applied in memory
+// (the store refuses every later write until re-baselined, so it is the
+// only one); re-baselining persists it. That errs on the side of keeping
 // data (at-least-once), never losing acknowledged commits.
 //
 // Corruption recovery (scrubber violations) is different: memory is the

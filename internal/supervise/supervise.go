@@ -295,8 +295,8 @@ func Open(cfg Config) (*Supervisor, error) {
 	}
 	// Chain the supervisor's immediate-checkpoint trigger onto the WAL's
 	// soft watermark (preserving any user callback). The chained callback
-	// only pokes a buffered channel, so it is safe to fire from inside an
-	// Append.
+	// only pokes a buffered channel, so it is safe to fire from inside a
+	// commit, under the store's write lock.
 	userSoft := cfg.Segment.OnSoft
 	sv.cfg.Segment.OnSoft = func(total int64) {
 		if userSoft != nil {

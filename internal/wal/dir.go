@@ -20,8 +20,11 @@ import (
 //
 // each carrying the Magic header followed by CRC-framed records. A
 // directory holding only wal-000001.log is a plain single-file log.
-// Appends go to the highest-numbered (current) segment;
-// when it would grow past SegmentBytes the Dir rotates: the current
+// Append only frames a record into the Dir's buffer; Commit writes the
+// buffered frames to the highest-numbered (current) segment in one
+// write(2) and fsyncs — one write per transaction, as a redo log buffer
+// is written once at commit. When a write would grow the current
+// segment past SegmentBytes the Dir rotates first: the current
 // segment is fsynced, a fresh one is created, and writes continue there.
 // Because rotation syncs before the next segment exists, every non-final
 // segment ends on a frame boundary — recovery therefore tolerates a torn
@@ -36,12 +39,12 @@ import (
 // durable" and "old segments gone" converges to the same state.
 //
 // On top sits a byte budget for the directory: crossing Budget.SoftBytes
-// fires OnSoft (the supervisor's cue to checkpoint), and an append that
+// fires OnSoft (the supervisor's cue to checkpoint), and a write that
 // would cross Budget.HardBytes is rejected with ErrNoSpace before it
 // touches the disk — the same typed family a real ENOSPC from the
 // filesystem is classified into by IsNoSpace.
 
-// ErrNoSpace reports an append rejected by the Dir's hard byte budget.
+// ErrNoSpace reports a write rejected by the Dir's hard byte budget.
 // It is in the same fault family as a filesystem ENOSPC: IsNoSpace
 // matches both, and the supervisor degrades to read-only disk-pressure
 // mode on either.
@@ -69,17 +72,19 @@ type Budget struct {
 	// (once per crossing): the supervisor's cue to checkpoint and free
 	// segments before the hard limit is reached.
 	SoftBytes int64
-	// HardBytes, when positive, is the ceiling: an append that would push
+	// HardBytes, when positive, is the ceiling: a write that would push
 	// the directory past it is rejected with ErrNoSpace.
 	HardBytes int64
 }
 
 // DirOptions configure a segmented WAL directory.
 type DirOptions struct {
-	// SegmentBytes is the rotation threshold: an append that would grow
+	// SegmentBytes is the rotation threshold: a write that would grow
 	// the current segment past it first rotates to a fresh segment.
-	// 0 means the 64 MiB default. A single append larger than the
-	// threshold still lands (in a segment of its own).
+	// 0 means the 64 MiB default. A write — the frames buffered since
+	// the last one: a commit's, a group's, or a maxPending piece of a
+	// huge transaction — never spans segments: one larger than the
+	// threshold still lands, in a segment of its own.
 	SegmentBytes int64
 	// Budget bounds the directory's total size; the zero value disables
 	// both watermarks.
@@ -89,7 +94,7 @@ type DirOptions struct {
 	// FlakyFile, or a FaultInjector's). Recovery scanning always reads
 	// the raw files.
 	Wrap func(File) File
-	// OnSoft is called (outside the Dir's lock) when an append first
+	// OnSoft is called (outside the Dir's lock) when a write first
 	// pushes the directory past Budget.SoftBytes; it re-arms once
 	// retention brings the total back under the watermark.
 	OnSoft func(totalBytes int64)
@@ -98,6 +103,12 @@ type DirOptions struct {
 // DefaultSegmentBytes is the rotation threshold used when
 // DirOptions.SegmentBytes is zero.
 const DefaultSegmentBytes int64 = 64 << 20
+
+// maxPending bounds the frames a Dir buffers between writes: Append
+// writes the buffer early once it reaches this size, so a huge
+// transaction reaches the segment in several writes, each ending on a
+// frame boundary.
+const maxPending = 1 << 20
 
 // DirScanResult is the outcome of opening a segmented WAL: what recovery
 // found and repaired on the way, and with OpenDir the replayable records.
@@ -128,7 +139,9 @@ type DirScanResult struct {
 // each commit point) over a directory of segments, whose space a
 // checkpoint reclaims by deleting whole segments (Rotate, then
 // RemoveBelow once the snapshot is durable) — never by truncating a live
-// file.
+// file. Appended frames wait in the Dir's buffer until Commit, Rotate or
+// Close writes them (or the buffer reaches maxPending), so every write
+// error, budget rejection included, surfaces there.
 type Dir struct {
 	mu   sync.Mutex
 	path string
@@ -140,7 +153,7 @@ type Dir struct {
 	size  int64 // bytes in the current segment (header included)
 	prev  int64 // bytes across retained non-current segments
 
-	buf       []byte   // scratch frame buffer, reused across appends
+	buf       []byte   // frames appended since the last write, not yet on disk
 	met       *Metrics // nil when instrumentation is disabled
 	softFired bool     // soft watermark crossed; re-arms below the mark
 	poisoned  error    // torn write could not be rolled back; see writeLocked
@@ -396,11 +409,8 @@ func (d *Dir) rotateLocked() error {
 // whether the soft watermark was crossed by this write (the caller fires
 // OnSoft after unlocking). Caller holds d.mu.
 func (d *Dir) writeLocked(b []byte) (fireSoft bool, err error) {
-	if d.closed {
-		return false, errors.New("wal: append on closed dir")
-	}
-	if d.poisoned != nil {
-		return false, d.poisoned
+	if err := d.usableLocked(); err != nil {
+		return false, err
 	}
 	if d.size > int64(len(Magic)) && d.size+int64(len(b)) > d.opts.SegmentBytes {
 		if err := d.rotateLocked(); err != nil {
@@ -409,7 +419,7 @@ func (d *Dir) writeLocked(b []byte) (fireSoft bool, err error) {
 	}
 	if hard := d.opts.Budget.HardBytes; hard > 0 && d.prev+d.size+int64(len(b)) > hard {
 		d.met.onBudgetReject()
-		return false, fmt.Errorf("%w: %d bytes + %d-byte append exceeds the %d-byte hard budget",
+		return false, fmt.Errorf("%w: %d bytes + %d-byte write exceeds the %d-byte hard budget",
 			ErrNoSpace, d.prev+d.size, len(b), hard)
 	}
 	pre := d.size
@@ -420,13 +430,13 @@ func (d *Dir) writeLocked(b []byte) (fireSoft bool, err error) {
 	}
 	if werr != nil {
 		if n > 0 {
-			// A prefix of the frame landed (the shape ENOSPC takes
+			// A prefix of the frames landed (the shape ENOSPC takes
 			// mid-write(2)). Roll the segment back to the pre-write frame
-			// boundary: if a later append continued past the tear, a
+			// boundary: if a later write continued past the tear, a
 			// subsequent rotation would fossilize it mid-segment, which
 			// recovery rightly refuses as ErrSegmentCorrupt. When the
 			// rollback itself fails the Dir poisons instead — every further
-			// append is refused until the supervisor replaces the Dir
+			// write is refused until the supervisor replaces the Dir
 			// (reopening repairs the torn tail on disk).
 			if rerr := d.rollbackLocked(pre); rerr != nil {
 				d.poisoned = fmt.Errorf("wal: %s: torn write not rolled back (%v) after: %w",
@@ -462,70 +472,104 @@ func (d *Dir) rollbackLocked(pre int64) error {
 	return nil
 }
 
-// Append frames and writes one record to the current segment, rotating
-// first when the segment is full. The write is buffered by the OS until
-// Commit; a crash before Commit may tear the final segment's tail, which
-// recovery detects and truncates.
+// Append frames one record into the Dir's buffer. It does no I/O
+// unless the buffer reaches maxPending; the frames reach the current
+// segment in one write at the next Commit, Rotate or Close.
 func (d *Dir) Append(r Record) error {
 	d.mu.Lock()
-	d.buf = appendFrame(d.buf[:0], &r)
-	frame := len(d.buf)
-	fire, err := d.writeLocked(d.buf)
-	total := d.prev + d.size
-	if err == nil {
-		d.met.onAppend(frame)
+	if err := d.usableLocked(); err != nil {
+		d.mu.Unlock()
+		return fmt.Errorf("wal: append %s: %w", r.Type, err)
 	}
-	d.mu.Unlock()
-	if fire && d.opts.OnSoft != nil {
-		d.opts.OnSoft(total)
+	before := len(d.buf)
+	d.buf = appendFrame(d.buf, &r)
+	d.met.onAppend(len(d.buf) - before)
+	var fire bool
+	var err error
+	if len(d.buf) >= maxPending {
+		fire, err = d.writePendingLocked()
 	}
+	d.unlockFiring(fire)
 	if err != nil {
 		return fmt.Errorf("wal: append %s: %w", r.Type, err)
 	}
 	return nil
 }
 
-// writeRaw writes already-framed bytes — the flush path of a GroupLog,
-// which frames records itself. The whole batch lands in one segment
-// (rotation happens before, never inside, a batch).
-func (d *Dir) writeRaw(b []byte) error {
-	d.mu.Lock()
-	fire, err := d.writeLocked(b)
+// usableLocked refuses a closed or poisoned Dir. Caller holds d.mu.
+func (d *Dir) usableLocked() error {
+	if d.closed {
+		return errors.New("wal: write on closed dir")
+	}
+	return d.poisoned
+}
+
+// writePendingLocked writes the buffered frames, if any, in one write
+// and empties the buffer — on failure too: the frames belong to a
+// transaction its caller reports as failed, and writeLocked has rolled
+// any torn prefix back off the segment. Caller holds d.mu.
+func (d *Dir) writePendingLocked() (fireSoft bool, err error) {
+	if len(d.buf) == 0 {
+		return false, nil
+	}
+	fireSoft, err = d.writeLocked(d.buf)
+	d.buf = d.buf[:0]
+	return fireSoft, err
+}
+
+// unlockFiring releases d.mu and then, when a write crossed the soft
+// watermark, calls OnSoft with the directory's size.
+func (d *Dir) unlockFiring(fire bool) {
 	total := d.prev + d.size
 	d.mu.Unlock()
 	if fire && d.opts.OnSoft != nil {
 		d.opts.OnSoft(total)
 	}
-	return err
 }
 
-// Commit makes all appended records durable (fsync of the current
-// segment; older segments were synced when they were rotated away).
+// Commit makes all appended records durable: the buffered frames in one
+// write to the current segment, then its fsync (older segments were
+// synced when they were rotated away).
 func (d *Dir) Commit() error {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	t0 := d.met.startTimer()
-	if err := d.f.Sync(); err != nil {
-		d.met.onFsyncError()
-		return fmt.Errorf("wal: sync %s: %w", segmentName(d.seq), err)
+	fire, err := d.writePendingLocked()
+	if err == nil {
+		t0 := d.met.startTimer()
+		if err = d.f.Sync(); err != nil {
+			d.met.onFsyncError()
+			err = fmt.Errorf("wal: sync %s: %w", segmentName(d.seq), err)
+		} else {
+			d.met.onFsync(t0)
+		}
+	} else {
+		err = fmt.Errorf("wal: commit: %w", err)
 	}
-	d.met.onFsync(t0)
-	return nil
+	d.unlockFiring(fire)
+	return err
 }
 
 // Rotate forces a segment boundary and returns the new current segment
 // number — the checkpoint protocol's first step: everything the snapshot
-// will contain now lives in segments below the returned number.
+// will contain now lives in segments below the returned number. Buffered
+// frames are written first, so the records of a transaction that failed
+// after applying some of them land below the watermark with the state
+// the snapshot holds, not above it where replay would apply them twice.
 func (d *Dir) Rotate() (int64, error) {
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.closed {
+		d.mu.Unlock()
 		return 0, errors.New("wal: rotate on closed dir")
 	}
-	if err := d.rotateLocked(); err != nil {
+	fire, err := d.writePendingLocked()
+	if err == nil {
+		err = d.rotateLocked()
+	}
+	seq := d.seq
+	d.unlockFiring(fire)
+	if err != nil {
 		return 0, err
 	}
-	return d.seq, nil
+	return seq, nil
 }
 
 // RemoveBelow deletes every retained segment numbered below seq (the
@@ -586,17 +630,22 @@ func (d *Dir) Size() int64 {
 // Path returns the directory the segments live in.
 func (d *Dir) Path() string { return d.path }
 
-// Close syncs and closes the current segment.
+// Close writes any buffered frames, then syncs and closes the current
+// segment.
 func (d *Dir) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return nil
 	}
+	_, werr := d.writePendingLocked()
 	d.closed = true
 	if err := d.f.Sync(); err != nil {
 		d.f.Close()
 		return err
 	}
-	return d.f.Close()
+	if err := d.f.Close(); err != nil {
+		return err
+	}
+	return werr
 }

@@ -28,16 +28,17 @@ func openTestDir(t *testing.T, dir string, fromSeq int64, opts DirOptions) (*Dir
 	return d, res
 }
 
-// appendN appends and commits n records starting at id.
+// appendN appends n records starting at id, committing each: one write
+// per record, so a tiny SegmentBytes rotates between them.
 func appendN(t *testing.T, d *Dir, id, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		if err := d.Append(dirRec(id + i)); err != nil {
 			t.Fatalf("append %d: %v", id+i, err)
 		}
-	}
-	if err := d.Commit(); err != nil {
-		t.Fatal(err)
+		if err := d.Commit(); err != nil {
+			t.Fatalf("commit %d: %v", id+i, err)
+		}
 	}
 }
 
@@ -108,6 +109,45 @@ func TestDirOversizeRecordStillLands(t *testing.T) {
 	_, res := openTestDir(t, dir, 0, DirOptions{SegmentBytes: 32})
 	if len(res.Records) != 1 || res.Records[0].ValueID != 1 {
 		t.Fatalf("oversize record lost: %+v", res.Records)
+	}
+}
+
+// TestDirWritesHugeTransactionEarly: Append does no I/O until the buffer
+// reaches maxPending; then the frames so far are written, ending on a
+// frame boundary, and Commit writes the rest.
+func TestDirWritesHugeTransactionEarly(t *testing.T) {
+	dir := t.TempDir()
+	d, _ := openTestDir(t, dir, 0, DirOptions{SegmentBytes: DefaultSegmentBytes})
+	defer d.Close()
+	header := d.Size()
+	rec := func(i int) Record {
+		return Record{Type: TypeInternValue, ValueID: int64(i), ValueType: "UR", Text: string(make([]byte, 4096))}
+	}
+	n := 0
+	for d.Size() == header {
+		if n > 2*maxPending/4096 {
+			t.Fatalf("%d appends, none written", n)
+		}
+		if err := d.Append(rec(n)); err != nil {
+			t.Fatal(err)
+		}
+		n++
+	}
+	if d.Size()-header < maxPending {
+		t.Fatalf("wrote %d bytes early, below the %d-byte bound", d.Size()-header, maxPending)
+	}
+	res, err := ScanFile(filepath.Join(dir, segmentName(1)))
+	if err != nil || res.Truncated || len(res.Records) != n {
+		t.Fatalf("early write: %v, truncated=%v, %d records on disk, want %d", err, res.Truncated, len(res.Records), n)
+	}
+	if err := d.Append(rec(n)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if res, err = ScanFile(filepath.Join(dir, segmentName(1))); err != nil || len(res.Records) != n+1 {
+		t.Fatalf("after commit: %v, %d records, want %d", err, len(res.Records), n+1)
 	}
 }
 
@@ -317,6 +357,10 @@ func TestDirHardBudgetRejects(t *testing.T) {
 	var rejected error
 	for i := 0; i < 100; i++ {
 		if err := d.Append(dirRec(i)); err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+		// The budget is enforced where the frames are written: at Commit.
+		if err := d.Commit(); err != nil {
 			rejected = err
 			break
 		}
@@ -340,6 +384,9 @@ func TestDirHardBudgetRejects(t *testing.T) {
 	}
 	if err := d.Append(dirRec(999)); err != nil {
 		t.Fatalf("append after retention: %v", err)
+	}
+	if err := d.Commit(); err != nil {
+		t.Fatalf("commit after retention: %v", err)
 	}
 }
 
@@ -409,16 +456,22 @@ func TestDirInjectedENOSPCSurfacesAsNoSpace(t *testing.T) {
 	defer d.Close()
 	appendN(t, d, 0, 3)
 	flaky.FailWithENOSPC(1)
-	err := d.Append(dirRec(99))
+	if err := d.Append(dirRec(99)); err != nil {
+		t.Fatalf("append does no I/O, yet failed: %v", err)
+	}
+	err := d.Commit()
 	if err == nil {
 		t.Fatal("injected ENOSPC did not surface")
 	}
 	if !IsNoSpace(err) {
 		t.Fatalf("IsNoSpace(%v) = false", err)
 	}
-	// The fault is transient: the next append succeeds.
+	// The fault is transient: the next commit succeeds.
 	if err := d.Append(dirRec(100)); err != nil {
 		t.Fatalf("append after transient ENOSPC: %v", err)
+	}
+	if err := d.Commit(); err != nil {
+		t.Fatalf("commit after transient ENOSPC: %v", err)
 	}
 }
 

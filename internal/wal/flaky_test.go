@@ -81,8 +81,11 @@ func TestFlakyFileWrapsRealFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	ff.FailWrites(1)
-	if err := d.Append(Record{Type: TypeInternValue, ValueID: 1069, Text: "lost", ValueType: "UR"}); !errors.Is(err, ErrInjected) {
-		t.Fatalf("append through armed fault: %v, want ErrInjected", err)
+	if err := d.Append(Record{Type: TypeInternValue, ValueID: 1069, Text: "lost", ValueType: "UR"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Commit(); !errors.Is(err, ErrInjected) {
+		t.Fatalf("commit through armed fault: %v, want ErrInjected", err)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)

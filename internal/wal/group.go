@@ -10,11 +10,10 @@ import (
 
 // Group commit: a bulk load that fsyncs once per triple is bounded by
 // disk flush latency, not bandwidth. A GroupLog sits between the store
-// and a Dir, buffering framed records in memory and acknowledging
-// commits without syncing; every SyncEvery commits (or every Interval,
-// whichever comes first) the buffered frames are written and fsynced in
-// one batch, which lands whole in one segment (the Dir rotates between
-// batches, never inside one).
+// and a Dir and only counts commits: records go straight to the Dir's
+// buffer, and every SyncEvery commits (or every Interval, whichever
+// comes first) one Dir.Commit writes the buffered frames in one batch,
+// which lands whole in one segment, and fsyncs.
 //
 // The durability contract weakens in exactly one documented way: a crash
 // may lose up to the last SyncEvery-1 committed mutations. What survives
@@ -40,7 +39,6 @@ type GroupLog struct {
 	opts GroupOptions
 
 	mu      sync.Mutex
-	buf     []byte        // framed records not yet written to the file
 	pending int           // commits since the last sync
 	err     error         // first flush failure, latched: the log is behind memory
 	met     *Metrics      // nil when instrumentation is disabled
@@ -51,8 +49,8 @@ type GroupLog struct {
 }
 
 // SetMetrics attaches instrumentation to the group layer and the
-// underlying Dir (the Dir records fsync latency and disk usage; the group
-// layer records appends, flush batching, and the buffered-commit gauge).
+// underlying Dir (the Dir records appends, fsync latency and disk usage;
+// the group layer records flush batching and the buffered-commit gauge).
 // Call before the GroupLog is shared.
 func (g *GroupLog) SetMetrics(m *Metrics) {
 	g.mu.Lock()
@@ -62,7 +60,7 @@ func (g *GroupLog) SetMetrics(m *Metrics) {
 }
 
 // SetTracer attaches a span tracer: every flush records a background
-// "wal.flush" root span with "wal.write" and "wal.fsync" children, so
+// "wal.flush" root span around the Dir's write and fsync, so
 // the tail sampler retains slow or failed flushes — the group-commit
 // half of a slow insert that the request span alone cannot see. Call
 // before the GroupLog is shared; nil disables (the default) and the
@@ -108,17 +106,20 @@ func (g *GroupLog) flushLoop() {
 	}
 }
 
-// Append frames the record into the in-memory buffer. Nothing reaches
-// the file until the next flush, so Append cannot tear the on-disk log.
+// Append hands the record to the Dir's buffer. Nothing reaches the file
+// until the next flush, unless the buffer outgrows maxPending; a failure
+// of that early write is latched like a failed flush.
 func (g *GroupLog) Append(r Record) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.err != nil {
 		return g.err
 	}
-	before := len(g.buf)
-	g.buf = appendFrame(g.buf, &r)
-	g.met.onAppend(len(g.buf) - before)
+	if err := g.log.Append(r); err != nil {
+		g.err = err
+		g.met.onGroupFlushError()
+		return err
+	}
 	return nil
 }
 
@@ -146,59 +147,29 @@ func (g *GroupLog) Flush() error {
 	if g.err != nil {
 		return g.err
 	}
-	if g.pending == 0 && len(g.buf) == 0 {
+	if g.pending == 0 {
 		return nil
 	}
 	return g.flushLocked()
 }
 
-// flushLocked writes the buffered frames in one Write and syncs. A
-// failure is latched: the in-memory store is ahead of the log from that
-// point on, and every later Append/Commit reports it. Caller holds g.mu.
+// flushLocked commits the Dir: the buffered frames in one write, then
+// the fsync. A failure is latched: the in-memory store is ahead of the
+// log from that point on, and every later Append/Commit reports it.
+// Caller holds g.mu.
 func (g *GroupLog) flushLocked() error {
 	sp := g.tracer.StartRoot("wal.flush") // nil tracer → nil span, no clock read
 	defer sp.End()
 	sp.SetInt("records", int64(g.pending))
-	sp.SetInt("bytes", int64(len(g.buf)))
-	var phaseStart time.Time
-	if sp != nil {
-		phaseStart = time.Now()
-	}
-	if len(g.buf) > 0 {
-		if err := g.log.writeRaw(g.buf); err != nil {
-			g.err = fmt.Errorf("wal: group flush: %w", err)
-			g.met.onGroupFlushError()
-			sp.AddCompleted("wal.write", phaseStart, spanSince(sp, phaseStart), nil, true)
-			sp.SetError(g.err)
-			return g.err
-		}
-		g.buf = g.buf[:0]
-	}
-	if sp != nil {
-		now := time.Now()
-		sp.AddCompleted("wal.write", phaseStart, now.Sub(phaseStart), nil, false)
-		phaseStart = now
-	}
 	if err := g.log.Commit(); err != nil {
-		g.err = err
+		g.err = fmt.Errorf("wal: group flush: %w", err)
 		g.met.onGroupFlushError()
-		sp.AddCompleted("wal.fsync", phaseStart, spanSince(sp, phaseStart), nil, true)
-		sp.SetError(err)
+		sp.SetError(g.err)
 		return g.err
 	}
-	sp.AddCompleted("wal.fsync", phaseStart, spanSince(sp, phaseStart), nil, false)
 	g.met.onGroupFlush(g.pending)
 	g.pending = 0
 	return nil
-}
-
-// spanSince is time.Since gated on a span being present, so the
-// untraced flush path never reads the clock for spans.
-func spanSince(sp *trace.Span, t time.Time) time.Duration {
-	if sp == nil {
-		return 0
-	}
-	return time.Since(t)
 }
 
 // Err returns the latched flush error, if any: non-nil means the

@@ -175,9 +175,9 @@ func TestScanEmptyAndHeaderOnly(t *testing.T) {
 	}
 }
 
-// crashSample appends the sample records through a Dir whose segment is
-// wrapped by inj, stopping at the first error (the crash), and returns
-// that error with the surviving segment image.
+// crashSample appends and commits the sample records one by one through
+// a Dir whose segment is wrapped by inj, stopping at the first error (the
+// crash), and returns that error with the surviving segment image.
 func crashSample(t *testing.T, inj *FaultInjector) ([]byte, error) {
 	t.Helper()
 	dir := t.TempDir()
@@ -185,9 +185,12 @@ func crashSample(t *testing.T, inj *FaultInjector) ([]byte, error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var appendErr error
+	var crashErr error
 	for _, r := range sampleRecords() {
-		if appendErr = d.Append(r); appendErr != nil {
+		if crashErr = d.Append(r); crashErr != nil {
+			break
+		}
+		if crashErr = d.Commit(); crashErr != nil {
 			break
 		}
 	}
@@ -196,7 +199,7 @@ func crashSample(t *testing.T, inj *FaultInjector) ([]byte, error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return img, appendErr
+	return img, crashErr
 }
 
 func TestFaultFileModes(t *testing.T) {
@@ -204,9 +207,9 @@ func TestFaultFileModes(t *testing.T) {
 	golden := writeSample(t)
 
 	t.Run("FailStop", func(t *testing.T) {
-		img, appendErr := crashSample(t, &FaultInjector{FailAt: 30, Mode: FailStop})
-		if !errors.Is(appendErr, ErrInjected) {
-			t.Fatalf("append error = %v, want ErrInjected", appendErr)
+		img, crashErr := crashSample(t, &FaultInjector{FailAt: 30, Mode: FailStop})
+		if !errors.Is(crashErr, ErrInjected) {
+			t.Fatalf("append/commit error = %v, want ErrInjected", crashErr)
 		}
 		// Nothing of the failing write landed: image is a strict prefix of
 		// the golden image ending on a frame boundary.
@@ -238,9 +241,9 @@ func TestFaultFileModes(t *testing.T) {
 	})
 
 	t.Run("CorruptByte", func(t *testing.T) {
-		img, appendErr := crashSample(t, &FaultInjector{FailAt: 30, Mode: CorruptByte})
-		if appendErr != nil {
-			t.Fatal(appendErr) // corruption is silent; writes keep succeeding
+		img, crashErr := crashSample(t, &FaultInjector{FailAt: 30, Mode: CorruptByte})
+		if crashErr != nil {
+			t.Fatal(crashErr) // corruption is silent; writes keep succeeding
 		}
 		if len(img) != len(golden) {
 			t.Fatalf("image length %d, want %d", len(img), len(golden))
