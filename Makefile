@@ -86,27 +86,26 @@ chaos:
 # windows, the supervisor-level ENOSPC chaos cycle
 # (injected no-space and partial writes under concurrent load,
 # asserting zero acked-commit loss and automatic return to Healthy),
-# then an end-to-end rdfbench drill against a live rdfserve with write
-# and ENOSPC faults armed — every injected fault must surface as a
-# typed 507/503, never a 500.
+# then the serving drill's ENOSPC cell: rdfserve's own run on tiny
+# rotating segments with ENOSPC armed — every non-200 response must
+# carry a typed code (507/503/429), never a 500.
 chaos-disk:
 	TESTS='TestDirCrashMatrix TestDirCheckpointCrashWindows' \
 		$(RUN_NAMED) -race -count=1 ./internal/core/
 	TESTS='TestChaosDiskENOSPC TestHardBudgetDegradesAndSelfHeals TestDiskRecoveryNeverReachesFailed' \
 		$(RUN_NAMED) -race -count=1 ./internal/supervise/
-	$(GO) run ./cmd/rdfbench -conns 32 -duration 3s -burst 64 \
-		-wal-segment-bytes 4096 -wal-soft-bytes 65536 -chaos-wal-enospc-rate 0.01
+	TESTS='TestServeDrill/enospc' $(RUN_NAMED) -race -count=1 ./cmd/rdfserve/
 
 race:
 	$(GO) test -race ./...
 
-# Serving-layer smoke: a short self-serve chaos bench (mixed multi-
-# tenant load with WAL fault injection, a synchronized burst far above
-# admission capacity, drain under load — rdfbench fails on any corrupt
-# read, hung request, or an unrejected burst), then the server package
-# under the race detector.
+# Serving-layer smoke: the serving drill's write-fault cell (rdfserve's
+# own run under mixed multi-tenant load with WAL write faults, a
+# synchronized burst far above admission capacity, drain under load —
+# it fails on a corrupt read, a hung request, an unrejected burst or an
+# untyped error), then the server package under the race detector.
 server-smoke:
-	$(GO) run ./cmd/rdfbench -conns 200 -duration 3s -burst 96 -max-inflight 16
+	TESTS='TestServeDrill/write_faults' $(RUN_NAMED) -race -count=1 ./cmd/rdfserve/
 	$(GO) test -race -count=1 ./internal/server/
 
 cover:

@@ -27,9 +27,9 @@
 // for robustness drills: the server keeps serving reads while the
 // supervisor degrades and recovers underneath it.
 //
-// SIGINT/SIGTERM drain gracefully: new requests get 503 shutting_down,
-// in-flight requests get -drain-grace to finish, then their contexts
-// are cancelled and the listener closes.
+// SIGINT/SIGTERM drain gracefully (a second signal kills): new requests
+// get 503 shutting_down, in-flight requests get -drain-grace to finish,
+// then their contexts are cancelled and the listener closes.
 package main
 
 import (
@@ -61,7 +61,11 @@ import (
 func ms(d time.Duration) time.Duration { return d.Round(time.Millisecond) }
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	// The first SIGINT/SIGTERM cancels ctx and starts the drain; stopping
+	// the notification then lets a second signal kill the process.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	go func() { <-ctx.Done(); stop() }()
+	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "rdfserve:", err)
 		os.Exit(1)
 	}
@@ -143,7 +147,8 @@ func newFlagSet() (*flag.FlagSet, *serveFlags) {
 	return fs, f
 }
 
-func run(args []string, stdout io.Writer) error {
+// run serves until ctx is cancelled, then drains and returns.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs, f := newFlagSet()
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -324,19 +329,17 @@ func run(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "serving on http://%s/ (model %q, admin under /debug)\n", ln.Addr(), *model)
 
-	// Serve until SIGINT/SIGTERM, then drain.
-	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	// Serve until ctx is cancelled, then drain.
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	select {
 	case err := <-errc:
 		return err
-	case <-sigCtx.Done():
+	case <-ctx.Done():
 	}
-	stop()
 	fmt.Fprintln(stdout, "shutting down: draining in-flight requests")
-	sctx, cancel := context.WithTimeout(context.Background(), *shutdownTimeout)
+	// ctx is done by now; the drain gets its own bound.
+	sctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), *shutdownTimeout)
 	defer cancel()
 	if err := srv.Shutdown(sctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return fmt.Errorf("shutdown: %w", err)

@@ -27,11 +27,11 @@ func knobTable(fs *flag.FlagSet) string {
 	return strings.TrimSpace(b.String())
 }
 
-// extractKnobTable pulls the block between the named begin/end markers.
-func extractKnobTable(t *testing.T, doc, name string) string {
+// extractKnobTable pulls the block between the knob-table markers.
+func extractKnobTable(t *testing.T, doc string) string {
 	t.Helper()
-	begin := "<!-- knob-table:" + name + ":begin -->"
-	end := "<!-- knob-table:" + name + ":end -->"
+	begin := "<!-- knob-table:rdfserve:begin -->"
+	end := "<!-- knob-table:rdfserve:end -->"
 	i := strings.Index(doc, begin)
 	j := strings.Index(doc, end)
 	if i < 0 || j < 0 || j < i {
@@ -42,7 +42,7 @@ func extractKnobTable(t *testing.T, doc, name string) string {
 
 // diffKnobTables reports per-flag mismatches between the documented and
 // generated tables, in both directions.
-func diffKnobTables(t *testing.T, got, want, tool string) {
+func diffKnobTables(t *testing.T, got, want string) {
 	t.Helper()
 	parse := func(s string) map[string]string {
 		rows := map[string]string{}
@@ -65,14 +65,14 @@ func diffKnobTables(t *testing.T, got, want, tool string) {
 		doc, ok := gotRows[name]
 		switch {
 		case !ok:
-			t.Errorf("%s flag %s is not documented in SERVING.md; add the row:\n  %s", tool, name, row)
+			t.Errorf("flag %s is not documented in SERVING.md; add the row:\n  %s", name, row)
 		case doc != row:
-			t.Errorf("%s flag %s drifted:\n  documented: %s\n  actual:     %s", tool, name, doc, row)
+			t.Errorf("flag %s drifted:\n  documented: %s\n  actual:     %s", name, doc, row)
 		}
 	}
 	for name, row := range gotRows {
 		if _, ok := wantRows[name]; !ok {
-			t.Errorf("SERVING.md documents %s flag %s which the binary does not define; drop the row:\n  %s", tool, name, row)
+			t.Errorf("SERVING.md documents flag %s which rdfserve does not define; drop the row:\n  %s", name, row)
 		}
 	}
 }
@@ -87,9 +87,9 @@ func TestServingKnobTableInSync(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading SERVING.md: %v", err)
 	}
-	got := extractKnobTable(t, string(data), "rdfserve")
+	got := extractKnobTable(t, string(data))
 	if got != want {
-		diffKnobTables(t, got, want, "rdfserve")
+		diffKnobTables(t, got, want)
 		t.Fatalf("SERVING.md rdfserve knob table out of sync; regenerate it as:\n%s", want)
 	}
 }

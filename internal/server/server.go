@@ -252,6 +252,11 @@ func (s *Server) Serve(ln net.Listener) error {
 	s.httpMu.Lock()
 	s.httpS = hs
 	s.httpMu.Unlock()
+	// A Shutdown that ran before httpS was set found nothing to close;
+	// it set draining first, so checking it here cannot miss one.
+	if s.draining.Load() {
+		return ln.Close()
+	}
 	err := hs.Serve(ln)
 	if errors.Is(err, http.ErrServerClosed) {
 		return nil

@@ -558,3 +558,28 @@ func TestShutdownDrains(t *testing.T) {
 		t.Fatalf("shutdown: %v", sdErr)
 	}
 }
+
+// TestShutdownBeforeServe: a Shutdown that lands before Serve has
+// registered its http.Server (a signal during start-up) must still stop
+// Serve, which returns at once instead of serving forever.
+func TestShutdownBeforeServe(t *testing.T) {
+	s := newTestServer(t, nil)
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	errc := make(chan error, 1)
+	go func() { errc <- s.Serve(ln) }()
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatalf("Serve after Shutdown = %v, want nil", err)
+		}
+	case <-time.After(5 * time.Second):
+		ln.Close()
+		t.Fatal("Serve kept serving after Shutdown")
+	}
+}

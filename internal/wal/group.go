@@ -3,7 +3,6 @@ package wal
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/trace"
 )
@@ -11,9 +10,9 @@ import (
 // Group commit: a bulk load that fsyncs once per triple is bounded by
 // disk flush latency, not bandwidth. A GroupLog sits between the store
 // and a Dir and only counts commits: records go straight to the Dir's
-// buffer, and every SyncEvery commits (or every Interval, whichever
-// comes first) one Dir.Commit writes the buffered frames in one batch,
-// which lands whole in one segment, and fsyncs.
+// buffer, and every SyncEvery commits one Dir.Commit writes the
+// buffered frames in one batch, which lands whole in one segment, and
+// fsyncs.
 //
 // The durability contract weakens in exactly one documented way: a crash
 // may lose up to the last SyncEvery-1 committed mutations. What survives
@@ -26,9 +25,6 @@ type GroupOptions struct {
 	// SyncEvery is the number of Commit calls between fsyncs. 0 or 1
 	// syncs on every commit (no grouping).
 	SyncEvery int
-	// Interval, when positive, bounds how long a committed record may
-	// stay buffered: a background flusher syncs at least this often.
-	Interval time.Duration
 }
 
 // GroupLog wraps a Dir with group commit. It satisfies the same
@@ -43,9 +39,6 @@ type GroupLog struct {
 	err     error         // first flush failure, latched: the log is behind memory
 	met     *Metrics      // nil when instrumentation is disabled
 	tracer  *trace.Tracer // nil when tracing is disabled
-
-	stop chan struct{} // closes the interval flusher
-	done chan struct{}
 }
 
 // SetMetrics attaches instrumentation to the group layer and the
@@ -71,39 +64,13 @@ func (g *GroupLog) SetTracer(tr *trace.Tracer) {
 	g.mu.Unlock()
 }
 
-// Group wraps d with group commit. With an Interval, a background
-// goroutine flushes periodically; call Close (or Flush + stopping use)
-// before discarding the GroupLog.
+// Group wraps d with group commit. Call Close (or Flush) before
+// discarding the GroupLog, or the buffered commits are lost.
 func Group(d *Dir, opts GroupOptions) *GroupLog {
 	if opts.SyncEvery < 1 {
 		opts.SyncEvery = 1
 	}
-	g := &GroupLog{log: d, opts: opts}
-	if opts.Interval > 0 {
-		g.stop = make(chan struct{})
-		g.done = make(chan struct{})
-		go g.flushLoop()
-	}
-	return g
-}
-
-// flushLoop syncs buffered commits at least every Interval.
-func (g *GroupLog) flushLoop() {
-	defer close(g.done)
-	t := time.NewTicker(g.opts.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-g.stop:
-			return
-		case <-t.C:
-			g.mu.Lock()
-			if g.pending > 0 && g.err == nil {
-				g.flushLocked()
-			}
-			g.mu.Unlock()
-		}
-	}
+	return &GroupLog{log: d, opts: opts}
 }
 
 // Append hands the record to the Dir's buffer. Nothing reaches the file
@@ -160,7 +127,7 @@ func (g *GroupLog) Flush() error {
 func (g *GroupLog) flushLocked() error {
 	sp := g.tracer.StartRoot("wal.flush") // nil tracer → nil span, no clock read
 	defer sp.End()
-	sp.SetInt("records", int64(g.pending))
+	sp.SetInt("commits", int64(g.pending))
 	if err := g.log.Commit(); err != nil {
 		g.err = fmt.Errorf("wal: group flush: %w", err)
 		g.met.onGroupFlushError()
@@ -189,14 +156,8 @@ func (g *GroupLog) Buffered() int {
 	return g.pending
 }
 
-// Close stops the interval flusher, flushes outstanding commits, and
-// closes the Dir.
+// Close flushes outstanding commits and closes the Dir.
 func (g *GroupLog) Close() error {
-	if g.stop != nil {
-		close(g.stop)
-		<-g.done
-		g.stop = nil
-	}
 	flushErr := g.Flush()
 	if err := g.log.Close(); err != nil {
 		return err

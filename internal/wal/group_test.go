@@ -8,7 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
+
+	"repro/internal/trace"
 )
 
 // groupRecords is a small mixed record workload for group-commit tests.
@@ -125,28 +126,31 @@ func TestGroupLogBuffersUntilThreshold(t *testing.T) {
 	}
 }
 
-// TestGroupLogIntervalFlush: with an Interval, a lone commit becomes
-// durable without reaching SyncEvery.
-func TestGroupLogIntervalFlush(t *testing.T) {
-	d, seg := openSegment(t, nil)
-	g := Group(d, GroupOptions{SyncEvery: 1000, Interval: 5 * time.Millisecond})
+// TestGroupLogFlushSpanCountsCommits: a flush's wal.flush span carries
+// the number of commits it made durable, not the records inside them.
+func TestGroupLogFlushSpanCountsCommits(t *testing.T) {
+	d, _ := openSegment(t, nil)
+	g := Group(d, GroupOptions{SyncEvery: 3})
 	defer g.Close()
-	if err := g.Append(Record{Type: TypeDeleteLink, LinkID: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for g.Buffered() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("interval flusher never synced the pending commit")
+	tr := trace.New(trace.Config{SampleRate: 1})
+	g.SetTracer(tr)
+	for i := 0; i < 3; i++ {
+		// Two records per commit, so a records count would read 6.
+		for j := 0; j < 2; j++ {
+			if err := g.Append(Record{Type: TypeDeleteLink, LinkID: int64(2*i + j)}); err != nil {
+				t.Fatal(err)
+			}
 		}
-		time.Sleep(time.Millisecond)
+		if err := g.Commit(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	res, err := ScanFile(seg)
-	if err != nil || len(res.Records) != 1 {
-		t.Fatalf("scan after interval flush: %v records=%d", err, len(res.Records))
+	traces := tr.Snapshot()
+	if len(traces) != 1 || traces[0].Root != "wal.flush" {
+		t.Fatalf("retained %d traces, want one wal.flush: %+v", len(traces), traces)
+	}
+	if got := traces[0].RootAttr("commits"); got != "3" {
+		t.Fatalf("wal.flush commits = %q, want 3 (attrs %v)", got, traces[0].Spans)
 	}
 }
 
@@ -184,7 +188,7 @@ func TestGroupLogLatchesFlushError(t *testing.T) {
 // closing the file.
 func TestGroupLogCloseFlushes(t *testing.T) {
 	d, seg := openSegment(t, nil)
-	g := Group(d, GroupOptions{SyncEvery: 100, Interval: time.Hour})
+	g := Group(d, GroupOptions{SyncEvery: 100})
 	if err := g.Append(Record{Type: TypeDeleteLink, LinkID: 9}); err != nil {
 		t.Fatal(err)
 	}
