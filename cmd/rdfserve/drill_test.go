@@ -46,6 +46,7 @@ func TestServeDrill(t *testing.T) {
 		name         string
 		conns, burst int
 		flags        []string
+		snapshot     bool // name a -snapshot path; without one it lives in the WAL directory
 	}{
 		// make server-smoke: transient WAL write failures under 200
 		// connections; 96 joins of weight 4 against 16 units.
@@ -53,20 +54,24 @@ func TestServeDrill(t *testing.T) {
 			flags: []string{"-max-inflight", "16", "-chaos-wal-write-rate", "0.02"}},
 		// make chaos-disk: injected ENOSPC on tiny rotating segments with
 		// soft-watermark checkpoints; 64 joins against 32 units.
-		{name: "enospc", conns: 32, burst: 64,
+		{name: "enospc", conns: 32, burst: 64, snapshot: true,
 			flags: []string{"-max-inflight", "32", "-wal-segment-bytes", "4096",
 				"-wal-soft-bytes", "65536", "-chaos-wal-enospc-rate", "0.01"}},
 	}
 	for _, c := range cells {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
-			// Recovery from a fault re-baselines into the snapshot, so
-			// both cells name one. The short queue makes a burst of the
-			// cell's size overflow capacity plus queue at once, so the
-			// rejection does not depend on how fast the joins run.
+			// Recovery from a fault re-baselines into the snapshot: the
+			// default one inside the WAL directory, or the one -snapshot
+			// names. The short queue makes a burst of the cell's size
+			// overflow capacity plus queue at once, so the rejection does
+			// not depend on how fast the joins run.
 			args := append([]string{"-addr", "127.0.0.1:0", "-model", drillModel,
-				"-wal-dir", filepath.Join(dir, "wal.d"), "-snapshot", filepath.Join(dir, "store.snap"),
+				"-wal-dir", filepath.Join(dir, "wal.d"),
 				"-max-queue", "32", "-queue-wait", "200ms"}, c.flags...)
+			if c.snapshot {
+				args = append(args, "-snapshot", filepath.Join(dir, "store.snap"))
+			}
 			d := startDrill(t, args, c.conns+c.burst+64)
 			d.seed(t)
 			d.steadyState(c.conns, 3*time.Second)

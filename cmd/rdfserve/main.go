@@ -10,14 +10,15 @@
 //
 //	rdfserve -addr 127.0.0.1:8080 -model data -load data.nt
 //	rdfserve -addr :8080 -wal-dir store.d -snapshot store.snap
-//	rdfserve -addr :8080 -wal-dir store.d -snapshot store.snap -wal-soft-bytes 268435456
+//	rdfserve -addr :8080 -wal-dir store.d -wal-soft-bytes 268435456
 //	rdfserve -addr :8080 -wal-dir store.d -chaos-wal-write-rate 0.05
 //
 // Without -wal-dir the store is memory-only and always Healthy. With
-// -wal-dir (and optionally -snapshot) the store runs under the
-// supervisor: recovery, scrubbing, and the health states that gate
-// admission (Degraded/Recovering answer 503 + Retry-After; Failed
-// answers 503). The log is a directory of rotating segment files with
+// -wal-dir the store runs under the supervisor, which checkpoints into
+// -snapshot (by default a file inside the WAL directory): recovery,
+// scrubbing, and the health states that gate admission
+// (Degraded/Recovering answer 503 + Retry-After; Failed answers 503).
+// The log is a directory of rotating segment files with
 // checkpoint-driven retention and a disk budget — crossing
 // -wal-soft-bytes triggers an automatic checkpoint, exhausting
 // -wal-hard-bytes (or a real ENOSPC) moves the store to Degraded(disk),
@@ -112,13 +113,13 @@ func newFlagSet() (*flag.FlagSet, *serveFlags) {
 		model: fs.String("model", "data", "default model for requests that name none (created if missing)"),
 		load:  fs.String("load", "", "N-Triples file to bulk-load into the model at startup"),
 
-		snapPath:      fs.String("snapshot", "", "checkpoint snapshot to load before replaying the WAL"),
+		snapPath:      fs.String("snapshot", "", "checkpoint snapshot to load before replaying the WAL and to checkpoint into (default: snapshot inside -wal-dir)"),
 		walDir:        fs.String("wal-dir", "", "write-ahead log directory (rotating segments, checkpoint retention, disk budget): run under the supervisor with durable mutations"),
 		segmentBytes:  fs.Int64("wal-segment-bytes", 0, "segment rotation threshold in bytes (0 = 64 MiB default; requires -wal-dir)"),
-		softBytes:     fs.Int64("wal-soft-bytes", 0, "soft disk watermark: crossing it triggers an automatic checkpoint (0 disables; requires -wal-dir and -snapshot)"),
+		softBytes:     fs.Int64("wal-soft-bytes", 0, "soft disk watermark: crossing it triggers an automatic checkpoint (0 disables; requires -wal-dir)"),
 		hardBytes:     fs.Int64("wal-hard-bytes", 0, "hard disk budget: writes past it are rejected and the store enters Degraded(disk) (0 disables; requires -wal-dir)"),
-		ckptInterval:  fs.Duration("checkpoint-interval", 0, "automatic checkpoint age trigger (0 disables; requires -snapshot)"),
-		ckptWALBytes:  fs.Int64("checkpoint-wal-bytes", 0, "automatic checkpoint WAL-size trigger in bytes (0 disables; requires -snapshot)"),
+		ckptInterval:  fs.Duration("checkpoint-interval", 0, "automatic checkpoint age trigger (0 disables; requires -wal-dir)"),
+		ckptWALBytes:  fs.Int64("checkpoint-wal-bytes", 0, "automatic checkpoint WAL-size trigger in bytes (0 disables; requires -wal-dir)"),
 		scrubInterval: fs.Duration("scrub-interval", 0, "background invariant scrub cadence (0 disables; requires -wal-dir)"),
 		chaosWrite:    fs.Float64("chaos-wal-write-rate", 0, "probability each WAL write fails (fault-injection drill; requires -wal-dir)"),
 		chaosSync:     fs.Float64("chaos-wal-sync-rate", 0, "probability each WAL sync fails (requires -wal-dir)"),
@@ -173,11 +174,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	chaos := *chaosWrite > 0 || *chaosSync > 0 || *f.chaosENOSPC > 0
 	if *walDir == "" && (*snapPath != "" || *scrubInterval > 0 || chaos ||
+		*f.ckptInterval > 0 || *f.ckptWALBytes > 0 ||
 		*f.segmentBytes > 0 || *f.softBytes > 0 || *f.hardBytes > 0) {
-		return errors.New("-snapshot, -scrub-interval, -wal-*-bytes and -chaos-wal-* require -wal-dir")
-	}
-	if (*f.ckptInterval > 0 || *f.ckptWALBytes > 0 || *f.softBytes > 0) && *snapPath == "" {
-		return errors.New("-checkpoint-interval/-checkpoint-wal-bytes/-wal-soft-bytes require -snapshot (checkpoints need a target)")
+		return errors.New("-snapshot, -scrub-interval, -checkpoint-*, -wal-*-bytes and -chaos-wal-* require -wal-dir")
 	}
 
 	reg := obs.NewRegistry()

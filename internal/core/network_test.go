@@ -2,13 +2,17 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/ndm"
 	"repro/internal/obs"
 	"repro/internal/rdfterm"
+	"repro/internal/reldb"
 )
 
 // The NDM view (§1, §4) reads rdf_link$ by node alone, across models, and
@@ -358,4 +362,182 @@ func TestNetworkCountsTraversalSteps(t *testing.T) {
 			t.Errorf("models %v: steps grew by %d for %d visited rows", models, got, visits)
 		}
 	}
+}
+
+// Finding an IRI's in-links reads its VALUE_TYPE cell and decodes no
+// term: the scan allocates nothing.
+func TestInLinksOfIRIAllocateNothing(t *testing.T) {
+	s := newStoreWithModel(t, "m")
+	uri := func(x string) rdfterm.Term { return rdfterm.NewURI("http://n/" + x) }
+	ts := mustInsert(t, s, "m", uri("a"), uri("p"), uri("b"))
+	links := 0
+	count := func(reldb.Cells) bool { links++; return true }
+	s.mu.RLock()
+	allocs := testing.AllocsPerRun(100, func() { s.scanInLinksLocked(ts.OID, 0, count) })
+	s.mu.RUnlock()
+	if allocs != 0 || links == 0 {
+		t.Errorf("in-link scan of an IRI: %v allocations, %d links", allocs, links)
+	}
+}
+
+// netLink is one link of the network a test expects: a triple's
+// endpoints and its COST in one model.
+type netLink struct {
+	start, end int64
+	cost       float64
+}
+
+// oracleCosts is the least cost of a walk from source to every node it
+// reaches over links (Bellman-Ford). Only the endpoints of links are
+// nodes, so a source no link touches reaches nothing, not even itself.
+func oracleCosts(links map[int64]netLink, source int64) map[int64]float64 {
+	dist := map[int64]float64{}
+	for _, l := range links {
+		if l.start == source || l.end == source {
+			dist[source] = 0
+		}
+	}
+	for changed := len(dist) > 0; changed; {
+		changed = false
+		for _, l := range links {
+			if d, ok := dist[l.start]; ok {
+				if old, seen := dist[l.end]; !seen || d+l.cost < old {
+					dist[l.end], changed = d+l.cost, true
+				}
+			}
+		}
+	}
+	return dist
+}
+
+// inLinkCounter counts a network's InLinks calls: the backward
+// expansions of a shortest-path search.
+type inLinkCounter struct {
+	*RDFNetwork
+	calls int
+}
+
+func (c *inLinkCounter) InLinks(node int64, fn func(linkID, start int64, cost float64) bool) {
+	c.calls++
+	c.RDFNetwork.InLinks(node, fn)
+}
+
+// Over a real RDFNetwork, whole-store and model-scoped, a sample of node
+// pairs gets the oracle's answer as a walk along links of the network's
+// scope. Objects include a typed literal written three ways, every
+// spelling a target, so paths to one spelling must not take links to
+// another; the models share subjects, so a scoped search must not take
+// the other model's links. The networks are big enough for the search's
+// backward side to take turns, so the literals' in-links are read through
+// the canonical-object index.
+func TestShortestPathOverRDFNetworkMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	uri := func(i int) rdfterm.Term { return rdfterm.NewURI(fmt.Sprintf("http://n/%d", i)) }
+	spellings := []rdfterm.Term{
+		rdfterm.NewTypedLiteral("01", rdfterm.XSDInt),
+		rdfterm.NewTypedLiteral("1", rdfterm.XSDInt),
+		rdfterm.NewTypedLiteral("+1", rdfterm.XSDInt),
+	}
+	models := []string{"m1", "m2"}
+	searches, backward, toLiterals := 0, 0, 0
+	for trial := 0; trial < 2; trial++ {
+		s := newStoreWithModel(t, models...)
+		n := 250 + rng.Intn(50)
+		// scoped[model][TID] is that model's link; COST counts repeats.
+		scoped := map[string]map[int64]netLink{"m1": {}, "m2": {}}
+		nodes := map[int64]bool{}
+		literals := map[int64]bool{}
+		for i := 0; i < 3*n; i++ {
+			obj := uri(rng.Intn(n))
+			if rng.Intn(40) == 0 {
+				obj = spellings[rng.Intn(len(spellings))]
+			}
+			m, sub := models[rng.Intn(2)], uri(rng.Intn(n))
+			ts := mustInsert(t, s, m, sub, rdfterm.NewURI("http://n/p"), obj)
+			l := scoped[m][ts.TID]
+			scoped[m][ts.TID] = netLink{ts.SID, ts.OID, l.cost + 1}
+			nodes[ts.SID], nodes[ts.OID] = true, true
+			literals[ts.OID] = obj.Kind == rdfterm.Literal
+		}
+		// Sources: every third node. Targets: every literal spelling and
+		// every tenth node.
+		var all, sources, targets []int64
+		for node := range nodes {
+			all = append(all, node)
+		}
+		slices.Sort(all)
+		for i, node := range all {
+			if i%3 == 0 {
+				sources = append(sources, node)
+			}
+			if literals[node] || i%10 == 0 {
+				targets = append(targets, node)
+			}
+		}
+		for _, scope := range [][]string{nil, {"m1"}, {"m2"}} {
+			links := map[int64]netLink{}
+			for _, m := range models {
+				if scope == nil || scope[0] == m {
+					for id, l := range scoped[m] {
+						links[id] = l
+					}
+				}
+			}
+			net := &inLinkCounter{RDFNetwork: mustNetwork(t, s, scope...)}
+			for _, src := range sources {
+				costs := oracleCosts(links, src)
+				for _, dst := range targets {
+					before := net.calls
+					p, err := ndm.ShortestPathCtx(context.Background(), net, src, dst)
+					searches++
+					if net.calls > before {
+						backward++
+					}
+					want, found := costs[dst]
+					if !found {
+						if !errors.Is(err, ndm.ErrNoPath) {
+							t.Fatalf("scope %v, %d → %d: %+v, %v; the oracle has no path", scope, src, dst, p, err)
+						}
+						continue
+					}
+					if err != nil || p.Cost != want {
+						t.Fatalf("scope %v, %d → %d: %+v, %v; the oracle's cost is %g", scope, src, dst, p, err, want)
+					}
+					if msg := walkError(links, p, src, dst); msg != "" {
+						t.Fatalf("scope %v, %d → %d: %s: %+v", scope, src, dst, msg, p)
+					}
+					if literals[dst] && net.calls > before {
+						toLiterals++
+					}
+				}
+			}
+		}
+	}
+	if backward < searches/10 || toLiterals < 50 {
+		t.Fatalf("%d of %d searches expanded backward, %d of them to a literal", backward, searches, toLiterals)
+	}
+	t.Logf("%d searches, %d expanded backward, %d of them to a literal", searches, backward, toLiterals)
+}
+
+// walkError says what makes p other than a walk from source to target
+// along links whose costs sum to p.Cost ("" when nothing does).
+func walkError(links map[int64]netLink, p ndm.Path, source, target int64) string {
+	if len(p.Nodes) == 0 || p.Nodes[0] != source || p.Nodes[len(p.Nodes)-1] != target {
+		return "endpoints are not source and target"
+	}
+	if len(p.Links) != len(p.Nodes)-1 {
+		return "links are not one fewer than nodes"
+	}
+	sum := 0.0
+	for i, id := range p.Links {
+		l, ok := links[id]
+		if !ok || l.start != p.Nodes[i] || l.end != p.Nodes[i+1] {
+			return fmt.Sprintf("link %d does not lead from %d to %d in scope", id, p.Nodes[i], p.Nodes[i+1])
+		}
+		sum += l.cost
+	}
+	if sum != p.Cost {
+		return fmt.Sprintf("link costs sum to %g", sum)
+	}
+	return ""
 }

@@ -157,10 +157,12 @@ func valueTerm(valueType, text, datatype, language string) rdfterm.Term {
 // a link by its object's canonical form, so the rows lie under the
 // canonical VALUE_ID of node's term — node itself, unless it is a literal
 // written another way ("01"^^xsd:int) — and those whose object is a
-// different spelling of the same value are passed over. Caller holds s.mu.
+// different spelling of the same value are passed over. IRIs and blank
+// nodes are their own canonical form, so only a literal's row is decoded.
+// Caller holds s.mu.
 func (s *Store) scanInLinksLocked(node, mid int64, fn func(c reldb.Cells) bool) {
 	canon := node
-	if t, err := s.getValueLocked(node); err == nil {
+	if t, ok := s.literalLocked(node); ok {
 		if c := rdfterm.Canonical(t); c != t {
 			var ok bool
 			// A link interns its object's canonical form with it.
@@ -176,6 +178,23 @@ func (s *Store) scanInLinksLocked(node, mid int64, fn func(c reldb.Cells) bool) 
 	s.linkOM.ScanIntsCells(prefix, func(c reldb.Cells) bool {
 		return c.Int(lcEndNodeID) != node || fn(c)
 	})
+}
+
+// literalLocked returns the term of rdf_value$ row valueID when it is a
+// literal, reading the row's VALUE_TYPE before decoding anything. Caller
+// holds s.mu.
+func (s *Store) literalLocked(valueID int64) (t rdfterm.Term, ok bool) {
+	rid, found := s.valuePK.LookupInts(valueID)
+	if !found {
+		return t, false
+	}
+	// The row was just located under the lock, so Read cannot fail.
+	_ = s.values.Read(rid, func(c reldb.Cells) {
+		if vt := c.Str(vcValueType); vt != rdfterm.VTUri && vt != rdfterm.VTBlank {
+			t, ok = termFromCells(c), true
+		}
+	})
+	return t, ok
 }
 
 // internNodeLocked records a value ID in rdf_node$ if not present — graph

@@ -22,16 +22,25 @@ func denseNet(t *testing.T, layers, w int) (*mapGraph, int64, int64) {
 	return buildNet(t, layers*w, links), node(0, 0), node(layers-1, w-1)
 }
 
-// cancelling cancels its context on the first link expansion, so an
-// analysis reports the cancellation only if it polls ctx inside its walk.
+// cancelling cancels its context on the first link expansion — with
+// backward set, on the first InLinks call only — so an analysis reports
+// the cancellation only if it polls ctx inside its walk.
 type cancelling struct {
 	Graph
-	cancel context.CancelFunc
+	cancel   context.CancelFunc
+	backward bool
 }
 
 func (c cancelling) OutLinks(node int64, fn func(linkID, end int64, cost float64) bool) {
-	c.cancel()
+	if !c.backward {
+		c.cancel()
+	}
 	c.Graph.OutLinks(node, fn)
+}
+
+func (c cancelling) InLinks(node int64, fn func(linkID, start int64, cost float64) bool) {
+	c.cancel()
+	c.Graph.InLinks(node, fn)
 }
 
 func TestAnalysisCtxCancellation(t *testing.T) {
@@ -62,6 +71,8 @@ func TestAnalysisCtxCancellation(t *testing.T) {
 			return err
 		},
 	}
+	// The analyses that expand nodes over InLinks as well.
+	backward := map[string]bool{"ShortestPathCtx": true, "ConnectedComponents": true, "MinimumCostSpanningTree": true}
 	for name, run := range analyses {
 		pre, cancel := context.WithCancel(bg)
 		cancel()
@@ -69,8 +80,14 @@ func TestAnalysisCtxCancellation(t *testing.T) {
 			t.Errorf("%s, cancelled before the call = %v", name, err)
 		}
 		mid, cancel := context.WithCancel(bg)
-		if err := run(mid, cancelling{net, cancel}); !errors.Is(err, context.Canceled) {
+		if err := run(mid, cancelling{Graph: net, cancel: cancel}); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s, cancelled during the walk = %v", name, err)
+		}
+		if backward[name] {
+			mid, cancel := context.WithCancel(bg)
+			if err := run(mid, cancelling{Graph: net, cancel: cancel, backward: true}); !errors.Is(err, context.Canceled) {
+				t.Errorf("%s, cancelled in a backward expansion = %v", name, err)
+			}
 		}
 		if err := run(bg, net); err != nil {
 			t.Errorf("%s, not cancelled = %v", name, err)

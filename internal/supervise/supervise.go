@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -151,7 +152,8 @@ type Config struct {
 	// required): a snapshot written atomically at each checkpoint
 	// (core.SaveFile: tmp + fsync + rename) and a directory of rotating
 	// WAL segments with checkpoint-driven retention and an optional disk
-	// budget (see wal.Dir).
+	// budget (see wal.Dir). An empty SnapshotPath means "snapshot" inside
+	// WALDir, beside the segments.
 	SnapshotPath string
 	WALDir       string
 	// Segment configures the WAL (rotation size, disk budget,
@@ -159,7 +161,6 @@ type Config struct {
 	// trigger onto Segment.OnSoft.
 	Segment wal.DirOptions
 	// Checkpoint shapes the automatic checkpoint policy (zero disables).
-	// Requires SnapshotPath.
 	Checkpoint CheckpointPolicy
 	// OpenDir opens/creates the WAL, handing its records to fn as it
 	// reads them (default wal.OpenDirFunc). Tests substitute openers that
@@ -251,6 +252,9 @@ func Open(cfg Config) (*Supervisor, error) {
 	if cfg.WALDir == "" {
 		return nil, errors.New("supervise: open: WALDir is required")
 	}
+	if cfg.SnapshotPath == "" {
+		cfg.SnapshotPath = filepath.Join(cfg.WALDir, "snapshot")
+	}
 	if cfg.OpenDir == nil {
 		cfg.OpenDir = wal.OpenDirFunc
 	}
@@ -337,12 +341,8 @@ func Open(cfg Config) (*Supervisor, error) {
 }
 
 // checkpointLoopEnabled reports whether the automatic checkpoint loop
-// has anything to do: a policy trigger or a soft disk watermark, plus a
-// snapshot path to checkpoint into.
+// has anything to do: a policy trigger or a soft disk watermark.
 func (sv *Supervisor) checkpointLoopEnabled() bool {
-	if sv.cfg.SnapshotPath == "" {
-		return false
-	}
 	p := sv.cfg.Checkpoint
 	return p.Interval > 0 || p.WALBytes > 0 || sv.cfg.Segment.Budget.SoftBytes > 0
 }

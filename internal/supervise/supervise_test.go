@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -226,6 +227,49 @@ func TestDurabilityFaultDegradesThenRecovers(t *testing.T) {
 	// Fully functional again.
 	if err := insert(sv, "m", "x:post", "x:p", "x:post"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A store opened with a WAL directory alone keeps its snapshot inside
+// that directory, so recovery from a durability fault has somewhere to
+// re-baseline into, and a restart finds what it wrote.
+func TestWALDirOnlyStoreRecoversFromCommitFault(t *testing.T) {
+	dir := t.TempDir()
+	walDir := filepath.Join(dir, "wal")
+	sv, fo, _, _ := openTestSupervisor(t, func(cfg *Config) {
+		cfg.SnapshotPath, cfg.WALDir = "", walDir
+	})
+	if err := sv.Mutate(func(st *core.Store) error {
+		_, err := st.CreateRDFModel("m", "", "")
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	fo.current().FailWrites(1)
+	if err := insert(sv, "m", "x:broken", "x:p", "x:broken"); !errors.Is(err, core.ErrDurability) {
+		t.Fatalf("mutation against a broken WAL = %v", err)
+	}
+	waitState(t, sv, Healthy, 2*time.Second)
+	if err := insert(sv, "m", "x:post", "x:p", "x:post"); err != nil {
+		t.Fatal(err)
+	}
+	before, err := sv.Find(context.Background(), "m", core.Pattern{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(walDir, "snapshot")); err != nil {
+		t.Fatalf("re-baselining left no snapshot in the WAL directory: %v", err)
+	}
+	sv2, err := Open(Config{WALDir: walDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sv2.Close()
+	if got, err := sv2.Find(context.Background(), "m", core.Pattern{}); err != nil || len(got) != len(before) {
+		t.Fatalf("after restart Find = %d triples, %v; before it, %d", len(got), err, len(before))
 	}
 }
 
