@@ -82,7 +82,7 @@ chaos:
 
 # Disk-pressure chaos for the WAL: the crash-point matrix at full depth
 # (every byte of a one-segment log, every third across rotating
-# segments, with and without group commit) and the checkpoint crash
+# segments) and the checkpoint crash
 # windows, the supervisor-level ENOSPC chaos cycle
 # (injected no-space and partial writes under concurrent load,
 # asserting zero acked-commit loss and automatic return to Healthy),

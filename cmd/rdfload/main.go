@@ -20,19 +20,20 @@
 // from its last durable record instead of starting over. Pair with -save
 // to checkpoint: the snapshot records a segment watermark and the
 // segments it covers are retired, keeping recovery (snapshot + log)
-// small. To keep loading into a checkpointed store, pass the same
-// -snapshot and -wal-dir back.
+// small. The snapshot belongs to the directory: -save DIR/snapshot puts
+// it where -wal-dir looks by default, so later runs need no -snapshot;
+// a snapshot kept elsewhere must be passed back with -snapshot, and a
+// checkpointed directory opened without its snapshot is refused.
 //
 // Bulk load: -workers parses the input with parallel workers (0 = all
 // CPUs), and every statement — quad bases and their reification rows
 // included — goes through the store's batch API, -batch statements to a
 // group: one write-lock acquisition and one WAL commit per group. The
 // size only places the commit points; the stored result does not depend
-// on it. -sync-every N adds WAL group commit on top: the log
-// fsyncs once every N commits (a crash can lose at most the last N-1
-// committed batches, but always recovers to a consistent state). The
-// defaults sync on every group of 1024; -batch 1 commits (and, with a
-// WAL, fsyncs) every statement on its own.
+// on it. Every commit fsyncs before the next group starts, so a load
+// that wants fewer fsyncs raises -batch: the default syncs once per
+// group of 1024, and -batch 1 commits (and, with a WAL, fsyncs) every
+// statement on its own.
 //
 // Observability: -admin ADDR serves the runtime metrics registry
 // (/metrics in Prometheus text format, /healthz, /events, /debug/pprof)
@@ -56,7 +57,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rdfxml"
 	"repro/internal/reify"
-	"repro/internal/trace"
 	"repro/internal/wal"
 )
 
@@ -76,13 +76,11 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	walDir := fs.String("wal-dir", "", "write-ahead log directory (rotating segments): mutations are logged durably, and an existing log is replayed before loading")
 	segmentBytes := fs.Int64("wal-segment-bytes", 0, "segment rotation threshold in bytes (0 = 64 MiB default; requires -wal-dir)")
 	hardBytes := fs.Int64("wal-hard-bytes", 0, "hard disk budget for the WAL directory: appends past it fail with a typed disk-full error (0 disables; requires -wal-dir)")
-	snapPath := fs.String("snapshot", "", "checkpoint snapshot to load before replaying the WAL (continue a store checkpointed with -save -wal-dir)")
+	snapPath := fs.String("snapshot", "", "checkpoint snapshot to load before replaying the WAL (default with -wal-dir: snapshot inside it; continue a store checkpointed with -save -wal-dir)")
 	format := fs.String("format", "nt", "input format: nt (N-Triples) or xml (RDF/XML)")
 	base := fs.String("base", "", "base URI for resolving rdf:ID in RDF/XML input")
 	batch := fs.Int("batch", 1024, "statements per insert group: one WAL commit each (1 = a commit per statement; the stored result is the same at any size)")
 	workers := fs.Int("workers", 0, "parallel N-Triples parse workers (0 = all CPUs, 1 = serial)")
-	syncEvery := fs.Int("sync-every", 1, "with -wal-dir, fsync once every N commits instead of every commit (group commit)")
-	traceWAL := fs.Bool("trace-wal", false, "record wal.flush span trees during a group-committed load and print the slowest flush (requires -sync-every > 1)")
 	adminAddr := fs.String("admin", "", "serve /metrics, /healthz, /events, and /debug/pprof on this address (e.g. 127.0.0.1:9090) while loading")
 	adminLinger := fs.Duration("admin-linger", 0, "with -admin, keep serving this long after the load finishes so the endpoint can be scraped")
 	if err := fs.Parse(args); err != nil {
@@ -90,12 +88,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	}
 	if *batch < 1 {
 		return fmt.Errorf("-batch must be >= 1 (got %d)", *batch)
-	}
-	if *syncEvery < 1 {
-		return fmt.Errorf("-sync-every must be >= 1 (got %d)", *syncEvery)
-	}
-	if *traceWAL && (*syncEvery < 2 || *walDir == "") {
-		return errors.New("-trace-wal requires -wal-dir with -sync-every > 1 (flush spans come from group commit)")
 	}
 	if (*segmentBytes > 0 || *hardBytes > 0) && *walDir == "" {
 		return errors.New("-wal-segment-bytes/-wal-hard-bytes require -wal-dir")
@@ -147,6 +139,8 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		})
 		if err != nil {
 			switch {
+			case errors.Is(err, core.ErrSnapshotMissing):
+				return err
 			case errors.Is(err, wal.ErrSegmentCorrupt):
 				return fmt.Errorf("WAL directory %s is damaged (a non-final segment is torn or missing): %v", *walDir, err)
 			case errors.Is(err, wal.ErrNotWAL):
@@ -155,8 +149,8 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			return snapshotError(*snapPath, err)
 		}
 		defer dir.Close()
-		if *snapPath != "" {
-			fmt.Fprintf(stdout, "loaded checkpoint snapshot %s\n", *snapPath)
+		if info.Snapshot != "" {
+			fmt.Fprintf(stdout, "loaded checkpoint snapshot %s\n", info.Snapshot)
 		}
 		if info.Applied > 0 {
 			fmt.Fprintf(stdout, "replayed %d WAL records from %d segment(s) in %s\n", info.Applied, info.Segments, *walDir)
@@ -172,35 +166,10 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "loaded checkpoint snapshot %s\n", *snapPath)
 	}
 	store.SetMetrics(core.NewMetrics(reg))
-	var group *wal.GroupLog
 	if dir != nil {
 		// Log mutations from here on; replayed records are already durable.
-		if *syncEvery > 1 {
-			// Group commit: fsync once every N commits. A crash mid-load can
-			// lose at most the last N-1 committed batches; the surviving log
-			// prefix still replays to a consistent store. Each flushed batch
-			// lands in one segment.
-			group = wal.Group(dir, wal.GroupOptions{SyncEvery: *syncEvery})
-			store.SetDurability(group)
-		} else {
-			store.SetDurability(dir)
-		}
-		if reg != nil {
-			m := wal.NewMetrics(reg)
-			if group != nil {
-				group.SetMetrics(m) // also attaches to the underlying dir
-			} else {
-				dir.SetMetrics(m)
-			}
-		}
-	}
-	// -trace-wal: every group-commit flush records a wal.flush root span
-	// (the Dir's one write and fsync); retain them all (sample 1.0) in a
-	// modest ring and print the slowest tree after the load.
-	var flushTracer *trace.Tracer
-	if *traceWAL && group != nil {
-		flushTracer = trace.New(trace.Config{SlowThreshold: time.Hour, SampleRate: 1, Capacity: 1024})
-		group.SetTracer(flushTracer)
+		dir.SetMetrics(wal.NewMetrics(reg))
+		store.SetDurability(dir)
 	}
 	if _, err := store.GetModelID(*model); err != nil {
 		if _, err := store.CreateRDFModel(*model, "", ""); err != nil {
@@ -247,13 +216,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if group != nil {
-		// Make the tail of the load durable before reporting success (and
-		// before any -save checkpoint rotates the log).
-		if err := group.Flush(); err != nil {
-			return fmt.Errorf("flushing group-committed WAL: %w", err)
-		}
-	}
 	triples, err := store.NumTriples(*model)
 	if err != nil {
 		return err
@@ -275,20 +237,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		saved := 3 * stats.QuadsFolded
 		fmt.Fprintf(stdout, "rows saved by DBUri reification: %d (%.0f%% of quad storage)\n",
 			saved, 100*float64(stats.QuadsFolded)/float64(4*stats.QuadsFolded))
-	}
-	if flushTracer != nil {
-		var slowest trace.TraceData
-		flushes := flushTracer.Snapshot()
-		for _, td := range flushes {
-			if td.Duration > slowest.Duration {
-				slowest = td
-			}
-		}
-		fmt.Fprintf(stdout, "WAL flushes traced:   %d (last %d retained)\n", len(flushes), flushTracer.Len())
-		if slowest.ID != "" {
-			fmt.Fprintf(stdout, "slowest flush:\n")
-			trace.WriteTree(stdout, slowest)
-		}
 	}
 	switch {
 	case *save != "" && dir != nil:

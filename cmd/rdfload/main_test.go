@@ -1,10 +1,12 @@
 package main
 
 import (
+	"errors"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -208,14 +210,22 @@ func walRecords(t *testing.T, walDir string) int {
 	return n
 }
 
+// TestRunWALCheckpointOnSave: -save after a -wal-dir load that replayed
+// an earlier load checkpoints both: the log is left empty and the
+// snapshot holds every triple.
 func TestRunWALCheckpointOnSave(t *testing.T) {
 	dir := t.TempDir()
 	walDir := filepath.Join(dir, "store.d")
 	snap := filepath.Join(dir, "store.snap")
 
+	doc := "<http://a> <http://p> <http://b> .\n<http://c> <http://p> <http://d> .\n<http://e> <http://p> <http://f> .\n"
+	if err := run([]string{"-model", "m", "-wal-dir", walDir, "-batch", "2"},
+		strings.NewReader(doc), &strings.Builder{}); err != nil {
+		t.Fatal(err)
+	}
 	var out strings.Builder
 	err := run([]string{"-model", "m", "-wal-dir", walDir, "-save", snap},
-		strings.NewReader("<http://a> <http://p> <http://b> .\n"), &out)
+		strings.NewReader("<http://g> <http://p> <http://h> .\n"), &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,9 +240,63 @@ func TestRunWALCheckpointOnSave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := st.NumTriples("m"); n != 1 {
-		t.Fatalf("snapshot has %d triples, want 1", n)
+	if n, _ := st.NumTriples("m"); n != 4 {
+		t.Fatalf("snapshot has %d triples, want 4", n)
 	}
+}
+
+// TestRunRefusesCheckpointedDirWithoutSnapshot: a directory checkpointed
+// into a snapshot kept outside it holds only its post-checkpoint
+// segments. Opened without that snapshot it must be refused, typed, with
+// nothing written; opened with it, every triple is back.
+func TestRunRefusesCheckpointedDirWithoutSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	walDir := filepath.Join(dir, "store.d")
+	snap := filepath.Join(dir, "outside.snap")
+	doc := "<http://a> <http://p> <http://b> .\n<http://c> <http://p> <http://d> .\n"
+	if err := run([]string{"-model", "m", "-wal-dir", walDir, "-save", snap},
+		strings.NewReader(doc), &strings.Builder{}); err != nil {
+		t.Fatal(err)
+	}
+	before := dirImage(t, walDir)
+
+	more := "<http://e> <http://p> <http://f> .\n"
+	err := run([]string{"-model", "m", "-wal-dir", walDir}, strings.NewReader(more), &strings.Builder{})
+	if !errors.Is(err, core.ErrSnapshotMissing) || !errors.Is(err, wal.ErrSegmentCorrupt) {
+		t.Fatalf("open without the snapshot: err = %v, want ErrSnapshotMissing", err)
+	}
+	if !strings.Contains(err.Error(), "pass the snapshot") {
+		t.Errorf("error does not say what to do: %v", err)
+	}
+	if after := dirImage(t, walDir); !reflect.DeepEqual(after, before) {
+		t.Fatalf("a refused open changed the directory: %v, was %v", after, before)
+	}
+
+	if err := run([]string{"-model", "m", "-snapshot", snap, "-wal-dir", walDir},
+		strings.NewReader(more), &strings.Builder{}); err != nil {
+		t.Fatal(err)
+	}
+	if n := recoveredTriples(t, snap, walDir); n != 3 {
+		t.Fatalf("recovered store has %d triples, want 3", n)
+	}
+}
+
+// dirImage is every file in dir, by name.
+func dirImage(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := map[string]string{}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		img[e.Name()] = string(b)
+	}
+	return img
 }
 
 func TestRunWALRejectsNonWAL(t *testing.T) {
@@ -304,50 +368,9 @@ func TestRunFastPathFlagsMatchSerial(t *testing.T) {
 	}
 }
 
-func TestRunWALGroupCommit(t *testing.T) {
-	dir := t.TempDir()
-	walDir := filepath.Join(dir, "store.d")
-
-	// Group commit (-sync-every 8) buffers commits, but the final Flush
-	// before exit makes the whole load durable.
-	var out strings.Builder
-	doc := "<http://a> <http://p> <http://b> .\n<http://c> <http://p> <http://d> .\n<http://e> <http://p> <http://f> .\n"
-	err := run([]string{"-model", "m", "-wal-dir", walDir, "-sync-every", "8", "-batch", "2"},
-		strings.NewReader(doc), &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := recoveredTriples(t, "", walDir); n != 3 {
-		t.Fatalf("recovered store has %d triples, want 3", n)
-	}
-
-	// Checkpoint under group commit: the buffered tail must be flushed
-	// before the snapshot is written and the old segments retired.
-	snap := filepath.Join(dir, "store.snap")
-	out.Reset()
-	err = run([]string{"-model", "m", "-wal-dir", walDir, "-sync-every", "4", "-save", snap},
-		strings.NewReader("<http://g> <http://p> <http://h> .\n"), &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := walRecords(t, walDir); n != 0 {
-		t.Fatalf("WAL still has %d records after checkpoint", n)
-	}
-	st, err := core.LoadFile(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := st.NumTriples("m"); n != 4 {
-		t.Fatalf("snapshot has %d triples, want 4", n)
-	}
-}
-
 func TestRunRejectsBadFastPathFlags(t *testing.T) {
 	if err := run([]string{"-batch", "0"}, strings.NewReader(""), &strings.Builder{}); err == nil {
 		t.Fatal("-batch 0 accepted")
-	}
-	if err := run([]string{"-sync-every", "0"}, strings.NewReader(""), &strings.Builder{}); err == nil {
-		t.Fatal("-sync-every 0 accepted")
 	}
 }
 
@@ -370,7 +393,7 @@ func TestRunAdminEndpoint(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- run([]string{
-			"-model", "m", "-wal-dir", walDir, "-sync-every", "4",
+			"-model", "m", "-wal-dir", walDir,
 			"-admin", addr, "-admin-linger", "5s",
 		}, strings.NewReader("<http://a> <http://p> <http://b> .\n"), &strings.Builder{})
 	}()

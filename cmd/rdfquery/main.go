@@ -14,8 +14,10 @@
 // index is built, and the query runs with inference enabled. -snapshot
 // reopens a store written by rdfload -save; adding -wal-dir replays the
 // write-ahead log on top of it (crash recovery: the snapshot is the
-// checkpoint, the log holds everything since; -wal-dir alone recovers
-// from the log only). -stats prints the model's storage statistics (rows,
+// checkpoint, the log holds everything since). -wal-dir alone loads the
+// snapshot inside the directory when there is one — where rdfserve
+// checkpoints by default — and refuses a checkpointed directory whose
+// snapshot it cannot find. -stats prints the model's storage statistics (rows,
 // contexts, link types) instead of querying.
 //
 // Observability: -explain appends an EXPLAIN-style execution trace to
@@ -89,7 +91,7 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("rdfquery", flag.ContinueOnError)
 	data := fs.String("data", "", "N-Triples file to load (default: stdin)")
-	snapshot := fs.String("snapshot", "", "store snapshot to open instead of loading N-Triples (see rdfload -save)")
+	snapshot := fs.String("snapshot", "", "store snapshot to open instead of loading N-Triples (see rdfload -save); with -wal-dir, the default is snapshot inside it")
 	walDir := fs.String("wal-dir", "", "write-ahead log directory to replay (on top of -snapshot when both are given; see rdfload -wal-dir)")
 	query := fs.String("query", "", "match query, e.g. '(?s ?p ?o)'")
 	queryModel := fs.String("model", "data", "model to query when opening a snapshot")
@@ -333,6 +335,8 @@ func openDurable(snapPath, walDir string, stdout io.Writer) (*core.Store, error)
 	store, d, info, err := core.RecoverDir(snapPath, walDir, wal.DirOptions{})
 	if err != nil {
 		switch {
+		case errors.Is(err, core.ErrSnapshotMissing):
+			return nil, err
 		case errors.Is(err, wal.ErrSegmentCorrupt):
 			return nil, fmt.Errorf("WAL directory %s is damaged (a non-final segment is torn or missing): %v", walDir, err)
 		case errors.Is(err, wal.ErrNotWAL):
@@ -341,13 +345,11 @@ func openDurable(snapPath, walDir string, stdout io.Writer) (*core.Store, error)
 		return nil, snapshotError(snapPath, err)
 	}
 	d.Close() // read-only use: the query never appends
-	if snapPath != "" {
-		fmt.Fprintf(stdout, "recovered from snapshot %s + WAL directory %s (%d records replayed, %d segments)\n",
-			snapPath, walDir, info.Applied, info.Segments)
-	} else {
-		fmt.Fprintf(stdout, "recovered from WAL directory %s (%d records replayed, %d segments)\n",
-			walDir, info.Applied, info.Segments)
+	from := "WAL directory " + walDir
+	if info.Snapshot != "" {
+		from = "snapshot " + info.Snapshot + " + " + from
 	}
+	fmt.Fprintf(stdout, "recovered from %s (%d records replayed, %d segments)\n", from, info.Applied, info.Segments)
 	if info.Truncated {
 		fmt.Fprintf(os.Stderr, "rdfquery: warning: WAL had a torn tail (recovered to the last valid record): %v\n", info.TailErr)
 	}

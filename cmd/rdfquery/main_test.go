@@ -257,6 +257,27 @@ func TestQueryFromSnapshotPlusWAL(t *testing.T) {
 	}
 }
 
+// TestQueryWALDirFindsDefaultSnapshot: a checkpoint into the directory's
+// default snapshot (an empty path, as a supervised rdfserve writes it)
+// is found by -wal-dir alone, and the banner names it.
+func TestQueryWALDirFindsDefaultSnapshot(t *testing.T) {
+	walDir := filepath.Join(t.TempDir(), "store.d")
+	loadWithWAL(t, walDir, "", icData, true)
+	if _, err := os.Stat(filepath.Join(walDir, "snapshot")); err != nil {
+		t.Fatalf("checkpoint did not land in the directory: %v", err)
+	}
+
+	var out strings.Builder
+	if err := run([]string{"-wal-dir", walDir, "-stats"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	got := out.String()
+	banner := "recovered from snapshot " + filepath.Join(walDir, "snapshot") + " + WAL directory " + walDir + " (0 records replayed"
+	if !strings.Contains(got, banner) || !strings.Contains(got, "triples (rdf_link$ rows): 2") {
+		t.Errorf("output:\n%s", got)
+	}
+}
+
 func TestQueryTornWALRecovers(t *testing.T) {
 	walDir := filepath.Join(t.TempDir(), "store.d")
 	loadWithWAL(t, walDir, "", icData, false)

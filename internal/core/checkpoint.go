@@ -70,13 +70,6 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// RemoveStaleSnapshot deletes the *.tmp left behind by a checkpoint that
-// crashed before its rename. Call before loading a snapshot; a missing
-// tmp is not an error.
-func RemoveStaleSnapshot(path string) {
-	os.Remove(path + tmpSuffix)
-}
-
 // LoadFile rebuilds a store from the snapshot at path, first removing
 // any stale in-progress *.tmp sibling. The *.tmp is never loaded — it
 // may be truncated mid-write — so a crash during checkpoint can only
@@ -89,7 +82,7 @@ func LoadFile(path string) (*Store, error) {
 // LoadFileAt is LoadFile returning also the snapshot's WAL watermark (0
 // when the snapshot was saved without one).
 func LoadFileAt(path string) (*Store, int64, error) {
-	RemoveStaleSnapshot(path)
+	os.Remove(path + tmpSuffix) // a missing tmp is not an error
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, 0, err
@@ -98,25 +91,35 @@ func LoadFileAt(path string) (*Store, int64, error) {
 	return LoadAt(f)
 }
 
-// loadOrNew is the first step of a recovery: the store of the snapshot at
-// snapPath with its WAL watermark, or a fresh store when snapPath is empty
-// or names no file yet.
-func loadOrNew(snapPath string) (*Store, int64, time.Duration, error) {
-	if snapPath != "" {
-		t0 := time.Now()
-		s, walSeq, err := LoadFileAt(snapPath)
-		if err == nil {
-			return s, walSeq, time.Since(t0), nil
-		}
-		if !os.IsNotExist(err) {
-			return nil, 0, 0, err
-		}
+// snapshotIn is where the checkpoint of the WAL directory walDir lives:
+// snapPath, or "snapshot" inside walDir, beside the segments, when
+// snapPath is empty (the directory's scan skips names that are not
+// segments).
+func snapshotIn(snapPath, walDir string) string {
+	if snapPath == "" {
+		return filepath.Join(walDir, "snapshot")
 	}
-	return New(), 0, 0, nil
+	return snapPath
 }
 
+// ErrSnapshotMissing refuses to recover a WAL directory a checkpoint has
+// already trimmed, when no snapshot watermark covers its oldest segment:
+// replaying what is left onto an empty store would silently drop every
+// retired mutation, and the next write could make the directory
+// unrecoverable. It wraps wal.ErrSegmentCorrupt: history is missing.
+var ErrSnapshotMissing error = snapshotMissing{}
+
+type snapshotMissing struct{}
+
+func (snapshotMissing) Error() string {
+	return "core: no snapshot covers the WAL segments a checkpoint retired"
+}
+func (snapshotMissing) Unwrap() error { return wal.ErrSegmentCorrupt }
+
 // CheckpointDir makes the store's current state the new durable
-// baseline and reclaims the log's space, in three steps:
+// baseline and reclaims the log's space, in three steps (an empty
+// snapPath means "snapshot" inside d's directory, where RecoverDir looks
+// by default):
 //
 //  1. Rotate — every mutation the snapshot will contain now lives in
 //     segments below the fresh segment's number N.
@@ -142,6 +145,7 @@ func CheckpointDir(s *Store, snapPath string, d *wal.Dir) error {
 // one of its documented crash-safe states.
 func CheckpointDirCtx(ctx context.Context, s *Store, snapPath string, d *wal.Dir) error {
 	t0 := s.met.startTimer()
+	snapPath = snapshotIn(snapPath, d.Path())
 	sp := trace.FromContext(ctx)
 	phase := sp.Child("core.wal_rotate")
 	seq, err := d.Rotate()
@@ -176,7 +180,10 @@ func endPhase(phase *trace.Span, err error) error {
 // directory: stale snapshot tmp removed, snapshot loaded when present
 // (fresh store otherwise), segments below the snapshot's watermark
 // deleted, the rest scanned (torn tail tolerated in the final segment
-// only) and replayed. The returned Dir is positioned for appending.
+// only) and replayed. An empty snapPath means "snapshot" inside walDir.
+// A directory whose older segments a checkpoint retired is refused with
+// ErrSnapshotMissing unless the snapshot covers them. The returned Dir is
+// positioned for appending.
 func RecoverDir(snapPath, walDir string, opts wal.DirOptions) (*Store, *wal.Dir, RecoverInfo, error) {
 	return RecoverDirWith(snapPath, walDir, opts, wal.OpenDirFunc)
 }
@@ -186,9 +193,15 @@ func RecoverDir(snapPath, walDir string, opts wal.DirOptions) (*Store, *wal.Dir,
 // segments' records to fn as it reads them.
 func RecoverDirWith(snapPath, walDir string, opts wal.DirOptions,
 	openDir func(dir string, fromSeq int64, opts wal.DirOptions, fn wal.RecordFunc) (*wal.Dir, wal.DirScanResult, error)) (*Store, *wal.Dir, RecoverInfo, error) {
-	s, walSeq, restore, err := loadOrNew(snapPath)
-	if err != nil {
-		return nil, nil, RecoverInfo{}, err
+	snapPath = snapshotIn(snapPath, walDir)
+	t0 := time.Now()
+	s, walSeq, err := LoadFileAt(snapPath)
+	restore := time.Since(t0)
+	switch {
+	case os.IsNotExist(err):
+		s, restore, snapPath = New(), 0, ""
+	case err != nil:
+		return nil, nil, RecoverInfo{}, fmt.Errorf("core: loading snapshot %s: %w", snapPath, err)
 	}
 	var d *wal.Dir
 	var res wal.DirScanResult
@@ -199,6 +212,10 @@ func RecoverDirWith(snapPath, walDir string, opts wal.DirOptions,
 	if err != nil {
 		return nil, nil, RecoverInfo{}, err
 	}
-	info.Segments, info.Retired = res.Segments, res.Removed
+	if walSeq == 0 && res.StartSeq > 1 {
+		d.Close()
+		return nil, nil, RecoverInfo{}, fmt.Errorf("%w: %s begins at segment %d; pass the snapshot that checkpointed it", ErrSnapshotMissing, walDir, res.StartSeq)
+	}
+	info.Segments, info.Retired, info.Snapshot = res.Segments, res.Removed, snapPath
 	return s, d, info, nil
 }

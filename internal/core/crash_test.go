@@ -28,14 +28,11 @@ import (
 // header, or anywhere in a non-final segment) must be refused with a typed
 // error, never replayed.
 //
-// The cells are {one segment, rotating segments} × {SyncEvery 1, 3}. One
-// segment holds the whole log in one file. Rotating segments are small
-// enough that the workload spans dozens of them, so crashes also land on
-// rotation boundaries: the old segment's last frame, the new segment's
-// header. Frames reach the file only at commit points, one batch per
-// write: a commit's at SyncEvery 1, three commits' through a
-// wal.GroupLog at SyncEvery 3, where a crash loses up to two whole
-// commits and what survives must still be a golden prefix. The
+// The cells are one segment and rotating segments. One segment holds the
+// whole log in one file. Rotating segments are small enough that the
+// workload spans dozens of them, so crashes also land on rotation
+// boundaries: the old segment's last frame, the new segment's header.
+// Frames reach the file only at commit points, one commit per write. The
 // checkpoint windows are the last axis (TestDirCheckpointCrashWindows).
 
 // crashSegmentBytes forces rotation every few records.
@@ -44,12 +41,11 @@ const crashSegmentBytes = 128
 // crashCell is one cell of the matrix.
 type crashCell struct {
 	segmentBytes int64 // 0: the default, far above the workload's size
-	syncEvery    int
 }
 
 // forEachCell runs fn over the matrix as the parallel subtests
-// <segments>/sync-every-<n>: the cells share nothing, and a cell's runs
-// alternate between CPU (the workload, replay) and file system calls.
+// <segments>: the cells share nothing, and a cell's runs alternate
+// between CPU (the workload, replay) and file system calls.
 func forEachCell(t *testing.T, fn func(t *testing.T, c crashCell)) {
 	segments := []struct {
 		name  string
@@ -58,29 +54,15 @@ func forEachCell(t *testing.T, fn func(t *testing.T, c crashCell)) {
 	for _, seg := range segments {
 		t.Run(seg.name, func(t *testing.T) {
 			t.Parallel()
-			for _, n := range []int{1, 3} {
-				t.Run(fmt.Sprintf("sync-every-%d", n), func(t *testing.T) {
-					t.Parallel()
-					fn(t, crashCell{segmentBytes: seg.bytes, syncEvery: n})
-				})
-			}
+			fn(t, crashCell{segmentBytes: seg.bytes})
 		})
 	}
 }
 
-// open opens the cell's log in dir, every segment wrapped by inj, and
-// returns the Dir and what the store writes through: the Dir itself or a
-// GroupLog over it.
-func (c crashCell) open(dir string, inj *wal.FaultInjector) (*wal.Dir, Durability, *wal.GroupLog, error) {
+// open opens the cell's log in dir, every segment wrapped by inj.
+func (c crashCell) open(dir string, inj *wal.FaultInjector) (*wal.Dir, error) {
 	d, _, err := wal.OpenDir(dir, 0, wal.DirOptions{SegmentBytes: c.segmentBytes, Wrap: inj.Wrap})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if c.syncEvery == 1 {
-		return d, d, nil, nil
-	}
-	g := wal.Group(d, wal.GroupOptions{SyncEvery: c.syncEvery})
-	return d, g, g, nil
+	return d, err
 }
 
 // noFault is an injector that never fires: a fault-free run that still
@@ -250,23 +232,18 @@ func recordsArePrefix(got, full []wal.Record) bool {
 // write order, and the total bytes written.
 func (c crashCell) goldenDir(t *testing.T, dir string, ops []walOp, golden []wal.Record) (bounds []int64, total int64) {
 	t.Helper()
-	d, dur, g, err := c.open(dir, noFault())
+	d, err := c.open(dir, noFault())
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := New()
-	s.SetDurability(dur)
+	s.SetDurability(d)
 	for _, op := range ops {
 		if err := op.do(s); err != nil {
 			t.Fatalf("golden run, op %q: %v", op.name, err)
 		}
 	}
-	if g != nil {
-		err = g.Close()
-	} else {
-		err = d.Close()
-	}
-	if err != nil {
+	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if c.segmentBytes > 0 && d.Segments() < 4 {
@@ -356,12 +333,11 @@ func TestDirCrashMatrix(t *testing.T) {
 
 				// The crash run: the first WAL error is the process dying.
 				// CorruptByte never errors (silent corruption), so its run
-				// completes; under group commit, whatever is still buffered
-				// at the end dies with the process.
+				// completes.
 				inj := &wal.FaultInjector{FailAt: cut, Mode: m.mode}
-				if _, dur, _, err := c.open(dir, inj); err == nil {
+				if d, err := c.open(dir, inj); err == nil {
 					live := New()
-					live.SetDurability(dur)
+					live.SetDurability(d)
 					for _, op := range ops {
 						if err := op.do(live); err != nil {
 							break
@@ -426,19 +402,7 @@ type checkpointRig struct {
 	c         crashCell
 	dir, snap string
 	d         *wal.Dir
-	g         *wal.GroupLog // nil at SyncEvery 1
 	s         *Store
-}
-
-// flush lands group-committed frames, as any caller must before a
-// checkpoint and before the crash a window test stages.
-func (r *checkpointRig) flush(t *testing.T) {
-	t.Helper()
-	if r.g != nil {
-		if err := r.g.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
 }
 
 // TestDirCheckpointCrashWindows walks a crash through every step of the
@@ -452,19 +416,17 @@ func TestDirCheckpointCrashWindows(t *testing.T) {
 		t.Helper()
 		base := t.TempDir()
 		r = &checkpointRig{c: c, dir: filepath.Join(base, "wal"), snap: filepath.Join(base, "snap.gob")}
-		var dur Durability
 		var err error
-		if r.d, dur, r.g, err = c.open(r.dir, noFault()); err != nil {
+		if r.d, err = c.open(r.dir, noFault()); err != nil {
 			t.Fatal(err)
 		}
 		r.s = New()
-		r.s.SetDurability(dur)
+		r.s.SetDurability(r.d)
 		for _, op := range ops {
 			if err := op.do(r.s); err != nil {
 				t.Fatal(err)
 			}
 		}
-		r.flush(t)
 		return r, fingerprint(t, r.s)
 	}
 
@@ -577,7 +539,6 @@ func TestDirCheckpointCrashWindows(t *testing.T) {
 			if _, err := r.s.NewTripleS("gov", "gov:late", "gov:p", "gov:o", govAliases()); err != nil {
 				t.Fatal(err)
 			}
-			r.flush(t)
 			want := fingerprint(t, r.s)
 			r.d.Close()
 			info := recoverAndCompare(t, r, want)

@@ -20,7 +20,7 @@ var ErrDurability = errors.New("core: durability sink failed")
 // Durability receives the store's logical mutations as WAL records. The
 // paper's Oracle deployment gets redo logging from the engine; here the
 // hook is pluggable so the pure in-memory configuration (d == nil) pays
-// nothing. *wal.Dir (or a wal.GroupLog over one) is the implementation.
+// nothing. *wal.Dir is the implementation.
 //
 // Append is called under the store's write lock with each record the
 // store has just applied (emitLocked) — any prefix of the record stream

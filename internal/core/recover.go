@@ -31,6 +31,9 @@ type RecoverInfo struct {
 	// Retired is the number of segments below the snapshot's watermark
 	// deleted at open — an interrupted checkpoint's retention, finished.
 	Retired int
+	// Snapshot is the snapshot file the recovery started from, "" when
+	// it started from an empty store.
+	Snapshot string
 	// Restore, Scan and Replay say where a restart's time went: loading
 	// the snapshot, reading and verifying the WAL, applying its records.
 	Restore, Scan, Replay time.Duration

@@ -101,19 +101,24 @@ func TestScrubFindingsRouteToEventLog(t *testing.T) {
 		t.Fatal("scrub violations did not escalate")
 	}
 
+	// The transition's event is emitted after the state changes, outside
+	// the supervisor's lock: wait for the event, not only the state.
 	var sawScrub, sawCause bool
-	for _, ev := range reg.Events().Snapshot() {
-		if ev.Scope != "supervise" {
-			continue
-		}
-		if ev.Name == "scrub_violations" {
-			sawScrub = true
-			if ev.Fields["violations"] != "1" || ev.Fields["links"] != "7" || ev.Fields["first"] == "" {
-				t.Fatalf("scrub_violations fields = %+v", ev.Fields)
+	for !(sawScrub && sawCause) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		for _, ev := range reg.Events().Snapshot() {
+			if ev.Scope != "supervise" {
+				continue
 			}
-		}
-		if ev.Name == "transition" && ev.Fields["to"] == "Degraded" && ev.Fields["rootCause"] != "" {
-			sawCause = true
+			if ev.Name == "scrub_violations" {
+				sawScrub = true
+				if ev.Fields["violations"] != "1" || ev.Fields["links"] != "7" || ev.Fields["first"] == "" {
+					t.Fatalf("scrub_violations fields = %+v", ev.Fields)
+				}
+			}
+			if ev.Name == "transition" && ev.Fields["to"] == "Degraded" && ev.Fields["rootCause"] != "" {
+				sawCause = true
+			}
 		}
 	}
 	if !sawScrub || !sawCause {

@@ -30,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -152,8 +151,8 @@ type Config struct {
 	// required): a snapshot written atomically at each checkpoint
 	// (core.SaveFile: tmp + fsync + rename) and a directory of rotating
 	// WAL segments with checkpoint-driven retention and an optional disk
-	// budget (see wal.Dir). An empty SnapshotPath means "snapshot" inside
-	// WALDir, beside the segments.
+	// budget (see wal.Dir). An empty SnapshotPath is core's default,
+	// "snapshot" inside WALDir beside the segments (core.RecoverDir).
 	SnapshotPath string
 	WALDir       string
 	// Segment configures the WAL (rotation size, disk budget,
@@ -251,9 +250,6 @@ type Supervisor struct {
 func Open(cfg Config) (*Supervisor, error) {
 	if cfg.WALDir == "" {
 		return nil, errors.New("supervise: open: WALDir is required")
-	}
-	if cfg.SnapshotPath == "" {
-		cfg.SnapshotPath = filepath.Join(cfg.WALDir, "snapshot")
 	}
 	if cfg.OpenDir == nil {
 		cfg.OpenDir = wal.OpenDirFunc

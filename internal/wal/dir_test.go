@@ -57,39 +57,48 @@ func TestDirFreshCreatesFirstSegment(t *testing.T) {
 	}
 }
 
+// TestDirRotationAndReplay: commits rotate the Dir across segments and
+// every committed record replays, in order, whether a commit holds one
+// record or several (a commit's frames are one write, in one segment).
 func TestDirRotationAndReplay(t *testing.T) {
-	dir := t.TempDir()
-	d, _ := openTestDir(t, dir, 0, DirOptions{})
-	appendN(t, d, 0, 40)
-	if d.Segments() < 3 {
-		t.Fatalf("expected rotation across >=3 segments, got %d", d.Segments())
-	}
-	wantSeg := d.Segments()
-	wantSize := d.Size()
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	d2, res := openTestDir(t, dir, 0, DirOptions{})
-	defer d2.Close()
-	if res.Truncated {
-		t.Fatalf("clean close reported torn tail: %v", res.TailErr)
-	}
-	if res.Segments != wantSeg || res.TotalBytes != wantSize {
-		t.Fatalf("reopen: segments %d bytes %d, want %d/%d", res.Segments, res.TotalBytes, wantSeg, wantSize)
-	}
-	if len(res.Records) != 40 {
-		t.Fatalf("replayed %d records, want 40", len(res.Records))
-	}
-	for i, r := range res.Records {
-		if !reflect.DeepEqual(r, dirRec(i)) {
-			t.Fatalf("record %d = %+v", i, r)
+	for _, perCommit := range []int{1, 8} {
+		dir := t.TempDir()
+		d, _ := openTestDir(t, dir, 0, DirOptions{})
+		for i := 0; i < 40; i++ {
+			if err := d.Append(dirRec(i)); err != nil {
+				t.Fatalf("append %d: %v", i, err)
+			}
+			if (i+1)%perCommit == 0 {
+				if err := d.Commit(); err != nil {
+					t.Fatalf("commit %d: %v", i, err)
+				}
+			}
 		}
-	}
-	// The reopened dir appends from the verified end.
-	appendN(t, d2, 40, 5)
-	if d2.Size() <= wantSize {
-		t.Errorf("size did not grow after reopen appends")
+		if d.Segments() < 3 {
+			t.Fatalf("%d per commit: expected rotation across >=3 segments, got %d", perCommit, d.Segments())
+		}
+		wantSeg := d.Segments()
+		wantSize := d.Size()
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		d2, res := openTestDir(t, dir, 0, DirOptions{})
+		if res.Truncated {
+			t.Fatalf("%d per commit: clean close reported torn tail: %v", perCommit, res.TailErr)
+		}
+		if res.Segments != wantSeg || res.TotalBytes != wantSize {
+			t.Fatalf("%d per commit: reopen: segments %d bytes %d, want %d/%d", perCommit, res.Segments, res.TotalBytes, wantSeg, wantSize)
+		}
+		if !reflect.DeepEqual(res.Records, recordsUpTo(40)) {
+			t.Fatalf("%d per commit: replayed %d records, want dirRec(0..39)", perCommit, len(res.Records))
+		}
+		// The reopened dir appends from the verified end.
+		appendN(t, d2, 40, 5)
+		if d2.Size() <= wantSize {
+			t.Errorf("%d per commit: size did not grow after reopen appends", perCommit)
+		}
+		d2.Close()
 	}
 }
 
@@ -472,30 +481,5 @@ func TestDirInjectedENOSPCSurfacesAsNoSpace(t *testing.T) {
 	}
 	if err := d.Commit(); err != nil {
 		t.Fatalf("commit after transient ENOSPC: %v", err)
-	}
-}
-
-func TestDirGroupLogOverSegments(t *testing.T) {
-	dir := t.TempDir()
-	d, _ := openTestDir(t, dir, 0, DirOptions{})
-	g := Group(d, GroupOptions{SyncEvery: 8})
-	for i := 0; i < 40; i++ {
-		if err := g.Append(dirRec(i)); err != nil {
-			t.Fatalf("group append %d: %v", i, err)
-		}
-		if err := g.Commit(); err != nil {
-			t.Fatalf("group commit %d: %v", i, err)
-		}
-	}
-	if err := g.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if d.Segments() < 2 {
-		t.Fatalf("group flushes never rotated: %d segments", d.Segments())
-	}
-	d.Close()
-	_, res := openTestDir(t, dir, 0, DirOptions{})
-	if !reflect.DeepEqual(res.Records, recordsUpTo(40)) {
-		t.Fatalf("group-written records mismatch: got %d records", len(res.Records))
 	}
 }

@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"path/filepath"
 	"testing"
 )
 
@@ -62,6 +63,18 @@ func TestFlakyFileErrorRate(t *testing.T) {
 	if len(f.Bytes()) != ok {
 		t.Fatalf("image holds %d bytes, %d writes succeeded", len(f.Bytes()), ok)
 	}
+}
+
+// openSegment opens a fresh one-segment Dir (optionally wrapping its
+// files) and returns it with the path of its segment file.
+func openSegment(t *testing.T, wrap func(File) File) (*Dir, string) {
+	t.Helper()
+	dir := t.TempDir()
+	d, _, err := OpenDir(dir, 0, DirOptions{Wrap: wrap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, filepath.Join(dir, segmentName(1))
 }
 
 // TestFlakyFileWrapsRealFile: wrapped around a Dir's segment, injected
