@@ -210,22 +210,14 @@ func walRecords(t *testing.T, walDir string) int {
 	return n
 }
 
-// TestRunWALCheckpointOnSave: -save after a -wal-dir load that replayed
-// an earlier load checkpoints both: the log is left empty and the
-// snapshot holds every triple.
 func TestRunWALCheckpointOnSave(t *testing.T) {
 	dir := t.TempDir()
 	walDir := filepath.Join(dir, "store.d")
 	snap := filepath.Join(dir, "store.snap")
 
-	doc := "<http://a> <http://p> <http://b> .\n<http://c> <http://p> <http://d> .\n<http://e> <http://p> <http://f> .\n"
-	if err := run([]string{"-model", "m", "-wal-dir", walDir, "-batch", "2"},
-		strings.NewReader(doc), &strings.Builder{}); err != nil {
-		t.Fatal(err)
-	}
 	var out strings.Builder
 	err := run([]string{"-model", "m", "-wal-dir", walDir, "-save", snap},
-		strings.NewReader("<http://g> <http://p> <http://h> .\n"), &out)
+		strings.NewReader("<http://a> <http://p> <http://b> .\n"), &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,6 +225,40 @@ func TestRunWALCheckpointOnSave(t *testing.T) {
 		t.Errorf("no checkpoint message:\n%s", out.String())
 	}
 	// After the checkpoint the log is empty; the snapshot holds the data.
+	if n := walRecords(t, walDir); n != 0 {
+		t.Fatalf("WAL still has %d records after checkpoint", n)
+	}
+	st, err := core.LoadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := st.NumTriples("m"); n != 1 {
+		t.Fatalf("snapshot has %d triples, want 1", n)
+	}
+}
+
+// TestRunWALGroupCommit: a -wal-dir load that groups triples into
+// multi-record commits (-batch 2) is durable when run returns, and a
+// later -save that replays it checkpoints both loads: the log is left
+// empty and the snapshot holds every triple.
+func TestRunWALGroupCommit(t *testing.T) {
+	dir := t.TempDir()
+	walDir := filepath.Join(dir, "store.d")
+
+	doc := "<http://a> <http://p> <http://b> .\n<http://c> <http://p> <http://d> .\n<http://e> <http://p> <http://f> .\n"
+	if err := run([]string{"-model", "m", "-wal-dir", walDir, "-batch", "2"},
+		strings.NewReader(doc), &strings.Builder{}); err != nil {
+		t.Fatal(err)
+	}
+	if n := recoveredTriples(t, "", walDir); n != 3 {
+		t.Fatalf("recovered store has %d triples, want 3", n)
+	}
+
+	snap := filepath.Join(dir, "store.snap")
+	if err := run([]string{"-model", "m", "-wal-dir", walDir, "-save", snap},
+		strings.NewReader("<http://g> <http://p> <http://h> .\n"), &strings.Builder{}); err != nil {
+		t.Fatal(err)
+	}
 	if n := walRecords(t, walDir); n != 0 {
 		t.Fatalf("WAL still has %d records after checkpoint", n)
 	}

@@ -44,8 +44,10 @@ type crashCell struct {
 }
 
 // forEachCell runs fn over the matrix as the parallel subtests
-// <segments>: the cells share nothing, and a cell's runs alternate
-// between CPU (the workload, replay) and file system calls.
+// <segments>/sync-every-1: the cells share nothing, and a cell's runs
+// alternate between CPU (the workload, replay) and file system calls.
+// sync-every-1 names the store's one commit policy: one write and one
+// fsync per commit.
 func forEachCell(t *testing.T, fn func(t *testing.T, c crashCell)) {
 	segments := []struct {
 		name  string
@@ -54,7 +56,9 @@ func forEachCell(t *testing.T, fn func(t *testing.T, c crashCell)) {
 	for _, seg := range segments {
 		t.Run(seg.name, func(t *testing.T) {
 			t.Parallel()
-			fn(t, crashCell{segmentBytes: seg.bytes})
+			t.Run("sync-every-1", func(t *testing.T) {
+				fn(t, crashCell{segmentBytes: seg.bytes})
+			})
 		})
 	}
 }

@@ -57,48 +57,71 @@ func TestDirFreshCreatesFirstSegment(t *testing.T) {
 	}
 }
 
-// TestDirRotationAndReplay: commits rotate the Dir across segments and
-// every committed record replays, in order, whether a commit holds one
-// record or several (a commit's frames are one write, in one segment).
 func TestDirRotationAndReplay(t *testing.T) {
-	for _, perCommit := range []int{1, 8} {
-		dir := t.TempDir()
-		d, _ := openTestDir(t, dir, 0, DirOptions{})
-		for i := 0; i < 40; i++ {
-			if err := d.Append(dirRec(i)); err != nil {
-				t.Fatalf("append %d: %v", i, err)
-			}
-			if (i+1)%perCommit == 0 {
-				if err := d.Commit(); err != nil {
-					t.Fatalf("commit %d: %v", i, err)
-				}
-			}
-		}
-		if d.Segments() < 3 {
-			t.Fatalf("%d per commit: expected rotation across >=3 segments, got %d", perCommit, d.Segments())
-		}
-		wantSeg := d.Segments()
-		wantSize := d.Size()
-		if err := d.Close(); err != nil {
-			t.Fatal(err)
-		}
+	dir := t.TempDir()
+	d, _ := openTestDir(t, dir, 0, DirOptions{})
+	appendN(t, d, 0, 40)
+	if d.Segments() < 3 {
+		t.Fatalf("expected rotation across >=3 segments, got %d", d.Segments())
+	}
+	wantSeg := d.Segments()
+	wantSize := d.Size()
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-		d2, res := openTestDir(t, dir, 0, DirOptions{})
-		if res.Truncated {
-			t.Fatalf("%d per commit: clean close reported torn tail: %v", perCommit, res.TailErr)
+	d2, res := openTestDir(t, dir, 0, DirOptions{})
+	defer d2.Close()
+	if res.Truncated {
+		t.Fatalf("clean close reported torn tail: %v", res.TailErr)
+	}
+	if res.Segments != wantSeg || res.TotalBytes != wantSize {
+		t.Fatalf("reopen: segments %d bytes %d, want %d/%d", res.Segments, res.TotalBytes, wantSeg, wantSize)
+	}
+	if len(res.Records) != 40 {
+		t.Fatalf("replayed %d records, want 40", len(res.Records))
+	}
+	for i, r := range res.Records {
+		if !reflect.DeepEqual(r, dirRec(i)) {
+			t.Fatalf("record %d = %+v", i, r)
 		}
-		if res.Segments != wantSeg || res.TotalBytes != wantSize {
-			t.Fatalf("%d per commit: reopen: segments %d bytes %d, want %d/%d", perCommit, res.Segments, res.TotalBytes, wantSeg, wantSize)
+	}
+	// The reopened dir appends from the verified end.
+	appendN(t, d2, 40, 5)
+	if d2.Size() <= wantSize {
+		t.Errorf("size did not grow after reopen appends")
+	}
+}
+
+// TestDirGroupLogOverSegments: commits that each hold a group of records
+// (a commit's frames are one write, in one segment) still rotate the Dir
+// across segments, and every committed record replays, in order.
+func TestDirGroupLogOverSegments(t *testing.T) {
+	dir := t.TempDir()
+	d, _ := openTestDir(t, dir, 0, DirOptions{})
+	for i := 0; i < 40; i++ {
+		if err := d.Append(dirRec(i)); err != nil {
+			t.Fatalf("append %d: %v", i, err)
 		}
-		if !reflect.DeepEqual(res.Records, recordsUpTo(40)) {
-			t.Fatalf("%d per commit: replayed %d records, want dirRec(0..39)", perCommit, len(res.Records))
+		if (i+1)%8 == 0 {
+			if err := d.Commit(); err != nil {
+				t.Fatalf("commit %d: %v", i, err)
+			}
 		}
-		// The reopened dir appends from the verified end.
-		appendN(t, d2, 40, 5)
-		if d2.Size() <= wantSize {
-			t.Errorf("%d per commit: size did not grow after reopen appends", perCommit)
-		}
-		d2.Close()
+	}
+	if d.Segments() < 2 {
+		t.Fatalf("grouped commits never rotated: %d segments", d.Segments())
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d2, res := openTestDir(t, dir, 0, DirOptions{})
+	defer d2.Close()
+	if res.Truncated {
+		t.Fatalf("clean close reported torn tail: %v", res.TailErr)
+	}
+	if !reflect.DeepEqual(res.Records, recordsUpTo(40)) {
+		t.Fatalf("grouped records mismatch: got %d records", len(res.Records))
 	}
 }
 
