@@ -118,18 +118,20 @@ fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/rdfxml
 	$(GO) test -fuzz=FuzzParseObject -fuzztime=30s ./internal/rdfterm
 	$(GO) test -fuzz=FuzzCanonical -fuzztime=30s ./internal/rdfterm
+	$(GO) test -fuzz=FuzzAppendTermJSON -fuzztime=30s ./internal/rdfterm
 	$(GO) test -fuzz=FuzzParseQuery -fuzztime=30s ./internal/match
 	$(GO) test -fuzz=FuzzParseFilter -fuzztime=30s ./internal/match
 	$(GO) test -fuzz=FuzzTableOps -fuzztime=30s ./internal/reldb
 	$(GO) test -fuzz=FuzzScan -fuzztime=30s ./internal/wal
 
 # CI smoke slice of the fuzz targets: the parser-facing surfaces, the
-# table heap (operation sequences checked against a []Row model) and the
+# term wire-form encoder (against encoding/json), the table heap (operation sequences checked against a []Row model) and the
 # WAL scanner (arbitrary segment bytes), ~30s each, enough to catch fresh
 # panics without owning a CI lane for an hour.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseObject -fuzztime=30s ./internal/rdfterm
 	$(GO) test -fuzz=FuzzCanonical -fuzztime=30s ./internal/rdfterm
+	$(GO) test -fuzz=FuzzAppendTermJSON -fuzztime=30s ./internal/rdfterm
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/rdfxml
 	$(GO) test -fuzz=FuzzParseQuery -fuzztime=30s ./internal/match
 	$(GO) test -fuzz=FuzzParseFilter -fuzztime=30s ./internal/match

@@ -203,6 +203,19 @@ func RecoverDirWith(snapPath, walDir string, opts wal.DirOptions,
 	case err != nil:
 		return nil, nil, RecoverInfo{}, fmt.Errorf("core: loading snapshot %s: %w", snapPath, err)
 	}
+	if walSeq == 0 {
+		// No snapshot: the log must still begin at its first segment.
+		// Decided from the listing, before any record is applied, so a
+		// trimmed directory is refused the same way whatever its
+		// surviving records do to state the snapshot held.
+		first, err := wal.OldestSegment(walDir)
+		if err != nil {
+			return nil, nil, RecoverInfo{}, fmt.Errorf("core: listing WAL directory %s: %w", walDir, err)
+		}
+		if first > 1 {
+			return nil, nil, RecoverInfo{}, fmt.Errorf("%w: %s begins at segment %d; pass the snapshot that checkpointed it", ErrSnapshotMissing, walDir, first)
+		}
+	}
 	var d *wal.Dir
 	var res wal.DirScanResult
 	info, err := s.replayStream(restore, func(apply wal.RecordFunc) (_ wal.ScanResult, err error) {
@@ -211,10 +224,6 @@ func RecoverDirWith(snapPath, walDir string, opts wal.DirOptions,
 	})
 	if err != nil {
 		return nil, nil, RecoverInfo{}, err
-	}
-	if walSeq == 0 && res.StartSeq > 1 {
-		d.Close()
-		return nil, nil, RecoverInfo{}, fmt.Errorf("%w: %s begins at segment %d; pass the snapshot that checkpointed it", ErrSnapshotMissing, walDir, res.StartSeq)
 	}
 	info.Segments, info.Retired, info.Snapshot = res.Segments, res.Removed, snapPath
 	return s, d, info, nil

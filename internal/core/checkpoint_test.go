@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -216,5 +217,66 @@ func TestSaveFilePreservesOldSnapshotOnFailure(t *testing.T) {
 	}
 	if n, _ := loaded.NumTriples("m"); n != 1 {
 		t.Fatalf("old snapshot damaged by failed SaveFile: %d triples", n)
+	}
+}
+
+// TestRecoverDirRefusesTrimmedDirBeforeReplay: a directory checkpointed
+// to a snapshot kept elsewhere, whose surviving segment deletes a link
+// the snapshot holds, is refused with ErrSnapshotMissing when opened
+// without that snapshot — decided from the listing, before the delete is
+// replayed onto a store that never had the link — and no file changes.
+func TestRecoverDirRefusesTrimmedDirBeforeReplay(t *testing.T) {
+	dir := t.TempDir()
+	walDir := filepath.Join(dir, "wal")
+	a := govAliases()
+	s, log, _, err := RecoverDir("", walDir, wal.DirOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetDurability(log)
+	if _, err := s.CreateRDFModel("m", "", ""); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.NewTripleS("m", "gov:s", "gov:p", "gov:o", a); err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckpointDir(s, filepath.Join(dir, "elsewhere.snap"), log); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.DeleteTriple("m", "gov:s", "gov:p", "gov:o", a); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	listing := func() map[string]string {
+		files := map[string]string{}
+		entries, err := os.ReadDir(walDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			b, err := os.ReadFile(filepath.Join(walDir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = string(b)
+		}
+		return files
+	}
+	before := listing()
+
+	_, _, _, err = RecoverDir("", walDir, wal.DirOptions{})
+	if !errors.Is(err, ErrSnapshotMissing) {
+		t.Fatalf("RecoverDir without the snapshot: err = %v, want ErrSnapshotMissing", err)
+	}
+	after := listing()
+	if len(after) != len(before) {
+		t.Fatalf("refused recovery changed the directory: %d files, had %d", len(after), len(before))
+	}
+	for name, b := range before {
+		if after[name] != b {
+			t.Fatalf("refused recovery changed %s", name)
+		}
 	}
 }

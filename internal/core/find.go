@@ -79,28 +79,10 @@ func (s *Store) FindModelsCtx(ctx context.Context, models []string, pat Pattern)
 // The scan polls ctx every cancelEvery rows and aborts with a wrapped
 // ctx.Err() when it fires.
 func (s *Store) findModelLocked(ctx context.Context, mid int64, pat Pattern) ([]TripleS, error) {
-	// Resolve constrained term IDs; a constrained term that is not interned
-	// matches nothing.
-	var sid, pid, oid int64
-	if pat.Subject != nil {
-		var ok bool
-		if sid, ok = s.lookupResolvedIDLocked(mid, *pat.Subject); !ok {
-			return nil, nil
-		}
+	sid, pid, oid, ok := s.patternIDsLocked(mid, pat)
+	if !ok {
+		return nil, nil
 	}
-	if pat.Predicate != nil {
-		var ok bool
-		if pid, ok = s.lookupValueIDLocked(*pat.Predicate); !ok {
-			return nil, nil
-		}
-	}
-	if pat.Object != nil {
-		var ok bool
-		if oid, ok = s.lookupCanonIDLocked(mid, *pat.Object); !ok {
-			return nil, nil
-		}
-	}
-
 	// scanned counts visited rows; the context is polled every cancelEvery
 	// increments.
 	scanned := 0
@@ -120,6 +102,29 @@ func (s *Store) findModelLocked(ctx context.Context, mid int64, pat Pattern) ([]
 		return nil, err
 	}
 	return out, nil
+}
+
+// patternIDsLocked resolves pat's constrained terms in model mid to the
+// (sid, pid, canon) IDs scanLinksLocked takes, 0 for a wildcard. A
+// constrained term that is not interned matches nothing: ok is false.
+// Caller holds s.mu.
+func (s *Store) patternIDsLocked(mid int64, pat Pattern) (sid, pid, canon int64, ok bool) {
+	if pat.Subject != nil {
+		if sid, ok = s.lookupResolvedIDLocked(mid, *pat.Subject); !ok {
+			return 0, 0, 0, false
+		}
+	}
+	if pat.Predicate != nil {
+		if pid, ok = s.lookupValueIDLocked(*pat.Predicate); !ok {
+			return 0, 0, 0, false
+		}
+	}
+	if pat.Object != nil {
+		if canon, ok = s.lookupCanonIDLocked(mid, *pat.Object); !ok {
+			return 0, 0, 0, false
+		}
+	}
+	return sid, pid, canon, true
 }
 
 // scanLinksLocked is the access-path table of rdf_link$: it hands fn every

@@ -101,6 +101,49 @@ func (tx *ReadTx) ValueLocked(id int64) (rdfterm.Term, error) {
 	return tx.s.getValueLocked(id)
 }
 
+// AppendTermJSONLocked appends the wire form of the term stored under a
+// VALUE_ID — its String() as a JSON string — to dst, written straight
+// from the rdf_value$ row's cells: no term text is copied and nothing is
+// allocated beyond dst's growth. It is how a read endpoint turns the IDs a
+// view produced into a response body without leaving the view.
+func (tx *ReadTx) AppendTermJSONLocked(dst []byte, id int64) ([]byte, error) {
+	rid, ok := tx.s.valuePK.LookupInts(id)
+	if !ok {
+		return dst, fmt.Errorf("%w: VALUE_ID %d", ErrNoSuchValue, id)
+	}
+	err := tx.s.values.Read(rid, func(c reldb.Cells) { dst = termFromCells(c).AppendJSON(dst) })
+	return dst, err
+}
+
+// FindLocked is FindModelsCtx inside the view: it appends to dst the ID
+// tuples of the links of the named models that match pat, model by model
+// in the order given, each model's in the order Find returns them. An
+// unknown model fails before any scan; the scans poll the view's context.
+func (tx *ReadTx) FindLocked(dst []LinkIDs, models []string, pat Pattern) ([]LinkIDs, error) {
+	mids := make([]int64, len(models))
+	for i, m := range models {
+		mid, err := tx.s.getModelIDLocked(m)
+		if err != nil {
+			return dst, err
+		}
+		mids[i] = mid
+	}
+	for _, mid := range mids {
+		if err := tx.tickLocked(); err != nil {
+			return dst, err
+		}
+		sid, pid, oid, ok := tx.s.patternIDsLocked(mid, pat)
+		if !ok {
+			continue
+		}
+		var err error
+		if dst, err = tx.CollectLinksLocked(dst, mid, sid, pid, oid); err != nil {
+			return dst, err
+		}
+	}
+	return dst, nil
+}
+
 // ContainsLinkLocked reports whether the model holds a link with exactly
 // these IDs — a single probe of the unique SMPO index, the Contains half
 // of the engine's Next/Contains duality.

@@ -3,7 +3,10 @@ package match
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // Budget enforcement: Limit truncates the projected rows (true top-N
@@ -70,5 +73,56 @@ func TestMatchMaxBindingsAborts(t *testing.T) {
 	}
 	if rs.Len() != 10000 {
 		t.Fatalf("rows = %d, want 10000", rs.Len())
+	}
+}
+
+// TestDistinctSetGrowsWithRows pins that DISTINCT sizes its duplicate set
+// from the rows it emits, not from Limit: the server passes its 10 000-row
+// cap on every query, so a DISTINCT query returning a handful of rows must
+// cost about what the same query without DISTINCT costs.
+func TestDistinctSetGrowsWithRows(t *testing.T) {
+	s := buildJoinStore(t, 6, 0)
+	const q = "(<http://x#n0_0> <http://x#p> ?b)"
+	bytesPerQuery := func(distinct bool) uint64 {
+		opts := Options{Models: []string{"big"}, Distinct: distinct, Limit: 10000}
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			rs, err := MatchContext(context.Background(), s, q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rs.Len() != 6 {
+				t.Fatalf("rows = %d, want 6", rs.Len())
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	plain, distinct := bytesPerQuery(false), bytesPerQuery(true)
+	if distinct > plain+4<<10 {
+		t.Fatalf("a 6-row DISTINCT query with Limit 10000 allocates %d bytes, the same query without DISTINCT %d: the set must grow with the rows, not be presized to the limit", distinct, plain)
+	}
+}
+
+// TestEachStopsAtEmitError: an error from the row consumer stops the
+// query, with and without ORDER BY, and comes back as is.
+func TestEachStopsAtEmitError(t *testing.T) {
+	s := buildJoinStore(t, 6, 0)
+	stop := errors.New("consumer is full")
+	for _, orderBy := range [][]string{nil, {"b"}} {
+		rows := 0
+		_, err := Each(context.Background(), s, "(?a <http://x#p> ?b)", Options{Models: []string{"big"}, OrderBy: orderBy},
+			func([]string) {},
+			func(_ *core.ReadTx, ids []int64) error {
+				if rows++; rows == 3 {
+					return stop
+				}
+				return nil
+			})
+		if err != stop || rows != 3 {
+			t.Fatalf("order by %v: err = %v after %d rows, want the consumer's error after 3", orderBy, err, rows)
+		}
 	}
 }

@@ -3,23 +3,26 @@ package match
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"repro/internal/core"
 	"repro/internal/rdfterm"
 )
 
 // runStreaming executes the query on the streaming iterator engine. The
-// plan, the whole pipeline, and term materialization run inside a single
+// plan, the whole pipeline, ORDER BY, and every emit run inside a single
 // core.ReadView — one read-lock acquisition and one consistent snapshot
-// for every stage's probes. ORDER BY sorts outside the view (terms are
-// already materialized by then).
-func runStreaming(ctx context.Context, store *core.Store, scope []string, pats []TriplePattern, vars []string, filter *FilterExpr, opts Options, traced bool, trace *Trace) (*ResultSet, error) {
+// for every stage's probes and for whatever emit reads of the rows. Rows
+// reach emit as display VALUE_IDs in vars order (see Each); the only
+// terms built here are the ones a filter or an ORDER BY compares. orderBy
+// holds the ORDER BY columns (indexes into vars). It returns the number
+// of rows emitted and whether Limit dropped any.
+func runStreaming(ctx context.Context, store *core.Store, scope []string, pats []TriplePattern, vars []string, filter *FilterExpr, orderBy []int, opts Options, traced bool, trace *Trace, emit RowFunc) (emitted int, truncated bool, err error) {
 	varIdx := make(map[string]int, len(vars))
 	for i, v := range vars {
 		varIdx[v] = i
 	}
-	rs := &ResultSet{Vars: vars}
-	err := store.ReadView(ctx, func(tx *core.ReadTx) error {
+	err = store.ReadView(ctx, func(tx *core.ReadTx) error {
 		mids := make([]int64, len(scope))
 		for i, m := range scope {
 			if err := ctx.Err(); err != nil {
@@ -52,15 +55,23 @@ func runStreaming(ctx context.Context, store *core.Store, scope []string, pats [
 			it = j
 		}
 
-		// Terms are materialized once per distinct VALUE_ID per query.
-		terms := map[int64]rdfterm.Term{}
+		// The filter and ORDER BY compare terms: each is materialized once
+		// per distinct VALUE_ID per query, and only for them. 0 (unbound)
+		// is the zero term.
+		var terms map[int64]rdfterm.Term
 		lookupTerm := func(id int64) (rdfterm.Term, error) {
+			if id == 0 {
+				return rdfterm.Term{}, nil
+			}
 			if t, ok := terms[id]; ok {
 				return t, nil
 			}
 			t, err := tx.ValueLocked(id)
 			if err != nil {
 				return rdfterm.Term{}, err
+			}
+			if terms == nil {
+				terms = map[int64]rdfterm.Term{}
 			}
 			terms[id] = t
 			return t, nil
@@ -88,19 +99,19 @@ func runStreaming(ctx context.Context, store *core.Store, scope []string, pats [
 		}
 
 		// DISTINCT keys on display IDs — interning makes the ID uniquely
-		// determine the term — encoded into a reused scratch buffer
-		// instead of the old \x00-joined Term.String build. The map is
-		// pre-sized from Limit when one is set.
-		var emitted map[string]struct{}
+		// determine the term — encoded into a reused scratch buffer. The
+		// set grows with what is emitted, not with Limit: a row cap says
+		// nothing about how many rows a query returns.
+		var seen map[string]struct{}
 		var keyBuf []byte
 		if opts.Distinct {
-			size := 64
-			if opts.Limit > 0 && opts.Limit < 1<<16 {
-				size = opts.Limit
-			}
-			emitted = make(map[string]struct{}, size)
+			seen = map[string]struct{}{}
 			keyBuf = make([]byte, 0, 8*len(vars))
 		}
+		ids := make([]int64, len(vars))
+		// Without ORDER BY each row goes to emit as it leaves the
+		// pipeline; with it the rows are held as IDs and emitted sorted.
+		var held []int64
 
 		polled := 0
 		for {
@@ -135,30 +146,30 @@ func runStreaming(ctx context.Context, store *core.Store, scope []string, pats [
 						byte(id), byte(id>>8), byte(id>>16), byte(id>>24),
 						byte(id>>32), byte(id>>40), byte(id>>48), byte(id>>56))
 				}
-				if _, dup := emitted[string(keyBuf)]; dup {
+				if _, dup := seen[string(keyBuf)]; dup {
 					continue
 				}
-				emitted[string(keyBuf)] = struct{}{}
+				seen[string(keyBuf)] = struct{}{}
+			}
+			if len(orderBy) > 0 {
+				for i := range vars {
+					held = append(held, r[2*i+1])
+				}
+				continue
 			}
 			// Without ORDER BY the cap terminates the whole pipeline
-			// early — upstream stages stop scanning; with it the full set
-			// is collected and sorted first so the cap returns the true
-			// top-N (truncation happens after the sort, outside the view).
-			if opts.Limit > 0 && len(opts.OrderBy) == 0 && len(rs.Rows) == opts.Limit {
-				rs.Truncated = true
+			// early — upstream stages stop scanning.
+			if opts.Limit > 0 && emitted == opts.Limit {
+				truncated = true
 				break
 			}
-			trow := make([]rdfterm.Term, len(vars))
 			for i := range vars {
-				if id := r[2*i+1]; id != 0 {
-					t, err := lookupTerm(id)
-					if err != nil {
-						return err
-					}
-					trow[i] = t
-				}
+				ids[i] = r[2*i+1]
 			}
-			rs.Rows = append(rs.Rows, trow)
+			if err := emit(tx, ids); err != nil {
+				return err
+			}
+			emitted++
 		}
 		if traced {
 			for _, j := range joins {
@@ -173,19 +184,58 @@ func runStreaming(ctx context.Context, store *core.Store, scope []string, pats [
 				})
 			}
 		}
+		if len(orderBy) == 0 {
+			return nil
+		}
+
+		// ORDER BY: the full set is sorted first so the cap returns the
+		// true top-N. The sort keys are the ordered columns' terms,
+		// resolved once per row.
+		nv, nk := len(vars), len(orderBy)
+		n := len(held) / nv
+		keys := make([]rdfterm.Term, n*nk)
+		for i := 0; i < n; i++ {
+			if i%cancelEvery == 0 {
+				if err := ctx.Err(); err != nil {
+					return fmt.Errorf("match: %w", err)
+				}
+			}
+			for k, c := range orderBy {
+				t, err := lookupTerm(held[i*nv+c])
+				if err != nil {
+					return err
+				}
+				keys[i*nk+k] = t
+			}
+		}
+		order := make([]int, n)
+		for i := range order {
+			order[i] = i
+		}
+		sort.SliceStable(order, func(a, b int) bool {
+			ka, kb := keys[order[a]*nk:][:nk], keys[order[b]*nk:][:nk]
+			for k := range ka {
+				if cmp := ka[k].Compare(kb[k]); cmp != 0 {
+					return cmp < 0
+				}
+			}
+			return false
+		})
+		if opts.Limit > 0 && n > opts.Limit {
+			order, truncated = order[:opts.Limit], true
+		}
+		for i, ri := range order {
+			if i%cancelEvery == 0 {
+				if err := ctx.Err(); err != nil {
+					return fmt.Errorf("match: %w", err)
+				}
+			}
+			if err := emit(tx, held[ri*nv:][:nv]); err != nil {
+				return err
+			}
+			emitted++
+		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	if len(opts.OrderBy) > 0 {
-		if err := rs.sortBy(opts.OrderBy); err != nil {
-			return nil, err
-		}
-		if opts.Limit > 0 && len(rs.Rows) > opts.Limit {
-			rs.Rows = rs.Rows[:opts.Limit]
-			rs.Truncated = true
-		}
-	}
-	return rs, nil
+	return emitted, truncated, err
 }

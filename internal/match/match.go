@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -125,13 +125,65 @@ const cancelEvery = 256
 // returns the variable bindings. The engine polls ctx between rows and
 // each index scan polls it internally, so a combinatorial join aborts
 // promptly — releasing the store's read lock — once the deadline passes
-// or the caller cancels.
+// or the caller cancels. It is Each collecting the rows as terms.
 func MatchContext(ctx context.Context, store *core.Store, query string, opts Options) (*ResultSet, error) {
+	rs := &ResultSet{}
+	// Terms are materialized once per distinct VALUE_ID per query.
+	terms := map[int64]rdfterm.Term{}
+	cells := 0
+	truncated, err := Each(ctx, store, query, opts, func(vars []string) { rs.Vars = vars },
+		func(tx *core.ReadTx, ids []int64) error {
+			row := make([]rdfterm.Term, len(ids))
+			for i, id := range ids {
+				if cells++; cells%cancelEvery == 0 {
+					if err := ctx.Err(); err != nil {
+						return fmt.Errorf("match: %w", err)
+					}
+				}
+				if id == 0 {
+					continue
+				}
+				t, ok := terms[id]
+				if !ok {
+					var err error
+					if t, err = tx.ValueLocked(id); err != nil {
+						return err
+					}
+					terms[id] = t
+				}
+				row[i] = t
+			}
+			rs.Rows = append(rs.Rows, row)
+			return nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	rs.Truncated = truncated
+	return rs, nil
+}
+
+// RowFunc receives one result row of Each: the display VALUE_IDs of the
+// query's variables in projection order, 0 for an unbound one. It runs
+// inside the read view that produced the row, so it reaches the store
+// only through tx's *Locked methods (AppendTermJSONLocked, ValueLocked),
+// must not keep tx or ids (ids is reused), and should do little more
+// than append: the store's read lock is held while it runs.
+type RowFunc func(tx *core.ReadTx, ids []int64) error
+
+// Each is the streaming form of MatchContext, and the one engine behind
+// it: the same plan, filter, DISTINCT, ORDER BY, Limit, budget, tracing
+// and metrics, but the rows go to emit as IDs, in result order, inside
+// the read view that found them — no term is built unless the filter or
+// ORDER BY compares it. vars is called once, with the projection, before
+// any row. An error from emit stops the query and is returned as is.
+// truncated reports that Limit dropped rows.
+func Each(ctx context.Context, store *core.Store, query string, opts Options, vars func([]string), emit RowFunc) (truncated bool, err error) {
 	if len(opts.Models) == 0 {
-		return nil, fmt.Errorf("match: at least one model is required")
+		return false, fmt.Errorf("match: at least one model is required")
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("match: %w", err)
+		return false, fmt.Errorf("match: %w", err)
 	}
 	aliases := rdfterm.Default()
 	if opts.Aliases != nil {
@@ -143,20 +195,27 @@ func MatchContext(ctx context.Context, store *core.Store, query string, opts Opt
 	}
 	pats, err := ParseQuery(query, aliases)
 	if err != nil {
-		return nil, err
+		return false, err
 	}
 	filter, err := ParseFilter(opts.Filter)
 	if err != nil {
-		return nil, err
+		return false, err
+	}
+	projection := collectVars(pats)
+	orderBy := make([]int, len(opts.OrderBy))
+	for i, v := range opts.OrderBy {
+		if orderBy[i] = slices.Index(projection, v); orderBy[i] < 0 {
+			return false, fmt.Errorf("match: ORDER BY unknown variable ?%s", v)
+		}
 	}
 	scope := append([]string{}, opts.Models...)
 	if len(opts.Rulebases) > 0 {
 		if opts.Resolver == nil {
-			return nil, fmt.Errorf("match: rulebases given without a resolver (create a rules index first)")
+			return false, fmt.Errorf("match: rulebases given without a resolver (create a rules index first)")
 		}
 		idxModel, err := opts.Resolver.ResolveIndex(opts.Models, opts.Rulebases)
 		if err != nil {
-			return nil, err
+			return false, err
 		}
 		scope = append(scope, idxModel)
 	}
@@ -182,17 +241,17 @@ func MatchContext(ctx context.Context, store *core.Store, query string, opts Opt
 		queryStart = time.Now()
 	}
 
-	vars := collectVars(pats)
-	rs, err := runStreaming(ctx, store, scope, pats, vars, filter, opts, traced, tr)
+	vars(projection)
+	rows, truncated, err := runStreaming(ctx, store, scope, pats, projection, filter, orderBy, opts, traced, tr, emit)
 	if err != nil {
 		if sp != nil {
 			sp.AddCompleted("match.query", queryStart, time.Since(queryStart),
 				map[string]string{"query": query, "error": err.Error()}, true)
 		}
-		return nil, err
+		return false, err
 	}
 	if traced {
-		tr.Rows = rs.Len()
+		tr.Rows = rows
 		tr.Total = time.Since(queryStart)
 		tr.attachSpan(sp, queryStart)
 		opts.Metrics.onQuery(tr)
@@ -200,7 +259,7 @@ func MatchContext(ctx context.Context, store *core.Store, query string, opts Opt
 			opts.Metrics.onSlowQuery(tr)
 		}
 	}
-	return rs, nil
+	return truncated, nil
 }
 
 // collectVars returns the query's variables in first-occurrence (textual)
@@ -218,25 +277,4 @@ func collectVars(pats []TriplePattern) []string {
 		}
 	}
 	return vars
-}
-
-// sortBy orders rows by the named variables.
-func (r *ResultSet) sortBy(vars []string) error {
-	cols := make([]int, len(vars))
-	for i, v := range vars {
-		c := r.Col(v)
-		if c < 0 {
-			return fmt.Errorf("match: ORDER BY unknown variable ?%s", v)
-		}
-		cols[i] = c
-	}
-	sort.SliceStable(r.Rows, func(a, b int) bool {
-		for _, c := range cols {
-			if cmp := r.Rows[a][c].Compare(r.Rows[b][c]); cmp != 0 {
-				return cmp < 0
-			}
-		}
-		return false
-	})
-	return nil
 }

@@ -2,6 +2,8 @@ package match
 
 import (
 	"context"
+	"fmt"
+	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -70,7 +72,7 @@ func oracleMatch(store *core.Store, query string, opts Options) (*ResultSet, err
 		rs.Rows = append(rs.Rows, rw)
 	}
 	if len(opts.OrderBy) > 0 {
-		if err := rs.sortBy(opts.OrderBy); err != nil {
+		if err := oracleSort(rs, opts.OrderBy); err != nil {
 			return nil, err
 		}
 		if opts.Limit > 0 && len(rs.Rows) > opts.Limit {
@@ -79,6 +81,27 @@ func oracleMatch(store *core.Store, query string, opts Options) (*ResultSet, err
 		}
 	}
 	return rs, nil
+}
+
+// oracleSort orders rows stably by the named variables' terms.
+func oracleSort(r *ResultSet, vars []string) error {
+	cols := make([]int, len(vars))
+	for i, v := range vars {
+		c := r.Col(v)
+		if c < 0 {
+			return fmt.Errorf("match: ORDER BY unknown variable ?%s", v)
+		}
+		cols[i] = c
+	}
+	sort.SliceStable(r.Rows, func(a, b int) bool {
+		for _, c := range cols {
+			if cmp := r.Rows[a][c].Compare(r.Rows[b][c]); cmp != 0 {
+				return cmp < 0
+			}
+		}
+		return false
+	})
+	return nil
 }
 
 // rowKey encodes a result row collision-free for DISTINCT.

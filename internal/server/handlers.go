@@ -1,12 +1,13 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/match"
@@ -19,42 +20,103 @@ import (
 // directions: "<http://x#a>", "\"literal\"", "\"5\"^^<...#int>",
 // "_:b0". See SERVING.md for the full request/response catalogue.
 
-// errBodyBudget aborts encoding when the response exceeds
-// MaxResultBytes; the handler maps it to 413.
-var errBodyBudget = errors.New("server: response exceeds the result byte budget")
+// The read endpoints (/query, /find, /traverse) encode their bodies by
+// hand, appending each term's wire form straight from its rdf_value$ cells
+// inside the read view that produced the IDs (core.ReadTx
+// .AppendTermJSONLocked). The bytes are those encoding/json wrote for the
+// response structs the tests keep as the oracle (encode_test.go). Small
+// fixed-shape bodies go through encoding/json.
 
-// capWriter buffers an encoded response under a hard byte cap, so the
-// response assembly itself is the memory budget.
-type capWriter struct {
-	buf bytes.Buffer
-	max int64
+// bodyStart is the capacity a hand-encoded body starts with: a point
+// lookup's whole answer, so most bodies never regrow.
+const bodyStart = 2 << 10
+
+// cancelEvery is how many items a handler appends inside a read view
+// between context checks.
+const cancelEvery = 256
+
+// budgetError is the 413 for a body past MaxResultBytes. The hand
+// encoders check it as they append, so a huge result stops growing the
+// body as soon as it crosses the cap.
+func (s *Server) budgetError() error {
+	return &apiError{status: http.StatusRequestEntityTooLarge, code: CodeBudget,
+		msg: fmt.Sprintf("response exceeds the %d-byte result budget; narrow the query or lower limit", s.cfg.MaxResultBytes)}
 }
 
-func (c *capWriter) Write(p []byte) (int, error) {
-	if int64(c.buf.Len())+int64(len(p)) > c.max {
-		return 0, errBodyBudget
-	}
-	return c.buf.Write(p)
-}
+// overBudget reports whether a body under construction is past the cap.
+func (s *Server) overBudget(b []byte) bool { return int64(len(b)) > s.cfg.MaxResultBytes }
 
-// writeJSON encodes v under the byte budget and, only then, writes the
-// response — so a blown budget still has a clean 413 status line.
+// writeJSON encodes a small fixed-shape body with encoding/json and
+// writes it.
 func (s *Server) writeJSON(ctx context.Context, w http.ResponseWriter, v any) error {
-	sp := trace.FromContext(ctx).Child("server.response_encode")
-	defer sp.End()
-	cw := &capWriter{max: s.cfg.MaxResultBytes}
-	if err := json.NewEncoder(cw).Encode(v); err != nil {
-		sp.SetError(err)
-		if errors.Is(err, errBodyBudget) {
-			return &apiError{status: http.StatusRequestEntityTooLarge, code: CodeBudget,
-				msg: fmt.Sprintf("response exceeds the %d-byte result budget; narrow the query or lower limit", s.cfg.MaxResultBytes)}
-		}
+	b, err := json.Marshal(v)
+	if err != nil {
 		return err
 	}
-	w.Header().Set("Content-Type", "application/json")
-	sp.SetInt("bytes", int64(cw.buf.Len()))
-	_, err := w.Write(cw.buf.Bytes())
+	return s.writeBody(ctx, w, b)
+}
+
+// writeBody writes a complete JSON body, newline-terminated like
+// encoding/json's Encoder, with its Content-Length — only once the whole
+// body is known to fit the byte budget, so a blown budget still has a
+// clean 413 status line.
+func (s *Server) writeBody(ctx context.Context, w http.ResponseWriter, b []byte) error {
+	sp := trace.FromContext(ctx).Child("server.response_encode")
+	defer sp.End()
+	b = append(b, '\n')
+	if s.overBudget(b) {
+		err := s.budgetError()
+		sp.SetError(err)
+		return err
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(b)))
+	sp.SetInt("bytes", int64(len(b)))
+	_, err := w.Write(b)
 	return err
+}
+
+// viewTicker polls a request's context once every cancelEvery items a
+// handler appends inside a read view, so a long body releases the store's
+// read lock soon after a cancel or deadline.
+type viewTicker struct {
+	ctx context.Context
+	n   int
+}
+
+func (t *viewTicker) tick() error {
+	t.n++
+	if t.n%cancelEvery == 0 {
+		return t.ctx.Err()
+	}
+	return nil
+}
+
+// rowMemo remembers, per column, the term a body appended last and where,
+// so a term repeated from the row above — a star's subject and its shared
+// objects, /find's subject — is copied within the body, not resolved
+// again.
+type rowMemo []struct {
+	id       int64
+	off, end int
+}
+
+// appendTerm appends the wire form of column col's term id to b: 0
+// (unbound) is the zero term's.
+func (m rowMemo) appendTerm(tx *core.ReadTx, b []byte, col int, id int64) ([]byte, error) {
+	if c := m[col]; c.id == id && c.end > c.off {
+		return append(b, b[c.off:c.end]...), nil
+	}
+	off := len(b)
+	var err error
+	if id == 0 {
+		b = rdfterm.Term{}.AppendJSON(b)
+	} else if b, err = tx.AppendTermJSONLocked(b, id); err != nil {
+		return b, err
+	}
+	m[col].id, m[col].off, m[col].end = id, off, len(b)
+	return b, nil
 }
 
 // decodeBody strictly decodes a JSON request body under the body cap.
@@ -139,14 +201,6 @@ type queryRequest struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
-type queryResponse struct {
-	Vars      []string   `json:"vars"`
-	Rows      [][]string `json:"rows"`
-	Count     int        `json:"count"`
-	Truncated bool       `json:"truncated,omitempty"`
-	Trace     *traceJSON `json:"trace,omitempty"`
-}
-
 type traceJSON struct {
 	PlanOrder []int       `json:"plan_order"`
 	Stages    []stageJSON `json:"stages"`
@@ -202,23 +256,56 @@ func (s *Server) handleQuery(ctx context.Context, w http.ResponseWriter, r *http
 	if req.Trace {
 		opts.Trace = &explain
 	}
-	rs, err := match.MatchContext(ctx, s.cfg.Backend.Store(), req.Query, opts)
+	// The body is the queryResponse encoding, appended as the engine
+	// emits rows, inside its read view.
+	b := make([]byte, 0, bodyStart)
+	rows := 0
+	tk := viewTicker{ctx: ctx}
+	var memo rowMemo
+	truncated, err := match.Each(ctx, s.cfg.Backend.Store(), req.Query, opts,
+		func(vars []string) {
+			memo = make(rowMemo, len(vars))
+			b = append(b, `{"vars":[`...)
+			for i, v := range vars {
+				if i > 0 {
+					b = append(b, ',')
+				}
+				b = rdfterm.AppendJSONString(b, v)
+			}
+			b = append(b, `],"rows":[`...)
+		},
+		func(tx *core.ReadTx, ids []int64) error {
+			if rows > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, '[')
+			for i, id := range ids {
+				if err := tk.tick(); err != nil {
+					return err
+				}
+				if i > 0 {
+					b = append(b, ',')
+				}
+				var err error
+				if b, err = memo.appendTerm(tx, b, i, id); err != nil {
+					return err
+				}
+			}
+			b = append(b, ']')
+			rows++
+			if s.overBudget(b) {
+				return s.budgetError()
+			}
+			return nil
+		})
 	if err != nil {
 		return queryError(err)
 	}
-	resp := queryResponse{Vars: rs.Vars, Rows: make([][]string, rs.Len()), Count: rs.Len(), Truncated: rs.Truncated}
-	if resp.Vars == nil {
-		resp.Vars = []string{}
-	}
-	for i, row := range rs.Rows {
-		out := make([]string, len(row))
-		for j, t := range row {
-			out[j] = t.String()
-		}
-		resp.Rows[i] = out
-	}
-	if rs.Truncated {
+	b = append(b, `],"count":`...)
+	b = strconv.AppendInt(b, int64(rows), 10)
+	if truncated {
 		s.met.onTruncated()
+		b = append(b, `,"truncated":true`...)
 	}
 	if req.Trace {
 		tj := &traceJSON{PlanOrder: explain.PlanOrder, Rows: explain.Rows, TotalUS: explain.Total.Microseconds()}
@@ -228,16 +315,22 @@ func (s *Server) handleQuery(ctx context.Context, w http.ResponseWriter, r *http
 				Out: st.OutBindings, EstRows: st.EstRows, DurationUS: st.Duration.Microseconds(),
 			})
 		}
-		resp.Trace = tj
+		enc, err := json.Marshal(tj)
+		if err != nil {
+			return err
+		}
+		b = append(append(b, `,"trace":`...), enc...)
 	}
-	return s.writeJSON(ctx, w, resp)
+	return s.writeBody(ctx, w, append(b, '}'))
 }
 
 // queryError classifies a match failure: parse and planning problems are
 // the client's (400), budget and cancellation are typed upstream.
 func queryError(err error) error {
+	var ae *apiError
 	switch {
-	case errors.Is(err, match.ErrBudget),
+	case errors.As(err, &ae),
+		errors.Is(err, match.ErrBudget),
 		errors.Is(err, context.DeadlineExceeded),
 		errors.Is(err, context.Canceled),
 		errors.Is(err, core.ErrNoSuchModel):
@@ -253,12 +346,6 @@ type tripleJSON struct {
 	S string `json:"s"`
 	P string `json:"p"`
 	O string `json:"o"`
-}
-
-type findResponse struct {
-	Triples   []tripleJSON `json:"triples"`
-	Count     int          `json:"count"`
-	Truncated bool         `json:"truncated,omitempty"`
 }
 
 func (s *Server) handleFind(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
@@ -292,28 +379,58 @@ func (s *Server) handleFind(ctx context.Context, w http.ResponseWriter, r *http.
 	}
 	limit := s.limit(atoiDefault(q.Get("limit"), 0))
 
-	st := s.cfg.Backend.Store()
-	found, err := st.FindModelsCtx(ctx, models, pat)
+	// The body is the findResponse encoding, resolved in the view that
+	// found the links.
+	b := make([]byte, 0, bodyStart)
+	n, truncated := 0, false
+	tk := viewTicker{ctx: ctx}
+	memo := make(rowMemo, 3)
+	err = s.cfg.Backend.Store().ReadView(ctx, func(tx *core.ReadTx) error {
+		links, err := tx.FindLocked(nil, models, pat)
+		if err != nil {
+			return err
+		}
+		b = append(b, `{"triples":[`...)
+		for _, l := range links {
+			if err := tk.tick(); err != nil {
+				return err
+			}
+			if n == limit {
+				truncated = true
+				break
+			}
+			if n > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"s":`...)
+			if b, err = memo.appendTerm(tx, b, 0, l.SID); err == nil {
+				b = append(b, `,"p":`...)
+				if b, err = memo.appendTerm(tx, b, 1, l.PID); err == nil {
+					b = append(b, `,"o":`...)
+					b, err = memo.appendTerm(tx, b, 2, l.OID)
+				}
+			}
+			if err != nil {
+				return fmt.Errorf("resolving triple %d: %w", l.TID, err)
+			}
+			b = append(b, '}')
+			n++
+			if s.overBudget(b) {
+				return s.budgetError()
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	resp := findResponse{Triples: []tripleJSON{}}
-	for _, ts := range found {
-		if len(resp.Triples) == limit {
-			resp.Truncated = true
-			s.met.onTruncated()
-			break
-		}
-		tr, err := ts.GetTriple()
-		if err != nil {
-			return fmt.Errorf("resolving triple %d: %w", ts.TID, err)
-		}
-		resp.Triples = append(resp.Triples, tripleJSON{
-			S: tr.Subject.String(), P: tr.Property.String(), O: tr.Object.String(),
-		})
+	b = append(b, `],"count":`...)
+	b = strconv.AppendInt(b, int64(n), 10)
+	if truncated {
+		s.met.onTruncated()
+		b = append(b, `,"truncated":true`...)
 	}
-	resp.Count = len(resp.Triples)
-	return s.writeJSON(ctx, w, resp)
+	return s.writeBody(ctx, w, append(b, '}'))
 }
 
 func atoiDefault(s string, def int) int {
@@ -354,23 +471,6 @@ type traverseRequest struct {
 	Limit int `json:"limit,omitempty"`
 }
 
-type nodeCostJSON struct {
-	Node string  `json:"node"`
-	Cost float64 `json:"cost"`
-}
-
-type traverseResponse struct {
-	Op    string `json:"op"`
-	Found bool   `json:"found"`
-	// Path fields (shortest_path).
-	Cost float64  `json:"cost,omitempty"`
-	Path []string `json:"path,omitempty"`
-	// Node list (reachable / within_cost / nearest).
-	Nodes     []nodeCostJSON `json:"nodes,omitempty"`
-	Count     int            `json:"count"`
-	Truncated bool           `json:"truncated,omitempty"`
-}
-
 func (s *Server) handleTraverse(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	var req traverseRequest
 	if err := s.decodeBody(ctx, w, r, &req); err != nil {
@@ -399,32 +499,14 @@ func (s *Server) handleTraverse(ctx context.Context, w http.ResponseWriter, r *h
 	}
 	limit := s.limit(req.Limit)
 
-	term := func(node int64) (string, error) {
-		t, err := net.NodeTerm(node)
-		if err != nil {
-			return "", err
-		}
-		return t.String(), nil
-	}
-	resp := traverseResponse{Op: req.Op}
-	addNodes := func(ncs []ndm.NodeCost) error {
-		for _, nc := range ncs {
-			if len(resp.Nodes) == limit {
-				resp.Truncated = true
-				s.met.onTruncated()
-				break
-			}
-			name, err := term(nc.Node)
-			if err != nil {
-				return err
-			}
-			resp.Nodes = append(resp.Nodes, nodeCostJSON{Node: name, Cost: nc.Cost})
-		}
-		resp.Found = true
-		resp.Count = len(resp.Nodes)
-		return nil
-	}
-
+	// The analysis yields node IDs; the answer is then resolved and
+	// encoded in one read view.
+	found := true // a node list is always found; a path may not be
+	var (
+		cost float64
+		path []int64        // shortest_path
+		ncs  []ndm.NodeCost // the node-list ops
+	)
 	switch req.Op {
 	case "shortest_path":
 		if req.Target == "" {
@@ -438,30 +520,17 @@ func (s *Server) handleTraverse(ctx context.Context, w http.ResponseWriter, r *h
 		if !ok {
 			return errBadRequest("target %s is not a node in the scoped models", req.Target)
 		}
-		path, err := ndm.ShortestPathCtx(ctx, g, src, dst)
-		if errors.Is(err, ndm.ErrNoPath) {
-			resp.Found = false
-			return s.writeJSON(ctx, w, resp)
-		}
-		if err != nil {
+		p, err := ndm.ShortestPathCtx(ctx, g, src, dst)
+		switch {
+		case errors.Is(err, ndm.ErrNoPath):
+			found = false
+		case err != nil:
 			return err
+		default:
+			cost, path = p.Cost, p.Nodes
 		}
-		resp.Found = true
-		resp.Cost = path.Cost
-		for _, node := range path.Nodes {
-			name, err := term(node)
-			if err != nil {
-				return err
-			}
-			resp.Path = append(resp.Path, name)
-		}
-		resp.Count = len(resp.Path)
 	case "within_cost":
-		ncs, err := ndm.WithinCost(ctx, g, src, req.MaxCost)
-		if err != nil {
-			return err
-		}
-		if err := addNodes(ncs); err != nil {
+		if ncs, err = ndm.WithinCost(ctx, g, src, req.MaxCost); err != nil {
 			return err
 		}
 	case "nearest":
@@ -469,11 +538,7 @@ func (s *Server) handleTraverse(ctx context.Context, w http.ResponseWriter, r *h
 		if k <= 0 || k > limit {
 			k = limit
 		}
-		ncs, err := ndm.NearestNeighbors(ctx, g, src, k)
-		if err != nil {
-			return err
-		}
-		if err := addNodes(ncs); err != nil {
+		if ncs, err = ndm.NearestNeighbors(ctx, g, src, k); err != nil {
 			return err
 		}
 	case "reachable":
@@ -485,17 +550,98 @@ func (s *Server) handleTraverse(ctx context.Context, w http.ResponseWriter, r *h
 		if err != nil {
 			return err
 		}
-		ncs := make([]ndm.NodeCost, len(nodes))
+		ncs = make([]ndm.NodeCost, len(nodes))
 		for i, n := range nodes {
 			ncs[i] = ndm.NodeCost{Node: n}
-		}
-		if err := addNodes(ncs); err != nil {
-			return err
 		}
 	default:
 		return errBadRequest("unknown op %q (want shortest_path, within_cost, nearest, or reachable)", req.Op)
 	}
-	return s.writeJSON(ctx, w, resp)
+	truncated := len(ncs) > limit
+	if truncated {
+		ncs = ncs[:limit]
+		s.met.onTruncated()
+	}
+
+	// The body is the traverseResponse encoding: cost, path and nodes are
+	// omitted when zero or empty.
+	b := append(rdfterm.AppendJSONString(append(make([]byte, 0, bodyStart), `{"op":`...), req.Op), `,"found":`...)
+	b = strconv.AppendBool(b, found)
+	if cost != 0 {
+		b = appendJSONFloat(append(b, `,"cost":`...), cost)
+	}
+	tk := viewTicker{ctx: ctx}
+	err = st.ReadView(ctx, func(tx *core.ReadTx) error {
+		if len(path) > 0 {
+			b = append(b, `,"path":[`...)
+			for i, node := range path {
+				if err := tk.tick(); err != nil {
+					return err
+				}
+				if i > 0 {
+					b = append(b, ',')
+				}
+				var err error
+				if b, err = tx.AppendTermJSONLocked(b, node); err != nil {
+					return err
+				}
+				if s.overBudget(b) {
+					return s.budgetError()
+				}
+			}
+			b = append(b, ']')
+		}
+		if len(ncs) > 0 {
+			b = append(b, `,"nodes":[`...)
+			for i, nc := range ncs {
+				if err := tk.tick(); err != nil {
+					return err
+				}
+				if i > 0 {
+					b = append(b, ',')
+				}
+				b = append(b, `{"node":`...)
+				var err error
+				if b, err = tx.AppendTermJSONLocked(b, nc.Node); err != nil {
+					return err
+				}
+				b = append(appendJSONFloat(append(b, `,"cost":`...), nc.Cost), '}')
+				if s.overBudget(b) {
+					return s.budgetError()
+				}
+			}
+			b = append(b, ']')
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	b = strconv.AppendInt(append(b, `,"count":`...), int64(len(path)+len(ncs)), 10)
+	if truncated {
+		b = append(b, `,"truncated":true`...)
+	}
+	return s.writeBody(ctx, w, append(b, '}'))
+}
+
+// appendJSONFloat appends f as encoding/json writes a float64: the
+// shortest representation, in exponent form only below 1e-6 or from 1e21
+// on, with a one-digit exponent left unpadded. Costs are finite sums of
+// link costs, never NaN or infinite.
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		// clean up e-09 to e-9
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
 }
 
 // ---- POST /insert ----

@@ -261,11 +261,14 @@ func TestChaosDiskENOSPC(t *testing.T) {
 	// same first draws in every short-lived segment.
 	var fmu sync.Mutex
 	var flakies []*wal.FlakyFile
+	disarmed := false // set once the chaos phase ends
 	wrapSeg := func(f wal.File) wal.File {
 		fl := wal.NewFlaky(f)
 		fl.SetPartialWriteFraction(0.5) // half the ENOSPCs tear mid-frame
 		fmu.Lock()
-		fl.SetNoSpaceRate(0.02, 99+int64(len(flakies)))
+		if !disarmed {
+			fl.SetNoSpaceRate(0.02, 99+int64(len(flakies)))
+		}
 		flakies = append(flakies, fl)
 		fmu.Unlock()
 		return fl
@@ -367,6 +370,14 @@ func TestChaosDiskENOSPC(t *testing.T) {
 	time.Sleep(duration)
 	close(stop)
 	wg.Wait()
+	// The chaos phase is over: no file injects from here on, so the
+	// settle checkpoint below can only fail on a real fault.
+	fmu.Lock()
+	disarmed = true
+	for i, fl := range flakies {
+		fl.SetNoSpaceRate(0, 99+int64(i))
+	}
+	fmu.Unlock()
 	if msg := chaoErr.Load(); msg != nil {
 		t.Fatal(msg)
 	}

@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -493,6 +494,23 @@ func (sv *Supervisor) FindModels(ctx context.Context, models []string, pat core.
 // automatic checkpoint loop passes a "supervise.checkpoint" root span
 // through here.
 func (sv *Supervisor) Checkpoint(ctx context.Context) error {
+	if err := sv.checkpoint(ctx); err != nil {
+		return err
+	}
+	// The checkpoint built a whole-store image in memory — the
+	// snapshot's slices and gob's one-message buffer, several times the
+	// file — which is garbage once the file is published. Hand it back
+	// to the OS now, with mutations readmitted and no store lock held,
+	// rather than let it stay resident until GCs under a lighter load
+	// get round to it. A snapshot streamed without building the image is
+	// the real fix; it waits for the column-image snapshot format
+	// (ROADMAP).
+	debug.FreeOSMemory()
+	return nil
+}
+
+// checkpoint is Checkpoint's work under the operation lock.
+func (sv *Supervisor) checkpoint(ctx context.Context) error {
 	sv.opMu.Lock()
 	defer sv.opMu.Unlock()
 	st, err := sv.gate()

@@ -179,6 +179,40 @@ func parseSegmentName(name string) (int64, bool) {
 	return seq, true
 }
 
+// listSegments returns the sequence numbers of dir's segment files in
+// ascending order.
+func listSegments(dir string) ([]int64, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var seqs []int64
+	for _, e := range entries {
+		if e.IsDir() {
+			continue
+		}
+		if seq, ok := parseSegmentName(e.Name()); ok {
+			seqs = append(seqs, seq)
+		}
+	}
+	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	return seqs, nil
+}
+
+// OldestSegment returns the sequence number of the oldest segment in dir,
+// or 0 when dir holds none or does not exist. It reads only the directory
+// listing, so a caller can judge a directory before opening it.
+func OldestSegment(dir string) (int64, error) {
+	seqs, err := listSegments(dir)
+	if err != nil || len(seqs) == 0 {
+		if os.IsNotExist(err) {
+			err = nil
+		}
+		return 0, err
+	}
+	return seqs[0], nil
+}
+
 // OpenDir is OpenDirFunc collecting the records into the result.
 func OpenDir(dir string, fromSeq int64, opts DirOptions) (*Dir, DirScanResult, error) {
 	var records []Record
@@ -206,20 +240,10 @@ func OpenDirFunc(dir string, fromSeq int64, opts DirOptions, fn RecordFunc) (*Di
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, DirScanResult{}, err
 	}
-	entries, err := os.ReadDir(dir)
+	seqs, err := listSegments(dir)
 	if err != nil {
 		return nil, DirScanResult{}, err
 	}
-	var seqs []int64
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if seq, ok := parseSegmentName(e.Name()); ok {
-			seqs = append(seqs, seq)
-		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 
 	var res DirScanResult
 	// Finish any interrupted retention: the snapshot at watermark fromSeq
