@@ -20,12 +20,9 @@
 // snapshot it cannot find. -stats prints the model's storage statistics (rows,
 // contexts, link types) instead of querying.
 //
-// Observability: -explain appends an EXPLAIN-style execution trace to
-// the output (the cost planner's order, per-stage estimated and actual
-// cardinalities, timings);
-// -slow DURATION logs any query over the threshold with its trace;
-// -admin ADDR serves the runtime metrics registry (/metrics, /healthz,
-// /events, /debug/pprof) while the command runs.
+// -explain appends an EXPLAIN-style execution trace to the output (the
+// cost planner's order, per-stage estimated and actual cardinalities,
+// timings).
 //
 // Exit codes: 0 success; 1 any error; 2 the -timeout deadline expired
 // ("query timed out after X"); 130 the query was interrupted (Ctrl-C).
@@ -37,20 +34,15 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/inference"
 	"repro/internal/match"
-	"repro/internal/obs"
 	"repro/internal/rdfterm"
 	"repro/internal/reify"
-	"repro/internal/trace"
 	"repro/internal/wal"
 )
 
@@ -100,10 +92,6 @@ func run(args []string, stdout io.Writer) error {
 	filter := fs.String("filter", "", "optional filter expression")
 	rdfs := fs.Bool("rdfs", false, "enable the built-in RDFS rulebase")
 	explain := fs.Bool("explain", false, "print the query execution trace (the cost planner's pattern order, per-stage estimated vs actual cardinalities, timings) after the rows")
-	slow := fs.Duration("slow", 0, "log queries slower than this threshold with their full trace (0 = off)")
-	spans := fs.Bool("trace", false, "run the query under a span tree and print it after the rows (query + per-stage spans)")
-	adminAddr := fs.String("admin", "", "serve /metrics, /healthz, /events, and /debug/pprof on this address while the command runs")
-	adminLinger := fs.Duration("admin-linger", 0, "with -admin, keep serving this long after the query finishes so the endpoint can be scraped")
 	var aliases, rules multiFlag
 	fs.Var(&aliases, "alias", "namespace alias prefix=namespace (repeatable)")
 	fs.Var(&rules, "rule", "inference rule 'antecedent=>consequent' (repeatable)")
@@ -112,28 +100,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *query == "" && !*stats {
 		return fmt.Errorf("-query is required (or pass -stats)")
-	}
-
-	// Admin surface: serve the metrics registry while the command runs.
-	// Deferred LIFO order means the linger sleep runs before the server
-	// closes, so CI smoke checks can scrape the final counters.
-	var reg *obs.Registry
-	if *adminAddr != "" {
-		reg = obs.NewRegistry()
-		ln, err := net.Listen("tcp", *adminAddr)
-		if err != nil {
-			return fmt.Errorf("-admin %s: %w", *adminAddr, err)
-		}
-		srv := &http.Server{Handler: obs.NewHandler(reg, nil)}
-		go srv.Serve(ln)
-		defer srv.Close()
-		if *adminLinger > 0 {
-			defer func() {
-				fmt.Fprintf(os.Stderr, "admin endpoint lingering %s\n", *adminLinger)
-				time.Sleep(*adminLinger)
-			}()
-		}
-		fmt.Fprintf(os.Stderr, "admin endpoint on http://%s/\n", ln.Addr())
 	}
 
 	aliasSet := rdfterm.Default()
@@ -183,7 +149,6 @@ func run(args []string, stdout io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "loaded %d triples (%d reification quads folded)\n\n", stats.Read, stats.QuadsFolded)
 	}
-	store.SetMetrics(core.NewMetrics(reg))
 
 	if *stats {
 		st, err := store.ModelStatistics(model)
@@ -204,14 +169,12 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	opts := match.Options{
-		Models:    []string{model},
-		Aliases:   aliasSet,
-		Filter:    *filter,
-		Metrics:   match.NewMetrics(reg),
-		SlowQuery: *slow,
+		Models:  []string{model},
+		Aliases: aliasSet,
+		Filter:  *filter,
 	}
 	var mtrace match.Trace
-	if *explain || *slow > 0 {
+	if *explain {
 		opts.Trace = &mtrace
 	}
 	if len(rules) > 0 || *rdfs {
@@ -264,20 +227,7 @@ func run(args []string, stdout io.Writer) error {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	// -trace: a one-trace tracer that retains everything (sample 1.0),
-	// so the tree is printable no matter how fast the query was.
-	var tracer *trace.Tracer
-	var rootSpan *trace.Span
-	if *spans {
-		tracer = trace.New(trace.Config{SlowThreshold: time.Hour, SampleRate: 1, Capacity: 1})
-		rootSpan = tracer.StartRoot("rdfquery.query")
-		ctx = trace.WithSpan(ctx, rootSpan)
-	}
 	rs, err := match.MatchContext(ctx, store, *query, opts)
-	if rootSpan != nil {
-		rootSpan.SetError(err)
-		rootSpan.End()
-	}
 	if err != nil {
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
@@ -301,16 +251,6 @@ func run(args []string, stdout io.Writer) error {
 	if *explain {
 		fmt.Fprintln(stdout, "\nexplain:")
 		mtrace.Format(stdout)
-	}
-	if rootSpan != nil {
-		if td, ok := tracer.Get(rootSpan.TraceID()); ok {
-			fmt.Fprintf(stdout, "\ntrace %s:\n", td.ID)
-			trace.WriteTree(stdout, td)
-		}
-	}
-	if *slow > 0 && mtrace.Total >= *slow {
-		fmt.Fprintf(os.Stderr, "slow query (total %s >= -slow %s):\n", mtrace.Total.Round(time.Microsecond), *slow)
-		mtrace.Format(os.Stderr)
 	}
 	return nil
 }

@@ -414,42 +414,16 @@ func TestQueryExplain(t *testing.T) {
 			t.Errorf("explain output missing %q:\n%s", want, got)
 		}
 	}
-	// One engine, one planner: the old selector flags are unknown.
-	for _, flag := range []string{"-planner=naive", "-engine=materialize"} {
-		err := run([]string{"-data", path, "-query", "(?s ?p ?o)", flag}, io.Discard)
+	// One engine, one planner, one trace output: the old selector flags
+	// and -explain's span, slow-query and admin twins are unknown.
+	for _, flag := range [][]string{
+		{"-planner=naive"}, {"-engine=materialize"},
+		{"-slow", "1ns"}, {"-trace"}, {"-admin", "x"}, {"-admin-linger", "1s"},
+	} {
+		err := run(append([]string{"-data", path, "-query", "(?s ?p ?o)"}, flag...), io.Discard)
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Errorf("%s: err = %v, want an unknown-flag error", flag, err)
 		}
-	}
-}
-
-func TestQuerySlowThreshold(t *testing.T) {
-	// Any real query exceeds a 1ns threshold; the slow-query trace goes
-	// to stderr, so here we assert the query itself is unaffected.
-	path := writeData(t, icData)
-	var out strings.Builder
-	err := run([]string{
-		"-data", path,
-		"-query", "(?s ?p ?o)",
-		"-slow", "1ns",
-	}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "2 rows") {
-		t.Errorf("output:\n%s", out.String())
-	}
-}
-
-func TestQueryAdminBadAddr(t *testing.T) {
-	path := writeData(t, icData)
-	err := run([]string{
-		"-data", path,
-		"-query", "(?s ?p ?o)",
-		"-admin", "definitely-not-an-address:xyz",
-	}, &strings.Builder{})
-	if err == nil || !strings.Contains(err.Error(), "-admin") {
-		t.Fatalf("bad -admin addr error = %v", err)
 	}
 }
 

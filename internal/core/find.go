@@ -96,8 +96,9 @@ func (s *Store) findModelLocked(ctx context.Context, mid int64, pat Pattern) ([]
 		return nil
 	}
 	var out []TripleS
-	if err := s.scanLinksLocked(mid, sid, pid, oid, tick, func(c reldb.Cells) {
+	if err := s.scanLinksLocked(mid, sid, pid, oid, tick, func(c reldb.Cells) bool {
 		out = append(out, s.tripleSFromCells(c))
+		return true
 	}); err != nil {
 		return nil, err
 	}
@@ -140,11 +141,13 @@ func (s *Store) patternIDsLocked(mid int64, pat Pattern) (sid, pid, canon int64,
 //	o bound        OM
 //	nothing        the model's partition
 //
-// Residual columns are checked here, so fn sees exact matches only. tick
-// runs once per visited row, before the residual check; an error from it
-// stops the scan and is returned. Find, export and the query engine all
-// read rdf_link$ through this one table. Caller holds s.mu (either mode).
-func (s *Store) scanLinksLocked(mid, sid, pid, canon int64, tick func() error, fn func(reldb.Cells)) error {
+// Residual columns are checked here, so fn sees exact matches only; fn
+// returns false to stop the scan early (a capped reader holds enough).
+// tick runs once per visited row, before the residual check; an error
+// from it stops the scan and is returned. Find, export and the query
+// engine all read rdf_link$ through this one table. Caller holds s.mu
+// (either mode).
+func (s *Store) scanLinksLocked(mid, sid, pid, canon int64, tick func() error, fn func(reldb.Cells) bool) error {
 	var err error
 	var checkP, checkO bool
 	visit := func(c reldb.Cells) bool {
@@ -152,7 +155,7 @@ func (s *Store) scanLinksLocked(mid, sid, pid, canon int64, tick func() error, f
 			return false
 		}
 		if (!checkP || c.Int(lcPValueID) == pid) && (!checkO || c.Int(lcCanonEndNodeID) == canon) {
-			fn(c)
+			return fn(c)
 		}
 		return true
 	}

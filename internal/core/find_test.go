@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -126,4 +127,62 @@ func TestFindModelsSnapshot(t *testing.T) {
 		}
 	}
 	wg.Wait()
+}
+
+// TestFindLockedStopsAtCap: a capped FindLocked stops scanning once it
+// holds its cap, so /find?p=…&limit=1 over a predicate with thousands of
+// links visits one row, not all of them. Uncapped, and with a cap that
+// spans models, it returns the same links in the same order as before.
+func TestFindLockedStopsAtCap(t *testing.T) {
+	s := newStoreWithModel(t, "m", "n")
+	p := rdfterm.NewURI("http://www.us.gov#p")
+	for _, m := range []string{"m", "n"} {
+		batch := make([]BatchTriple, 1000)
+		for i := range batch {
+			batch[i] = BatchTriple{
+				Subject:   rdfterm.NewURI(fmt.Sprintf("http://www.us.gov#%s%d", m, i)),
+				Predicate: p,
+				Object:    rdfterm.NewURI(fmt.Sprintf("http://www.us.gov#o%d", i)),
+			}
+		}
+		if _, err := s.InsertBatchCtx(context.Background(), m, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pat := Pattern{Predicate: &p}
+	find := func(models []string, max int) (links []LinkIDs, scanned int) {
+		t.Helper()
+		err := s.ReadView(context.Background(), func(tx *ReadTx) (err error) {
+			links, err = tx.FindLocked(nil, models, pat, max)
+			scanned = tx.scanned
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return links, scanned
+	}
+
+	// One tick for the model, one for the row it keeps.
+	if links, scanned := find([]string{"m"}, 1); len(links) != 1 || scanned > 2 {
+		t.Fatalf("cap 1: %d links after %d scanned rows, want 1 link and <= 2 rows", len(links), scanned)
+	}
+	all, _ := find([]string{"m", "n"}, 0)
+	if len(all) != 2000 {
+		t.Fatalf("uncapped: %d links, want 2000", len(all))
+	}
+	for _, max := range []int{1, 999, 1000, 1001, 2000, 2001} {
+		links, scanned := find([]string{"m", "n"}, max)
+		want := all[:min(max, len(all))]
+		if !slices.Equal(links, want) {
+			t.Fatalf("cap %d: %d links, want the first %d of the uncapped result", max, len(links), len(want))
+		}
+		models := 1 // one tick per model entered
+		if len(want) > 1000 {
+			models = 2
+		}
+		if scanned > len(want)+models {
+			t.Errorf("cap %d: %d rows scanned for %d links over %d models", max, scanned, len(want), models)
+		}
+	}
 }

@@ -117,9 +117,12 @@ func (tx *ReadTx) AppendTermJSONLocked(dst []byte, id int64) ([]byte, error) {
 
 // FindLocked is FindModelsCtx inside the view: it appends to dst the ID
 // tuples of the links of the named models that match pat, model by model
-// in the order given, each model's in the order Find returns them. An
+// in the order given, each model's in the order Find returns them. When
+// max is positive it appends at most max links and stops scanning once it
+// holds them, so a capped caller (a /find limit, asking for limit+1 to
+// learn whether more exist) never walks the rest of the matches. An
 // unknown model fails before any scan; the scans poll the view's context.
-func (tx *ReadTx) FindLocked(dst []LinkIDs, models []string, pat Pattern) ([]LinkIDs, error) {
+func (tx *ReadTx) FindLocked(dst []LinkIDs, models []string, pat Pattern, max int) ([]LinkIDs, error) {
 	mids := make([]int64, len(models))
 	for i, m := range models {
 		mid, err := tx.s.getModelIDLocked(m)
@@ -128,7 +131,14 @@ func (tx *ReadTx) FindLocked(dst []LinkIDs, models []string, pat Pattern) ([]Lin
 		}
 		mids[i] = mid
 	}
+	stop := -1 // len(dst) never reaches it: no cap
+	if max > 0 {
+		stop = len(dst) + max
+	}
 	for _, mid := range mids {
+		if len(dst) == stop {
+			break
+		}
 		if err := tx.tickLocked(); err != nil {
 			return dst, err
 		}
@@ -137,7 +147,7 @@ func (tx *ReadTx) FindLocked(dst []LinkIDs, models []string, pat Pattern) ([]Lin
 			continue
 		}
 		var err error
-		if dst, err = tx.CollectLinksLocked(dst, mid, sid, pid, oid); err != nil {
+		if dst, err = tx.collectLinksLocked(dst, mid, sid, pid, oid, stop); err != nil {
 			return dst, err
 		}
 	}
@@ -157,7 +167,13 @@ func (tx *ReadTx) ContainsLinkLocked(mid, sid, pid, canonID int64) bool {
 // access-path table as Find, so callers get exact matches; the scan polls
 // the view's context every cancelEvery rows.
 func (tx *ReadTx) CollectLinksLocked(dst []LinkIDs, mid, sid, pid, canonID int64) ([]LinkIDs, error) {
-	err := tx.s.scanLinksLocked(mid, sid, pid, canonID, tx.tickLocked, func(c reldb.Cells) {
+	return tx.collectLinksLocked(dst, mid, sid, pid, canonID, -1)
+}
+
+// collectLinksLocked is CollectLinksLocked that stops the scan once
+// len(dst) reaches stop (a negative stop never does).
+func (tx *ReadTx) collectLinksLocked(dst []LinkIDs, mid, sid, pid, canonID int64, stop int) ([]LinkIDs, error) {
+	err := tx.s.scanLinksLocked(mid, sid, pid, canonID, tx.tickLocked, func(c reldb.Cells) bool {
 		dst = append(dst, LinkIDs{
 			TID:     c.Int(lcLinkID),
 			SID:     c.Int(lcStartNodeID),
@@ -165,6 +181,7 @@ func (tx *ReadTx) CollectLinksLocked(dst []LinkIDs, mid, sid, pid, canonID int64
 			OID:     c.Int(lcEndNodeID),
 			CanonID: c.Int(lcCanonEndNodeID),
 		})
+		return len(dst) != stop
 	})
 	return dst, err
 }

@@ -54,13 +54,6 @@ type Options struct {
 	// record (plan order, per-stage estimated and actual cardinalities,
 	// timings).
 	Trace *Trace
-	// Metrics, when non-nil, records query/stage series and receives
-	// slow-query events (see NewMetrics).
-	Metrics *Metrics
-	// SlowQuery, when positive, is the threshold above which a completed
-	// query is counted and logged as slow (requires Metrics for the event
-	// to land anywhere).
-	SlowQuery time.Duration
 	// Limit, when positive, caps the number of result rows. Rows beyond
 	// the cap are dropped and ResultSet.Truncated is set. With OrderBy
 	// the full result is sorted first, so the cap returns the true top-N;
@@ -172,8 +165,8 @@ func MatchContext(ctx context.Context, store *core.Store, query string, opts Opt
 type RowFunc func(tx *core.ReadTx, ids []int64) error
 
 // Each is the streaming form of MatchContext, and the one engine behind
-// it: the same plan, filter, DISTINCT, ORDER BY, Limit, budget, tracing
-// and metrics, but the rows go to emit as IDs, in result order, inside
+// it: the same plan, filter, DISTINCT, ORDER BY, Limit, budget and
+// tracing, but the rows go to emit as IDs, in result order, inside
 // the read view that found them — no term is built unless the filter or
 // ORDER BY compares it. vars is called once, with the projection, before
 // any row. An error from emit stops the query and is returned as is.
@@ -220,13 +213,13 @@ func Each(ctx context.Context, store *core.Store, query string, opts Options, va
 		scope = append(scope, idxModel)
 	}
 
-	// Tracing, metrics, the slow-query log, and the request span share
-	// one gate: when none is requested the engine takes the untimed path
-	// and never call time.Now (the "zero overhead when disabled" budget,
-	// DESIGN.md §7). A span in ctx forces the timed path — the request
-	// is being traced, so the per-stage wall times must be real.
+	// The Trace and the request span share one gate: when neither is
+	// requested the engine takes the untimed path and never calls
+	// time.Now (the "zero overhead when disabled" budget, DESIGN.md §7).
+	// A span in ctx forces the timed path — the request is being traced,
+	// so the per-stage wall times must be real.
 	sp := trace.FromContext(ctx)
-	traced := opts.Trace != nil || opts.Metrics != nil || opts.SlowQuery > 0 || sp != nil
+	traced := opts.Trace != nil || sp != nil
 	var tr *Trace
 	var queryStart time.Time
 	if traced {
@@ -234,10 +227,8 @@ func Each(ctx context.Context, store *core.Store, query string, opts Options, va
 		if tr == nil {
 			tr = &Trace{}
 		}
-		tr.Query = query
 		tr.PlanOrder = tr.PlanOrder[:0]
 		tr.Stages = tr.Stages[:0]
-		tr.TraceID = sp.TraceID()
 		queryStart = time.Now()
 	}
 
@@ -254,10 +245,6 @@ func Each(ctx context.Context, store *core.Store, query string, opts Options, va
 		tr.Rows = rows
 		tr.Total = time.Since(queryStart)
 		tr.attachSpan(sp, queryStart)
-		opts.Metrics.onQuery(tr)
-		if opts.SlowQuery > 0 && tr.Total >= opts.SlowQuery {
-			opts.Metrics.onSlowQuery(tr)
-		}
 	}
 	return truncated, nil
 }

