@@ -123,10 +123,12 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseFilter -fuzztime=30s ./internal/match
 	$(GO) test -fuzz=FuzzTableOps -fuzztime=30s ./internal/reldb
 	$(GO) test -fuzz=FuzzScan -fuzztime=30s ./internal/wal
+	$(GO) test -fuzz=FuzzLoadSnapshot -fuzztime=30s ./internal/core
 
 # CI smoke slice of the fuzz targets: the parser-facing surfaces, the
-# term wire-form encoder (against encoding/json), the table heap (operation sequences checked against a []Row model) and the
-# WAL scanner (arbitrary segment bytes), ~30s each, enough to catch fresh
+# term wire-form encoder (against encoding/json), the table heap (operation sequences checked against a []Row model), the
+# WAL scanner (arbitrary segment bytes) and snapshot loading (arbitrary
+# snapshot bytes), ~30s each, enough to catch fresh
 # panics without owning a CI lane for an hour.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseObject -fuzztime=30s ./internal/rdfterm
@@ -137,6 +139,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseFilter -fuzztime=30s ./internal/match
 	$(GO) test -fuzz=FuzzTableOps -fuzztime=30s ./internal/reldb
 	$(GO) test -fuzz=FuzzScan -fuzztime=30s ./internal/wal
+	$(GO) test -fuzz=FuzzLoadSnapshot -fuzztime=30s ./internal/core
 
 # Regenerate the measured tables of EXPERIMENTS.md (the blocks between
 # its experiments markers) over the paper's size sweep, 10 k to 5 M

@@ -160,7 +160,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		}
 	case *snapPath != "":
 		var err error
-		if store, err = core.LoadFile(*snapPath); err != nil {
+		if store, _, err = core.LoadFile(*snapPath); err != nil {
 			return snapshotError(*snapPath, err)
 		}
 		fmt.Fprintf(stdout, "loaded checkpoint snapshot %s\n", *snapPath)
@@ -250,7 +250,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	case *save != "":
 		// Atomic: tmp file + fsync + rename, so a crash mid-save never
 		// clobbers an existing good snapshot.
-		if err := store.SaveFile(*save); err != nil {
+		if err := store.SaveFile(*save, 0); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "snapshot written to %s\n", *save)

@@ -93,7 +93,7 @@ func TestRunSaveSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	st, err := core.Load(f)
+	st, _, err := core.Load(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestRunWALCheckpointOnSave(t *testing.T) {
 	if n := walRecords(t, walDir); n != 0 {
 		t.Fatalf("WAL still has %d records after checkpoint", n)
 	}
-	st, err := core.LoadFile(snap)
+	st, _, err := core.LoadFile(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestRunWALGroupCommit(t *testing.T) {
 	if n := walRecords(t, walDir); n != 0 {
 		t.Fatalf("WAL still has %d records after checkpoint", n)
 	}
-	st, err := core.LoadFile(snap)
+	st, _, err := core.LoadFile(snap)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -260,7 +260,7 @@ func run(args []string, stdout io.Writer) error {
 // actionable messages.
 func openDurable(snapPath, walDir string, stdout io.Writer) (*core.Store, error) {
 	if walDir == "" {
-		store, err := core.LoadFile(snapPath)
+		store, _, err := core.LoadFile(snapPath)
 		if err != nil {
 			return nil, snapshotError(snapPath, err)
 		}

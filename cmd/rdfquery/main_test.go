@@ -165,7 +165,7 @@ func buildSnapshot(t *testing.T, dataPath, snapPath string) {
 		t.Fatal(err)
 	}
 	defer sf.Close()
-	if err := st.Save(sf); err != nil {
+	if err := st.Save(sf, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -356,6 +356,18 @@ func TestQuerySnapshotErrorMessages(t *testing.T) {
 	err = run([]string{"-wal-dir", notWAL, "-query", "(?s ?p ?o)"}, &out)
 	if err == nil || !strings.Contains(err.Error(), "not a WAL") {
 		t.Fatalf("non-WAL error = %v, want 'not a WAL' message", err)
+	}
+}
+
+// TestQueryGobEraSnapshot opens a snapshot of the retired encoding/gob
+// format: it is refused as an old format version, with the advice to
+// regenerate it, not reported as damage.
+func TestQueryGobEraSnapshot(t *testing.T) {
+	fixture := filepath.Join("..", "..", "internal", "core", "testdata", "gob-era", "store.snap")
+	err := run([]string{"-snapshot", fixture, "-model", "m", "-query", "(?s ?p ?o)"}, io.Discard)
+	want := "incompatible format version — regenerate it with this build's rdfload -save"
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("gob-era snapshot error = %v, want %q", err, want)
 	}
 }
 

@@ -73,10 +73,10 @@ func TestInsertBatchMatchesPerTriple(t *testing.T) {
 	}
 
 	var a, b bytes.Buffer
-	if err := one.Save(&a); err != nil {
+	if err := one.Save(&a, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := many.Save(&b); err != nil {
+	if err := many.Save(&b, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -134,10 +134,10 @@ func TestInsertBatchWALReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want, got bytes.Buffer
-	if err := s.Save(&want); err != nil {
+	if err := s.Save(&want, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := rec.Save(&got); err != nil {
+	if err := rec.Save(&got, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(want.Bytes(), got.Bytes()) {
@@ -199,10 +199,10 @@ func TestTermDictionaryComplete(t *testing.T) {
 	}
 
 	var snap bytes.Buffer
-	if err := s.Save(&snap); err != nil {
+	if err := s.Save(&snap, 0); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(bytes.NewReader(snap.Bytes()))
+	loaded, _, err := Load(bytes.NewReader(snap.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

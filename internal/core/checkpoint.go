@@ -22,20 +22,15 @@ import (
 // tmpSuffix marks an in-progress snapshot write.
 const tmpSuffix = ".tmp"
 
-// SaveFile writes a snapshot of the store to path atomically.
-func (s *Store) SaveFile(path string) error {
-	return s.SaveFileAt(path, 0)
-}
-
-// SaveFileAt is SaveFile recording walSeq as the WAL watermark (see
-// SaveAt).
-func (s *Store) SaveFileAt(path string, walSeq int64) error {
+// SaveFile writes a snapshot of the store to path atomically, recording
+// walSeq as its WAL watermark (see Save).
+func (s *Store) SaveFile(path string, walSeq int64) error {
 	tmp := path + tmpSuffix
 	f, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("core: checkpoint: %w", err)
 	}
-	if err := s.SaveAt(f, walSeq); err != nil {
+	if err := s.Save(f, walSeq); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return fmt.Errorf("core: checkpoint: writing %s: %w", tmp, err)
@@ -70,25 +65,19 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// LoadFile rebuilds a store from the snapshot at path, first removing
-// any stale in-progress *.tmp sibling. The *.tmp is never loaded — it
-// may be truncated mid-write — so a crash during checkpoint can only
-// surface the previous good snapshot.
-func LoadFile(path string) (*Store, error) {
-	s, _, err := LoadFileAt(path)
-	return s, err
-}
-
-// LoadFileAt is LoadFile returning also the snapshot's WAL watermark (0
-// when the snapshot was saved without one).
-func LoadFileAt(path string) (*Store, int64, error) {
+// LoadFile rebuilds a store from the snapshot at path and returns it
+// with the snapshot's WAL watermark, first removing any stale
+// in-progress *.tmp sibling. The *.tmp is never loaded — it may be
+// truncated mid-write — so a crash during checkpoint can only surface
+// the previous good snapshot.
+func LoadFile(path string) (*Store, int64, error) {
 	os.Remove(path + tmpSuffix) // a missing tmp is not an error
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, 0, err
 	}
 	defer f.Close()
-	return LoadAt(f)
+	return Load(f)
 }
 
 // snapshotIn is where the checkpoint of the WAL directory walDir lives:
@@ -123,7 +112,7 @@ func (snapshotMissing) Unwrap() error { return wal.ErrSegmentCorrupt }
 //
 //  1. Rotate — every mutation the snapshot will contain now lives in
 //     segments below the fresh segment's number N.
-//  2. SaveFileAt(snapPath, N) — the snapshot lands atomically, recording
+//  2. SaveFile(snapPath, N) — the snapshot lands atomically, recording
 //     N as its watermark.
 //  3. RemoveBelow(N) — the old segments are deleted.
 //
@@ -155,7 +144,7 @@ func CheckpointDirCtx(ctx context.Context, s *Store, snapPath string, d *wal.Dir
 	}
 	phase = sp.Child("core.snapshot")
 	phase.SetAttr("path", snapPath)
-	if err := endPhase(phase, s.SaveFileAt(snapPath, seq)); err != nil {
+	if err := endPhase(phase, s.SaveFile(snapPath, seq)); err != nil {
 		return err
 	}
 	phase = sp.Child("core.wal_retention")
@@ -195,7 +184,7 @@ func RecoverDirWith(snapPath, walDir string, opts wal.DirOptions,
 	openDir func(dir string, fromSeq int64, opts wal.DirOptions, fn wal.RecordFunc) (*wal.Dir, wal.DirScanResult, error)) (*Store, *wal.Dir, RecoverInfo, error) {
 	snapPath = snapshotIn(snapPath, walDir)
 	t0 := time.Now()
-	s, walSeq, err := LoadFileAt(snapPath)
+	s, walSeq, err := LoadFile(snapPath)
 	restore := time.Since(t0)
 	switch {
 	case os.IsNotExist(err):

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -20,13 +19,13 @@ func TestSaveFileLoadFileRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.SaveFile(snap); err != nil {
+	if err := s.SaveFile(snap, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(snap + tmpSuffix); !os.IsNotExist(err) {
 		t.Fatalf("stale tmp left behind after successful SaveFile: %v", err)
 	}
-	loaded, err := LoadFile(snap)
+	loaded, _, err := LoadFile(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,14 +46,14 @@ func TestLoadFileRemovesStaleTmp(t *testing.T) {
 	if _, err := s.NewTripleS("m", "gov:s", "gov:p", "gov:o", a); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SaveFile(snap); err != nil {
+	if err := s.SaveFile(snap, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate a torn in-progress snapshot from a crashed checkpoint.
 	if err := os.WriteFile(snap+tmpSuffix, []byte("GOBSNAP1 torn half-writ"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadFile(snap)
+	loaded, _, err := LoadFile(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,16 +141,14 @@ func TestRecoverFilesCheckpointCycle(t *testing.T) {
 // single-file log with data: testdata/single-file-store was written by
 // rdfload -wal (see its README), and a log moved to
 // <dir>/wal-000001.log is a one-segment WAL directory that RecoverDir
-// reads — on its own, or behind the snapshot it was checkpointed into
-// (a snapshot with watermark 0).
+// reads. The fixture's checkpointed store does not migrate: its snapshot
+// is of the retired gob format, refused with ErrSnapshotVersion before
+// the log is touched.
 func TestSingleFileStoreMigratesToDir(t *testing.T) {
 	fixture := filepath.Join("testdata", "single-file-store")
-	var stores []*Store
-	for _, tc := range []struct{ name, snap, log string }{
-		{"log only", "", "solo.wal"},
-		{"snapshot + log", "store.snap", "store.wal"},
-	} {
-		img, err := os.ReadFile(filepath.Join(fixture, tc.log))
+	moved := func(t *testing.T, log string) string {
+		t.Helper()
+		img, err := os.ReadFile(filepath.Join(fixture, log))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,30 +159,31 @@ func TestSingleFileStoreMigratesToDir(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, "wal-000001.log"), img, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		snap := ""
-		if tc.snap != "" {
-			snap = filepath.Join(fixture, tc.snap)
-		}
-		st, d, info, err := RecoverDir(snap, dir, wal.DirOptions{})
+		return dir
+	}
+	t.Run("log only", func(t *testing.T) {
+		st, d, info, err := RecoverDir("", moved(t, "solo.wal"), wal.DirOptions{})
 		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+			t.Fatal(err)
 		}
 		d.Close()
 		if info.Applied == 0 || info.Truncated || info.Retired != 0 {
-			t.Fatalf("%s: recovery %+v, want a clean replay", tc.name, info)
+			t.Fatalf("recovery %+v, want a clean replay", info)
 		}
 		assertInvariants(t, st)
 		if n, err := st.NumTriples("m"); err != nil || n != 8 {
-			t.Fatalf("%s: %d triples (err %v), want 8", tc.name, n, err)
+			t.Fatalf("%d triples (err %v), want 8", n, err)
 		}
 		if n, err := st.ReifiedCount("m"); err != nil || n != 1 {
-			t.Fatalf("%s: %d reified statements (err %v), want 1", tc.name, n, err)
+			t.Fatalf("%d reified statements (err %v), want 1", n, err)
 		}
-		stores = append(stores, st)
-	}
-	if !bytes.Equal(fingerprint(t, stores[0]), fingerprint(t, stores[1])) {
-		t.Fatal("the log alone and snapshot + log recover different stores")
-	}
+	})
+	t.Run("snapshot + log", func(t *testing.T) {
+		st, d, _, err := RecoverDir(filepath.Join(fixture, "store.snap"), moved(t, "store.wal"), wal.DirOptions{})
+		if !errors.Is(err, ErrSnapshotVersion) || st != nil || d != nil {
+			t.Fatalf("gob-era snapshot + log: store %v, dir %v, error %v; want ErrSnapshotVersion", st != nil, d != nil, err)
+		}
+	})
 }
 
 // SaveFile over an existing snapshot must never destroy the old one
@@ -199,7 +197,7 @@ func TestSaveFilePreservesOldSnapshotOnFailure(t *testing.T) {
 	if _, err := s.NewTripleS("m", "gov:s", "gov:p", "gov:o", a); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SaveFile(snap); err != nil {
+	if err := s.SaveFile(snap, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Force the staging write to fail: make the tmp path a directory.
@@ -207,11 +205,11 @@ func TestSaveFilePreservesOldSnapshotOnFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.NewTripleS("m", "gov:s", "gov:p", "gov:o2", a)
-	if err := s.SaveFile(snap); err == nil {
+	if err := s.SaveFile(snap, 0); err == nil {
 		t.Fatal("SaveFile succeeded with unwritable tmp path")
 	}
 	os.Remove(snap + tmpSuffix)
-	loaded, err := LoadFile(snap)
+	loaded, _, err := LoadFile(snap)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -155,7 +155,7 @@ func TestConcurrentReadersWriterStress(t *testing.T) {
 			s.NumNodes()
 			return nil
 		}
-		return s.Save(io.Discard)
+		return s.Save(io.Discard, 0)
 	})
 
 	writers.Wait()

@@ -186,7 +186,7 @@ func walWorkload() []walOp {
 func fingerprint(t *testing.T, s *Store) []byte {
 	t.Helper()
 	var b bytes.Buffer
-	if err := s.Save(&b); err != nil {
+	if err := s.Save(&b, 0); err != nil {
 		t.Fatal(err)
 	}
 	return b.Bytes()
@@ -419,7 +419,7 @@ func TestDirCheckpointCrashWindows(t *testing.T) {
 	setup := func(t *testing.T, c crashCell) (r *checkpointRig, want []byte) {
 		t.Helper()
 		base := t.TempDir()
-		r = &checkpointRig{c: c, dir: filepath.Join(base, "wal"), snap: filepath.Join(base, "snap.gob")}
+		r = &checkpointRig{c: c, dir: filepath.Join(base, "wal"), snap: filepath.Join(base, "store.snap")}
 		var err error
 		if r.d, err = c.open(r.dir, noFault()); err != nil {
 			t.Fatal(err)
@@ -480,7 +480,7 @@ func TestDirCheckpointCrashWindows(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := r.s.SaveFileAt(r.snap, seq); err != nil {
+			if err := r.s.SaveFile(r.snap, seq); err != nil {
 				t.Fatal(err)
 			}
 			r.d.Close() // crash before RemoveBelow: stale segments linger
@@ -501,7 +501,7 @@ func TestDirCheckpointCrashWindows(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := r.s.SaveFileAt(r.snap, seq); err != nil {
+			if err := r.s.SaveFile(r.snap, seq); err != nil {
 				t.Fatal(err)
 			}
 			r.d.Close()

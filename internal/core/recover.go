@@ -95,8 +95,8 @@ func (s *Store) replayStream(restore time.Duration, scan func(apply wal.RecordFu
 // applyLocked applies one logical mutation record. It is the only code
 // that writes rdf_model$, rdf_value$, rdf_link$ and rdf_blank_node$, and
 // it keeps their derived state (rdf_node$, indexes, model views) in step:
-// replay, snapshot loading and every live mutation (emitLocked) come
-// through here. Caller holds s.mu.
+// replay, snapshot loading (Load, through replayStream too) and every live
+// mutation (emitLocked) come through here. Caller holds s.mu.
 //
 //repro:wal-applier
 func (s *Store) applyLocked(r *wal.Record) error {
@@ -195,7 +195,9 @@ func (s *Store) applyLocked(r *wal.Record) error {
 		return nil
 
 	default:
-		return fmt.Errorf("core: unknown WAL record type %d", r.Type)
+		// TypeSnapshotEnd too: it closes a snapshot (Load reads it) and
+		// mutates nothing.
+		return fmt.Errorf("core: WAL record type %d is not a mutation", r.Type)
 	}
 }
 

@@ -2,15 +2,19 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/rdfterm"
+	"repro/internal/wal"
 )
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -25,10 +29,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	s.AssertImplied("cia", "gov:Interpol", "gov:source", "gov:a", "gov:b2", "gov:c", a)
 
 	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
+	if err := s.Save(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
+	loaded, _, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,10 +109,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestSnapshotEmptyStore(t *testing.T) {
 	s := New()
 	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
+	if err := s.Save(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
+	loaded, _, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +127,7 @@ func TestSnapshotEmptyStore(t *testing.T) {
 }
 
 func TestLoadGarbage(t *testing.T) {
-	_, err := Load(strings.NewReader("not a gob stream"))
+	_, _, err := Load(strings.NewReader("not a gob stream"))
 	if err == nil {
 		t.Fatal("garbage snapshot accepted")
 	}
@@ -132,17 +136,24 @@ func TestLoadGarbage(t *testing.T) {
 	}
 }
 
+// frameStream is a snapshot image holding exactly recs.
+func frameStream(recs ...wal.Record) []byte {
+	img := []byte(wal.Magic)
+	for i := range recs {
+		img = wal.AppendFrame(img, &recs[i])
+	}
+	return img
+}
+
 // TestLoadTypedErrors pins the sentinel classification: callers (the CLI
 // tools in particular) branch on errors.Is to print actionable messages.
 func TestLoadTypedErrors(t *testing.T) {
+	end := wal.Record{Type: wal.TypeSnapshotEnd}
 	t.Run("version mismatch", func(t *testing.T) {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(snapshot{Version: snapshotVersion + 1}); err != nil {
-			t.Fatal(err)
-		}
-		_, err := Load(&buf)
+		// A snapshot of the retired encoding/gob format (testdata/gob-era).
+		_, _, err := LoadFile(filepath.Join("testdata", "gob-era", "store.snap"))
 		if !errors.Is(err, ErrSnapshotVersion) {
-			t.Fatalf("future-version error %v is not ErrSnapshotVersion", err)
+			t.Fatalf("gob-era error %v is not ErrSnapshotVersion", err)
 		}
 		if errors.Is(err, ErrSnapshotCorrupt) {
 			t.Fatalf("version mismatch misclassified as corruption: %v", err)
@@ -154,28 +165,21 @@ func TestLoadTypedErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := s.Save(&buf); err != nil {
+		if err := s.Save(&buf, 0); err != nil {
 			t.Fatal(err)
 		}
-		_, err := Load(bytes.NewReader(buf.Bytes()[:buf.Len()/2]))
+		_, _, err := Load(bytes.NewReader(buf.Bytes()[:buf.Len()/2]))
 		if !errors.Is(err, ErrSnapshotCorrupt) {
 			t.Fatalf("truncated-stream error %v is not ErrSnapshotCorrupt", err)
 		}
 	})
 	t.Run("inconsistent content", func(t *testing.T) {
 		// Decodes fine but cannot be rebuilt: duplicate model IDs.
-		snap := snapshot{
-			Version: snapshotVersion,
-			Models: []snapModel{
-				{ID: 7, Name: "a"},
-				{ID: 7, Name: "b"},
-			},
-		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-			t.Fatal(err)
-		}
-		_, err := Load(&buf)
+		_, _, err := Load(bytes.NewReader(frameStream(
+			wal.Record{Type: wal.TypeCreateModel, ModelID: 7, Name: "a"},
+			wal.Record{Type: wal.TypeCreateModel, ModelID: 7, Name: "b"},
+			end,
+		)))
 		if !errors.Is(err, ErrSnapshotCorrupt) {
 			t.Fatalf("duplicate-ID error %v is not ErrSnapshotCorrupt", err)
 		}
@@ -183,26 +187,177 @@ func TestLoadTypedErrors(t *testing.T) {
 	t.Run("one term, two value rows", func(t *testing.T) {
 		// Distinct VALUE_IDs, so rdf_value_pk accepts both: only the term
 		// dictionary can refuse the second.
-		snap := snapshot{
-			Version: snapshotVersion,
-			Values: []snapValue{
-				{ID: 1068, Name: "http://a", Type: rdfterm.VTUri},
-				{ID: 1069, Name: "http://a", Type: rdfterm.VTUri},
-			},
-		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-			t.Fatal(err)
-		}
-		_, err := Load(&buf)
+		_, _, err := Load(bytes.NewReader(frameStream(
+			wal.Record{Type: wal.TypeInternValue, ValueID: 1068, Text: "http://a", ValueType: rdfterm.VTUri},
+			wal.Record{Type: wal.TypeInternValue, ValueID: 1069, Text: "http://a", ValueType: rdfterm.VTUri},
+			end,
+		)))
 		if !errors.Is(err, ErrSnapshotCorrupt) || !strings.Contains(err.Error(), "already in rdf_value$") {
 			t.Fatalf("duplicate-term error %v is not ErrSnapshotCorrupt naming the term", err)
 		}
 	})
 }
 
-// Property: snapshot round-trips preserve counts and invariants for random
-// operation sequences.
+// TestLoadRefusesIncompleteOrDamaged cuts a small snapshot at every byte
+// offset (every frame boundary among them) and flips every bit of its
+// first and last frames: each image must be ErrSnapshotCorrupt and give
+// no store. Records the end record does not close, or that follow it,
+// and frames whose rows name what no earlier frame delivered, likewise.
+func TestLoadRefusesIncompleteOrDamaged(t *testing.T) {
+	s := newStoreWithModel(t, "m")
+	a := govAliases()
+	if _, err := s.NewTripleS("m", "_:b1", "gov:p", `"25"^^xsd:int`, a); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := s.Save(&buf, 3); err != nil {
+		t.Fatal(err)
+	}
+	img := buf.Bytes()
+	refused := func(t *testing.T, what string, bad []byte) {
+		t.Helper()
+		st, _, err := Load(bytes.NewReader(bad))
+		if !errors.Is(err, ErrSnapshotCorrupt) || st != nil {
+			t.Fatalf("%s: store %v, error %v; want no store and ErrSnapshotCorrupt", what, st != nil, err)
+		}
+	}
+	if st, walSeq, err := Load(bytes.NewReader(img)); err != nil || st == nil || walSeq != 3 {
+		t.Fatalf("intact image: store %v, watermark %d, %v", st != nil, walSeq, err)
+	}
+	for cut := 0; cut < len(img); cut++ {
+		refused(t, fmt.Sprintf("cut at %d of %d", cut, len(img)), img[:cut])
+	}
+	// Frame boundaries, read from the length prefixes.
+	bounds := []int{len(wal.Magic)}
+	for off := bounds[0]; off < len(img); {
+		off += 8 + int(binary.LittleEndian.Uint32(img[off:]))
+		bounds = append(bounds, off)
+	}
+	if n := len(bounds); bounds[n-1] != len(img) || n < 4 {
+		t.Fatalf("frame boundaries %v do not end the %d-byte image", bounds, len(img))
+	}
+	last := len(bounds) - 2
+	for _, frame := range [][2]int{{bounds[0], bounds[1]}, {bounds[last], bounds[last+1]}} {
+		for bit := frame[0] * 8; bit < frame[1]*8; bit++ {
+			bad := bytes.Clone(img)
+			bad[bit/8] ^= 1 << (bit % 8)
+			refused(t, fmt.Sprintf("bit %d flipped", bit), bad)
+		}
+	}
+	end := wal.Record{Type: wal.TypeSnapshotEnd}
+	refused(t, "record after the end record", append(bytes.Clone(img),
+		wal.AppendFrame(nil, &wal.Record{Type: wal.TypeCreateModel, ModelID: 8, Name: "late"})...))
+	refused(t, "two end records", append(bytes.Clone(img), wal.AppendFrame(nil, &end)...))
+	refused(t, "a WAL segment's mutations without an end record",
+		frameStream(wal.Record{Type: wal.TypeCreateModel, ModelID: 7, Name: "m"}))
+	model := wal.Record{Type: wal.TypeCreateModel, ModelID: 7, Name: "m"}
+	uri := func(id int64) wal.Record {
+		return wal.Record{Type: wal.TypeInternValue, ValueID: id, Text: fmt.Sprint("http://v", id), ValueType: rdfterm.VTUri}
+	}
+	link := func(o int64) wal.Record {
+		return wal.Record{Type: wal.TypeInsertLink, LinkID: 1, ModelID: 7, StartID: 1, PropID: 2, EndID: o, CanonID: o,
+			LinkType: "STANDARD", Cost: 1, Context: ContextDirect}
+	}
+	refused(t, "a link before its values", frameStream(model, link(3), uri(1), uri(2), uri(3), end))
+	refused(t, "a link past the values", frameStream(model, uri(1), uri(2), link(3), end))
+	refused(t, "a link into a gap in the values", frameStream(model, uri(1), uri(2), uri(4), link(3), end))
+	if _, _, err := Load(bytes.NewReader(frameStream(model, uri(1), uri(2), uri(4), link(4), end))); err != nil {
+		t.Fatalf("a link across a gap in the values: %v", err)
+	}
+	second := link(1)
+	second.LinkID, second.StartID = 2, 9
+	refused(t, "a second link from a missing subject", frameStream(model, uri(1), uri(2), link(2), second, end))
+	second.StartID, second.ModelID = 1, 8
+	refused(t, "a second link in a missing model", frameStream(model, uri(1), uri(2), link(2), second, end))
+	// Rows each frame of which verifies, but which no store writes.
+	for what, edit := range map[string]func(*wal.Record){
+		"COST 0":              func(r *wal.Record) { r.Cost = 0 },
+		"CONTEXT X":           func(r *wal.Record) { r.Context = "X" },
+		"the wrong LINK_TYPE": func(r *wal.Record) { r.LinkType = "RDF_TYPE" },
+	} {
+		bad := link(2)
+		edit(&bad)
+		refused(t, "a link with "+what, frameStream(model, uri(1), uri(2), bad, end))
+	}
+	for _, typ := range []wal.Type{wal.TypeUpdateLink, wal.TypeDeleteLink, wal.TypeDropModel} {
+		refused(t, fmt.Sprintf("a %s record", typ), frameStream(model, uri(1), uri(2), link(2),
+			wal.Record{Type: typ, LinkID: 1, ModelID: 7, Name: "m", Cost: 0, Context: "X"}, end))
+	}
+	refused(t, "a blank mapping onto a URI", frameStream(model, uri(1),
+		wal.Record{Type: wal.TypeBlankNode, ModelID: 7, Name: "b1", ValueID: 1}, end))
+}
+
+// TestSaveRefusesOversizedRecord: a value whose record would exceed the
+// WAL's frame limit fails the save instead of publishing a snapshot that
+// Load would refuse as damaged.
+func TestSaveRefusesOversizedRecord(t *testing.T) {
+	s := newStoreWithModel(t, "m")
+	huge := rdfterm.NewLiteral(strings.Repeat("x", wal.MaxRecordLen))
+	if _, err := s.InsertTerms("m", rdfterm.NewURI("http://s"), rdfterm.NewURI("http://p"), huge); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Save(io.Discard, 0); err == nil || !strings.Contains(err.Error(), "MaxRecordLen") {
+		t.Fatalf("Save of a %d-byte literal: %v, want the record limit named", wal.MaxRecordLen, err)
+	}
+}
+
+// FuzzLoadSnapshot holds Load to its contract on arbitrary bytes: a store
+// that passes CheckInvariants from an image whose last record is the end
+// record, or ErrSnapshotCorrupt / ErrSnapshotVersion and no store — never
+// a panic.
+func FuzzLoadSnapshot(f *testing.F) {
+	s := New()
+	a := govAliases()
+	for _, m := range []string{"m", "n"} {
+		if _, err := s.CreateRDFModel(m, "", ""); err != nil {
+			f.Fatal(err)
+		}
+	}
+	base, err := s.NewTripleS("m", "gov:a", "gov:p", "gov:b", a)
+	if err != nil {
+		f.Fatal(err)
+	}
+	s.NewTripleS("n", "_:b1", "gov:q", `"chat"@fr`, a)
+	s.AssertAboutTriple("m", "gov:MI5", "gov:source", base.TID, a)
+	var buf bytes.Buffer
+	if err := s.Save(&buf, 2); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	gobEra, err := os.ReadFile(filepath.Join("testdata", "gob-era", "store.snap"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(gobEra[:32])
+	f.Add([]byte(wal.Magic + "\x05\x00\x00\x00garbage garbage"))
+	f.Add([]byte("not a snapshot at all"))
+	f.Fuzz(func(t *testing.T, img []byte) {
+		st, _, err := Load(bytes.NewReader(img))
+		if err != nil {
+			if !errors.Is(err, ErrSnapshotCorrupt) && !errors.Is(err, ErrSnapshotVersion) {
+				t.Fatalf("untyped error %v", err)
+			}
+			if st != nil {
+				t.Fatalf("a store returned with %v", err)
+			}
+			return
+		}
+		var lastType wal.Type
+		if _, err := wal.ScanFunc(bytes.NewReader(img), func(r *wal.Record) error {
+			lastType = r.Type
+			return nil
+		}); err != nil || lastType != wal.TypeSnapshotEnd {
+			t.Fatalf("loaded an image whose last record is %v (%v)", lastType, err)
+		}
+		for _, err := range st.CheckInvariants() {
+			t.Error(err)
+		}
+	})
+}
+
+// Property: snapshot round-trips preserve counts, the watermark and
+// invariants for random operation sequences, and saving the reloaded
+// store writes the same bytes.
 func TestQuickSnapshotRoundTrip(t *testing.T) {
 	f := func(seed int64, nops uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -234,17 +389,21 @@ func TestQuickSnapshotRoundTrip(t *testing.T) {
 				}
 			}
 		}
-		var buf bytes.Buffer
-		if err := s.Save(&buf); err != nil {
+		var buf, again bytes.Buffer
+		if err := s.Save(&buf, int64(nops)); err != nil {
 			return false
 		}
-		loaded, err := Load(&buf)
-		if err != nil {
+		loaded, walSeq, err := Load(bytes.NewReader(buf.Bytes()))
+		if err != nil || walSeq != int64(nops) {
 			return false
 		}
 		if loaded.TotalTriples() != s.TotalTriples() ||
 			loaded.NumValues() != s.NumValues() ||
 			loaded.NumNodes() != s.NumNodes() {
+			return false
+		}
+		// Save → Load → Save writes the same bytes.
+		if err := loaded.Save(&again, int64(nops)); err != nil || !bytes.Equal(again.Bytes(), buf.Bytes()) {
 			return false
 		}
 		return len(loaded.CheckInvariants()) == 0

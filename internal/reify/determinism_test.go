@@ -59,7 +59,7 @@ func benchmarkShapedCorpus(t testing.TB, triples int, seed int64) []ntriples.Tri
 func snapshotBytes(t testing.TB, s *core.Store) []byte {
 	t.Helper()
 	var b bytes.Buffer
-	if err := s.Save(&b); err != nil {
+	if err := s.Save(&b, 0); err != nil {
 		t.Fatal(err)
 	}
 	return b.Bytes()

@@ -59,10 +59,10 @@ func TestLoadFastPathEquivalence(t *testing.T) {
 		t.Fatalf("stats diverge:\nslow %+v\nfast %+v", slowStats, fastStats)
 	}
 	var a, b bytes.Buffer
-	if err := slow.Save(&a); err != nil {
+	if err := slow.Save(&a, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := fast.Save(&b); err != nil {
+	if err := fast.Save(&b, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {

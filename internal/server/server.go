@@ -553,7 +553,7 @@ func (s *Server) writeHandlerError(w *statusWriter, err error, traceID string) {
 		// before the supervisor transitioned — the client gets the same
 		// typed, retryable 507, never a raw filesystem error.
 		e = &apiError{status: http.StatusInsufficientStorage, code: CodeDiskFull,
-			msg: "store is out of WAL disk budget (checkpoint or free space to recover)",
+			msg:        "store is out of WAL disk budget (checkpoint or free space to recover)",
 			retryAfter: s.cfg.RetryAfter}
 	case errors.Is(err, supervise.ErrDegraded):
 		e = &apiError{status: http.StatusServiceUnavailable, code: CodeDegraded,
@@ -564,7 +564,7 @@ func (s *Server) writeHandlerError(w *statusWriter, err error, traceID string) {
 		// The write failed at the WAL and the supervisor is about to
 		// degrade and recover; retryable, not an internal error.
 		e = &apiError{status: http.StatusServiceUnavailable, code: CodeDegraded,
-			msg: "mutation failed at the write-ahead log; store is recovering",
+			msg:        "mutation failed at the write-ahead log; store is recovering",
 			retryAfter: s.cfg.RetryAfter}
 	default:
 		e = &apiError{status: http.StatusInternalServerError, code: CodeInternal, msg: err.Error()}

@@ -217,7 +217,7 @@ func TestAutoCheckpointInterval(t *testing.T) {
 	var snapped bool
 	for {
 		if !snapped {
-			_, err := core.LoadFile(filepath.Join(dir, "store.snap"))
+			_, _, err := core.LoadFile(filepath.Join(dir, "store.snap"))
 			snapped = err == nil
 		}
 		if snapped {

@@ -30,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime/debug"
 	"sync"
 	"time"
 
@@ -471,31 +470,15 @@ func (sv *Supervisor) FindModels(ctx context.Context, models []string, pat core.
 
 // Checkpoint snapshots the current state atomically and reclaims WAL
 // space (rotate + watermark + segment retention, core.CheckpointDir),
-// excluding mutations for the duration. A
-// failed checkpoint trips the supervisor to Degraded — or to
-// DegradedDisk when the failure is disk exhaustion — while the previous
-// snapshot stays intact (SaveFile never overwrites in place). Its phases
-// are recorded on the span carried by ctx (see internal/trace) — the
-// automatic checkpoint loop passes a "supervise.checkpoint" root span
-// through here.
+// excluding mutations for the duration. The snapshot is streamed out as
+// WAL records under the store's read lock, so readers proceed and no
+// image of the store is built. A failed checkpoint trips the supervisor
+// to Degraded — or to DegradedDisk when the failure is disk exhaustion —
+// while the previous snapshot stays intact (SaveFile never overwrites in
+// place). Its phases are recorded on the span carried by ctx (see
+// internal/trace) — the automatic checkpoint loop passes a
+// "supervise.checkpoint" root span through here.
 func (sv *Supervisor) Checkpoint(ctx context.Context) error {
-	if err := sv.checkpoint(ctx); err != nil {
-		return err
-	}
-	// The checkpoint built a whole-store image in memory — the
-	// snapshot's slices and gob's one-message buffer, several times the
-	// file — which is garbage once the file is published. Hand it back
-	// to the OS now, with mutations readmitted and no store lock held,
-	// rather than let it stay resident until GCs under a lighter load
-	// get round to it. A snapshot streamed without building the image is
-	// the real fix; it waits for the column-image snapshot format
-	// (ROADMAP).
-	debug.FreeOSMemory()
-	return nil
-}
-
-// checkpoint is Checkpoint's work under the operation lock.
-func (sv *Supervisor) checkpoint(ctx context.Context) error {
 	sv.opMu.Lock()
 	defer sv.opMu.Unlock()
 	st, err := sv.gate()

@@ -255,12 +255,12 @@ func TestStartRemoteContinuesTraceparent(t *testing.T) {
 func TestParseTraceparentRejectsMalformed(t *testing.T) {
 	bad := []string{
 		"",
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7", // missing flags
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7",    // missing flags
 		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", // wrong version
 		"00-00000000000000000000000000000000-00f067aa0ba902b7-01", // zero trace
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",  // zero span
-		"00-4bf92f3577b34da6a3ce929d0e0eXYZW-00f067aa0ba902b7-01",  // non-hex
-		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",  // uppercase (spec: lowercase only)
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01", // zero span
+		"00-4bf92f3577b34da6a3ce929d0e0eXYZW-00f067aa0ba902b7-01", // non-hex
+		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01", // uppercase (spec: lowercase only)
 	}
 	for _, h := range bad {
 		if _, _, ok := ParseTraceparent(h); ok {

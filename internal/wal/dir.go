@@ -506,7 +506,7 @@ func (d *Dir) Append(r Record) error {
 		return fmt.Errorf("wal: append %s: %w", r.Type, err)
 	}
 	before := len(d.buf)
-	d.buf = appendFrame(d.buf, &r)
+	d.buf = AppendFrame(d.buf, &r)
 	d.met.onAppend(len(d.buf) - before)
 	var fire bool
 	var err error

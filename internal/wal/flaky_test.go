@@ -204,12 +204,12 @@ func TestFlakyFilePartialWrite(t *testing.T) {
 	// through a tearing file and prove the scan survives.
 	f3 := NewFlaky(nil)
 	first, second := Record{Type: TypeDeleteLink, LinkID: 1}, Record{Type: TypeDeleteLink, LinkID: 2}
-	if _, err := f3.Write(appendFrame([]byte(Magic), &first)); err != nil {
+	if _, err := f3.Write(AppendFrame([]byte(Magic), &first)); err != nil {
 		t.Fatal(err)
 	}
 	f3.SetPartialWriteFraction(0.4)
 	f3.FailWithENOSPC(1)
-	if _, err := f3.Write(appendFrame(nil, &second)); err == nil {
+	if _, err := f3.Write(AppendFrame(nil, &second)); err == nil {
 		t.Fatal("torn append reported success")
 	}
 	res, err := scanBytes(f3.Bytes())

@@ -41,8 +41,13 @@ const (
 	// TypeSeqAdvance moves a sequence forward so replayed stores never
 	// re-issue IDs consumed before the crash.
 	TypeSeqAdvance
+	// TypeSnapshotEnd is a snapshot's last record: it marks the stream
+	// complete and carries, in SeqValue, the WAL watermark — the first
+	// segment the snapshot does not contain. It is never a mutation, so
+	// no segment may hold one.
+	TypeSnapshotEnd
 
-	maxType = TypeSeqAdvance
+	maxType = TypeSnapshotEnd
 )
 
 // String names the record type for diagnostics.
@@ -64,6 +69,8 @@ func (t Type) String() string {
 		return "BlankNode"
 	case TypeSeqAdvance:
 		return "SeqAdvance"
+	case TypeSnapshotEnd:
+		return "SnapshotEnd"
 	default:
 		return fmt.Sprintf("Type(%d)", uint8(t))
 	}
@@ -111,7 +118,7 @@ type Record struct {
 	Context  string
 	Reif     bool
 
-	// Sequence records.
+	// Sequence records; SeqValue is also a TypeSnapshotEnd's watermark.
 	Seq      Seq
 	SeqValue int64
 }
@@ -176,6 +183,8 @@ func appendPayload(dst []byte, r *Record) []byte {
 	case TypeSeqAdvance:
 		dst = append(dst, byte(r.Seq))
 		dst = binary.AppendVarint(dst, r.SeqValue)
+	case TypeSnapshotEnd:
+		dst = binary.AppendVarint(dst, r.SeqValue)
 	}
 	return dst
 }
@@ -226,6 +235,8 @@ func decodePayload(p []byte, r *Record) error {
 		r.ValueID = d.varint()
 	case TypeSeqAdvance:
 		r.Seq = Seq(d.byte())
+		r.SeqValue = d.varint()
+	case TypeSnapshotEnd:
 		r.SeqValue = d.varint()
 	}
 	if d.err != nil {

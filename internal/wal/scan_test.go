@@ -98,7 +98,7 @@ func TestScannedRecordsDoNotAliasAfterCollect(t *testing.T) {
 	other := []byte(Magic)
 	for i := 0; i < 64; i++ {
 		r := Record{Type: TypeCreateModel, ModelID: 1, Name: strings.Repeat("X", 40), TableName: strings.Repeat("Y", 40), ColumnName: "ZZZZ"}
-		other = appendFrame(other, &r)
+		other = AppendFrame(other, &r)
 	}
 	for i := 0; i < 4; i++ {
 		if _, err := scanBytes(other); err != nil {
@@ -121,7 +121,7 @@ func TestScanAcrossSlabsAndWindows(t *testing.T) {
 	want = append(want, Record{Type: TypeDeleteLink, LinkID: 9})
 	img := []byte(Magic)
 	for i := range want {
-		img = appendFrame(img, &want[i])
+		img = AppendFrame(img, &want[i])
 	}
 	res, err := scanBytes(img)
 	if err != nil || res.Truncated || res.ValidBytes != int64(len(img)) {

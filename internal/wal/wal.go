@@ -43,8 +43,9 @@ type truncatable interface {
 	Seek(offset int64, whence int) (int64, error)
 }
 
-// appendFrame encodes one record, framed and checksummed, onto dst.
-func appendFrame(dst []byte, r *Record) []byte {
+// AppendFrame encodes one record, framed and checksummed, onto dst. A
+// segment and a snapshot are both Magic followed by such frames.
+func AppendFrame(dst []byte, r *Record) []byte {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // frame header placeholder
 	dst = appendPayload(dst, r)

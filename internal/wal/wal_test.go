@@ -26,6 +26,7 @@ func sampleRecords() []Record {
 		{Type: TypeSeqAdvance, Seq: SeqBlank, SeqValue: 12},
 		{Type: TypeDeleteLink, LinkID: 2051},
 		{Type: TypeDropModel, ModelID: 8, Name: "données"},
+		{Type: TypeSnapshotEnd, SeqValue: 5},
 	}
 }
 
@@ -75,7 +76,7 @@ func writeSample(t testing.TB) []byte {
 	t.Helper()
 	img := []byte(Magic)
 	for _, r := range sampleRecords() {
-		img = appendFrame(img, &r)
+		img = AppendFrame(img, &r)
 	}
 	return img
 }
