@@ -69,13 +69,16 @@ test:
 RUN_NAMED = GO=$(GO) bash tools/run-named-tests.sh
 
 # Supervisor fault-injection stress under the race detector: concurrent
-# writers/readers/scrubber driven through injected WAL faults, asserting
-# the full Healthy→Degraded→Recovering→Healthy cycle, no corrupt reads,
-# and zero loss of acknowledged commits, plus concurrent container
-# appends that must take distinct rdf:_n indices; then the crash-point
-# matrix and checkpoint windows at their sampled (-short) depth.
+# writers/readers driven through injected WAL faults, asserting the full
+# Healthy→Degraded→Recovering→Healthy cycle, no corrupt reads, no
+# invariant violation at any 5 ms check, and zero loss of acknowledged
+# commits; the model-based checker (seeded mutations, checkpoints,
+# restarts, crash copies and WAL faults against a set-of-tuples
+# reference); concurrent container appends that must take distinct
+# rdf:_n indices; then the crash-point matrix and checkpoint windows at
+# their sampled (-short) depth.
 chaos:
-	TESTS='TestChaosCycle TestDurabilityFaultDegradesThenRecovers TestDegradedReadsWhileWritesRejected TestAppendToContainerConcurrent' \
+	TESTS='TestChaosCycle TestModelBasedSupervisor TestDurabilityFaultDegradesThenRecovers TestDegradedReadsWhileWritesRejected TestAppendToContainerConcurrent' \
 		$(RUN_NAMED) -race -count=3 ./internal/supervise/ ./internal/core/
 	TESTS='TestDirCrashMatrix TestDirCheckpointCrashWindows' \
 		$(RUN_NAMED) -race -short -count=1 ./internal/core/

@@ -15,8 +15,8 @@
 //
 // Without -wal-dir the store is memory-only and always Healthy. With
 // -wal-dir the store runs under the supervisor, which checkpoints into
-// -snapshot (by default a file inside the WAL directory): recovery,
-// scrubbing, and the health states that gate admission
+// -snapshot (by default a file inside the WAL directory): recovery
+// and the health states that gate admission
 // (Degraded/Recovering answer 503 + Retry-After; Failed answers 503).
 // The log is a directory of rotating segment files with
 // checkpoint-driven retention and a disk budget — crossing
@@ -83,7 +83,6 @@ type serveFlags struct {
 	hardBytes         *int64
 	ckptInterval      *time.Duration
 	ckptWALBytes      *int64
-	scrubInterval     *time.Duration
 	chaosWrite        *float64
 	chaosSync         *float64
 	chaosENOSPC       *float64
@@ -113,18 +112,17 @@ func newFlagSet() (*flag.FlagSet, *serveFlags) {
 		model: fs.String("model", "data", "default model for requests that name none (created if missing)"),
 		load:  fs.String("load", "", "N-Triples file to bulk-load into the model at startup"),
 
-		snapPath:      fs.String("snapshot", "", "checkpoint snapshot to load before replaying the WAL and to checkpoint into (default: snapshot inside -wal-dir)"),
-		walDir:        fs.String("wal-dir", "", "write-ahead log directory (rotating segments, checkpoint retention, disk budget): run under the supervisor with durable mutations"),
-		segmentBytes:  fs.Int64("wal-segment-bytes", 0, "segment rotation threshold in bytes (0 = 64 MiB default; requires -wal-dir)"),
-		softBytes:     fs.Int64("wal-soft-bytes", 0, "soft disk watermark: crossing it triggers an automatic checkpoint (0 disables; requires -wal-dir)"),
-		hardBytes:     fs.Int64("wal-hard-bytes", 0, "hard disk budget: writes past it are rejected and the store enters Degraded(disk) (0 disables; requires -wal-dir)"),
-		ckptInterval:  fs.Duration("checkpoint-interval", 0, "automatic checkpoint age trigger (0 disables; requires -wal-dir)"),
-		ckptWALBytes:  fs.Int64("checkpoint-wal-bytes", 0, "automatic checkpoint WAL-size trigger in bytes (0 disables; requires -wal-dir)"),
-		scrubInterval: fs.Duration("scrub-interval", 0, "background invariant scrub cadence (0 disables; requires -wal-dir)"),
-		chaosWrite:    fs.Float64("chaos-wal-write-rate", 0, "probability each WAL write fails (fault-injection drill; requires -wal-dir)"),
-		chaosSync:     fs.Float64("chaos-wal-sync-rate", 0, "probability each WAL sync fails (requires -wal-dir)"),
-		chaosENOSPC:   fs.Float64("chaos-wal-enospc-rate", 0, "probability each segment write fails with injected ENOSPC (requires -wal-dir)"),
-		chaosSeed:     fs.Int64("chaos-seed", 1, "deterministic seed for the WAL fault injector"),
+		snapPath:     fs.String("snapshot", "", "checkpoint snapshot to load before replaying the WAL and to checkpoint into (default: snapshot inside -wal-dir)"),
+		walDir:       fs.String("wal-dir", "", "write-ahead log directory (rotating segments, checkpoint retention, disk budget): run under the supervisor with durable mutations"),
+		segmentBytes: fs.Int64("wal-segment-bytes", 0, "segment rotation threshold in bytes (0 = 64 MiB default; requires -wal-dir)"),
+		softBytes:    fs.Int64("wal-soft-bytes", 0, "soft disk watermark: crossing it triggers an automatic checkpoint (0 disables; requires -wal-dir)"),
+		hardBytes:    fs.Int64("wal-hard-bytes", 0, "hard disk budget: writes past it are rejected and the store enters Degraded(disk) (0 disables; requires -wal-dir)"),
+		ckptInterval: fs.Duration("checkpoint-interval", 0, "automatic checkpoint age trigger (0 disables; requires -wal-dir)"),
+		ckptWALBytes: fs.Int64("checkpoint-wal-bytes", 0, "automatic checkpoint WAL-size trigger in bytes (0 disables; requires -wal-dir)"),
+		chaosWrite:   fs.Float64("chaos-wal-write-rate", 0, "probability each WAL write fails (fault-injection drill; requires -wal-dir)"),
+		chaosSync:    fs.Float64("chaos-wal-sync-rate", 0, "probability each WAL sync fails (requires -wal-dir)"),
+		chaosENOSPC:  fs.Float64("chaos-wal-enospc-rate", 0, "probability each segment write fails with injected ENOSPC (requires -wal-dir)"),
+		chaosSeed:    fs.Int64("chaos-seed", 1, "deterministic seed for the WAL fault injector"),
 
 		traceSample: fs.Float64("trace-sample", 0.01, "probability a fast clean request's trace is retained (slow/errored/rejected traces are always kept)"),
 		traceSlow:   fs.Duration("trace-slow", 100*time.Millisecond, "duration past which a request trace is retained as slow"),
@@ -155,7 +153,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return err
 	}
 	addr, model, loadPath := f.addr, f.model, f.load
-	snapPath, walDir, scrubInterval := f.snapPath, f.walDir, f.scrubInterval
+	snapPath, walDir := f.snapPath, f.walDir
 	chaosWrite, chaosSync, chaosSeed := f.chaosWrite, f.chaosSync, f.chaosSeed
 	maxInflight, maxQueue, queueWait, tenantCap := f.maxInflight, f.maxQueue, f.queueWait, f.tenantCap
 	defaultTimeout, maxTimeout := f.defaultTimeout, f.maxTimeout
@@ -173,10 +171,10 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return fmt.Errorf("-degraded-reads %q: want reject or serve", *degraded)
 	}
 	chaos := *chaosWrite > 0 || *chaosSync > 0 || *f.chaosENOSPC > 0
-	if *walDir == "" && (*snapPath != "" || *scrubInterval > 0 || chaos ||
+	if *walDir == "" && (*snapPath != "" || chaos ||
 		*f.ckptInterval > 0 || *f.ckptWALBytes > 0 ||
 		*f.segmentBytes > 0 || *f.softBytes > 0 || *f.hardBytes > 0) {
-		return errors.New("-snapshot, -scrub-interval, -checkpoint-*, -wal-*-bytes and -chaos-wal-* require -wal-dir")
+		return errors.New("-snapshot, -checkpoint-*, -wal-*-bytes and -chaos-wal-* require -wal-dir")
 	}
 
 	reg := obs.NewRegistry()
@@ -198,11 +196,10 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	var backend server.Backend
 	if *walDir != "" {
 		cfg := supervise.Config{
-			SnapshotPath:  *snapPath,
-			WALDir:        *walDir,
-			ScrubInterval: *scrubInterval,
-			Obs:           reg,
-			Tracer:        tracer,
+			SnapshotPath: *snapPath,
+			WALDir:       *walDir,
+			Obs:          reg,
+			Tracer:       tracer,
 			Checkpoint: supervise.CheckpointPolicy{
 				Interval: *f.ckptInterval,
 				WALBytes: *f.ckptWALBytes,

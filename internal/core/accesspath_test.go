@@ -174,12 +174,6 @@ func TestEveryIndexIsAnAccessPath(t *testing.T) {
 		}
 	})
 	step("delete", func() { must(s.DeleteTriple("m", "http://n/s2", "http://n/p0", `"02"^^<`+rdfterm.XSDInt+`>`, nil)) })
-	step("scrub", func() {
-		report, err := s.ScrubPass(context.Background(), 4)
-		if err != nil || len(report.Violations) > 0 || report.Links != s.TotalTriples() {
-			t.Fatalf("scrub: %+v, %v", report, err)
-		}
-	})
 	step("drop model", func() { must(s.DropRDFModel("other")) })
 	assertInvariants(t, s)
 

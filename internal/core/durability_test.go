@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -119,4 +121,44 @@ func TestCheckpointAfterFailedTransaction(t *testing.T) {
 	if !bytes.Equal(fingerprint(t, rec), fingerprint(t, s)) {
 		t.Fatal("recovered store differs from the live store")
 	}
+}
+
+// A term too large for one WAL record is refused before its mutation is
+// applied or logged: were it logged, the frame would exceed
+// wal.MaxRecordLen and recovery would drop it, and every commit after
+// it, as a torn tail.
+func TestOversizedTermRefused(t *testing.T) {
+	dir := t.TempDir()
+	snap, walDir := filepath.Join(dir, "store.snap"), filepath.Join(dir, "wal")
+	s, d, _, err := RecoverDir(snap, walDir, wal.DirOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetDurability(d)
+	if _, err := s.CreateRDFModel("m", "", ""); err != nil {
+		t.Fatal(err)
+	}
+	uri := rdfterm.NewURI
+	huge := rdfterm.NewLiteral(strings.Repeat("x", wal.MaxRecordLen))
+	if _, err := s.InsertTerms("m", uri("http://a"), uri("http://p"), huge); !errors.Is(err, ErrTermTooLarge) {
+		t.Fatalf("inserting a %d-byte literal = %v, want ErrTermTooLarge", wal.MaxRecordLen, err)
+	}
+	if _, err := s.InsertTerms("m", uri("http://a"), uri("http://p"), rdfterm.NewLiteral("small")); err != nil {
+		t.Fatalf("the insert after the refusal: %v", err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, d2, info, err := RecoverDir(snap, walDir, wal.DirOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if info.Truncated {
+		t.Fatalf("recovery found a torn tail: %v", info.TailErr)
+	}
+	if n, err := rec.NumTriples("m"); err != nil || n != 1 {
+		t.Fatalf("recovered %d triples, %v; want the 1 acknowledged", n, err)
+	}
+	assertInvariants(t, rec)
 }

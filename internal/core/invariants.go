@@ -8,11 +8,10 @@ import (
 )
 
 // CheckInvariants validates the cross-table invariants of the central
-// schema and returns every violation found. It exists for tests (notably
-// the property tests that hammer the store with random operation
-// sequences) and for diagnostics; a healthy store returns an empty slice.
-// The background scrubber (see scrub.go) runs the same checks in bounded
-// slices so the read lock is yielded between batches.
+// schema and returns every violation found. It exists for tests (the
+// property tests, the crash and chaos tests, and the model-based checker
+// in internal/supervise) and for diagnostics; a healthy store returns an
+// empty slice. It holds the read lock for one scan of the store.
 //
 // Invariants checked:
 //
@@ -39,7 +38,7 @@ func (s *Store) CheckInvariants() []error {
 
 	audit := newLinkAudit()
 	s.links.ScanCells(func(c reldb.Cells) bool {
-		s.checkLinkLocked(c, audit, addf, addf)
+		s.checkLinkLocked(c, audit, addf)
 		return true
 	})
 	s.checkNodeSetLocked(audit, addf)
@@ -61,15 +60,9 @@ func newLinkAudit() *linkAudit {
 }
 
 // checkLinkLocked runs the per-link invariants (1, 3, 4, 5, 6) on one
-// rdf_link$ row, folding the row's facts into the audit. Violations go
-// through addf, except duplicate-(MODEL,S,P,CANON) findings, which go
-// through dupf: those compare against rows audited earlier, so a sliced
-// sweep that observed earlier rows under a different lock acquisition
-// must be able to quarantine them (a row deleted and re-added between
-// slices would otherwise report a false duplicate). CheckInvariants,
-// which audits everything under one lock hold, passes addf for both.
-// Caller holds s.mu (either mode).
-func (s *Store) checkLinkLocked(r reldb.Cells, audit *linkAudit, addf, dupf func(format string, args ...interface{})) {
+// rdf_link$ row, folding the row's facts into the audit. Caller holds
+// s.mu (either mode).
+func (s *Store) checkLinkLocked(r reldb.Cells, audit *linkAudit, addf func(format string, args ...interface{})) {
 	linkID := r.Int(lcLinkID)
 	modelID := r.Int(lcModelID)
 	sid, pid, oid, cid := r.Int(lcStartNodeID), r.Int(lcPValueID), r.Int(lcEndNodeID), r.Int(lcCanonEndNodeID)
@@ -87,7 +80,7 @@ func (s *Store) checkLinkLocked(r reldb.Cells, audit *linkAudit, addf, dupf func
 	}
 	key := fmt.Sprintf("%d|%d|%d|%d", modelID, sid, pid, cid)
 	if other, dup := audit.seenMSPO[key]; dup {
-		dupf("links %d and %d: duplicate (MODEL,S,P,CANON)", other, linkID)
+		addf("links %d and %d: duplicate (MODEL,S,P,CANON)", other, linkID)
 	}
 	audit.seenMSPO[key] = linkID
 

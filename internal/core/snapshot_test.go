@@ -293,7 +293,14 @@ func TestLoadRefusesIncompleteOrDamaged(t *testing.T) {
 func TestSaveRefusesOversizedRecord(t *testing.T) {
 	s := newStoreWithModel(t, "m")
 	huge := rdfterm.NewLiteral(strings.Repeat("x", wal.MaxRecordLen))
-	if _, err := s.InsertTerms("m", rdfterm.NewURI("http://s"), rdfterm.NewURI("http://p"), huge); err != nil {
+	// Intern refuses such a term (ErrTermTooLarge); the applier does not
+	// check, so the row goes in through it.
+	s.mu.Lock()
+	err := s.applyLocked(&wal.Record{
+		Type: wal.TypeInternValue, ValueID: s.valueSeq.Next(), Text: huge.Lexical(), ValueType: huge.ValueType(),
+	})
+	s.mu.Unlock()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Save(io.Discard, 0); err == nil || !strings.Contains(err.Error(), "MaxRecordLen") {

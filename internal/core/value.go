@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/rdfterm"
@@ -12,6 +13,18 @@ import (
 // into LONG_VALUE (§4: "long-literals are text values that exceed 4000
 // characters").
 const maxValueNameLen = rdfterm.LongLiteralThreshold
+
+// maxTermBytes bounds a term's text, datatype and language together, so
+// that the record interning it fits one WAL frame: a scanner takes a
+// frame over wal.MaxRecordLen for tail damage, and would drop a larger
+// term with every commit after it at the next restart. The record's
+// type byte, VALUE_ID, value type and four length prefixes fit in the
+// 64 bytes kept back.
+const maxTermBytes = wal.MaxRecordLen - 64
+
+// ErrTermTooLarge refuses a term longer than one WAL record can carry,
+// before anything of its mutation is applied or logged.
+var ErrTermTooLarge = errors.New("core: term too large for one WAL record")
 
 // lookupValueIDLocked returns the VALUE_ID for a term, or (0,false) when the
 // text value is not interned yet. The term dictionary holds every
@@ -34,6 +47,9 @@ func (s *Store) internValueLocked(t rdfterm.Term) (int64, error) {
 	// lands here.
 	if err := t.Validate(); err != nil {
 		return 0, err
+	}
+	if n := len(t.Lexical()) + len(t.Datatype) + len(t.Language); n > maxTermBytes {
+		return 0, fmt.Errorf("%w: %d bytes, at most %d", ErrTermTooLarge, n, maxTermBytes)
 	}
 	id := s.valueSeq.Next()
 	if err := s.emitLocked(&wal.Record{

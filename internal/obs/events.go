@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// Event is one discrete structured occurrence: a health transition, a
-// scrub escalation, a torn WAL tail. Fields are flat string pairs so tests
+// Event is one discrete structured occurrence: a health transition, an
+// automatic checkpoint, a torn WAL tail. Fields are flat string pairs so tests
 // can assert on them and /events can render them without reflection.
 type Event struct {
 	// Seq is a monotone sequence number (1-based) over the log's lifetime;
@@ -23,8 +23,8 @@ type Event struct {
 }
 
 // EventLog is a fixed-capacity ring of recent events. Appends are
-// mutex-guarded — events are discrete occurrences (transitions, scrub
-// findings), not per-operation records, so the lock is uncontended by
+// mutex-guarded — events are discrete occurrences (transitions,
+// checkpoints), not per-operation records, so the lock is uncontended by
 // construction. A nil EventLog is a valid no-op sink.
 type EventLog struct {
 	mu   sync.Mutex

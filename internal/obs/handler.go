@@ -15,8 +15,8 @@ type Health struct {
 	Healthy bool   `json:"healthy"`
 	State   string `json:"state"`
 	Reason  string `json:"reason,omitempty"`
-	// Detail carries subsystem-specific context (recovery counts, scrub
-	// stats, component name).
+	// Detail carries subsystem-specific context (recovery counts,
+	// component name).
 	Detail map[string]any `json:"detail,omitempty"`
 }
 

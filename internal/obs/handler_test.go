@@ -73,7 +73,7 @@ func TestHandlerHealthz(t *testing.T) {
 
 	// Force a Degraded state: 503 plus a JSON body carrying the reason.
 	state = Health{
-		Healthy: false, State: "Degraded", Reason: "scrub found dangling link",
+		Healthy: false, State: "Degraded", Reason: "wal: sync failed",
 		Detail: map[string]any{"recoveries": 2},
 	}
 	resp, err = srv.Client().Get(srv.URL + "/healthz")

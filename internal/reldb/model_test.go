@@ -431,8 +431,8 @@ func compareReads(t *testing.T, step int, tab *Table, pk, pa, byLen, seq *Index,
 	if got := tab.Partitions(); fmt.Sprint(got) != fmt.Sprint(parts) {
 		t.Fatalf("step %d: Partitions() = %v, want %v", step, got, parts)
 	}
-	// The sequence index, as scrub.go reads rdf_link_pk: from a cursor to
-	// the end, in key order — which is row order — keys included.
+	// The sequence index read from a cursor to the end, in key order —
+	// which is row order — keys included.
 	cursor := part*7 + a
 	check("sequence Scan", model.ids(func(r Row) bool { return r[mSeq].Int64() >= cursor }, nil), func(visit func(RowID, Row) bool) {
 		seq.Scan(Key{Int(cursor)}, nil, func(k Key, id RowID) bool {

@@ -56,8 +56,7 @@ import (
 // implements it; StoreBackend adapts a bare *core.Store for deployments
 // without a durability layer (always Healthy).
 type Backend interface {
-	// Store returns the store for reads. Long queries re-fetch per
-	// request — corruption recovery may swap the pointer.
+	// Store returns the store for reads.
 	Store() *core.Store
 	// State is the current health state; the server maps it to HTTP.
 	State() supervise.State

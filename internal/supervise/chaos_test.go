@@ -15,13 +15,14 @@ import (
 	"repro/internal/wal"
 )
 
-// TestChaosCycle drives concurrent writers, readers, and a background
-// scrubber through injected WAL faults and asserts the acceptance
-// criteria from the issue:
+// TestChaosCycle drives concurrent writers and readers through injected
+// WAL faults while a watcher checks the store's invariants every 5 ms,
+// and asserts:
 //
 //   - the full Healthy → Degraded → Recovering → Healthy cycle is
 //     observed (at least once; typically several times),
 //   - readers never see a corrupt result, in any health state,
+//   - CheckInvariants never reports a violation during the run,
 //   - every acknowledged commit survives to a post-mortem recovery from
 //     the on-disk image alone.
 func TestChaosCycle(t *testing.T) {
@@ -32,14 +33,12 @@ func TestChaosCycle(t *testing.T) {
 	fo := &flakyOpener{}
 	rec := &recorder{}
 	sv, err := Open(Config{
-		SnapshotPath:  filepath.Join(dir, "store.snap"),
-		WALDir:        filepath.Join(dir, "wal"),
-		OpenDir:       fo.open,
-		OnTransition:  rec.note,
-		ScrubInterval: 5 * time.Millisecond,
-		ScrubSlice:    64,
-		Backoff:       Backoff{Initial: time.Millisecond, Max: 5 * time.Millisecond, Multiplier: 2, Jitter: 0.2},
-		Seed:          42,
+		SnapshotPath: filepath.Join(dir, "store.snap"),
+		WALDir:       filepath.Join(dir, "wal"),
+		OpenDir:      fo.open,
+		OnTransition: rec.note,
+		Backoff:      Backoff{Initial: time.Millisecond, Max: 5 * time.Millisecond, Multiplier: 2, Jitter: 0.2},
+		Seed:         42,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -127,6 +126,8 @@ func TestChaosCycle(t *testing.T) {
 		}(r)
 	}
 
+	checks := watchInvariants(sv, stop, &wg, &readErr)
+
 	// Chaos: while the store is healthy, periodically trip the current
 	// WAL segment so in-flight appends or syncs fail.
 	wg.Add(1)
@@ -160,8 +161,11 @@ func TestChaosCycle(t *testing.T) {
 	if faults == 0 {
 		t.Fatal("chaos goroutine never injected a fault")
 	}
-	t.Logf("chaos: %d faults injected, %d commits acknowledged, %d recoveries",
-		faults, ackedN.Load(), sv.Health().Recoveries)
+	if checks.Load() == 0 {
+		t.Fatal("the invariant watcher never ran")
+	}
+	t.Logf("chaos: %d faults injected, %d commits acknowledged, %d recoveries, %d invariant checks",
+		faults, ackedN.Load(), sv.Health().Recoveries, checks.Load())
 
 	// The full health cycle was exercised.
 	for _, edge := range [][2]State{{Healthy, Degraded}, {Degraded, Recovering}, {Recovering, Healthy}} {
@@ -218,4 +222,30 @@ func TestChaosCycle(t *testing.T) {
 	if lost > 0 {
 		t.Fatalf("%d acknowledged commit(s) lost (of %d)", lost, ackedN.Load())
 	}
+}
+
+// watchInvariants runs the store's CheckInvariants every 5 ms until stop
+// closes, records the first violation in bad, and returns the count of
+// checks run.
+func watchInvariants(sv *Supervisor, stop <-chan struct{}, wg *sync.WaitGroup, bad *atomic.Value) *atomic.Int64 {
+	var checks atomic.Int64
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		tick := time.NewTicker(5 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+			}
+			checks.Add(1)
+			if errs := sv.Store().CheckInvariants(); len(errs) > 0 {
+				bad.CompareAndSwap(nil, fmt.Sprintf("invariant violation during chaos: %v (and %d more)", errs[0], len(errs)-1))
+				return
+			}
+		}
+	}()
+	return &checks
 }

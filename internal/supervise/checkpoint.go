@@ -21,9 +21,9 @@ import (
 //     ahead of the poll cadence, so retention lands before the hard
 //     budget starts rejecting appends.
 //
-// The loop only acts while Healthy: during a Degraded(disk) episode the
-// recovery loop owns space reclamation (its rebaseline checkpoints), and
-// during other episodes a checkpoint would persist a suspect image.
+// The loop only acts while Healthy: in any other state the recovery loop
+// owns the log, and its re-baseline is itself a checkpoint (in a
+// Degraded(disk) episode, the one that reclaims space).
 
 // defaultCheckpointPoll is the policy evaluation cadence when
 // CheckpointPolicy.Poll is unset.

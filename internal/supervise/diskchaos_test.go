@@ -99,56 +99,74 @@ func TestHardBudgetDegradesAndSelfHeals(t *testing.T) {
 // TestDiskRecoveryNeverReachesFailed: disk-pressure episodes are exempt
 // from the recovery attempt budget — with a tiny MaxAttempts and a hard
 // budget too small to ever checkpoint under, the supervisor keeps
-// retrying in DegradedDisk rather than going terminal.
+// retrying in DegradedDisk rather than going terminal. The episode's
+// class comes from its root cause, so it holds even when the attempts
+// themselves fail for a reason that is not disk pressure.
 func TestDiskRecoveryNeverReachesFailed(t *testing.T) {
-	block := make(chan struct{}) // closed when the test frees space
-	var armed atomic.Bool        // false during the initial Open
-	sv, _, _ := openDiskSupervisor(t, func(cfg *Config) {
-		cfg.Backoff.MaxAttempts = 2
-		cfg.Segment.Budget = wal.Budget{HardBytes: 1 << 10}
-		// Make every re-baseline fail like a still-full disk until freed.
-		real := wal.OpenDirFunc
-		cfg.OpenDir = func(dir string, fromSeq int64, opts wal.DirOptions, fn wal.RecordFunc) (*wal.Dir, wal.DirScanResult, error) {
-			select {
-			case <-block:
-				return real(dir, fromSeq, opts, fn)
-			default:
+	for _, attemptErr := range []error{wal.ErrNoSpace, wal.ErrInjected} {
+		t.Run(attemptErr.Error(), func(t *testing.T) {
+			block := make(chan struct{}) // closed when the test frees space
+			var armed atomic.Bool        // false during the initial Open
+			sv, rec, _ := openDiskSupervisor(t, func(cfg *Config) {
+				cfg.Backoff.MaxAttempts = 2
+				cfg.Segment.Budget = wal.Budget{HardBytes: 1 << 10}
+				// Make every re-baseline fail until freed.
+				real := wal.OpenDirFunc
+				cfg.OpenDir = func(dir string, fromSeq int64, opts wal.DirOptions, fn wal.RecordFunc) (*wal.Dir, wal.DirScanResult, error) {
+					select {
+					case <-block:
+						return real(dir, fromSeq, opts, fn)
+					default:
+					}
+					if armed.Load() {
+						return nil, wal.DirScanResult{}, fmt.Errorf("reopen: %w", attemptErr)
+					}
+					return real(dir, fromSeq, opts, fn)
+				}
+			})
+			armed.Store(true)
+			if err := sv.Mutate(func(st *core.Store) error {
+				_, err := st.CreateRDFModel("m", "", "")
+				return err
+			}); err != nil {
+				t.Fatal(err)
 			}
-			if armed.Load() {
-				return nil, wal.DirScanResult{}, fmt.Errorf("reopen: %w", wal.ErrNoSpace)
+			var tripped bool
+			for i := 0; i < 10_000 && !tripped; i++ {
+				if err := insert(sv, "m", fmt.Sprintf("x:s%d", i), "x:p", "x:o"); err != nil {
+					tripped = true
+				}
 			}
-			return real(dir, fromSeq, opts, fn)
-		}
-	})
-	armed.Store(true)
-	if err := sv.Mutate(func(st *core.Store) error {
-		_, err := st.CreateRDFModel("m", "", "")
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var tripped bool
-	for i := 0; i < 10_000 && !tripped; i++ {
-		if err := insert(sv, "m", fmt.Sprintf("x:s%d", i), "x:p", "x:o"); err != nil {
-			tripped = true
-		}
-	}
-	if !tripped {
-		t.Fatal("hard budget never tripped")
-	}
+			if !tripped {
+				t.Fatal("hard budget never tripped")
+			}
 
-	// Give the loop time to blow past MaxAttempts; it must stay in the
-	// DegradedDisk/Recovering orbit, never Failed.
-	deadline := time.Now().Add(300 * time.Millisecond)
-	for time.Now().Before(deadline) {
-		if st := sv.State(); st == Failed {
-			t.Fatalf("disk episode reached terminal Failed")
-		}
-		time.Sleep(2 * time.Millisecond)
+			// Give the loop time to blow past MaxAttempts; it must stay in
+			// the DegradedDisk/Recovering orbit, never Failed.
+			deadline := time.Now().Add(300 * time.Millisecond)
+			for time.Now().Before(deadline) {
+				if st := sv.State(); st == Failed || st == Degraded {
+					t.Fatalf("disk episode reached %v", st)
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+			failed := 0
+			for _, tr := range rec.transitions() {
+				if tr.From == Recovering && tr.To == DegradedDisk {
+					failed++
+					if !wal.IsNoSpace(tr.RootCause) {
+						t.Fatalf("failed attempt %d lost the disk root cause: %v", tr.Attempt, tr.RootCause)
+					}
+				}
+			}
+			if failed <= 2 {
+				t.Fatalf("%d failed attempts; want more than MaxAttempts", failed)
+			}
+			// Free the space: the very next attempt heals.
+			close(block)
+			waitState(t, sv, Healthy, 5*time.Second)
+		})
 	}
-	// Free the space: the very next attempt heals.
-	close(block)
-	waitState(t, sv, Healthy, 5*time.Second)
 }
 
 // TestAutoCheckpointSoftWatermark: crossing the soft watermark triggers
@@ -248,6 +266,7 @@ func TestAutoCheckpointInterval(t *testing.T) {
 //   - every writer rejection is typed (ErrDegraded family or
 //     core.ErrDurability) — a raw ENOSPC never escapes untyped,
 //   - readers never see a corrupt result,
+//   - CheckInvariants, run every 5 ms, never reports a violation,
 //   - post-mortem recovery from disk alone holds every acked commit.
 func TestChaosDiskENOSPC(t *testing.T) {
 	if testing.Short() {
@@ -282,12 +301,10 @@ func TestChaosDiskENOSPC(t *testing.T) {
 			Budget:       wal.Budget{SoftBytes: 4 << 10, HardBytes: 64 << 10},
 			Wrap:         wrapSeg,
 		},
-		Checkpoint:    CheckpointPolicy{Poll: time.Millisecond},
-		OnTransition:  rec.note,
-		ScrubInterval: 5 * time.Millisecond,
-		ScrubSlice:    64,
-		Backoff:       Backoff{Initial: time.Millisecond, Max: 5 * time.Millisecond, Multiplier: 2, Jitter: 0.2},
-		Seed:          42,
+		Checkpoint:   CheckpointPolicy{Poll: time.Millisecond},
+		OnTransition: rec.note,
+		Backoff:      Backoff{Initial: time.Millisecond, Max: 5 * time.Millisecond, Multiplier: 2, Jitter: 0.2},
+		Seed:         42,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -367,6 +384,8 @@ func TestChaosDiskENOSPC(t *testing.T) {
 		}(r)
 	}
 
+	checks := watchInvariants(sv, stop, &wg, &chaoErr)
+
 	time.Sleep(duration)
 	close(stop)
 	wg.Wait()
@@ -394,13 +413,16 @@ func TestChaosDiskENOSPC(t *testing.T) {
 	if ackedN.Load() == 0 {
 		t.Fatal("no commit was ever acknowledged")
 	}
+	if checks.Load() == 0 {
+		t.Fatal("the invariant watcher never ran")
+	}
 	for _, tr := range rec.transitions() {
 		if tr.To == Failed {
 			t.Fatalf("disk chaos reached terminal Failed: %+v", tr)
 		}
 	}
-	t.Logf("disk chaos: %d ENOSPC injections across %d segment files, %d commits acked, %d recoveries",
-		injected, segsSeen, ackedN.Load(), sv.Health().Recoveries)
+	t.Logf("disk chaos: %d ENOSPC injections across %d segment files, %d commits acked, %d recoveries, %d invariant checks",
+		injected, segsSeen, ackedN.Load(), sv.Health().Recoveries, checks.Load())
 
 	// Settle and shut down cleanly.
 	waitState(t, sv, Healthy, 10*time.Second)

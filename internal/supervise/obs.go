@@ -4,13 +4,12 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 )
 
 // Observability. Every supervisor notification — health transitions,
-// recovery attempts, scrub findings — flows through one funnel
-// (notify/onScrub) into the obs registry: a state gauge and counters
+// recovery attempts, automatic checkpoints — flows through one funnel
+// into the obs registry: a state gauge and counters
 // for dashboards, plus structured events in the registry's ring so
 // tests and /events can assert on exactly what happened and why. The
 // OnTransition callback remains for programmatic consumers; the event
@@ -24,9 +23,6 @@ type Metrics struct {
 	degraded         *obs.Counter
 	recoveryAttempts *obs.Counter
 	recoveries       *obs.Counter
-	scrubPasses      *obs.Counter
-	scrubViolations  *obs.Counter
-	scrubDur         *obs.Histogram
 	autoCheckpoints  *obs.Counter
 	ckptDur          *obs.Histogram
 	events           *obs.EventLog
@@ -44,9 +40,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		degraded:         reg.Counter("supervise_degraded_total", "faults that tripped the store into Degraded"),
 		recoveryAttempts: reg.Counter("supervise_recovery_attempts_total", "recovery attempts started"),
 		recoveries:       reg.Counter("supervise_recoveries_total", "completed Degraded->Healthy cycles"),
-		scrubPasses:      reg.Counter("supervise_scrub_passes_total", "completed background scrub sweeps"),
-		scrubViolations:  reg.Counter("supervise_scrub_violations_total", "invariant violations found by scrub sweeps"),
-		scrubDur:         reg.Histogram("supervise_scrub_seconds", "scrub sweep duration", obs.DurationBuckets),
 		autoCheckpoints:  reg.Counter("supervise_auto_checkpoints_total", "checkpoints taken by the automatic policy loop"),
 		ckptDur:          reg.Histogram("supervise_checkpoint_seconds", "automatic checkpoint duration", obs.DurationBuckets),
 		events:           reg.Events(),
@@ -102,25 +95,6 @@ func (m *Metrics) markHealthy() {
 	m.state.Set(int64(Healthy))
 }
 
-// onScrub records one completed sweep; sweeps with findings also land
-// in the event log (the escalation to Degraded emits its own
-// transition event with the ScrubError as rootCause).
-func (m *Metrics) onScrub(t0 time.Time, rep core.ScrubReport) {
-	if m == nil {
-		return
-	}
-	m.scrubPasses.Inc()
-	m.scrubViolations.Add(int64(len(rep.Violations)))
-	m.scrubDur.ObserveSince(t0)
-	if len(rep.Violations) > 0 {
-		m.events.Emit("supervise", "scrub_violations", map[string]string{
-			"links":      strconv.Itoa(rep.Links),
-			"violations": strconv.Itoa(len(rep.Violations)),
-			"first":      rep.Violations[0].Error(),
-		})
-	}
-}
-
 // onAutoCheckpoint records a policy-driven checkpoint. urgent marks
 // soft-watermark (disk pressure) triggers vs routine interval/size ones.
 func (m *Metrics) onAutoCheckpoint(urgent bool, t0 time.Time) {
@@ -153,29 +127,15 @@ func ckptTrigger(urgent bool) string {
 	return "policy"
 }
 
-// onScrubError records a sweep that could not complete (and is being
-// escalated by the caller).
-func (m *Metrics) onScrubError(err error) {
-	if m == nil {
-		return
-	}
-	m.events.Emit("supervise", "scrub_error", map[string]string{"error": err.Error()})
-}
-
 // Healthz adapts the supervisor's health snapshot to the admin
 // endpoint's payload: anything but Healthy answers 503, with the
-// active fault as the reason and recovery/scrub counters as detail.
+// active fault as the reason and the recovery count as detail.
 func (sv *Supervisor) Healthz() obs.Health {
 	h := sv.Health()
 	out := obs.Health{
 		Healthy: h.State == Healthy,
 		State:   h.State.String(),
-		Detail: map[string]any{
-			"recoveries":      h.Recoveries,
-			"scrubs":          h.Scrubs,
-			"scrubLinks":      h.LastScrub.Links,
-			"scrubViolations": len(h.LastScrub.Violations),
-		},
+		Detail:  map[string]any{"recoveries": h.Recoveries},
 	}
 	if h.Reason != nil {
 		out.Reason = h.Reason.Error()

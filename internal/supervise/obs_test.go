@@ -1,7 +1,6 @@
 package supervise
 
 import (
-	"context"
 	"encoding/json"
 	"net/http/httptest"
 	"testing"
@@ -77,66 +76,6 @@ func TestTransitionsRouteToEventLog(t *testing.T) {
 		t.Fatalf("supervise_state = %+v, want Healthy", g)
 	}
 }
-
-// TestScrubFindingsRouteToEventLog: a sweep with violations is counted,
-// logged as a structured event, and escalates with the ScrubError as
-// the transition's root cause.
-func TestScrubFindingsRouteToEventLog(t *testing.T) {
-	reg := obs.NewRegistry()
-	sv, _, _, _ := openTestSupervisor(t, func(cfg *Config) {
-		cfg.Obs = reg
-		cfg.ScrubInterval = 5 * time.Millisecond
-		cfg.Backoff.Initial = time.Hour // keep Degraded stable once tripped
-		cfg.Scrub = func(context.Context, *core.Store, int) (core.ScrubReport, error) {
-			return core.ScrubReport{Links: 7, Violations: []error{errFake}}, nil
-		}
-		cfg.Verify = func(*core.Store) []error { return []error{errFake} }
-	})
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) && sv.State() == Healthy {
-		time.Sleep(time.Millisecond)
-	}
-	if sv.State() == Healthy {
-		t.Fatal("scrub violations did not escalate")
-	}
-
-	// The transition's event is emitted after the state changes, outside
-	// the supervisor's lock: wait for the event, not only the state.
-	var sawScrub, sawCause bool
-	for !(sawScrub && sawCause) && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-		for _, ev := range reg.Events().Snapshot() {
-			if ev.Scope != "supervise" {
-				continue
-			}
-			if ev.Name == "scrub_violations" {
-				sawScrub = true
-				if ev.Fields["violations"] != "1" || ev.Fields["links"] != "7" || ev.Fields["first"] == "" {
-					t.Fatalf("scrub_violations fields = %+v", ev.Fields)
-				}
-			}
-			if ev.Name == "transition" && ev.Fields["to"] == "Degraded" && ev.Fields["rootCause"] != "" {
-				sawCause = true
-			}
-		}
-	}
-	if !sawScrub || !sawCause {
-		t.Fatal("scrub findings or escalation cause missing from event log")
-	}
-	snap := reg.Snapshot()
-	if c, ok := snap.Counter("supervise_scrub_violations_total"); !ok || c.Value < 1 {
-		t.Fatalf("supervise_scrub_violations_total = %+v", c)
-	}
-	if h, ok := snap.Histogram("supervise_scrub_seconds"); !ok || h.Count < 1 {
-		t.Fatalf("supervise_scrub_seconds = %+v", h)
-	}
-}
-
-var errFake = &fakeViolation{}
-
-type fakeViolation struct{}
-
-func (*fakeViolation) Error() string { return "fabricated dangling link" }
 
 // TestAdminEndpointEndToEnd wires one registry through every subsystem
 // — WAL, store, supervisor — serves it over the admin handler, and

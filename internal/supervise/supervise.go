@@ -18,11 +18,11 @@
 // atomically, retire the old segments — until the sink heals or the
 // attempt budget runs out (Failed, terminal; reads still served).
 //
-// A background scrubber periodically sweeps the store's invariants and
-// per-model statistics in bounded slices (core.ScrubPass), escalating
-// genuine violations to Degraded with a structured ScrubError; recovery
-// for corruption re-verifies and, if the damage is real, rebuilds the
-// store from the on-disk snapshot + WAL.
+// The supervisor never replaces the store it opened: recovery
+// re-establishes durability for the in-memory image, which stays
+// authoritative. The store's invariants are checked by tests
+// (core.Store.CheckInvariants after every step of the model-based
+// checker, the crash tests and the chaos tests), not at run time.
 package supervise
 
 import (
@@ -168,33 +168,21 @@ type Config struct {
 	// OnRecover, when set, observes the startup recovery's outcome —
 	// CLIs surface torn-tail repairs to stderr from here.
 	OnRecover func(core.RecoverInfo)
-	// ScrubInterval is the pause between background invariant sweeps;
-	// 0 disables the scrubber.
-	ScrubInterval time.Duration
-	// ScrubSlice bounds how many links one scrub slice audits under the
-	// read lock (0 = core's default).
-	ScrubSlice int
 	// Backoff shapes recovery retries; zero fields take defaults.
 	Backoff Backoff
 	// OnTransition, when set, observes every state change (called outside
 	// the supervisor's locks, from supervisor goroutines).
 	OnTransition func(Transition)
-	// Scrub overrides the background sweep (default core.Store.ScrubPass).
-	// Tests inject fabricated violation reports here.
-	Scrub func(ctx context.Context, st *core.Store, slice int) (core.ScrubReport, error)
-	// Verify overrides the invariant check recovery re-verifies a
-	// suspect store with (default core.Store.CheckInvariants).
-	Verify func(st *core.Store) []error
 	// Seed seeds the backoff jitter. 0 (the default) seeds from the
 	// clock so a fleet of stores does not retry in lockstep; tests that
 	// need a deterministic schedule set it explicitly.
 	Seed int64
 	// Obs, when set, receives the supervisor's metric series and routes
-	// every transition and scrub notification into the registry's event
-	// log with structured fields (see NewMetrics).
+	// every transition and automatic checkpoint into the registry's
+	// event log with structured fields (see NewMetrics).
 	Obs *obs.Registry
 	// Tracer, when set, records background root spans for recovery
-	// attempts, scrub passes, and automatic checkpoints (see
+	// attempts and automatic checkpoints (see
 	// internal/trace). Recovery spans are force-retained — a recovery is
 	// rare enough that losing one to sampling would be a debugging hole.
 	// Nil disables with zero overhead.
@@ -214,26 +202,24 @@ type Supervisor struct {
 	// an execution window, not data — the data guard is mu below.
 	opMu sync.RWMutex
 
-	mu         sync.Mutex
-	state      State            //repro:guarded-by mu
-	reason     error            //repro:guarded-by mu
-	rootCause  error            //repro:guarded-by mu
-	store      *core.Store      //repro:guarded-by mu
-	dir        *wal.Dir         //repro:guarded-by mu
-	closed     bool             //repro:guarded-by mu
-	recoveries int              //repro:guarded-by mu
-	scrubs     int              //repro:guarded-by mu
-	lastScrub  core.ScrubReport //repro:guarded-by mu
-	dirty      int64            //repro:guarded-by mu
-	lastCkpt   time.Time        //repro:guarded-by mu
+	// store is set once in Open and never replaced.
+	store *core.Store
 
-	wake      chan struct{}
-	ckptWake  chan struct{} // soft-watermark → immediate checkpoint
-	stop      chan struct{}
-	wg        sync.WaitGroup
-	scrubCtx  context.Context
-	scrubStop context.CancelFunc
-	rng       *rand.Rand // recovery-loop goroutine only
+	mu         sync.Mutex
+	state      State     //repro:guarded-by mu
+	reason     error     //repro:guarded-by mu
+	rootCause  error     //repro:guarded-by mu
+	dir        *wal.Dir  //repro:guarded-by mu
+	closed     bool      //repro:guarded-by mu
+	recoveries int       //repro:guarded-by mu
+	dirty      int64     //repro:guarded-by mu
+	lastCkpt   time.Time //repro:guarded-by mu
+
+	wake     chan struct{}
+	ckptWake chan struct{} // soft-watermark → immediate checkpoint
+	stop     chan struct{}
+	wg       sync.WaitGroup
+	rng      *rand.Rand // recovery-loop goroutine only
 
 	// met and walMet are set once in Open (attach-before-share) and read
 	// by the notification funnel; nil when Config.Obs is unset.
@@ -263,32 +249,21 @@ func Open(cfg Config) (*Supervisor, error) {
 	if cfg.Backoff.Jitter < 0 || cfg.Backoff.Jitter >= 1 {
 		cfg.Backoff.Jitter = 0.2
 	}
-	if cfg.Scrub == nil {
-		cfg.Scrub = func(ctx context.Context, st *core.Store, slice int) (core.ScrubReport, error) {
-			return st.ScrubPass(ctx, slice)
-		}
-	}
-	if cfg.Verify == nil {
-		cfg.Verify = func(st *core.Store) []error { return st.CheckInvariants() }
-	}
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = time.Now().UnixNano()
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
 	sv := &Supervisor{
-		cfg:       cfg,
-		state:     Healthy,
-		wake:      make(chan struct{}, 1),
-		ckptWake:  make(chan struct{}, 1),
-		stop:      make(chan struct{}),
-		scrubCtx:  ctx,
-		scrubStop: cancel,
-		rng:       rand.New(rand.NewSource(seed)),
-		met:       NewMetrics(cfg.Obs),
-		walMet:    wal.NewMetrics(cfg.Obs),
-		lastCkpt:  time.Now(),
+		cfg:      cfg,
+		state:    Healthy,
+		wake:     make(chan struct{}, 1),
+		ckptWake: make(chan struct{}, 1),
+		stop:     make(chan struct{}),
+		rng:      rand.New(rand.NewSource(seed)),
+		met:      NewMetrics(cfg.Obs),
+		walMet:   wal.NewMetrics(cfg.Obs),
+		lastCkpt: time.Now(),
 	}
 	// Chain the supervisor's immediate-checkpoint trigger onto the WAL's
 	// soft watermark (preserving any user callback). The chained callback
@@ -307,7 +282,6 @@ func Open(cfg Config) (*Supervisor, error) {
 
 	st, dir, info, err := core.RecoverDirWith(cfg.SnapshotPath, cfg.WALDir, sv.cfg.Segment, cfg.OpenDir)
 	if err != nil {
-		cancel()
 		return nil, fmt.Errorf("supervise: open: %w", err)
 	}
 	dir.SetMetrics(sv.walMet)
@@ -322,10 +296,6 @@ func Open(cfg Config) (*Supervisor, error) {
 	sv.met.markHealthy()
 	sv.wg.Add(1)
 	go sv.recoverLoop()
-	if cfg.ScrubInterval > 0 {
-		sv.wg.Add(1)
-		go sv.scrubLoop()
-	}
 	if sv.checkpointLoopEnabled() {
 		sv.wg.Add(1)
 		go sv.checkpointLoop()
@@ -362,10 +332,6 @@ type Health struct {
 	Reason error
 	// Recoveries counts completed Degraded→Healthy cycles.
 	Recoveries int
-	// Scrubs counts completed background sweeps; LastScrub is the most
-	// recent report.
-	Scrubs    int
-	LastScrub core.ScrubReport
 }
 
 // Health returns a snapshot of the supervisor's condition.
@@ -376,43 +342,38 @@ func (sv *Supervisor) Health() Health {
 		State:      sv.state,
 		Reason:     sv.reason,
 		Recoveries: sv.recoveries,
-		Scrubs:     sv.scrubs,
-		LastScrub:  sv.lastScrub,
 	}
 }
 
-// Store returns the current store for direct reads. The pointer may be
-// replaced by corruption recovery; long-lived readers should re-fetch it
-// rather than cache it. Mutating through this pointer bypasses the
+// Store returns the store for direct reads; it is the same store for the
+// supervisor's whole life. Mutating through this pointer bypasses the
 // health gate and the fault detector — use Mutate.
 func (sv *Supervisor) Store() *core.Store {
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
 	return sv.store
 }
 
 // gate admits one mutation: the supervisor must be open and Healthy.
 // The returned error wraps the active fault under the matching sentinel.
-func (sv *Supervisor) gate() (*core.Store, error) {
+func (sv *Supervisor) gate() error {
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
 	switch {
 	case sv.closed:
-		return nil, ErrClosed
+		return ErrClosed
 	case sv.state == Failed:
-		return nil, fmt.Errorf("%w: %w", ErrFailed, sv.reason)
+		return fmt.Errorf("%w: %w", ErrFailed, sv.reason)
 	case sv.state == DegradedDisk:
 		if sv.reason != nil {
-			return nil, fmt.Errorf("%w: %w", ErrDiskFull, sv.reason)
+			return fmt.Errorf("%w: %w", ErrDiskFull, sv.reason)
 		}
-		return nil, ErrDiskFull
+		return ErrDiskFull
 	case sv.state != Healthy:
 		if sv.reason != nil {
-			return nil, fmt.Errorf("%w: %w", ErrDegraded, sv.reason)
+			return fmt.Errorf("%w: %w", ErrDegraded, sv.reason)
 		}
-		return nil, ErrDegraded
+		return ErrDegraded
 	}
-	return sv.store, nil
+	return nil
 }
 
 // Mutate runs one mutation against the store. In any state but Healthy
@@ -424,11 +385,10 @@ func (sv *Supervisor) gate() (*core.Store, error) {
 func (sv *Supervisor) Mutate(fn func(*core.Store) error) error {
 	sv.opMu.RLock()
 	defer sv.opMu.RUnlock()
-	st, err := sv.gate()
-	if err != nil {
+	if err := sv.gate(); err != nil {
 		return err
 	}
-	if err := fn(st); err != nil {
+	if err := fn(sv.store); err != nil {
 		if errors.Is(err, core.ErrDurability) {
 			sv.degrade(err)
 		}
@@ -460,12 +420,12 @@ func (sv *Supervisor) InsertBatch(model string, batch []core.BatchTriple) (core.
 // Find serves a pattern query in any health state (Degraded and Failed
 // stores keep reading), bounded by ctx's deadline.
 func (sv *Supervisor) Find(ctx context.Context, model string, pat core.Pattern) ([]core.TripleS, error) {
-	return sv.Store().Find(ctx, model, pat)
+	return sv.store.Find(ctx, model, pat)
 }
 
 // FindModels is Find over several models under one consistent snapshot.
 func (sv *Supervisor) FindModels(ctx context.Context, models []string, pat core.Pattern) ([]core.TripleS, error) {
-	return sv.Store().FindModelsCtx(ctx, models, pat)
+	return sv.store.FindModelsCtx(ctx, models, pat)
 }
 
 // Checkpoint snapshots the current state atomically and reclaims WAL
@@ -481,14 +441,13 @@ func (sv *Supervisor) FindModels(ctx context.Context, models []string, pat core.
 func (sv *Supervisor) Checkpoint(ctx context.Context) error {
 	sv.opMu.Lock()
 	defer sv.opMu.Unlock()
-	st, err := sv.gate()
-	if err != nil {
+	if err := sv.gate(); err != nil {
 		return err
 	}
 	sv.mu.Lock()
 	dir := sv.dir
 	sv.mu.Unlock()
-	if err := core.CheckpointDirCtx(ctx, st, sv.cfg.SnapshotPath, dir); err != nil {
+	if err := core.CheckpointDirCtx(ctx, sv.store, sv.cfg.SnapshotPath, dir); err != nil {
 		err = fmt.Errorf("supervise: checkpoint: %w", err)
 		sv.degrade(err)
 		return err
@@ -515,7 +474,6 @@ func (sv *Supervisor) Close() error {
 	}
 	sv.closed = true
 	sv.mu.Unlock()
-	sv.scrubStop()
 	close(sv.stop)
 	sv.wg.Wait()
 	// Exclude in-flight operations: a Mutate/Checkpoint that passed the
@@ -556,8 +514,8 @@ func (sv *Supervisor) degrade(cause error) {
 	sv.reason = cause
 	// rootCause is the fault that started this Degraded episode. Unlike
 	// reason it is never overwritten by per-attempt retry errors, so the
-	// recovery loop's fault classification (corruption vs durability vs
-	// disk) stays stable across failed attempts.
+	// recovery loop's fault classification (disk or not) stays stable
+	// across failed attempts.
 	sv.rootCause = cause
 	sv.mu.Unlock()
 	sv.notify(Transition{From: Healthy, To: to, Reason: cause, RootCause: cause})

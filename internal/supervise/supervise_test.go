@@ -315,225 +315,6 @@ func TestRecoveryBackoffThenFailedTerminal(t *testing.T) {
 	}
 }
 
-func TestScrubberEscalatesAndRecoveryRebuildsFromDisk(t *testing.T) {
-	// The injected scrubber reports a fabricated violation once; the
-	// injected verifier condemns the current in-memory store, forcing the
-	// rebuild-from-disk path, and passes the rebuilt store.
-	var (
-		mu        sync.Mutex
-		badReport bool
-		condemned *core.Store
-	)
-	sv, _, rec, _ := openTestSupervisor(t, func(cfg *Config) {
-		cfg.ScrubInterval = 2 * time.Millisecond
-		cfg.Scrub = func(ctx context.Context, st *core.Store, slice int) (core.ScrubReport, error) {
-			mu.Lock()
-			defer mu.Unlock()
-			rep, err := st.ScrubPass(ctx, slice)
-			if badReport {
-				badReport = false
-				condemned = st
-				rep.Violations = append(rep.Violations, errors.New("fabricated: node 7 unused by any link"))
-			}
-			return rep, err
-		}
-		cfg.Verify = func(st *core.Store) []error {
-			mu.Lock()
-			defer mu.Unlock()
-			if st == condemned {
-				return []error{errors.New("fabricated: still corrupt")}
-			}
-			return st.CheckInvariants()
-		}
-	})
-	if err := sv.Mutate(func(st *core.Store) error {
-		_, err := st.CreateRDFModel("m", "", "")
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := insert(sv, "m", "x:s", "x:p", "x:o"); err != nil {
-		t.Fatal(err)
-	}
-	// Make the durable image current, then condemn memory.
-	if err := sv.Checkpoint(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	before := sv.Store()
-	mu.Lock()
-	badReport = true
-	mu.Unlock()
-
-	waitState(t, sv, Healthy, 2*time.Second)
-	// Wait until the scrub-triggered degradation has happened AND healed.
-	deadline := time.Now().Add(2 * time.Second)
-	for !rec.hasEdge(Healthy, Degraded) || sv.State() != Healthy {
-		if time.Now().After(deadline) {
-			t.Fatalf("scrub escalation/recovery incomplete: %+v", rec.transitions())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	var scrubErr *ScrubError
-	foundScrubReason := false
-	for _, tr := range rec.transitions() {
-		if tr.To == Degraded && errors.As(tr.Reason, &scrubErr) {
-			foundScrubReason = true
-		}
-	}
-	if !foundScrubReason {
-		t.Fatalf("no Degraded transition carries a *ScrubError: %+v", rec.transitions())
-	}
-
-	// The store was rebuilt from disk: new pointer, same data.
-	after := sv.Store()
-	if after == before {
-		t.Fatal("store pointer unchanged; rebuild-from-disk did not run")
-	}
-	got, err := sv.Find(context.Background(), "m", core.Pattern{})
-	if err != nil || len(got) != 1 {
-		t.Fatalf("rebuilt store Find = %d rows, %v", len(got), err)
-	}
-	if err := insert(sv, "m", "x:s2", "x:p", "x:o2"); err != nil {
-		t.Fatal(err)
-	}
-	if sv.Health().Scrubs == 0 {
-		t.Fatal("completed scrubs not counted")
-	}
-}
-
-// A transient failure of a recovery attempt must not change how the
-// fault is classified: if the scrubber condemned memory, every attempt
-// has to keep treating disk as the authority. The buggy alternative —
-// classifying from the latest attempt error — would flip to the
-// durability path after one refused WAL reopen and checkpoint the
-// condemned in-memory image over the good snapshot.
-func TestCorruptionRecoverySurvivesTransientAttemptFailure(t *testing.T) {
-	var (
-		mu        sync.Mutex
-		badReport bool
-		condemned *core.Store
-	)
-	sv, fo, rec, _ := openTestSupervisor(t, func(cfg *Config) {
-		cfg.ScrubInterval = 2 * time.Millisecond
-		cfg.Scrub = func(ctx context.Context, st *core.Store, slice int) (core.ScrubReport, error) {
-			mu.Lock()
-			defer mu.Unlock()
-			rep, err := st.ScrubPass(ctx, slice)
-			if badReport {
-				badReport = false
-				condemned = st
-				rep.Violations = append(rep.Violations, errors.New("fabricated: node 7 unused by any link"))
-			}
-			return rep, err
-		}
-		cfg.Verify = func(st *core.Store) []error {
-			mu.Lock()
-			defer mu.Unlock()
-			if st == condemned {
-				return []error{errors.New("fabricated: still corrupt")}
-			}
-			return st.CheckInvariants()
-		}
-	})
-	if err := sv.Mutate(func(st *core.Store) error {
-		_, err := st.CreateRDFModel("m", "", "")
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := insert(sv, "m", "x:s", "x:p", "x:o"); err != nil {
-		t.Fatal(err)
-	}
-	if err := sv.Checkpoint(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	before := sv.Store()
-
-	// Condemn memory AND make the first recovery attempt fail on the WAL
-	// reopen, so recovery needs at least two attempts.
-	mu.Lock()
-	badReport = true
-	mu.Unlock()
-	fo.refuseNext(1)
-
-	// Wait for the scrub-triggered degradation to happen AND heal.
-	deadline := time.Now().Add(2 * time.Second)
-	for !rec.hasEdge(Healthy, Degraded) || sv.State() != Healthy {
-		if time.Now().After(deadline) {
-			t.Fatalf("scrub escalation/recovery incomplete: %+v", rec.transitions())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Disk must have stayed the authority across the failed attempt: the
-	// store was rebuilt from snapshot+WAL (new pointer), not re-baselined
-	// from the condemned memory image (same pointer).
-	after := sv.Store()
-	if after == before {
-		t.Fatal("store pointer unchanged: failed attempt reclassified corruption as a durability fault and re-baselined condemned memory")
-	}
-	got, err := sv.Find(context.Background(), "m", core.Pattern{})
-	if err != nil || len(got) != 1 {
-		t.Fatalf("rebuilt store Find = %d rows, %v", len(got), err)
-	}
-}
-
-// A background sweep that fails outright (not a cancellation) means the
-// store could not be verified; the supervisor must escalate instead of
-// silently skipping the sweep.
-func TestScrubErrorEscalates(t *testing.T) {
-	injected := errors.New("injected: scrub I/O failure")
-	var (
-		mu        sync.Mutex
-		scrubFail bool
-	)
-	sv, _, rec, _ := openTestSupervisor(t, func(cfg *Config) {
-		cfg.ScrubInterval = 2 * time.Millisecond
-		cfg.Scrub = func(ctx context.Context, st *core.Store, slice int) (core.ScrubReport, error) {
-			mu.Lock()
-			defer mu.Unlock()
-			if scrubFail {
-				scrubFail = false
-				return core.ScrubReport{}, injected
-			}
-			return st.ScrubPass(ctx, slice)
-		}
-	})
-	if err := sv.Mutate(func(st *core.Store) error {
-		_, err := st.CreateRDFModel("m", "", "")
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := insert(sv, "m", "x:s", "x:p", "x:o"); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	scrubFail = true
-	mu.Unlock()
-
-	// The failed sweep degrades the store with the sweep error as cause;
-	// memory is fine, so rebaseline recovery heals it.
-	deadline := time.Now().Add(2 * time.Second)
-	for !rec.hasEdge(Healthy, Degraded) || sv.State() != Healthy {
-		if time.Now().After(deadline) {
-			t.Fatalf("scrub-error escalation/recovery incomplete: %+v", rec.transitions())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	found := false
-	for _, tr := range rec.transitions() {
-		if tr.To == Degraded && errors.Is(tr.Reason, injected) {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no Degraded transition wraps the injected scrub error: %+v", rec.transitions())
-	}
-	if err := insert(sv, "m", "x:s2", "x:p", "x:o2"); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestQueryTimeout: a deadline on the ctx passed to Find and FindModels
 // bounds the read; an expired one fails it with DeadlineExceeded.
 func TestQueryTimeout(t *testing.T) {

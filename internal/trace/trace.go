@@ -250,7 +250,7 @@ func (t *Tracer) Start(ctx context.Context, name string) (context.Context, *Span
 }
 
 // StartRoot opens a root span outside any request context — the entry
-// point for background subsystems (WAL flush, recovery, scrub).
+// point for background subsystems (recovery, automatic checkpoints).
 func (t *Tracer) StartRoot(name string) *Span {
 	if t == nil {
 		return nil

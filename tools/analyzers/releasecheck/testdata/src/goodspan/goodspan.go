@@ -38,7 +38,7 @@ func perBranchEnd(tr *trace.Tracer) error {
 
 // finishSpelling: Finish is an accepted alias for End.
 func finishSpelling(tr *trace.Tracer) {
-	sp := tr.StartRoot("scrub")
+	sp := tr.StartRoot("checkpoint")
 	sp.Finish()
 }
 
